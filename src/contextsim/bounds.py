@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inequalities import eval_pentagon_lg, sigma_theta
-from .linalg import PAULI_X, PAULI_Z
+from .linalg import sigma_theta_matrix
 from .optimize import golden_section_minimize
 from .sequential import joint_distribution
 from .states import mixed_state
@@ -40,10 +40,6 @@ class BoundResult:
     tolerance: float
 
 
-def _sigma(angle: float) -> np.ndarray:
-    return np.cos(angle) * PAULI_Z + np.sin(angle) * PAULI_X
-
-
 def bell_operator(angles) -> np.ndarray:
     """Sum of the five cross terms sigma(a_r) x sigma(a_{r+1}) over the cycle."""
     angles = list(angles)
@@ -51,7 +47,7 @@ def bell_operator(angles) -> np.ndarray:
         raise ValueError("need exactly 5 angles")
     total = np.zeros((4, 4), dtype=complex)
     for r in range(5):
-        total += np.kron(_sigma(angles[r]), _sigma(angles[(r + 1) % 5]))
+        total += np.kron(sigma_theta_matrix(angles[r]), sigma_theta_matrix(angles[(r + 1) % 5]))
     return total
 
 
@@ -67,7 +63,7 @@ def bell_constrained_objective(angles) -> float:
     penalty = np.zeros((4, 4), dtype=complex)
     eye = np.eye(4, dtype=complex)
     for a in angles:
-        ss = np.kron(_sigma(a), _sigma(a))
+        ss = np.kron(sigma_theta_matrix(a), sigma_theta_matrix(a))
         penalty += (eye - ss) / 2
     w, v = np.linalg.eigh(penalty)
     kernel = v[:, w < KERNEL_TOL]
@@ -84,10 +80,17 @@ def temporal_objective(angles) -> float:
     return float(sum(np.cos(angles[r] - angles[(r + 1) % 5]) for r in range(5)))
 
 
+def _at_least_one(name: str, value) -> int:
+    value = int(value)
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return value
+
+
 def _coarse_grid_tuples(resolution: int):
     """All 5-tuples over the angle grid with the first angle pinned to 0;
     a global angle shift changes neither spectra nor constraints."""
-    grid = np.linspace(0.0, 2 * np.pi, max(int(resolution), 1), endpoint=False)
+    grid = np.linspace(0.0, 2 * np.pi, _at_least_one("resolution", resolution), endpoint=False)
     mesh = np.meshgrid(*([np.arange(grid.size)] * 4), indexing="ij")
     idx = np.stack([m.reshape(-1) for m in mesh], axis=1)
     tuples = np.concatenate([np.zeros((idx.shape[0], 1), dtype=int), idx], axis=1)
@@ -97,7 +100,7 @@ def _coarse_grid_tuples(resolution: int):
 def _coarse_bell_minimum(resolution: int) -> np.ndarray:
     grid, tuples = _coarse_grid_tuples(resolution)
     r = grid.size
-    sig = np.stack([_sigma(a) for a in grid])
+    sig = np.stack([sigma_theta_matrix(a) for a in grid])
     cross = np.einsum("iab,jcd->ijacbd", sig, sig).reshape(r, r, 4, 4)
     eye = np.eye(4, dtype=complex)
     pen_diag = (eye - cross[np.arange(r), np.arange(r)]) / 2
@@ -237,7 +240,7 @@ def _contextual_seesaw(seed: int, iterations: int, tol: float):
     performed = 0
     converged = False
     psi = None
-    for _ in range(max(int(iterations), 1)):
+    for _ in range(iterations):
         gram = sum(np.outer(ui, ui) for ui in u)
         _, vecs = np.linalg.eigh(gram)
         psi = vecs[:, -1]
@@ -286,8 +289,10 @@ def _contextual_seesaw(seed: int, iterations: int, tol: float):
 def contextual_bound_kcbs(iterations: int = 200, restarts: int = 8, tol: float = 1e-9) -> BoundResult:
     """Seesaw over five exclusive rank-one tests and a state in R^3; the
     optimum 5 - 4*sqrt(5) sits strictly above the temporal extremum."""
+    restarts = _at_least_one("restarts", restarts)
+    iterations = _at_least_one("iterations", iterations)
     best = None
-    for seed in range(max(int(restarts), 1)):
+    for seed in range(restarts):
         outcome = _contextual_seesaw(seed, iterations, tol)
         if outcome is None:
             continue

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ATOL, as_matrix
+from .linalg import ATOL, PAULI_X, as_matrix
 from .states import QuantumState, density_of
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -88,48 +88,16 @@ def hadamard(target: int) -> GateOp:
     return GateOp("H", HADAMARD, (target,))
 
 
-def pauli_x(target: int) -> GateOp:
-    from .linalg import PAULI_X
-
-    return GateOp("X", PAULI_X, (target,))
-
-
-def pauli_y(target: int) -> GateOp:
-    from .linalg import PAULI_Y
-
-    return GateOp("Y", PAULI_Y, (target,))
-
-
-def pauli_z(target: int) -> GateOp:
-    from .linalg import PAULI_Z
-
-    return GateOp("Z", PAULI_Z, (target,))
-
-
-def rx(target: int, theta: float) -> GateOp:
-    return GateOp(f"RX({theta:.6g})", rx_matrix(theta), (target,))
-
-
 def ry(target: int, theta: float) -> GateOp:
     return GateOp(f"RY({theta:.6g})", ry_matrix(theta), (target,))
 
 
-def rz(target: int, theta: float) -> GateOp:
-    return GateOp(f"RZ({theta:.6g})", rz_matrix(theta), (target,))
-
-
 def cnot(control: int, target: int) -> GateOp:
-    from .linalg import PAULI_X
-
     return GateOp("CNOT", PAULI_X, (target,), control=control)
 
 
 def controlled(control: int, u: np.ndarray, targets, label: str = "ctrl-U", on: int = 1) -> GateOp:
     return GateOp(label, u, tuple(targets), control=control, control_on=on)
-
-
-def global_gate(u: np.ndarray, qubits: int, label: str = "U") -> GateOp:
-    return GateOp(label, u, tuple(range(qubits)))
 
 
 def embed(u: np.ndarray, targets, n: int) -> np.ndarray:

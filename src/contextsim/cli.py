@@ -1,9 +1,13 @@
 """Command-line entry point.
 
 Commands: pm, kcbs, pentagon, bell (inequality evaluations), bounds
-(extremum searches), selftest (acceptance checks). Exit codes: 0 success,
-2 invalid configuration, 3 bound search did not converge, 4 output I/O
-failure.
+(extremum searches), selftest (acceptance checks). Each evaluation builds one
+correlation spec per term; ``--method`` picks the route that reads it: the
+probe circuit, the trace closed form, or the invasive Lüders chain over the
+slots' Heisenberg observables. ``--config`` names a JSON object whose values
+become the defaults of the chosen command; flags on the command line still
+win. Exit codes: 0 success, 2 invalid configuration, 3 bound search did not
+converge, 4 output I/O failure.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ class RunConfig:
     method: str = "direct"
     theta: float | None = None
     noise: NoiseModel | None = None
-    seed: int = 0
     output_path: str | None = None
     format: str = "table"
     target: str = "all"
@@ -54,7 +57,9 @@ class RunConfig:
     tol: float = 1e-9
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The argument parser; ``defaults`` (from --config) override each
+    command's own defaults."""
     parser = argparse.ArgumentParser(
         prog="contextsim",
         description="Evaluate contextuality and temporal-correlation inequalities "
@@ -71,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="state depolarizing probability")
         p.add_argument("--visibility", type=float, default=None,
                        help="per-block readout visibility")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", default="table", choices=("table", "json", "csv"))
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
 
@@ -92,11 +96,13 @@ def _build_parser() -> argparse.ArgumentParser:
     bounds_p.add_argument("--restarts", type=int, default=8)
     bounds_p.add_argument("--iterations", type=int, default=200)
     bounds_p.add_argument("--tol", type=float, default=1e-9)
-    bounds_p.add_argument("--seed", type=int, default=0)
     bounds_p.add_argument("--format", default="table", choices=("table", "json", "csv"))
     bounds_p.add_argument("--output", default=None)
 
     sub.add_parser("selftest", help="run the acceptance checks")
+    if defaults:
+        for command in sub.choices.values():
+            command.set_defaults(**defaults)
     return parser
 
 
@@ -116,7 +122,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         method=getattr(args, "method", "direct"),
         theta=None if theta is None else parse_angle(theta),
         noise=noise,
-        seed=getattr(args, "seed", 0),
         output_path=getattr(args, "output", None),
         format=getattr(args, "format", "table"),
         target=getattr(args, "target", "all"),
@@ -201,7 +206,7 @@ def run(config: RunConfig) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    # first pass picks up --config so its values become defaults for the rest
+    # first pass picks up --config; its values become the subcommand defaults
     probe, _ = parser.parse_known_args(argv)
     if getattr(probe, "config", None):
         try:
@@ -210,7 +215,10 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             sys.stderr.write(f"error: bad config file {probe.config!r}: {exc}\n")
             return EXIT_CONFIG
-        parser.set_defaults(**defaults)
+        if not isinstance(defaults, dict):
+            sys.stderr.write(f"error: config file {probe.config!r} must hold a JSON object\n")
+            return EXIT_CONFIG
+        parser = _build_parser(defaults)
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)

@@ -1,8 +1,12 @@
 """Observable families and evaluators for the four inequalities.
 
-Every evaluator can run through three routes: "scattering" (probe circuit),
-"direct" (trace closed form), and "sequential" (invasive projective chains).
-For term families built from mutually commuting factors all three agree.
+Each term of an evaluator is one TemporalCorrelationSpec: time slots, each a
+product of per-qubit dichotomic observables read through an evolution. Three
+routes read a spec: "scattering" (probe circuit), "direct" (trace closed
+form), and "sequential" (an invasive Lüders chain over the slots' Heisenberg
+observables, in slot order). For term families built from mutually commuting
+factors all three agree. A term needs one controlled readout block per slot,
+which is the block count the visibility noise model uses.
 
 The nine-entry square of two-qubit observables::
 
@@ -22,12 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL, ATOL_DICHOTOMIC, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, as_matrix
+from .linalg import PAULI_Z, PAULIS, as_matrix, check_observable, sigma_theta_matrix
 from .circuits import ry_matrix
 from .scattering import (
     TemporalCorrelationSpec,
+    TimeSlot,
     correlator_direct,
     correlator_scattering,
+    heisenberg_observable,
     sigma_theta_evolution,
     slot,
 )
@@ -49,8 +55,6 @@ PM_FACTOR_TOKENS = {
     "beta": ("X", "Z"),
     "gamma": ("Y", "Y"),
 }
-
-_PAULI = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 # Context sequences entering the six-term combination; the last one carries
 # a minus sign.
@@ -75,10 +79,7 @@ class Observable:
 
     def __post_init__(self):
         m = as_matrix(self.matrix)
-        if np.max(np.abs(m - m.conj().T)) > ATOL:
-            raise ValueError(f"observable {self.label!r} is not Hermitian")
-        if self.dichotomic and np.max(np.abs(m @ m - np.eye(m.shape[0]))) > ATOL_DICHOTOMIC:
-            raise ValueError(f"observable {self.label!r} does not square to the identity")
+        check_observable(m, f"observable {self.label!r}", self.dichotomic)
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -118,42 +119,55 @@ def is_violated(total: float, bound: float, direction: str) -> bool:
     raise ValueError(f"unknown bound direction {direction!r}")
 
 
+def side_conditions_satisfied(constraints) -> bool | None:
+    """Whether every side-condition correlator is 1 within CONSTRAINT_ATOL;
+    None when the report has no side conditions."""
+    if constraints is None:
+        return None
+    return all(abs(v - 1.0) <= CONSTRAINT_ATOL for _, v in constraints)
+
+
 def _make_report(
-    name, method, labels, values, signs, blocks, bound, direction, prediction,
-    constraints=None,
+    name, state, method, labels, specs, signs, bound, direction, prediction,
+    constraint_specs=None,
 ):
+    """Evaluate one spec per term, and per labelled side condition, on ``method``."""
+    values = [_term_value(state, spec, method) for spec in specs]
+    constraints = None
+    if constraint_specs is not None:
+        constraints = tuple(
+            (label, _term_value(state, spec, method)) for label, spec in constraint_specs.items()
+        )
     total = float(sum(s * v for s, v in zip(signs, values)))
-    satisfied = None
-    if constraints is not None:
-        satisfied = all(abs(v - 1.0) <= CONSTRAINT_ATOL for _, v in constraints)
     return InequalityReport(
         name=name,
         method=method,
         terms=tuple(zip(labels, values)),
         term_signs=tuple(signs),
         term_predictions=tuple(values),
-        blocks_per_term=tuple(blocks),
+        blocks_per_term=tuple(len(spec.slots) for spec in specs),
         sum=total,
         classical_bound=bound,
         bound_direction=direction,
         quantum_prediction=prediction,
         violated=is_violated(total, bound, direction),
         constraints=constraints,
-        constraints_satisfied=satisfied,
+        constraints_satisfied=side_conditions_satisfied(constraints),
     )
 
 
 def sigma_theta(theta: float) -> Observable:
     """cos(theta) sigma_z + sin(theta) sigma_x; dichotomic for every angle."""
-    m = np.cos(theta) * PAULI_Z + np.sin(theta) * PAULI_X
-    return Observable(matrix=m, dichotomic=True, label=f"sigma_theta({theta:.6g})")
+    return Observable(
+        matrix=sigma_theta_matrix(theta), dichotomic=True, label=f"sigma_theta({theta:.6g})"
+    )
 
 
 def pm_observable(label: str) -> Observable:
     if label not in PM_FACTOR_TOKENS:
         raise ValueError(f"unknown square entry {label!r}")
     left, right = PM_FACTOR_TOKENS[label]
-    return Observable(matrix=np.kron(_PAULI[left], _PAULI[right]), dichotomic=True, label=label)
+    return Observable(matrix=np.kron(PAULIS[left], PAULIS[right]), dichotomic=True, label=label)
 
 
 def pm_square() -> tuple[tuple[Observable, ...], ...]:
@@ -174,23 +188,22 @@ def pentagram_observable(j: int) -> Observable:
     return Observable(matrix=u.conj().T @ PAULI_Z @ u, dichotomic=True, label=f"sigma_{j}")
 
 
-def _term_value(state: QuantumState, spec: TemporalCorrelationSpec, sequence, method: str) -> float:
+def _term_value(state: QuantumState, spec: TemporalCorrelationSpec, method: str) -> float:
     if method == "scattering":
         return correlator_scattering(state, spec)
     if method == "direct":
         return correlator_direct(state, spec)
     if method == "sequential":
-        return correlator_sequential(state, sequence)
+        return correlator_sequential(state, tuple(heisenberg_observable(s) for s in spec.slots))
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-def _pm_term(label_seq):
+def _pm_term(label_seq) -> TemporalCorrelationSpec:
     slots = []
     for name in label_seq:
         left, right = PM_FACTOR_TOKENS[name]
-        slots.append(slot((_PAULI[left], _PAULI[right])))
-    spec = TemporalCorrelationSpec(system_qubits=2, slots=tuple(slots))
-    return spec, tuple(pm_observable(name) for name in label_seq)
+        slots.append(slot((PAULIS[left], PAULIS[right])))
+    return TemporalCorrelationSpec(system_qubits=2, slots=tuple(slots))
 
 
 def eval_pm(state: QuantumState, method: str = "direct") -> InequalityReport:
@@ -198,42 +211,29 @@ def eval_pm(state: QuantumState, method: str = "direct") -> InequalityReport:
     value 6 independent of the input state."""
     if state.qubits != 2:
         raise ValueError("this evaluator needs a two-qubit state")
-    labels, values = [], []
-    for seq in PM_CONTEXTS:
-        spec, sequence = _pm_term(seq)
-        labels.append(".".join(seq))
-        values.append(_term_value(state, spec, sequence, method))
     return _make_report(
         name="pm",
+        state=state,
         method=method,
-        labels=labels,
-        values=values,
+        labels=[".".join(seq) for seq in PM_CONTEXTS],
+        specs=[_pm_term(seq) for seq in PM_CONTEXTS],
         signs=PM_SIGNS,
-        blocks=[3] * 6,
         bound=4.0,
         direction="<=",
         prediction=6.0,
     )
 
 
-def _kcbs_cycle(theta: float):
-    """The five measurement descriptions (Z, theta, Z, theta, Z) as pairs of
-    (slot, Observable)."""
+def _kcbs_cycle(theta: float) -> tuple[TimeSlot, ...]:
+    """The five measurement slots (Z, theta, Z, theta, Z)."""
     z_slot = slot((PAULI_Z,))
     th_slot = slot((PAULI_Z,), sigma_theta_evolution(theta))
-    z_obs = Observable(matrix=PAULI_Z, dichotomic=True, label="Z")
-    th_obs = sigma_theta(theta)
-    cycle = []
-    for k in range(5):
-        cycle.append((z_slot, z_obs) if k % 2 == 0 else (th_slot, th_obs))
-    return cycle
+    return tuple(z_slot if k % 2 == 0 else th_slot for k in range(5))
 
 
-def _pair_term(state, cycle, i, j, method, n_qubits=1):
-    spec = TemporalCorrelationSpec(
-        system_qubits=n_qubits, slots=(cycle[i][0], cycle[j][0])
-    )
-    return _term_value(state, spec, (cycle[i][1], cycle[j][1]), method)
+def _pair_specs(theta: float, pairs) -> list[TemporalCorrelationSpec]:
+    cycle = _kcbs_cycle(theta)
+    return [TemporalCorrelationSpec(system_qubits=1, slots=(cycle[i], cycle[j])) for i, j in pairs]
 
 
 def eval_kcbs_temporal(state: QuantumState, theta: float, method: str = "direct") -> InequalityReport:
@@ -241,17 +241,14 @@ def eval_kcbs_temporal(state: QuantumState, theta: float, method: str = "direct"
     the combination equals 1 + 4 cos(theta) and its classical floor is -3."""
     if state.qubits != 1:
         raise ValueError("this evaluator needs a single-qubit state")
-    cycle = _kcbs_cycle(theta)
     pairs = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0))
-    labels = [f"X{i + 1}.X{j + 1}" for i, j in pairs]
-    values = [_pair_term(state, cycle, i, j, method) for i, j in pairs]
     return _make_report(
         name="kcbs",
+        state=state,
         method=method,
-        labels=labels,
-        values=values,
+        labels=[f"X{i + 1}.X{j + 1}" for i, j in pairs],
+        specs=_pair_specs(theta, pairs),
         signs=[1.0] * 5,
-        blocks=[2] * 5,
         bound=-3.0,
         direction=">=",
         prediction=float(1 + 4 * np.cos(theta)),
@@ -263,34 +260,24 @@ def eval_pentagon_lg(state: QuantumState, theta: float, method: str = "direct") 
     reading gives 4 + 6 cos(theta) against the classical floor -2."""
     if state.qubits != 1:
         raise ValueError("this evaluator needs a single-qubit state")
-    cycle = _kcbs_cycle(theta)
     pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-    labels = [f"X{i + 1}.X{j + 1}" for i, j in pairs]
-    values = [_pair_term(state, cycle, i, j, method) for i, j in pairs]
     return _make_report(
         name="pentagon",
+        state=state,
         method=method,
-        labels=labels,
-        values=values,
+        labels=[f"X{i + 1}.X{j + 1}" for i, j in pairs],
+        specs=_pair_specs(theta, pairs),
         signs=[1.0] * 10,
-        blocks=[2] * 10,
         bound=-2.0,
         direction=">=",
         prediction=float(4 + 6 * np.cos(theta)),
     )
 
 
-def _bell_term(state, r, q, method):
+def _bell_term(r: int, q: int) -> TemporalCorrelationSpec:
+    """One slot measuring A_r x B_q: Z x Z read through the pentagram rotations."""
     evo = np.kron(ry_matrix(4 * np.pi * r / 5), ry_matrix(4 * np.pi * q / 5))
-    spec = TemporalCorrelationSpec(
-        system_qubits=2, slots=(slot((PAULI_Z, PAULI_Z), evo),)
-    )
-    sig_r, sig_q = pentagram_observable(r).matrix, pentagram_observable(q).matrix
-    sequence = (
-        Observable(matrix=np.kron(sig_r, PAULI_I), dichotomic=True, label=f"A{r}"),
-        Observable(matrix=np.kron(PAULI_I, sig_q), dichotomic=True, label=f"B{q}"),
-    )
-    return spec, sequence
+    return TemporalCorrelationSpec(system_qubits=2, slots=(slot((PAULI_Z, PAULI_Z), evo),))
 
 
 def eval_transformed_bell(state: QuantumState, method: str = "direct") -> InequalityReport:
@@ -302,25 +289,15 @@ def eval_transformed_bell(state: QuantumState, method: str = "direct") -> Inequa
     """
     if state.qubits != 2:
         raise ValueError("this evaluator needs a two-qubit state")
-    labels, values = [], []
-    for r in range(5):
-        q = (r + 1) % 5
-        spec, sequence = _bell_term(state, r, q, method)
-        labels.append(f"A{r}.B{q}")
-        values.append(_term_value(state, spec, sequence, method))
-    constraints = []
-    for j in range(5):
-        spec, sequence = _bell_term(state, j, j, method)
-        constraints.append((f"A{j}.B{j}", _term_value(state, spec, sequence, method)))
     return _make_report(
         name="bell",
+        state=state,
         method=method,
-        labels=labels,
-        values=values,
+        labels=[f"A{r}.B{(r + 1) % 5}" for r in range(5)],
+        specs=[_bell_term(r, (r + 1) % 5) for r in range(5)],
         signs=[1.0] * 5,
-        blocks=[1] * 5,
         bound=-3.0,
         direction=">=",
         prediction=float(5 * np.cos(4 * np.pi / 5)),
-        constraints=tuple(constraints),
+        constraint_specs={f"A{j}.B{j}": _bell_term(j, j) for j in range(5)},
     )

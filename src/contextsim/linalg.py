@@ -1,4 +1,5 @@
-"""Dense complex matrix arithmetic and spectral decomposition for dimensions up to 16.
+"""Dense complex matrix helpers for dimensions up to 16: shared tolerances,
+the Pauli matrices, validation, and the PSD square root.
 
 All operators in this package are plain ``numpy.ndarray`` values of dtype
 complex128 in row-major order; :func:`as_matrix` is the validating
@@ -6,8 +7,6 @@ constructor. Operations are pure functions and safe to call concurrently.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +23,7 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 for _p in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z):
     _p.setflags(write=False)
+PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
 def as_matrix(entries, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -57,35 +57,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def adjoint(a: np.ndarray) -> np.ndarray:
-    return as_matrix(a).conj().T
-
-
-def trace(a: np.ndarray) -> complex:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"trace requires a square matrix, got {a.shape}")
-    return complex(np.trace(a))
-
-
-def scale(c: complex, a: np.ndarray) -> np.ndarray:
-    return complex(c) * as_matrix(a)
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} + {b.shape}")
-    return a + b
-
-
 def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b + b @ a`` for square matrices of equal dimension."""
     a, b = as_matrix(a), as_matrix(b)
@@ -94,62 +65,27 @@ def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b + b @ a
 
 
-def is_hermitian(a: np.ndarray, atol: float = ATOL) -> bool:
-    a = np.asarray(a)
-    return a.ndim == 2 and a.shape[0] == a.shape[1] and np.max(np.abs(a - a.conj().T)) <= atol
+def sigma_theta_matrix(theta: float) -> np.ndarray:
+    """cos(theta) sigma_z + sin(theta) sigma_x, unvalidated (dichotomic for
+    every angle)."""
+    return np.cos(theta) * PAULI_Z + np.sin(theta) * PAULI_X
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and ascending; ``eigenvectors`` holds unit-norm
-    column vectors in matching order, each phase-fixed so its first nonzero
-    component is real positive.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        self.eigenvalues.setflags(write=False)
-        self.eigenvectors.setflags(write=False)
-
-
-def _phase_fixed(v: np.ndarray) -> np.ndarray:
-    for x in v:
-        if abs(x) > 1e-12:
-            return v * (x.conjugate() / abs(x))
-    return v
-
-
-def hermitian_eigen(a: np.ndarray, atol: float = ATOL) -> Spectrum:
-    """Spectral decomposition of a Hermitian matrix with deterministic ordering.
-
-    Eigenvalues ascend; ties are broken by lexicographic comparison of the
-    phase-fixed eigenvector entries (real part before imaginary part).
-    """
-    a = as_matrix(a)
-    if not is_hermitian(a, atol):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((a + a.conj().T) / 2)
-    cols = [_phase_fixed(v[:, k]) for k in range(v.shape[1])]
-    keys = [
-        (w[k],) + tuple(x for c in cols[k] for x in (c.real, c.imag))
-        for k in range(len(cols))
-    ]
-    order = sorted(range(len(cols)), key=lambda k: keys[k])
-    return Spectrum(
-        eigenvalues=np.array([w[k] for k in order]),
-        eigenvectors=np.column_stack([cols[k] for k in order]),
-    )
+def check_observable(m: np.ndarray, what: str, dichotomic: bool = True) -> None:
+    """Raise ValueError unless ``m`` is Hermitian and, when ``dichotomic``,
+    squares to the identity."""
+    if np.max(np.abs(m - m.conj().T)) > ATOL:
+        raise ValueError(f"{what} is not Hermitian")
+    if dichotomic and np.max(np.abs(m @ m - np.eye(m.shape[0]))) > ATOL_DICHOTOMIC:
+        raise ValueError(f"{what} does not square to the identity")
 
 
 def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root; eigenvalues in [-PSD_CLAMP, 0) are clamped to 0."""
-    spec = hermitian_eigen(a)
-    w = spec.eigenvalues
+    a = as_matrix(a)
+    check_observable(a, "matrix", dichotomic=False)
+    w, v = np.linalg.eigh((a + a.conj().T) / 2)
     if w[0] < -PSD_CLAMP:
         raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})")
-    s = spec.eigenvectors @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ spec.eigenvectors.conj().T
+    s = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     return (s + s.conj().T) / 2

@@ -13,7 +13,7 @@ import dataclasses
 import json
 
 from .bounds import BoundResult
-from .inequalities import InequalityReport, is_violated
+from .inequalities import InequalityReport, is_violated, side_conditions_satisfied
 from .noise import NoiseModel, apply_visibility
 
 
@@ -111,9 +111,7 @@ def with_noise(ideal: InequalityReport, noisy: InequalityReport, model: NoiseMod
         sum=total,
         violated=is_violated(total, ideal.classical_bound, ideal.bound_direction),
         constraints=constraints,
-        constraints_satisfied=None
-        if constraints is None
-        else all(abs(v - 1.0) <= 1e-6 for _, v in constraints),
+        constraints_satisfied=side_conditions_satisfied(constraints),
     )
 
 

@@ -32,11 +32,18 @@ from .circuits import (
     ry_matrix,
     rz_matrix,
 )
-from .linalg import ATOL, ATOL_DICHOTOMIC, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, as_matrix
+from .linalg import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    PAULIS,
+    as_matrix,
+    check_observable,
+    sigma_theta_matrix,
+)
 from .states import QuantumState, density_of, haar_random_unitary
 
 _ROTATIONS = {"x": rx_matrix, "y": ry_matrix, "z": rz_matrix}
-_PAULI_TOKENS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
 @dataclass(frozen=True)
@@ -53,10 +60,7 @@ class TimeSlot:
         for o in obs:
             if o.shape != (2, 2):
                 raise ValueError("per-qubit observables must be 2x2")
-            if np.max(np.abs(o - o.conj().T)) > ATOL:
-                raise ValueError("per-qubit observables must be Hermitian")
-            if np.max(np.abs(o @ o - np.eye(2))) > ATOL_DICHOTOMIC:
-                raise ValueError("per-qubit observables must square to the identity")
+            check_observable(o, "per-qubit observable")
         u = as_matrix(self.evolution)
         if u.shape != (2 ** len(obs),) * 2:
             raise ValueError(f"evolution of shape {u.shape} does not fit {len(obs)} qubits")
@@ -185,20 +189,22 @@ def random_correlation_spec(
 
 
 def parse_angle(text) -> float:
-    """An angle in radians: a float literal, "pi", "-pi", or "acos(x)"."""
-    if isinstance(text, (int, float)):
-        return float(text)
-    t = text.strip().lower()
-    if t == "pi":
-        return math.pi
-    if t == "-pi":
-        return -math.pi
-    if t.startswith("acos(") and t.endswith(")"):
-        x = float(t[5:-1])
-        if not -1.0 <= x <= 1.0:
-            raise ValueError(f"acos argument {x} out of [-1, 1]")
-        return math.acos(x)
-    return float(t)
+    """An angle in radians: a finite float literal, "pi", "-pi", or "acos(x)"."""
+    if isinstance(text, str):
+        t = text.strip().lower()
+        if t == "pi":
+            return math.pi
+        if t == "-pi":
+            return -math.pi
+        if t.startswith("acos(") and t.endswith(")"):
+            x = float(t[5:-1])
+            if not -1.0 <= x <= 1.0:
+                raise ValueError(f"acos argument {x} out of [-1, 1]")
+            return math.acos(x)
+    angle = float(text)
+    if not math.isfinite(angle):
+        raise ValueError(f"angle {text!r} is not a finite number of radians")
+    return angle
 
 
 def _resolve_observable_tokens(tokens, system_qubits: int) -> tuple[np.ndarray, ...]:
@@ -215,11 +221,10 @@ def _resolve_observable_tokens(tokens, system_qubits: int) -> tuple[np.ndarray, 
         raise ValueError(f"slot lists {len(tokens)} observables for {system_qubits} qubits")
     out = []
     for tok in tokens:
-        if tok in _PAULI_TOKENS:
-            out.append(_PAULI_TOKENS[tok])
+        if tok in PAULIS:
+            out.append(PAULIS[tok])
         elif tok.startswith("sigma_theta(") and tok.endswith(")"):
-            theta = parse_angle(tok[len("sigma_theta("):-1])
-            out.append(np.cos(theta) * PAULI_Z + np.sin(theta) * PAULI_X)
+            out.append(sigma_theta_matrix(parse_angle(tok[len("sigma_theta("):-1])))
         elif tok.startswith("pentagram:"):
             out.append(pentagram_observable(int(tok.split(":", 1)[1])).matrix)
         else:

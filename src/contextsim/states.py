@@ -52,11 +52,12 @@ class QuantumState:
                 raise ValueError("density matrix is not Hermitian")
             if abs(np.trace(r).real - 1.0) > ATOL:
                 raise ValueError("density matrix trace differs from 1")
-            if np.linalg.eigvalsh((r + r.conj().T) / 2).min() < -ATOL_STATE_PSD:
+            # stored symmetrized, so a stored density matrix is exactly Hermitian
+            h = (r + r.conj().T) / 2
+            if np.linalg.eigvalsh(h).min() < -ATOL_STATE_PSD:
                 raise ValueError("density matrix has a negative eigenvalue")
-            r = r.copy()
-            r.setflags(write=False)
-            object.__setattr__(self, "rho", r)
+            h.setflags(write=False)
+            object.__setattr__(self, "rho", h)
 
     @property
     def is_pure(self) -> bool:
@@ -116,16 +117,18 @@ def pseudopure(psi: QuantumState, epsilon: float) -> QuantumState:
 def fidelity(a: QuantumState, b: QuantumState) -> float:
     """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 in [0, 1].
 
-    For two pure states this reduces to the squared overlap.
+    When either side is a pure |psi> this reduces to <psi|sigma|psi>, which
+    is evaluated directly (for two pure states, the squared overlap).
     """
     if a.qubits != b.qubits:
         raise ValueError("states live on different register sizes")
-    if a.is_pure and b.is_pure:
-        return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-    ra, rb = density_of(a), density_of(b)
-    sa = matrix_sqrt_psd(ra)
-    inner = sa @ rb @ sa
-    f = float(np.trace(matrix_sqrt_psd((inner + inner.conj().T) / 2)).real ** 2)
+    if a.is_pure or b.is_pure:
+        psi, other = (a, b) if a.is_pure else (b, a)
+        f = float(np.vdot(psi.amplitudes, density_of(other) @ psi.amplitudes).real)
+    else:
+        sa = matrix_sqrt_psd(a.rho)
+        inner = sa @ b.rho @ sa
+        f = float(np.trace(matrix_sqrt_psd((inner + inner.conj().T) / 2)).real ** 2)
     return min(max(f, 0.0), 1.0)
 
 

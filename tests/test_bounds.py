@@ -194,3 +194,13 @@ class TestGlobalInvariants:
             "contextual-kcbs",
             "pentagon-lg",
         }
+
+    def test_search_sizes_below_one_rejected(self):
+        with pytest.raises(ValueError, match="resolution"):
+            tsirelson_search_bell(resolution=0)
+        with pytest.raises(ValueError, match="resolution"):
+            temporal_bound_kcbs(resolution=-1)
+        with pytest.raises(ValueError, match="restarts"):
+            contextual_bound_kcbs(restarts=0)
+        with pytest.raises(ValueError, match="iterations"):
+            contextual_bound_kcbs(iterations=0)

@@ -12,10 +12,8 @@ from contextsim.circuits import (
     embed,
     full_gate_matrix,
     hadamard,
-    pauli_x,
     ry,
     ry_matrix,
-    rz,
     rz_matrix,
 )
 from contextsim.linalg import PAULI_I, PAULI_X, PAULI_Z
@@ -78,7 +76,7 @@ class TestGateOpValidation:
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            Circuit(1, (pauli_x(3),))
+            Circuit(1, (GateOp("X", PAULI_X, (3,)),))
 
 
 class TestEmbed:
@@ -152,7 +150,7 @@ class TestApply:
             hadamard(0),
             ry(1, 0.7),
             cnot(0, 1),
-            rz(0, -1.1),
+            GateOp("RZ", rz_matrix(-1.1), (0,)),
             controlled(1, haar_random_unitary(2, rng), [0]),
         )
         forward = Circuit(2, ops)

@@ -136,6 +136,34 @@ class TestCommands:
         cfg.write_text("{not json")
         assert main(["--config", str(cfg), "pm"]) == 2
 
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(["method", "sequential"]))
+        assert main(["--config", str(cfg), "pm"]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
+
+class TestRejectedValues:
+    @pytest.mark.parametrize(
+        "target, flag",
+        [("bell-kcbs", "--resolution"), ("contextual-kcbs", "--restarts"),
+         ("contextual-kcbs", "--iterations")],
+    )
+    def test_search_size_below_one(self, target, flag, capsys):
+        assert main(["bounds", "--target", target, flag, "0"]) == 2
+        captured = capsys.readouterr()
+        assert flag[2:] in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+    def test_non_finite_theta(self, theta, capsys):
+        assert main(["kcbs", f"--theta={theta}"]) == 2
+        assert "angle" in capsys.readouterr().err
+
+    def test_seed_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pm", "--seed", "1"])
+        assert exc.value.code == 2
+
 
 class TestConsoleScript:
     def test_pm_via_interpreter(self):

@@ -251,4 +251,8 @@ class TestReportContract:
         assert isinstance(rep, InequalityReport)
         assert len(rep.terms) == len(rep.term_signs) == len(rep.term_predictions) == 6
         assert rep.blocks_per_term == (3,) * 6
+        state = basis_state(1, "0")
+        assert eval_kcbs_temporal(state, 1.0, "direct").blocks_per_term == (2,) * 5
+        assert eval_pentagon_lg(state, 1.0, "direct").blocks_per_term == (2,) * 10
+        assert eval_transformed_bell(bell_phi_plus(), "direct").blocks_per_term == (1,) * 5
         assert rep.quantum_prediction == 6.0

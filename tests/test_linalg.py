@@ -1,21 +1,16 @@
 import numpy as np
 import pytest
 
+from contextsim.bounds import bell_operator
 from contextsim.linalg import (
     PAULI_I,
     PAULI_X,
-    PAULI_Y,
     PAULI_Z,
-    add,
-    adjoint,
     anticommutator,
     as_matrix,
-    hermitian_eigen,
     kron,
-    matmul,
     matrix_sqrt_psd,
-    scale,
-    trace,
+    sigma_theta_matrix,
 )
 
 
@@ -85,32 +80,7 @@ class TestKron:
         for _ in range(10):
             a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            assert abs(trace(kron(a, b)) - trace(a) * trace(b)) < 1e-10
-
-
-class TestElementwiseOps:
-    def test_trace_identity(self):
-        assert trace(np.eye(4)) == 4 + 0j
-
-    def test_adjoint_involution(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert np.array_equal(adjoint(adjoint(a)), a)
-
-    def test_trace_zx_vanishes(self):
-        # hand computation: Z X = [[0, 1], [-1, 0]]
-        assert trace(matmul(PAULI_Z, PAULI_X)) == 0j
-
-    def test_scale_add(self):
-        assert np.allclose(add(scale(2, PAULI_I), PAULI_Z), np.diag([3, 1]))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(np.eye(2), np.eye(3))
-        with pytest.raises(ValueError):
-            add(np.eye(2), np.eye(3))
-        with pytest.raises(ValueError):
-            trace(np.ones((2, 3)))
+            assert abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-10
 
 
 class TestAnticommutator:
@@ -131,69 +101,30 @@ class TestAnticommutator:
 
 
 class TestHermitianEigen:
+    """Hermitian eigenproblems the package poses: sigma(theta) spectra, the
+    five-term cross operator floor, and the PSD square root's input check."""
+
     def test_sigma_z(self):
-        s = hermitian_eigen(PAULI_Z)
-        assert np.allclose(s.eigenvalues, [-1.0, 1.0])
+        assert np.array_equal(sigma_theta_matrix(0.0), PAULI_Z)
+        assert np.allclose(np.linalg.eigvalsh(sigma_theta_matrix(0.0)), [-1.0, 1.0])
 
     def test_rotated_direction_spectrum(self):
         # characteristic polynomial of cos*Z + sin*X is l^2 - 1
         for theta in np.linspace(0, 2 * np.pi, 13):
-            st = np.cos(theta) * PAULI_Z + np.sin(theta) * PAULI_X
-            assert np.allclose(hermitian_eigen(st).eigenvalues, [-1.0, 1.0])
+            assert np.allclose(np.linalg.eigvalsh(sigma_theta_matrix(theta)), [-1.0, 1.0])
 
     def test_cross_term_operator_extremal_eigenvalue(self):
         # five cross terms at equal 4*pi/5 steps admit a joint -1 eigenvector,
         # so the bare operator floor is the algebraic -5 (the inequality's
         # side condition is what pins the usable extremum higher)
-        angles = [4 * np.pi * j / 5 for j in range(5)]
-        op = sum(
-            np.kron(
-                np.cos(angles[r]) * PAULI_Z + np.sin(angles[r]) * PAULI_X,
-                np.cos(angles[(r + 1) % 5]) * PAULI_Z + np.sin(angles[(r + 1) % 5]) * PAULI_X,
-            )
-            for r in range(5)
-        )
-        lo = hermitian_eigen(op).eigenvalues[0]
+        op = bell_operator([4 * np.pi * j / 5 for j in range(5)])
+        lo = np.linalg.eigvalsh(op)[0]
         assert abs(lo - power_extremal_min(op)) < 1e-8
         assert abs(lo - (-5.0)) < 1e-9
 
-    def test_reconstruction(self):
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            a = (g + g.conj().T) / 2
-            s = hermitian_eigen(a)
-            rebuilt = sum(
-                s.eigenvalues[k] * np.outer(s.eigenvectors[:, k], s.eigenvectors[:, k].conj())
-                for k in range(4)
-            )
-            assert np.max(np.abs(rebuilt - a)) < 1e-9
-
-    def test_orthonormal_and_eigen_equation(self):
-        rng = np.random.default_rng(4)
-        g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        a = (g + g.conj().T) / 2
-        s = hermitian_eigen(a)
-        assert np.max(np.abs(s.eigenvectors.conj().T @ s.eigenvectors - np.eye(8))) < 1e-10
-        assert np.max(np.abs(a @ s.eigenvectors - s.eigenvectors @ np.diag(s.eigenvalues))) < 1e-10
-
-    def test_deterministic_on_degenerate_input(self):
-        a = hermitian_eigen(np.eye(2, dtype=complex))
-        b = hermitian_eigen(np.eye(2, dtype=complex))
-        assert np.array_equal(a.eigenvectors, b.eigenvectors)
-        # lexicographic tie break puts the (0, 1) column first
-        assert np.array_equal(a.eigenvectors, np.array([[0, 1], [1, 0]], dtype=complex))
-
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
-            hermitian_eigen(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_phase_fixing(self):
-        s = hermitian_eigen(PAULI_Y)
-        for k in range(2):
-            col = s.eigenvectors[:, k]
-            first = next(x for x in col if abs(x) > 1e-12)
-            assert abs(first.imag) < 1e-12 and first.real > 0
+            matrix_sqrt_psd(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 class TestMatrixSqrt:

@@ -1,0 +1,134 @@
+"""Property tests on drawn states, angles and specs: the three correlator
+routes agree term by term and on two-slot specs, the six-context sum is
+state independent, and the identity noise model leaves a report unchanged."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from contextsim.inequalities import (
+    METHODS,
+    eval_kcbs_temporal,
+    eval_pentagon_lg,
+    eval_pm,
+    eval_transformed_bell,
+)
+from contextsim.linalg import PAULI_X, PAULI_Y, PAULI_Z
+from contextsim.noise import NoiseModel, depolarize
+from contextsim.report import with_noise
+from contextsim.scattering import (
+    TemporalCorrelationSpec,
+    TimeSlot,
+    correlator_direct,
+    correlator_scattering,
+    heisenberg_observable,
+)
+from contextsim.sequential import correlator_sequential
+from contextsim.states import haar_random_unitary, pure_state
+
+PM_THEORY = (1.0, 1.0, 1.0, 1.0, 1.0, -1.0)
+
+# name -> (register size, evaluator taking state, theta, method)
+EVALUATORS = {
+    "pm": (2, lambda s, theta, m: eval_pm(s, m)),
+    "kcbs": (1, eval_kcbs_temporal),
+    "pentagon": (1, eval_pentagon_lg),
+    "bell": (2, lambda s, theta, m: eval_transformed_bell(s, m)),
+}
+
+angles = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def states(draw, qubits):
+    """A pure state from drawn amplitudes, depolarized by a drawn p half the time."""
+    dim = 2 ** qubits
+    coord = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    parts = draw(st.lists(coord, min_size=2 * dim, max_size=2 * dim))
+    amps = np.array(parts[:dim]) + 1j * np.array(parts[dim:])
+    norm = np.linalg.norm(amps)
+    assume(norm > 1e-3)
+    psi = pure_state(amps / norm)
+    if draw(st.booleans()):
+        return depolarize(psi, draw(st.floats(0.0, 1.0)))
+    return psi
+
+
+@st.composite
+def two_slot_specs(draw, qubits):
+    """Two slots of drawn Bloch-vector observables, each under a Haar evolution
+    from a drawn seed."""
+    unit = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=3, max_size=3)
+    slots = []
+    for _ in range(2):
+        obs = []
+        for _ in range(qubits):
+            v = np.array(draw(unit))
+            assume(np.linalg.norm(v) > 1e-3)
+            v /= np.linalg.norm(v)
+            obs.append(v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z)
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        evolution = haar_random_unitary(2 ** qubits, rng)
+        slots.append(TimeSlot(observables=tuple(obs), evolution=evolution))
+    return TemporalCorrelationSpec(system_qubits=qubits, slots=tuple(slots))
+
+
+def _values(report):
+    return [v for _, v in report.terms] + [v for _, v in report.constraints or ()]
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
+@given(data=st.data())
+def test_routes_agree_term_by_term(name, data):
+    qubits, evaluate = EVALUATORS[name]
+    state = data.draw(states(qubits))
+    theta = data.draw(angles)
+    reports = [evaluate(state, theta, method) for method in METHODS]
+    reference = _values(reports[0])
+    for rep in reports[1:]:
+        assert [label for label, _ in rep.terms] == [label for label, _ in reports[0].terms]
+        assert np.max(np.abs(np.subtract(_values(rep), reference))) <= 1e-10
+
+
+@pytest.mark.parametrize("qubits", [1, 2])
+@given(data=st.data())
+def test_routes_agree_on_two_slot_specs(qubits, data):
+    # for two dichotomic observables the invasive chain reads
+    # Re tr(rho O1 O2) = tr(rho {O1, O2})/2, the same as the probe and trace
+    spec = data.draw(two_slot_specs(qubits))
+    state = data.draw(states(qubits))
+    direct = correlator_direct(state, spec)
+    assert abs(correlator_scattering(state, spec) - direct) <= 1e-10
+    sequence = tuple(heisenberg_observable(s) for s in spec.slots)
+    assert abs(correlator_sequential(state, sequence) - direct) <= 1e-10
+
+
+@given(state=states(2), method=st.sampled_from(METHODS))
+def test_six_context_sum_is_six(state, method):
+    rep = eval_pm(state, method)
+    assert abs(rep.sum - 6.0) <= 1e-9
+    assert np.max(np.abs(np.subtract(_values(rep), PM_THEORY))) <= 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
+@given(data=st.data())
+def test_identity_noise_model_leaves_report_unchanged(name, data):
+    qubits, evaluate = EVALUATORS[name]
+    state = data.draw(states(qubits))
+    theta = data.draw(angles)
+    method = data.draw(st.sampled_from(METHODS))
+    ideal = evaluate(state, theta, method)
+    noisy = evaluate(depolarize(state, 0.0), theta, method)
+    out = with_noise(ideal, noisy, NoiseModel(state_depolarizing_p=0.0, block_visibility_v=1.0))
+    if not state.is_pure:
+        # p = 0 maps a density matrix to itself bit for bit
+        assert out == ideal
+    assert np.max(np.abs(np.subtract(_values(out), _values(ideal)))) <= 1e-10
+    assert out.term_predictions == ideal.term_predictions
+    assert abs(out.sum - ideal.sum) <= 1e-10
+    assert out.violated == ideal.violated
+    assert out.constraints_satisfied == ideal.constraints_satisfied
+    assert [label for label, _ in out.terms] == [label for label, _ in ideal.terms]

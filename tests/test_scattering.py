@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from contextsim.circuits import apply, circuit_unitary, ry_matrix
-from contextsim.linalg import PAULI_I, PAULI_X, PAULI_Z
+from contextsim.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
 from contextsim.scattering import (
     TemporalCorrelationSpec,
     TimeSlot,
@@ -317,3 +317,8 @@ class TestSpecDocuments:
         assert parse_angle(1.5) == 1.5
         with pytest.raises(ValueError):
             parse_angle("acos(2)")
+
+    def test_parse_angle_rejects_non_finite(self):
+        for text in ("nan", "inf", "-inf", float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="angle"):
+                parse_angle(text)
