@@ -25,7 +25,7 @@ from .inequalities import (
     pm_square,
     sigma_theta,
 )
-from .linalg import anticommutator, kron, matrix_sqrt_psd
+from .linalg import anticommutator, matrix_sqrt_psd
 from .noise import NoiseModel, apply_visibility, depolarize, fit_visibility
 from .scattering import (
     TemporalCorrelationSpec,

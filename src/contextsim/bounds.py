@@ -87,6 +87,13 @@ def _at_least_one(name: str, value) -> int:
     return value
 
 
+def _positive_tol(tol) -> float:
+    tol = float(tol)
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    return tol
+
+
 def _coarse_grid_tuples(resolution: int):
     """All 5-tuples over the angle grid with the first angle pinned to 0;
     a global angle shift changes neither spectra nor constraints."""
@@ -129,7 +136,7 @@ def _descend(objective, angles: np.ndarray, sweeps: int, tol: float):
     previous = objective(angles)
     performed = 0
     converged = False
-    for _ in range(max(int(sweeps), 0)):
+    for _ in range(sweeps):
         for i in range(5):
             def line(x, i=i):
                 trial = angles.copy()
@@ -155,6 +162,7 @@ def tsirelson_search_bell(resolution: int = 8, sweeps: int = 40, tol: float = 1e
     Coarse grid first, then cyclic golden-section descent. The optimum sits
     at equal angle steps of 4*pi/5 with value -5 cos(pi/5).
     """
+    sweeps, tol = _at_least_one("sweeps", sweeps), _positive_tol(tol)
     start = _coarse_bell_minimum(resolution)
     angles, value, performed, converged = _descend(bell_constrained_objective, start, sweeps, tol)
     return BoundResult(
@@ -170,6 +178,7 @@ def tsirelson_search_bell(resolution: int = 8, sweeps: int = 40, tol: float = 1e
 def temporal_bound_kcbs(resolution: int = 8, tol: float = 1e-9) -> BoundResult:
     """Minimize the cyclic cosine sum over angle 5-tuples; same optimum as the
     constrained Bell search, recovered through an independent objective."""
+    tol = _positive_tol(tol)
     grid, tuples = _coarse_grid_tuples(resolution)
     diffs = grid[tuples] - grid[np.roll(tuples, -1, axis=1)]
     values = np.cos(diffs).sum(axis=1)
@@ -291,6 +300,7 @@ def contextual_bound_kcbs(iterations: int = 200, restarts: int = 8, tol: float =
     optimum 5 - 4*sqrt(5) sits strictly above the temporal extremum."""
     restarts = _at_least_one("restarts", restarts)
     iterations = _at_least_one("iterations", iterations)
+    tol = _positive_tol(tol)
     best = None
     for seed in range(restarts):
         outcome = _contextual_seesaw(seed, iterations, tol)
@@ -339,11 +349,7 @@ def pentagon_invasive_value(theta: float) -> float:
     for k in range(5):
         cycle.append(z if k % 2 == 0 else th)
     dist = joint_distribution(mixed_state(np.eye(2) / 2), cycle)
-    total = 0.0
-    for i in range(5):
-        for j in range(i + 1, 5):
-            total += sum(out[i] * out[j] * p for out, p in dist.table.items())
-    return float(total)
+    return float(sum(dist.correlator((i, j)) for i in range(5) for j in range(i + 1, 5)))
 
 
 def default_pentagon_grid() -> np.ndarray:

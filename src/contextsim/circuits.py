@@ -88,10 +88,6 @@ def hadamard(target: int) -> GateOp:
     return GateOp("H", HADAMARD, (target,))
 
 
-def ry(target: int, theta: float) -> GateOp:
-    return GateOp(f"RY({theta:.6g})", ry_matrix(theta), (target,))
-
-
 def cnot(control: int, target: int) -> GateOp:
     return GateOp("CNOT", PAULI_X, (target,), control=control)
 

@@ -15,7 +15,7 @@ ATOL = 1e-10          # hermiticity, unitarity, normalization, trace checks
 ATOL_DICHOTOMIC = 1e-9  # O^2 = I and spectral-reconstruction checks
 ATOL_STATE_PSD = 1e-9   # eigenvalue floor accepted for density matrices
 PSD_CLAMP = 1e-10       # eigenvalue clamp window for matrix square roots
-PRUNE_EPS = 1e-12       # zero-probability branch pruning
+PRUNE_EPS = 1e-12       # negative-probability floor for outcome distributions
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -49,12 +49,6 @@ def as_matrix(entries, rows: int | None = None, cols: int | None = None) -> np.n
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError("matrix entries must be finite")
     return np.ascontiguousarray(a)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; the left factor is the more significant one."""
-    a, b = as_matrix(a), as_matrix(b)
-    return np.kron(a, b)
 
 
 def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

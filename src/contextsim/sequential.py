@@ -1,114 +1,85 @@
 """Ground-truth simulation of invasive sequential projective measurements.
 
-Outcome chains follow the projection postulate: the post-measurement state is
-P rho P / tr(P rho P). For dichotomic observables the +-1 projectors are
+A chain of j dichotomic measurements is a ``(2^j, d, d)`` stack of
+unnormalized branch states P_j ... P_1 rho P_1 ... P_j, one per outcome tuple
+in ``itertools.product((1, -1), repeat=j)`` order (the first outcome varies
+slowest). A branch's trace is the probability of its outcome tuple, so the
+projection postulate's division by it is never taken and a zero-probability
+branch is a zero matrix. For dichotomic observables the +-1 projectors are
 (I +- O)/2 exactly, which sidesteps eigenvector phase ambiguity in degenerate
-eigenspaces. Branches below probability 1e-12 are pruned to avoid 0/0.
+eigenspaces. The input state is validated where it enters, as a
+``QuantumState``; the branches are not validated again.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL, PRUNE_EPS, anticommutator
+from .linalg import ATOL, PRUNE_EPS, anticommutator, check_observable
 from .states import QuantumState, density_of
 
-
-@dataclass(frozen=True)
-class LudersBranch:
-    outcome: int
-    probability: float
-    state: QuantumState
+# outcome value of index 0 (+1) and index 1 (-1) along each outcome axis
+_SIGNS = np.array([1.0, -1.0])
 
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Joint distribution of a measurement sequence over +-1 outcome tuples."""
+    """Joint distribution of a measurement sequence: ``probabilities`` has one
+    axis per measurement, index 0 for outcome +1 and index 1 for -1."""
 
     observables: tuple
-    table: dict
+    probabilities: np.ndarray
 
     def __post_init__(self):
         n = len(self.observables)
-        if set(self.table) != set(itertools.product((1, -1), repeat=n)):
-            raise ValueError(f"table must cover exactly the 2^{n} outcome tuples")
-        total = 0.0
-        for p in self.table.values():
-            if p < -PRUNE_EPS:
-                raise ValueError("negative probability in outcome table")
-            total += p
-        if abs(total - 1.0) > ATOL:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+        p = np.array(self.probabilities, dtype=float)
+        if p.shape != (2,) * n:
+            raise ValueError(f"probabilities must have shape {(2,) * n}, got {p.shape}")
+        if np.any(p < -PRUNE_EPS):
+            raise ValueError("negative probability in outcome distribution")
+        if abs(p.sum() - 1.0) > ATOL:
+            raise ValueError(f"probabilities sum to {p.sum()}, not 1")
+        p.setflags(write=False)
+        object.__setattr__(self, "probabilities", p)
 
-    def marginal(self, prefix_len: int) -> "OutcomeDistribution":
-        """Distribution of the first ``prefix_len`` outcomes."""
-        table = {
-            t: 0.0 for t in itertools.product((1, -1), repeat=prefix_len)
-        }
-        for outcome, p in self.table.items():
-            table[outcome[:prefix_len]] += p
-        return OutcomeDistribution(observables=self.observables[:prefix_len], table=table)
-
-
-def _projectors(obs) -> tuple[np.ndarray, np.ndarray]:
-    m = obs.matrix if hasattr(obs, "matrix") else np.asarray(obs)
-    eye = np.eye(m.shape[0], dtype=complex)
-    return (eye + m) / 2, (eye - m) / 2
+    def correlator(self, axes=None) -> float:
+        """Expectation of the product of the outcomes on ``axes`` (default: all)."""
+        p = self.probabilities
+        operands = [p, list(range(p.ndim))]
+        for axis in range(p.ndim) if axes is None else axes:
+            operands += [_SIGNS, [axis]]
+        return float(np.einsum(*operands, []))
 
 
-def luders_measure(state: QuantumState, obs) -> list[LudersBranch]:
-    """Measure one dichotomic observable; returns the surviving outcome branches."""
-    p_plus, p_minus = _projectors(obs)
-    rho = density_of(state)
-    if rho.shape != p_plus.shape:
+def luders_measure(branches: np.ndarray, obs) -> np.ndarray:
+    """Measure one dichotomic observable on an ``(m, d, d)`` branch stack;
+    returns the ``(2m, d, d)`` stack in which branch i splits into 2i (+1)
+    and 2i + 1 (-1)."""
+    m = obs.matrix if hasattr(obs, "matrix") else np.asarray(obs, dtype=complex)
+    check_observable(m, "measured observable")
+    if m.shape != branches.shape[1:]:
         raise ValueError("observable dimension does not match the state")
-    branches = []
-    for outcome, proj in ((1, p_plus), (-1, p_minus)):
-        prob = float(np.trace(proj @ rho).real)
-        if prob <= PRUNE_EPS:
-            continue
-        post = proj @ rho @ proj / prob
-        post = (post + post.conj().T) / 2
-        branches.append(
-            LudersBranch(
-                outcome=outcome,
-                probability=prob,
-                state=QuantumState(qubits=state.qubits, rho=post / np.trace(post).real),
-            )
-        )
-    return branches
+    eye = np.eye(m.shape[0])
+    proj = np.stack([(eye + m) / 2, (eye - m) / 2])
+    return (proj @ branches[:, None] @ proj).reshape(-1, *m.shape)
 
 
 def joint_distribution(state: QuantumState, obs_seq) -> OutcomeDistribution:
-    """Chain rule over measurement branches, in sequence order."""
+    """Chain the measurements in sequence order; the final branch traces are
+    the joint outcome probabilities."""
     obs_seq = tuple(obs_seq)
-    n = len(obs_seq)
-    table = {t: 0.0 for t in itertools.product((1, -1), repeat=n)}
-    live = [((), state, 1.0)]
+    branches = density_of(state)[None]
     for obs in obs_seq:
-        grown = []
-        for outcomes, st, weight in live:
-            for br in luders_measure(st, obs):
-                grown.append((outcomes + (br.outcome,), br.state, weight * br.probability))
-        live = grown
-    for outcomes, _, weight in live:
-        table[outcomes] = weight
-    return OutcomeDistribution(observables=obs_seq, table=table)
+        branches = luders_measure(branches, obs)
+    probs = np.trace(branches, axis1=1, axis2=2).real.reshape((2,) * len(obs_seq))
+    return OutcomeDistribution(observables=obs_seq, probabilities=probs)
 
 
 def correlator_sequential(state: QuantumState, obs_seq) -> float:
-    """Sum over outcome tuples of the outcome product times its probability."""
-    dist = joint_distribution(state, obs_seq)
-    total = 0.0
-    for outcomes, p in dist.table.items():
-        prod = 1
-        for x in outcomes:
-            prod *= x
-        total += prod * p
-    return total
+    """Expectation of the product of all outcomes of the chain."""
+    return joint_distribution(state, obs_seq).correlator()
 
 
 def two_time_formula(state: QuantumState, x_i, x_j) -> float:

@@ -204,3 +204,15 @@ class TestGlobalInvariants:
             contextual_bound_kcbs(restarts=0)
         with pytest.raises(ValueError, match="iterations"):
             contextual_bound_kcbs(iterations=0)
+        for sweeps in (0, -3):
+            with pytest.raises(ValueError, match="sweeps"):
+                tsirelson_search_bell(sweeps=sweeps)
+
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0, 0.0])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            tsirelson_search_bell(tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            temporal_bound_kcbs(8, tol)
+        with pytest.raises(ValueError, match="tol"):
+            contextual_bound_kcbs(tol=tol)

@@ -12,7 +12,6 @@ from contextsim.circuits import (
     embed,
     full_gate_matrix,
     hadamard,
-    ry,
     ry_matrix,
     rz_matrix,
 )
@@ -148,7 +147,7 @@ class TestApply:
         rng = np.random.default_rng(4)
         ops = (
             hadamard(0),
-            ry(1, 0.7),
+            GateOp("RY", ry_matrix(0.7), (1,)),
             cnot(0, 1),
             GateOp("RZ", rz_matrix(-1.1), (0,)),
             controlled(1, haar_random_unitary(2, rng), [0]),
@@ -173,7 +172,7 @@ class TestApply:
 
     def test_norm_trace_positivity_preserved(self):
         rng = np.random.default_rng(6)
-        circ = Circuit(2, (hadamard(1), cnot(1, 0), ry(0, 2.2)))
+        circ = Circuit(2, (hadamard(1), cnot(1, 0), GateOp("RY", ry_matrix(2.2), (0,))))
         pure = apply(circ, random_pure_state(2, 7))
         assert abs(np.vdot(pure.amplitudes, pure.amplitudes).real - 1) < 1e-9
         mixed = apply(circ, mixed_state(np.eye(4) / 4))

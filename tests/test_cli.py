@@ -154,6 +154,17 @@ class TestRejectedValues:
         captured = capsys.readouterr()
         assert flag[2:] in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize(
+        "target, flag, value",
+        [("bell-kcbs", "--sweeps", "0"), ("bell-kcbs", "--sweeps", "-3"),
+         ("bell-kcbs", "--tol", "inf"), ("temporal-kcbs", "--tol", "nan"),
+         ("contextual-kcbs", "--tol", "-1"), ("temporal-kcbs", "--tol", "0")],
+    )
+    def test_bad_sweeps_or_tol(self, target, flag, value, capsys):
+        assert main(["bounds", "--target", target, f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert flag[2:] in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
     def test_non_finite_theta(self, theta, capsys):
         assert main(["kcbs", f"--theta={theta}"]) == 2

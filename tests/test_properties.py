@@ -1,5 +1,7 @@
-"""Property tests on drawn states, angles and specs: the three correlator
-routes agree term by term and on two-slot specs, the six-context sum is
+"""Property tests on drawn states, angles, specs and measurement chains: the
+three correlator routes agree term by term and on two-slot specs, the probe
+matches the trace form on specs of up to six slots, Lüders chains match a
+closed-form oracle and marginalize to their prefixes, the six-context sum is
 state independent, and the identity noise model leaves a report unchanged."""
 
 import numpy as np
@@ -26,8 +28,8 @@ from contextsim.scattering import (
     correlator_scattering,
     heisenberg_observable,
 )
-from contextsim.sequential import correlator_sequential
-from contextsim.states import haar_random_unitary, pure_state
+from contextsim.sequential import correlator_sequential, joint_distribution
+from contextsim.states import density_of, haar_random_unitary, pure_state
 
 PM_THEORY = (1.0, 1.0, 1.0, 1.0, 1.0, -1.0)
 
@@ -57,23 +59,48 @@ def states(draw, qubits):
     return psi
 
 
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
 @st.composite
-def two_slot_specs(draw, qubits):
-    """Two slots of drawn Bloch-vector observables, each under a Haar evolution
+def specs(draw, qubits, slots):
+    """Slots of drawn Bloch-vector observables, each under a Haar evolution
     from a drawn seed."""
     unit = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=3, max_size=3)
-    slots = []
-    for _ in range(2):
+    drawn = []
+    for _ in range(slots):
         obs = []
         for _ in range(qubits):
             v = np.array(draw(unit))
             assume(np.linalg.norm(v) > 1e-3)
             v /= np.linalg.norm(v)
             obs.append(v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z)
-        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-        evolution = haar_random_unitary(2 ** qubits, rng)
-        slots.append(TimeSlot(observables=tuple(obs), evolution=evolution))
-    return TemporalCorrelationSpec(system_qubits=qubits, slots=tuple(slots))
+        evolution = haar_random_unitary(2 ** qubits, np.random.default_rng(draw(seeds)))
+        drawn.append(TimeSlot(observables=tuple(obs), evolution=evolution))
+    return TemporalCorrelationSpec(system_qubits=qubits, slots=tuple(drawn))
+
+
+@st.composite
+def chains(draw, qubits, length):
+    """Dichotomic observables U diag(+-1) U^dag: drawn signs, and a Haar U
+    from a drawn seed."""
+    dim = 2 ** qubits
+    signs = st.lists(st.sampled_from((1.0, -1.0)), min_size=dim, max_size=dim)
+    chain = []
+    for _ in range(length):
+        d = np.array(draw(signs))
+        u = haar_random_unitary(dim, np.random.default_rng(draw(seeds)))
+        chain.append((u * d) @ u.conj().T)
+    return tuple(chain)
+
+
+def _chain_oracle(state, chain) -> float:
+    """Re tr(Phi_k o ... o Phi_1(rho)) with Phi_j(X) = (O_j X + X O_j)/2, the
+    outcome-signed sum of one Lüders step; it builds no branches."""
+    x = density_of(state)
+    for o in chain:
+        x = (o @ x + x @ o) / 2
+    return float(np.trace(x).real)
 
 
 def _values(report):
@@ -98,12 +125,41 @@ def test_routes_agree_term_by_term(name, data):
 def test_routes_agree_on_two_slot_specs(qubits, data):
     # for two dichotomic observables the invasive chain reads
     # Re tr(rho O1 O2) = tr(rho {O1, O2})/2, the same as the probe and trace
-    spec = data.draw(two_slot_specs(qubits))
+    spec = data.draw(specs(qubits, 2))
     state = data.draw(states(qubits))
     direct = correlator_direct(state, spec)
     assert abs(correlator_scattering(state, spec) - direct) <= 1e-10
     sequence = tuple(heisenberg_observable(s) for s in spec.slots)
     assert abs(correlator_sequential(state, sequence) - direct) <= 1e-10
+
+
+@given(data=st.data())
+def test_scattering_matches_direct_on_long_specs(data):
+    qubits = data.draw(st.integers(1, 3))
+    spec = data.draw(specs(qubits, data.draw(st.integers(1, 6))))
+    state = data.draw(states(qubits))
+    assert abs(correlator_scattering(state, spec) - correlator_direct(state, spec)) <= 1e-10
+
+
+@given(data=st.data())
+def test_chain_matches_signed_channel_oracle(data):
+    qubits = data.draw(st.integers(1, 3))
+    chain = data.draw(chains(qubits, data.draw(st.integers(1, 6))))
+    state = data.draw(states(qubits))
+    assert abs(correlator_sequential(state, chain) - _chain_oracle(state, chain)) <= 1e-10
+
+
+@given(data=st.data())
+def test_trailing_axes_sum_to_shorter_chain(data):
+    qubits = data.draw(st.integers(1, 3))
+    length = data.draw(st.integers(1, 6))
+    chain = data.draw(chains(qubits, length))
+    state = data.draw(states(qubits))
+    prefix = data.draw(st.integers(0, length))
+    full = joint_distribution(state, chain).probabilities
+    folded = full.sum(axis=tuple(range(prefix, length)))
+    expected = joint_distribution(state, chain[:prefix]).probabilities
+    assert np.max(np.abs(folded - expected)) <= 1e-10
 
 
 @given(state=states(2), method=st.sampled_from(METHODS))

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -25,46 +23,72 @@ Z_OBS = Observable(matrix=PAULI_Z, dichotomic=True, label="Z")
 X_OBS = Observable(matrix=PAULI_X, dichotomic=True, label="X")
 
 
+def _stack(state):
+    """A one-branch stack holding the state's density matrix."""
+    return density_of(state)[None]
+
+
+def _outcomes(dist):
+    """(outcome tuple, probability) pairs; index 0 is +1 and index 1 is -1."""
+    for idx in np.ndindex(dist.probabilities.shape):
+        yield tuple(1 - 2 * i for i in idx), dist.probabilities[idx]
+
+
 class TestLudersMeasure:
     def test_deterministic_branch(self):
-        branches = luders_measure(basis_state(1, "0"), Z_OBS)
-        assert len(branches) == 1
-        assert branches[0].outcome == 1
-        assert branches[0].probability == pytest.approx(1.0, abs=1e-12)
+        branches = luders_measure(_stack(basis_state(1, "0")), Z_OBS)
+        assert branches.shape == (2, 2, 2)
+        assert np.trace(branches[0]).real == pytest.approx(1.0, abs=1e-12)
+        # the impossible -1 outcome is a zero matrix, not a dropped branch
+        assert np.array_equal(branches[1], np.zeros((2, 2)))
 
     def test_x_on_zero_gives_plus_minus(self):
-        branches = luders_measure(basis_state(1, "0"), X_OBS)
-        assert [b.outcome for b in branches] == [1, -1]
+        branches = luders_measure(_stack(basis_state(1, "0")), X_OBS)
         plus = np.full((2, 2), 0.5, dtype=complex)
         minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
-        # projector algebra oracle: post states are the |+-| projectors
-        assert np.allclose(density_of(branches[0].state), plus)
-        assert np.allclose(density_of(branches[1].state), minus)
-        assert branches[0].probability == pytest.approx(0.5, abs=1e-12)
+        # projector algebra oracle: the branches are the |+-| projectors,
+        # each weighted by its probability 1/2
+        assert np.allclose(branches[0], plus / 2)
+        assert np.allclose(branches[1], minus / 2)
+        assert np.trace(branches[0]).real == pytest.approx(0.5, abs=1e-12)
 
     def test_maximally_mixed_is_unbiased(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
             obs = Observable(matrix=random_dichotomic(rng), dichotomic=True, label="O")
-            branches = luders_measure(mixed_state(np.eye(2) / 2), obs)
-            assert [b.probability for b in branches] == pytest.approx([0.5, 0.5], abs=1e-12)
+            branches = luders_measure(_stack(mixed_state(np.eye(2) / 2)), obs)
+            traces = np.trace(branches, axis1=1, axis2=2).real
+            assert traces == pytest.approx([0.5, 0.5], abs=1e-12)
+
+    def test_stack_order_follows_outcome_tuples(self):
+        # Z then X on |0>: (+1, +1) and (+1, -1) carry 1/2 each; the
+        # branches that start with -1 are zero
+        branches = luders_measure(luders_measure(_stack(basis_state(1, "0")), Z_OBS), X_OBS)
+        traces = np.trace(branches, axis1=1, axis2=2).real
+        assert traces == pytest.approx([0.5, 0.5, 0.0, 0.0], abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            luders_measure(basis_state(2, "00"), Z_OBS)
+            luders_measure(_stack(basis_state(2, "00")), Z_OBS)
+
+    def test_non_dichotomic_observable_rejected(self):
+        with pytest.raises(ValueError, match="identity"):
+            correlator_sequential(basis_state(1, "1"), (np.diag([1, 0.5]),))
+        with pytest.raises(ValueError, match="Hermitian"):
+            joint_distribution(basis_state(1, "0"), (Z_OBS, np.array([[0, 1], [0, 0]])))
 
 
 class TestJointDistribution:
     def test_repeated_z_on_zero(self):
         dist = joint_distribution(basis_state(1, "0"), (Z_OBS, Z_OBS))
-        assert dist.table[(1, 1)] == pytest.approx(1.0, abs=1e-12)
-        assert sum(dist.table.values()) == pytest.approx(1.0, abs=1e-12)
+        assert dist.probabilities[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_row_support_has_product_plus_one(self):
         seq = tuple(pm_observable(k) for k in ("A", "B", "C"))
         for seed in range(5):
             dist = joint_distribution(haar_random_state(2, np.random.default_rng(seed)), seq)
-            for outcome, p in dist.table.items():
+            for outcome, p in _outcomes(dist):
                 if p > 1e-12:
                     assert outcome[0] * outcome[1] * outcome[2] == 1
 
@@ -72,7 +96,7 @@ class TestJointDistribution:
         seq = tuple(pm_observable(k) for k in ("gamma", "c", "C"))
         for seed in range(5):
             dist = joint_distribution(haar_random_state(2, np.random.default_rng(50 + seed)), seq)
-            for outcome, p in dist.table.items():
+            for outcome, p in _outcomes(dist):
                 if p > 1e-12:
                     assert outcome[0] * outcome[1] * outcome[2] == -1
 
@@ -86,13 +110,24 @@ class TestJointDistribution:
         full = joint_distribution(state, seq)
         for k in (1, 2):
             prefix = joint_distribution(state, seq[:k])
-            folded = full.marginal(k)
-            for outcome in prefix.table:
-                assert folded.table[outcome] == pytest.approx(prefix.table[outcome], abs=1e-10)
+            folded = full.probabilities.sum(axis=tuple(range(k, 3)))
+            assert np.allclose(folded, prefix.probabilities, atol=1e-10, rtol=0)
 
     def test_table_covers_all_tuples(self):
         dist = joint_distribution(basis_state(1, "0"), (Z_OBS, X_OBS))
-        assert set(dist.table) == set(itertools.product((1, -1), repeat=2))
+        assert dist.probabilities.shape == (2, 2)
+        assert np.allclose(dist.probabilities, [[0.5, 0.5], [0.0, 0.0]], atol=1e-12, rtol=0)
+
+    def test_pair_correlator_reads_the_chosen_axes(self):
+        # Z, X, Z on |0>: the first Z reads +1 for sure and X is unbiased;
+        # X leaves |+-> behind, so the last Z is unbiased too and
+        # <x1 x3> = 0 although both measure Z
+        dist = joint_distribution(basis_state(1, "0"), (Z_OBS, X_OBS, Z_OBS))
+        assert dist.correlator((0,)) == pytest.approx(1.0, abs=1e-12)
+        assert dist.correlator((1,)) == pytest.approx(0.0, abs=1e-12)
+        assert dist.correlator((0, 2)) == pytest.approx(0.0, abs=1e-12)
+        assert dist.correlator((1, 2)) == pytest.approx(0.0, abs=1e-12)
+        assert dist.correlator(()) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCorrelatorSequential:
@@ -154,13 +189,13 @@ class TestTwoTimeFormula:
 
 class TestOutcomeDistributionValidation:
     def test_incomplete_table_rejected(self):
-        with pytest.raises(ValueError):
-            OutcomeDistribution(observables=(Z_OBS,), table={(1,): 1.0})
+        with pytest.raises(ValueError, match="shape"):
+            OutcomeDistribution(observables=(Z_OBS,), probabilities=[1.0])
 
     def test_bad_normalization_rejected(self):
         with pytest.raises(ValueError):
-            OutcomeDistribution(observables=(Z_OBS,), table={(1,): 0.7, (-1,): 0.7})
+            OutcomeDistribution(observables=(Z_OBS,), probabilities=[0.7, 0.7])
 
     def test_negative_probability_rejected(self):
         with pytest.raises(ValueError):
-            OutcomeDistribution(observables=(Z_OBS,), table={(1,): 1.5, (-1,): -0.5})
+            OutcomeDistribution(observables=(Z_OBS,), probabilities=[1.5, -0.5])
