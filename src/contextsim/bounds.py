@@ -40,15 +40,26 @@ class BoundResult:
     tolerance: float
 
 
-def bell_operator(angles) -> np.ndarray:
-    """Sum of the five cross terms sigma(a_r) x sigma(a_{r+1}) over the cycle."""
-    angles = list(angles)
-    if len(angles) != 5:
+def _sigma_pairs(angles) -> np.ndarray:
+    """The (k, k, 4, 4) table of sigma(a_i) x sigma(a_j) over k angles."""
+    sig = np.stack([sigma_theta_matrix(a) for a in angles])
+    k = sig.shape[0]
+    return np.einsum("iab,jcd->ijacbd", sig, sig).reshape(k, k, 4, 4)
+
+
+def _cycle_sum(cross: np.ndarray) -> np.ndarray:
+    """Entries (r, r+1) of a five-angle pair table summed around the cycle."""
+    if cross.shape[0] != 5:
         raise ValueError("need exactly 5 angles")
     total = np.zeros((4, 4), dtype=complex)
     for r in range(5):
-        total += np.kron(sigma_theta_matrix(angles[r]), sigma_theta_matrix(angles[(r + 1) % 5]))
+        total += cross[r, (r + 1) % 5]
     return total
+
+
+def bell_operator(angles) -> np.ndarray:
+    """Sum of the five cross terms sigma(a_r) x sigma(a_{r+1}) over the cycle."""
+    return _cycle_sum(_sigma_pairs(angles))
 
 
 def bell_constrained_objective(angles) -> float:
@@ -59,15 +70,15 @@ def bell_constrained_objective(angles) -> float:
     of (I - sigma x sigma)/2 penalties; the operator is compressed onto that
     space before taking the smallest eigenvalue.
     """
-    angles = list(angles)
+    cross = _sigma_pairs(angles)
+    bop = _cycle_sum(cross)
     penalty = np.zeros((4, 4), dtype=complex)
     eye = np.eye(4, dtype=complex)
-    for a in angles:
-        ss = np.kron(sigma_theta_matrix(a), sigma_theta_matrix(a))
-        penalty += (eye - ss) / 2
+    for j in range(5):
+        penalty += (eye - cross[j, j]) / 2
     w, v = np.linalg.eigh(penalty)
     kernel = v[:, w < KERNEL_TOL]
-    compressed = kernel.conj().T @ bell_operator(angles) @ kernel
+    compressed = kernel.conj().T @ bop @ kernel
     return float(np.linalg.eigvalsh((compressed + compressed.conj().T) / 2)[0])
 
 
@@ -107,8 +118,7 @@ def _coarse_grid_tuples(resolution: int):
 def _coarse_bell_minimum(resolution: int) -> np.ndarray:
     grid, tuples = _coarse_grid_tuples(resolution)
     r = grid.size
-    sig = np.stack([sigma_theta_matrix(a) for a in grid])
-    cross = np.einsum("iab,jcd->ijacbd", sig, sig).reshape(r, r, 4, 4)
+    cross = _sigma_pairs(grid)
     eye = np.eye(4, dtype=complex)
     pen_diag = (eye - cross[np.arange(r), np.arange(r)]) / 2
     bop = np.zeros((tuples.shape[0], 4, 4), dtype=complex)

@@ -1,8 +1,11 @@
 """Gate set and circuit application, including the controlled blocks used by
 the probe-readout construction and the Bell-pair preparation circuit.
 
-Gates compose left to right; a mixed state transforms as U rho U^dag. The
-full-register matrix of any op respects the qubit-0-leftmost convention.
+One kernel applies every gate to the rows of a 2^n x r operand, viewed as a
+``[2] * n`` tensor (qubit 0 the leftmost axis): a gate acts on its target
+axes, a controlled gate only on its slice of the control axis. Gates compose
+left to right; a state vector is one column, and a mixed state maps to
+U (U rho)^dag = U rho U^dag because a stored rho is exactly Hermitian.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import ATOL, PAULI_X, as_matrix
-from .states import QuantumState, density_of
+from .states import QuantumState
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 HADAMARD.setflags(write=False)
@@ -96,56 +99,35 @@ def controlled(control: int, u: np.ndarray, targets, label: str = "ctrl-U", on: 
     return GateOp(label, u, tuple(targets), control=control, control_on=on)
 
 
-def embed(u: np.ndarray, targets, n: int) -> np.ndarray:
-    """Lift a unitary or observable on ``targets`` to the full n-qubit register.
-
-    ``targets`` is an ordered qubit list; the operator acts as ``u`` there and
-    as identity elsewhere. Qubit 0 is the most significant bit.
-    """
-    u = as_matrix(u)
-    targets = tuple(int(t) for t in targets)
-    if len(set(targets)) != len(targets):
-        raise ValueError("duplicate target qubits")
-    if any(t < 0 or t >= n for t in targets):
-        raise ValueError(f"targets {targets} out of range for {n} qubits")
-    k = len(targets)
-    if u.shape != (2 ** k, 2 ** k):
-        raise ValueError(f"operator of shape {u.shape} does not fit {k} targets")
-    rest = [q for q in range(n) if q not in targets]
-    big = np.kron(u, np.eye(2 ** len(rest), dtype=complex))
-    # big uses qubit order targets + rest; gather it back into register order
-    order = list(targets) + rest
-    dim = 2 ** n
-    perm = np.empty(dim, dtype=int)
-    for x in range(dim):
-        y = 0
-        for pos, q in enumerate(order):
-            bit = (x >> (n - 1 - q)) & 1
-            y |= bit << (n - 1 - pos)
-        perm[x] = y
-    return big[np.ix_(perm, perm)]
+def _on_rows(ops, rows: np.ndarray, n: int) -> np.ndarray:
+    """Apply ``ops`` in order to the register index of a 2^n x r operand
+    (or a length-2^n vector); returns a new array of the operand's shape."""
+    t = np.array(rows, dtype=complex).reshape([2] * n + [-1])
+    for op in ops:
+        k = len(op.targets)
+        where = [slice(None)] * n
+        if op.control is not None:
+            where[op.control] = slice(op.control_on, op.control_on + 1)
+        where = tuple(where)
+        gate = op.matrix.reshape([2] * (2 * k))
+        out = np.tensordot(gate, t[where], axes=(range(k, 2 * k), op.targets))
+        t[where] = np.moveaxis(out, range(k), op.targets)
+    return t.reshape(rows.shape)
 
 
 def full_gate_matrix(op: GateOp, n: int) -> np.ndarray:
     """The 2^n x 2^n unitary implemented by one gate op."""
-    base = embed(op.matrix, op.targets, n)
-    if op.control is None:
-        return base
-    p_active = np.array([[1, 0], [0, 0]], dtype=complex) if op.control_on == 0 else np.array(
-        [[0, 0], [0, 1]], dtype=complex
-    )
-    p_idle = np.eye(2, dtype=complex) - p_active
-    active = embed(p_active, [op.control], n)
-    idle = embed(p_idle, [op.control], n)
-    return idle + active @ base
+    return _on_rows((op,), np.eye(2 ** n, dtype=complex), n)
 
 
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Compose all ops into one full-register unitary (left-to-right order)."""
-    u = np.eye(2 ** circuit.qubits, dtype=complex)
-    for op in circuit.ops:
-        u = full_gate_matrix(op, circuit.qubits) @ u
-    return u
+def embed(u: np.ndarray, targets, n: int) -> np.ndarray:
+    """Lift a unitary on ``targets`` to the full n-qubit register.
+
+    ``targets`` is an ordered qubit list; the operator acts as ``u`` there and
+    as identity elsewhere. Qubit 0 is the most significant bit.
+    """
+    (op,) = Circuit(n, (GateOp("U", u, tuple(targets)),)).ops
+    return full_gate_matrix(op, n)
 
 
 def apply(circuit: Circuit, state: QuantumState) -> QuantumState:
@@ -154,17 +136,12 @@ def apply(circuit: Circuit, state: QuantumState) -> QuantumState:
         raise ValueError(
             f"circuit on {circuit.qubits} qubits cannot act on a {state.qubits}-qubit state"
         )
+    n = circuit.qubits
     if state.is_pure:
-        psi = np.asarray(state.amplitudes)
-        for op in circuit.ops:
-            psi = full_gate_matrix(op, circuit.qubits) @ psi
+        psi = _on_rows(circuit.ops, state.amplitudes, n)
         psi = psi / np.linalg.norm(psi)
         return QuantumState(qubits=state.qubits, amplitudes=psi)
-    rho = density_of(state)
-    for op in circuit.ops:
-        f = full_gate_matrix(op, circuit.qubits)
-        rho = f @ rho @ f.conj().T
-    rho = (rho + rho.conj().T) / 2
+    rho = _on_rows(circuit.ops, _on_rows(circuit.ops, state.rho, n).conj().T, n)
     return QuantumState(qubits=state.qubits, rho=rho / np.trace(rho).real)
 
 

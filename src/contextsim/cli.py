@@ -5,9 +5,10 @@ Commands: pm, kcbs, pentagon, bell (inequality evaluations), bounds
 correlation spec per term; ``--method`` picks the route that reads it: the
 probe circuit, the trace closed form, or the invasive Lüders chain over the
 slots' Heisenberg observables. ``--config`` names a JSON object whose values
-become the defaults of the chosen command; flags on the command line still
-win. Exit codes: 0 success, 2 invalid configuration, 3 bound search did not
-converge, 4 output I/O failure.
+become the defaults of the chosen command; its keys must be option names of
+that command (``noise_p`` for ``--noise-p``), and flags on the command line
+still win. Exit codes: 0 success, 2 invalid configuration, 3 bound search
+did not converge, 4 output I/O failure.
 """
 
 from __future__ import annotations
@@ -217,6 +218,12 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
         if not isinstance(defaults, dict):
             sys.stderr.write(f"error: config file {probe.config!r} must hold a JSON object\n")
+            return EXIT_CONFIG
+        # besides command and config, the probe holds the chosen command's option dests
+        unknown = sorted(set(defaults) - (set(vars(probe)) - {"command", "config"}))
+        if unknown:
+            sys.stderr.write(f"error: config file {probe.config!r} sets {', '.join(unknown)}, "
+                             f"which {probe.command!r} has no option for\n")
             return EXIT_CONFIG
         parser = _build_parser(defaults)
     args = parser.parse_args(argv)

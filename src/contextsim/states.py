@@ -14,6 +14,8 @@ import numpy as np
 
 from .linalg import ATOL, ATOL_STATE_PSD, as_matrix, matrix_sqrt_psd
 
+MAX_QUBITS = 3  # largest register the random states and bitstring literals build
+
 
 @dataclass(frozen=True)
 class QuantumState:
@@ -153,9 +155,9 @@ def partial_trace(state: QuantumState, keep) -> QuantumState:
 
 
 def random_pure_state(n: int, seed: int) -> QuantumState:
-    """Haar-random pure state from a seeded PCG64 generator (n <= 3)."""
-    if n > 3:
-        raise ValueError("random states are only supported up to 3 qubits")
+    """Haar-random pure state from a seeded PCG64 generator (n <= MAX_QUBITS)."""
+    if n > MAX_QUBITS:
+        raise ValueError(f"random states are only supported up to {MAX_QUBITS} qubits")
     rng = np.random.default_rng(seed)
     return haar_random_state(n, rng)
 
@@ -201,6 +203,8 @@ def state_from_literal(literal: str) -> QuantumState:
     if literal == "bell":
         return bell_phi_plus()
     if literal and all(ch in "01" for ch in literal):
+        if len(literal) > MAX_QUBITS:
+            raise ValueError(f"bitstring state has {len(literal)} qubits, more than {MAX_QUBITS}")
         return basis_state(len(literal), literal)
     if os.path.exists(literal):
         pairs = []

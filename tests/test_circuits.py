@@ -6,7 +6,6 @@ from contextsim.circuits import (
     GateOp,
     apply,
     bell_prep_circuit,
-    circuit_unitary,
     cnot,
     controlled,
     embed,
@@ -27,6 +26,15 @@ from contextsim.states import (
     random_pure_state,
     states_equal,
 )
+
+
+def circuit_unitary(circuit):
+    """The full-register unitary of a circuit: the product of its gate
+    matrices, later gates on the left."""
+    u = np.eye(2 ** circuit.qubits, dtype=complex)
+    for op in circuit.ops:
+        u = full_gate_matrix(op, circuit.qubits) @ u
+    return u
 
 
 def series_expm(a, terms=60):

@@ -1,10 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import contextsim
+from contextsim import states
 from contextsim.cli import main
 from contextsim.inequalities import eval_pm, eval_transformed_bell
 from contextsim.report import (
@@ -142,6 +146,26 @@ class TestCommands:
         assert main(["--config", str(cfg), "pm"]) == 2
         assert "JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, settings, offending",
+        [(["bounds"], {"sweps": 0}, "sweps"),
+         (["bounds", "--target", "temporal-kcbs"], {"visibility": 0.5}, "visibility"),
+         (["pm"], {"command": "selftest"}, "command"),
+         (["pm"], {"method": "direct", "config": "other.json"}, "config")],
+    )
+    def test_config_key_without_option_rejected(self, argv, settings, offending, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        assert main(["--config", str(cfg), *argv]) == 2
+        captured = capsys.readouterr()
+        assert offending in captured.err and captured.out == ""
+
+    def test_config_keys_are_option_dests(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"noise_p": 0.0, "visibility": 0.5, "format": "json"}))
+        assert main(["--config", str(cfg), "pm"]) == 0
+        assert parse_report_json(capsys.readouterr().out).sum < 6.0 - 1e-6
+
 
 class TestRejectedValues:
     @pytest.mark.parametrize(
@@ -170,6 +194,16 @@ class TestRejectedValues:
         assert main(["kcbs", f"--theta={theta}"]) == 2
         assert "angle" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bits", [4, 64])
+    def test_oversized_bitstring_state(self, bits, monkeypatch, capsys):
+        def refuse(n, label):
+            raise AssertionError(f"allocated a {n}-qubit basis state")
+
+        monkeypatch.setattr(states, "basis_state", refuse)
+        assert main(["pm", "--state", "1" * bits]) == 2
+        captured = capsys.readouterr()
+        assert "more than 3" in captured.err and captured.out == ""
+
     def test_seed_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["pm", "--seed", "1"])
@@ -178,11 +212,15 @@ class TestRejectedValues:
 
 class TestConsoleScript:
     def test_pm_via_interpreter(self):
+        # the child imports the same sources as this process, installed or not
+        src = str(Path(contextsim.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "contextsim.cli", "pm", "--format", "csv"],
             capture_output=True,
             text=True,
             timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout.strip().split("\n")[-1] == "pm,SUM,4.000000,6.000000,direct"

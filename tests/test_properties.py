@@ -1,8 +1,10 @@
-"""Property tests on drawn states, angles, specs and measurement chains: the
-three correlator routes agree term by term and on two-slot specs, the probe
-matches the trace form on specs of up to six slots, Lüders chains match a
-closed-form oracle and marginalize to their prefixes, the six-context sum is
-state independent, and the identity noise model leaves a report unchanged."""
+"""Property tests on drawn states, angles, gates, specs and measurement
+chains: gate matrices and circuit application match a dense permutation
+oracle, the three correlator routes agree term by term and on two-slot specs,
+the probe matches the trace form on specs of up to six slots, Lüders chains
+match a closed-form oracle and marginalize to their prefixes, the six-context
+sum is state independent, and the identity noise model leaves a report
+unchanged."""
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from contextsim.circuits import Circuit, GateOp, apply, full_gate_matrix
 from contextsim.inequalities import (
     METHODS,
     eval_kcbs_temporal,
@@ -29,7 +32,7 @@ from contextsim.scattering import (
     heisenberg_observable,
 )
 from contextsim.sequential import correlator_sequential, joint_distribution
-from contextsim.states import density_of, haar_random_unitary, pure_state
+from contextsim.states import density_of, haar_random_unitary, mixed_state, pure_state
 
 PM_THEORY = (1.0, 1.0, 1.0, 1.0, 1.0, -1.0)
 
@@ -81,6 +84,34 @@ def specs(draw, qubits, slots):
 
 
 @st.composite
+def gates(draw, qubits):
+    """A Haar unitary from a drawn seed on 1-3 distinct targets in drawn
+    order, and half the time a control of drawn polarity."""
+    order = draw(st.permutations(range(qubits)))
+    k = draw(st.integers(1, min(3, qubits)))
+    u = haar_random_unitary(2 ** k, np.random.default_rng(draw(seeds)))
+    if k < qubits and draw(st.booleans()):
+        return GateOp("U", u, tuple(order[:k]), control=order[k], control_on=draw(st.integers(0, 1)))
+    return GateOp("U", u, tuple(order[:k]))
+
+
+def _gate_oracle(op, n) -> np.ndarray:
+    """kron(u, I) in target-first qubit order, conjugated by the permutation
+    matrix to register order; a control keeps the |c><c| block of the other
+    polarity as identity."""
+    order = list(op.targets) + [q for q in range(n) if q not in op.targets]
+    perm = np.zeros((2 ** n, 2 ** n))
+    for x in range(2 ** n):
+        bits = [(x >> (n - 1 - q)) & 1 for q in range(n)]
+        perm[int("".join(str(bits[q]) for q in order), 2), x] = 1.0
+    lifted = perm.T @ np.kron(op.matrix, np.eye(2 ** (n - len(op.targets)))) @ perm
+    if op.control is None:
+        return lifted
+    on = np.diag([float((x >> (n - 1 - op.control)) & 1 == op.control_on) for x in range(2 ** n)])
+    return np.eye(2 ** n) - on + on @ lifted
+
+
+@st.composite
 def chains(draw, qubits, length):
     """Dichotomic observables U diag(+-1) U^dag: drawn signs, and a Haar U
     from a drawn seed."""
@@ -105,6 +136,30 @@ def _chain_oracle(state, chain) -> float:
 
 def _values(report):
     return [v for _, v in report.terms] + [v for _, v in report.constraints or ()]
+
+
+@given(data=st.data())
+def test_gate_matrix_matches_permutation_oracle(data):
+    n = data.draw(st.integers(1, 4))
+    op = data.draw(gates(n))
+    assert np.max(np.abs(full_gate_matrix(op, n) - _gate_oracle(op, n))) <= 1e-12
+
+
+@given(data=st.data())
+def test_apply_matches_oracle_product(data):
+    n = data.draw(st.integers(1, 4))
+    circuit = Circuit(n, tuple(data.draw(st.lists(gates(n), max_size=4))))
+    state = data.draw(states(n))
+    u = np.eye(2 ** n)
+    for op in circuit.ops:
+        u = _gate_oracle(op, n) @ u
+    if state.is_pure:
+        psi = apply(circuit, state).amplitudes
+        assert np.max(np.abs(psi - u @ state.amplitudes)) <= 1e-12
+    # every drawn state also runs as a density matrix
+    rho = density_of(state)
+    out = apply(circuit, mixed_state(rho)).rho
+    assert np.max(np.abs(out - u @ rho @ u.conj().T)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(EVALUATORS))

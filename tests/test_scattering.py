@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from contextsim.circuits import apply, circuit_unitary, ry_matrix
+from contextsim.circuits import apply, full_gate_matrix, ry_matrix
 from contextsim.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
 from contextsim.scattering import (
     TemporalCorrelationSpec,
@@ -89,7 +89,10 @@ class TestCircuitShape:
     def test_circuit_matches_hadamard_sandwich_oracle(self):
         rng = np.random.default_rng(1)
         spec = random_correlation_spec(1, 3, rng)
-        got = circuit_unitary(build_scattering_circuit(spec))
+        circuit = build_scattering_circuit(spec)
+        got = np.eye(2 ** circuit.qubits, dtype=complex)
+        for op in circuit.ops:
+            got = full_gate_matrix(op, circuit.qubits) @ got
         u = applied_block_product(spec)
         h_full = np.kron(HADAMARD, np.eye(2))
         blocks = np.block([[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), u]])
