@@ -9,6 +9,13 @@ operators. Without that restriction the bare minimum eigenvalue reaches the
 algebraic -5 (a local rotation on one side aligns all five terms at once),
 which belongs to a different scenario than the constrained inequality.
 
+Each angle search has one objective over a batch of 5-tuples (the
+constrained minimum, the cyclic cosine sum) and one driver: the coarse grid
+evaluates all its tuples in one call, then the line searches call the public
+scalar objective, a batch of one. Terms accumulate one at a time in cycle
+order, never stacked, so the grid holds a few (M, 4, 4) arrays and a batch
+of one rounds exactly as a scalar sum.
+
 All searches are deterministic: seeded restarts, fixed sweep order, golden-
 section line minimization.
 """
@@ -26,8 +33,11 @@ from .sequential import joint_distribution
 from .states import mixed_state
 
 KERNEL_TOL = 1e-9
+MAX_RESOLUTION = 16  # the grid holds resolution**4 5-tuples: about 90 MB traced at 16
 
 TARGETS = ("bell-kcbs", "temporal-kcbs", "contextual-kcbs", "pentagon-lg")
+
+_NEXT = np.array([1, 2, 3, 4, 0])  # successor of each angle around the cycle
 
 
 @dataclass(frozen=True)
@@ -40,55 +50,67 @@ class BoundResult:
     tolerance: float
 
 
-def _sigma_pairs(angles) -> np.ndarray:
-    """The (k, k, 4, 4) table of sigma(a_i) x sigma(a_j) over k angles."""
-    sig = np.stack([sigma_theta_matrix(a) for a in angles])
-    k = sig.shape[0]
-    return np.einsum("iab,jcd->ijacbd", sig, sig).reshape(k, k, 4, 4)
-
-
-def _cycle_sum(cross: np.ndarray) -> np.ndarray:
-    """Entries (r, r+1) of a five-angle pair table summed around the cycle."""
-    if cross.shape[0] != 5:
+def _five(angles) -> np.ndarray:
+    angles = np.asarray(angles, dtype=float)
+    if angles.shape[-1:] != (5,):
         raise ValueError("need exactly 5 angles")
-    total = np.zeros((4, 4), dtype=complex)
-    for r in range(5):
-        total += cross[r, (r + 1) % 5]
-    return total
+    return angles
+
+
+def _sigma_products(angles):
+    """(r, s) -> sigma(a_r) x sigma(a_s) for a 5-tuple, shape (4, 4), or for
+    each row of an (M, 5) stack, shape (M, 4, 4)."""
+    sig = sigma_theta_matrix(_five(angles).T)
+    left, right = sig[..., :, None, :, None], sig[..., None, :, None, :]
+    return lambda r, s: (left[r] * right[s]).reshape(*sig.shape[1:-2], 4, 4)
+
+
+def _cycle_operator(kron) -> np.ndarray:
+    return sum(kron(r, (r + 1) % 5) for r in range(5))
 
 
 def bell_operator(angles) -> np.ndarray:
     """Sum of the five cross terms sigma(a_r) x sigma(a_{r+1}) over the cycle."""
-    return _cycle_sum(_sigma_pairs(angles))
+    return _cycle_operator(_sigma_products(angles))
 
 
-def bell_constrained_objective(angles) -> float:
-    """Minimum of the five-term operator over states obeying <A_j B_j> = 1.
+def _constrained_minima(angles) -> np.ndarray:
+    """The constrained minimum of a 5-tuple or of each row of an (M, 5) stack.
 
     The admissible states span the common +1 eigenspace of the five
     sigma(a_j) x sigma(a_j) operators, i.e. the kernel of the positive sum
     of (I - sigma x sigma)/2 penalties; the operator is compressed onto that
-    space before taking the smallest eigenvalue.
+    space, one stack per kernel dimension, before taking the smallest eigenvalue.
     """
-    cross = _sigma_pairs(angles)
-    bop = _cycle_sum(cross)
-    penalty = np.zeros((4, 4), dtype=complex)
+    kron = _sigma_products(angles)
     eye = np.eye(4, dtype=complex)
-    for j in range(5):
-        penalty += (eye - cross[j, j]) / 2
-    w, v = np.linalg.eigh(penalty)
-    kernel = v[:, w < KERNEL_TOL]
-    compressed = kernel.conj().T @ bop @ kernel
-    return float(np.linalg.eigvalsh((compressed + compressed.conj().T) / 2)[0])
+    w, v = np.linalg.eigh(sum((eye - kron(j, j)) / 2 for j in range(5)))
+    bop = _cycle_operator(kron)
+    kdim = (w < KERNEL_TOL).sum(axis=-1)
+    values = np.empty(kdim.shape)
+    for d in set(kdim.flat):
+        group = kdim == d
+        kernel = v[group, :, :d]
+        compressed = kernel.conj().swapaxes(-1, -2) @ bop[group] @ kernel
+        values[group] = np.linalg.eigvalsh((compressed + compressed.conj().swapaxes(-1, -2)) / 2)[:, 0]
+    return values
+
+
+def bell_constrained_objective(angles) -> float:
+    """Minimum of the five-term operator over states obeying <A_j B_j> = 1."""
+    return float(_constrained_minima(angles))
+
+
+def _cycle_cosines(angles) -> np.ndarray:
+    """The cyclic cosine sum of a 5-tuple or of each row of an (M, 5) stack."""
+    angles = _five(angles)
+    return sum(np.cos(angles - angles.take(_NEXT, axis=-1)).T)
 
 
 def temporal_objective(angles) -> float:
     """Sum of the five cyclic two-time correlators, cos(a_i - a_{i+1}); the
     anticommutator form makes each term state independent."""
-    angles = list(angles)
-    if len(angles) != 5:
-        raise ValueError("need exactly 5 angles")
-    return float(sum(np.cos(angles[r] - angles[(r + 1) % 5]) for r in range(5)))
+    return float(_cycle_cosines(angles))
 
 
 def _at_least_one(name: str, value) -> int:
@@ -105,48 +127,36 @@ def _positive_tol(tol) -> float:
     return tol
 
 
-def _coarse_grid_tuples(resolution: int):
-    """All 5-tuples over the angle grid with the first angle pinned to 0;
-    a global angle shift changes neither spectra nor constraints."""
-    grid = np.linspace(0.0, 2 * np.pi, _at_least_one("resolution", resolution), endpoint=False)
-    mesh = np.meshgrid(*([np.arange(grid.size)] * 4), indexing="ij")
-    idx = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    tuples = np.concatenate([np.zeros((idx.shape[0], 1), dtype=int), idx], axis=1)
-    return grid, tuples
+def _coarse_grid_tuples(resolution: int) -> np.ndarray:
+    """All angle 5-tuples over the grid, one per row, with the first angle
+    pinned to 0; a global angle shift changes neither spectra nor constraints."""
+    resolution = _at_least_one("resolution", resolution)
+    if resolution > MAX_RESOLUTION:
+        raise ValueError(f"resolution must be at most {MAX_RESOLUTION}, got {resolution}")
+    grid = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
+    mesh = np.meshgrid(*([grid] * 4), indexing="ij")
+    return np.stack([np.zeros(mesh[0].size)] + [m.reshape(-1) for m in mesh], axis=1)
+
+
+def _coarse_minimum(batch_objective, resolution: int) -> np.ndarray:
+    """The grid 5-tuple where ``batch_objective`` is lowest (first in grid order)."""
+    angles = _coarse_grid_tuples(resolution)
+    return angles[int(np.argmin(batch_objective(angles)))]
 
 
 def _coarse_bell_minimum(resolution: int) -> np.ndarray:
-    grid, tuples = _coarse_grid_tuples(resolution)
-    r = grid.size
-    cross = _sigma_pairs(grid)
-    eye = np.eye(4, dtype=complex)
-    pen_diag = (eye - cross[np.arange(r), np.arange(r)]) / 2
-    bop = np.zeros((tuples.shape[0], 4, 4), dtype=complex)
-    pen = np.zeros((tuples.shape[0], 4, 4), dtype=complex)
-    for j in range(5):
-        bop += cross[tuples[:, j], tuples[:, (j + 1) % 5]]
-        pen += pen_diag[tuples[:, j]]
-    w, v = np.linalg.eigh(pen)
-    kdim = (w < KERNEL_TOL).sum(axis=1)
-    values = np.full(tuples.shape[0], np.inf)
-    single = kdim == 1
-    vec = v[single, :, 0]
-    values[single] = np.einsum("mi,mij,mj->m", vec.conj(), bop[single], vec).real
-    for m in np.nonzero(~single)[0]:
-        kernel = v[m][:, w[m] < KERNEL_TOL]
-        comp = kernel.conj().T @ bop[m] @ kernel
-        values[m] = np.linalg.eigvalsh((comp + comp.conj().T) / 2)[0]
-    best = int(np.argmin(values))
-    return grid[tuples[best]]
+    return _coarse_minimum(_constrained_minima, resolution)
+
+
+def _coarse_temporal_minimum(resolution: int) -> np.ndarray:
+    return _coarse_minimum(_cycle_cosines, resolution)
 
 
 def _descend(objective, angles: np.ndarray, sweeps: int, tol: float):
     """Cyclic coordinate descent with golden-section line searches."""
     angles = np.array(angles, dtype=float)
     previous = objective(angles)
-    performed = 0
-    converged = False
-    for _ in range(sweeps):
+    for performed in range(1, sweeps + 1):
         for i in range(5):
             def line(x, i=i):
                 trial = angles.copy()
@@ -156,27 +166,20 @@ def _descend(objective, angles: np.ndarray, sweeps: int, tol: float):
             angles[i], _ = golden_section_minimize(
                 line, angles[i] - np.pi, angles[i] + np.pi, tol=min(tol, 1e-9)
             )
-        performed += 1
         current = objective(angles)
-        if performed >= 3 and previous - current < tol:
-            converged = True
-            previous = current
-            break
+        converged = performed >= 3 and previous - current < tol
         previous = current
+        if converged:
+            break
     return angles, float(previous), performed, converged
 
 
-def tsirelson_search_bell(resolution: int = 8, sweeps: int = 40, tol: float = 1e-9) -> BoundResult:
-    """Minimize the constrained five-term objective over angle 5-tuples.
-
-    Coarse grid first, then cyclic golden-section descent. The optimum sits
-    at equal angle steps of 4*pi/5 with value -5 cos(pi/5).
-    """
+def _angle_search(target: str, coarse, objective, resolution, sweeps, tol) -> BoundResult:
+    """Start at ``coarse(resolution)``, then descend on the scalar ``objective``."""
     sweeps, tol = _at_least_one("sweeps", sweeps), _positive_tol(tol)
-    start = _coarse_bell_minimum(resolution)
-    angles, value, performed, converged = _descend(bell_constrained_objective, start, sweeps, tol)
+    angles, value, performed, converged = _descend(objective, coarse(resolution), sweeps, tol)
     return BoundResult(
-        target="bell-kcbs",
+        target=target,
         optimum=value,
         argument={"angles": [float(a) for a in angles]},
         iterations=performed,
@@ -185,22 +188,22 @@ def tsirelson_search_bell(resolution: int = 8, sweeps: int = 40, tol: float = 1e
     )
 
 
-def temporal_bound_kcbs(resolution: int = 8, tol: float = 1e-9) -> BoundResult:
+def tsirelson_search_bell(resolution: int = 8, sweeps: int = 40, tol: float = 1e-9) -> BoundResult:
+    """Minimize the constrained five-term objective over angle 5-tuples.
+
+    Coarse grid first, then cyclic golden-section descent. The optimum sits
+    at equal angle steps of 4*pi/5 with value -5 cos(pi/5).
+    """
+    return _angle_search(
+        "bell-kcbs", _coarse_bell_minimum, bell_constrained_objective, resolution, sweeps, tol
+    )
+
+
+def temporal_bound_kcbs(resolution: int = 8, tol: float = 1e-9, sweeps: int = 40) -> BoundResult:
     """Minimize the cyclic cosine sum over angle 5-tuples; same optimum as the
     constrained Bell search, recovered through an independent objective."""
-    tol = _positive_tol(tol)
-    grid, tuples = _coarse_grid_tuples(resolution)
-    diffs = grid[tuples] - grid[np.roll(tuples, -1, axis=1)]
-    values = np.cos(diffs).sum(axis=1)
-    start = grid[tuples[int(np.argmin(values))]]
-    angles, value, performed, converged = _descend(temporal_objective, start, 60, tol)
-    return BoundResult(
-        target="temporal-kcbs",
-        optimum=value,
-        argument={"angles": [float(a) for a in angles]},
-        iterations=performed,
-        converged=converged,
-        tolerance=tol,
+    return _angle_search(
+        "temporal-kcbs", _coarse_temporal_minimum, temporal_objective, resolution, sweeps, tol
     )
 
 
@@ -248,6 +251,11 @@ def _feasible_start(rng: np.random.Generator):
     raise RuntimeError("could not draw a feasible five-cycle start")
 
 
+def _top_state(u) -> np.ndarray:
+    _, vecs = np.linalg.eigh(sum(np.outer(ui, ui) for ui in u))
+    return vecs[:, -1]
+
+
 def _contextual_seesaw(seed: int, iterations: int, tol: float):
     """Alternate a state step (top eigenvector of sum u_i u_i^T) with local
     vector moves. Single vectors are rigid inside the cycle, so each move
@@ -256,13 +264,8 @@ def _contextual_seesaw(seed: int, iterations: int, tol: float):
     rng = np.random.default_rng(seed)
     u = _feasible_start(rng)
     previous = np.inf
-    performed = 0
-    converged = False
-    psi = None
-    for _ in range(iterations):
-        gram = sum(np.outer(ui, ui) for ui in u)
-        _, vecs = np.linalg.eigh(gram)
-        psi = vecs[:, -1]
+    psi = _top_state(u)
+    for performed in range(1, iterations + 1):
         for i in range(5):
             im1, ip1, ip2 = (i - 1) % 5, (i + 1) % 5, (i + 2) % 5
             e1 = u[i] - (u[i] @ u[im1]) * u[im1]
@@ -272,36 +275,32 @@ def _contextual_seesaw(seed: int, iterations: int, tol: float):
             e1 /= n1
             e2 = np.cross(u[im1], e1)
 
-            def pair_value(phi, i=i, ip1=ip1, ip2=ip2, e1=e1, e2=e2, psi=psi):
+            def move(phi):  # u_i at angle phi and the re-pinned u_{i+1}, or None
                 cand = np.cos(phi) * e1 + np.sin(phi) * e2
                 cross = np.cross(cand, u[ip2])
                 norm = np.linalg.norm(cross)
-                if norm < 1e-12:
+                return cand, (cross / norm if norm >= 1e-12 else None)
+
+            rest = sum(float(np.dot(u[j], psi)) ** 2 for j in range(5) if j not in (i, ip1))
+
+            def pair_value(phi):
+                cand, pinned = move(phi)
+                if pinned is None:
                     return np.inf
-                rest = sum(
-                    float(np.dot(u[j], psi)) ** 2 for j in range(5) if j not in (i, ip1)
-                )
-                moved = float(np.dot(cand, psi)) ** 2 + float(np.dot(cross / norm, psi)) ** 2
+                moved = float(np.dot(cand, psi)) ** 2 + float(np.dot(pinned, psi)) ** 2
                 return 5.0 - 4.0 * (rest + moved)
 
             phi, _ = golden_section_minimize(pair_value, -np.pi, np.pi, tol=1e-11)
-            cand = np.cos(phi) * e1 + np.sin(phi) * e2
-            cross = np.cross(cand, u[ip2])
-            norm = np.linalg.norm(cross)
-            if norm < 1e-12:
+            cand, pinned = move(phi)
+            if pinned is None:
                 return None
-            u[i] = cand
-            u[ip1] = cross / norm
-        gram = sum(np.outer(ui, ui) for ui in u)
-        _, vecs = np.linalg.eigh(gram)
-        psi = vecs[:, -1]
-        performed += 1
+            u[i], u[ip1] = cand, pinned
+        psi = _top_state(u)
         current = contextual_objective(u, psi)
-        if performed >= 3 and previous - current < tol:
-            converged = True
-            previous = current
-            break
+        converged = performed >= 3 and previous - current < tol
         previous = current
+        if converged:
+            break
     return float(previous), u, psi, performed, converged
 
 

@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import bounds as bounds_mod
 from .inequalities import (
@@ -39,23 +38,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_IO = 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    state: str = "00"
-    method: str = "direct"
-    theta: float | None = None
-    noise: NoiseModel | None = None
-    output_path: str | None = None
-    format: str = "table"
-    target: str = "all"
-    resolution: int = 8
-    sweeps: int = 40
-    restarts: int = 8
-    iterations: int = 200
-    tol: float = 1e-9
 
 
 def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
@@ -92,8 +74,10 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     bounds_p = sub.add_parser("bounds", help="extremum searches for the five-cycle family")
     bounds_p.add_argument("--target", default="all", choices=bounds_mod.TARGETS + ("all",))
-    bounds_p.add_argument("--resolution", type=int, default=8)
-    bounds_p.add_argument("--sweeps", type=int, default=40)
+    bounds_p.add_argument("--resolution", type=int, default=8,
+                          help=f"coarse angle grid points per axis, 1 to {bounds_mod.MAX_RESOLUTION}")
+    bounds_p.add_argument("--sweeps", type=int, default=40,
+                          help="descent sweeps for bell-kcbs and temporal-kcbs")
     bounds_p.add_argument("--restarts", type=int, default=8)
     bounds_p.add_argument("--iterations", type=int, default=200)
     bounds_p.add_argument("--tol", type=float, default=1e-9)
@@ -107,34 +91,23 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    noise = None
-    noise_p = getattr(args, "noise_p", None)
-    visibility = getattr(args, "visibility", None)
-    if noise_p is not None or visibility is not None:
-        noise = NoiseModel(
-            state_depolarizing_p=noise_p if noise_p is not None else 0.0,
-            block_visibility_v=visibility if visibility is not None else 1.0,
-        )
-    theta = getattr(args, "theta", None)
-    return RunConfig(
-        command=args.command,
-        state=getattr(args, "state", "00"),
-        method=getattr(args, "method", "direct"),
-        theta=None if theta is None else parse_angle(theta),
-        noise=noise,
-        output_path=getattr(args, "output", None),
-        format=getattr(args, "format", "table"),
-        target=getattr(args, "target", "all"),
-        resolution=getattr(args, "resolution", 8),
-        sweeps=getattr(args, "sweeps", 40),
-        restarts=getattr(args, "restarts", 8),
-        iterations=getattr(args, "iterations", 200),
-        tol=getattr(args, "tol", 1e-9),
-    )
+def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """The parsed options, with ``theta`` read as an angle and, for the
+    evaluation commands, ``noise`` set to one ``NoiseModel`` built from
+    ``noise_p`` and ``visibility`` (None when neither is given)."""
+    if "theta" in args:
+        args.theta = parse_angle(args.theta)
+    if "noise_p" in args:
+        args.noise = None
+        if args.noise_p is not None or args.visibility is not None:
+            args.noise = NoiseModel(
+                state_depolarizing_p=args.noise_p if args.noise_p is not None else 0.0,
+                block_visibility_v=args.visibility if args.visibility is not None else 1.0,
+            )
+    return args
 
 
-def _evaluate(config: RunConfig):
+def _evaluate(config: argparse.Namespace):
     state = state_from_literal(config.state)
     def evaluate(st):
         if config.command == "pm":
@@ -154,7 +127,7 @@ def _evaluate(config: RunConfig):
     return with_noise(ideal, noisy, config.noise)
 
 
-def _run_bounds(config: RunConfig):
+def _run_bounds(config: argparse.Namespace):
     results = []
     targets = bounds_mod.TARGETS if config.target == "all" else (config.target,)
     for target in targets:
@@ -163,7 +136,9 @@ def _run_bounds(config: RunConfig):
                 bounds_mod.tsirelson_search_bell(config.resolution, config.sweeps, config.tol)
             )
         elif target == "temporal-kcbs":
-            results.append(bounds_mod.temporal_bound_kcbs(config.resolution, config.tol))
+            results.append(
+                bounds_mod.temporal_bound_kcbs(config.resolution, config.tol, config.sweeps)
+            )
         elif target == "contextual-kcbs":
             results.append(
                 bounds_mod.contextual_bound_kcbs(config.iterations, config.restarts, config.tol)
@@ -188,21 +163,21 @@ def _write(text: str, path: str | None) -> int:
     return EXIT_OK
 
 
-def run(config: RunConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     if config.command == "selftest":
         text, ok = selftest_text()
         sys.stdout.write(text)
         return EXIT_OK if ok else 1
     if config.command == "bounds":
         results = _run_bounds(config)
-        status = _write(emit_bounds(results, config.format), config.output_path)
+        status = _write(emit_bounds(results, config.format), config.output)
         if status != EXIT_OK:
             return status
         if any(not r.converged for r in results):
             return EXIT_NO_CONVERGENCE
         return EXIT_OK
     report = _evaluate(config)
-    return _write(emit_report(report, config.format), config.output_path)
+    return _write(emit_report(report, config.format), config.output)
 
 
 def main(argv=None) -> int:

@@ -59,9 +59,10 @@ def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b + b @ a
 
 
-def sigma_theta_matrix(theta: float) -> np.ndarray:
+def sigma_theta_matrix(theta) -> np.ndarray:
     """cos(theta) sigma_z + sin(theta) sigma_x, unvalidated (dichotomic for
-    every angle)."""
+    every angle); an array of angles gives a stack of shape ``(..., 2, 2)``."""
+    theta = np.asarray(theta)[..., None, None]
     return np.cos(theta) * PAULI_Z + np.sin(theta) * PAULI_X
 
 

@@ -4,12 +4,6 @@ import math
 
 import numpy as np
 
-from contextsim.bounds import (
-    contextual_bound_kcbs,
-    pentagon_scan,
-    temporal_bound_kcbs,
-    tsirelson_search_bell,
-)
 from contextsim.inequalities import (
     METHODS,
     Observable,
@@ -96,12 +90,10 @@ def test_criterion_4_transformed_bell_violation():
     report(4, f"terms {expected_term:.6f}, sum {5 * expected_term:.6f}, side conditions 1, violated")
 
 
-def test_criterion_5_bound_recovery():
+def test_criterion_5_bound_recovery(bell_search, temporal_search, contextual_search):
     tsirelson = -5 * math.cos(math.pi / 5)
     contextual_target = 5 - 4 * math.sqrt(5)
-    bell = tsirelson_search_bell()
-    temporal = temporal_bound_kcbs()
-    contextual = contextual_bound_kcbs()
+    bell, temporal, contextual = bell_search, temporal_search, contextual_search
     assert abs(bell.optimum - tsirelson) <= 1e-5
     assert abs(temporal.optimum - bell.optimum) <= 1e-4
     assert abs(contextual.optimum - contextual_target) <= 1e-4
@@ -125,8 +117,8 @@ def test_criterion_6_temporal_kcbs_closed_form():
     report(6, f"50-angle grid: max |sum-(1+4cos)| = {worst:.2e}, floor -3 respected")
 
 
-def test_criterion_7_pentagon_scan():
-    res = pentagon_scan()
+def test_criterion_7_pentagon_scan(pentagon_result):
+    res = pentagon_result
     arg = res.argument
     assert abs(arg["pairwise"]["minimum"] - (-2.0)) <= 1e-6
     assert abs(arg["pairwise"]["argmin_theta"] - math.pi) <= 1e-6

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from contextsim import bounds
 from contextsim.bounds import (
+    MAX_RESOLUTION,
     BoundResult,
     bell_constrained_objective,
     bell_operator,
@@ -59,19 +61,19 @@ class TestBellOperator:
 
 
 class TestTsirelsonSearch:
-    def test_recovers_the_bound(self):
-        res = tsirelson_search_bell()
+    def test_recovers_the_bound(self, bell_search):
+        res = bell_search
         assert res.converged
         assert res.optimum == pytest.approx(TSIRELSON, abs=1e-5)
 
-    def test_dominated_by_reported_argument(self):
-        res = tsirelson_search_bell()
+    def test_dominated_by_reported_argument(self, bell_search):
+        res = bell_search
         assert bell_constrained_objective(res.argument["angles"]) == pytest.approx(
             res.optimum, abs=1e-9
         )
 
-    def test_never_better_than_pentagram_value(self):
-        res = tsirelson_search_bell()
+    def test_never_better_than_pentagram_value(self, bell_search):
+        res = bell_search
         assert res.optimum <= bell_constrained_objective(PENTAGRAM_ANGLES) + 1e-9
 
     def test_degenerate_grid_still_returns_a_result(self):
@@ -81,24 +83,24 @@ class TestTsirelsonSearch:
 
 
 class TestTemporalBound:
-    def test_recovers_the_bound(self):
-        res = temporal_bound_kcbs()
+    def test_recovers_the_bound(self, temporal_search):
+        res = temporal_search
         assert res.optimum == pytest.approx(TSIRELSON, abs=1e-5)
 
-    def test_agrees_with_bell_search(self):
-        assert abs(temporal_bound_kcbs().optimum - tsirelson_search_bell().optimum) < 1e-4
+    def test_agrees_with_bell_search(self, temporal_search, bell_search):
+        assert abs(temporal_search.optimum - bell_search.optimum) < 1e-4
 
     def test_equal_angles_give_five(self):
         assert temporal_objective([0.3] * 5) == pytest.approx(5.0, abs=1e-12)
 
-    def test_cyclic_closure_blocks_minus_five(self):
+    def test_cyclic_closure_blocks_minus_five(self, temporal_search):
         # the five differences must close around the cycle, so -5 is out of
         # reach; the optimizer never dips below the closed-cycle extremum
-        res = temporal_bound_kcbs()
+        res = temporal_search
         assert res.optimum >= TSIRELSON - 1e-6
 
-    def test_dominated_by_reported_argument(self):
-        res = temporal_bound_kcbs()
+    def test_dominated_by_reported_argument(self, temporal_search):
+        res = temporal_search
         assert temporal_objective(res.argument["angles"]) == pytest.approx(res.optimum, abs=1e-9)
 
 
@@ -111,13 +113,13 @@ class TestContextualBound:
         value = contextual_objective(vectors, np.array([0.0, 0.0, 1.0]))
         assert value == pytest.approx(CONTEXTUAL, abs=1e-12)
 
-    def test_seesaw_recovers_the_bound(self):
-        res = contextual_bound_kcbs()
+    def test_seesaw_recovers_the_bound(self, contextual_search):
+        res = contextual_search
         assert res.optimum == pytest.approx(CONTEXTUAL, abs=1e-4)
         assert res.converged
 
-    def test_returned_configuration_is_feasible_and_dominating(self):
-        res = contextual_bound_kcbs()
+    def test_returned_configuration_is_feasible_and_dominating(self, contextual_search):
+        res = contextual_search
         vectors = [np.array(v) for v in res.argument["vectors"]]
         psi = np.array(res.argument["state"])
         for j in range(5):
@@ -125,27 +127,27 @@ class TestContextualBound:
             assert np.linalg.norm(vectors[j]) == pytest.approx(1.0, abs=1e-10)
         assert contextual_objective(vectors, psi) == pytest.approx(res.optimum, abs=1e-9)
 
-    def test_strict_ordering_against_temporal(self):
-        gap = contextual_bound_kcbs().optimum - temporal_bound_kcbs().optimum
+    def test_strict_ordering_against_temporal(self, contextual_search, temporal_search):
+        gap = contextual_search.optimum - temporal_search.optimum
         assert gap == pytest.approx(CONTEXTUAL - TSIRELSON, abs=1e-3)
         assert gap > 0.05
 
 
 class TestPentagonScan:
-    def test_reading_minima(self):
-        res = pentagon_scan()
+    def test_reading_minima(self, pentagon_result):
+        res = pentagon_result
         assert res.argument["pairwise"]["minimum"] == pytest.approx(-2.0, abs=1e-6)
         assert res.argument["pairwise"]["argmin_theta"] == pytest.approx(math.pi, abs=1e-6)
         assert res.argument["invasive"]["minimum"] == pytest.approx(-2.0, abs=1e-6)
 
-    def test_values_at_cos_minus_three_quarters(self):
-        res = pentagon_scan()
+    def test_values_at_cos_minus_three_quarters(self, pentagon_result):
+        res = pentagon_result
         at = res.argument["at_cos_theta_-0.75"]
         assert at["pairwise"] == pytest.approx(-0.5, abs=1e-6)
         assert at["invasive"] == pytest.approx(-1.839844, abs=1e-6)
 
-    def test_discrepancy_flagged(self):
-        res = pentagon_scan()
+    def test_discrepancy_flagged(self, pentagon_result):
+        res = pentagon_result
         assert res.argument["unreproduced_reference_minimum"] == -2.25
         assert "not attained" in res.argument["note"]
 
@@ -179,13 +181,10 @@ class TestPentagonScan:
 
 
 class TestGlobalInvariants:
-    def test_all_optima_above_algebraic_floor(self):
-        results = [
-            tsirelson_search_bell(),
-            temporal_bound_kcbs(),
-            contextual_bound_kcbs(),
-            pentagon_scan(),
-        ]
+    def test_all_optima_above_algebraic_floor(
+        self, bell_search, temporal_search, contextual_search, pentagon_result
+    ):
+        results = [bell_search, temporal_search, contextual_search, pentagon_result]
         for res in results:
             assert res.optimum >= -5 - 1e-9
         assert {r.target for r in results} == {
@@ -207,6 +206,18 @@ class TestGlobalInvariants:
         for sweeps in (0, -3):
             with pytest.raises(ValueError, match="sweeps"):
                 tsirelson_search_bell(sweeps=sweeps)
+            with pytest.raises(ValueError, match="sweeps"):
+                temporal_bound_kcbs(sweeps=sweeps)
+
+    @pytest.mark.parametrize("resolution", [MAX_RESOLUTION + 1, 100])
+    def test_resolution_above_cap_rejected_before_allocating(self, resolution, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built an angle grid")
+
+        monkeypatch.setattr(bounds.np, "meshgrid", refuse)
+        for search in (tsirelson_search_bell, temporal_bound_kcbs):
+            with pytest.raises(ValueError, match=f"resolution must be at most {MAX_RESOLUTION}"):
+                search(resolution=resolution)
 
     @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0, 0.0])
     def test_tolerance_must_be_finite_and_positive(self, tol):

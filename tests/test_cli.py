@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import contextsim
-from contextsim import states
+from contextsim import bounds, states
 from contextsim.cli import main
 from contextsim.inequalities import eval_pm, eval_transformed_bell
 from contextsim.report import (
@@ -103,6 +103,12 @@ class TestCommands:
         assert lines[0] == "target,optimum,converged,iterations,tolerance"
         assert lines[1].startswith("temporal-kcbs,-4.045085,True")
 
+    def test_temporal_search_runs_the_given_sweeps(self, capsys):
+        # two sweeps are too few to test convergence, hence exit code 3
+        assert main(["bounds", "--target", "temporal-kcbs", "--sweeps", "2", "--format", "csv"]) == 3
+        row = capsys.readouterr().out.strip().split("\n")[1].split(",")
+        assert row[0] == "temporal-kcbs" and row[2:4] == ["False", "2"]
+
     def test_output_file_and_determinism(self, tmp_path, capsys):
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
@@ -181,6 +187,7 @@ class TestRejectedValues:
     @pytest.mark.parametrize(
         "target, flag, value",
         [("bell-kcbs", "--sweeps", "0"), ("bell-kcbs", "--sweeps", "-3"),
+         ("temporal-kcbs", "--sweeps", "0"),
          ("bell-kcbs", "--tol", "inf"), ("temporal-kcbs", "--tol", "nan"),
          ("contextual-kcbs", "--tol", "-1"), ("temporal-kcbs", "--tol", "0")],
     )
@@ -188,6 +195,16 @@ class TestRejectedValues:
         assert main(["bounds", "--target", target, f"{flag}={value}"]) == 2
         captured = capsys.readouterr()
         assert flag[2:] in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("target", ["bell-kcbs", "temporal-kcbs"])
+    def test_resolution_above_cap(self, target, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built an angle grid")
+
+        monkeypatch.setattr(bounds.np, "meshgrid", refuse)
+        assert main(["bounds", "--target", target, "--resolution", "100"]) == 2
+        captured = capsys.readouterr()
+        assert f"at most {bounds.MAX_RESOLUTION}" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
     def test_non_finite_theta(self, theta, capsys):

@@ -3,8 +3,10 @@ chains: gate matrices and circuit application match a dense permutation
 oracle, the three correlator routes agree term by term and on two-slot specs,
 the probe matches the trace form on specs of up to six slots, Lüders chains
 match a closed-form oracle and marginalize to their prefixes, the six-context
-sum is state independent, and the identity noise model leaves a report
-unchanged."""
+sum is state independent, the identity noise model leaves a report
+unchanged, and the Bell-side bound objective matches a null-space oracle.
+Each bound search's coarse start is also checked against its public scalar
+objective taken over the grid one tuple at a time."""
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from contextsim import bounds
 from contextsim.circuits import Circuit, GateOp, apply, full_gate_matrix
 from contextsim.inequalities import (
     METHODS,
@@ -134,6 +137,27 @@ def _chain_oracle(state, chain) -> float:
     return float(np.trace(x).real)
 
 
+@st.composite
+def angle_tuples(draw):
+    """Five angles, each drawn or a multiple of pi/4, or half the time one
+    drawn angle shifted by multiples of pi, which leaves two admissible
+    directions instead of one."""
+    if draw(st.booleans()):
+        angle = st.one_of(angles, st.integers(0, 7).map(lambda k: k * np.pi / 4))
+        return np.array(draw(st.lists(angle, min_size=5, max_size=5)))
+    shifts = draw(st.lists(st.integers(0, 3), min_size=5, max_size=5))
+    return draw(angles) + np.pi * np.array(shifts)
+
+
+def _sigma(a) -> np.ndarray:
+    return np.cos(a) * PAULI_Z + np.sin(a) * PAULI_X
+
+
+def _kron_cycle(five) -> np.ndarray:
+    sig = [_sigma(a) for a in five]
+    return sum(np.kron(sig[r], sig[(r + 1) % 5]) for r in range(5))
+
+
 def _values(report):
     return [v for _, v in report.terms] + [v for _, v in report.constraints or ()]
 
@@ -215,6 +239,39 @@ def test_trailing_axes_sum_to_shorter_chain(data):
     folded = full.sum(axis=tuple(range(prefix, length)))
     expected = joint_distribution(state, chain[:prefix]).probabilities
     assert np.max(np.abs(folded - expected)) <= 1e-10
+
+
+@given(five=angle_tuples())
+def test_bell_operator_is_the_kron_sum(five):
+    assert np.max(np.abs(bounds.bell_operator(five) - _kron_cycle(five))) <= 1e-12
+
+
+@given(five=angle_tuples())
+def test_constrained_objective_matches_null_space_oracle(five):
+    # the admissible states are the null space of the stacked I - sigma x sigma;
+    # singular values near the kernel threshold would leave its dimension open
+    stacked = np.vstack([np.eye(4) - np.kron(_sigma(a), _sigma(a)) for a in five])
+    _, sv, vh = np.linalg.svd(stacked)
+    assume(np.all((sv < 1e-7) | (sv > 1e-2)))
+    null = vh[sv < 1e-7].conj().T
+    oracle = np.linalg.eigvalsh(null.conj().T @ _kron_cycle(five) @ null)[0]
+    assert abs(bounds.bell_constrained_objective(five) - oracle) <= 1e-9
+
+
+@pytest.mark.parametrize("resolution", range(1, 6))
+@pytest.mark.parametrize(
+    "coarse, batch, objective",
+    [(bounds._coarse_bell_minimum, bounds._constrained_minima, bounds.bell_constrained_objective),
+     (bounds._coarse_temporal_minimum, bounds._cycle_cosines, bounds.temporal_objective)],
+    ids=["bell", "temporal"],
+)
+def test_coarse_start_is_the_scalar_argmin(coarse, batch, objective, resolution):
+    # bit for bit: a grid that rounds differently from the line search could
+    # break the grid's many exact ties another way
+    tuples = bounds._coarse_grid_tuples(resolution)
+    scalar = np.array([objective(t) for t in tuples])
+    assert np.array_equal(batch(tuples), scalar)
+    assert np.array_equal(coarse(resolution), tuples[int(np.argmin(scalar))])
 
 
 @given(state=states(2), method=st.sampled_from(METHODS))
