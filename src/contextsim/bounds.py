@@ -22,6 +22,7 @@ section line minimization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,7 +164,7 @@ def _descend(objective, angles: np.ndarray, sweeps: int, tol: float):
                 trial[i] = x
                 return objective(trial)
 
-            angles[i], _ = golden_section_minimize(
+            angles[i] = golden_section_minimize(
                 line, angles[i] - np.pi, angles[i] + np.pi, tol=min(tol, 1e-9)
             )
         current = objective(angles)
@@ -256,45 +257,70 @@ def _top_state(u) -> np.ndarray:
     return vecs[:, -1]
 
 
+def _seesaw_line(u, psi, i: int):
+    """The circle that u_i moves on and the seesaw's objective along it.
+
+    u_i turns to cand(phi) = cos(phi) e1 + sin(phi) e2 in the plane
+    orthogonal to u_{i-1}, and u_{i+1} is re-pinned to the direction of
+    cand x w with w = u_{i+2}. With t = (cos phi, sin phi) the three inner
+    products that move are linear in t: cand.psi = a.t,
+    (cand x w).psi = cand.(w x psi) = b.t and cand.w = c.t. So the value is
+    5 - 4 (rest + (a.t)^2 + (b.t)^2 / |cand x w|^2), where
+    |cand x w|^2 = 1 - (c.t)^2 is taken as (w.u_{i-1})^2 + (c1 sin phi -
+    c2 cos phi)^2, a sum of squares that does not cancel near a degenerate
+    pin. The trial is +inf where |cand x w| < 1e-12. Returns (e1, e2, value),
+    or None when u_i is parallel to u_{i-1}.
+    """
+    im1, ip1, ip2 = (i - 1) % 5, (i + 1) % 5, (i + 2) % 5
+    e1 = u[i] - (u[i] @ u[im1]) * u[im1]
+    n1 = np.linalg.norm(e1)
+    if n1 < 1e-10:
+        return None
+    e1 /= n1
+    e2 = np.cross(u[im1], e1)
+    w = u[ip2]
+    products = np.array([e1, e2]) @ np.array([psi, np.cross(w, psi), w]).T
+    (a1, b1, c1), (a2, b2, c2) = products.tolist()
+    off_plane = float(w @ u[im1]) ** 2
+    rest = sum(float(np.dot(u[j], psi)) ** 2 for j in range(5) if j not in (i, ip1))
+
+    def value(phi: float) -> float:
+        cos, sin = math.cos(phi), math.sin(phi)
+        pinned_sq = off_plane + (c1 * sin - c2 * cos) ** 2
+        if pinned_sq < 1e-24:
+            return math.inf
+        moved = (a1 * cos + a2 * sin) ** 2 + (b1 * cos + b2 * sin) ** 2 / pinned_sq
+        return 5.0 - 4.0 * (rest + moved)
+
+    return e1, e2, value
+
+
 def _contextual_seesaw(seed: int, iterations: int, tol: float):
     """Alternate a state step (top eigenvector of sum u_i u_i^T) with local
     vector moves. Single vectors are rigid inside the cycle, so each move
     rotates u_i on the circle orthogonal to u_{i-1} and re-pins u_{i+1} as the
-    cross product with u_{i+2}; degenerate cross products abort the restart."""
+    cross product with u_{i+2}; degenerate cross products abort the restart.
+    Along each line the golden-section search reads the closed form
+    5 - 4 (rest + (a.t)^2 + (b.t)^2 / (1 - (c.t)^2)), t = (cos phi, sin phi),
+    whose scalars and rest ``_seesaw_line`` computes once per line; only the
+    accepted step builds the moved vectors."""
     rng = np.random.default_rng(seed)
     u = _feasible_start(rng)
     previous = np.inf
     psi = _top_state(u)
     for performed in range(1, iterations + 1):
         for i in range(5):
-            im1, ip1, ip2 = (i - 1) % 5, (i + 1) % 5, (i + 2) % 5
-            e1 = u[i] - (u[i] @ u[im1]) * u[im1]
-            n1 = np.linalg.norm(e1)
-            if n1 < 1e-10:
+            line = _seesaw_line(u, psi, i)
+            if line is None:
                 continue
-            e1 /= n1
-            e2 = np.cross(u[im1], e1)
-
-            def move(phi):  # u_i at angle phi and the re-pinned u_{i+1}, or None
-                cand = np.cos(phi) * e1 + np.sin(phi) * e2
-                cross = np.cross(cand, u[ip2])
-                norm = np.linalg.norm(cross)
-                return cand, (cross / norm if norm >= 1e-12 else None)
-
-            rest = sum(float(np.dot(u[j], psi)) ** 2 for j in range(5) if j not in (i, ip1))
-
-            def pair_value(phi):
-                cand, pinned = move(phi)
-                if pinned is None:
-                    return np.inf
-                moved = float(np.dot(cand, psi)) ** 2 + float(np.dot(pinned, psi)) ** 2
-                return 5.0 - 4.0 * (rest + moved)
-
-            phi, _ = golden_section_minimize(pair_value, -np.pi, np.pi, tol=1e-11)
-            cand, pinned = move(phi)
-            if pinned is None:
+            e1, e2, value = line
+            phi = golden_section_minimize(value, -np.pi, np.pi, tol=1e-11)
+            cand = np.cos(phi) * e1 + np.sin(phi) * e2
+            cross = np.cross(cand, u[(i + 2) % 5])
+            norm = np.linalg.norm(cross)
+            if norm < 1e-12:
                 return None
-            u[i], u[ip1] = cand, pinned
+            u[i], u[(i + 1) % 5] = cand, cross / norm
         psi = _top_state(u)
         current = contextual_objective(u, psi)
         converged = performed >= 3 and previous - current < tol

@@ -64,8 +64,7 @@ def fit_visibility(pairs) -> float:
     def objective(v: float) -> float:
         return sum((v ** n * i - m) ** 2 for i, n, m in pairs)
 
-    v, _ = golden_section_minimize(objective, 0.0, 1.0, tol=FIT_TOL)
-    return float(v)
+    return golden_section_minimize(objective, 0.0, 1.0, tol=FIT_TOL)
 
 
 def load_measured_table(name: str) -> list[tuple[str, float, float, float]]:

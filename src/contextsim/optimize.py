@@ -13,11 +13,12 @@ def golden_section_minimize(
     hi: float,
     tol: float = 1e-9,
     max_iter: int = 200,
-) -> tuple[float, float]:
+) -> float:
     """Minimize a unimodal scalar function on [lo, hi].
 
-    Returns ``(x, f(x))`` with the interval narrowed below ``tol`` (or after
-    ``max_iter`` shrink steps).
+    Returns the midpoint of the interval once it is narrowed below ``tol`` (or
+    after ``max_iter`` shrink steps); ``f`` is called twice to start and once
+    per shrink step.
     """
     if not hi > lo:
         raise ValueError("need hi > lo")
@@ -36,5 +37,4 @@ def golden_section_minimize(
             a, c, fc = c, d, fd
             d = a + _INV_GOLDEN * (b - a)
             fd = f(d)
-    x = (a + b) / 2
-    return x, f(x)
+    return (a + b) / 2

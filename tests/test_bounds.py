@@ -132,6 +132,23 @@ class TestContextualBound:
         assert gap == pytest.approx(CONTEXTUAL - TSIRELSON, abs=1e-3)
         assert gap > 0.05
 
+    @pytest.mark.parametrize("seed, sweeps", enumerate((7, 7, 7, 7, 5, 6, 7, 7)))
+    def test_seesaw_sweeps_per_seed(self, seed, sweeps):
+        # each default restart converges in the sweeps that the explicit
+        # cross-product line objective takes
+        value, _, _, performed, converged = bounds._contextual_seesaw(seed, 200, 1e-9)
+        assert (performed, converged) == (sweeps, True)
+        assert value == pytest.approx(CONTEXTUAL, abs=1e-9)
+
+    def test_line_is_infinite_where_the_pin_degenerates(self):
+        # u_4 = y is orthogonal to u_2 = z, so the circle of u_0 around y
+        # passes through z, where u_0 x u_2 vanishes
+        x, y, z = np.eye(3)
+        e1, e2, value = bounds._seesaw_line([x, y, z, x, y], np.array([0.6, 0.0, 0.8]), 0)
+        assert np.array_equal(e1, x) and np.array_equal(e2, -z)
+        assert value(math.pi / 2) == math.inf
+        assert math.isfinite(value(0.0))
+
 
 class TestPentagonScan:
     def test_reading_minima(self, pentagon_result):

@@ -103,6 +103,19 @@ class TestCommands:
         assert lines[0] == "target,optimum,converged,iterations,tolerance"
         assert lines[1].startswith("temporal-kcbs,-4.045085,True")
 
+    def test_contextual_report_pinned(self, capsys):
+        # the contextual target has no entry in the benchmark's golden reports
+        assert main(["bounds", "--target", "contextual-kcbs", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == (
+            "target,optimum,converged,iterations,tolerance\n"
+            "contextual-kcbs,-3.944272,True,7,1e-09\n"
+        )
+        assert main(["bounds", "--target", "contextual-kcbs"]) == 0
+        assert capsys.readouterr().out == (
+            "target                 optimum  converged  iterations\n"
+            "contextual-kcbs      -3.944272       True           7\n"
+        )
+
     def test_temporal_search_runs_the_given_sweeps(self, capsys):
         # two sweeps are too few to test convergence, hence exit code 3
         assert main(["bounds", "--target", "temporal-kcbs", "--sweeps", "2", "--format", "csv"]) == 3

@@ -4,9 +4,11 @@ oracle, the three correlator routes agree term by term and on two-slot specs,
 the probe matches the trace form on specs of up to six slots, Lüders chains
 match a closed-form oracle and marginalize to their prefixes, the six-context
 sum is state independent, the identity noise model leaves a report
-unchanged, and the Bell-side bound objective matches a null-space oracle.
-Each bound search's coarse start is also checked against its public scalar
-objective taken over the grid one tuple at a time."""
+unchanged, the Bell-side bound objective matches a null-space oracle and
+equals the cyclic cosine sum, and the seesaw's closed-form line objective
+matches the cross-product form. Each bound search's coarse start is also
+checked against its public scalar objective taken over the grid one tuple at
+a time."""
 
 import numpy as np
 import pytest
@@ -149,6 +151,63 @@ def angle_tuples(draw):
     return draw(angles) + np.pi * np.array(shifts)
 
 
+@st.composite
+def cycle_tuples(draw, kind):
+    """Five angles: drawn; multiples of pi/4; collinear, one drawn direction
+    with drawn multiples of pi added; or pi-shifted, two drawn directions in
+    drawn order, each with drawn multiples of pi added."""
+    if kind == "drawn":
+        return np.array(draw(st.lists(angles, min_size=5, max_size=5)))
+    if kind == "grid":
+        return np.array(draw(st.lists(st.integers(0, 7), min_size=5, max_size=5))) * np.pi / 4
+    directions = [draw(angles)] if kind == "collinear" else [draw(angles), draw(angles)]
+    picks = draw(st.lists(st.sampled_from(directions), min_size=5, max_size=5))
+    shifts = draw(st.lists(st.integers(0, 3), min_size=5, max_size=5))
+    return np.array(picks) + np.pi * np.array(shifts)
+
+
+def _normalized(v) -> np.ndarray:
+    norm = np.linalg.norm(v)
+    assume(norm > 1e-3)
+    return v / norm
+
+
+def _unit(draw) -> np.ndarray:
+    coord = st.floats(-1.0, 1.0, allow_nan=False)
+    return _normalized(np.array(draw(st.lists(coord, min_size=3, max_size=3))))
+
+
+@st.composite
+def five_cycles(draw):
+    """Five unit vectors in R^3, adjacent ones orthogonal, built from drawn
+    vectors the way the seesaw's random start builds them."""
+    u = [_unit(draw)]
+    for _ in range(3):
+        v = _unit(draw)
+        u.append(_normalized(v - (v @ u[-1]) * u[-1]))
+    return u + [_normalized(np.cross(u[3], u[0]))]
+
+
+def _moved_pair_oracle(u, psi, i, cand):
+    """The objective after u_i -> cand and u_{i+1} -> cand x u_{i+2}, from the
+    explicit cross product, or None where that has no direction."""
+    cross = np.cross(cand, u[(i + 2) % 5])
+    norm = np.linalg.norm(cross)
+    if norm < 1e-6:
+        return None
+    moved = list(u)
+    moved[i], moved[(i + 1) % 5] = cand, cross / norm
+    return bounds.contextual_objective(moved, psi)
+
+
+def _constraint_singular_values(five):
+    """Singular values and right vectors of the stacked I - sigma x sigma,
+    whose null space holds the admissible states."""
+    stacked = np.vstack([np.eye(4) - np.kron(_sigma(a), _sigma(a)) for a in five])
+    _, sv, vh = np.linalg.svd(stacked)
+    return sv, vh
+
+
 def _sigma(a) -> np.ndarray:
     return np.cos(a) * PAULI_Z + np.sin(a) * PAULI_X
 
@@ -248,14 +307,39 @@ def test_bell_operator_is_the_kron_sum(five):
 
 @given(five=angle_tuples())
 def test_constrained_objective_matches_null_space_oracle(five):
-    # the admissible states are the null space of the stacked I - sigma x sigma;
     # singular values near the kernel threshold would leave its dimension open
-    stacked = np.vstack([np.eye(4) - np.kron(_sigma(a), _sigma(a)) for a in five])
-    _, sv, vh = np.linalg.svd(stacked)
+    sv, vh = _constraint_singular_values(five)
     assume(np.all((sv < 1e-7) | (sv > 1e-2)))
     null = vh[sv < 1e-7].conj().T
     oracle = np.linalg.eigvalsh(null.conj().T @ _kron_cycle(five) @ null)[0]
     assert abs(bounds.bell_constrained_objective(five) - oracle) <= 1e-9
+
+
+@pytest.mark.parametrize("kind", ["drawn", "grid", "collinear", "shifted"])
+@given(data=st.data())
+def test_constrained_minimum_is_the_cyclic_cosine_sum(kind, data):
+    # the admissible space always holds the pair state, on which
+    # sigma(a) x sigma(b) reads cos(a - b); with one direction mod pi it is
+    # two-dimensional and every term is +-1 on it. Near-collinear tuples,
+    # whose singular values sit in the band below, are left out: there the
+    # kernel threshold admits a second state and the two part by up to 2e-9.
+    five = data.draw(cycle_tuples(kind))
+    sv, _ = _constraint_singular_values(five)
+    assume(np.all((sv < 1e-7) | (sv > 1e-2)))
+    assert abs(bounds._constrained_minima(five) - bounds._cycle_cosines(five)) <= 1e-12
+
+
+@given(u=five_cycles(), data=st.data())
+def test_seesaw_line_matches_cross_product_form(u, data):
+    psi = _unit(data.draw)
+    i = data.draw(st.integers(0, 4))
+    phi = data.draw(st.floats(-np.pi, np.pi))
+    e1, e2, value = bounds._seesaw_line(u, psi, i)
+    basis = np.array([e1, e2, u[(i - 1) % 5]])
+    assert np.max(np.abs(basis @ basis.T - np.eye(3))) <= 1e-12
+    oracle = _moved_pair_oracle(u, psi, i, np.cos(phi) * e1 + np.sin(phi) * e2)
+    assume(oracle is not None)
+    assert abs(value(phi) - oracle) <= 1e-12
 
 
 @pytest.mark.parametrize("resolution", range(1, 6))
