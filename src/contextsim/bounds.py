@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inequalities import eval_pentagon_lg, sigma_theta
-from .linalg import sigma_theta_matrix
+from .linalg import PAULI_Z, sigma_theta_matrix
 from .optimize import golden_section_minimize
-from .sequential import joint_distribution
+from .scattering import sigma_theta_evolution
+from .sequential import correlator_sequential, joint_distribution
 from .states import mixed_state
 
 KERNEL_TOL = 1e-9
@@ -368,23 +368,41 @@ def contextual_bound_kcbs(iterations: int = 200, restarts: int = 8, tol: float =
     )
 
 
-def pentagon_pairwise_value(theta: float) -> float:
-    """Ten-pair sum under the two-point anticommutator reading; equals
-    4 + 6 cos(theta) for any input state."""
-    return eval_pentagon_lg(mixed_state(np.eye(2) / 2), theta, method="sequential").sum
+# the ten pairs (i, j), i < j, of the five-measurement cycle, in report order
+_PENTAGON_PAIRS = tuple((i, j) for i in range(5) for j in range(i + 1, 5))
 
 
-def pentagon_invasive_value(theta: float) -> float:
+def _pentagon_cycle(theta) -> np.ndarray:
+    """The five Heisenberg observables (Z, th, Z, th, Z) of the alternating
+    cycle, shape ``theta.shape + (5, 2, 2)``: U^dag Z U with
+    U = sigma_theta_evolution(theta) on the odd slots, the product that
+    ``heisenberg_observable`` takes of the evaluators' slots."""
+    u = sigma_theta_evolution(theta)
+    th = u.conj().swapaxes(-1, -2) @ PAULI_Z @ u
+    z = np.broadcast_to(PAULI_Z, th.shape)
+    return np.stack([z, th, z, th, z], axis=-3)
+
+
+def _one_or_many(theta, values):
+    return float(values) if np.ndim(theta) == 0 else values
+
+
+def pentagon_pairwise_value(theta):
+    """Ten-pair sum under the two-point anticommutator reading, one
+    two-measurement chain per pair on I/2; equals 4 + 6 cos(theta) for any
+    input state. An array of angles gives an array of sums."""
+    pairs = _pentagon_cycle(theta)[..., np.array(_PENTAGON_PAIRS), :, :]  # theta.shape + (10, 2, 2, 2)
+    values = correlator_sequential(mixed_state(np.eye(2) / 2), pairs)
+    # summed in pair order, as the evaluator sums its terms
+    return _one_or_many(theta, sum(values[..., k] for k in range(len(_PENTAGON_PAIRS))))
+
+
+def pentagon_invasive_value(theta):
     """Ten-pair sum read off one invasive five-measurement chain: all five
-    observables measured in order on the same system, pair correlators taken
-    from the joint outcome distribution."""
-    cycle = []
-    z = sigma_theta(0.0)
-    th = sigma_theta(theta)
-    for k in range(5):
-        cycle.append(z if k % 2 == 0 else th)
-    dist = joint_distribution(mixed_state(np.eye(2) / 2), cycle)
-    return float(sum(dist.correlator((i, j)) for i in range(5) for j in range(i + 1, 5)))
+    observables measured in order on I/2, pair correlators taken from the
+    joint outcome distribution. An array of angles gives an array of sums."""
+    dist = joint_distribution(mixed_state(np.eye(2) / 2), _pentagon_cycle(theta))
+    return _one_or_many(theta, sum(dist.correlator(pair) for pair in _PENTAGON_PAIRS))
 
 
 def default_pentagon_grid() -> np.ndarray:
@@ -396,6 +414,10 @@ def default_pentagon_grid() -> np.ndarray:
 def pentagon_scan(theta_grid=None) -> BoundResult:
     """Scan both readings of the ten-pair sum over a theta grid.
 
+    The grid and cos(theta) = -3/4 form one batch: the pairwise reading is one
+    batch of ten two-measurement chains per angle, and the invasive reading
+    one batch of five-measurement chains, one per angle.
+
     Neither reading attains the quoted extremum -9/4 for this observable
     family: the two-point reading bottoms out at -2 (theta = pi) and the
     invasive chain also at -2 (cos theta = -1), while at cos(theta) = -3/4
@@ -403,19 +425,22 @@ def pentagon_scan(theta_grid=None) -> BoundResult:
     by side together with that discrepancy.
     """
     grid = default_pentagon_grid() if theta_grid is None else np.asarray(list(theta_grid), dtype=float)
-    if grid.size == 0:
-        raise ValueError("theta grid must be nonempty")
-    pairwise = np.array([pentagon_pairwise_value(t) for t in grid])
-    invasive = np.array([pentagon_invasive_value(t) for t in grid])
-    i_p, i_v = int(np.argmin(pairwise)), int(np.argmin(invasive))
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("theta grid must be a nonempty sequence of angles")
+    bad = grid[~np.isfinite(grid)]
+    if bad.size:
+        raise ValueError(f"theta grid holds a non-finite angle: {bad[0]}")
     special = float(np.arccos(-0.75))
+    thetas = np.append(grid, special)
+    pairwise, invasive = pentagon_pairwise_value(thetas), pentagon_invasive_value(thetas)
+    i_p, i_v = int(np.argmin(pairwise[:-1])), int(np.argmin(invasive[:-1]))
     argument = {
         "pairwise": {"minimum": float(pairwise[i_p]), "argmin_theta": float(grid[i_p])},
         "invasive": {"minimum": float(invasive[i_v]), "argmin_theta": float(grid[i_v])},
         "at_cos_theta_-0.75": {
             "theta": special,
-            "pairwise": float(pentagon_pairwise_value(special)),
-            "invasive": float(pentagon_invasive_value(special)),
+            "pairwise": float(pairwise[-1]),
+            "invasive": float(invasive[-1]),
         },
         "unreproduced_reference_minimum": -2.25,
         "note": (

@@ -68,10 +68,11 @@ def sigma_theta_matrix(theta) -> np.ndarray:
 
 def check_observable(m: np.ndarray, what: str, dichotomic: bool = True) -> None:
     """Raise ValueError unless ``m`` is Hermitian and, when ``dichotomic``,
-    squares to the identity."""
-    if np.max(np.abs(m - m.conj().T)) > ATOL:
+    squares to the identity; a stack of shape ``(..., d, d)`` is checked
+    matrix by matrix. NaN entries fail both checks."""
+    if not np.abs(m - m.conj().swapaxes(-1, -2)).max() <= ATOL:
         raise ValueError(f"{what} is not Hermitian")
-    if dichotomic and np.max(np.abs(m @ m - np.eye(m.shape[0]))) > ATOL_DICHOTOMIC:
+    if dichotomic and not np.abs(m @ m - np.eye(m.shape[-1])).max() <= ATOL_DICHOTOMIC:
         raise ValueError(f"{what} does not square to the identity")
 
 

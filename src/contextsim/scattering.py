@@ -100,9 +100,10 @@ def hamiltonian_evolution(axis: str, angle: float) -> np.ndarray:
     return _ROTATIONS[axis](2 * angle)
 
 
-def sigma_theta_evolution(theta: float) -> np.ndarray:
-    """Unitary U with U^dag sigma_z U = cos(theta) sigma_z + sin(theta) sigma_x."""
-    return ry_matrix(-theta)
+def sigma_theta_evolution(theta) -> np.ndarray:
+    """Unitary U with U^dag sigma_z U = cos(theta) sigma_z + sin(theta) sigma_x;
+    an array of angles gives a stack of shape ``theta.shape + (2, 2)``."""
+    return np.moveaxis(ry_matrix(-np.asarray(theta)), (0, 1), (-2, -1))
 
 
 def heisenberg_observable(ts: TimeSlot) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,27 @@ class TestPentagonScan:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             pentagon_scan([])
+
+    def test_nested_grid_rejected(self):
+        with pytest.raises(ValueError, match="sequence of angles"):
+            pentagon_scan([[0.0, 1.0], [2.0, 3.0]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_named(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"non-finite angle: {bad}"):
+                pentagon_scan([0.0, bad, 1.0])
+
+    def test_readings_take_an_array_of_angles(self):
+        thetas = np.array([[0.0, 0.4], [2.0, np.pi]])
+        pairwise, invasive = pentagon_pairwise_value(thetas), pentagon_invasive_value(thetas)
+        assert pairwise.shape == invasive.shape == (2, 2)
+        c = np.cos(thetas)
+        assert np.max(np.abs(pairwise - (4 + 6 * c))) <= 1e-12
+        assert np.max(np.abs(invasive - (4 * c + 3 * c ** 2 + 2 * c ** 3 + c ** 4))) <= 1e-12
+        assert isinstance(pentagon_pairwise_value(0.4), float)
+        assert isinstance(pentagon_invasive_value(0.4), float)
 
     def test_custom_grid(self):
         res = pentagon_scan([math.pi, float(np.arccos(-0.75))])

@@ -8,6 +8,7 @@ from contextsim.linalg import (
     PAULI_Z,
     anticommutator,
     as_matrix,
+    check_observable,
     matrix_sqrt_psd,
     sigma_theta_matrix,
 )
@@ -124,6 +125,29 @@ class TestHermitianEigen:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             matrix_sqrt_psd(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+class TestCheckObservable:
+    @pytest.mark.parametrize("bad", [np.nan, 1j * np.nan])
+    def test_non_finite_entry_rejected(self, bad):
+        m = np.array([[bad, 0], [0, 1]], dtype=complex)
+        with pytest.raises(ValueError):
+            check_observable(m, "m")
+        with pytest.raises(ValueError):
+            check_observable(m, "m", dichotomic=False)
+
+    def test_stack_checks_every_matrix(self):
+        stack = np.stack([PAULI_Z, PAULI_X, sigma_theta_matrix(0.3)])
+        check_observable(stack, "stack")
+        for i in range(3):
+            scaled = stack.copy()
+            scaled[i] *= 0.5
+            with pytest.raises(ValueError, match="identity"):
+                check_observable(scaled[None], "stack")
+            skew = stack.copy()
+            skew[i, 0, 1] += 1e-6
+            with pytest.raises(ValueError, match="Hermitian"):
+                check_observable(skew, "stack")
 
 
 class TestMatrixSqrt:

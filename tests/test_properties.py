@@ -2,13 +2,15 @@
 chains: gate matrices and circuit application match a dense permutation
 oracle, the three correlator routes agree term by term and on two-slot specs,
 the probe matches the trace form on specs of up to six slots, Lüders chains
-match a closed-form oracle and marginalize to their prefixes, the six-context
-sum is state independent, the identity noise model leaves a report
-unchanged, the Bell-side bound objective matches a null-space oracle and
-equals the cyclic cosine sum, and the seesaw's closed-form line objective
-matches the cross-product form. Each bound search's coarse start is also
-checked against its public scalar objective taken over the grid one tuple at
-a time."""
+match a closed-form oracle and marginalize to their prefixes, a batch of
+chains matches each chain run alone and rejects a non-dichotomic observable
+at any position, the pentagon readings match the evaluator and a scalar chain
+per angle, the six-context sum is state independent, the identity noise
+model leaves a report unchanged, the Bell-side bound objective matches a
+null-space oracle and equals the cyclic cosine sum, and the seesaw's
+closed-form line objective matches the cross-product form. Each bound
+search's coarse start is also checked against its public scalar objective
+taken over the grid one tuple at a time."""
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from contextsim.inequalities import (
     eval_pentagon_lg,
     eval_pm,
     eval_transformed_bell,
+    sigma_theta,
 )
 from contextsim.linalg import PAULI_X, PAULI_Y, PAULI_Z
 from contextsim.noise import NoiseModel, depolarize
@@ -298,6 +301,63 @@ def test_trailing_axes_sum_to_shorter_chain(data):
     folded = full.sum(axis=tuple(range(prefix, length)))
     expected = joint_distribution(state, chain[:prefix]).probabilities
     assert np.max(np.abs(folded - expected)) <= 1e-10
+
+
+@st.composite
+def batched_chains(draw, qubits, length):
+    """A drawn batch shape of up to two axes, each of length 1-3, and an
+    observable stack of shape batch + (length, d, d) filled with drawn chains."""
+    batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    drawn = [draw(chains(qubits, length)) for _ in range(int(np.prod(batch, dtype=int)))]
+    return np.array(drawn).reshape(batch + (length,) + (2 ** qubits,) * 2)
+
+
+@given(data=st.data())
+def test_batched_chain_matches_each_chain(data):
+    qubits = data.draw(st.integers(1, 3))
+    stack = data.draw(batched_chains(qubits, data.draw(st.integers(1, 5))))
+    state = data.draw(states(qubits))
+    dist = joint_distribution(state, stack)
+    values = np.asarray(correlator_sequential(state, stack))
+    for idx in np.ndindex(stack.shape[:-3]):
+        one = joint_distribution(state, tuple(stack[idx]))
+        assert np.max(np.abs(dist.probabilities[idx] - one.probabilities)) <= 1e-12
+        assert abs(values[idx] - one.correlator()) <= 1e-12
+
+
+@given(data=st.data())
+def test_non_dichotomic_observable_anywhere_in_a_batch_is_rejected(data):
+    qubits = data.draw(st.integers(1, 2))
+    stack = data.draw(batched_chains(qubits, data.draw(st.integers(1, 4))))
+    position = tuple(data.draw(st.integers(0, n - 1)) for n in stack.shape[:-2])
+    if data.draw(st.booleans()):
+        # s O squares to s^2 I
+        stack[position] *= data.draw(st.one_of(st.floats(0.0, 0.99), st.floats(1.01, 3.0)))
+    else:
+        # a one-sided off-diagonal entry breaks hermiticity
+        stack[position + (0, 1)] += data.draw(st.sampled_from((1.0, -1.0, 1j))) * data.draw(
+            st.floats(1e-6, 1.0))
+    with pytest.raises(ValueError, match="Hermitian|identity"):
+        joint_distribution(data.draw(states(qubits)), stack)
+
+
+@given(thetas=st.lists(angles, min_size=1, max_size=6))
+def test_scan_readings_match_scalar_chains(thetas):
+    # the scan reads these arrays on its grid; the oracles are the
+    # evaluator's ten pair terms and one scalar chain of Observables per angle
+    grid = np.array([*thetas, np.pi, np.arccos(-0.75)])
+    pairwise = bounds.pentagon_pairwise_value(grid)
+    invasive = bounds.pentagon_invasive_value(grid)
+    half = mixed_state(np.eye(2) / 2)
+    for theta, p, v in zip(grid.tolist(), pairwise, invasive):
+        assert abs(p - eval_pentagon_lg(half, theta, "sequential").sum) <= 1e-12
+        cycle = [sigma_theta(0.0 if k % 2 == 0 else theta) for k in range(5)]
+        dist = joint_distribution(half, cycle)
+        pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+        assert abs(v - sum(dist.correlator(pair) for pair in pairs)) <= 1e-12
+    scan = bounds.pentagon_scan(grid)
+    assert scan.argument["pairwise"]["minimum"] == pairwise.min()
+    assert scan.argument["invasive"]["minimum"] == invasive.min()
 
 
 @given(five=angle_tuples())

@@ -65,6 +65,14 @@ class TestHeisenbergObservable:
             expected = np.cos(theta) * PAULI_Z + np.sin(theta) * PAULI_X
             assert np.allclose(heisenberg_observable(ts), expected, atol=1e-12)
 
+    def test_sigma_theta_evolution_stack_matches_each_angle(self):
+        thetas = np.linspace(-np.pi, np.pi, 12).reshape(3, 4)
+        stack = sigma_theta_evolution(thetas)
+        assert stack.shape == (3, 4, 2, 2)
+        for idx in np.ndindex(thetas.shape):
+            assert np.array_equal(stack[idx], sigma_theta_evolution(thetas[idx]))
+            assert np.array_equal(stack[idx], ry_matrix(-thetas[idx]))
+
     def test_conjugation_preserves_dichotomic_spectrum(self):
         rng = np.random.default_rng(0)
         for _ in range(10):

@@ -36,14 +36,14 @@ def _outcomes(dist):
 
 class TestLudersMeasure:
     def test_deterministic_branch(self):
-        branches = luders_measure(_stack(basis_state(1, "0")), Z_OBS)
+        branches = luders_measure(_stack(basis_state(1, "0")), PAULI_Z)
         assert branches.shape == (2, 2, 2)
         assert np.trace(branches[0]).real == pytest.approx(1.0, abs=1e-12)
         # the impossible -1 outcome is a zero matrix, not a dropped branch
         assert np.array_equal(branches[1], np.zeros((2, 2)))
 
     def test_x_on_zero_gives_plus_minus(self):
-        branches = luders_measure(_stack(basis_state(1, "0")), X_OBS)
+        branches = luders_measure(_stack(basis_state(1, "0")), PAULI_X)
         plus = np.full((2, 2), 0.5, dtype=complex)
         minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
         # projector algebra oracle: the branches are the |+-| projectors,
@@ -55,21 +55,20 @@ class TestLudersMeasure:
     def test_maximally_mixed_is_unbiased(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
-            obs = Observable(matrix=random_dichotomic(rng), dichotomic=True, label="O")
-            branches = luders_measure(_stack(mixed_state(np.eye(2) / 2)), obs)
+            branches = luders_measure(_stack(mixed_state(np.eye(2) / 2)), random_dichotomic(rng))
             traces = np.trace(branches, axis1=1, axis2=2).real
             assert traces == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_stack_order_follows_outcome_tuples(self):
         # Z then X on |0>: (+1, +1) and (+1, -1) carry 1/2 each; the
         # branches that start with -1 are zero
-        branches = luders_measure(luders_measure(_stack(basis_state(1, "0")), Z_OBS), X_OBS)
+        branches = luders_measure(luders_measure(_stack(basis_state(1, "0")), PAULI_Z), PAULI_X)
         traces = np.trace(branches, axis1=1, axis2=2).real
         assert traces == pytest.approx([0.5, 0.5, 0.0, 0.0], abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            luders_measure(_stack(basis_state(2, "00")), Z_OBS)
+            luders_measure(_stack(basis_state(2, "00")), PAULI_Z)
 
     def test_non_dichotomic_observable_rejected(self):
         with pytest.raises(ValueError, match="identity"):
@@ -199,3 +198,73 @@ class TestOutcomeDistributionValidation:
     def test_negative_probability_rejected(self):
         with pytest.raises(ValueError):
             OutcomeDistribution(observables=(Z_OBS,), probabilities=[1.5, -0.5])
+
+    def test_nan_probabilities_rejected(self):
+        with pytest.raises(ValueError, match="sum"):
+            OutcomeDistribution(observables=(PAULI_Z,), probabilities=[np.nan, np.nan])
+        with pytest.raises(ValueError):
+            OutcomeDistribution(observables=(PAULI_Z,), probabilities=[np.nan, 1.0])
+
+    def test_every_distribution_of_a_batch_checked(self):
+        obs = np.stack([PAULI_Z, PAULI_X])[:, None]  # batch (2,), one measurement each
+        OutcomeDistribution(observables=obs, probabilities=[[1.0, 0.0], [0.5, 0.5]])
+        for bad in ([[1.0, 0.0], [0.7, 0.7]], [[1.0, 0.0], [1.5, -0.5]], [[np.nan, 1.0], [0.5, 0.5]]):
+            with pytest.raises(ValueError):
+                OutcomeDistribution(observables=obs, probabilities=bad)
+        with pytest.raises(ValueError, match="shape"):
+            OutcomeDistribution(observables=obs, probabilities=[1.0, 0.0])
+
+
+class TestNonFiniteObservables:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.nan])
+    def test_single_chain(self, bad):
+        m = np.array([[bad, 0], [0, 1]], dtype=complex)
+        with pytest.raises(ValueError, match="non-finite"):
+            correlator_sequential(basis_state(1, "0"), (m,))
+        with pytest.raises(ValueError, match="non-finite"):
+            luders_measure(_stack(basis_state(1, "0")), m)
+
+    @pytest.mark.parametrize("position", [(0, 0, 0), (1, 2, 1), (2, 1, 2)])
+    def test_any_batch_position(self, position):
+        obs = np.broadcast_to(PAULI_Z, (3, 3, 3, 2, 2)).copy()
+        obs[position + (1, 1)] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            joint_distribution(basis_state(1, "0"), obs)
+
+
+class TestBatchAxis:
+    def test_batch_of_chains_matches_each_chain(self):
+        rng = np.random.default_rng(9)
+        obs = np.array([[random_dichotomic(rng) for _ in range(3)] for _ in range(4)]).reshape(2, 2, 3, 2, 2)
+        state = haar_random_state(1, rng)
+        dist = joint_distribution(state, obs)
+        assert dist.probabilities.shape == (2, 2, 2, 2, 2)
+        values = correlator_sequential(state, obs)
+        pair = dist.correlator((0, 2))
+        assert values.shape == pair.shape == (2, 2)
+        for idx in np.ndindex(2, 2):
+            one = joint_distribution(state, tuple(obs[idx]))
+            assert np.max(np.abs(dist.probabilities[idx] - one.probabilities)) <= 1e-15
+            assert values[idx] == pytest.approx(one.correlator(), abs=1e-15)
+            assert pair[idx] == pytest.approx(one.correlator((0, 2)), abs=1e-15)
+
+    def test_single_chain_gives_a_float(self):
+        value = correlator_sequential(basis_state(1, "0"), (PAULI_Z, PAULI_X))
+        assert type(value) is float
+        assert type(joint_distribution(basis_state(1, "0"), (PAULI_Z,)).correlator((0,))) is float
+
+    def test_luders_measure_splits_each_chain(self):
+        # chain 0 measures Z and chain 1 measures X on |0>
+        branches = luders_measure(_stack(basis_state(1, "0")), np.stack([PAULI_Z, PAULI_X]))
+        assert branches.shape == (2, 2, 2, 2)
+        traces = np.trace(branches, axis1=-2, axis2=-1).real
+        assert np.allclose(traces, [[1.0, 0.0], [0.5, 0.5]], atol=1e-12, rtol=0)
+
+    def test_observables_must_be_a_stack(self):
+        with pytest.raises(ValueError, match="shape"):
+            joint_distribution(basis_state(1, "0"), PAULI_Z)
+
+    def test_empty_chain_is_certain(self):
+        dist = joint_distribution(basis_state(1, "0"), ())
+        assert dist.probabilities.shape == ()
+        assert dist.correlator() == 1.0
