@@ -9,11 +9,10 @@ from .bounds import (
     bell_operator,
     contextual_bound_kcbs,
     pentagon_scan,
-    pentagram_vectors,
     temporal_bound_kcbs,
     tsirelson_search_bell,
 )
-from .circuits import Circuit, GateOp, apply, bell_prep_circuit, embed
+from .circuits import Circuit, GateOp, apply, embed
 from .inequalities import (
     InequalityReport,
     Observable,
@@ -25,7 +24,6 @@ from .inequalities import (
     pm_square,
     sigma_theta,
 )
-from .linalg import anticommutator, matrix_sqrt_psd
 from .noise import NoiseModel, apply_visibility, depolarize, fit_visibility
 from .scattering import (
     TemporalCorrelationSpec,
@@ -43,15 +41,11 @@ from .sequential import (
     correlator_sequential,
     joint_distribution,
     luders_measure,
-    two_time_formula,
 )
 from .states import (
     QuantumState,
     basis_state,
     bell_phi_plus,
-    fidelity,
-    partial_trace,
-    pseudopure,
     random_pure_state,
 )
 

@@ -208,18 +208,6 @@ def temporal_bound_kcbs(resolution: int = 8, tol: float = 1e-9, sweeps: int = 40
     )
 
 
-def pentagram_vectors() -> list[np.ndarray]:
-    """The symmetric cycle of five unit vectors in R^3 with adjacent pairs
-    orthogonal; their polar angle satisfies cos^2 = cos(pi/5)/(1+cos(pi/5))."""
-    c2 = np.cos(np.pi / 5) / (1 + np.cos(np.pi / 5))
-    cz = np.sqrt(c2)
-    s = np.sqrt(1 - c2)
-    return [
-        np.array([s * np.cos(4 * np.pi * j / 5), s * np.sin(4 * np.pi * j / 5), cz])
-        for j in range(5)
-    ]
-
-
 def contextual_objective(vectors, psi) -> float:
     """5 - 4 * sum_i <psi|u_i><u_i|psi> for projective X_i = 2|u_i><u_i| - I
     with adjacent orthogonality; minimized at 5 - 4*sqrt(5)."""

@@ -1,5 +1,5 @@
 """Gate set and circuit application, including the controlled blocks used by
-the probe-readout construction and the Bell-pair preparation circuit.
+the probe-readout construction.
 
 One kernel applies every gate to the rows of a 2^n x r operand, viewed as a
 ``[2] * n`` tensor (qubit 0 the leftmost axis): a gate acts on its target
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ATOL, PAULI_X, as_matrix
+from .linalg import ATOL, as_matrix
 from .states import QuantumState
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -91,10 +91,6 @@ def hadamard(target: int) -> GateOp:
     return GateOp("H", HADAMARD, (target,))
 
 
-def cnot(control: int, target: int) -> GateOp:
-    return GateOp("CNOT", PAULI_X, (target,), control=control)
-
-
 def controlled(control: int, u: np.ndarray, targets, label: str = "ctrl-U", on: int = 1) -> GateOp:
     return GateOp(label, u, tuple(targets), control=control, control_on=on)
 
@@ -143,12 +139,3 @@ def apply(circuit: Circuit, state: QuantumState) -> QuantumState:
         return QuantumState(qubits=state.qubits, amplitudes=psi)
     rho = _on_rows(circuit.ops, _on_rows(circuit.ops, state.rho, n).conj().T, n)
     return QuantumState(qubits=state.qubits, rho=rho / np.trace(rho).real)
-
-
-def bell_prep_circuit() -> Circuit:
-    """Three-qubit preparation: Hadamard then CNOT on the system pair.
-
-    Acting on |000> it leaves the probe in |0> and puts the system qubits in
-    (|00> + |11>)/sqrt(2).
-    """
-    return Circuit(3, (hadamard(1), cnot(1, 2)))

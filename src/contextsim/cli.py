@@ -4,11 +4,13 @@ Commands: pm, kcbs, pentagon, bell (inequality evaluations), bounds
 (extremum searches), selftest (acceptance checks). Each evaluation builds one
 correlation spec per term; ``--method`` picks the route that reads it: the
 probe circuit, the trace closed form, or the invasive Lüders chain over the
-slots' Heisenberg observables. ``--config`` names a JSON object whose values
-become the defaults of the chosen command; its keys must be option names of
-that command (``noise_p`` for ``--noise-p``), and flags on the command line
-still win. Exit codes: 0 success, 2 invalid configuration, 3 bound search
-did not converge, 4 output I/O failure.
+slots' Heisenberg observables. ``--config`` names a JSON object of settings
+for the chosen command; its keys must be option names of that command
+(``noise_p`` for ``--noise-p``) and its values strings or numbers. Each setting
+is parsed as an ``--option=value`` token placed before the command-line flags,
+so it passes the same checks as a flag, and flags still win. Exit codes:
+0 success, 2 invalid configuration, 3 bound search did not converge, 4 output
+I/O failure.
 """
 
 from __future__ import annotations
@@ -40,9 +42,12 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_IO = 4
 
 
-def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    """The argument parser; ``defaults`` (from --config) override each
-    command's own defaults."""
+# options whose value is a literal or a path, so a JSON number there is a mistake
+_TEXT_OPTIONS = ("state", "output")
+_THETA_HELP = 'angle in radians, required; accepts floats, "pi", "acos(-0.75)"'
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="contextsim",
         description="Evaluate contextuality and temporal-correlation inequalities "
@@ -65,11 +70,10 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     common(sub.add_parser("pm", help="six-context state-independent combination"), "00")
     kcbs = sub.add_parser("kcbs", help="five-term cyclic two-time combination")
     common(kcbs, "0")
-    kcbs.add_argument("--theta", required=True,
-                      help='angle in radians; accepts floats, "pi", "acos(-0.75)"')
+    kcbs.add_argument("--theta", help=_THETA_HELP)
     pentagon = sub.add_parser("pentagon", help="ten-pair two-time combination")
     common(pentagon, "0")
-    pentagon.add_argument("--theta", required=True)
+    pentagon.add_argument("--theta", help=_THETA_HELP)
     common(sub.add_parser("bell", help="five cross correlators with side conditions"), "bell")
 
     bounds_p = sub.add_parser("bounds", help="extremum searches for the five-cycle family")
@@ -85,10 +89,33 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     bounds_p.add_argument("--output", default=None)
 
     sub.add_parser("selftest", help="run the acceptance checks")
-    if defaults:
-        for command in sub.choices.values():
-            command.set_defaults(**defaults)
     return parser
+
+
+def _config_tokens(args: argparse.Namespace) -> list[str]:
+    """The settings of the ``--config`` file as ``--option=value`` tokens of
+    the chosen command."""
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            settings = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValueError(f"bad config file {args.config!r}: {exc}") from exc
+    if not isinstance(settings, dict):
+        raise ValueError(f"config file {args.config!r} must hold a JSON object")
+    # besides command and config, args holds the chosen command's option dests
+    unknown = sorted(set(settings) - (set(vars(args)) - {"command", "config"}))
+    if unknown:
+        raise ValueError(f"config file {args.config!r} sets {', '.join(unknown)}, "
+                         f"which {args.command!r} has no option for")
+    tokens = []
+    for dest, value in settings.items():
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (isinstance(value, str) or (number and dest not in _TEXT_OPTIONS)):
+            kind = "a string" if dest in _TEXT_OPTIONS else "a string or a number"
+            raise ValueError(f"config file {args.config!r} sets {dest} to "
+                             f"{json.dumps(value)}, which is not {kind}")
+        tokens.append(f"--{dest.replace('_', '-')}={value}")
+    return tokens
 
 
 def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
@@ -96,6 +123,8 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     evaluation commands, ``noise`` set to one ``NoiseModel`` built from
     ``noise_p`` and ``visibility`` (None when neither is given)."""
     if "theta" in args:
+        if args.theta is None:
+            raise ValueError("the following arguments are required: --theta")
         args.theta = parse_angle(args.theta)
     if "noise_p" in args:
         args.noise = None
@@ -181,28 +210,18 @@ def run(config: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
-    # first pass picks up --config; its values become the subcommand defaults
-    probe, _ = parser.parse_known_args(argv)
-    if getattr(probe, "config", None):
-        try:
-            with open(probe.config, "r", encoding="utf-8") as fh:
-                defaults = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            sys.stderr.write(f"error: bad config file {probe.config!r}: {exc}\n")
-            return EXIT_CONFIG
-        if not isinstance(defaults, dict):
-            sys.stderr.write(f"error: config file {probe.config!r} must hold a JSON object\n")
-            return EXIT_CONFIG
-        # besides command and config, the probe holds the chosen command's option dests
-        unknown = sorted(set(defaults) - (set(vars(probe)) - {"command", "config"}))
-        if unknown:
-            sys.stderr.write(f"error: config file {probe.config!r} sets {', '.join(unknown)}, "
-                             f"which {probe.command!r} has no option for\n")
-            return EXIT_CONFIG
-        parser = _build_parser(defaults)
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            tokens = _config_tokens(args)
+            # only --config options precede the command name; the config's
+            # tokens go right after it, so the command-line flags win
+            at = 0
+            while argv[at].startswith("-"):
+                at += 1 if "=" in argv[at] else 2
+            args = parser.parse_args(argv[:at + 1] + tokens + argv[at + 1:])
         config = _config_from_args(args)
         return run(config)
     except ValueError as exc:

@@ -71,15 +71,14 @@ PM_SIGNS = (1.0, 1.0, 1.0, 1.0, 1.0, -1.0)
 
 @dataclass(frozen=True)
 class Observable:
-    """A Hermitian operator with an optional dichotomic (O^2 = I) guarantee."""
+    """A dichotomic observable: a Hermitian operator with O^2 = I."""
 
     matrix: np.ndarray
-    dichotomic: bool
     label: str
 
     def __post_init__(self):
         m = as_matrix(self.matrix)
-        check_observable(m, f"observable {self.label!r}", self.dichotomic)
+        check_observable(m, f"observable {self.label!r}")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -158,16 +157,14 @@ def _make_report(
 
 def sigma_theta(theta: float) -> Observable:
     """cos(theta) sigma_z + sin(theta) sigma_x; dichotomic for every angle."""
-    return Observable(
-        matrix=sigma_theta_matrix(theta), dichotomic=True, label=f"sigma_theta({theta:.6g})"
-    )
+    return Observable(matrix=sigma_theta_matrix(theta), label=f"sigma_theta({theta:.6g})")
 
 
 def pm_observable(label: str) -> Observable:
     if label not in PM_FACTOR_TOKENS:
         raise ValueError(f"unknown square entry {label!r}")
     left, right = PM_FACTOR_TOKENS[label]
-    return Observable(matrix=np.kron(PAULIS[left], PAULIS[right]), dichotomic=True, label=label)
+    return Observable(matrix=np.kron(PAULIS[left], PAULIS[right]), label=label)
 
 
 def pm_square() -> tuple[tuple[Observable, ...], ...]:
@@ -185,7 +182,7 @@ def pentagram_observable(j: int) -> Observable:
     if not 0 <= j <= 4:
         raise ValueError(f"pentagram index {j} out of 0..4")
     u = ry_matrix(4 * np.pi * j / 5)
-    return Observable(matrix=u.conj().T @ PAULI_Z @ u, dichotomic=True, label=f"sigma_{j}")
+    return Observable(matrix=u.conj().T @ PAULI_Z @ u, label=f"sigma_{j}")
 
 
 def _term_value(state: QuantumState, spec: TemporalCorrelationSpec, method: str) -> float:

@@ -1,5 +1,5 @@
 """Dense complex matrix helpers for dimensions up to 16: shared tolerances,
-the Pauli matrices, validation, and the PSD square root.
+the Pauli matrices, sigma(theta), and validation.
 
 All operators in this package are plain ``numpy.ndarray`` values of dtype
 complex128 in row-major order; :func:`as_matrix` is the validating
@@ -14,7 +14,6 @@ import numpy as np
 ATOL = 1e-10          # hermiticity, unitarity, normalization, trace checks
 ATOL_DICHOTOMIC = 1e-9  # O^2 = I and spectral-reconstruction checks
 ATOL_STATE_PSD = 1e-9   # eigenvalue floor accepted for density matrices
-PSD_CLAMP = 1e-10       # eigenvalue clamp window for matrix square roots
 PRUNE_EPS = 1e-12       # negative-probability floor for outcome distributions
 
 PAULI_I = np.eye(2, dtype=complex)
@@ -51,14 +50,6 @@ def as_matrix(entries, rows: int | None = None, cols: int | None = None) -> np.n
     return np.ascontiguousarray(a)
 
 
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b + b @ a`` for square matrices of equal dimension."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ValueError(f"anticommutator requires equal square shapes, got {a.shape}, {b.shape}")
-    return a @ b + b @ a
-
-
 def sigma_theta_matrix(theta) -> np.ndarray:
     """cos(theta) sigma_z + sin(theta) sigma_x, unvalidated (dichotomic for
     every angle); an array of angles gives a stack of shape ``(..., 2, 2)``."""
@@ -74,14 +65,3 @@ def check_observable(m: np.ndarray, what: str, dichotomic: bool = True) -> None:
         raise ValueError(f"{what} is not Hermitian")
     if dichotomic and not np.abs(m @ m - np.eye(m.shape[-1])).max() <= ATOL_DICHOTOMIC:
         raise ValueError(f"{what} does not square to the identity")
-
-
-def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root; eigenvalues in [-PSD_CLAMP, 0) are clamped to 0."""
-    a = as_matrix(a)
-    check_observable(a, "matrix", dichotomic=False)
-    w, v = np.linalg.eigh((a + a.conj().T) / 2)
-    if w[0] < -PSD_CLAMP:
-        raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})")
-    s = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    return (s + s.conj().T) / 2

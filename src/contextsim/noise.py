@@ -9,6 +9,7 @@ hypothesis, not a calibrated physical model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -60,6 +61,10 @@ def fit_visibility(pairs) -> float:
         raise ValueError("need at least one measurement")
     if any(i == 0.0 for i, _, _ in pairs):
         raise ValueError("ideal values must be nonzero")
+    if not all(math.isfinite(i) and math.isfinite(m) for i, _, m in pairs):
+        raise ValueError("ideal and measured values must be finite")
+    if any(n < 0 for _, n, _ in pairs):
+        raise ValueError("block count must be non-negative")
 
     def objective(v: float) -> float:
         return sum((v ** n * i - m) ** 2 for i, n, m in pairs)

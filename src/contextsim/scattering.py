@@ -41,7 +41,7 @@ from .linalg import (
     check_observable,
     sigma_theta_matrix,
 )
-from .states import QuantumState, density_of, haar_random_unitary
+from .states import MAX_QUBITS, QuantumState, density_of, haar_random_unitary
 
 _ROTATIONS = {"x": rx_matrix, "y": ry_matrix, "z": rz_matrix}
 
@@ -92,12 +92,6 @@ def slot(observables, evolution: np.ndarray | None = None) -> TimeSlot:
     if evolution is None:
         evolution = np.eye(2 ** len(obs), dtype=complex)
     return TimeSlot(observables=obs, evolution=evolution)
-
-
-def hamiltonian_evolution(axis: str, angle: float) -> np.ndarray:
-    """exp(-i * angle * sigma_axis): single-qubit evolution with the time and
-    field strength absorbed into one dimensionless angle."""
-    return _ROTATIONS[axis](2 * angle)
 
 
 def sigma_theta_evolution(theta) -> np.ndarray:
@@ -249,9 +243,16 @@ def parse_spec_document(text: str) -> TemporalCorrelationSpec:
     exp(-i*angle*sigma_axis/2) composed in list order.
     """
     doc = json.loads(text)
+    try:
+        return _spec_from_document(doc)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed spec document ({type(exc).__name__}: {exc})") from exc
+
+
+def _spec_from_document(doc) -> TemporalCorrelationSpec:
     n = int(doc["system_qubits"])
-    if n < 1:
-        raise ValueError("system_qubits must be positive")
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"system_qubits must be 1 to {MAX_QUBITS}")
     slots = []
     for raw in doc.get("slots", []):
         obs = _resolve_observable_tokens(raw["observables"], n)

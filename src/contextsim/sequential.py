@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL, PRUNE_EPS, anticommutator, check_observable
+from .linalg import ATOL, PRUNE_EPS, check_observable
 from .states import QuantumState, density_of
 
 # outcome value of index 0 (+1) and index 1 (-1) along each outcome axis
@@ -119,9 +119,3 @@ def joint_distribution(state: QuantumState, obs_seq) -> OutcomeDistribution:
 def correlator_sequential(state: QuantumState, obs_seq):
     """Expectation of the product of all outcomes of each chain."""
     return joint_distribution(state, obs_seq).correlator()
-
-
-def two_time_formula(state: QuantumState, x_i, x_j) -> float:
-    """Two-point correlator 0.5 * Re tr(rho {X_i, X_j})."""
-    mi, mj = _observable_stack((x_i, x_j))
-    return float(0.5 * np.trace(density_of(state) @ anticommutator(mi, mj)).real)

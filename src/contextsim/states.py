@@ -1,4 +1,4 @@
-"""Quantum register states: pure vectors, density matrices, pseudopure mixtures.
+"""Quantum register states: pure vectors and density matrices.
 
 Qubit 0 is the leftmost tensor factor, i.e. the most significant bit of a
 basis label. Pure states are promoted to density matrices on demand; the
@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL, ATOL_STATE_PSD, as_matrix, matrix_sqrt_psd
+from .linalg import ATOL, ATOL_STATE_PSD, as_matrix, check_observable
 
-MAX_QUBITS = 3  # largest register the random states and bitstring literals build
+# largest register that random states, bitstring literals and spec documents build
+MAX_QUBITS = 3
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,7 @@ class QuantumState:
             r = as_matrix(self.rho)
             if r.shape != (dim, dim):
                 raise ValueError(f"expected a {dim}x{dim} density matrix, got {r.shape}")
-            if np.max(np.abs(r - r.conj().T)) > ATOL:
-                raise ValueError("density matrix is not Hermitian")
+            check_observable(r, "density matrix", dichotomic=False)
             if abs(np.trace(r).real - 1.0) > ATOL:
                 raise ValueError("density matrix trace differs from 1")
             # stored symmetrized, so a stored density matrix is exactly Hermitian
@@ -66,20 +66,22 @@ class QuantumState:
         return self.amplitudes is not None
 
 
+def _qubit_count(dim: int) -> int:
+    """n with 2^n = dim; ValueError for any other dimension, 0 included."""
+    n = dim.bit_length() - 1
+    if dim < 1 or 2 ** n != dim:
+        raise ValueError(f"register dimension {dim} is not a power of two")
+    return n
+
+
 def pure_state(amplitudes) -> QuantumState:
     a = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    n = int(round(np.log2(a.size)))
-    if 2 ** n != a.size:
-        raise ValueError(f"amplitude count {a.size} is not a power of two")
-    return QuantumState(qubits=n, amplitudes=a)
+    return QuantumState(qubits=_qubit_count(a.size), amplitudes=a)
 
 
 def mixed_state(rho) -> QuantumState:
     r = as_matrix(rho)
-    n = int(round(np.log2(r.shape[0])))
-    if 2 ** n != r.shape[0]:
-        raise ValueError(f"dimension {r.shape[0]} is not a power of two")
-    return QuantumState(qubits=n, rho=r)
+    return QuantumState(qubits=_qubit_count(r.shape[0]), rho=r)
 
 
 def density_of(state: QuantumState) -> np.ndarray:
@@ -105,55 +107,6 @@ def bell_phi_plus() -> QuantumState:
     return pure_state(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
 
 
-def pseudopure(psi: QuantumState, epsilon: float) -> QuantumState:
-    """Mixture (1-eps) I/2^n + eps |psi><psi| of the identity and a pure state."""
-    if not psi.is_pure:
-        raise ValueError("pseudopure construction needs a pure input state")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon {epsilon} out of [0, 1]")
-    dim = 2 ** psi.qubits
-    rho = (1 - epsilon) * np.eye(dim, dtype=complex) / dim + epsilon * density_of(psi)
-    return QuantumState(qubits=psi.qubits, rho=rho)
-
-
-def fidelity(a: QuantumState, b: QuantumState) -> float:
-    """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 in [0, 1].
-
-    When either side is a pure |psi> this reduces to <psi|sigma|psi>, which
-    is evaluated directly (for two pure states, the squared overlap).
-    """
-    if a.qubits != b.qubits:
-        raise ValueError("states live on different register sizes")
-    if a.is_pure or b.is_pure:
-        psi, other = (a, b) if a.is_pure else (b, a)
-        f = float(np.vdot(psi.amplitudes, density_of(other) @ psi.amplitudes).real)
-    else:
-        sa = matrix_sqrt_psd(a.rho)
-        inner = sa @ b.rho @ sa
-        f = float(np.trace(matrix_sqrt_psd((inner + inner.conj().T) / 2)).real ** 2)
-    return min(max(f, 0.0), 1.0)
-
-
-def partial_trace(state: QuantumState, keep) -> QuantumState:
-    """Reduced density matrix over the kept qubit indices (ascending order).
-
-    An empty ``keep`` is the degenerate full trace and yields the 1x1 matrix
-    [[1]] on zero qubits.
-    """
-    n = state.qubits
-    keep = sorted(set(int(k) for k in keep))
-    if any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"keep indices {keep} out of range for {n} qubits")
-    rho = density_of(state).reshape([2] * (2 * n))
-    traced = [q for q in range(n) if q not in keep]
-    for count, q in enumerate(traced):
-        axis = q - sum(1 for t in traced[:count] if t < q)
-        live = rho.ndim // 2
-        rho = np.trace(rho, axis1=axis, axis2=axis + live)
-    dim = 2 ** len(keep)
-    return QuantumState(qubits=len(keep), rho=rho.reshape(dim, dim))
-
-
 def random_pure_state(n: int, seed: int) -> QuantumState:
     """Haar-random pure state from a seeded PCG64 generator (n <= MAX_QUBITS)."""
     if n > MAX_QUBITS:
@@ -173,26 +126,6 @@ def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diag(r)
     return q * (d / np.abs(d))
-
-
-def fix_global_phase(amplitudes: np.ndarray) -> np.ndarray:
-    """Rotate a pure state so its first nonzero amplitude is real positive."""
-    a = np.asarray(amplitudes, dtype=complex)
-    for x in a:
-        if abs(x) > 1e-12:
-            return a * (x.conjugate() / abs(x))
-    return a
-
-
-def states_equal(a: QuantumState, b: QuantumState, atol: float = 1e-9) -> bool:
-    """Equality up to global phase (pure) or entrywise (mixed)."""
-    if a.qubits != b.qubits:
-        return False
-    if a.is_pure and b.is_pure:
-        return bool(
-            np.max(np.abs(fix_global_phase(a.amplitudes) - fix_global_phase(b.amplitudes))) <= atol
-        )
-    return bool(np.max(np.abs(density_of(a) - density_of(b))) <= atol)
 
 
 def state_from_literal(literal: str) -> QuantumState:

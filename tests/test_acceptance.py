@@ -66,8 +66,8 @@ def test_criterion_3_sequential_oracle_theorem():
         seq = correlator_sequential(
             state,
             (
-                Observable(matrix=x, dichotomic=True, label="X"),
-                Observable(matrix=y, dichotomic=True, label="Y"),
+                Observable(matrix=x, label="X"),
+                Observable(matrix=y, label="Y"),
             ),
         )
         formula = 0.5 * np.trace(density_of(state) @ (x @ y + y @ x)).real

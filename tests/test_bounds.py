@@ -15,7 +15,6 @@ from contextsim.bounds import (
     pentagon_invasive_value,
     pentagon_pairwise_value,
     pentagon_scan,
-    pentagram_vectors,
     temporal_bound_kcbs,
     temporal_objective,
     tsirelson_search_bell,
@@ -26,6 +25,18 @@ from contextsim.states import bell_phi_plus, density_of
 TSIRELSON = -5 * math.cos(math.pi / 5)
 CONTEXTUAL = 5 - 4 * math.sqrt(5)
 PENTAGRAM_ANGLES = [4 * math.pi * j / 5 for j in range(5)]
+
+
+def pentagram_vectors() -> list[np.ndarray]:
+    """The symmetric cycle of five unit vectors in R^3 with adjacent pairs
+    orthogonal; their polar angle satisfies cos^2 = cos(pi/5)/(1+cos(pi/5))."""
+    c2 = np.cos(np.pi / 5) / (1 + np.cos(np.pi / 5))
+    cz = np.sqrt(c2)
+    s = np.sqrt(1 - c2)
+    return [
+        np.array([s * np.cos(4 * np.pi * j / 5), s * np.sin(4 * np.pi * j / 5), cz])
+        for j in range(5)
+    ]
 
 
 class TestBellOperator:

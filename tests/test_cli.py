@@ -179,6 +179,44 @@ class TestCommands:
         captured = capsys.readouterr()
         assert offending in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, settings",
+        [(["bounds"], {"target": "bogus"}),
+         (["pm"], {"state": 5}),
+         (["pm"], {"noise_p": [1]}),
+         (["pm"], {"output": 3}),
+         (["bounds", "--target", "temporal-kcbs"], {"resolution": 2.5}),
+         (["bounds", "--target", "temporal-kcbs"], {"sweeps": True})],
+    )
+    def test_config_value_checked_like_a_flag(self, argv, settings, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        try:
+            code = main(["--config", str(cfg), *argv])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert next(iter(settings)) in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_config_theta_satisfies_the_option(self, tmp_path, capsys):
+        assert main(["kcbs", "--theta", "1.0", "--format", "csv"]) == 0
+        expected = capsys.readouterr().out
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"theta": "1.0", "format": "csv"}))
+        assert main(["--config", str(cfg), "kcbs"]) == 0
+        assert capsys.readouterr().out == expected
+        cfg.write_text(json.dumps({"theta": 2.0, "format": "csv"}))
+        assert main(["--config=" + str(cfg), "kcbs", "--theta", "1.0"]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_missing_theta(self, capsys):
+        assert main(["pentagon"]) == 2
+        captured = capsys.readouterr()
+        assert "--theta" in captured.err and captured.out == ""
+
     def test_config_keys_are_option_dests(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"noise_p": 0.0, "visibility": 0.5, "format": "json"}))
@@ -233,6 +271,14 @@ class TestRejectedValues:
         assert main(["pm", "--state", "1" * bits]) == 2
         captured = capsys.readouterr()
         assert "more than 3" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("text", ["", "# no amplitudes\n\n"])
+    def test_state_file_without_amplitudes(self, text, tmp_path, capsys):
+        path = tmp_path / "state.txt"
+        path.write_text(text)
+        assert main(["kcbs", "--theta", "1", "--state", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "power of two" in captured.err and captured.out == ""
 
     def test_seed_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

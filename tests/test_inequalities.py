@@ -17,6 +17,7 @@ from contextsim.inequalities import (
     sigma_theta,
 )
 from contextsim.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
+from contextsim.noise import depolarize
 from contextsim.sequential import correlator_sequential
 from contextsim.states import (
     basis_state,
@@ -24,7 +25,6 @@ from contextsim.states import (
     density_of,
     haar_random_state,
     mixed_state,
-    pseudopure,
     random_pure_state,
 )
 
@@ -57,8 +57,9 @@ class TestSquareFamily:
             "gamma": np.kron(PAULI_Y, PAULI_Y),
         }
         for label, matrix in expected.items():
-            assert np.allclose(pm_observable(label).matrix, matrix)
-            assert pm_observable(label).dichotomic
+            m = pm_observable(label).matrix
+            assert np.allclose(m, matrix)
+            assert np.allclose(m @ m, np.eye(4))
 
     def test_grid_shape(self):
         grid = pm_square()
@@ -108,7 +109,7 @@ class TestEvalPm:
 
     def test_pseudopure_keeps_the_value(self):
         for eps in (0.0, 0.25, 1.0):
-            rep = eval_pm(pseudopure(basis_state(2, "00"), eps), "sequential")
+            rep = eval_pm(depolarize(basis_state(2, "00"), 1 - eps), "sequential")
             assert rep.sum == pytest.approx(6.0, abs=1e-9)
 
     def test_sequence_order_irrelevant_for_commuting_contexts(self):
@@ -242,9 +243,9 @@ class TestReportContract:
 
     def test_observable_validation(self):
         with pytest.raises(ValueError):
-            Observable(matrix=np.array([[0, 1], [0, 0]], dtype=complex), dichotomic=False, label="bad")
+            Observable(matrix=np.array([[0, 1], [0, 0]], dtype=complex), label="bad")
         with pytest.raises(ValueError):
-            Observable(matrix=0.5 * PAULI_Z, dichotomic=True, label="half")
+            Observable(matrix=0.5 * PAULI_Z, label="half")
 
     def test_report_fields_complete(self):
         rep = eval_pm(basis_state(2, "00"), "scattering")

@@ -6,10 +6,8 @@ from contextsim.linalg import (
     PAULI_I,
     PAULI_X,
     PAULI_Z,
-    anticommutator,
     as_matrix,
     check_observable,
-    matrix_sqrt_psd,
     sigma_theta_matrix,
 )
 
@@ -83,26 +81,9 @@ class TestKron:
             assert abs(np.trace(np.kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-10
 
 
-class TestAnticommutator:
-    def test_zz(self):
-        assert np.allclose(anticommutator(PAULI_Z, PAULI_Z), 2 * np.eye(2))
-
-    def test_z_with_rotated_direction(self):
-        for theta in np.linspace(-np.pi, np.pi, 17):
-            st = np.cos(theta) * PAULI_Z + np.sin(theta) * PAULI_X
-            assert np.allclose(anticommutator(PAULI_Z, st), 2 * np.cos(theta) * np.eye(2))
-
-    def test_zx_vanishes(self):
-        assert np.allclose(anticommutator(PAULI_Z, PAULI_X), np.zeros((2, 2)))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            anticommutator(np.eye(2), np.eye(4))
-
-
 class TestHermitianEigen:
     """Hermitian eigenproblems the package poses: sigma(theta) spectra, the
-    five-term cross operator floor, and the PSD square root's input check."""
+    five-term cross operator floor, and the Hermitian check on density matrices."""
 
     def test_sigma_z(self):
         assert np.array_equal(sigma_theta_matrix(0.0), PAULI_Z)
@@ -123,8 +104,8 @@ class TestHermitianEigen:
         assert abs(lo - (-5.0)) < 1e-9
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            matrix_sqrt_psd(np.array([[0, 1], [0, 0]], dtype=complex))
+        with pytest.raises(ValueError, match="Hermitian"):
+            check_observable(np.array([[0, 1], [0, 0]], dtype=complex), "m", dichotomic=False)
 
 
 class TestCheckObservable:
@@ -148,26 +129,3 @@ class TestCheckObservable:
             skew[i, 0, 1] += 1e-6
             with pytest.raises(ValueError, match="Hermitian"):
                 check_observable(skew, "stack")
-
-
-class TestMatrixSqrt:
-    def test_identity(self):
-        assert np.allclose(matrix_sqrt_psd(np.eye(4)), np.eye(4))
-
-    def test_scaled_identity(self):
-        assert np.allclose(matrix_sqrt_psd(4 * np.eye(2)), 2 * np.eye(2))
-
-    def test_projector_idempotent(self):
-        p = np.array([[1, 0], [0, 0]], dtype=complex)
-        assert np.allclose(matrix_sqrt_psd(p), p)
-
-    def test_square_recovers_input(self):
-        rng = np.random.default_rng(5)
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        a = g @ g.conj().T
-        s = matrix_sqrt_psd(a)
-        assert np.max(np.abs(s @ s - a)) < 1e-9
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            matrix_sqrt_psd(np.diag([1.0, -0.5]))

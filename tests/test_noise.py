@@ -99,6 +99,15 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_visibility([(0.0, 3, 0.5)])
 
+    @pytest.mark.parametrize(
+        "triple",
+        [(1.0, 3, float("nan")), (1.0, 1, float("-inf")), (float("inf"), 3, 0.5),
+         (float("nan"), 1, 0.5), (1.0, -1, 0.9)],
+    )
+    def test_non_finite_value_or_negative_block_count_rejected(self, triple):
+        with pytest.raises(ValueError):
+            fit_visibility([(1.0, 1, 0.9), triple])
+
 
 class TestTables:
     def test_row_counts(self):

@@ -11,7 +11,6 @@ from contextsim.scattering import (
     build_scattering_circuit,
     correlator_direct,
     correlator_scattering,
-    hamiltonian_evolution,
     heisenberg_observable,
     parse_angle,
     parse_spec_document,
@@ -29,7 +28,6 @@ from contextsim.states import (
     haar_random_state,
     haar_random_unitary,
     mixed_state,
-    partial_trace,
     pure_state,
     random_pure_state,
 )
@@ -82,10 +80,6 @@ class TestHeisenbergObservable:
             )
             w = np.linalg.eigvalsh(heisenberg_observable(ts))
             assert np.allclose(np.abs(w), 1.0, atol=1e-10)
-
-    def test_hamiltonian_evolution_helper(self):
-        # exp(-i*angle*sigma_y) equals the half-angle rotation at twice the angle
-        assert np.allclose(hamiltonian_evolution("y", 0.3), ry_matrix(0.6), atol=1e-12)
 
 
 class TestCircuitShape:
@@ -218,8 +212,9 @@ class TestCorrelators:
     def test_probe_marginal_normalized(self):
         spec = random_correlation_spec(2, 2, np.random.default_rng(10))
         out = apply(build_scattering_circuit(spec), _with_probe(random_pure_state(2, 11)))
-        probe = partial_trace(out, {0})
-        assert np.trace(density_of(probe)).real == pytest.approx(1.0, abs=1e-10)
+        # trace out the system: the probe is the leading factor of the register
+        probe = np.trace(density_of(out).reshape(2, 4, 2, 4), axis1=1, axis2=3)
+        assert np.trace(probe).real == pytest.approx(1.0, abs=1e-10)
 
     def test_state_spec_mismatch(self):
         spec = random_correlation_spec(2, 1, np.random.default_rng(12))
@@ -319,6 +314,33 @@ class TestSpecDocuments:
     def test_unknown_token_rejected(self):
         doc = {"system_qubits": 1, "slots": [{"observables": ["Q"]}]}
         with pytest.raises(ValueError):
+            parse_spec_document(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"slots": []},
+         {"system_qubits": 1, "slots": [{}]},
+         {"system_qubits": 1, "slots": [{"observables": ["Z"], "evolution": [{"axis": "y"}]}]},
+         {"system_qubits": 1, "slots": [{"observables": [5]}]},
+         {"system_qubits": 1, "slots": [{"observables": [["Z"]]}]},
+         {"system_qubits": 1, "slots": [{"observables": ["Z"], "evolution": [{"axis": 1}]}]},
+         {"system_qubits": 1, "slots": ["Z"]},
+         {"system_qubits": [1]},
+         [{"system_qubits": 1}],
+         "Z"],
+    )
+    def test_malformed_document_rejected(self, doc):
+        with pytest.raises(ValueError):
+            parse_spec_document(json.dumps(doc))
+
+    @pytest.mark.parametrize("doc", [{"system_qubits": 14, "slots": [{"observables": ["Z"] * 14}]},
+                                     {"system_qubits": 30}])
+    def test_register_above_cap_rejected_before_allocating(self, doc, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated a register operator")
+
+        monkeypatch.setattr(np, "eye", refuse)
+        with pytest.raises(ValueError, match="system_qubits"):
             parse_spec_document(json.dumps(doc))
 
     def test_parse_angle_forms(self):

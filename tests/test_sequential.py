@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 
 from contextsim.inequalities import Observable, pm_observable, sigma_theta
-from contextsim.linalg import PAULI_X, PAULI_Z, anticommutator
-from contextsim.scattering import random_dichotomic
+from contextsim.linalg import PAULI_X, PAULI_Z
+from contextsim.scattering import (
+    correlator_direct,
+    heisenberg_observable,
+    random_correlation_spec,
+    random_dichotomic,
+)
 from contextsim.sequential import (
     OutcomeDistribution,
     correlator_sequential,
     joint_distribution,
     luders_measure,
-    two_time_formula,
 )
 from contextsim.states import (
     basis_state,
@@ -19,8 +23,13 @@ from contextsim.states import (
     pure_state,
 )
 
-Z_OBS = Observable(matrix=PAULI_Z, dichotomic=True, label="Z")
-X_OBS = Observable(matrix=PAULI_X, dichotomic=True, label="X")
+Z_OBS = Observable(matrix=PAULI_Z, label="Z")
+X_OBS = Observable(matrix=PAULI_X, label="X")
+
+
+def two_time_formula(state, x, y):
+    """Oracle for a two-measurement chain: 0.5 * Re tr(rho {X, Y})."""
+    return float(0.5 * np.trace(density_of(state) @ (x @ y + y @ x)).real)
 
 
 def _stack(state):
@@ -103,7 +112,7 @@ class TestJointDistribution:
         rng = np.random.default_rng(1)
         state = haar_random_state(1, rng)
         seq = tuple(
-            Observable(matrix=random_dichotomic(rng), dichotomic=True, label=f"O{k}")
+            Observable(matrix=random_dichotomic(rng), label=f"O{k}")
             for k in range(3)
         )
         full = joint_distribution(state, seq)
@@ -134,8 +143,7 @@ class TestCorrelatorSequential:
         for seed in range(100):
             rng = np.random.default_rng(4000 + seed)
             state = haar_random_state(1, rng)
-            x = Observable(matrix=random_dichotomic(rng), dichotomic=True, label="X")
-            y = Observable(matrix=random_dichotomic(rng), dichotomic=True, label="Y")
+            x, y = random_dichotomic(rng), random_dichotomic(rng)
             gap = abs(correlator_sequential(state, (x, y)) - two_time_formula(state, x, y))
             assert gap < 1e-10
 
@@ -161,29 +169,35 @@ class TestCorrelatorSequential:
 
 
 class TestTwoTimeFormula:
+    """Two-measurement chains of qubit observables give the state-independent
+    values of 0.5 * Re tr(rho {X, Y})."""
+
     def test_z_with_rotated_direction_gives_cosine(self):
         for theta in np.linspace(0, 2 * np.pi, 9):
             obs = sigma_theta(float(theta))
             for seed in range(3):
                 state = haar_random_state(1, np.random.default_rng(seed))
-                assert two_time_formula(state, Z_OBS, obs) == pytest.approx(
+                assert correlator_sequential(state, (Z_OBS, obs)) == pytest.approx(
                     np.cos(theta), abs=1e-12
                 )
 
     def test_like_pair_gives_one(self):
         state = haar_random_state(1, np.random.default_rng(5))
-        assert two_time_formula(state, Z_OBS, Z_OBS) == pytest.approx(1.0, abs=1e-12)
+        assert correlator_sequential(state, (Z_OBS, Z_OBS)) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_pair_vanishes(self):
         state = haar_random_state(1, np.random.default_rng(6))
-        assert two_time_formula(state, Z_OBS, X_OBS) == pytest.approx(0.0, abs=1e-12)
+        assert correlator_sequential(state, (Z_OBS, X_OBS)) == pytest.approx(0.0, abs=1e-12)
 
     def test_formula_is_half_anticommutator_trace(self):
-        state = haar_random_state(1, np.random.default_rng(7))
-        rng = np.random.default_rng(8)
-        x, y = random_dichotomic(rng), random_dichotomic(rng)
-        oracle = 0.5 * np.trace(density_of(state) @ anticommutator(x, y)).real
-        assert two_time_formula(state, x, y) == pytest.approx(oracle, abs=1e-12)
+        # Re tr(rho X Y) = 0.5 tr(rho {X, Y}) for Hermitian X, Y: the formula
+        # is the direct route on a two-slot spec
+        state = haar_random_state(2, np.random.default_rng(7))
+        spec = random_correlation_spec(2, 2, np.random.default_rng(8))
+        x, y = (heisenberg_observable(s) for s in spec.slots)
+        assert correlator_direct(state, spec) == pytest.approx(
+            two_time_formula(state, x, y), abs=1e-12
+        )
 
 
 class TestOutcomeDistributionValidation:
