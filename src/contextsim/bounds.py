@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULI_Z, sigma_theta_matrix
+from .linalg import PAULI_Z, checked_count, sigma_theta_matrix
 from .optimize import golden_section_minimize
 from .scattering import sigma_theta_evolution
 from .sequential import correlator_sequential, joint_distribution
@@ -114,13 +114,6 @@ def temporal_objective(angles) -> float:
     return float(_cycle_cosines(angles))
 
 
-def _at_least_one(name: str, value) -> int:
-    value = int(value)
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
-    return value
-
-
 def _positive_tol(tol) -> float:
     tol = float(tol)
     if not (np.isfinite(tol) and tol > 0):
@@ -131,7 +124,7 @@ def _positive_tol(tol) -> float:
 def _coarse_grid_tuples(resolution: int) -> np.ndarray:
     """All angle 5-tuples over the grid, one per row, with the first angle
     pinned to 0; a global angle shift changes neither spectra nor constraints."""
-    resolution = _at_least_one("resolution", resolution)
+    resolution = checked_count(resolution, "resolution", 1)
     if resolution > MAX_RESOLUTION:
         raise ValueError(f"resolution must be at most {MAX_RESOLUTION}, got {resolution}")
     grid = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
@@ -177,7 +170,7 @@ def _descend(objective, angles: np.ndarray, sweeps: int, tol: float):
 
 def _angle_search(target: str, coarse, objective, resolution, sweeps, tol) -> BoundResult:
     """Start at ``coarse(resolution)``, then descend on the scalar ``objective``."""
-    sweeps, tol = _at_least_one("sweeps", sweeps), _positive_tol(tol)
+    sweeps, tol = checked_count(sweeps, "sweeps", 1), _positive_tol(tol)
     angles, value, performed, converged = _descend(objective, coarse(resolution), sweeps, tol)
     return BoundResult(
         target=target,
@@ -321,8 +314,8 @@ def _contextual_seesaw(seed: int, iterations: int, tol: float):
 def contextual_bound_kcbs(iterations: int = 200, restarts: int = 8, tol: float = 1e-9) -> BoundResult:
     """Seesaw over five exclusive rank-one tests and a state in R^3; the
     optimum 5 - 4*sqrt(5) sits strictly above the temporal extremum."""
-    restarts = _at_least_one("restarts", restarts)
-    iterations = _at_least_one("iterations", iterations)
+    restarts = checked_count(restarts, "restarts", 1)
+    iterations = checked_count(iterations, "iterations", 1)
     tol = _positive_tol(tol)
     best = None
     for seed in range(restarts):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ATOL, as_matrix
+from .linalg import checked_matrix
 from .states import QuantumState
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -35,13 +35,6 @@ def rz_matrix(theta: float) -> np.ndarray:
     return np.array([[np.exp(-1j * theta / 2), 0], [0, np.exp(1j * theta / 2)]], dtype=complex)
 
 
-def is_unitary(u: np.ndarray, atol: float = ATOL) -> bool:
-    u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= atol)
-
-
 @dataclass(frozen=True)
 class GateOp:
     """One gate: a unitary on ``targets``, optionally conditioned on a control.
@@ -57,19 +50,14 @@ class GateOp:
     control_on: int = 1
 
     def __post_init__(self):
-        m = as_matrix(self.matrix)
-        if m.shape[0] != 2 ** len(self.targets):
-            raise ValueError(f"matrix of shape {m.shape} does not fit {len(self.targets)} targets")
-        if not is_unitary(m):
-            raise ValueError(f"gate {self.label!r} is not unitary within tolerance")
+        dim = 2 ** len(self.targets)
+        m = checked_matrix(self.matrix, f"gate {self.label!r}", (dim, dim), "unitary")
         if len(set(self.targets)) != len(self.targets):
             raise ValueError("duplicate target qubits")
         if self.control is not None and self.control in self.targets:
             raise ValueError("control qubit cannot be a target")
         if self.control_on not in (0, 1):
             raise ValueError("control polarity must be 0 or 1")
-        m = m.copy()
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
 

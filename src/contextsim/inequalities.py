@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULI_Z, PAULIS, as_matrix, check_observable, sigma_theta_matrix
+from .linalg import PAULI_Z, PAULIS, checked_matrix, sigma_theta_matrix
 from .circuits import ry_matrix
 from .scattering import (
     TemporalCorrelationSpec,
@@ -77,10 +77,7 @@ class Observable:
     label: str
 
     def __post_init__(self):
-        m = as_matrix(self.matrix)
-        check_observable(m, f"observable {self.label!r}")
-        m = m.copy()
-        m.setflags(write=False)
+        m = checked_matrix(self.matrix, f"observable {self.label!r}", kind="dichotomic")
         object.__setattr__(self, "matrix", m)
 
 

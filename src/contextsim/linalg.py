@@ -2,8 +2,10 @@
 the Pauli matrices, sigma(theta), and validation.
 
 All operators in this package are plain ``numpy.ndarray`` values of dtype
-complex128 in row-major order; :func:`as_matrix` is the validating
-constructor. Operations are pure functions and safe to call concurrently.
+complex128 in row-major order. Every matrix that a constructor stores goes
+through :func:`checked_matrix`, and every count read from user input through
+:func:`checked_count`. Operations are pure functions and safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -25,31 +27,6 @@ for _p in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z):
 PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
-def as_matrix(entries, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Validating constructor: a finite complex matrix in row-major order.
-
-    ``entries`` may be a nested sequence, a flat sequence together with
-    explicit ``rows``/``cols``, or an existing array. Non-finite entries
-    (NaN/Inf) are rejected.
-    """
-    a = np.asarray(entries, dtype=complex)
-    if rows is not None or cols is not None:
-        if rows is None or cols is None:
-            raise ValueError("rows and cols must be given together")
-        if rows <= 0 or cols <= 0:
-            raise ValueError("rows and cols must be positive")
-        if a.size != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {a.size}")
-        a = a.reshape(rows, cols)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
-    if a.shape[0] == 0 or a.shape[1] == 0:
-        raise ValueError("matrix must be non-empty")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError("matrix entries must be finite")
-    return np.ascontiguousarray(a)
-
-
 def sigma_theta_matrix(theta) -> np.ndarray:
     """cos(theta) sigma_z + sin(theta) sigma_x, unvalidated (dichotomic for
     every angle); an array of angles gives a stack of shape ``(..., 2, 2)``."""
@@ -58,10 +35,44 @@ def sigma_theta_matrix(theta) -> np.ndarray:
 
 
 def check_observable(m: np.ndarray, what: str, dichotomic: bool = True) -> None:
-    """Raise ValueError unless ``m`` is Hermitian and, when ``dichotomic``,
-    squares to the identity; a stack of shape ``(..., d, d)`` is checked
-    matrix by matrix. NaN entries fail both checks."""
+    """Raise ValueError unless ``m`` is finite, Hermitian and, when
+    ``dichotomic``, squares to the identity; a stack of shape ``(..., d, d)``
+    is checked matrix by matrix."""
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} has non-finite entries")
     if not np.abs(m - m.conj().swapaxes(-1, -2)).max() <= ATOL:
         raise ValueError(f"{what} is not Hermitian")
     if dichotomic and not np.abs(m @ m - np.eye(m.shape[-1])).max() <= ATOL_DICHOTOMIC:
         raise ValueError(f"{what} does not square to the identity")
+
+
+def checked_matrix(entries, what: str, shape: tuple[int, int] | None = None,
+                   kind: str | None = None) -> np.ndarray:
+    """A read-only complex copy of ``entries``, which must be a non-empty
+    finite 2-d matrix of ``shape`` (any shape when None) that is ``kind``:
+    "unitary" (to ATOL), "hermitian" or "dichotomic" (see
+    :func:`check_observable`), or anything when None. ValueError names ``what``."""
+    m = np.array(entries, dtype=complex)
+    if m.ndim != 2 or m.size == 0:
+        raise ValueError(f"{what} must be a non-empty 2-d matrix, got shape {m.shape}")
+    if m.shape != (shape or m.shape) or (kind and m.shape[0] != m.shape[1]):
+        raise ValueError(f"{what} has shape {m.shape}, expected {shape or 'a square matrix'}")
+    if kind in ("hermitian", "dichotomic"):
+        check_observable(m, what, dichotomic=kind == "dichotomic")
+    elif not np.isfinite(m).all():
+        raise ValueError(f"{what} has non-finite entries")
+    elif kind == "unitary" and not np.abs(m.conj().T @ m - np.eye(m.shape[0])).max() <= ATOL:
+        raise ValueError(f"{what} is not unitary within tolerance")
+    m.setflags(write=False)
+    return m
+
+
+def checked_count(value, what: str, minimum: int = 0) -> int:
+    """``value`` as an int of at least ``minimum``. Python and numpy integers
+    pass; bools, floats and strings raise ValueError naming ``what`` instead
+    of being truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{what} must be at least {minimum}, got {value}")
+    return int(value)

@@ -15,6 +15,7 @@ from importlib import resources
 
 import numpy as np
 
+from .linalg import checked_count
 from .optimize import golden_section_minimize
 from .states import QuantumState, density_of
 
@@ -56,15 +57,13 @@ def fit_visibility(pairs) -> float:
 
     Minimizes sum (v^n * ideal - measured)^2 by golden section on [0, 1].
     """
-    pairs = [(float(i), int(n), float(m)) for i, n, m in pairs]
+    pairs = [(float(i), checked_count(n, "block count"), float(m)) for i, n, m in pairs]
     if not pairs:
         raise ValueError("need at least one measurement")
     if any(i == 0.0 for i, _, _ in pairs):
         raise ValueError("ideal values must be nonzero")
     if not all(math.isfinite(i) and math.isfinite(m) for i, _, m in pairs):
         raise ValueError("ideal and measured values must be finite")
-    if any(n < 0 for _, n, _ in pairs):
-        raise ValueError("block count must be non-negative")
 
     def objective(v: float) -> float:
         return sum((v ** n * i - m) ** 2 for i, n, m in pairs)

@@ -27,7 +27,6 @@ from .circuits import (
     controlled,
     embed,
     hadamard,
-    is_unitary,
     rx_matrix,
     ry_matrix,
     rz_matrix,
@@ -37,8 +36,8 @@ from .linalg import (
     PAULI_Y,
     PAULI_Z,
     PAULIS,
-    as_matrix,
-    check_observable,
+    checked_count,
+    checked_matrix,
     sigma_theta_matrix,
 )
 from .states import MAX_QUBITS, QuantumState, density_of, haar_random_unitary
@@ -54,22 +53,11 @@ class TimeSlot:
     evolution: np.ndarray
 
     def __post_init__(self):
-        obs = tuple(as_matrix(o) for o in self.observables)
+        obs = tuple(checked_matrix(o, "per-qubit observable", (2, 2), "dichotomic")
+                    for o in self.observables)
         if not obs:
             raise ValueError("a slot needs at least one observable")
-        for o in obs:
-            if o.shape != (2, 2):
-                raise ValueError("per-qubit observables must be 2x2")
-            check_observable(o, "per-qubit observable")
-        u = as_matrix(self.evolution)
-        if u.shape != (2 ** len(obs),) * 2:
-            raise ValueError(f"evolution of shape {u.shape} does not fit {len(obs)} qubits")
-        if not is_unitary(u):
-            raise ValueError("evolution must be unitary")
-        for o in obs:
-            o.setflags(write=False)
-        u = u.copy()
-        u.setflags(write=False)
+        u = checked_matrix(self.evolution, "evolution", (2 ** len(obs),) * 2, "unitary")
         object.__setattr__(self, "observables", obs)
         object.__setattr__(self, "evolution", u)
 
@@ -250,7 +238,7 @@ def parse_spec_document(text: str) -> TemporalCorrelationSpec:
 
 
 def _spec_from_document(doc) -> TemporalCorrelationSpec:
-    n = int(doc["system_qubits"])
+    n = checked_count(doc["system_qubits"], "system_qubits")
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"system_qubits must be 1 to {MAX_QUBITS}")
     slots = []
@@ -261,7 +249,7 @@ def _spec_from_document(doc) -> TemporalCorrelationSpec:
             axis = rot["axis"].lower()
             if axis not in _ROTATIONS:
                 raise ValueError(f"unknown rotation axis {rot['axis']!r}")
-            q = int(rot["qubit"])
+            q = checked_count(rot["qubit"], "rotation qubit")
             if not 0 <= q < n:
                 raise ValueError(f"rotation qubit {q} out of range")
             gate = _ROTATIONS[axis](parse_angle(rot["angle"]))

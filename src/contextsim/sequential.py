@@ -92,8 +92,6 @@ def luders_measure(branches: np.ndarray, obs: np.ndarray) -> np.ndarray:
     ``batch + (m, d, d)``. Returns the ``batch + (2m, d, d)`` stack in which
     branch i splits into 2i (+1) and 2i + 1 (-1)."""
     m = np.asarray(obs, dtype=complex)
-    if not np.isfinite(m).all():
-        raise ValueError("measured observable has non-finite entries")
     check_observable(m, "measured observable")
     if m.shape[-2:] != branches.shape[-2:]:
         raise ValueError("observable dimension does not match the state")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL, ATOL_STATE_PSD, as_matrix, check_observable
+from .linalg import ATOL, ATOL_STATE_PSD, checked_matrix
 
 # largest register that random states, bitstring literals and spec documents build
 MAX_QUBITS = 3
@@ -48,10 +48,7 @@ class QuantumState:
             a.setflags(write=False)
             object.__setattr__(self, "amplitudes", a)
         else:
-            r = as_matrix(self.rho)
-            if r.shape != (dim, dim):
-                raise ValueError(f"expected a {dim}x{dim} density matrix, got {r.shape}")
-            check_observable(r, "density matrix", dichotomic=False)
+            r = checked_matrix(self.rho, "density matrix", (dim, dim), "hermitian")
             if abs(np.trace(r).real - 1.0) > ATOL:
                 raise ValueError("density matrix trace differs from 1")
             # stored symmetrized, so a stored density matrix is exactly Hermitian
@@ -80,7 +77,7 @@ def pure_state(amplitudes) -> QuantumState:
 
 
 def mixed_state(rho) -> QuantumState:
-    r = as_matrix(rho)
+    r = checked_matrix(rho, "density matrix")
     return QuantumState(qubits=_qubit_count(r.shape[0]), rho=r)
 
 

@@ -259,6 +259,21 @@ class TestGlobalInvariants:
             with pytest.raises(ValueError, match="sweeps"):
                 temporal_bound_kcbs(sweeps=sweeps)
 
+    @pytest.mark.parametrize("bad", [4.9, 4.0, True, "4"])
+    def test_search_sizes_must_be_integers(self, bad):
+        # 4.9 used to run at resolution 4, and sweeps=True as one sweep
+        with pytest.raises(ValueError, match="resolution must be an integer"):
+            temporal_bound_kcbs(resolution=bad)
+        with pytest.raises(ValueError, match="sweeps must be an integer"):
+            tsirelson_search_bell(sweeps=bad)
+        with pytest.raises(ValueError, match="restarts must be an integer"):
+            contextual_bound_kcbs(restarts=bad)
+        with pytest.raises(ValueError, match="iterations must be an integer"):
+            contextual_bound_kcbs(iterations=bad)
+
+    def test_numpy_integer_search_size_accepted(self):
+        assert temporal_bound_kcbs(resolution=np.int64(4), sweeps=np.int32(3)).iterations <= 3
+
     @pytest.mark.parametrize("resolution", [MAX_RESOLUTION + 1, 100])
     def test_resolution_above_cap_rejected_before_allocating(self, resolution, monkeypatch):
         def refuse(*args, **kwargs):

@@ -2,14 +2,20 @@ import numpy as np
 import pytest
 
 from contextsim.bounds import bell_operator
+from contextsim.circuits import GateOp
+from contextsim.inequalities import Observable
 from contextsim.linalg import (
     PAULI_I,
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
-    as_matrix,
     check_observable,
+    checked_count,
+    checked_matrix,
     sigma_theta_matrix,
 )
+from contextsim.scattering import TimeSlot
+from contextsim.states import QuantumState
 
 
 def power_extremal_min(a, shift=10.0, iters=5000, seed=11):
@@ -27,22 +33,83 @@ def power_extremal_min(a, shift=10.0, iters=5000, seed=11):
 
 class TestConstruction:
     def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            as_matrix([[np.nan, 0], [0, 1]])
+        with pytest.raises(ValueError, match="m has non-finite entries"):
+            checked_matrix([[np.nan, 0], [0, 1]], "m")
 
     def test_rejects_inf_imag(self):
-        with pytest.raises(ValueError):
-            as_matrix([[1j * np.inf, 0], [0, 1]])
-
-    def test_flat_entries_with_shape(self):
-        m = as_matrix([1, 2, 3, 4, 5, 6], rows=2, cols=3)
-        assert m.shape == (2, 3)
-        with pytest.raises(ValueError):
-            as_matrix([1, 2, 3], rows=2, cols=2)
+        with pytest.raises(ValueError, match="m has non-finite entries"):
+            checked_matrix([[1j * np.inf, 0], [0, 1]], "m")
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            as_matrix(np.zeros((0, 2)))
+        with pytest.raises(ValueError, match="non-empty"):
+            checked_matrix(np.zeros((0, 2)), "m")
+
+    def test_returns_a_read_only_complex_copy(self):
+        entries = np.array([[1, 2], [3, 4]])
+        m = checked_matrix(entries, "m")
+        assert m.dtype == complex and not m.flags.writeable
+        assert np.array_equal(m, entries) and not np.shares_memory(m, entries)
+        assert entries.flags.writeable
+
+    @pytest.mark.parametrize("kind", ["unitary", "hermitian", "dichotomic"])
+    def test_kind_needs_a_square_matrix(self, kind):
+        with pytest.raises(ValueError, match="square"):
+            checked_matrix(np.ones((2, 3)), "m", kind=kind)
+
+    def test_shape_checked(self):
+        checked_matrix(PAULI_X, "m", (2, 2))
+        with pytest.raises(ValueError, match=r"m has shape \(2, 2\), expected \(4, 4\)"):
+            checked_matrix(PAULI_X, "m", (4, 4))
+
+    def test_unitary_within_atol(self):
+        checked_matrix(PAULI_X * np.exp(0.3j), "u", kind="unitary")
+        with pytest.raises(ValueError, match="u is not unitary"):
+            checked_matrix(PAULI_X * (1 + 1e-6), "u", kind="unitary")
+
+
+class TestStoredMatrices:
+    """A constructor stores a read-only copy and leaves the caller's array as
+    it was: writeable, and not the object the instance holds."""
+
+    @pytest.mark.parametrize(
+        "build, stored",
+        [(lambda m: GateOp("Y", m, (0,)), lambda g: [g.matrix]),
+         (lambda m: TimeSlot(observables=(m,), evolution=m), lambda t: [*t.observables, t.evolution]),
+         (lambda m: Observable(m, "Y"), lambda o: [o.matrix])],
+        ids=["GateOp", "TimeSlot", "Observable"],
+    )
+    def test_caller_array_stays_writeable(self, build, stored):
+        y = PAULI_Y.copy()
+        held = stored(build(y))
+        for m in held:
+            assert m is not y and not np.shares_memory(m, y) and not m.flags.writeable
+        y[0, 0] = 5
+        assert all(np.array_equal(m, PAULI_Y) for m in held)
+
+    def test_density_matrix_stays_writeable(self):
+        rho = np.eye(2, dtype=complex) / 2
+        state = QuantumState(qubits=1, rho=rho)
+        assert state.rho is not rho and not np.shares_memory(state.rho, rho)
+        assert not state.rho.flags.writeable
+        rho[0, 0] = 5
+        assert np.array_equal(state.rho, np.eye(2) / 2)
+
+
+class TestCheckedCount:
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)])
+    def test_integers_pass(self, value):
+        count = checked_count(value, "n", 1)
+        assert count == 3 and type(count) is int
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), 2.5, 2.0, np.float64(2.0), "2", None, [2]])
+    def test_non_integers_named(self, value):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            checked_count(value, "n")
+
+    def test_minimum(self):
+        assert checked_count(0, "n") == 0
+        with pytest.raises(ValueError, match="n must be at least 1, got 0"):
+            checked_count(0, "n", 1)
 
 
 class TestKron:

@@ -108,6 +108,15 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_visibility([(1.0, 1, 0.9), triple])
 
+    @pytest.mark.parametrize("blocks", [2.5, 2.0, True, "2"])
+    def test_block_count_must_be_an_integer(self, blocks):
+        # 2.5 used to be truncated to 2 blocks and fit the same visibility
+        with pytest.raises(ValueError, match="block count must be an integer"):
+            fit_visibility([(1.0, blocks, 0.9 ** 2.5)])
+
+    def test_numpy_integer_block_count_accepted(self):
+        assert fit_visibility([(1.0, np.int64(2), 0.81)]) == pytest.approx(0.9, abs=1e-5)
+
 
 class TestTables:
     def test_row_counts(self):

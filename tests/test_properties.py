@@ -10,7 +10,10 @@ model leaves a report unchanged, the Bell-side bound objective matches a
 null-space oracle and equals the cyclic cosine sum, and the seesaw's
 closed-form line objective matches the cross-product form. Each bound
 search's coarse start is also checked against its public scalar objective
-taken over the grid one tuple at a time."""
+taken over the grid one tuple at a time. Every matrix a constructor stores
+(gate, slot observable and evolution, observable, density matrix) is
+accepted when drawn valid and rejected after one fault: a non-finite entry,
+a wrong shape, or its property broken by 1e-6."""
 
 import numpy as np
 import pytest
@@ -23,13 +26,14 @@ from contextsim import bounds
 from contextsim.circuits import Circuit, GateOp, apply, full_gate_matrix
 from contextsim.inequalities import (
     METHODS,
+    Observable,
     eval_kcbs_temporal,
     eval_pentagon_lg,
     eval_pm,
     eval_transformed_bell,
     sigma_theta,
 )
-from contextsim.linalg import PAULI_X, PAULI_Y, PAULI_Z
+from contextsim.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
 from contextsim.noise import NoiseModel, depolarize
 from contextsim.report import with_noise
 from contextsim.scattering import (
@@ -40,7 +44,13 @@ from contextsim.scattering import (
     heisenberg_observable,
 )
 from contextsim.sequential import correlator_sequential, joint_distribution
-from contextsim.states import density_of, haar_random_unitary, mixed_state, pure_state
+from contextsim.states import (
+    QuantumState,
+    density_of,
+    haar_random_unitary,
+    mixed_state,
+    pure_state,
+)
 
 PM_THEORY = (1.0, 1.0, 1.0, 1.0, 1.0, -1.0)
 
@@ -444,3 +454,61 @@ def test_identity_noise_model_leaves_report_unchanged(name, data):
     assert out.violated == ideal.violated
     assert out.constraints_satisfied == ideal.constraints_satisfied
     assert [label for label, _ in out.terms] == [label for label, _ in ideal.terms]
+
+
+@st.composite
+def valid_matrices(draw, kind, qubits):
+    """A drawn matrix on ``qubits`` qubits: a Haar unitary, a Haar rotation of
+    Z x I, or the density matrix of a drawn state."""
+    if kind == "hermitian":
+        return density_of(draw(states(qubits)))
+    u = haar_random_unitary(2 ** qubits, np.random.default_rng(draw(seeds)))
+    if kind == "unitary":
+        return u
+    return u @ np.kron(PAULI_Z, np.eye(2 ** (qubits - 1))) @ u.conj().T
+
+
+def _scaled(m):
+    return m * (1 + 1e-6)
+
+
+def _skewed(m):
+    m = m.copy()
+    m[0, 1] += 1e-6
+    return m
+
+
+# constructor -> (kind, qubit counts, build from (matrix, qubits), property
+# breaks, whether the constructor fixes the matrix size)
+MATRIX_INPUTS = {
+    "GateOp": ("unitary", (1, 2), lambda m, n: GateOp("U", m, tuple(range(n))), (_scaled,), True),
+    "TimeSlot observable": ("dichotomic", (1,), lambda m, n: TimeSlot((m,), PAULI_I),
+                            (_scaled, _skewed), True),
+    "TimeSlot evolution": ("unitary", (1, 2), lambda m, n: TimeSlot((PAULI_Z,) * n, m), (_scaled,), True),
+    "Observable": ("dichotomic", (1, 2), lambda m, n: Observable(m, "O"), (_scaled, _skewed), False),
+    "QuantumState": ("hermitian", (1, 2), lambda m, n: QuantumState(qubits=n, rho=m), (_skewed,), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_INPUTS))
+@given(data=st.data())
+def test_each_stored_matrix_is_validated_the_same_way(name, data):
+    kind, sizes, build, breaks, fixed_size = MATRIX_INPUTS[name]
+    n = data.draw(st.sampled_from(sizes))
+    m = data.draw(valid_matrices(kind, n))
+    build(m, n)
+
+    bad = m.copy()
+    bad[data.draw(st.integers(0, len(m) - 1)), data.draw(st.integers(0, len(m) - 1))] = data.draw(
+        st.sampled_from((np.nan, np.inf, -np.inf, 1j * np.nan, 1j * np.inf)))
+    with pytest.raises(ValueError, match="non-finite"):
+        build(bad, n)
+
+    reshapes = [lambda a: a[:, :-1], lambda a: a[None], lambda a: a[:0]]
+    if fixed_size:
+        reshapes.append(lambda a: np.kron(a, PAULI_I))
+    with pytest.raises(ValueError, match="shape"):
+        build(data.draw(st.sampled_from(reshapes))(m), n)
+
+    with pytest.raises(ValueError, match="unitary|Hermitian|identity"):
+        build(data.draw(st.sampled_from(breaks))(m), n)

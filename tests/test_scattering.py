@@ -333,6 +333,20 @@ class TestSpecDocuments:
         with pytest.raises(ValueError):
             parse_spec_document(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [({"system_qubits": 1.9, "slots": [{"observables": ["Z"]}]}, "system_qubits"),
+         ({"system_qubits": True}, "system_qubits"),
+         ({"system_qubits": "1"}, "system_qubits"),
+         *(({"system_qubits": 2, "slots": [{"observables": ["Z", "Z"], "evolution": [
+             {"axis": "y", "qubit": q, "angle": "pi"}]}]}, "rotation qubit") for q in (True, 0.7, 1.0)),
+         ],
+    )
+    def test_counts_must_be_integers(self, doc, field):
+        # int() used to read 1.9 qubits as 1 and a rotation qubit of true or 0.7 as 1 or 0
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            parse_spec_document(json.dumps(doc))
+
     @pytest.mark.parametrize("doc", [{"system_qubits": 14, "slots": [{"observables": ["Z"] * 14}]},
                                      {"system_qubits": 30}])
     def test_register_above_cap_rejected_before_allocating(self, doc, monkeypatch):
