@@ -11,10 +11,15 @@ which belongs to a different scenario than the constrained inequality.
 
 Each angle search has one objective over a batch of 5-tuples (the
 constrained minimum, the cyclic cosine sum) and one driver: the coarse grid
-evaluates all its tuples in one call, then the line searches call the public
-scalar objective, a batch of one. Terms accumulate one at a time in cycle
-order, never stacked, so the grid holds a few (M, 4, 4) arrays and a batch
-of one rounds exactly as a scalar sum.
+evaluates all its tuples in one call, then cyclic line searches move one
+angle at a time. The temporal lines call the public scalar objective, a batch
+of one. The Bell lines use a closed form, c0 + c1 cos x + c2 sin x, built
+once per line from one eigensolve of the four fixed penalties; a line whose
+kernel could change along it calls the public objective instead. The start,
+the value after each sweep and the convergence test always call the public
+objective. Terms accumulate one at a time in cycle order, never stacked, so
+the grid holds a few (M, 4, 4) arrays and a batch of one rounds exactly as a
+scalar sum.
 
 All searches are deterministic: seeded restarts, fixed sweep order, golden-
 section line minimization.
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULI_Z, checked_count, sigma_theta_matrix
+from .linalg import PAULI_X, PAULI_Z, checked_count, sigma_theta_matrix
 from .optimize import golden_section_minimize
 from .scattering import sigma_theta_evolution
 from .sequential import correlator_sequential, joint_distribution
@@ -102,6 +107,38 @@ def bell_constrained_objective(angles) -> float:
     return float(_constrained_minima(angles))
 
 
+def _bell_line(angles, i: int):
+    """``bell_constrained_objective`` along line i of the descent, where only
+    a_i moves, as a scalar function of x; None where the kernel could change.
+
+    The four fixed penalties, j != i, are diagonalized once. With k the
+    lowest eigenvector, t(a) = (cos a, sin a) and T the 2x2 matrix of
+    <k|P x Q|k> over P, Q in (Z, X), each term reads
+    <k|sigma(a) x sigma(b)|k> = t(a).T t(b). The moving penalty on k is
+    (1 - t(x).T t(x))/2 = p0 + p1 cos 2x + p2 sin 2x. The line is used only
+    when the next eigenvalue is above 1e-2 and the lowest one plus
+    |p0| + |p1| + |p2| is below KERNEL_TOL. A positive semidefinite term
+    lowers no eigenvalue, so every trial's penalty then has a one-dimensional
+    kernel, k, and the compressed operator is
+    <k|B(x)|k> = c0 + c1 cos x + c2 sin x: c0 sums the three terms without
+    a_i, and (c1, c2) = T^T t(a_{i-1}) + T t(a_{i+1}).
+    """
+    kron = _sigma_products(angles)
+    eye = np.eye(4, dtype=complex)
+    w, v = np.linalg.eigh(sum((eye - kron(j, j)) / 2 for j in range(5) if j != i))
+    k = v[:, 0]
+    paulis = (PAULI_Z, PAULI_X)
+    corr = np.array([[(k.conj() @ np.kron(p, q) @ k).real for q in paulis] for p in paulis])
+    (zz, zx), (xz, xx) = corr.tolist()
+    moving = abs(0.5 - (zz + xx) / 4) + abs(zz - xx) / 4 + abs(zx + xz) / 4
+    if not (w[1] > 1e-2 and w[0] + moving < KERNEL_TOL):
+        return None
+    t = np.array([np.cos(angles), np.sin(angles)])
+    c0 = float(sum(t[:, r] @ corr @ t[:, (r + 1) % 5] for r in range(5) if r not in ((i - 1) % 5, i)))
+    c1, c2 = (corr.T @ t[:, (i - 1) % 5] + corr @ t[:, (i + 1) % 5]).tolist()
+    return lambda x: c0 + c1 * math.cos(x) + c2 * math.sin(x)
+
+
 def _cycle_cosines(angles) -> np.ndarray:
     """The cyclic cosine sum of a 5-tuple or of each row of an (M, 5) stack."""
     angles = _five(angles)
@@ -146,19 +183,26 @@ def _coarse_temporal_minimum(resolution: int) -> np.ndarray:
     return _coarse_minimum(_cycle_cosines, resolution)
 
 
-def _descend(objective, angles: np.ndarray, sweeps: int, tol: float):
-    """Cyclic coordinate descent with golden-section line searches."""
+def _descend(objective, line, angles: np.ndarray, sweeps: int, tol: float):
+    """Cyclic coordinate descent with golden-section line searches.
+
+    ``line(angles, i)`` gives the objective along angle i as a scalar
+    function, or None; where there is no ``line`` or it gives None, each
+    trial calls ``objective`` on the trial tuple. The start, the value after
+    each sweep and the convergence test always call ``objective``."""
     angles = np.array(angles, dtype=float)
     previous = objective(angles)
     for performed in range(1, sweeps + 1):
         for i in range(5):
-            def line(x, i=i):
-                trial = angles.copy()
-                trial[i] = x
-                return objective(trial)
+            along = None if line is None else line(angles, i)
+            if along is None:
+                def along(x, i=i):
+                    trial = angles.copy()
+                    trial[i] = x
+                    return objective(trial)
 
             angles[i] = golden_section_minimize(
-                line, angles[i] - np.pi, angles[i] + np.pi, tol=min(tol, 1e-9)
+                along, angles[i] - np.pi, angles[i] + np.pi, tol=min(tol, 1e-9)
             )
         current = objective(angles)
         converged = performed >= 3 and previous - current < tol
@@ -168,10 +212,11 @@ def _descend(objective, angles: np.ndarray, sweeps: int, tol: float):
     return angles, float(previous), performed, converged
 
 
-def _angle_search(target: str, coarse, objective, resolution, sweeps, tol) -> BoundResult:
-    """Start at ``coarse(resolution)``, then descend on the scalar ``objective``."""
+def _angle_search(target: str, coarse, objective, line, resolution, sweeps, tol) -> BoundResult:
+    """Start at ``coarse(resolution)``, then descend on the scalar ``objective``
+    along the lines that ``line`` builds (see ``_descend``)."""
     sweeps, tol = checked_count(sweeps, "sweeps", 1), _positive_tol(tol)
-    angles, value, performed, converged = _descend(objective, coarse(resolution), sweeps, tol)
+    angles, value, performed, converged = _descend(objective, line, coarse(resolution), sweeps, tol)
     return BoundResult(
         target=target,
         optimum=value,
@@ -185,11 +230,14 @@ def _angle_search(target: str, coarse, objective, resolution, sweeps, tol) -> Bo
 def tsirelson_search_bell(resolution: int = 8, sweeps: int = 40, tol: float = 1e-9) -> BoundResult:
     """Minimize the constrained five-term objective over angle 5-tuples.
 
-    Coarse grid first, then cyclic golden-section descent. The optimum sits
-    at equal angle steps of 4*pi/5 with value -5 cos(pi/5).
+    Coarse grid first, then cyclic golden-section descent whose line
+    searches read the closed form of ``_bell_line`` where it holds and the
+    objective elsewhere; the reported optimum is the objective's value. The
+    optimum sits at equal angle steps of 4*pi/5 with value -5 cos(pi/5).
     """
     return _angle_search(
-        "bell-kcbs", _coarse_bell_minimum, bell_constrained_objective, resolution, sweeps, tol
+        "bell-kcbs", _coarse_bell_minimum, bell_constrained_objective, _bell_line,
+        resolution, sweeps, tol,
     )
 
 
@@ -197,7 +245,7 @@ def temporal_bound_kcbs(resolution: int = 8, tol: float = 1e-9, sweeps: int = 40
     """Minimize the cyclic cosine sum over angle 5-tuples; same optimum as the
     constrained Bell search, recovered through an independent objective."""
     return _angle_search(
-        "temporal-kcbs", _coarse_temporal_minimum, temporal_objective, resolution, sweeps, tol
+        "temporal-kcbs", _coarse_temporal_minimum, temporal_objective, None, resolution, sweeps, tol
     )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import checked_matrix
+from .linalg import checked_count, checked_matrix
 from .states import QuantumState
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -50,16 +50,19 @@ class GateOp:
     control_on: int = 1
 
     def __post_init__(self):
-        dim = 2 ** len(self.targets)
+        targets = tuple(checked_count(t, "target qubit") for t in self.targets)
+        control = None if self.control is None else checked_count(self.control, "control qubit")
+        dim = 2 ** len(targets)
         m = checked_matrix(self.matrix, f"gate {self.label!r}", (dim, dim), "unitary")
-        if len(set(self.targets)) != len(self.targets):
+        if len(set(targets)) != len(targets):
             raise ValueError("duplicate target qubits")
-        if self.control is not None and self.control in self.targets:
+        if control is not None and control in targets:
             raise ValueError("control qubit cannot be a target")
         if self.control_on not in (0, 1):
             raise ValueError("control polarity must be 0 or 1")
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "control", control)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import json
 
 from .bounds import BoundResult
 from .inequalities import InequalityReport, is_violated, side_conditions_satisfied
+from .linalg import checked_count
 from .noise import NoiseModel, apply_visibility
 
 
@@ -46,7 +47,7 @@ def parse_report_json(text: str) -> InequalityReport:
         terms=tuple((label, float(v)) for label, v in raw["terms"]),
         term_signs=tuple(float(s) for s in raw["term_signs"]),
         term_predictions=tuple(float(p) for p in raw["term_predictions"]),
-        blocks_per_term=tuple(int(b) for b in raw["blocks_per_term"]),
+        blocks_per_term=tuple(checked_count(b, "block count") for b in raw["blocks_per_term"]),
         sum=float(raw["sum"]),
         classical_bound=float(raw["classical_bound"]),
         bound_direction=raw["bound_direction"],

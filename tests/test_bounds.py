@@ -88,6 +88,27 @@ class TestTsirelsonSearch:
         res = bell_search
         assert res.optimum <= bell_constrained_objective(PENTAGRAM_ANGLES) + 1e-9
 
+    def test_default_search_pinned(self, bell_search, monkeypatch):
+        # the line searches read the closed form, so the objective runs only
+        # at the start and after each sweep; a line that fell back would add
+        # its trials to the count
+        objective, calls = bounds.bell_constrained_objective, []
+
+        def counted(angles):
+            calls.append(1)
+            return objective(angles)
+
+        monkeypatch.setattr(bounds, "bell_constrained_objective", counted)
+        res = tsirelson_search_bell()
+        assert res == bell_search
+        assert (res.iterations, res.converged) == (11, True)
+        assert abs(res.optimum - TSIRELSON) <= 1e-10
+        assert len(calls) == res.iterations + 1
+
+    def test_line_checks_the_angle_count(self):
+        with pytest.raises(ValueError, match="5 angles"):
+            bounds._bell_line([0.0] * 4, 0)
+
     def test_degenerate_grid_still_returns_a_result(self):
         res = tsirelson_search_bell(resolution=1, sweeps=2, tol=1e-6)
         assert isinstance(res, BoundResult)

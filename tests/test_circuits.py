@@ -92,6 +92,24 @@ class TestGateOpValidation:
         with pytest.raises(ValueError):
             Circuit(1, (GateOp("X", PAULI_X, (3,)),))
 
+    @pytest.mark.parametrize("target", [0.7, 1.0, True, "0", -1])
+    def test_target_must_be_a_qubit_index(self, target):
+        # a fractional target used to be truncated to qubit 0
+        with pytest.raises(ValueError, match="target qubit"):
+            GateOp("X", PAULI_X, (target,))
+
+    @pytest.mark.parametrize("control", [True, 0.7, 1.0, "1", -1])
+    def test_control_must_be_a_qubit_index(self, control):
+        # a bool control used to be stored as is and accepted by Circuit
+        with pytest.raises(ValueError, match="control qubit"):
+            GateOp("X", PAULI_X, (0,), control=control)
+
+    def test_numpy_indices_stored_as_ints(self):
+        op = GateOp("X", PAULI_X, (np.int64(1),), control=np.int32(0))
+        assert op.targets == (1,) and type(op.targets[0]) is int
+        assert op.control == 0 and type(op.control) is int
+        assert Circuit(2, (op,)).ops == (op,)
+
 
 class TestEmbed:
     def test_first_qubit(self):

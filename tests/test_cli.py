@@ -10,7 +10,12 @@ import pytest
 import contextsim
 from contextsim import bounds, states
 from contextsim.cli import main
-from contextsim.inequalities import eval_pm, eval_transformed_bell
+from contextsim.inequalities import (
+    eval_kcbs_temporal,
+    eval_pentagon_lg,
+    eval_pm,
+    eval_transformed_bell,
+)
 from contextsim.report import (
     emit_csv,
     emit_json,
@@ -48,11 +53,22 @@ class TestCsvContract:
 
 class TestJsonRoundTrip:
     def test_field_for_field(self):
-        for rep in (
-            eval_pm(basis_state(2, "00"), "scattering"),
-            eval_transformed_bell(bell_phi_plus(), "direct"),
-        ):
-            assert parse_report_json(emit_json(rep)) == rep
+        for method in ("scattering", "direct", "sequential"):
+            for rep in (
+                eval_pm(basis_state(2, "00"), method),
+                eval_kcbs_temporal(basis_state(1, "1"), 4 * np.pi / 5, method),
+                eval_pentagon_lg(basis_state(1, "0"), float(np.arccos(-0.75)), method),
+                eval_transformed_bell(bell_phi_plus(), method),
+            ):
+                assert parse_report_json(emit_json(rep)) == rep
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", -1])
+    def test_block_count_must_be_an_integer(self, bad):
+        # a block count of 2.5 used to parse as 2
+        raw = json.loads(emit_json(eval_pm(basis_state(2, "00"), "direct")))
+        raw["blocks_per_term"][0] = bad
+        with pytest.raises(ValueError, match="block count"):
+            parse_report_json(json.dumps(raw))
 
     def test_noise_degraded_round_trip(self):
         model = NoiseModel(state_depolarizing_p=0.1, block_visibility_v=0.92)

@@ -7,10 +7,11 @@ chains matches each chain run alone and rejects a non-dichotomic observable
 at any position, the pentagon readings match the evaluator and a scalar chain
 per angle, the six-context sum is state independent, the identity noise
 model leaves a report unchanged, the Bell-side bound objective matches a
-null-space oracle and equals the cyclic cosine sum, and the seesaw's
-closed-form line objective matches the cross-product form. Each bound
-search's coarse start is also checked against its public scalar objective
-taken over the grid one tuple at a time. Every matrix a constructor stores
+null-space oracle and equals the cyclic cosine sum, its closed-form line
+objective matches it wherever it is used and is declined on near-collinear
+lines, and the seesaw's closed-form line objective matches the
+cross-product form. Each bound search's coarse start is also checked
+against its public scalar objective taken over the grid one tuple at a time. Every matrix a constructor stores
 (gate, slot observable and evolution, observable, density matrix) is
 accepted when drawn valid and rejected after one fault: a non-finite entry,
 a wrong shape, or its property broken by 1e-6."""
@@ -397,6 +398,34 @@ def test_constrained_minimum_is_the_cyclic_cosine_sum(kind, data):
     sv, _ = _constraint_singular_values(five)
     assume(np.all((sv < 1e-7) | (sv > 1e-2)))
     assert abs(bounds._constrained_minima(five) - bounds._cycle_cosines(five)) <= 1e-12
+
+
+# collinear tuples are left out: their fixed four directions leave a
+# two-dimensional kernel, and every such line is declined
+@pytest.mark.parametrize("kind", ["drawn", "grid", "shifted"])
+@given(data=st.data())
+def test_bell_line_matches_constrained_objective(kind, data):
+    five = data.draw(cycle_tuples(kind))
+    i = data.draw(st.integers(0, 4))
+    x = data.draw(angles)
+    value = bounds._bell_line(five, i)
+    assume(value is not None)
+    trial = five.copy()
+    trial[i] = x
+    assert abs(value(x) - bounds.bell_constrained_objective(trial)) <= 1e-12
+
+
+@given(data=st.data())
+def test_bell_line_declines_near_collinear(data):
+    # the four fixed directions lie within 1e-7 to 1e-4 of one direction
+    # mod pi, where the kernel threshold can admit a second state
+    scale = data.draw(st.sampled_from([1e-7, 1e-6, 1e-5, 1e-4]))
+    offsets = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5)))
+    shifts = np.array(data.draw(st.lists(st.integers(0, 3), min_size=5, max_size=5)))
+    five = data.draw(angles) + scale * offsets + np.pi * shifts
+    i = data.draw(st.integers(0, 4))
+    five[i] = data.draw(angles)
+    assert bounds._bell_line(five, i) is None
 
 
 @given(u=five_cycles(), data=st.data())
