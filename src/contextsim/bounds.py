@@ -12,14 +12,16 @@ which belongs to a different scenario than the constrained inequality.
 Each angle search has one objective over a batch of 5-tuples (the
 constrained minimum, the cyclic cosine sum) and one driver: the coarse grid
 evaluates all its tuples in one call, then cyclic line searches move one
-angle at a time. The temporal lines call the public scalar objective, a batch
-of one. The Bell lines use a closed form, c0 + c1 cos x + c2 sin x, built
-once per line from one eigensolve of the four fixed penalties; a line whose
-kernel could change along it calls the public objective instead. The start,
-the value after each sweep and the convergence test always call the public
-objective. Terms accumulate one at a time in cycle order, never stacked, so
-the grid holds a few (M, 4, 4) arrays and a batch of one rounds exactly as a
-scalar sum.
+angle at a time. The temporal lines read a closed form: the three fixed
+cosines are taken once per line, the two moving ones per trial, and the five
+are summed in the public objective's order, so each trial rounds exactly as
+the objective would. The Bell lines use a closed form, c0 + c1 cos x +
+c2 sin x, built once per line from one eigensolve of the four fixed
+penalties; a line whose kernel could change along it calls the public
+objective instead. The start, the value after each sweep and the convergence
+test always call the public objective. Terms accumulate one at a time in
+cycle order, never stacked, so the grid holds a few (M, 4, 4) arrays and a
+batch of one rounds exactly as a scalar sum.
 
 All searches are deterministic: seeded restarts, fixed sweep order, golden-
 section line minimization.
@@ -44,6 +46,11 @@ MAX_RESOLUTION = 16  # the grid holds resolution**4 5-tuples: about 90 MB traced
 TARGETS = ("bell-kcbs", "temporal-kcbs", "contextual-kcbs", "pentagon-lg")
 
 _NEXT = np.array([1, 2, 3, 4, 0])  # successor of each angle around the cycle
+
+# P x Q for P, Q in (Z, X), the operators whose expectations on the kernel
+# vector make up the 2x2 matrix T of ``_bell_line``
+_PAULI_PAIRS = np.array([[np.kron(p, q) for q in (PAULI_Z, PAULI_X)] for p in (PAULI_Z, PAULI_X)])
+_PAULI_PAIRS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -127,8 +134,7 @@ def _bell_line(angles, i: int):
     eye = np.eye(4, dtype=complex)
     w, v = np.linalg.eigh(sum((eye - kron(j, j)) / 2 for j in range(5) if j != i))
     k = v[:, 0]
-    paulis = (PAULI_Z, PAULI_X)
-    corr = np.array([[(k.conj() @ np.kron(p, q) @ k).real for q in paulis] for p in paulis])
+    corr = np.array([[(k.conj() @ pq @ k).real for pq in row] for row in _PAULI_PAIRS])
     (zz, zx), (xz, xx) = corr.tolist()
     moving = abs(0.5 - (zz + xx) / 4) + abs(zz - xx) / 4 + abs(zx + xz) / 4
     if not (w[1] > 1e-2 and w[0] + moving < KERNEL_TOL):
@@ -149,6 +155,27 @@ def temporal_objective(angles) -> float:
     """Sum of the five cyclic two-time correlators, cos(a_i - a_{i+1}); the
     anticommutator form makes each term state independent."""
     return float(_cycle_cosines(angles))
+
+
+def _temporal_line(angles, i: int):
+    """``temporal_objective`` along line i of the descent, where only a_i
+    moves, as a scalar function of x that equals it bit for bit.
+
+    The terms cos(a_r - a_{r+1}) are taken once per line; each call rewrites
+    the two that move, cos(a_{i-1} - x) and cos(x - a_{i+1}), in their slots
+    (line 0 wraps to the last slot) and adds the five left to right in cycle
+    order, as ``_cycle_cosines`` does: a precomputed sum of the three fixed
+    terms would round differently.
+    """
+    a = _five(angles).tolist()
+    terms = [math.cos(a[r] - a[(r + 1) % 5]) for r in range(5)]
+    before, after = a[(i - 1) % 5], a[(i + 1) % 5]
+
+    def value(x: float) -> float:
+        terms[i - 1], terms[i] = math.cos(before - x), math.cos(x - after)
+        return terms[0] + terms[1] + terms[2] + terms[3] + terms[4]
+
+    return value
 
 
 def _positive_tol(tol) -> float:
@@ -186,15 +213,16 @@ def _coarse_temporal_minimum(resolution: int) -> np.ndarray:
 def _descend(objective, line, angles: np.ndarray, sweeps: int, tol: float):
     """Cyclic coordinate descent with golden-section line searches.
 
-    ``line(angles, i)`` gives the objective along angle i as a scalar
-    function, or None; where there is no ``line`` or it gives None, each
-    trial calls ``objective`` on the trial tuple. The start, the value after
-    each sweep and the convergence test always call ``objective``."""
+    ``line(angles, i)`` gives the objective along angle i as a scalar closed
+    form, or None where it has none; the temporal lines are summed in the
+    objective's order and always given. On a None line each trial calls
+    ``objective`` on the trial tuple. The start, the value after each sweep
+    and the convergence test always call ``objective``."""
     angles = np.array(angles, dtype=float)
     previous = objective(angles)
     for performed in range(1, sweeps + 1):
         for i in range(5):
-            along = None if line is None else line(angles, i)
+            along = line(angles, i)
             if along is None:
                 def along(x, i=i):
                     trial = angles.copy()
@@ -243,9 +271,16 @@ def tsirelson_search_bell(resolution: int = 8, sweeps: int = 40, tol: float = 1e
 
 def temporal_bound_kcbs(resolution: int = 8, tol: float = 1e-9, sweeps: int = 40) -> BoundResult:
     """Minimize the cyclic cosine sum over angle 5-tuples; same optimum as the
-    constrained Bell search, recovered through an independent objective."""
+    constrained Bell search, recovered through an independent objective.
+
+    Coarse grid first, then cyclic golden-section descent whose line searches
+    read ``_temporal_line``, the closed form summed in the objective's order;
+    the search therefore takes the steps it would take calling the objective
+    on every trial.
+    """
     return _angle_search(
-        "temporal-kcbs", _coarse_temporal_minimum, temporal_objective, None, resolution, sweeps, tol
+        "temporal-kcbs", _coarse_temporal_minimum, temporal_objective, _temporal_line,
+        resolution, sweeps, tol,
     )
 
 

@@ -52,17 +52,19 @@ class GateOp:
     def __post_init__(self):
         targets = tuple(checked_count(t, "target qubit") for t in self.targets)
         control = None if self.control is None else checked_count(self.control, "control qubit")
+        control_on = checked_count(self.control_on, "control polarity")
+        if control_on > 1:
+            raise ValueError(f"control polarity must be 0 or 1, got {control_on}")
         dim = 2 ** len(targets)
         m = checked_matrix(self.matrix, f"gate {self.label!r}", (dim, dim), "unitary")
         if len(set(targets)) != len(targets):
             raise ValueError("duplicate target qubits")
         if control is not None and control in targets:
             raise ValueError("control qubit cannot be a target")
-        if self.control_on not in (0, 1):
-            raise ValueError("control polarity must be 0 or 1")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "control", control)
+        object.__setattr__(self, "control_on", control_on)
 
 
 @dataclass(frozen=True)

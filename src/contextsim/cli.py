@@ -16,6 +16,7 @@ I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -47,7 +48,10 @@ _TEXT_OPTIONS = ("state", "output")
 _THETA_HELP = 'angle in radians, required; accepts floats, "pi", "acos(-0.75)"'
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later
+    call; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="contextsim",
         description="Evaluate contextuality and temporal-correlation inequalities "

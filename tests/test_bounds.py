@@ -136,6 +136,36 @@ class TestTemporalBound:
         res = temporal_search
         assert temporal_objective(res.argument["angles"]) == pytest.approx(res.optimum, abs=1e-9)
 
+    def test_default_search_pinned(self, temporal_search, monkeypatch):
+        # the line searches read ``_temporal_line``, so the objective runs
+        # only at the start and after each sweep; the converged optimum sits
+        # 1.5e-10 above the bound
+        objective, calls = bounds.temporal_objective, []
+
+        def counted(angles):
+            calls.append(1)
+            return objective(angles)
+
+        monkeypatch.setattr(bounds, "temporal_objective", counted)
+        res = temporal_bound_kcbs()
+        assert res == temporal_search
+        assert (res.iterations, res.converged) == (11, True)
+        assert 0 <= res.optimum - TSIRELSON <= 2e-10
+        assert len(calls) == res.iterations + 1
+
+    def test_default_result_is_exact(self, temporal_search):
+        # the line rounds as the objective does, so the search takes the
+        # steps it took when every trial called the objective
+        assert temporal_search.optimum == -4.045084971727863
+        assert temporal_search.argument["angles"] == [
+            -0.12567639509893253, 2.387604089234763, 4.900890932383913,
+            1.1309785158198018, 3.644243692245352,
+        ]
+
+    def test_temporal_line_checks_the_angle_count(self):
+        with pytest.raises(ValueError, match="5 angles"):
+            bounds._temporal_line([0.0] * 4, 0)
+
 
 class TestContextualBound:
     def test_symmetric_configuration_oracle(self):

@@ -104,10 +104,17 @@ class TestGateOpValidation:
         with pytest.raises(ValueError, match="control qubit"):
             GateOp("X", PAULI_X, (0,), control=control)
 
+    @pytest.mark.parametrize("on", [1.0, True, 2, -1, "1"])
+    def test_control_polarity_must_be_0_or_1(self, on):
+        # a float polarity used to construct and then fail in apply as a slice index
+        with pytest.raises(ValueError, match="control polarity"):
+            GateOp("X", PAULI_X, (1,), control=0, control_on=on)
+
     def test_numpy_indices_stored_as_ints(self):
-        op = GateOp("X", PAULI_X, (np.int64(1),), control=np.int32(0))
+        op = GateOp("X", PAULI_X, (np.int64(1),), control=np.int32(0), control_on=np.int64(1))
         assert op.targets == (1,) and type(op.targets[0]) is int
         assert op.control == 0 and type(op.control) is int
+        assert op.control_on == 1 and type(op.control_on) is int
         assert Circuit(2, (op,)).ops == (op,)
 
 

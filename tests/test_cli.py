@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import contextsim
-from contextsim import bounds, states
+from contextsim import bounds, cli, states
 from contextsim.cli import main
 from contextsim.inequalities import (
     eval_kcbs_temporal,
@@ -232,6 +232,25 @@ class TestCommands:
         assert main(["pentagon"]) == 2
         captured = capsys.readouterr()
         assert "--theta" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("first", ["rejected", "config"])
+    def test_earlier_call_leaves_the_shared_parser_unchanged(self, first, tmp_path, capsys):
+        # the parser is built once per process; what one call parsed must not
+        # reach the next
+        second = ["kcbs", "--theta", "1.0", "--format", "csv"]
+        cli._build_parser.cache_clear()
+        assert main(second) == 0
+        alone = capsys.readouterr()
+        if first == "rejected":
+            with pytest.raises(SystemExit):
+                main(["kcbs", "--method", "bogus", "--theta", "2.0"])
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"method": "sequential", "format": "json", "state": "1"}))
+            assert main(["--config", str(cfg), "kcbs", "--theta", "2.0"]) == 0
+        capsys.readouterr()
+        assert main(second) == 0
+        assert capsys.readouterr() == alone
 
     def test_config_keys_are_option_dests(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

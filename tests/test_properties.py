@@ -428,6 +428,20 @@ def test_bell_line_declines_near_collinear(data):
     assert bounds._bell_line(five, i) is None
 
 
+@pytest.mark.parametrize("kind", ["drawn", "grid", "collinear"])
+@given(data=st.data())
+def test_temporal_line_is_the_objective_bit_for_bit(kind, data):
+    # equality, not a tolerance: the line must steer golden section through
+    # the same comparisons as the public objective, which sums numpy cosines;
+    # a libm whose cos differs from numpy's fails here first
+    five = data.draw(cycle_tuples(kind))
+    for i in range(5):
+        x = data.draw(st.floats(five[i] - np.pi, five[i] + np.pi))
+        trial = five.copy()
+        trial[i] = x
+        assert bounds._temporal_line(five, i)(x) == bounds.temporal_objective(trial)
+
+
 @given(u=five_cycles(), data=st.data())
 def test_seesaw_line_matches_cross_product_form(u, data):
     psi = _unit(data.draw)
