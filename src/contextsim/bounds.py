@@ -20,8 +20,9 @@ c2 sin x, built once per line from one eigensolve of the four fixed
 penalties; a line whose kernel could change along it calls the public
 objective instead. The start, the value after each sweep and the convergence
 test always call the public objective. Terms accumulate one at a time in
-cycle order, never stacked, so the grid holds a few (M, 4, 4) arrays and a
-batch of one rounds exactly as a scalar sum.
+cycle order, never stacked, so a batch of one rounds exactly as a scalar sum.
+The Bell grid is screened by its cosine sums first: the constrained
+objective runs only on the few rows that can hold its minimum.
 
 All searches are deterministic: seeded restarts, fixed sweep order, golden-
 section line minimization.
@@ -41,7 +42,10 @@ from .sequential import correlator_sequential, joint_distribution
 from .states import mixed_state
 
 KERNEL_TOL = 1e-9
-MAX_RESOLUTION = 16  # the grid holds resolution**4 5-tuples: about 90 MB traced at 16
+MAX_RESOLUTION = 16  # the grid holds resolution**4 5-tuples: about 14 MB traced at 16
+# a Bell grid row is screened out when its cosine sum is this far above the
+# grid's lowest and its second penalty eigenvalue is at least this large
+_SCREEN_MARGIN = 1e-6
 
 TARGETS = ("bell-kcbs", "temporal-kcbs", "contextual-kcbs", "pentagon-lg")
 
@@ -203,7 +207,16 @@ def _coarse_minimum(batch_objective, resolution: int) -> np.ndarray:
 
 
 def _coarse_bell_minimum(resolution: int) -> np.ndarray:
-    return _coarse_minimum(_constrained_minima, resolution)
+    """``_coarse_minimum(_constrained_minima, resolution)``, screened. A row
+    whose second penalty eigenvalue, (5 - |sum_j exp(2i a_j)|)/2, is at least
+    _SCREEN_MARGIN has the pair state as its kernel, where the constrained
+    minimum is the cosine sum to 1e-12; so only rows within _SCREEN_MARGIN of
+    the lowest sum, or below that eigenvalue, can win, and keep their values."""
+    angles = _coarse_grid_tuples(resolution)
+    cosines = _cycle_cosines(angles)
+    second = (5 - np.abs(np.exp(2j * angles).sum(axis=-1))) / 2
+    kept = angles[(cosines <= cosines.min() + _SCREEN_MARGIN) | (second < _SCREEN_MARGIN)]
+    return kept[int(np.argmin(_constrained_minima(kept)))]
 
 
 def _coarse_temporal_minimum(resolution: int) -> np.ndarray:
@@ -291,6 +304,14 @@ def contextual_objective(vectors, psi) -> float:
     return float(5.0 - 4.0 * sum(float(np.dot(u, psi)) ** 2 for u in vectors))
 
 
+def _cross(a, b) -> np.ndarray:
+    """``np.cross`` of two 3-vectors, bit for bit (each product rounded, then
+    the difference), on Python floats: one seesaw search takes about 800, and
+    on a single pair ``np.cross`` pays some 30 times this in call overhead."""
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def _feasible_start(rng: np.random.Generator):
     for _ in range(200):
         u = [None] * 5
@@ -307,7 +328,7 @@ def _feasible_start(rng: np.random.Generator):
             u[i] = v / norm
         if not ok:
             continue
-        v = np.cross(u[3], u[0])
+        v = _cross(u[3], u[0])
         norm = np.linalg.norm(v)
         if norm < 1e-8:
             continue
@@ -341,9 +362,9 @@ def _seesaw_line(u, psi, i: int):
     if n1 < 1e-10:
         return None
     e1 /= n1
-    e2 = np.cross(u[im1], e1)
+    e2 = _cross(u[im1], e1)
     w = u[ip2]
-    products = np.array([e1, e2]) @ np.array([psi, np.cross(w, psi), w]).T
+    products = np.array([e1, e2]) @ np.array([psi, _cross(w, psi), w]).T
     (a1, b1, c1), (a2, b2, c2) = products.tolist()
     off_plane = float(w @ u[im1]) ** 2
     rest = sum(float(np.dot(u[j], psi)) ** 2 for j in range(5) if j not in (i, ip1))
@@ -380,7 +401,7 @@ def _contextual_seesaw(seed: int, iterations: int, tol: float):
             e1, e2, value = line
             phi = golden_section_minimize(value, -np.pi, np.pi, tol=1e-11)
             cand = np.cos(phi) * e1 + np.sin(phi) * e2
-            cross = np.cross(cand, u[(i + 2) % 5])
+            cross = _cross(cand, u[(i + 2) % 5])
             norm = np.linalg.norm(cross)
             if norm < 1e-12:
                 return None

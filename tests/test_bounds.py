@@ -114,6 +114,13 @@ class TestTsirelsonSearch:
         assert isinstance(res, BoundResult)
         assert math.isfinite(res.optimum)
 
+    @pytest.mark.parametrize("resolution", range(1, MAX_RESOLUTION + 1))
+    def test_screened_grid_start_is_the_full_grid_argmin(self, resolution):
+        # the screen drops rows that cannot win; the start, ties included,
+        # must be the one the constrained objective picks over the whole grid
+        full = bounds._coarse_minimum(bounds._constrained_minima, resolution)
+        assert np.array_equal(bounds._coarse_bell_minimum(resolution), full)
+
 
 class TestTemporalBound:
     def test_recovers_the_bound(self, temporal_search):

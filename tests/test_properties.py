@@ -9,8 +9,11 @@ per angle, the six-context sum is state independent, the identity noise
 model leaves a report unchanged, the Bell-side bound objective matches a
 null-space oracle and equals the cyclic cosine sum, its closed-form line
 objective matches it wherever it is used and is declined on near-collinear
-lines, and the seesaw's closed-form line objective matches the
-cross-product form. Each bound search's coarse start is also checked
+lines, the premise of the Bell grid screen holds (the second penalty
+eigenvalue has its closed form, and above the screen's margin the
+constrained minimum is the cosine sum), the seesaw's closed-form line
+objective matches the cross-product form, and its cross product is numpy's
+bit for bit. Each bound search's coarse start is also checked
 against its public scalar objective taken over the grid one tuple at a time. Every matrix a constructor stores
 (gate, slot observable and evolution, observable, density matrix) is
 accepted when drawn valid and rejected after one fault: a non-finite entry,
@@ -178,6 +181,15 @@ def cycle_tuples(draw, kind):
     picks = draw(st.lists(st.sampled_from(directions), min_size=5, max_size=5))
     shifts = draw(st.lists(st.integers(0, 3), min_size=5, max_size=5))
     return np.array(picks) + np.pi * np.array(shifts)
+
+
+@st.composite
+def near_collinear_tuples(draw, scales=(1e-7, 1e-6, 1e-5, 1e-4)):
+    """Five angles within a drawn scale of one drawn direction mod pi."""
+    scale = draw(st.sampled_from(scales))
+    offsets = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5)))
+    shifts = np.array(draw(st.lists(st.integers(0, 3), min_size=5, max_size=5)))
+    return draw(angles) + scale * offsets + np.pi * shifts
 
 
 def _normalized(v) -> np.ndarray:
@@ -419,13 +431,29 @@ def test_bell_line_matches_constrained_objective(kind, data):
 def test_bell_line_declines_near_collinear(data):
     # the four fixed directions lie within 1e-7 to 1e-4 of one direction
     # mod pi, where the kernel threshold can admit a second state
-    scale = data.draw(st.sampled_from([1e-7, 1e-6, 1e-5, 1e-4]))
-    offsets = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5)))
-    shifts = np.array(data.draw(st.lists(st.integers(0, 3), min_size=5, max_size=5)))
-    five = data.draw(angles) + scale * offsets + np.pi * shifts
+    five = data.draw(near_collinear_tuples())
     i = data.draw(st.integers(0, 4))
     five[i] = data.draw(angles)
     assert bounds._bell_line(five, i) is None
+
+
+@pytest.mark.parametrize("kind", ["drawn", "grid", "collinear", "near-collinear"])
+@given(data=st.data())
+def test_bell_grid_screen_premise(kind, data):
+    # the penalty sum_j (I - sigma_j x sigma_j)/2 is 0 on the pair state, 5 on
+    # the singlet and 5/2 -+ |sum_j exp(2i a_j)|/2 on the rest; where that
+    # second eigenvalue clears the screen's margin the kernel is the pair
+    # state alone, so the grid screen may read the cosine sum for the minimum.
+    # The near-collinear scales put the eigenvalue on both sides of the margin
+    if kind == "near-collinear":
+        five = data.draw(near_collinear_tuples(scales=(1e-5, 1e-4, 1e-3, 1e-2)))
+    else:
+        five = data.draw(cycle_tuples(kind))
+    penalty = sum(np.eye(4) - np.kron(_sigma(a), _sigma(a)) for a in five) / 2
+    second = (5 - abs(np.exp(2j * five).sum())) / 2
+    assert abs(np.linalg.eigvalsh(penalty)[1] - second) <= 1e-12
+    if second >= bounds._SCREEN_MARGIN:
+        assert abs(bounds._constrained_minima(five) - bounds._cycle_cosines(five)) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["drawn", "grid", "collinear"])
@@ -453,6 +481,22 @@ def test_seesaw_line_matches_cross_product_form(u, data):
     oracle = _moved_pair_oracle(u, psi, i, np.cos(phi) * e1 + np.sin(phi) * e2)
     assume(oracle is not None)
     assert abs(value(phi) - oracle) <= 1e-12
+
+
+# mantissa times a power of ten: zero and magnitudes up to 1e151, whose
+# products stay finite
+wide_floats = st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-150, 150))
+
+
+@given(
+    a=st.lists(wide_floats, min_size=3, max_size=3),
+    b=st.lists(wide_floats, min_size=3, max_size=3),
+)
+def test_cross_is_numpy_cross_bit_for_bit(a, b):
+    # equality, not a tolerance: the seesaw must take the steps it took with
+    # np.cross, and both round each product before the difference
+    a, b = np.array(a), np.array(b)
+    assert np.array_equal(bounds._cross(a, b), np.cross(a, b))
 
 
 @pytest.mark.parametrize("resolution", range(1, 6))
