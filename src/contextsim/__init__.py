@@ -21,7 +21,6 @@ from .inequalities import (
     eval_pm,
     eval_transformed_bell,
     pentagram_observable,
-    pm_square,
     sigma_theta,
 )
 from .noise import NoiseModel, apply_visibility, depolarize, fit_visibility
@@ -40,7 +39,6 @@ from .sequential import (
     OutcomeDistribution,
     correlator_sequential,
     joint_distribution,
-    luders_measure,
 )
 from .states import (
     QuantumState,

@@ -189,12 +189,17 @@ def _positive_tol(tol) -> float:
     return tol
 
 
-def _coarse_grid_tuples(resolution: int) -> np.ndarray:
-    """All angle 5-tuples over the grid, one per row, with the first angle
-    pinned to 0; a global angle shift changes neither spectra nor constraints."""
+def _checked_resolution(resolution) -> int:
     resolution = checked_count(resolution, "resolution", 1)
     if resolution > MAX_RESOLUTION:
         raise ValueError(f"resolution must be at most {MAX_RESOLUTION}, got {resolution}")
+    return resolution
+
+
+def _coarse_grid_tuples(resolution: int) -> np.ndarray:
+    """All angle 5-tuples over the grid, one per row, with the first angle
+    pinned to 0; a global angle shift changes neither spectra nor constraints."""
+    resolution = _checked_resolution(resolution)
     grid = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
     mesh = np.meshgrid(*([grid] * 4), indexing="ij")
     return np.stack([np.zeros(mesh[0].size)] + [m.reshape(-1) for m in mesh], axis=1)

@@ -6,6 +6,9 @@ One kernel applies every gate to the rows of a 2^n x r operand, viewed as a
 axes, a controlled gate only on its slice of the control axis. Gates compose
 left to right; a state vector is one column, and a mixed state maps to
 U (U rho)^dag = U rho U^dag because a stored rho is exactly Hermitian.
+
+``apply`` runs a circuit on a checked ``QuantumState``; ``evolve`` runs it
+on a bare vector or density matrix and checks nothing.
 """
 
 from __future__ import annotations
@@ -119,16 +122,23 @@ def embed(u: np.ndarray, targets, n: int) -> np.ndarray:
     return full_gate_matrix(op, n)
 
 
+def evolve(circuit: Circuit, operand: np.ndarray) -> np.ndarray:
+    """Run a circuit on a state vector (renormalized) or a density matrix
+    (mapped as U rho U^dag, renormalized to unit trace); unchecked."""
+    n = circuit.qubits
+    if operand.ndim == 1:
+        psi = _on_rows(circuit.ops, operand, n)
+        return psi / np.linalg.norm(psi)
+    rho = _on_rows(circuit.ops, _on_rows(circuit.ops, operand, n).conj().T, n)
+    return rho / np.trace(rho).real
+
+
 def apply(circuit: Circuit, state: QuantumState) -> QuantumState:
     """Run a circuit on a state; pure stays pure, mixed maps as U rho U^dag."""
     if circuit.qubits != state.qubits:
         raise ValueError(
             f"circuit on {circuit.qubits} qubits cannot act on a {state.qubits}-qubit state"
         )
-    n = circuit.qubits
     if state.is_pure:
-        psi = _on_rows(circuit.ops, state.amplitudes, n)
-        psi = psi / np.linalg.norm(psi)
-        return QuantumState(qubits=state.qubits, amplitudes=psi)
-    rho = _on_rows(circuit.ops, _on_rows(circuit.ops, state.rho, n).conj().T, n)
-    return QuantumState(qubits=state.qubits, rho=rho / np.trace(rho).real)
+        return QuantumState(qubits=state.qubits, amplitudes=evolve(circuit, state.amplitudes))
+    return QuantumState(qubits=state.qubits, rho=evolve(circuit, state.rho))

@@ -29,6 +29,7 @@ from .inequalities import (
     eval_pm,
     eval_transformed_bell,
 )
+from .linalg import checked_count
 from .noise import NoiseModel, depolarize
 from .report import emit_bounds, emit_report, with_noise
 from .scattering import parse_angle
@@ -161,6 +162,11 @@ def _evaluate(config: argparse.Namespace):
 
 
 def _run_bounds(config: argparse.Namespace):
+    # every search option is checked before any search runs, read or not
+    bounds_mod._checked_resolution(config.resolution)
+    for option in ("sweeps", "restarts", "iterations"):
+        checked_count(getattr(config, option), option, 1)
+    bounds_mod._positive_tol(config.tol)
     results = []
     targets = bounds_mod.TARGETS if config.target == "all" else (config.target,)
     for target in targets:

@@ -164,15 +164,6 @@ def pm_observable(label: str) -> Observable:
     return Observable(matrix=np.kron(PAULIS[left], PAULIS[right]), label=label)
 
 
-def pm_square() -> tuple[tuple[Observable, ...], ...]:
-    """The nine two-qubit observables as a 3x3 grid (rows as listed above)."""
-    return (
-        tuple(pm_observable(k) for k in ("A", "B", "C")),
-        tuple(pm_observable(k) for k in ("a", "b", "c")),
-        tuple(pm_observable(k) for k in ("alpha", "beta", "gamma")),
-    )
-
-
 def pentagram_observable(j: int) -> Observable:
     """The j-th of five single-qubit directions stepping by 4*pi/5 in the x-z
     plane; j = 0 is sigma_z."""
@@ -210,7 +201,7 @@ def eval_pm(state: QuantumState, method: str = "direct") -> InequalityReport:
         state=state,
         method=method,
         labels=[".".join(seq) for seq in PM_CONTEXTS],
-        specs=[_pm_term(seq) for seq in PM_CONTEXTS],
+        specs=_PM_SPECS,
         signs=PM_SIGNS,
         bound=4.0,
         direction="<=",
@@ -220,9 +211,8 @@ def eval_pm(state: QuantumState, method: str = "direct") -> InequalityReport:
 
 def _kcbs_cycle(theta: float) -> tuple[TimeSlot, ...]:
     """The five measurement slots (Z, theta, Z, theta, Z)."""
-    z_slot = slot((PAULI_Z,))
     th_slot = slot((PAULI_Z,), sigma_theta_evolution(theta))
-    return tuple(z_slot if k % 2 == 0 else th_slot for k in range(5))
+    return tuple(_Z_SLOT if k % 2 == 0 else th_slot for k in range(5))
 
 
 def _pair_specs(theta: float, pairs) -> list[TemporalCorrelationSpec]:
@@ -274,6 +264,14 @@ def _bell_term(r: int, q: int) -> TemporalCorrelationSpec:
     return TemporalCorrelationSpec(system_qubits=2, slots=(slot((PAULI_Z, PAULI_Z), evo),))
 
 
+# The fixed terms, built and checked once, at import: the six contexts of the
+# square, the Z slot of every cycle, and the five Bell terms and side conditions.
+_PM_SPECS = tuple(_pm_term(seq) for seq in PM_CONTEXTS)
+_Z_SLOT = slot((PAULI_Z,))
+_BELL_TERMS = tuple(_bell_term(r, (r + 1) % 5) for r in range(5))
+_BELL_SIDE_CONDITIONS = {f"A{j}.B{j}": _bell_term(j, j) for j in range(5)}
+
+
 def eval_transformed_bell(state: QuantumState, method: str = "direct") -> InequalityReport:
     """Five cross correlators <A_r B_{r+1}> of the pentagram family on two
     subsystems, with the side condition <A_j B_j> = 1 reported alongside.
@@ -288,10 +286,10 @@ def eval_transformed_bell(state: QuantumState, method: str = "direct") -> Inequa
         state=state,
         method=method,
         labels=[f"A{r}.B{(r + 1) % 5}" for r in range(5)],
-        specs=[_bell_term(r, (r + 1) % 5) for r in range(5)],
+        specs=_BELL_TERMS,
         signs=[1.0] * 5,
         bound=-3.0,
         direction=">=",
         prediction=float(5 * np.cos(4 * np.pi / 5)),
-        constraint_specs={f"A{j}.B{j}": _bell_term(j, j) for j in range(5)},
+        constraint_specs=_BELL_SIDE_CONDITIONS,
     )

@@ -1,10 +1,10 @@
-"""Report emission (table, structured JSON text, CSV) and parsing.
+"""Report emission: table, structured JSON text and CSV.
 
 The CSV schema is fixed: header ``inequality,term,theory,value,method``, one
 row per term, then a closing ``SUM`` row carrying the classical bound and the
 combination value. Numbers are printed with six decimals and a point
-separator regardless of locale. JSON keeps full float precision so that
-parsing it back reproduces the report field for field.
+separator regardless of locale. JSON holds every field of the report, with
+full float precision.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import json
 
 from .bounds import BoundResult
 from .inequalities import InequalityReport, is_violated, side_conditions_satisfied
-from .linalg import checked_count
 from .noise import NoiseModel, apply_visibility
 
 
@@ -37,27 +36,6 @@ def emit_csv(report: InequalityReport) -> str:
 def emit_json(report: InequalityReport) -> str:
     payload = dataclasses.asdict(report)
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def parse_report_json(text: str) -> InequalityReport:
-    raw = json.loads(text)
-    return InequalityReport(
-        name=raw["name"],
-        method=raw["method"],
-        terms=tuple((label, float(v)) for label, v in raw["terms"]),
-        term_signs=tuple(float(s) for s in raw["term_signs"]),
-        term_predictions=tuple(float(p) for p in raw["term_predictions"]),
-        blocks_per_term=tuple(checked_count(b, "block count") for b in raw["blocks_per_term"]),
-        sum=float(raw["sum"]),
-        classical_bound=float(raw["classical_bound"]),
-        bound_direction=raw["bound_direction"],
-        quantum_prediction=None if raw["quantum_prediction"] is None else float(raw["quantum_prediction"]),
-        violated=bool(raw["violated"]),
-        constraints=None
-        if raw["constraints"] is None
-        else tuple((label, float(v)) for label, v in raw["constraints"]),
-        constraints_satisfied=raw["constraints_satisfied"],
-    )
 
 
 def emit_table(report: InequalityReport) -> str:

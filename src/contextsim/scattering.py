@@ -23,9 +23,9 @@ import numpy as np
 
 from .circuits import (
     Circuit,
-    apply,
     controlled,
     embed,
+    evolve,
     hadamard,
     rx_matrix,
     ry_matrix,
@@ -96,50 +96,51 @@ def heisenberg_observable(ts: TimeSlot) -> np.ndarray:
     return ts.evolution.conj().T @ o @ ts.evolution
 
 
+# the probe's Hadamard, which opens and closes every probe circuit
+_PROBE_HADAMARD = hadamard(0)
+
+
 def build_scattering_circuit(spec: TemporalCorrelationSpec) -> Circuit:
     """The probe circuit on N+1 qubits; the probe is the extra qubit 0."""
     n = spec.system_qubits
     system = tuple(range(1, n + 1))
-    ops = [hadamard(0)]
+    ops = [_PROBE_HADAMARD]
     for k, ts in enumerate(spec.slots, start=1):
         ops.append(controlled(0, heisenberg_observable(ts), system, label=f"ctrl-O(t{k})"))
-    ops.append(hadamard(0))
+    ops.append(_PROBE_HADAMARD)
     return Circuit(n + 1, tuple(ops))
 
 
-def _probe_pauli(state: QuantumState, pauli: np.ndarray) -> float:
-    n = state.qubits
+def _probe_pauli(rho: np.ndarray, pauli: np.ndarray) -> float:
+    """<pauli> of the probe qubit (index 0) in the register density matrix ``rho``."""
+    n = rho.shape[0].bit_length() - 1
     if n < 1:
         raise ValueError("state has no probe qubit")
-    op = embed(pauli, [0], n)
-    return float(np.trace(density_of(state) @ op).real)
+    return float(np.trace(rho @ embed(pauli, [0], n)).real)
 
 
 def probe_sigma_z(state: QuantumState) -> float:
     """<sigma_z> of the probe qubit (index 0)."""
-    return _probe_pauli(state, PAULI_Z)
+    return _probe_pauli(density_of(state), PAULI_Z)
 
 
 def probe_sigma_y(state: QuantumState) -> float:
     """<sigma_y> of the probe qubit; after the circuit this is minus the
     imaginary part of tr(rho U) for the applied controlled product U."""
-    return _probe_pauli(state, PAULI_Y)
+    return _probe_pauli(density_of(state), PAULI_Y)
 
 
 def correlator_scattering(rho_sys: QuantumState, spec: TemporalCorrelationSpec) -> float:
-    """Probe readout of the n-point correlator: prepend a |0> probe, run the
-    circuit, return the probe's <sigma_z>."""
+    """Probe readout of the n-point correlator: run the circuit on the bare array
+    |0> x rho_sys (``rho_sys`` padded with zeros) and return the probe's <sigma_z>."""
     if rho_sys.qubits != spec.system_qubits:
         raise ValueError("state and spec disagree on the system size")
     circuit = build_scattering_circuit(spec)
+    dim = 2 ** rho_sys.qubits
     if rho_sys.is_pure:
-        amps = np.zeros(2 ** (rho_sys.qubits + 1), dtype=complex)
-        amps[: 2 ** rho_sys.qubits] = rho_sys.amplitudes
-        joint = QuantumState(qubits=rho_sys.qubits + 1, amplitudes=amps)
-    else:
-        probe = np.array([[1, 0], [0, 0]], dtype=complex)
-        joint = QuantumState(qubits=rho_sys.qubits + 1, rho=np.kron(probe, density_of(rho_sys)))
-    return probe_sigma_z(apply(circuit, joint))
+        psi = evolve(circuit, np.pad(rho_sys.amplitudes, (0, dim)))
+        return _probe_pauli(np.outer(psi, psi.conj()), PAULI_Z)
+    return _probe_pauli(evolve(circuit, np.pad(rho_sys.rho, (0, dim))), PAULI_Z)
 
 
 def correlator_direct(rho_sys: QuantumState, spec: TemporalCorrelationSpec) -> float:

@@ -7,17 +7,19 @@ slowest). A branch's trace is the probability of its outcome tuple, so the
 projection postulate's division by it is never taken and a zero-probability
 branch is a zero matrix. For dichotomic observables the +-1 projectors are
 (I +- O)/2 exactly, which sidesteps eigenvector phase ambiguity in degenerate
-eigenspaces. The input state is validated where it enters, as a
-``QuantumState``; the branches are not validated again.
+eigenspaces.
 
 Chains carry leading batch axes. The observables of a chain are one complex
 array of shape ``batch + (k, d, d)``: measurement k of every chain in the
 batch sits at ``[..., k, :, :]``. All chains start from the same state, so
 the branch stack has shape ``batch + (2^j, d, d)`` and the joint
 distribution ``batch + (2,)*k``. A single chain is the batch of shape ``()``.
-Each check runs on the whole stack at once, with the tolerances of a single
-chain: at every step each observable must be finite, Hermitian and square to
-I, and at the end each distribution must be non-negative and sum to 1.
+
+The state enters checked, as a ``QuantumState``. ``joint_distribution``
+checks the whole observable stack once, before the first step: each
+observable must be finite, Hermitian, square to I and match the state's
+dimension. ``luders_measure`` is the unchecked chain step; the branches are
+never checked. Each final distribution must be non-negative and sum to 1.
 """
 
 from __future__ import annotations
@@ -87,18 +89,14 @@ class OutcomeDistribution:
 
 
 def luders_measure(branches: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    """Measure one dichotomic observable per chain: ``obs`` has shape
-    ``batch + (d, d)`` and ``branches`` a shape that broadcasts with
+    """Measure one dichotomic observable per chain, unchecked: ``obs`` has
+    shape ``batch + (d, d)`` and ``branches`` a shape that broadcasts with
     ``batch + (m, d, d)``. Returns the ``batch + (2m, d, d)`` stack in which
     branch i splits into 2i (+1) and 2i + 1 (-1)."""
-    m = np.asarray(obs, dtype=complex)
-    check_observable(m, "measured observable")
-    if m.shape[-2:] != branches.shape[-2:]:
-        raise ValueError("observable dimension does not match the state")
     # batch + (1, 2, d, d): the +1 and -1 projectors (I +- O)/2
-    proj = (np.eye(m.shape[-1]) + _SIGNS[:, None, None] * m[..., None, None, :, :]) / 2
+    proj = (np.eye(obs.shape[-1]) + _SIGNS[:, None, None] * obs[..., None, None, :, :]) / 2
     split = proj @ branches[..., :, None, :, :] @ proj
-    return split.reshape(split.shape[:-4] + (-1,) + m.shape[-2:])
+    return split.reshape(split.shape[:-4] + (-1,) + obs.shape[-2:])
 
 
 def joint_distribution(state: QuantumState, obs_seq) -> OutcomeDistribution:
@@ -107,6 +105,10 @@ def joint_distribution(state: QuantumState, obs_seq) -> OutcomeDistribution:
     obs = _observable_stack(obs_seq)
     batch, k = obs.shape[:-3], obs.shape[-3]
     rho = density_of(state)
+    if obs.size:  # an empty chain measures nothing and is certain
+        check_observable(obs, "measured observable")
+        if obs.shape[-2:] != rho.shape:
+            raise ValueError("observable dimension does not match the state")
     branches = rho.reshape((1,) * (obs.ndim - 2) + rho.shape)  # broadcasts against every chain
     for i in range(k):
         branches = luders_measure(branches, obs[..., i, :, :])

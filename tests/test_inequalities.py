@@ -13,7 +13,6 @@ from contextsim.inequalities import (
     is_violated,
     pentagram_observable,
     pm_observable,
-    pm_square,
     sigma_theta,
 )
 from contextsim.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
@@ -60,11 +59,6 @@ class TestSquareFamily:
             m = pm_observable(label).matrix
             assert np.allclose(m, matrix)
             assert np.allclose(m @ m, np.eye(4))
-
-    def test_grid_shape(self):
-        grid = pm_square()
-        assert len(grid) == 3 and all(len(row) == 3 for row in grid)
-        assert [o.label for o in grid[0]] == ["A", "B", "C"]
 
     def test_rows_and_columns_commute(self):
         labels = [["A", "B", "C"], ["a", "b", "c"], ["alpha", "beta", "gamma"]]

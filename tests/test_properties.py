@@ -1,7 +1,8 @@
 """Property tests on drawn states, angles, gates, specs and measurement
 chains: gate matrices and circuit application match a dense permutation
 oracle, the three correlator routes agree term by term and on two-slot specs,
-the probe matches the trace form on specs of up to six slots, Lüders chains
+the probe matches the trace form on specs of up to six slots and equals the
+checked circuit on a probe-extended state bit for bit, Lüders chains
 match a closed-form oracle and marginalize to their prefixes, a batch of
 chains matches each chain run alone and rejects a non-dichotomic observable
 at any position, the pentagon readings match the evaluator and a scalar chain
@@ -43,9 +44,11 @@ from contextsim.report import with_noise
 from contextsim.scattering import (
     TemporalCorrelationSpec,
     TimeSlot,
+    build_scattering_circuit,
     correlator_direct,
     correlator_scattering,
     heisenberg_observable,
+    probe_sigma_z,
 )
 from contextsim.sequential import correlator_sequential, joint_distribution
 from contextsim.states import (
@@ -303,6 +306,21 @@ def test_scattering_matches_direct_on_long_specs(data):
     spec = data.draw(specs(qubits, data.draw(st.integers(1, 6))))
     state = data.draw(states(qubits))
     assert abs(correlator_scattering(state, spec) - correlator_direct(state, spec)) <= 1e-10
+
+
+@given(data=st.data())
+def test_probe_route_is_the_checked_circuit_bit_for_bit(data):
+    # correlator_scattering evolves bare arrays; the checked route builds a
+    # QuantumState for the probe-extended input and for the circuit's output
+    qubits = data.draw(st.integers(1, 3))
+    spec = data.draw(specs(qubits, data.draw(st.integers(0, 6))))
+    state = data.draw(states(qubits))
+    if state.is_pure:
+        joint = pure_state(np.kron([1, 0], state.amplitudes))
+    else:
+        joint = mixed_state(np.kron(np.diag([1, 0]), state.rho))
+    checked = probe_sigma_z(apply(build_scattering_circuit(spec), joint))
+    assert correlator_scattering(state, spec) == checked
 
 
 @given(data=st.data())

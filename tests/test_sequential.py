@@ -44,6 +44,9 @@ def _outcomes(dist):
 
 
 class TestLudersMeasure:
+    """``luders_measure`` is the unchecked chain step; the chains it runs on
+    are rejected by ``joint_distribution``, which checks them once."""
+
     def test_deterministic_branch(self):
         branches = luders_measure(_stack(basis_state(1, "0")), PAULI_Z)
         assert branches.shape == (2, 2, 2)
@@ -76,12 +79,15 @@ class TestLudersMeasure:
         assert traces == pytest.approx([0.5, 0.5, 0.0, 0.0], abs=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            luders_measure(_stack(basis_state(2, "00")), PAULI_Z)
+        for chain in ((PAULI_Z,), (PAULI_Z, PAULI_X)):
+            with pytest.raises(ValueError, match="dimension"):
+                joint_distribution(basis_state(2, "00"), chain)
 
     def test_non_dichotomic_observable_rejected(self):
         with pytest.raises(ValueError, match="identity"):
             correlator_sequential(basis_state(1, "1"), (np.diag([1, 0.5]),))
+        with pytest.raises(ValueError, match="identity"):
+            joint_distribution(basis_state(1, "1"), (Z_OBS, X_OBS, 2 * PAULI_Z))
         with pytest.raises(ValueError, match="Hermitian"):
             joint_distribution(basis_state(1, "0"), (Z_OBS, np.array([[0, 1], [0, 0]])))
 
@@ -233,10 +239,9 @@ class TestNonFiniteObservables:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.nan])
     def test_single_chain(self, bad):
         m = np.array([[bad, 0], [0, 1]], dtype=complex)
-        with pytest.raises(ValueError, match="non-finite"):
-            correlator_sequential(basis_state(1, "0"), (m,))
-        with pytest.raises(ValueError, match="non-finite"):
-            luders_measure(_stack(basis_state(1, "0")), m)
+        for chain in ((m,), (PAULI_Z, m), (PAULI_Z, PAULI_X, m, PAULI_Z)):
+            with pytest.raises(ValueError, match="non-finite"):
+                correlator_sequential(basis_state(1, "0"), chain)
 
     @pytest.mark.parametrize("position", [(0, 0, 0), (1, 2, 1), (2, 1, 2)])
     def test_any_batch_position(self, position):
