@@ -465,8 +465,8 @@ _PENTAGON_PAIRS = tuple((i, j) for i in range(5) for j in range(i + 1, 5))
 def _pentagon_cycle(theta) -> np.ndarray:
     """The five Heisenberg observables (Z, th, Z, th, Z) of the alternating
     cycle, shape ``theta.shape + (5, 2, 2)``: U^dag Z U with
-    U = sigma_theta_evolution(theta) on the odd slots, the product that
-    ``heisenberg_observable`` takes of the evaluators' slots."""
+    U = sigma_theta_evolution(theta) on the odd slots, the product that each
+    of the evaluators' ``TimeSlot``s makes once as its ``block``."""
     u = sigma_theta_evolution(theta)
     th = u.conj().swapaxes(-1, -2) @ PAULI_Z @ u
     z = np.broadcast_to(PAULI_Z, th.shape)

@@ -87,10 +87,6 @@ def hadamard(target: int) -> GateOp:
     return GateOp("H", HADAMARD, (target,))
 
 
-def controlled(control: int, u: np.ndarray, targets, label: str = "ctrl-U", on: int = 1) -> GateOp:
-    return GateOp(label, u, tuple(targets), control=control, control_on=on)
-
-
 def _on_rows(ops, rows: np.ndarray, n: int) -> np.ndarray:
     """Apply ``ops`` in order to the register index of a 2^n x r operand
     (or a length-2^n vector); returns a new array of the operand's shape."""

@@ -33,7 +33,6 @@ from .scattering import (
     TimeSlot,
     correlator_direct,
     correlator_scattering,
-    heisenberg_observable,
     sigma_theta_evolution,
     slot,
 )
@@ -179,7 +178,7 @@ def _term_value(state: QuantumState, spec: TemporalCorrelationSpec, method: str)
     if method == "direct":
         return correlator_direct(state, spec)
     if method == "sequential":
-        return correlator_sequential(state, tuple(heisenberg_observable(s) for s in spec.slots))
+        return correlator_sequential(state, tuple(s.block.matrix for s in spec.slots))
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 

@@ -47,9 +47,7 @@ def apply_visibility(ideal: float, n_blocks: int, v: float) -> float:
     """Contrast loss v^n_blocks applied multiplicatively to one correlator."""
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility {v} out of [0, 1]")
-    if n_blocks < 0:
-        raise ValueError("block count must be non-negative")
-    return float(v ** n_blocks * ideal)
+    return float(v ** checked_count(n_blocks, "block count") * ideal)
 
 
 def fit_visibility(pairs) -> float:

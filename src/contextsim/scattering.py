@@ -2,8 +2,8 @@
 
 A correlation spec lists time slots; each slot carries one 2x2 dichotomic
 observable per system qubit plus an evolution unitary for that instant. The
-probe circuit is Hadamard, one controlled Heisenberg-evolved observable per
-slot, Hadamard; the probe's <sigma_z> then equals the real part of
+probe circuit is Hadamard, each slot's controlled block (made and checked once,
+with the slot), Hadamard; the probe's <sigma_z> then equals the real part of
 tr(rho_sys * O(t_1) O(t_2) ... O(t_n)), with no mid-circuit collapse.
 
 Controlled blocks are emitted in slot order, so the block seen by the |1>
@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .circuits import (
     Circuit,
-    controlled,
+    GateOp,
     embed,
     evolve,
     hadamard,
@@ -47,10 +48,15 @@ _ROTATIONS = {"x": rx_matrix, "y": ry_matrix, "z": rz_matrix}
 
 @dataclass(frozen=True)
 class TimeSlot:
-    """Per-qubit observables plus the evolution unitary for one time instant."""
+    """Per-qubit observables plus the evolution unitary for one time instant.
+
+    ``block`` is the Heisenberg observable O(t) = U^dag (O_1 x ... x O_N) U as
+    a gate on qubits 1..N controlled by the probe (qubit 0), made and checked
+    as unitary once, here; every route reads it."""
 
     observables: tuple[np.ndarray, ...]
     evolution: np.ndarray
+    block: GateOp = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         obs = tuple(checked_matrix(o, "per-qubit observable", (2, 2), "dichotomic")
@@ -60,6 +66,9 @@ class TimeSlot:
         u = checked_matrix(self.evolution, "evolution", (2 ** len(obs),) * 2, "unitary")
         object.__setattr__(self, "observables", obs)
         object.__setattr__(self, "evolution", u)
+        object.__setattr__(self, "block", GateOp(
+            "slot observable U^dag (O_1 x ... x O_N) U", u.conj().T @ reduce(np.kron, obs) @ u,
+            tuple(range(1, len(obs) + 1)), control=0))
 
 
 @dataclass(frozen=True)
@@ -89,11 +98,8 @@ def sigma_theta_evolution(theta) -> np.ndarray:
 
 
 def heisenberg_observable(ts: TimeSlot) -> np.ndarray:
-    """U^dag (O_1 x ... x O_N) U for one slot."""
-    o = ts.observables[0]
-    for extra in ts.observables[1:]:
-        o = np.kron(o, extra)
-    return ts.evolution.conj().T @ o @ ts.evolution
+    """U^dag (O_1 x ... x O_N) U for one slot: the matrix of its block."""
+    return ts.block.matrix
 
 
 # the probe's Hadamard, which opens and closes every probe circuit
@@ -102,13 +108,8 @@ _PROBE_HADAMARD = hadamard(0)
 
 def build_scattering_circuit(spec: TemporalCorrelationSpec) -> Circuit:
     """The probe circuit on N+1 qubits; the probe is the extra qubit 0."""
-    n = spec.system_qubits
-    system = tuple(range(1, n + 1))
-    ops = [_PROBE_HADAMARD]
-    for k, ts in enumerate(spec.slots, start=1):
-        ops.append(controlled(0, heisenberg_observable(ts), system, label=f"ctrl-O(t{k})"))
-    ops.append(_PROBE_HADAMARD)
-    return Circuit(n + 1, tuple(ops))
+    blocks = (ts.block for ts in spec.slots)
+    return Circuit(spec.system_qubits + 1, (_PROBE_HADAMARD, *blocks, _PROBE_HADAMARD))
 
 
 def _probe_pauli(rho: np.ndarray, pauli: np.ndarray) -> float:
@@ -150,7 +151,7 @@ def correlator_direct(rho_sys: QuantumState, spec: TemporalCorrelationSpec) -> f
     dim = 2 ** spec.system_qubits
     u = np.eye(dim, dtype=complex)
     for ts in spec.slots:
-        u = u @ heisenberg_observable(ts)
+        u = u @ ts.block.matrix
     return float(np.trace(density_of(rho_sys) @ u).real)
 
 
@@ -174,6 +175,8 @@ def random_correlation_spec(
 
 def parse_angle(text) -> float:
     """An angle in radians: a finite float literal, "pi", "-pi", or "acos(x)"."""
+    if isinstance(text, bool):
+        raise ValueError(f"angle must be a number or a string, got {text!r}")
     if isinstance(text, str):
         t = text.strip().lower()
         if t == "pi":
@@ -244,7 +247,10 @@ def _spec_from_document(doc) -> TemporalCorrelationSpec:
         raise ValueError(f"system_qubits must be 1 to {MAX_QUBITS}")
     slots = []
     for raw in doc.get("slots", []):
-        obs = _resolve_observable_tokens(raw["observables"], n)
+        tokens = raw["observables"]
+        if not isinstance(tokens, list):
+            raise ValueError(f"observables must be a list, got {tokens!r}")
+        obs = _resolve_observable_tokens(tokens, n)
         evo = np.eye(2 ** n, dtype=complex)
         for rot in raw.get("evolution", []):
             axis = rot["axis"].lower()

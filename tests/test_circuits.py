@@ -5,7 +5,6 @@ from contextsim.circuits import (
     Circuit,
     GateOp,
     apply,
-    controlled,
     embed,
     full_gate_matrix,
     hadamard,
@@ -26,7 +25,7 @@ from contextsim.noise import depolarize
 
 
 def cnot(control, target):
-    return controlled(control, PAULI_X, (target,), label="CNOT")
+    return GateOp("CNOT", PAULI_X, (target,), control=control)
 
 
 def bell_prep_circuit():
@@ -150,7 +149,7 @@ class TestEmbed:
 class TestControlledPolarity:
     def test_on_one_is_lower_block(self):
         u = haar_random_unitary(2, np.random.default_rng(0))
-        full = full_gate_matrix(controlled(0, u, [1], on=1), 2)
+        full = full_gate_matrix(GateOp("ctrl-U", u, (1,), control=0, control_on=1), 2)
         expected = np.block(
             [[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), u]]
         )
@@ -158,7 +157,7 @@ class TestControlledPolarity:
 
     def test_on_zero_is_upper_block(self):
         u = haar_random_unitary(2, np.random.default_rng(1))
-        full = full_gate_matrix(controlled(0, u, [1], on=0), 2)
+        full = full_gate_matrix(GateOp("ctrl-U", u, (1,), control=0, control_on=0), 2)
         expected = np.block(
             [[u, np.zeros((2, 2))], [np.zeros((2, 2)), np.eye(2)]]
         )
@@ -168,7 +167,7 @@ class TestControlledPolarity:
         rng = np.random.default_rng(2)
         for _ in range(5):
             u = haar_random_unitary(4, rng)
-            full = full_gate_matrix(controlled(0, u, [1, 2]), 3)
+            full = full_gate_matrix(GateOp("ctrl-U", u, (1, 2), control=0), 3)
             assert np.max(np.abs(full.conj().T @ full - np.eye(8))) < 1e-9
 
 
@@ -190,7 +189,7 @@ class TestApply:
             GateOp("RY", ry_matrix(0.7), (1,)),
             cnot(0, 1),
             GateOp("RZ", rz_matrix(-1.1), (0,)),
-            controlled(1, haar_random_unitary(2, rng), [0]),
+            GateOp("ctrl-U", haar_random_unitary(2, rng), (0,), control=1),
         )
         forward = Circuit(2, ops)
         backward = Circuit(

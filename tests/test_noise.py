@@ -55,8 +55,9 @@ class TestVisibility:
     def test_validation(self):
         with pytest.raises(ValueError):
             apply_visibility(1.0, 2, 1.5)
-        with pytest.raises(ValueError):
-            apply_visibility(1.0, -1, 0.9)
+        for n_blocks in (-1, 2.5, True):
+            with pytest.raises(ValueError, match="block count"):
+                apply_visibility(1.0, n_blocks, 0.9)
         with pytest.raises(ValueError):
             NoiseModel(state_depolarizing_p=2.0)
 

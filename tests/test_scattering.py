@@ -106,6 +106,12 @@ class TestCircuitShape:
         assert circuit.qubits == 3
         assert len(circuit.ops) == 4  # H, two controlled blocks, H
 
+    def test_blocks_are_the_slots_own(self):
+        spec = random_correlation_spec(2, 3, np.random.default_rng(3))
+        blocks = build_scattering_circuit(spec).ops[1:-1]
+        assert len(blocks) == 3
+        assert all(op is ts.block for op, ts in zip(blocks, spec.slots))
+
 
 class TestProbeReadout:
     def test_probe_zero(self):
@@ -258,6 +264,12 @@ class TestSlotValidation:
         with pytest.raises(ValueError):
             TimeSlot(observables=(PAULI_Z,), evolution=np.eye(4, dtype=complex))
 
+    def test_block_checked_where_the_slot_is_built(self):
+        # dichotomic to 1e-9 but not unitary to 1e-10: the slot itself refuses
+        # it, naming its operator, instead of the probe route failing later
+        with pytest.raises(ValueError, match=r"slot observable U\^dag .* is not unitary"):
+            TimeSlot(observables=(PAULI_Z * (1 + 5e-11),), evolution=PAULI_I)
+
     def test_slot_count_must_match_system(self):
         with pytest.raises(ValueError):
             TemporalCorrelationSpec(system_qubits=2, slots=(slot((PAULI_Z,)),))
@@ -325,6 +337,9 @@ class TestSpecDocuments:
          {"system_qubits": 1, "slots": [{"observables": [["Z"]]}]},
          {"system_qubits": 1, "slots": [{"observables": ["Z"], "evolution": [{"axis": 1}]}]},
          {"system_qubits": 1, "slots": ["Z"]},
+         {"system_qubits": 2, "slots": [{"observables": "ZZ"}]},
+         {"system_qubits": 1, "slots": [{"observables": ["Z"], "evolution": [
+             {"axis": "y", "qubit": 0, "angle": True}]}]},
          {"system_qubits": [1]},
          [{"system_qubits": 1}],
          "Z"],
@@ -366,6 +381,6 @@ class TestSpecDocuments:
             parse_angle("acos(2)")
 
     def test_parse_angle_rejects_non_finite(self):
-        for text in ("nan", "inf", "-inf", float("nan"), float("inf")):
+        for text in ("nan", "inf", "-inf", float("nan"), float("inf"), True, False):
             with pytest.raises(ValueError, match="angle"):
                 parse_angle(text)

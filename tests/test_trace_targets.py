@@ -89,6 +89,9 @@ def test_tracer_counts_the_correlator_layers(monkeypatch):
     values = tracer.summary(lambda start, end: 1.0)
     assert tracer.missing == []
     assert values["circuits.embed.calls"] > 0 and values["sequential.branches"] > 0
+    # the slots' blocks were checked when the spec was built; the one gate
+    # check left is the readout's embed
+    assert values["circuits.gate_validate.calls"] == 1
     # both routes read the checked input state as it is
     assert values["states.validate.pure.calls"] == values["states.validate.mixed.calls"] == 0
     assert values["states.eigvalsh.calls"] == 0
