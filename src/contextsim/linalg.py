@@ -1,9 +1,12 @@
 """Dense complex matrix helpers for dimensions up to 16: shared tolerances,
 the Pauli matrices, sigma(theta), and validation.
 
-All operators in this package are plain ``numpy.ndarray`` values of dtype
-complex128 in row-major order. Every matrix that a constructor stores goes
-through :func:`checked_matrix`, and every count read from user input through
+All operators that this package stores are plain ``numpy.ndarray`` values of
+dtype complex128 in row-major order. One computation works on float64 real
+parts instead: a Lüders chain whose state and observables all have zero
+imaginary part (see ``sequential``), for which :func:`check_observable` takes
+real stacks as well. Every matrix that a constructor stores goes through
+:func:`checked_matrix`, and every count read from user input through
 :func:`checked_count`. Operations are pure functions and safe to call
 concurrently.
 """
@@ -37,7 +40,7 @@ def sigma_theta_matrix(theta) -> np.ndarray:
 def check_observable(m: np.ndarray, what: str, dichotomic: bool = True) -> None:
     """Raise ValueError unless ``m`` is finite, Hermitian and, when
     ``dichotomic``, squares to the identity; a stack of shape ``(..., d, d)``
-    is checked matrix by matrix."""
+    is checked matrix by matrix, complex or real."""
     if not np.isfinite(m).all():
         raise ValueError(f"{what} has non-finite entries")
     if not np.abs(m - m.conj().swapaxes(-1, -2)).max() <= ATOL:

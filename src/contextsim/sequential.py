@@ -15,11 +15,17 @@ batch sits at ``[..., k, :, :]``. All chains start from the same state, so
 the branch stack has shape ``batch + (2^j, d, d)`` and the joint
 distribution ``batch + (2,)*k``. A single chain is the batch of shape ``()``.
 
+A chain is real when the state's density matrix and every observable of the
+stack have zero imaginary part; it then runs on their float64 real parts, so
+its branches are float64. Any other chain runs in complex128. It is one code
+path: the dtype of the branches follows the inputs.
+
 The state enters checked, as a ``QuantumState``. ``joint_distribution``
 checks the whole observable stack once, before the first step: each
 observable must be finite, Hermitian, square to I and match the state's
 dimension. ``luders_measure`` is the unchecked chain step; the branches are
-never checked. Each final distribution must be non-negative and sum to 1.
+never checked. Each final distribution must be non-negative and sum to 1
+within :func:`_sum_tolerance`.
 """
 
 from __future__ import annotations
@@ -28,11 +34,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL, PRUNE_EPS, check_observable
+from .linalg import ATOL, ATOL_DICHOTOMIC, PRUNE_EPS, check_observable
 from .states import QuantumState, density_of
 
 # outcome value of index 0 (+1) and index 1 (-1) along each outcome axis
 _SIGNS = np.array([1.0, -1.0])
+
+
+def _sum_tolerance(d: int, k: int) -> float:
+    """How far the probabilities of a chain of ``k`` measurements on a
+    ``d``-dimensional state may sum from 1.
+
+    The state's trace is 1 within ATOL. A Lüders step maps each branch B to
+    P+ B P+ and P- B P- with P+- = (I +- O)/2; since P+^2 + P-^2 = (I + O^2)/2
+    it adds tr((O^2 - I) B)/2 to the total trace. The boundary admits O when
+    every entry of O^2 - I is within ATOL_DICHOTOMIC, so its operator norm is
+    at most d * ATOL_DICHOTOMIC, and as the branches are positive (up to the
+    state's eigenvalue floor, a second-order term) one step scales the total
+    by a factor within 1 +- d * ATOL_DICHOTOMIC / 2. Of the two ends after k
+    steps, the upper one lies farther from 1."""
+    return (1 + ATOL) * (1 + d * ATOL_DICHOTOMIC / 2) ** k - 1
 
 
 def _observable_stack(obs_seq) -> np.ndarray:
@@ -67,8 +88,9 @@ class OutcomeDistribution:
             raise ValueError(f"probabilities must have shape {shape}, got {p.shape}")
         # written so that NaN fails both checks
         sums = p.reshape(*obs.shape[:-3], -1).sum(axis=-1)
-        if not np.abs(sums - 1.0).max() <= ATOL:
-            raise ValueError(f"probabilities sum to {sums[~(np.abs(sums - 1.0) <= ATOL)][0]}, not 1")
+        tol = _sum_tolerance(obs.shape[-1], obs.shape[-3])
+        if not np.abs(sums - 1.0).max() <= tol:
+            raise ValueError(f"probabilities sum to {sums[~(np.abs(sums - 1.0) <= tol)][0]}, not 1")
         if not p.min() >= -PRUNE_EPS:
             raise ValueError("negative probability in outcome distribution")
         p.setflags(write=False)
@@ -92,7 +114,9 @@ def luders_measure(branches: np.ndarray, obs: np.ndarray) -> np.ndarray:
     """Measure one dichotomic observable per chain, unchecked: ``obs`` has
     shape ``batch + (d, d)`` and ``branches`` a shape that broadcasts with
     ``batch + (m, d, d)``. Returns the ``batch + (2m, d, d)`` stack in which
-    branch i splits into 2i (+1) and 2i + 1 (-1)."""
+    branch i splits into 2i (+1) and 2i + 1 (-1). The result has numpy's
+    common dtype of the inputs: float64 for the real parts of a real chain,
+    complex128 otherwise."""
     # batch + (1, 2, d, d): the +1 and -1 projectors (I +- O)/2
     proj = (np.eye(obs.shape[-1]) + _SIGNS[:, None, None] * obs[..., None, None, :, :]) / 2
     split = proj @ branches[..., :, None, :, :] @ proj
@@ -101,17 +125,21 @@ def luders_measure(branches: np.ndarray, obs: np.ndarray) -> np.ndarray:
 
 def joint_distribution(state: QuantumState, obs_seq) -> OutcomeDistribution:
     """Chain the measurements in sequence order, every chain of the batch on
-    ``state``; the final branch traces are the joint outcome probabilities."""
+    ``state``; the final branch traces are the joint outcome probabilities.
+    A real chain (see the module docstring) runs in float64."""
     obs = _observable_stack(obs_seq)
     batch, k = obs.shape[:-3], obs.shape[-3]
     rho = density_of(state)
+    # a real chain runs on the float64 real parts; NaN in an imaginary part
+    # counts as nonzero, so the check below still sees it
+    chain, rho = (obs, rho) if obs.imag.any() or rho.imag.any() else (obs.real, rho.real)
     if obs.size:  # an empty chain measures nothing and is certain
-        check_observable(obs, "measured observable")
+        check_observable(chain, "measured observable")
         if obs.shape[-2:] != rho.shape:
             raise ValueError("observable dimension does not match the state")
     branches = rho.reshape((1,) * (obs.ndim - 2) + rho.shape)  # broadcasts against every chain
     for i in range(k):
-        branches = luders_measure(branches, obs[..., i, :, :])
+        branches = luders_measure(branches, chain[..., i, :, :])
     probs = np.trace(branches, axis1=-2, axis2=-1).real.reshape(batch + (2,) * k)
     return OutcomeDistribution(observables=obs, probabilities=probs)
 

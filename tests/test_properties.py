@@ -5,9 +5,11 @@ the probe matches the trace form on specs of up to six slots and equals the
 checked circuit on a probe-extended state bit for bit, Lüders chains
 match a closed-form oracle and marginalize to their prefixes, a batch of
 chains matches each chain run alone and rejects a non-dichotomic observable
-at any position, the pentagon readings match the evaluator and a scalar chain
-per angle, the six-context sum is state independent, the identity noise
-model leaves a report unchanged, the Bell-side bound objective matches a
+at any position, a real chain runs in float64 and matches complex arithmetic
+to round-off while an imaginary part anywhere keeps the complex result, the
+pentagon readings match the evaluator and a scalar chain per angle, the
+six-context sum is state independent, the identity noise model leaves a
+report unchanged, the Bell-side bound objective matches a
 null-space oracle and equals the cyclic cosine sum, its closed-form line
 objective matches it wherever it is used and is declined on near-collinear
 lines, the premise of the Bell grid screen holds (the second penalty
@@ -20,6 +22,8 @@ against its public scalar objective taken over the grid one tuple at a time. Eve
 accepted when drawn valid and rejected after one fault: a non-finite entry,
 a wrong shape, or its property broken by 1e-6."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -27,7 +31,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from contextsim import bounds
+from contextsim import bounds, sequential
 from contextsim.circuits import Circuit, GateOp, apply, full_gate_matrix
 from contextsim.inequalities import (
     METHODS,
@@ -73,12 +77,14 @@ angles = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def states(draw, qubits):
-    """A pure state from drawn amplitudes, depolarized by a drawn p half the time."""
+def states(draw, qubits, real=False):
+    """A pure state from drawn amplitudes, depolarized by a drawn p half the
+    time; ``real`` draws real amplitudes, so the density matrix is real."""
     dim = 2 ** qubits
     coord = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
-    parts = draw(st.lists(coord, min_size=2 * dim, max_size=2 * dim))
-    amps = np.array(parts[:dim]) + 1j * np.array(parts[dim:])
+    size = dim if real else 2 * dim
+    parts = draw(st.lists(coord, min_size=size, max_size=size))
+    amps = np.array(parts[:dim]) + (0 if real else 1j * np.array(parts[dim:]))
     norm = np.linalg.norm(amps)
     assume(norm > 1e-3)
     psi = pure_state(amps / norm)
@@ -137,15 +143,17 @@ def _gate_oracle(op, n) -> np.ndarray:
 
 
 @st.composite
-def chains(draw, qubits, length):
+def chains(draw, qubits, length, real=False):
     """Dichotomic observables U diag(+-1) U^dag: drawn signs, and a Haar U
-    from a drawn seed."""
+    from a drawn seed; ``real`` takes an orthogonal U, the Q of a QR
+    factorization of a seeded Gaussian matrix."""
     dim = 2 ** qubits
     signs = st.lists(st.sampled_from((1.0, -1.0)), min_size=dim, max_size=dim)
     chain = []
     for _ in range(length):
         d = np.array(draw(signs))
-        u = haar_random_unitary(dim, np.random.default_rng(draw(seeds)))
+        rng = np.random.default_rng(draw(seeds))
+        u = np.linalg.qr(rng.standard_normal((dim, dim)))[0] if real else haar_random_unitary(dim, rng)
         chain.append((u * d) @ u.conj().T)
     return tuple(chain)
 
@@ -345,12 +353,14 @@ def test_trailing_axes_sum_to_shorter_chain(data):
 
 
 @st.composite
-def batched_chains(draw, qubits, length):
-    """A drawn batch shape of up to two axes, each of length 1-3, and an
-    observable stack of shape batch + (length, d, d) filled with drawn chains."""
-    batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
-    drawn = [draw(chains(qubits, length)) for _ in range(int(np.prod(batch, dtype=int)))]
-    return np.array(drawn).reshape(batch + (length,) + (2 ** qubits,) * 2)
+def batched_chains(draw, qubits, length, batch=None, real=False):
+    """A complex observable stack of shape batch + (length, d, d) filled with
+    drawn chains (``real`` ones have zero imaginary parts); a batch shape of
+    None is drawn, with up to two axes, each of length 1-3."""
+    if batch is None:
+        batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    drawn = [draw(chains(qubits, length, real)) for _ in range(int(np.prod(batch, dtype=int)))]
+    return np.array(drawn, dtype=complex).reshape(batch + (length,) + (2 ** qubits,) * 2)
 
 
 @given(data=st.data())
@@ -364,6 +374,65 @@ def test_batched_chain_matches_each_chain(data):
         one = joint_distribution(state, tuple(stack[idx]))
         assert np.max(np.abs(dist.probabilities[idx] - one.probabilities)) <= 1e-12
         assert abs(values[idx] - one.correlator()) <= 1e-12
+
+
+def _complex_probabilities(state, stack) -> np.ndarray:
+    """The joint distribution of a batch of chains in complex128 arithmetic:
+    ``luders_measure`` on complex copies of the density matrix and the
+    stack, whatever their imaginary parts."""
+    obs = np.asarray(stack, dtype=complex)
+    rho = density_of(state).astype(complex)
+    branches = rho.reshape((1,) * (obs.ndim - 2) + rho.shape)
+    for i in range(obs.shape[-3]):
+        branches = sequential.luders_measure(branches, obs[..., i, :, :])
+    return np.trace(branches, axis1=-2, axis2=-1).real.reshape(obs.shape[:-3] + (2,) * obs.shape[-3])
+
+
+def _recorded_chain(state, stack):
+    """``joint_distribution(state, stack)`` and the dtype of every branch
+    stack that its chain steps return."""
+    dtypes, step = [], sequential.luders_measure
+
+    def recorded(branches, obs):
+        out = step(branches, obs)
+        dtypes.append(out.dtype)
+        return out
+
+    with mock.patch.object(sequential, "luders_measure", recorded):
+        return joint_distribution(state, stack), dtypes
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("qubits", [1, 2, 3])
+@given(data=st.data())
+def test_real_chain_runs_in_float64(qubits, batch, data):
+    # the real parts give the complex arithmetic's probabilities up to
+    # round-off, not bit for bit
+    stack = data.draw(batched_chains(qubits, data.draw(st.integers(1, 5)), batch, real=True))
+    state = data.draw(states(qubits, real=True))
+    dist, dtypes = _recorded_chain(state, stack)
+    assert dtypes == [np.float64] * stack.shape[-3]
+    assert np.max(np.abs(dist.probabilities - _complex_probabilities(state, stack))) <= 1e-15
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("qubits", [1, 2, 3])
+@given(data=st.data())
+def test_chain_with_an_imaginary_part_runs_in_complex128(qubits, batch, data):
+    # an imaginary part in one observable or in the state makes the whole
+    # chain complex, with the probabilities of the complex arithmetic exactly
+    stack = data.draw(batched_chains(qubits, data.draw(st.integers(1, 5)), batch, real=True))
+    if data.draw(st.booleans()):
+        state = data.draw(states(qubits))
+        assume(density_of(state).imag.any())
+    else:
+        state = data.draw(states(qubits, real=True))
+        position = tuple(data.draw(st.integers(0, n - 1)) for n in stack.shape[:-2])
+        stack[position] = data.draw(chains(qubits, 1))[0]
+        assume(stack[position].imag.any())
+    dist, dtypes = _recorded_chain(state, stack)
+    assert dtypes == [np.complex128] * stack.shape[-3]
+    assert np.array_equal(dist.probabilities, _complex_probabilities(state, stack))
 
 
 @given(data=st.data())

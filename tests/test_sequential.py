@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from contextsim.inequalities import Observable, pm_observable, sigma_theta
-from contextsim.linalg import PAULI_X, PAULI_Z
+from contextsim.inequalities import METHODS, Observable, _term_value, pm_observable, sigma_theta
+from contextsim.linalg import ATOL, ATOL_DICHOTOMIC, PAULI_X, PAULI_Z
 from contextsim.scattering import (
+    TemporalCorrelationSpec,
     correlator_direct,
     heisenberg_observable,
     random_correlation_spec,
     random_dichotomic,
+    slot,
 )
 from contextsim.sequential import (
     OutcomeDistribution,
@@ -234,9 +236,36 @@ class TestOutcomeDistributionValidation:
         with pytest.raises(ValueError, match="shape"):
             OutcomeDistribution(observables=obs, probabilities=[1.0, 0.0])
 
+    def test_chain_of_admitted_slots_reads_on_every_route(self):
+        # each step on Z (1 + 4.9e-11) adds ((1 + 4.9e-11)^2 - 1)/2 to the
+        # total trace: three of them put the sum 1.47e-10 from 1, past the
+        # state's own normalization tolerance ATOL
+        z = PAULI_Z * (1 + 4.9e-11)
+        spec = TemporalCorrelationSpec(1, tuple(slot((o,)) for o in (z, PAULI_X) * 3))
+        dist = joint_distribution(basis_state(1, "0"), tuple(s.block.matrix for s in spec.slots))
+        assert abs(dist.probabilities.sum() - 1) > ATOL
+        for method in METHODS:
+            assert _term_value(basis_state(1, "0"), spec, method) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("qubits, length", [(1, 1), (2, 3), (3, 5)])
+    def test_sum_bound_is_reached_by_an_admitted_chain(self, qubits, length):
+        # O = I + c J (J all ones, J^2 = d J) squares to I + eps J, whose
+        # entries the boundary admits and whose norm is d eps; on the
+        # all-ones state each step scales the total trace by 1 + d eps / 2
+        d, eps = 2 ** qubits, 0.99 * ATOL_DICHOTOMIC
+        o = np.eye(d) + (np.sqrt(1 + d * eps) - 1) / d * np.ones((d, d))
+        dist = joint_distribution(pure_state(np.ones(d) / np.sqrt(d)), (o,) * length)
+        total = (1 + d * eps / 2) ** length
+        assert dist.probabilities.sum() == pytest.approx(total, abs=1e-14)
+        assert total - 1 > ATOL
+
 
 class TestNonFiniteObservables:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.nan])
+    # a NaN only in the real part leaves the chain real, a NaN only in the
+    # imaginary part makes it complex: both are rejected before any step
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, 1j * np.nan, complex(np.nan, 0.0), complex(0.0, np.nan)]
+    )
     def test_single_chain(self, bad):
         m = np.array([[bad, 0], [0, 1]], dtype=complex)
         for chain in ((m,), (PAULI_Z, m), (PAULI_Z, PAULI_X, m, PAULI_Z)):
@@ -245,10 +274,11 @@ class TestNonFiniteObservables:
 
     @pytest.mark.parametrize("position", [(0, 0, 0), (1, 2, 1), (2, 1, 2)])
     def test_any_batch_position(self, position):
-        obs = np.broadcast_to(PAULI_Z, (3, 3, 3, 2, 2)).copy()
-        obs[position + (1, 1)] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            joint_distribution(basis_state(1, "0"), obs)
+        for bad in (np.nan, complex(-1.0, np.nan)):
+            obs = np.broadcast_to(PAULI_Z, (3, 3, 3, 2, 2)).copy()
+            obs[position + (1, 1)] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                joint_distribution(basis_state(1, "0"), obs)
 
 
 class TestBatchAxis:
