@@ -2,10 +2,11 @@
 the probe-readout construction.
 
 One kernel applies every gate to the rows of a 2^n x r operand, viewed as a
-``[2] * n`` tensor (qubit 0 the leftmost axis): a gate acts on its target
-axes, a controlled gate only on its slice of the control axis. Gates compose
-left to right; a state vector is one column, and a mixed state maps to
-U (U rho)^dag = U rho U^dag because a stored rho is exactly Hermitian.
+``[2] * n`` tensor (qubit 0 the leftmost axis): a gate is one matrix product
+on a view with its target axes moved first, a controlled gate's view being
+its control slice. Gates compose left to right; a state vector is one column,
+and a mixed state maps to U (U rho)^dag = U rho U^dag because a stored rho
+is exactly Hermitian.
 
 ``apply`` runs a circuit on a checked ``QuantumState``; ``evolve`` runs it
 on a bare vector or density matrix and checks nothing.
@@ -89,17 +90,17 @@ def hadamard(target: int) -> GateOp:
 
 def _on_rows(ops, rows: np.ndarray, n: int) -> np.ndarray:
     """Apply ``ops`` in order to the register index of a 2^n x r operand
-    (or a length-2^n vector); returns a new array of the operand's shape."""
+    (or a length-2^n vector); returns a new array of the operand's shape. Each
+    gate is one product on a transposed view with its targets first, in gate
+    order; a control slice drops its axis, shifting the targets above it."""
     t = np.array(rows, dtype=complex).reshape([2] * n + [-1])
     for op in ops:
-        k = len(op.targets)
-        where = [slice(None)] * n
+        view, targets = t, op.targets
         if op.control is not None:
-            where[op.control] = slice(op.control_on, op.control_on + 1)
-        where = tuple(where)
-        gate = op.matrix.reshape([2] * (2 * k))
-        out = np.tensordot(gate, t[where], axes=(range(k, 2 * k), op.targets))
-        t[where] = np.moveaxis(out, range(k), op.targets)
+            view = t[(slice(None),) * op.control + (op.control_on,)]
+            targets = tuple(q - (q > op.control) for q in targets)
+        moved = view.transpose(targets + tuple(a for a in range(view.ndim) if a not in targets))
+        moved[...] = (op.matrix @ moved.reshape(2 ** len(targets), -1)).reshape(moved.shape)
     return t.reshape(rows.shape)
 
 

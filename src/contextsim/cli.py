@@ -212,9 +212,10 @@ def run(config: argparse.Namespace) -> int:
         status = _write(emit_bounds(results, config.format), config.output)
         if status != EXIT_OK:
             return status
-        if any(not r.converged for r in results):
-            return EXIT_NO_CONVERGENCE
-        return EXIT_OK
+        unconverged = [r for r in results if not r.converged]
+        for r in unconverged:
+            sys.stderr.write(f"{r.target}: no convergence in {r.iterations} iterations at tol {r.tolerance}\n")
+        return EXIT_NO_CONVERGENCE if unconverged else EXIT_OK
     report = _evaluate(config)
     return _write(emit_report(report, config.format), config.output)
 

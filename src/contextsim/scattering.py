@@ -136,12 +136,11 @@ def correlator_scattering(rho_sys: QuantumState, spec: TemporalCorrelationSpec) 
     |0> x rho_sys (``rho_sys`` padded with zeros) and return the probe's <sigma_z>."""
     if rho_sys.qubits != spec.system_qubits:
         raise ValueError("state and spec disagree on the system size")
-    circuit = build_scattering_circuit(spec)
-    dim = 2 ** rho_sys.qubits
-    if rho_sys.is_pure:
-        psi = evolve(circuit, np.pad(rho_sys.amplitudes, (0, dim)))
-        return _probe_pauli(np.outer(psi, psi.conj()), PAULI_Z)
-    return _probe_pauli(evolve(circuit, np.pad(rho_sys.rho, (0, dim))), PAULI_Z)
+    operand = rho_sys.amplitudes if rho_sys.is_pure else rho_sys.rho
+    padded = np.zeros([2 * d for d in operand.shape], dtype=complex)
+    padded[tuple(map(slice, operand.shape))] = operand
+    out = evolve(build_scattering_circuit(spec), padded)
+    return _probe_pauli(out if out.ndim == 2 else np.outer(out, out.conj()), PAULI_Z)
 
 
 def correlator_direct(rho_sys: QuantumState, spec: TemporalCorrelationSpec) -> float:

@@ -6,6 +6,7 @@ from contextsim.circuits import (
     GateOp,
     apply,
     embed,
+    evolve,
     full_gate_matrix,
     hadamard,
     ry_matrix,
@@ -169,6 +170,44 @@ class TestControlledPolarity:
             u = haar_random_unitary(4, rng)
             full = full_gate_matrix(GateOp("ctrl-U", u, (1, 2), control=0), 3)
             assert np.max(np.abs(full.conj().T @ full - np.eye(8))) < 1e-9
+
+
+class TestEvolveAxisBookkeeping:
+    """A control between two targets given out of order: the control slice
+    drops an axis, so target 3 is axis 2 of the slice while target 1 stays
+    axis 1. Pinned here so that this case runs on every test run."""
+
+    def _gate_and_oracle(self):
+        u = haar_random_unitary(4, np.random.default_rng(11))
+        op = GateOp("ctrl-U", u, (3, 1), control=2, control_on=0)
+        p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        # in qubit order (3, 1, 2, 0): u on (3, 1) when qubit 2 is |0>, identity elsewhere
+        ordered = np.kron(np.kron(u, p0) + np.kron(np.eye(4), p1), PAULI_I)
+        order = (3, 1, 2, 0)
+        axes = [order.index(q) for q in range(4)]
+        full = ordered.reshape([2] * 8).transpose(axes + [4 + a for a in axes]).reshape(16, 16)
+        return Circuit(4, (op,)), full
+
+    def test_pure_matches_permuted_kron_oracle(self):
+        circ, full = self._gate_and_oracle()
+        rng = np.random.default_rng(12)
+        psi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        psi /= np.linalg.norm(psi)
+        psi.setflags(write=False)  # as a QuantumState stores it
+        before = psi.copy()
+        assert np.max(np.abs(evolve(circ, psi) - full @ psi)) < 1e-12
+        assert np.array_equal(psi, before)
+
+    def test_mixed_matches_permuted_kron_oracle(self):
+        circ, full = self._gate_and_oracle()
+        rng = np.random.default_rng(13)
+        a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        rho = a @ a.conj().T
+        rho = (rho + rho.conj().T) / (2 * np.trace(rho).real)
+        rho.setflags(write=False)
+        before = rho.copy()
+        assert np.max(np.abs(evolve(circ, rho) - full @ rho @ full.conj().T)) < 1e-12
+        assert np.array_equal(rho, before)
 
 
 class TestApply:

@@ -129,8 +129,14 @@ class TestCommands:
     def test_temporal_search_runs_the_given_sweeps(self, capsys):
         # two sweeps are too few to test convergence, hence exit code 3
         assert main(["bounds", "--target", "temporal-kcbs", "--sweeps", "2", "--format", "csv"]) == 3
-        row = capsys.readouterr().out.strip().split("\n")[1].split(",")
+        captured = capsys.readouterr()
+        row = captured.out.strip().split("\n")[1].split(",")
         assert row[0] == "temporal-kcbs" and row[2:4] == ["False", "2"]
+        # exit code 3 says which target did not converge, and how far it got
+        (line,) = captured.err.splitlines()
+        assert "temporal-kcbs" in line and " 2 " in line and "1e-09" in line
+        assert main(["bounds", "--target", "temporal-kcbs", "--format", "csv"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_output_file_and_determinism(self, tmp_path, capsys):
         first = tmp_path / "a.json"
