@@ -31,7 +31,7 @@ section line minimization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -426,36 +426,20 @@ def contextual_bound_kcbs(iterations: int = 200, restarts: int = 8, tol: float =
     restarts = checked_count(restarts, "restarts", 1)
     iterations = checked_count(iterations, "iterations", 1)
     tol = _positive_tol(tol)
-    best = None
+    # the result when every restart aborts; each strictly better restart replaces it
+    result = BoundResult(target="contextual-kcbs", optimum=float("inf"), argument={}, iterations=0,
+                         converged=False, tolerance=tol)
     for seed in range(restarts):
         outcome = _contextual_seesaw(seed, iterations, tol)
         if outcome is None:
             continue
         value, u, psi, performed, converged = outcome
-        if best is None or value < best[0] - 1e-15:
-            best = (value, u, psi, performed, converged, seed)
-    if best is None:
-        return BoundResult(
-            target="contextual-kcbs",
-            optimum=float("inf"),
-            argument={},
-            iterations=0,
-            converged=False,
-            tolerance=tol,
-        )
-    value, u, psi, performed, converged, seed = best
-    return BoundResult(
-        target="contextual-kcbs",
-        optimum=value,
-        argument={
-            "vectors": [[float(x) for x in ui] for ui in u],
-            "state": [float(x) for x in psi],
-            "seed": seed,
-        },
-        iterations=performed,
-        converged=converged,
-        tolerance=tol,
-    )
+        if value < result.optimum - 1e-15:
+            argument = {"vectors": [[float(x) for x in ui] for ui in u], "state": [float(x) for x in psi],
+                        "seed": seed}
+            result = replace(result, optimum=value, argument=argument, iterations=performed,
+                             converged=converged)
+    return result
 
 
 # the ten pairs (i, j), i < j, of the five-measurement cycle, in report order

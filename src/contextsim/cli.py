@@ -9,8 +9,8 @@ for the chosen command; its keys must be option names of that command
 (``noise_p`` for ``--noise-p``) and its values strings or numbers. Each setting
 is parsed as an ``--option=value`` token placed before the command-line flags,
 so it passes the same checks as a flag, and flags still win. Exit codes:
-0 success, 2 invalid configuration, 3 bound search did not converge, 4 output
-I/O failure.
+0 success, 1 selftest check failed, 2 invalid configuration, 3 bound search
+did not converge, 4 output I/O failure.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ classical bound stop at 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,6 +89,11 @@ class InequalityReport:
     the measured ones unless a noise model intervened); ``blocks_per_term``
     counts the controlled readout blocks each term needs, which drives the
     visibility noise model.
+
+    ``sum`` (the signed combination in term order), ``violated`` and
+    ``constraints_satisfied`` (every side condition 1 within CONSTRAINT_ATOL;
+    None without side conditions) are derived from the terms, so they cannot
+    be passed in, and ``dataclasses.replace`` recomputes them.
     """
 
     name: str
@@ -97,13 +102,22 @@ class InequalityReport:
     term_signs: tuple[float, ...]
     term_predictions: tuple[float, ...]
     blocks_per_term: tuple[int, ...]
-    sum: float
+    sum: float = field(init=False)
     classical_bound: float
     bound_direction: str
     quantum_prediction: float | None
-    violated: bool
+    violated: bool = field(init=False)
     constraints: tuple[tuple[str, float], ...] | None = None
-    constraints_satisfied: bool | None = None
+    constraints_satisfied: bool | None = field(init=False)
+
+    def __post_init__(self):
+        total = float(sum(s * v for s, (_, v) in zip(self.term_signs, self.terms)))
+        satisfied = None
+        if self.constraints is not None:
+            satisfied = all(abs(v - 1.0) <= CONSTRAINT_ATOL for _, v in self.constraints)
+        object.__setattr__(self, "sum", total)
+        object.__setattr__(self, "violated", is_violated(total, self.classical_bound, self.bound_direction))
+        object.__setattr__(self, "constraints_satisfied", satisfied)
 
 
 def is_violated(total: float, bound: float, direction: str) -> bool:
@@ -114,26 +128,19 @@ def is_violated(total: float, bound: float, direction: str) -> bool:
     raise ValueError(f"unknown bound direction {direction!r}")
 
 
-def side_conditions_satisfied(constraints) -> bool | None:
-    """Whether every side-condition correlator is 1 within CONSTRAINT_ATOL;
-    None when the report has no side conditions."""
-    if constraints is None:
-        return None
-    return all(abs(v - 1.0) <= CONSTRAINT_ATOL for _, v in constraints)
-
-
 def _make_report(
-    name, state, method, labels, specs, signs, bound, direction, prediction,
+    name, state, method, qubits, labels, specs, signs, bound, direction, prediction,
     constraint_specs=None,
 ):
     """Evaluate one spec per term, and per labelled side condition, on ``method``."""
+    if state.qubits != qubits:
+        raise ValueError(f"this evaluator needs a {'single' if qubits == 1 else 'two'}-qubit state")
     values = [_term_value(state, spec, method) for spec in specs]
     constraints = None
     if constraint_specs is not None:
         constraints = tuple(
             (label, _term_value(state, spec, method)) for label, spec in constraint_specs.items()
         )
-    total = float(sum(s * v for s, v in zip(signs, values)))
     return InequalityReport(
         name=name,
         method=method,
@@ -141,13 +148,10 @@ def _make_report(
         term_signs=tuple(signs),
         term_predictions=tuple(values),
         blocks_per_term=tuple(len(spec.slots) for spec in specs),
-        sum=total,
         classical_bound=bound,
         bound_direction=direction,
         quantum_prediction=prediction,
-        violated=is_violated(total, bound, direction),
         constraints=constraints,
-        constraints_satisfied=side_conditions_satisfied(constraints),
     )
 
 
@@ -193,12 +197,11 @@ def _pm_term(label_seq) -> TemporalCorrelationSpec:
 def eval_pm(state: QuantumState, method: str = "direct") -> InequalityReport:
     """Six sequential three-measurement contexts; classical bound 4, quantum
     value 6 independent of the input state."""
-    if state.qubits != 2:
-        raise ValueError("this evaluator needs a two-qubit state")
     return _make_report(
         name="pm",
         state=state,
         method=method,
+        qubits=2,
         labels=[".".join(seq) for seq in PM_CONTEXTS],
         specs=_PM_SPECS,
         signs=PM_SIGNS,
@@ -214,47 +217,36 @@ def _kcbs_cycle(theta: float) -> tuple[TimeSlot, ...]:
     return tuple(_Z_SLOT if k % 2 == 0 else th_slot for k in range(5))
 
 
-def _pair_specs(theta: float, pairs) -> list[TemporalCorrelationSpec]:
+def _cycle_report(name, state, theta, method, pairs, bound, prediction) -> InequalityReport:
+    """One pair correlator <X_i X_j> per pair (i, j) of the alternating Z/theta
+    cycle, all with sign +1, against a classical floor."""
     cycle = _kcbs_cycle(theta)
-    return [TemporalCorrelationSpec(system_qubits=1, slots=(cycle[i], cycle[j])) for i, j in pairs]
+    return _make_report(
+        name=name,
+        state=state,
+        method=method,
+        qubits=1,
+        labels=[f"X{i + 1}.X{j + 1}" for i, j in pairs],
+        specs=[TemporalCorrelationSpec(system_qubits=1, slots=(cycle[i], cycle[j])) for i, j in pairs],
+        signs=[1.0] * len(pairs),
+        bound=bound,
+        direction=">=",
+        prediction=prediction,
+    )
 
 
 def eval_kcbs_temporal(state: QuantumState, theta: float, method: str = "direct") -> InequalityReport:
     """Five cyclic adjacent-pair correlators of the alternating Z/theta cycle;
     the combination equals 1 + 4 cos(theta) and its classical floor is -3."""
-    if state.qubits != 1:
-        raise ValueError("this evaluator needs a single-qubit state")
     pairs = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0))
-    return _make_report(
-        name="kcbs",
-        state=state,
-        method=method,
-        labels=[f"X{i + 1}.X{j + 1}" for i, j in pairs],
-        specs=_pair_specs(theta, pairs),
-        signs=[1.0] * 5,
-        bound=-3.0,
-        direction=">=",
-        prediction=float(1 + 4 * np.cos(theta)),
-    )
+    return _cycle_report("kcbs", state, theta, method, pairs, -3.0, float(1 + 4 * np.cos(theta)))
 
 
 def eval_pentagon_lg(state: QuantumState, theta: float, method: str = "direct") -> InequalityReport:
     """All ten pair correlators of the five-measurement cycle; the two-point
     reading gives 4 + 6 cos(theta) against the classical floor -2."""
-    if state.qubits != 1:
-        raise ValueError("this evaluator needs a single-qubit state")
     pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-    return _make_report(
-        name="pentagon",
-        state=state,
-        method=method,
-        labels=[f"X{i + 1}.X{j + 1}" for i, j in pairs],
-        specs=_pair_specs(theta, pairs),
-        signs=[1.0] * 10,
-        bound=-2.0,
-        direction=">=",
-        prediction=float(4 + 6 * np.cos(theta)),
-    )
+    return _cycle_report("pentagon", state, theta, method, pairs, -2.0, float(4 + 6 * np.cos(theta)))
 
 
 def _bell_term(r: int, q: int) -> TemporalCorrelationSpec:
@@ -278,12 +270,11 @@ def eval_transformed_bell(state: QuantumState, method: str = "direct") -> Inequa
     On the (|00>+|11>)/sqrt(2) state every term equals cos(4*pi/5) and the
     combination reaches -5 cos(pi/5), beating the classical floor -3.
     """
-    if state.qubits != 2:
-        raise ValueError("this evaluator needs a two-qubit state")
     return _make_report(
         name="bell",
         state=state,
         method=method,
+        qubits=2,
         labels=[f"A{r}.B{(r + 1) % 5}" for r in range(5)],
         specs=_BELL_TERMS,
         signs=[1.0] * 5,

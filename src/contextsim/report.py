@@ -13,12 +13,14 @@ import dataclasses
 import json
 
 from .bounds import BoundResult
-from .inequalities import InequalityReport, is_violated, side_conditions_satisfied
+from .inequalities import InequalityReport
 from .noise import NoiseModel, apply_visibility
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.6f}"
+    # a value that rounds to zero prints unsigned (0.0 * -1.0 is -0.0)
+    text = f"{x:.6f}"
+    return "0.000000" if text == "-0.000000" else text
 
 
 def emit_csv(report: InequalityReport) -> str:
@@ -70,13 +72,13 @@ def emit_report(report: InequalityReport, fmt: str) -> str:
 
 
 def with_noise(ideal: InequalityReport, noisy: InequalityReport, model: NoiseModel) -> InequalityReport:
-    """Degrade a report: values from the depolarized evaluation scaled by the
-    per-block visibility; the ideal values stay in the theory column."""
+    """Degrade a report by rescaling values only: the depolarized evaluation's
+    terms and side conditions scaled by the visibility of their readout blocks,
+    the ideal values moved to the theory column; the report derives the rest."""
     values = tuple(
         apply_visibility(value, blocks, model.block_visibility_v)
         for (_, value), blocks in zip(noisy.terms, noisy.blocks_per_term)
     )
-    total = float(sum(s * v for s, v in zip(ideal.term_signs, values)))
     constraints = None
     if noisy.constraints is not None:
         constraints = tuple(
@@ -87,10 +89,7 @@ def with_noise(ideal: InequalityReport, noisy: InequalityReport, model: NoiseMod
         ideal,
         terms=tuple((label, v) for (label, _), v in zip(ideal.terms, values)),
         term_predictions=tuple(v for _, v in ideal.terms),
-        sum=total,
-        violated=is_violated(total, ideal.classical_bound, ideal.bound_direction),
         constraints=constraints,
-        constraints_satisfied=side_conditions_satisfied(constraints),
     )
 
 

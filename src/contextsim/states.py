@@ -137,15 +137,19 @@ def state_from_literal(literal: str) -> QuantumState:
             raise ValueError(f"bitstring state has {len(literal)} qubits, more than {MAX_QUBITS}")
         return basis_state(len(literal), literal)
     if os.path.exists(literal):
+        try:
+            with open(literal, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except OSError as exc:  # a directory, or a file that cannot be read
+            raise ValueError(f"bad state file {literal!r}: {exc}") from exc
         pairs = []
-        with open(literal, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                fields = line.split()
-                if len(fields) != 2:
-                    raise ValueError(f"bad amplitude line {line!r} (expected 're im')")
-                pairs.append(complex(float(fields[0]), float(fields[1])))
+        for line in lines:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split()
+            if len(fields) != 2:
+                raise ValueError(f"bad amplitude line {line!r} (expected 're im')")
+            pairs.append(complex(float(fields[0]), float(fields[1])))
         return pure_state(np.array(pairs, dtype=complex))
     raise ValueError(f"unrecognized state literal {literal!r}")

@@ -210,6 +210,31 @@ class TestContextualBound:
         assert (performed, converged) == (sweeps, True)
         assert value == pytest.approx(CONTEXTUAL, abs=1e-9)
 
+    def test_every_restart_aborting_gives_the_empty_result(self, monkeypatch):
+        monkeypatch.setattr(bounds, "_contextual_seesaw", lambda seed, iterations, tol: None)
+        assert contextual_bound_kcbs(restarts=3, tol=1e-7) == bounds.BoundResult(
+            target="contextual-kcbs",
+            optimum=math.inf,
+            argument={},
+            iterations=0,
+            converged=False,
+            tolerance=1e-7,
+        )
+
+    def test_only_a_strictly_better_restart_replaces_the_result(self, monkeypatch):
+        # seed 0 aborts; seed 3 is below seed 2 by one ulp, less than the 1e-15 margin
+        values = {1: -3.0, 2: -3.5, 3: np.nextafter(-3.5, -4.0), 4: -3.25}
+
+        def seesaw(seed, iterations, tol):
+            if seed not in values:
+                return None
+            return values[seed], [np.full(3, seed)] * 5, np.zeros(3), 10 + seed, seed % 2 == 1
+
+        monkeypatch.setattr(bounds, "_contextual_seesaw", seesaw)
+        res = contextual_bound_kcbs(restarts=5)
+        assert (res.optimum, res.argument["seed"], res.iterations, res.converged) == (-3.5, 2, 12, False)
+        assert res.argument["vectors"] == [[2.0] * 3] * 5
+
     def test_line_is_infinite_where_the_pin_degenerates(self):
         # u_4 = y is orthogonal to u_2 = z, so the circle of u_0 around y
         # passes through z, where u_0 x u_2 vanishes

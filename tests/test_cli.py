@@ -45,6 +45,7 @@ class TestCsvContract:
     def test_empty_report_refused(self):
         rep = eval_pm(basis_state(2, "00"), "direct")
         hollow = dataclasses.replace(rep, terms=(), term_predictions=(), term_signs=())
+        assert hollow.sum == 0.0  # derived from the (empty) terms
         with pytest.raises(ValueError):
             emit_csv(hollow)
 
@@ -106,6 +107,19 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["sum"] == pytest.approx(6 * 0.92 ** 3, abs=1e-9)
         assert payload["term_predictions"][0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_visibility_prints_unsigned_zeros(self, capsys):
+        # gamma.c.C reads -1, and -1.0 * 0.0 is -0.0; JSON keeps the sign
+        assert main(["pm", "--visibility", "0", "--format", "csv"]) == 0
+        csv = capsys.readouterr().out
+        assert "pm,gamma.c.C,-1.000000,0.000000,direct" in csv.splitlines()
+        assert main(["pm", "--visibility", "0"]) == 0
+        table = capsys.readouterr().out
+        assert ["gamma.c.C", "-1.000000", "0.000000"] in [row.split() for row in table.splitlines()]
+        assert "-0.000000" not in csv + table
+        assert main(["pm", "--visibility", "0", "--format", "json"]) == 0
+        terms = json.loads(capsys.readouterr().out)["terms"]
+        assert terms[-1] == ["gamma.c.C", 0.0] and np.signbit(terms[-1][1])
 
     def test_bounds_single_target_csv(self, capsys):
         assert main(["bounds", "--target", "temporal-kcbs", "--format", "csv"]) == 0
@@ -331,6 +345,12 @@ class TestRejectedValues:
         assert main(["kcbs", "--theta", "1", "--state", str(path)]) == 2
         captured = capsys.readouterr()
         assert "power of two" in captured.err and captured.out == ""
+
+    def test_directory_as_state(self, tmp_path, capsys):
+        # opening a directory raises IsADirectoryError, an OSError
+        assert main(["pm", "--state", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert repr(str(tmp_path)) in captured.err and captured.out == ""
 
     def test_seed_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from contextsim.inequalities import (
+    CONSTRAINT_ATOL,
     METHODS,
     InequalityReport,
     Observable,
@@ -16,7 +19,8 @@ from contextsim.inequalities import (
     sigma_theta,
 )
 from contextsim.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
-from contextsim.noise import depolarize
+from contextsim.noise import NoiseModel, depolarize
+from contextsim.report import with_noise
 from contextsim.sequential import correlator_sequential
 from contextsim.states import (
     basis_state,
@@ -225,15 +229,48 @@ class TestEvalTransformedBell:
 
 class TestReportContract:
     def test_verdict_recomputable(self):
+        bell = eval_transformed_bell(bell_phi_plus(), "direct")
+        # the report that `bell --visibility 0.9` prints: every value scaled by
+        # one block's visibility, so the side conditions read 0.9
+        noisy_bell = with_noise(
+            bell,
+            eval_transformed_bell(depolarize(bell_phi_plus(), 0.0), "direct"),
+            NoiseModel(state_depolarizing_p=0.0, block_visibility_v=0.9),
+        )
         reports = [
             eval_pm(basis_state(2, "00"), "direct"),
             eval_kcbs_temporal(basis_state(1, "0"), 2.0, "direct"),
-            eval_transformed_bell(bell_phi_plus(), "direct"),
+            eval_pentagon_lg(basis_state(1, "0"), 2.0, "direct"),
+            bell,
+            noisy_bell,
         ]
         for rep in reports:
             assert rep.violated == is_violated(rep.sum, rep.classical_bound, rep.bound_direction)
             recomputed = sum(s * v for s, v in zip(rep.term_signs, (v for _, v in rep.terms)))
             assert rep.sum == pytest.approx(recomputed, abs=1e-12)
+            satisfied = None
+            if rep.constraints is not None:
+                satisfied = all(abs(v - 1.0) <= CONSTRAINT_ATOL for _, v in rep.constraints)
+            assert rep.constraints_satisfied == satisfied
+        assert bell.constraints_satisfied is True
+        assert noisy_bell.constraints_satisfied is False
+        assert f"{noisy_bell.sum:.6f}" == "-3.640576" and noisy_bell.violated
+
+    def test_derived_fields_cannot_be_passed(self):
+        derived = ("sum", "violated", "constraints_satisfied")
+        rep = eval_transformed_bell(bell_phi_plus(), "direct")
+        given = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep) if f.name not in derived}
+        assert InequalityReport(**given) == rep
+        for name in derived:
+            with pytest.raises(TypeError):
+                InequalityReport(**given, **{name: getattr(rep, name)})
+
+    def test_replace_recomputes_sum_and_verdict(self):
+        rep = eval_pm(basis_state(2, "00"), "direct")
+        assert (rep.sum, rep.violated) == (6.0, True)
+        halved = dataclasses.replace(rep, terms=tuple((label, 0.5) for label, _ in rep.terms))
+        # five terms at +0.5 and gamma.c.C at -0.5
+        assert (halved.sum, halved.violated) == (2.0, False)
 
     def test_observable_validation(self):
         with pytest.raises(ValueError):
