@@ -4,7 +4,10 @@ Commands: pm, kcbs, pentagon, bell (inequality evaluations), bounds
 (extremum searches), selftest (acceptance checks). Each evaluation builds one
 correlation spec per term; ``--method`` picks the route that reads it: the
 probe circuit, the trace closed form, or the invasive Lüders chain over the
-slots' Heisenberg observables. ``--config`` names a JSON object of settings
+slots' Heisenberg observables. ``--noise-p`` depolarizes the state for a
+second evaluation, whose values ``--visibility`` then rescales; a request with
+no depolarization (a visibility-only request) rescales the ideal values and
+evaluates once. ``--config`` names a JSON object of settings
 for the chosen command; its keys must be option names of that command
 (``noise_p`` for ``--noise-p``) and its values strings or numbers. Each setting
 is parsed as an ``--option=value`` token placed before the command-line flags,
@@ -157,7 +160,8 @@ def _evaluate(config: argparse.Namespace):
     ideal = evaluate(state)
     if config.noise is None:
         return ideal
-    noisy = evaluate(depolarize(state, config.noise.state_depolarizing_p))
+    p = config.noise.state_depolarizing_p
+    noisy = ideal if p == 0 else evaluate(depolarize(state, p))
     return with_noise(ideal, noisy, config.noise)
 
 

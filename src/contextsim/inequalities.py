@@ -8,6 +8,12 @@ observables, in slot order). For term families built from mutually commuting
 factors all three agree. A term needs one controlled readout block per slot,
 which is the block count the visibility noise model uses.
 
+The terms and side conditions of one evaluator share a slot count (three for
+the square, two for the cycles, one for the Bell form), so a report reads them
+all with one route call: the direct and sequential routes take them as one
+``(T, k, d, d)`` stack of the slots' blocks, and the probe route runs one
+circuit per term.
+
 The nine-entry square of two-qubit observables::
 
     A = Z x I    B = I x Z    C = Z x Z
@@ -31,12 +37,13 @@ from .circuits import ry_matrix
 from .scattering import (
     TemporalCorrelationSpec,
     TimeSlot,
-    correlator_direct,
+    block_stack,
     correlator_scattering,
     sigma_theta_evolution,
     slot,
+    stack_correlators_direct,
 )
-from .sequential import correlator_sequential
+from .sequential import stack_correlators_sequential
 from .states import QuantumState
 
 METHODS = ("scattering", "direct", "sequential")
@@ -132,15 +139,15 @@ def _make_report(
     name, state, method, qubits, labels, specs, signs, bound, direction, prediction,
     constraint_specs=None,
 ):
-    """Evaluate one spec per term, and per labelled side condition, on ``method``."""
+    """Evaluate one spec per term, and per labelled side condition, on
+    ``method``, all in one :func:`_spec_values` call: one block stack on the
+    direct and sequential routes, one circuit per term on the probe route."""
     if state.qubits != qubits:
         raise ValueError(f"this evaluator needs a {'single' if qubits == 1 else 'two'}-qubit state")
-    values = [_term_value(state, spec, method) for spec in specs]
-    constraints = None
-    if constraint_specs is not None:
-        constraints = tuple(
-            (label, _term_value(state, spec, method)) for label, spec in constraint_specs.items()
-        )
+    side = constraint_specs or {}
+    read = _spec_values(state, (*specs, *side.values()), method)
+    values = read[:len(specs)]
+    constraints = None if constraint_specs is None else tuple(zip(side, read[len(specs):]))
     return InequalityReport(
         name=name,
         method=method,
@@ -176,13 +183,16 @@ def pentagram_observable(j: int) -> Observable:
     return Observable(matrix=u.conj().T @ PAULI_Z @ u, label=f"sigma_{j}")
 
 
-def _term_value(state: QuantumState, spec: TemporalCorrelationSpec, method: str) -> float:
+def _spec_values(state: QuantumState, specs, method: str) -> list[float]:
+    """The correlator of each spec on ``method``. The specs share a register
+    and a slot count; the direct and sequential routes read them as one
+    ``(T, k, d, d)`` block stack, the probe route runs one circuit per spec."""
     if method == "scattering":
-        return correlator_scattering(state, spec)
+        return [correlator_scattering(state, spec) for spec in specs]
     if method == "direct":
-        return correlator_direct(state, spec)
+        return stack_correlators_direct(state, block_stack(specs))
     if method == "sequential":
-        return correlator_sequential(state, tuple(s.block.matrix for s in spec.slots))
+        return stack_correlators_sequential(state, block_stack(specs))
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 

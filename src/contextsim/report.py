@@ -74,7 +74,9 @@ def emit_report(report: InequalityReport, fmt: str) -> str:
 def with_noise(ideal: InequalityReport, noisy: InequalityReport, model: NoiseModel) -> InequalityReport:
     """Degrade a report by rescaling values only: the depolarized evaluation's
     terms and side conditions scaled by the visibility of their readout blocks,
-    the ideal values moved to the theory column; the report derives the rest."""
+    the ideal values moved to the theory column; the report derives the rest.
+    A visibility-only request passes ``ideal`` as ``noisy`` too, so its values
+    are the ideal ones rescaled."""
     values = tuple(
         apply_visibility(value, blocks, model.block_visibility_v)
         for (_, value), blocks in zip(noisy.terms, noisy.blocks_per_term)

@@ -143,15 +143,31 @@ def correlator_scattering(rho_sys: QuantumState, spec: TemporalCorrelationSpec) 
     return _probe_pauli(out if out.ndim == 2 else np.outer(out, out.conj()), PAULI_Z)
 
 
-def correlator_direct(rho_sys: QuantumState, spec: TemporalCorrelationSpec) -> float:
-    """Closed form Re tr(rho * O(t_1) ... O(t_n)); the empty product is 1."""
-    if rho_sys.qubits != spec.system_qubits:
+def block_stack(specs) -> np.ndarray:
+    """The slots' blocks of specs that share a register and a slot count, as
+    one ``(T, k, d, d)`` complex array: ``[t, i]`` is slot i of spec t."""
+    d = 2 ** specs[0].system_qubits
+    blocks = [[ts.block.matrix for ts in spec.slots] for spec in specs]
+    return np.array(blocks, dtype=complex).reshape(len(specs), -1, d, d)
+
+
+def stack_correlators_direct(rho_sys: QuantumState, stack: np.ndarray) -> list[float]:
+    """Closed form Re tr(rho * O(t_1) ... O(t_k)) of each spec of a ``(T, k, d, d)``
+    block stack: one batched product over the slot axis, then one trace against
+    the state. The empty product is 1."""
+    rho = density_of(rho_sys)
+    if stack.shape[-2:] != rho.shape:
         raise ValueError("state and spec disagree on the system size")
-    dim = 2 ** spec.system_qubits
-    u = np.eye(dim, dtype=complex)
-    for ts in spec.slots:
-        u = u @ ts.block.matrix
-    return float(np.trace(density_of(rho_sys) @ u).real)
+    u = np.eye(rho.shape[0], dtype=complex)[None].repeat(len(stack), axis=0)
+    for i in range(stack.shape[1]):
+        u = u @ stack[:, i]
+    return np.trace(rho @ u, axis1=-2, axis2=-1).real.tolist()
+
+
+def correlator_direct(rho_sys: QuantumState, spec: TemporalCorrelationSpec) -> float:
+    """Closed form Re tr(rho * O(t_1) ... O(t_n)) of one spec: the batch of one
+    of :func:`stack_correlators_direct`."""
+    return stack_correlators_direct(rho_sys, block_stack((spec,)))[0]
 
 
 def random_dichotomic(rng: np.random.Generator) -> np.ndarray:

@@ -101,13 +101,19 @@ class OutcomeDistribution:
         """Expectation of the product of the outcomes on ``axes`` (default:
         all), one per chain: a float for a single chain, an array of shape
         ``batch`` for a batch."""
-        p = self.probabilities
         b = self.observables.ndim - 3
-        operands = [p, list(range(p.ndim))]
-        for axis in range(p.ndim - b) if axes is None else axes:
-            operands += [_SIGNS, [b + axis]]
-        value = np.einsum(*operands, list(range(b)))
+        value = _product_mean(self.probabilities, b, axes)
         return float(value) if b == 0 else value
+
+
+def _product_mean(p: np.ndarray, b: int, axes=None):
+    """Mean of the product of the outcomes on ``axes`` (default: all) of the
+    distributions ``p`` of shape ``batch + (2,)*k``, ``b`` the batch rank: one
+    ``einsum`` over the whole batch."""
+    operands = [p, list(range(p.ndim))]
+    for axis in range(p.ndim - b) if axes is None else axes:
+        operands += [_SIGNS, [b + axis]]
+    return np.einsum(*operands, list(range(b)))
 
 
 def luders_measure(branches: np.ndarray, obs: np.ndarray) -> np.ndarray:
@@ -147,3 +153,12 @@ def joint_distribution(state: QuantumState, obs_seq) -> OutcomeDistribution:
 def correlator_sequential(state: QuantumState, obs_seq):
     """Expectation of the product of all outcomes of each chain."""
     return joint_distribution(state, obs_seq).correlator()
+
+
+def stack_correlators_sequential(state: QuantumState, stack: np.ndarray) -> list[float]:
+    """Expectation of the product of all outcomes of each chain of a
+    ``(T, k, d, d)`` stack, from one joint distribution of the batch. Each
+    chain's distribution is reduced on its own, as a lone chain's is: one
+    ``einsum`` over the batch sums in another order and may move a last bit."""
+    p = joint_distribution(state, stack).probabilities
+    return [float(_product_mean(chain, 0)) for chain in p]

@@ -108,6 +108,24 @@ class TestCommands:
         assert payload["sum"] == pytest.approx(6 * 0.92 ** 3, abs=1e-9)
         assert payload["term_predictions"][0] == pytest.approx(1.0, abs=1e-12)
 
+    def test_visibility_only_request_evaluates_once(self, capsys, monkeypatch):
+        calls = {"eval_pm": 0, "depolarize": 0}
+
+        def counted(name):
+            original = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counted(name))
+        assert main(["pm", "--visibility", "0.9", "--format", "json"]) == 0
+        assert calls == {"eval_pm": 1, "depolarize": 0}
+        assert json.loads(capsys.readouterr().out)["sum"] == pytest.approx(6 * 0.9 ** 3, abs=1e-12)
+
     def test_zero_visibility_prints_unsigned_zeros(self, capsys):
         # gamma.c.C reads -1, and -1.0 * 0.0 is -0.0; JSON keeps the sign
         assert main(["pm", "--visibility", "0", "--format", "csv"]) == 0

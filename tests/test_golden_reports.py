@@ -1,8 +1,9 @@
-"""The benchmark's golden-report check (``perfbench/golden.py``) re-emits 45
-CLI reports and compares them with the copies in ``perfbench/golden.json``:
-tables and CSV byte for byte, JSON numbers to 1e-12. This test runs that
-check in the default test run. It loads the module from its file and writes
-nothing under ``perfbench/``."""
+"""The golden outputs. The benchmark's golden-report check
+(``perfbench/golden.py``) re-emits 45 CLI reports and compares them with the
+copies in ``perfbench/golden.json``: tables and CSV byte for byte, JSON
+numbers to 1e-12. This test runs that check in the default test run. It loads
+the module from its file and writes nothing under ``perfbench/``. The
+``selftest`` text is compared byte for byte with ``golden_selftest.txt``."""
 
 import importlib.util
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 from contextsim import cli
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.py"
+GOLDEN_SELFTEST = Path(__file__).resolve().parent / "golden_selftest.txt"
 
 
 def _golden_module(monkeypatch):
@@ -30,3 +32,8 @@ def test_cli_reports_match_the_golden_copies(monkeypatch):
     golden = _golden_module(monkeypatch)
     assert len(golden.commands()) == 45
     assert golden.check(cli) == []
+
+
+def test_selftest_text_matches_the_golden_copy(capsys):
+    assert cli.main(["selftest"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == GOLDEN_SELFTEST.read_bytes()

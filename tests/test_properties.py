@@ -1,6 +1,8 @@
 """Property tests on drawn states, angles, gates, specs and measurement
 chains: gate matrices and circuit application match a dense permutation
 oracle, the three correlator routes agree term by term and on two-slot specs,
+a report's direct and sequential values equal each spec's lone route call bit
+for bit,
 the probe matches the trace form on specs of up to six slots and equals the
 checked circuit on a probe-extended state bit for bit, Lüders chains
 match a closed-form oracle and marginalize to their prefixes, a batch of
@@ -31,7 +33,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from contextsim import bounds, sequential
+from contextsim import bounds, inequalities, sequential
 from contextsim.circuits import Circuit, GateOp, apply, full_gate_matrix
 from contextsim.inequalities import (
     METHODS,
@@ -293,6 +295,23 @@ def test_routes_agree_term_by_term(name, data):
     for rep in reports[1:]:
         assert [label for label, _ in rep.terms] == [label for label, _ in reports[0].terms]
         assert np.max(np.abs(np.subtract(_values(rep), reference))) <= 1e-10
+
+
+@pytest.mark.parametrize("method", ["direct", "sequential"])
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
+@given(data=st.data())
+def test_report_reads_each_spec_as_its_lone_call_bit_for_bit(name, method, data):
+    # a report reads all its specs in one route call; each value must equal the
+    # spec's own route call in every bit, so the batch sums in the same order
+    qubits, evaluate = EVALUATORS[name]
+    state = data.draw(states(qubits, real=data.draw(st.booleans())))
+    with mock.patch.object(inequalities, "_spec_values", wraps=inequalities._spec_values) as read:
+        report = evaluate(state, data.draw(angles), method)
+    [call] = read.call_args_list
+    lone = [correlator_direct(state, spec) if method == "direct"
+            else correlator_sequential(state, tuple(ts.block.matrix for ts in spec.slots))
+            for spec in call.args[1]]
+    assert [v.hex() for v in _values(report)] == [v.hex() for v in lone]
 
 
 @pytest.mark.parametrize("qubits", [1, 2])

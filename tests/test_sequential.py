@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from contextsim.inequalities import METHODS, Observable, _term_value, pm_observable, sigma_theta
+from contextsim.inequalities import METHODS, Observable, _spec_values, pm_observable, sigma_theta
 from contextsim.linalg import ATOL, ATOL_DICHOTOMIC, PAULI_X, PAULI_Z
 from contextsim.scattering import (
     TemporalCorrelationSpec,
@@ -245,7 +245,8 @@ class TestOutcomeDistributionValidation:
         dist = joint_distribution(basis_state(1, "0"), tuple(s.block.matrix for s in spec.slots))
         assert abs(dist.probabilities.sum() - 1) > ATOL
         for method in METHODS:
-            assert _term_value(basis_state(1, "0"), spec, method) == pytest.approx(0.0, abs=1e-12)
+            [value] = _spec_values(basis_state(1, "0"), (spec,), method)
+            assert value == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("qubits, length", [(1, 1), (2, 3), (3, 5)])
     def test_sum_bound_is_reached_by_an_admitted_chain(self, qubits, length):
