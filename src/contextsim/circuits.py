@@ -1,15 +1,18 @@
 """Gate set and circuit application, including the controlled blocks used by
 the probe-readout construction.
 
-One kernel applies every gate to the rows of a 2^n x r operand, viewed as a
-``[2] * n`` tensor (qubit 0 the leftmost axis): a gate is one matrix product
-on a view with its target axes moved first, a controlled gate's view being
-its control slice. Gates compose left to right; a state vector is one column,
+One kernel applies every gate to the rows of a stack of T operands of 2^n x r,
+each viewed as a ``[2] * n`` tensor (qubit 0 the leftmost axis) after the
+batch axis: a gate is one batched matrix product on a view with its target
+axes moved first, a controlled gate's view being its control slice. A gate
+may carry one matrix per operand, so T circuits of one wiring run as one
+evolution. Gates compose left to right; a state vector is one column,
 and a mixed state maps to U (U rho)^dag = U rho U^dag because a stored rho
 is exactly Hermitian.
 
 ``apply`` runs a circuit on a checked ``QuantumState``; ``evolve`` runs it
-on a bare vector or density matrix and checks nothing.
+on a bare vector or density matrix, or runs a stack of circuits on a stack
+of them, and checks nothing.
 """
 
 from __future__ import annotations
@@ -88,25 +91,32 @@ def hadamard(target: int) -> GateOp:
     return GateOp("H", HADAMARD, (target,))
 
 
-def _on_rows(ops, rows: np.ndarray, n: int) -> np.ndarray:
-    """Apply ``ops`` in order to the register index of a 2^n x r operand
-    (or a length-2^n vector); returns a new array of the operand's shape. Each
-    gate is one product on a transposed view with its targets first, in gate
-    order; a control slice drops its axis, shifting the targets above it."""
-    t = np.array(rows, dtype=complex).reshape([2] * n + [-1])
-    for op in ops:
+def _on_rows(ops, matrices, rows: np.ndarray, n: int) -> np.ndarray:
+    """Apply gates in order to the register axis of a ``(T, 2^n, r)`` stack of
+    operands (or a ``(T, 2^n)`` stack of vectors); returns a new array of the
+    stack's shape. ``ops`` give each gate's wiring and ``matrices``, one for
+    one, its matrix: one ``(2^k, 2^k)`` matrix for the whole stack, or a
+    ``(T, 2^k, 2^k)`` stack whose entry t acts on operand t. Each gate is one
+    product on a transposed view with the batch axis, then its targets first,
+    in gate order; a control slice drops its axis, shifting the targets above
+    it. The working copy keeps the stack's memory order, so with the batch
+    axis outermost each operand runs exactly as it would alone."""
+    t = np.array(rows, dtype=complex).reshape([len(rows)] + [2] * n + [-1])
+    for op, m in zip(ops, matrices):
         view, targets = t, op.targets
         if op.control is not None:
-            view = t[(slice(None),) * op.control + (op.control_on,)]
+            view = t[(slice(None),) * (op.control + 1) + (op.control_on,)]
             targets = tuple(q - (q > op.control) for q in targets)
-        moved = view.transpose(targets + tuple(a for a in range(view.ndim) if a not in targets))
-        moved[...] = (op.matrix @ moved.reshape(2 ** len(targets), -1)).reshape(moved.shape)
+        if targets != tuple(range(len(targets))):  # not already first, in order
+            rest = (q for q in range(view.ndim - 1) if q not in targets)
+            view = view.transpose((0, *(q + 1 for q in (*targets, *rest))))
+        view[...] = (m @ view.reshape(len(t), m.shape[-1], -1)).reshape(view.shape)
     return t.reshape(rows.shape)
 
 
 def full_gate_matrix(op: GateOp, n: int) -> np.ndarray:
     """The 2^n x 2^n unitary implemented by one gate op."""
-    return _on_rows((op,), np.eye(2 ** n, dtype=complex), n)
+    return _on_rows((op,), (op.matrix,), np.eye(2 ** n, dtype=complex)[None], n)[0]
 
 
 def embed(u: np.ndarray, targets, n: int) -> np.ndarray:
@@ -119,15 +129,23 @@ def embed(u: np.ndarray, targets, n: int) -> np.ndarray:
     return full_gate_matrix(op, n)
 
 
-def evolve(circuit: Circuit, operand: np.ndarray) -> np.ndarray:
+def evolve(circuit: Circuit, operand: np.ndarray, matrices=None) -> np.ndarray:
     """Run a circuit on a state vector (renormalized) or a density matrix
-    (mapped as U rho U^dag, renormalized to unit trace); unchecked."""
-    n = circuit.qubits
-    if operand.ndim == 1:
-        psi = _on_rows(circuit.ops, operand, n)
-        return psi / np.linalg.norm(psi)
-    rho = _on_rows(circuit.ops, _on_rows(circuit.ops, operand, n).conj().T, n)
-    return rho / np.trace(rho).real
+    (mapped as U rho U^dag, renormalized to unit trace); unchecked.
+
+    Given ``matrices``, it runs a stack of T circuits of this wiring instead:
+    the operand is a ``(T, 2^n)`` stack of vectors or a ``(T, 2^n, 2^n)``
+    stack of density matrices, the gates take ``matrices`` in place of the
+    ops' own (see :func:`_on_rows`), and the T results return as one stack."""
+    if matrices is None:
+        return evolve(circuit, operand[None], [op.matrix for op in circuit.ops])[0]
+    ops, n = circuit.ops, circuit.qubits
+    if operand.ndim == 2:
+        psi = _on_rows(ops, matrices, operand, n)
+        # each row's norm summed as np.linalg.norm sums it for one vector
+        return psi / np.sqrt(np.vecdot(psi.real, psi.real) + np.vecdot(psi.imag, psi.imag))[:, None]
+    rho = _on_rows(ops, matrices, _on_rows(ops, matrices, operand, n).conj().swapaxes(-1, -2), n)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
 
 
 def apply(circuit: Circuit, state: QuantumState) -> QuantumState:

@@ -10,9 +10,10 @@ which is the block count the visibility noise model uses.
 
 The terms and side conditions of one evaluator share a slot count (three for
 the square, two for the cycles, one for the Bell form), so a report reads them
-all with one route call: the direct and sequential routes take them as one
-``(T, k, d, d)`` stack of the slots' blocks, and the probe route runs one
-circuit per term.
+all with one route call on one ``(T, k, d, d)`` stack of the slots' blocks:
+one batched product and one trace on the direct route, one joint
+distribution on the sequential route, and on the probe route one batched
+evolution of every term's circuit and one readout of the probe.
 
 The nine-entry square of two-qubit observables::
 
@@ -38,10 +39,10 @@ from .scattering import (
     TemporalCorrelationSpec,
     TimeSlot,
     block_stack,
-    correlator_scattering,
     sigma_theta_evolution,
     slot,
     stack_correlators_direct,
+    stack_correlators_scattering,
 )
 from .sequential import stack_correlators_sequential
 from .states import QuantumState
@@ -140,8 +141,7 @@ def _make_report(
     constraint_specs=None,
 ):
     """Evaluate one spec per term, and per labelled side condition, on
-    ``method``, all in one :func:`_spec_values` call: one block stack on the
-    direct and sequential routes, one circuit per term on the probe route."""
+    ``method``, all in one :func:`_spec_values` call on one block stack."""
     if state.qubits != qubits:
         raise ValueError(f"this evaluator needs a {'single' if qubits == 1 else 'two'}-qubit state")
     side = constraint_specs or {}
@@ -185,10 +185,11 @@ def pentagram_observable(j: int) -> Observable:
 
 def _spec_values(state: QuantumState, specs, method: str) -> list[float]:
     """The correlator of each spec on ``method``. The specs share a register
-    and a slot count; the direct and sequential routes read them as one
-    ``(T, k, d, d)`` block stack, the probe route runs one circuit per spec."""
+    and a slot count, and every route reads them as one ``(T, k, d, d)``
+    block stack (:func:`block_stack`) in one call; the probe route runs them
+    as one batched evolution with one readout."""
     if method == "scattering":
-        return [correlator_scattering(state, spec) for spec in specs]
+        return stack_correlators_scattering(state, specs)
     if method == "direct":
         return stack_correlators_direct(state, block_stack(specs))
     if method == "sequential":

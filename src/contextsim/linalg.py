@@ -19,7 +19,6 @@ import numpy as np
 ATOL = 1e-10          # hermiticity, unitarity, normalization, trace checks
 ATOL_DICHOTOMIC = 1e-9  # O^2 = I and spectral-reconstruction checks
 ATOL_STATE_PSD = 1e-9   # eigenvalue floor accepted for density matrices
-PRUNE_EPS = 1e-12       # negative-probability floor for outcome distributions
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)

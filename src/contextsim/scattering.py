@@ -11,6 +11,11 @@ branch of the probe is O(t_n) ... O(t_1); the real part of the readout is
 insensitive to that reversal because the product's adjoint reverses it back.
 probe_sigma_y exposes the sign-sensitive imaginary part of the applied
 product for diagnostics.
+
+Specs that share a register and a slot count form one ``(T, k, d, d)`` block
+stack, which the probe route reads with one batched evolution and one
+readout, and the direct route with one batched product and one trace; a lone
+spec is the batch of one.
 """
 
 from __future__ import annotations
@@ -77,9 +82,11 @@ class TemporalCorrelationSpec:
     slots: tuple[TimeSlot, ...]
 
     def __post_init__(self):
+        n = checked_count(self.system_qubits, "system_qubits", minimum=1)
+        object.__setattr__(self, "system_qubits", n)
         object.__setattr__(self, "slots", tuple(self.slots))
         for s in self.slots:
-            if len(s.observables) != self.system_qubits:
+            if len(s.observables) != n:
                 raise ValueError("slot size does not match the system qubit count")
 
 
@@ -112,35 +119,57 @@ def build_scattering_circuit(spec: TemporalCorrelationSpec) -> Circuit:
     return Circuit(spec.system_qubits + 1, (_PROBE_HADAMARD, *blocks, _PROBE_HADAMARD))
 
 
-def _probe_pauli(rho: np.ndarray, pauli: np.ndarray) -> float:
-    """<pauli> of the probe qubit (index 0) in the register density matrix ``rho``."""
-    n = rho.shape[0].bit_length() - 1
+def _probe_pauli(rho: np.ndarray, pauli: np.ndarray) -> np.ndarray:
+    """<pauli> of the probe qubit (index 0) in each register density matrix of
+    a ``(..., D, D)`` stack ``rho``, as an array of shape ``...``: one
+    ``embed`` and one batched product for the whole stack."""
+    n = rho.shape[-1].bit_length() - 1
     if n < 1:
         raise ValueError("state has no probe qubit")
-    return float(np.trace(rho @ embed(pauli, [0], n)).real)
+    return np.trace(rho @ embed(pauli, [0], n), axis1=-2, axis2=-1).real
 
 
 def probe_sigma_z(state: QuantumState) -> float:
     """<sigma_z> of the probe qubit (index 0)."""
-    return _probe_pauli(density_of(state), PAULI_Z)
+    return float(_probe_pauli(density_of(state), PAULI_Z))
 
 
 def probe_sigma_y(state: QuantumState) -> float:
     """<sigma_y> of the probe qubit; after the circuit this is minus the
     imaginary part of tr(rho U) for the applied controlled product U."""
-    return _probe_pauli(density_of(state), PAULI_Y)
+    return float(_probe_pauli(density_of(state), PAULI_Y))
+
+
+def stack_correlators_scattering(rho_sys: QuantumState, specs) -> list[float]:
+    """Probe readout of each of ``specs``, which share a register and a slot
+    count: every spec's circuit runs on the bare array |0> x rho_sys in one
+    batched evolution, and one readout takes the probe's <sigma_z> of all."""
+    if rho_sys.qubits != specs[0].system_qubits:
+        raise ValueError("state and spec disagree on the system size")
+    stack = block_stack(specs)
+    # One circuit wires the whole stack. block_stack forces one (k, d) on all
+    # specs, and every slot's block acts on qubits 1..N with control 0, so the
+    # register check of this circuit covers each spec of the stack.
+    circuit = build_scattering_circuit(specs[0])
+    h = _PROBE_HADAMARD.matrix
+    operand = rho_sys.amplitudes if rho_sys.is_pure else rho_sys.rho
+    # One full array, not a broadcast view: the kernel's copy keeps the memory
+    # order of its operand, and a zero-stride batch axis would be laid out
+    # innermost, which reorders the trace sums and moves last bits.
+    d = len(operand)
+    padded = np.zeros((len(stack),) + (2 * d,) * operand.ndim, dtype=complex)
+    padded[(slice(None),) + (slice(d),) * operand.ndim] = operand
+    out = evolve(circuit, padded, (h, *stack.swapaxes(0, 1), h))
+    if out.ndim == 2:
+        out = out[:, :, None] * out.conj()[:, None, :]
+    return _probe_pauli(out, PAULI_Z).tolist()
 
 
 def correlator_scattering(rho_sys: QuantumState, spec: TemporalCorrelationSpec) -> float:
-    """Probe readout of the n-point correlator: run the circuit on the bare array
-    |0> x rho_sys (``rho_sys`` padded with zeros) and return the probe's <sigma_z>."""
-    if rho_sys.qubits != spec.system_qubits:
-        raise ValueError("state and spec disagree on the system size")
-    operand = rho_sys.amplitudes if rho_sys.is_pure else rho_sys.rho
-    padded = np.zeros([2 * d for d in operand.shape], dtype=complex)
-    padded[tuple(map(slice, operand.shape))] = operand
-    out = evolve(build_scattering_circuit(spec), padded)
-    return _probe_pauli(out if out.ndim == 2 else np.outer(out, out.conj()), PAULI_Z)
+    """Probe readout of the n-point correlator: the probe's <sigma_z> after
+    the circuit runs on |0> x rho_sys; the batch of one of
+    :func:`stack_correlators_scattering`."""
+    return stack_correlators_scattering(rho_sys, (spec,))[0]
 
 
 def block_stack(specs) -> np.ndarray:

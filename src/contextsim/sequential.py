@@ -24,8 +24,9 @@ The state enters checked, as a ``QuantumState``. ``joint_distribution``
 checks the whole observable stack once, before the first step: each
 observable must be finite, Hermitian, square to I and match the state's
 dimension. ``luders_measure`` is the unchecked chain step; the branches are
-never checked. Each final distribution must be non-negative and sum to 1
-within :func:`_sum_tolerance`.
+never checked. Each final distribution must sum to 1 within
+:func:`_sum_tolerance`, and no probability may fall below 0 by more than
+:func:`_probability_floor`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL, ATOL_DICHOTOMIC, PRUNE_EPS, check_observable
+from .linalg import ATOL, ATOL_DICHOTOMIC, ATOL_STATE_PSD, check_observable
 from .states import QuantumState, density_of
 
 # outcome value of index 0 (+1) and index 1 (-1) along each outcome axis
@@ -54,6 +55,20 @@ def _sum_tolerance(d: int, k: int) -> float:
     by a factor within 1 +- d * ATOL_DICHOTOMIC / 2. Of the two ends after k
     steps, the upper one lies farther from 1."""
     return (1 + ATOL) * (1 + d * ATOL_DICHOTOMIC / 2) ** k - 1
+
+
+def _probability_floor(d: int, k: int) -> float:
+    """How far below 0 a probability of a chain of ``k`` measurements on a
+    ``d``-dimensional state may read.
+
+    A branch's probability is tr(rho E) with E = P_1 ... P_k ... P_1, which is
+    positive. The boundary admits a state with eigenvalues down to
+    -ATOL_STATE_PSD, so its negative part has trace at most
+    d * ATOL_STATE_PSD, and tr(rho E) >= -d * ATOL_STATE_PSD * ||E||. The
+    eigenvalues of an admitted O have squares within d * ATOL_DICHOTOMIC of 1,
+    so each (I +- O)/2 has norm at most 1 + d * ATOL_DICHOTOMIC / 4 and
+    ||E|| <= (1 + d * ATOL_DICHOTOMIC) ** k."""
+    return d * ATOL_STATE_PSD * (1 + d * ATOL_DICHOTOMIC) ** k
 
 
 def _observable_stack(obs_seq) -> np.ndarray:
@@ -91,7 +106,7 @@ class OutcomeDistribution:
         tol = _sum_tolerance(obs.shape[-1], obs.shape[-3])
         if not np.abs(sums - 1.0).max() <= tol:
             raise ValueError(f"probabilities sum to {sums[~(np.abs(sums - 1.0) <= tol)][0]}, not 1")
-        if not p.min() >= -PRUNE_EPS:
+        if not p.min() >= -_probability_floor(obs.shape[-1], obs.shape[-3]):
             raise ValueError("negative probability in outcome distribution")
         p.setflags(write=False)
         object.__setattr__(self, "observables", obs)

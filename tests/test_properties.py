@@ -1,9 +1,9 @@
 """Property tests on drawn states, angles, gates, specs and measurement
 chains: gate matrices and circuit application match a dense permutation
 oracle, the three correlator routes agree term by term and on two-slot specs,
-a report's direct and sequential values equal each spec's lone route call bit
-for bit,
-the probe matches the trace form on specs of up to six slots and equals the
+a report's values equal each spec's lone route call bit for bit on every
+route, a batched probe evolution of a drawn stack equals each spec's lone
+probe call bit for bit, the probe matches the trace form on specs of up to six slots and equals the
 checked circuit on a probe-extended state bit for bit, Lüders chains
 match a closed-form oracle and marginalize to their prefixes, a batch of
 chains matches each chain run alone and rejects a non-dichotomic observable
@@ -55,6 +55,7 @@ from contextsim.scattering import (
     correlator_scattering,
     heisenberg_observable,
     probe_sigma_z,
+    stack_correlators_scattering,
 )
 from contextsim.sequential import correlator_sequential, joint_distribution
 from contextsim.states import (
@@ -297,7 +298,15 @@ def test_routes_agree_term_by_term(name, data):
         assert np.max(np.abs(np.subtract(_values(rep), reference))) <= 1e-10
 
 
-@pytest.mark.parametrize("method", ["direct", "sequential"])
+# method -> the lone route call of one spec
+LONE_CALLS = {
+    "scattering": correlator_scattering,
+    "direct": correlator_direct,
+    "sequential": lambda s, spec: correlator_sequential(s, [ts.block.matrix for ts in spec.slots]),
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("name", sorted(EVALUATORS))
 @given(data=st.data())
 def test_report_reads_each_spec_as_its_lone_call_bit_for_bit(name, method, data):
@@ -308,10 +317,20 @@ def test_report_reads_each_spec_as_its_lone_call_bit_for_bit(name, method, data)
     with mock.patch.object(inequalities, "_spec_values", wraps=inequalities._spec_values) as read:
         report = evaluate(state, data.draw(angles), method)
     [call] = read.call_args_list
-    lone = [correlator_direct(state, spec) if method == "direct"
-            else correlator_sequential(state, tuple(ts.block.matrix for ts in spec.slots))
-            for spec in call.args[1]]
+    lone = [LONE_CALLS[method](state, spec) for spec in call.args[1]]
     assert [v.hex() for v in _values(report)] == [v.hex() for v in lone]
+
+
+@given(data=st.data())
+def test_probe_stack_reads_each_spec_as_its_lone_call_bit_for_bit(data):
+    # one batched probe evolution of 1-10 specs; each value equals the spec's
+    # lone call in every bit, so no operand of the stack runs differently
+    qubits = data.draw(st.integers(1, 3))
+    slots = data.draw(st.integers(0, 6))
+    stack = data.draw(st.lists(specs(qubits, slots), min_size=1, max_size=10))
+    state = data.draw(states(qubits))
+    values = stack_correlators_scattering(state, stack)
+    assert [v.hex() for v in values] == [correlator_scattering(state, spec).hex() for spec in stack]
 
 
 @pytest.mark.parametrize("qubits", [1, 2])

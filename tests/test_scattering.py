@@ -274,6 +274,11 @@ class TestSlotValidation:
         with pytest.raises(ValueError):
             TemporalCorrelationSpec(system_qubits=2, slots=(slot((PAULI_Z,)),))
 
+    @pytest.mark.parametrize("qubits", [1.0, True, "1", 0])
+    def test_register_size_must_be_a_positive_integer(self, qubits):
+        with pytest.raises(ValueError, match="system_qubits"):
+            TemporalCorrelationSpec(system_qubits=qubits, slots=(slot((PAULI_Z,)),))
+
 
 class TestSpecDocuments:
     def test_square_tokens(self):

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from contextsim.inequalities import METHODS, Observable, _spec_values, pm_observable, sigma_theta
+from contextsim.inequalities import (
+    METHODS,
+    Observable,
+    _spec_values,
+    eval_kcbs_temporal,
+    pm_observable,
+    sigma_theta,
+)
 from contextsim.linalg import ATOL, ATOL_DICHOTOMIC, PAULI_X, PAULI_Z
 from contextsim.scattering import (
     TemporalCorrelationSpec,
@@ -18,6 +25,7 @@ from contextsim.sequential import (
     luders_measure,
 )
 from contextsim.states import (
+    QuantumState,
     basis_state,
     density_of,
     haar_random_state,
@@ -247,6 +255,23 @@ class TestOutcomeDistributionValidation:
         for method in METHODS:
             [value] = _spec_values(basis_state(1, "0"), (spec,), method)
             assert value == pytest.approx(0.0, abs=1e-12)
+
+    def test_state_at_the_eigenvalue_floor_reads_on_every_route(self):
+        # the boundary admits eigenvalues down to -ATOL_STATE_PSD; a Z slot
+        # then reads the negative eigenvalue as a probability
+        state = QuantumState(qubits=1, rho=np.diag([1 + 5e-10, -5e-10]))
+        spec = TemporalCorrelationSpec(1, (slot((PAULI_Z,)),))
+        for method in METHODS:
+            assert _spec_values(state, (spec,), method) == [pytest.approx(1 + 1e-9, abs=1e-15)]
+            report = eval_kcbs_temporal(state, 2.5, method)
+            assert report.sum == pytest.approx(1 + 4 * np.cos(2.5), abs=1e-8)
+        assert correlator_sequential(state, (PAULI_Z,)) == pytest.approx(1 + 1e-9, abs=1e-15)
+
+    def test_probability_below_the_floor_rejected(self):
+        # a one-qubit state admits at most 2 * ATOL_STATE_PSD below 0
+        OutcomeDistribution(observables=(PAULI_Z,), probabilities=[1 + 1.9e-9, -1.9e-9])
+        with pytest.raises(ValueError, match="negative probability"):
+            OutcomeDistribution(observables=(PAULI_Z,), probabilities=[1 + 2.1e-9, -2.1e-9])
 
     @pytest.mark.parametrize("qubits, length", [(1, 1), (2, 3), (3, 5)])
     def test_sum_bound_is_reached_by_an_admitted_chain(self, qubits, length):
