@@ -36,8 +36,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import PAULI_X, PAULI_Z, checked_count, sigma_theta_matrix
+from .inequalities import _PENTAGON_PAIRS, _kcbs_cycle
 from .optimize import golden_section_minimize
-from .scattering import sigma_theta_evolution
 from .sequential import correlator_sequential, joint_distribution
 from .states import mixed_state
 
@@ -442,21 +442,6 @@ def contextual_bound_kcbs(iterations: int = 200, restarts: int = 8, tol: float =
     return result
 
 
-# the ten pairs (i, j), i < j, of the five-measurement cycle, in report order
-_PENTAGON_PAIRS = tuple((i, j) for i in range(5) for j in range(i + 1, 5))
-
-
-def _pentagon_cycle(theta) -> np.ndarray:
-    """The five Heisenberg observables (Z, th, Z, th, Z) of the alternating
-    cycle, shape ``theta.shape + (5, 2, 2)``: U^dag Z U with
-    U = sigma_theta_evolution(theta) on the odd slots, the product that each
-    of the evaluators' ``TimeSlot``s makes once as its ``block``."""
-    u = sigma_theta_evolution(theta)
-    th = u.conj().swapaxes(-1, -2) @ PAULI_Z @ u
-    z = np.broadcast_to(PAULI_Z, th.shape)
-    return np.stack([z, th, z, th, z], axis=-3)
-
-
 def _one_or_many(theta, values):
     return float(values) if np.ndim(theta) == 0 else values
 
@@ -465,7 +450,7 @@ def pentagon_pairwise_value(theta):
     """Ten-pair sum under the two-point anticommutator reading, one
     two-measurement chain per pair on I/2; equals 4 + 6 cos(theta) for any
     input state. An array of angles gives an array of sums."""
-    pairs = _pentagon_cycle(theta)[..., np.array(_PENTAGON_PAIRS), :, :]  # theta.shape + (10, 2, 2, 2)
+    pairs = _kcbs_cycle(theta)[..., np.array(_PENTAGON_PAIRS), :, :]  # theta.shape + (10, 2, 2, 2)
     values = correlator_sequential(mixed_state(np.eye(2) / 2), pairs)
     # summed in pair order, as the evaluator sums its terms
     return _one_or_many(theta, sum(values[..., k] for k in range(len(_PENTAGON_PAIRS))))
@@ -475,7 +460,7 @@ def pentagon_invasive_value(theta):
     """Ten-pair sum read off one invasive five-measurement chain: all five
     observables measured in order on I/2, pair correlators taken from the
     joint outcome distribution. An array of angles gives an array of sums."""
-    dist = joint_distribution(mixed_state(np.eye(2) / 2), _pentagon_cycle(theta))
+    dist = joint_distribution(mixed_state(np.eye(2) / 2), _kcbs_cycle(theta))
     return _one_or_many(theta, sum(dist.correlator(pair) for pair in _PENTAGON_PAIRS))
 
 
@@ -490,7 +475,10 @@ def pentagon_scan(theta_grid=None) -> BoundResult:
 
     The grid and cos(theta) = -3/4 form one batch: the pairwise reading is one
     batch of ten two-measurement chains per angle, and the invasive reading
-    one batch of five-measurement chains, one per angle.
+    one batch of five-measurement chains, one per angle. Both read the
+    evaluators' cycle, one ``(5, 2, 2)`` block stack per angle from
+    ``inequalities._kcbs_cycle``, which the kcbs and pentagon reports index
+    for their pairs; the grid is checked here, before the cycle is built.
 
     Neither reading attains the quoted extremum -9/4 for this observable
     family: the two-point reading bottoms out at -2 (theta = pi) and the

@@ -99,9 +99,10 @@ def _on_rows(ops, matrices, rows: np.ndarray, n: int) -> np.ndarray:
     ``(T, 2^k, 2^k)`` stack whose entry t acts on operand t. Each gate is one
     product on a transposed view with the batch axis, then its targets first,
     in gate order; a control slice drops its axis, shifting the targets above
-    it. The working copy keeps the stack's memory order, so with the batch
-    axis outermost each operand runs exactly as it would alone."""
-    t = np.array(rows, dtype=complex).reshape([len(rows)] + [2] * n + [-1])
+    it. The working copy is C-ordered whatever the stack's memory order (a
+    broadcast or transposed stack included), so each operand runs exactly as
+    it would alone."""
+    t = np.array(rows, dtype=complex, order="C").reshape([len(rows)] + [2] * n + [-1])
     for op, m in zip(ops, matrices):
         view, targets = t, op.targets
         if op.control is not None:

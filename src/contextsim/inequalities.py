@@ -1,19 +1,18 @@
 """Observable families and evaluators for the four inequalities.
 
-Each term of an evaluator is one TemporalCorrelationSpec: time slots, each a
-product of per-qubit dichotomic observables read through an evolution. Three
-routes read a spec: "scattering" (probe circuit), "direct" (trace closed
-form), and "sequential" (an invasive Lüders chain over the slots' Heisenberg
+Each term of an evaluator is a sequence of time slots, each a product of
+per-qubit dichotomic observables read through an evolution. Three routes read
+a term: "scattering" (probe circuit), "direct" (trace closed form), and
+"sequential" (an invasive Lüders chain over the slots' Heisenberg
 observables, in slot order). For term families built from mutually commuting
 factors all three agree. A term needs one controlled readout block per slot,
 which is the block count the visibility noise model uses.
 
 The terms and side conditions of one evaluator share a slot count (three for
-the square, two for the cycles, one for the Bell form), so a report reads them
-all with one route call on one ``(T, k, d, d)`` stack of the slots' blocks:
-one batched product and one trace on the direct route, one joint
-distribution on the sequential route, and on the probe route one batched
-evolution of every term's circuit and one readout of the probe.
+the square, two for the cycles, one for the Bell form), so a report is one
+``(T, k, d, d)`` stack of the slots' blocks, the only thing it builds per
+request, read by all three routes with one ``(state, stack)`` call. The
+square's and the Bell form's stacks are built once, at import.
 
 The nine-entry square of two-qubit observables::
 
@@ -29,6 +28,8 @@ classical bound stop at 4.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +38,6 @@ from .linalg import PAULI_Z, PAULIS, checked_matrix, sigma_theta_matrix
 from .circuits import ry_matrix
 from .scattering import (
     TemporalCorrelationSpec,
-    TimeSlot,
     block_stack,
     sigma_theta_evolution,
     slot,
@@ -137,24 +137,25 @@ def is_violated(total: float, bound: float, direction: str) -> bool:
 
 
 def _make_report(
-    name, state, method, qubits, labels, specs, signs, bound, direction, prediction,
-    constraint_specs=None,
+    name, state, method, labels, stack, signs, bound, direction, prediction,
+    constraint_labels=None,
 ):
-    """Evaluate one spec per term, and per labelled side condition, on
-    ``method``, all in one :func:`_spec_values` call on one block stack."""
+    """Read a report's one ``(T, k, d, d)`` block stack on ``method`` with one
+    :func:`_spec_values` call: its rows are the terms, then the side
+    conditions, each labelled in order; a term needs k readout blocks."""
+    qubits = stack.shape[-1].bit_length() - 1
     if state.qubits != qubits:
         raise ValueError(f"this evaluator needs a {'single' if qubits == 1 else 'two'}-qubit state")
-    side = constraint_specs or {}
-    read = _spec_values(state, (*specs, *side.values()), method)
-    values = read[:len(specs)]
-    constraints = None if constraint_specs is None else tuple(zip(side, read[len(specs):]))
+    read = _spec_values(state, stack, method)
+    values = read[:len(labels)]
+    constraints = None if constraint_labels is None else tuple(zip(constraint_labels, read[len(labels):]))
     return InequalityReport(
         name=name,
         method=method,
         terms=tuple(zip(labels, values)),
         term_signs=tuple(signs),
         term_predictions=tuple(values),
-        blocks_per_term=tuple(len(spec.slots) for spec in specs),
+        blocks_per_term=(stack.shape[1],) * len(labels),
         classical_bound=bound,
         bound_direction=direction,
         quantum_prediction=prediction,
@@ -183,17 +184,17 @@ def pentagram_observable(j: int) -> Observable:
     return Observable(matrix=u.conj().T @ PAULI_Z @ u, label=f"sigma_{j}")
 
 
-def _spec_values(state: QuantumState, specs, method: str) -> list[float]:
-    """The correlator of each spec on ``method``. The specs share a register
-    and a slot count, and every route reads them as one ``(T, k, d, d)``
-    block stack (:func:`block_stack`) in one call; the probe route runs them
-    as one batched evolution with one readout."""
+def _spec_values(state: QuantumState, stack: np.ndarray, method: str) -> list[float]:
+    """The correlator of each row of a ``(T, k, d, d)`` block stack on
+    ``method``, in one ``(state, stack)`` route call: one batched product on
+    the direct route, one joint distribution on the sequential route, and one
+    batched evolution with one readout on the probe route."""
     if method == "scattering":
-        return stack_correlators_scattering(state, specs)
+        return stack_correlators_scattering(state, stack)
     if method == "direct":
-        return stack_correlators_direct(state, block_stack(specs))
+        return stack_correlators_direct(state, stack)
     if method == "sequential":
-        return stack_correlators_sequential(state, block_stack(specs))
+        return stack_correlators_sequential(state, stack)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
@@ -209,55 +210,56 @@ def eval_pm(state: QuantumState, method: str = "direct") -> InequalityReport:
     """Six sequential three-measurement contexts; classical bound 4, quantum
     value 6 independent of the input state."""
     return _make_report(
-        name="pm",
-        state=state,
-        method=method,
-        qubits=2,
-        labels=[".".join(seq) for seq in PM_CONTEXTS],
-        specs=_PM_SPECS,
-        signs=PM_SIGNS,
-        bound=4.0,
-        direction="<=",
-        prediction=6.0,
+        name="pm", state=state, method=method, labels=[".".join(seq) for seq in PM_CONTEXTS],
+        stack=_PM_STACK, signs=PM_SIGNS, bound=4.0, direction="<=", prediction=6.0,
     )
 
 
-def _kcbs_cycle(theta: float) -> tuple[TimeSlot, ...]:
-    """The five measurement slots (Z, theta, Z, theta, Z)."""
-    th_slot = slot((PAULI_Z,), sigma_theta_evolution(theta))
-    return tuple(_Z_SLOT if k % 2 == 0 else th_slot for k in range(5))
+def _kcbs_cycle(theta) -> np.ndarray:
+    """The five blocks (Z, th, Z, th, Z) of the alternating cycle, one stack of
+    shape ``theta.shape + (5, 2, 2)`` that a cycle report indexes for its one
+    ``(T, 2, 2, 2)`` block stack of pairs, which all three routes read with
+    one ``(state, stack)`` call. Z is the checked ``_Z_SLOT``'s block; th is
+    U^dag Z U, U = sigma_theta_evolution(theta), the product a ``TimeSlot``
+    makes, so for one angle it is ``slot((PAULI_Z,), U).block.matrix`` bit for
+    bit. Unchecked: each caller checks its angles where they enter."""
+    u = sigma_theta_evolution(theta)
+    th = u.conj().swapaxes(-1, -2) @ PAULI_Z @ u
+    cycle = np.empty(th.shape[:-2] + (5, 2, 2), dtype=complex)
+    cycle[..., 0::2, :, :] = _Z_SLOT.block.matrix
+    cycle[..., 1::2, :, :] = th[..., None, :, :]
+    return cycle
 
 
-def _cycle_report(name, state, theta, method, pairs, bound, prediction) -> InequalityReport:
+# the pairs (i, j) of the cycle, in report order: cyclic neighbours, all i < j
+_KCBS_PAIRS = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0))
+_PENTAGON_PAIRS = tuple((i, j) for i in range(5) for j in range(i + 1, 5))
+
+
+def _cycle_report(name, state, theta, method, pairs, bound, a, b) -> InequalityReport:
     """One pair correlator <X_i X_j> per pair (i, j) of the alternating Z/theta
-    cycle, all with sign +1, against a classical floor."""
-    cycle = _kcbs_cycle(theta)
+    cycle, all with sign +1, against a classical floor; the combination is
+    a + b cos(theta). theta must be a finite real number (not a bool or a
+    string), checked here, where it enters, before any numpy call."""
+    if isinstance(theta, bool) or not isinstance(theta, numbers.Real) or not math.isfinite(theta):
+        raise ValueError(f"theta must be a finite real number of radians, got {theta!r}")
     return _make_report(
-        name=name,
-        state=state,
-        method=method,
-        qubits=1,
-        labels=[f"X{i + 1}.X{j + 1}" for i, j in pairs],
-        specs=[TemporalCorrelationSpec(system_qubits=1, slots=(cycle[i], cycle[j])) for i, j in pairs],
-        signs=[1.0] * len(pairs),
-        bound=bound,
-        direction=">=",
-        prediction=prediction,
+        name=name, state=state, method=method, labels=[f"X{i + 1}.X{j + 1}" for i, j in pairs],
+        stack=_kcbs_cycle(theta)[np.array(pairs)], signs=[1.0] * len(pairs),
+        bound=bound, direction=">=", prediction=float(a + b * np.cos(theta)),
     )
 
 
 def eval_kcbs_temporal(state: QuantumState, theta: float, method: str = "direct") -> InequalityReport:
     """Five cyclic adjacent-pair correlators of the alternating Z/theta cycle;
     the combination equals 1 + 4 cos(theta) and its classical floor is -3."""
-    pairs = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0))
-    return _cycle_report("kcbs", state, theta, method, pairs, -3.0, float(1 + 4 * np.cos(theta)))
+    return _cycle_report("kcbs", state, theta, method, _KCBS_PAIRS, -3.0, 1, 4)
 
 
 def eval_pentagon_lg(state: QuantumState, theta: float, method: str = "direct") -> InequalityReport:
     """All ten pair correlators of the five-measurement cycle; the two-point
     reading gives 4 + 6 cos(theta) against the classical floor -2."""
-    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-    return _cycle_report("pentagon", state, theta, method, pairs, -2.0, float(4 + 6 * np.cos(theta)))
+    return _cycle_report("pentagon", state, theta, method, _PENTAGON_PAIRS, -2.0, 4, 6)
 
 
 def _bell_term(r: int, q: int) -> TemporalCorrelationSpec:
@@ -266,12 +268,15 @@ def _bell_term(r: int, q: int) -> TemporalCorrelationSpec:
     return TemporalCorrelationSpec(system_qubits=2, slots=(slot((PAULI_Z, PAULI_Z), evo),))
 
 
-# The fixed terms, built and checked once, at import: the six contexts of the
-# square, the Z slot of every cycle, and the five Bell terms and side conditions.
-_PM_SPECS = tuple(_pm_term(seq) for seq in PM_CONTEXTS)
+# Built from checked slots once, at import: the Z slot of every cycle, and the
+# read-only block stacks of the square's six contexts and of the five Bell
+# terms followed by their five side conditions <A_j B_j>.
 _Z_SLOT = slot((PAULI_Z,))
-_BELL_TERMS = tuple(_bell_term(r, (r + 1) % 5) for r in range(5))
-_BELL_SIDE_CONDITIONS = {f"A{j}.B{j}": _bell_term(j, j) for j in range(5)}
+_PM_STACK = block_stack([_pm_term(seq) for seq in PM_CONTEXTS])
+_BELL_STACK = block_stack([_bell_term(r, (r + 1) % 5) for r in range(5)]
+                          + [_bell_term(j, j) for j in range(5)])
+for _stack in (_PM_STACK, _BELL_STACK):
+    _stack.setflags(write=False)
 
 
 def eval_transformed_bell(state: QuantumState, method: str = "direct") -> InequalityReport:
@@ -282,15 +287,7 @@ def eval_transformed_bell(state: QuantumState, method: str = "direct") -> Inequa
     combination reaches -5 cos(pi/5), beating the classical floor -3.
     """
     return _make_report(
-        name="bell",
-        state=state,
-        method=method,
-        qubits=2,
-        labels=[f"A{r}.B{(r + 1) % 5}" for r in range(5)],
-        specs=_BELL_TERMS,
-        signs=[1.0] * 5,
-        bound=-3.0,
-        direction=">=",
-        prediction=float(5 * np.cos(4 * np.pi / 5)),
-        constraint_specs=_BELL_SIDE_CONDITIONS,
+        name="bell", state=state, method=method, labels=[f"A{r}.B{(r + 1) % 5}" for r in range(5)],
+        stack=_BELL_STACK, signs=[1.0] * 5, bound=-3.0, direction=">=",
+        prediction=float(5 * np.cos(4 * np.pi / 5)), constraint_labels=[f"A{j}.B{j}" for j in range(5)],
     )

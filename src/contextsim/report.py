@@ -4,7 +4,9 @@ The CSV schema is fixed: header ``inequality,term,theory,value,method``, one
 row per term, then a closing ``SUM`` row carrying the classical bound and the
 combination value. Numbers are printed with six decimals and a point
 separator regardless of locale. JSON holds every field of the report, with
-full float precision.
+full float precision, rendered from a shallow payload of the fields: each is
+a str, number, bool, None, tuple, or a dict of those, which ``json`` renders
+as it renders their deep copy.
 """
 
 from __future__ import annotations
@@ -35,9 +37,13 @@ def emit_csv(report: InequalityReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _payload(result) -> dict:
+    """The fields of a report or bound result by name, not copied."""
+    return {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+
+
 def emit_json(report: InequalityReport) -> str:
-    payload = dataclasses.asdict(report)
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(_payload(report), sort_keys=True, indent=2) + "\n"
 
 
 def emit_table(report: InequalityReport) -> str:
@@ -96,8 +102,7 @@ def with_noise(ideal: InequalityReport, noisy: InequalityReport, model: NoiseMod
 
 
 def emit_bound_json(results: list[BoundResult]) -> str:
-    payload = [dataclasses.asdict(r) for r in results]
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps([_payload(r) for r in results], sort_keys=True, indent=2) + "\n"
 
 
 def emit_bound_csv(results: list[BoundResult]) -> str:

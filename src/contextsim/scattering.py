@@ -13,9 +13,12 @@ probe_sigma_y exposes the sign-sensitive imaginary part of the applied
 product for diagnostics.
 
 Specs that share a register and a slot count form one ``(T, k, d, d)`` block
-stack, which the probe route reads with one batched evolution and one
-readout, and the direct route with one batched product and one trace; a lone
-spec is the batch of one.
+stack, and each route reads a stack with one ``(state, stack)`` call: the
+probe route with one batched evolution and one readout, the direct route with
+one batched product and one trace. A report builds nothing else per request,
+and a lone spec is the batch of one. The probe circuit's wiring depends only
+on the register size and the slot count, so its controlled gates are made
+and checked once, at import, and a stack supplies their matrices.
 """
 
 from __future__ import annotations
@@ -109,8 +112,12 @@ def heisenberg_observable(ts: TimeSlot) -> np.ndarray:
     return ts.block.matrix
 
 
-# the probe's Hadamard, which opens and closes every probe circuit
+# the probe's Hadamard, which opens and closes every probe circuit, and for
+# each register size the wiring of a slot's block: qubits 1..N controlled by
+# the probe, its matrix supplied per call
 _PROBE_HADAMARD = hadamard(0)
+_PROBE_BLOCKS = {n: GateOp("slot block", np.eye(2 ** n), tuple(range(1, n + 1)), control=0)
+                 for n in range(1, MAX_QUBITS + 1)}
 
 
 def build_scattering_circuit(spec: TemporalCorrelationSpec) -> Circuit:
@@ -140,23 +147,21 @@ def probe_sigma_y(state: QuantumState) -> float:
     return float(_probe_pauli(density_of(state), PAULI_Y))
 
 
-def stack_correlators_scattering(rho_sys: QuantumState, specs) -> list[float]:
-    """Probe readout of each of ``specs``, which share a register and a slot
-    count: every spec's circuit runs on the bare array |0> x rho_sys in one
-    batched evolution, and one readout takes the probe's <sigma_z> of all."""
-    if rho_sys.qubits != specs[0].system_qubits:
-        raise ValueError("state and spec disagree on the system size")
-    stack = block_stack(specs)
-    # One circuit wires the whole stack. block_stack forces one (k, d) on all
-    # specs, and every slot's block acts on qubits 1..N with control 0, so the
-    # register check of this circuit covers each spec of the stack.
-    circuit = build_scattering_circuit(specs[0])
-    h = _PROBE_HADAMARD.matrix
+def stack_correlators_scattering(rho_sys: QuantumState, stack: np.ndarray) -> list[float]:
+    """Probe readout of each spec of a ``(T, k, d, d)`` block stack, in one
+    ``(state, stack)`` call as on the direct and sequential routes: the probe
+    circuit of every spec (H, its k controlled blocks, H) runs on the bare
+    array |0> x rho_sys in one batched evolution of the wiring made at import
+    for this register, and one readout takes the probe's <sigma_z> of all."""
     operand = rho_sys.amplitudes if rho_sys.is_pure else rho_sys.rho
-    # One full array, not a broadcast view: the kernel's copy keeps the memory
-    # order of its operand, and a zero-stride batch axis would be laid out
-    # innermost, which reorders the trace sums and moves last bits.
     d = len(operand)
+    if stack.shape[-2:] != (d, d):
+        raise ValueError("state and spec disagree on the system size")
+    n = rho_sys.qubits
+    if n not in _PROBE_BLOCKS:
+        raise ValueError(f"the probe route reads registers of 1 to {MAX_QUBITS} system qubits")
+    circuit = Circuit(n + 1, (_PROBE_HADAMARD, *(_PROBE_BLOCKS[n],) * stack.shape[1], _PROBE_HADAMARD))
+    h = _PROBE_HADAMARD.matrix
     padded = np.zeros((len(stack),) + (2 * d,) * operand.ndim, dtype=complex)
     padded[(slice(None),) + (slice(d),) * operand.ndim] = operand
     out = evolve(circuit, padded, (h, *stack.swapaxes(0, 1), h))
@@ -169,7 +174,7 @@ def correlator_scattering(rho_sys: QuantumState, spec: TemporalCorrelationSpec) 
     """Probe readout of the n-point correlator: the probe's <sigma_z> after
     the circuit runs on |0> x rho_sys; the batch of one of
     :func:`stack_correlators_scattering`."""
-    return stack_correlators_scattering(rho_sys, (spec,))[0]
+    return stack_correlators_scattering(rho_sys, block_stack((spec,)))[0]
 
 
 def block_stack(specs) -> np.ndarray:

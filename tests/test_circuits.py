@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from contextsim.circuits import (
+    HADAMARD,
     Circuit,
     GateOp,
     apply,
@@ -208,6 +209,31 @@ class TestEvolveAxisBookkeeping:
         before = rho.copy()
         assert np.max(np.abs(evolve(circ, rho) - full @ rho @ full.conj().T)) < 1e-12
         assert np.array_equal(rho, before)
+
+
+class TestEvolveMemoryOrder:
+    """The kernel works on a C-ordered copy, so a stack reads the same bits
+    whatever its memory layout: a zero-stride broadcast batch axis or a
+    Fortran-ordered stack would otherwise reorder the trace sums."""
+
+    T = 12
+
+    def _probe_circuit(self):
+        rng = np.random.default_rng(21)
+        blocks = np.stack([haar_random_unitary(8, rng) for _ in range(self.T)])
+        wiring = (hadamard(0), GateOp("U", np.eye(8), (1, 2, 3), control=0), hadamard(0))
+        return Circuit(4, wiring), (HADAMARD, blocks, HADAMARD)
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_broadcast_and_fortran_stacks_read_as_the_c_ordered_one(self, mixed):
+        circuit, matrices = self._probe_circuit()
+        one = np.zeros((16, 16) if mixed else 16, dtype=complex)
+        system = density_of(random_pure_state(3, 22)) if mixed else random_pure_state(3, 22).amplitudes
+        one[(slice(8),) * one.ndim] = system
+        c_ordered = np.ascontiguousarray(np.broadcast_to(one, (self.T,) + one.shape))
+        expected = evolve(circuit, c_ordered, matrices).tobytes()
+        for operand in (np.broadcast_to(one, c_ordered.shape), np.asfortranarray(c_ordered)):
+            assert evolve(circuit, operand, matrices).tobytes() == expected
 
 
 class TestApply:

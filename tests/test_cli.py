@@ -18,6 +18,7 @@ from contextsim.inequalities import (
     eval_transformed_bell,
 )
 from contextsim.report import (
+    emit_bound_json,
     emit_csv,
     emit_json,
     emit_report,
@@ -73,6 +74,29 @@ class TestJsonRoundTrip:
         self.assert_every_field_written(degraded)
         assert degraded.sum == pytest.approx(6 * 0.92 ** 3, abs=1e-9)
         assert degraded.term_predictions == tuple(v for _, v in ideal.terms)
+
+    def test_shallow_payload_renders_as_the_deep_copy(self):
+        # the JSON emitters read each field without copying it; the text must
+        # equal the dataclasses.asdict rendering byte for byte
+        def render(payload):
+            return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+        model = NoiseModel(state_depolarizing_p=0.1, block_visibility_v=0.92)
+        reports = []
+        for method in ("scattering", "direct", "sequential"):
+            for evaluate, state in (
+                (eval_pm, basis_state(2, "01")),
+                (lambda s, m: eval_kcbs_temporal(s, 2.5, m), basis_state(1, "1")),
+                (lambda s, m: eval_pentagon_lg(s, 2.5, m), basis_state(1, "0")),
+                (eval_transformed_bell, bell_phi_plus()),
+            ):
+                ideal = evaluate(state, method)
+                reports += [ideal, with_noise(ideal, evaluate(depolarize(state, 0.1), method), model)]
+        for rep in reports:
+            assert emit_json(rep) == render(dataclasses.asdict(rep))
+        results = [bounds.tsirelson_search_bell(), bounds.temporal_bound_kcbs(),
+                   bounds.contextual_bound_kcbs(), bounds.pentagon_scan()]
+        assert emit_bound_json(results) == render([dataclasses.asdict(r) for r in results])
 
 
 class TestCommands:

@@ -174,6 +174,21 @@ class TestEvalPentagon:
         assert rep.classical_bound == -2.0 and rep.bound_direction == ">="
 
 
+class TestThetaChecked:
+    @pytest.mark.parametrize("evaluate", [eval_kcbs_temporal, eval_pentagon_lg])
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf"), "2.5", True])
+    def test_bad_theta_refused_by_name(self, evaluate, theta):
+        # refused before any numpy call: a RuntimeWarning would fail this test
+        with pytest.raises(ValueError, match="theta"):
+            evaluate(basis_state(1, "0"), theta, "direct")
+
+    @pytest.mark.parametrize("evaluate", [eval_kcbs_temporal, eval_pentagon_lg])
+    def test_integer_and_numpy_angles_read_as_floats(self, evaluate):
+        state = basis_state(1, "0")
+        assert evaluate(state, 2, "direct") == evaluate(state, 2.0, "direct")
+        assert evaluate(state, np.float64(2.5), "direct") == evaluate(state, 2.5, "direct")
+
+
 class TestPentagram:
     def test_j_zero_is_z(self):
         assert np.allclose(pentagram_observable(0).matrix, PAULI_Z)

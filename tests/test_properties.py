@@ -37,6 +37,7 @@ from contextsim import bounds, inequalities, sequential
 from contextsim.circuits import Circuit, GateOp, apply, full_gate_matrix
 from contextsim.inequalities import (
     METHODS,
+    PM_CONTEXTS,
     Observable,
     eval_kcbs_temporal,
     eval_pentagon_lg,
@@ -50,11 +51,14 @@ from contextsim.report import with_noise
 from contextsim.scattering import (
     TemporalCorrelationSpec,
     TimeSlot,
+    block_stack,
     build_scattering_circuit,
     correlator_direct,
     correlator_scattering,
     heisenberg_observable,
     probe_sigma_z,
+    sigma_theta_evolution,
+    slot,
     stack_correlators_scattering,
 )
 from contextsim.sequential import correlator_sequential, joint_distribution
@@ -306,19 +310,47 @@ LONE_CALLS = {
 }
 
 
+def _slot_built_specs(name, theta, report):
+    """The spec of each row of a report's block stack, built from checked
+    slots: its terms, then its side conditions. A cycle term X{i}.X{j} is the
+    pair of slots i and j of (Z, th, Z, th, Z)."""
+    if name == "pm":
+        return [inequalities._pm_term(seq) for seq in PM_CONTEXTS]
+    if name == "bell":
+        terms = [inequalities._bell_term(r, (r + 1) % 5) for r in range(5)]
+        return terms + [inequalities._bell_term(j, j) for j in range(5)]
+    z, th = slot((PAULI_Z,)), slot((PAULI_Z,), sigma_theta_evolution(theta))
+    cycle = (z, th, z, th, z)
+    pairs = [[int(x[1:]) - 1 for x in label.split(".")] for label, _ in report.terms]
+    return [TemporalCorrelationSpec(1, (cycle[i], cycle[j])) for i, j in pairs]
+
+
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("name", sorted(EVALUATORS))
 @given(data=st.data())
 def test_report_reads_each_spec_as_its_lone_call_bit_for_bit(name, method, data):
-    # a report reads all its specs in one route call; each value must equal the
+    # a report reads one block stack in one route call; each row must hold the
+    # blocks of the equivalent slot-built spec, and each value must equal that
     # spec's own route call in every bit, so the batch sums in the same order
     qubits, evaluate = EVALUATORS[name]
     state = data.draw(states(qubits, real=data.draw(st.booleans())))
+    theta = data.draw(angles)
     with mock.patch.object(inequalities, "_spec_values", wraps=inequalities._spec_values) as read:
-        report = evaluate(state, data.draw(angles), method)
+        report = evaluate(state, theta, method)
     [call] = read.call_args_list
-    lone = [LONE_CALLS[method](state, spec) for spec in call.args[1]]
+    stack, specs = call.args[1], _slot_built_specs(name, theta, report)
+    assert [row.tobytes() for row in stack] == [block_stack((spec,))[0].tobytes() for spec in specs]
+    lone = [LONE_CALLS[method](state, spec) for spec in specs]
     assert [v.hex() for v in _values(report)] == [v.hex() for v in lone]
+
+
+@given(theta=angles)
+def test_cycle_blocks_are_the_slot_blocks_bit_for_bit(theta):
+    th = slot((PAULI_Z,), sigma_theta_evolution(theta)).block.matrix
+    z = inequalities._Z_SLOT.block.matrix
+    cycle = inequalities._kcbs_cycle(theta)
+    assert cycle.shape == (5, 2, 2)
+    assert [b.tobytes() for b in cycle] == [m.tobytes() for m in (z, th, z, th, z)]
 
 
 @given(data=st.data())
@@ -329,7 +361,7 @@ def test_probe_stack_reads_each_spec_as_its_lone_call_bit_for_bit(data):
     slots = data.draw(st.integers(0, 6))
     stack = data.draw(st.lists(specs(qubits, slots), min_size=1, max_size=10))
     state = data.draw(states(qubits))
-    values = stack_correlators_scattering(state, stack)
+    values = stack_correlators_scattering(state, block_stack(stack))
     assert [v.hex() for v in values] == [correlator_scattering(state, spec).hex() for spec in stack]
 
 

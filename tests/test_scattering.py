@@ -274,6 +274,15 @@ class TestSlotValidation:
         with pytest.raises(ValueError):
             TemporalCorrelationSpec(system_qubits=2, slots=(slot((PAULI_Z,)),))
 
+    def test_probe_route_refuses_a_register_above_the_cap(self):
+        # the probe wiring exists for 1 to MAX_QUBITS system qubits; the
+        # trace form reads any register
+        spec = TemporalCorrelationSpec(system_qubits=4, slots=(slot((PAULI_Z,) * 4),))
+        state = pure_state(np.eye(16)[0])
+        with pytest.raises(ValueError, match="probe route reads registers of 1 to 3"):
+            correlator_scattering(state, spec)
+        assert correlator_direct(state, spec) == 1.0
+
     @pytest.mark.parametrize("qubits", [1.0, True, "1", 0])
     def test_register_size_must_be_a_positive_integer(self, qubits):
         with pytest.raises(ValueError, match="system_qubits"):
