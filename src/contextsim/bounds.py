@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import PAULI_X, PAULI_Z, checked_count, sigma_theta_matrix
+from .linalg import PAULI_X, PAULI_Z, checked_angles, checked_count, sigma_theta_matrix
 from .inequalities import _PENTAGON_PAIRS, _kcbs_cycle
 from .optimize import golden_section_minimize
 from .sequential import correlator_sequential, joint_distribution
@@ -450,6 +450,7 @@ def pentagon_pairwise_value(theta):
     """Ten-pair sum under the two-point anticommutator reading, one
     two-measurement chain per pair on I/2; equals 4 + 6 cos(theta) for any
     input state. An array of angles gives an array of sums."""
+    theta = checked_angles(theta, "theta")
     pairs = _kcbs_cycle(theta)[..., np.array(_PENTAGON_PAIRS), :, :]  # theta.shape + (10, 2, 2, 2)
     values = correlator_sequential(mixed_state(np.eye(2) / 2), pairs)
     # summed in pair order, as the evaluator sums its terms
@@ -460,6 +461,7 @@ def pentagon_invasive_value(theta):
     """Ten-pair sum read off one invasive five-measurement chain: all five
     observables measured in order on I/2, pair correlators taken from the
     joint outcome distribution. An array of angles gives an array of sums."""
+    theta = checked_angles(theta, "theta")
     dist = joint_distribution(mixed_state(np.eye(2) / 2), _kcbs_cycle(theta))
     return _one_or_many(theta, sum(dist.correlator(pair) for pair in _PENTAGON_PAIRS))
 
@@ -486,12 +488,9 @@ def pentagon_scan(theta_grid=None) -> BoundResult:
     they give -1/2 and about -1.8398. The result records both readings side
     by side together with that discrepancy.
     """
-    grid = default_pentagon_grid() if theta_grid is None else np.asarray(list(theta_grid), dtype=float)
+    grid = default_pentagon_grid() if theta_grid is None else checked_angles(list(theta_grid), "theta grid")
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("theta grid must be a nonempty sequence of angles")
-    bad = grid[~np.isfinite(grid)]
-    if bad.size:
-        raise ValueError(f"theta grid holds a non-finite angle: {bad[0]}")
     special = float(np.arccos(-0.75))
     thetas = np.append(grid, special)
     pairwise, invasive = pentagon_pairwise_value(thetas), pentagon_invasive_value(thetas)

@@ -106,7 +106,7 @@ def _config_tokens(args: argparse.Namespace) -> list[str]:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             settings = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"bad config file {args.config!r}: {exc}") from exc
     if not isinstance(settings, dict):
         raise ValueError(f"config file {args.config!r} must hold a JSON object")

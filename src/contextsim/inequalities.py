@@ -28,17 +28,14 @@ classical bound stop at 4.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import PAULI_Z, PAULIS, checked_matrix, sigma_theta_matrix
+from .linalg import PAULI_Z, PAULIS, checked_angles, checked_matrix, sigma_theta_matrix
 from .circuits import ry_matrix
 from .scattering import (
     TemporalCorrelationSpec,
-    block_stack,
     sigma_theta_evolution,
     slot,
     stack_correlators_direct,
@@ -165,6 +162,7 @@ def _make_report(
 
 def sigma_theta(theta: float) -> Observable:
     """cos(theta) sigma_z + sin(theta) sigma_x; dichotomic for every angle."""
+    theta = checked_angles(theta, "theta", scalar=True)
     return Observable(matrix=sigma_theta_matrix(theta), label=f"sigma_theta({theta:.6g})")
 
 
@@ -217,16 +215,15 @@ def eval_pm(state: QuantumState, method: str = "direct") -> InequalityReport:
 
 def _kcbs_cycle(theta) -> np.ndarray:
     """The five blocks (Z, th, Z, th, Z) of the alternating cycle, one stack of
-    shape ``theta.shape + (5, 2, 2)`` that a cycle report indexes for its one
-    ``(T, 2, 2, 2)`` block stack of pairs, which all three routes read with
-    one ``(state, stack)`` call. Z is the checked ``_Z_SLOT``'s block; th is
-    U^dag Z U, U = sigma_theta_evolution(theta), the product a ``TimeSlot``
-    makes, so for one angle it is ``slot((PAULI_Z,), U).block.matrix`` bit for
-    bit. Unchecked: each caller checks its angles where they enter."""
+    shape ``theta.shape + (5, 2, 2)`` that a cycle report indexes for its
+    ``(T, 2, 2, 2)`` stack of pairs. Z is ``_Z_SLOT.block``; th is U^dag Z U,
+    U = sigma_theta_evolution(theta), the product a ``TimeSlot`` makes, so for
+    one angle it is ``slot((PAULI_Z,), U).block`` bit for bit. Unchecked: each
+    caller checks its angles where they enter."""
     u = sigma_theta_evolution(theta)
     th = u.conj().swapaxes(-1, -2) @ PAULI_Z @ u
     cycle = np.empty(th.shape[:-2] + (5, 2, 2), dtype=complex)
-    cycle[..., 0::2, :, :] = _Z_SLOT.block.matrix
+    cycle[..., 0::2, :, :] = _Z_SLOT.block
     cycle[..., 1::2, :, :] = th[..., None, :, :]
     return cycle
 
@@ -239,10 +236,8 @@ _PENTAGON_PAIRS = tuple((i, j) for i in range(5) for j in range(i + 1, 5))
 def _cycle_report(name, state, theta, method, pairs, bound, a, b) -> InequalityReport:
     """One pair correlator <X_i X_j> per pair (i, j) of the alternating Z/theta
     cycle, all with sign +1, against a classical floor; the combination is
-    a + b cos(theta). theta must be a finite real number (not a bool or a
-    string), checked here, where it enters, before any numpy call."""
-    if isinstance(theta, bool) or not isinstance(theta, numbers.Real) or not math.isfinite(theta):
-        raise ValueError(f"theta must be a finite real number of radians, got {theta!r}")
+    a + b cos(theta). theta is checked here, where it enters."""
+    theta = checked_angles(theta, "theta", scalar=True)
     return _make_report(
         name=name, state=state, method=method, labels=[f"X{i + 1}.X{j + 1}" for i, j in pairs],
         stack=_kcbs_cycle(theta)[np.array(pairs)], signs=[1.0] * len(pairs),
@@ -272,9 +267,9 @@ def _bell_term(r: int, q: int) -> TemporalCorrelationSpec:
 # read-only block stacks of the square's six contexts and of the five Bell
 # terms followed by their five side conditions <A_j B_j>.
 _Z_SLOT = slot((PAULI_Z,))
-_PM_STACK = block_stack([_pm_term(seq) for seq in PM_CONTEXTS])
-_BELL_STACK = block_stack([_bell_term(r, (r + 1) % 5) for r in range(5)]
-                          + [_bell_term(j, j) for j in range(5)])
+_PM_STACK = np.stack([_pm_term(seq).blocks for seq in PM_CONTEXTS])
+_BELL_STACK = np.stack([_bell_term(r, (r + 1) % 5).blocks for r in range(5)]
+                       + [_bell_term(j, j).blocks for j in range(5)])
 for _stack in (_PM_STACK, _BELL_STACK):
     _stack.setflags(write=False)
 

@@ -6,12 +6,15 @@ dtype complex128 in row-major order. One computation works on float64 real
 parts instead: a Lüders chain whose state and observables all have zero
 imaginary part (see ``sequential``), for which :func:`check_observable` takes
 real stacks as well. Every matrix that a constructor stores goes through
-:func:`checked_matrix`, and every count read from user input through
-:func:`checked_count`. Operations are pure functions and safe to call
+:func:`checked_matrix`, every count read from user input through
+:func:`checked_count`, and every angle argument through
+:func:`checked_angles`. Operations are pure functions and safe to call
 concurrently.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -67,6 +70,26 @@ def checked_matrix(entries, what: str, shape: tuple[int, int] | None = None,
         raise ValueError(f"{what} is not unitary within tolerance")
     m.setflags(write=False)
     return m
+
+
+def checked_angles(theta, what: str, scalar: bool = False):
+    """``theta`` in radians: a float for one angle, a float64 array for an
+    array of them (refused when ``scalar``). Integers and floats pass; bools,
+    strings, complex and non-finite values raise ValueError naming ``what``
+    before any numpy arithmetic can warn or pick another dtype."""
+    a = np.asarray(theta)
+    if a.dtype.kind not in "iuf" or (scalar and a.ndim):
+        kind = "a real number" if scalar else "real numbers"
+        raise ValueError(f"{what} must be {kind} of radians, got {theta!r}")
+    if a.ndim == 0:  # one angle: a Python float check, several times faster
+        a = float(a)
+        bad = [] if math.isfinite(a) else [a]
+    else:
+        a = a.astype(float)
+        bad = a[~np.isfinite(a)]
+    if len(bad):
+        raise ValueError(f"{what} holds a non-finite angle: {bad[0]}")
+    return a
 
 
 def checked_count(value, what: str, minimum: int = 0) -> int:

@@ -12,13 +12,13 @@ insensitive to that reversal because the product's adjoint reverses it back.
 probe_sigma_y exposes the sign-sensitive imaginary part of the applied
 product for diagnostics.
 
-Specs that share a register and a slot count form one ``(T, k, d, d)`` block
-stack, and each route reads a stack with one ``(state, stack)`` call: the
-probe route with one batched evolution and one readout, the direct route with
-one batched product and one trace. A report builds nothing else per request,
-and a lone spec is the batch of one. The probe circuit's wiring depends only
-on the register size and the slot count, so its controlled gates are made
-and checked once, at import, and a stack supplies their matrices.
+A spec owns its blocks, the slots' O(t), as one read-only ``(k, d, d)``
+stack that every route reads. Specs that share a register and a slot count
+stack into ``(T, k, d, d)``, which each route reads with one ``(state, stack)``
+call: one batched evolution and one readout on the probe route, one batched
+product and one trace on the direct route; a lone spec is the batch of one,
+``spec.blocks[None]``. The probe circuit's wiring depends only on the register
+size and the slot count, so its controlled gates are made once, at import.
 """
 
 from __future__ import annotations
@@ -58,13 +58,12 @@ _ROTATIONS = {"x": rx_matrix, "y": ry_matrix, "z": rz_matrix}
 class TimeSlot:
     """Per-qubit observables plus the evolution unitary for one time instant.
 
-    ``block`` is the Heisenberg observable O(t) = U^dag (O_1 x ... x O_N) U as
-    a gate on qubits 1..N controlled by the probe (qubit 0), made and checked
-    as unitary once, here; every route reads it."""
+    ``block`` is the read-only ``(d, d)`` Heisenberg observable
+    O(t) = U^dag (O_1 x ... x O_N) U, checked as unitary once, here."""
 
     observables: tuple[np.ndarray, ...]
     evolution: np.ndarray
-    block: GateOp = field(init=False, repr=False, compare=False)
+    block: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         obs = tuple(checked_matrix(o, "per-qubit observable", (2, 2), "dichotomic")
@@ -74,15 +73,19 @@ class TimeSlot:
         u = checked_matrix(self.evolution, "evolution", (2 ** len(obs),) * 2, "unitary")
         object.__setattr__(self, "observables", obs)
         object.__setattr__(self, "evolution", u)
-        object.__setattr__(self, "block", GateOp(
-            "slot observable U^dag (O_1 x ... x O_N) U", u.conj().T @ reduce(np.kron, obs) @ u,
-            tuple(range(1, len(obs) + 1)), control=0))
+        object.__setattr__(self, "block", checked_matrix(
+            u.conj().T @ reduce(np.kron, obs) @ u, "slot observable U^dag (O_1 x ... x O_N) U",
+            kind="unitary"))
 
 
 @dataclass(frozen=True)
 class TemporalCorrelationSpec:
+    """Time slots on ``system_qubits`` qubits; ``blocks`` is the read-only
+    ``(k, d, d)`` stack of their blocks, ``(0, d, d)`` for none."""
+
     system_qubits: int
     slots: tuple[TimeSlot, ...]
+    blocks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = checked_count(self.system_qubits, "system_qubits", minimum=1)
@@ -91,6 +94,9 @@ class TemporalCorrelationSpec:
         for s in self.slots:
             if len(s.observables) != n:
                 raise ValueError("slot size does not match the system qubit count")
+        blocks = np.array([s.block for s in self.slots], dtype=complex).reshape(-1, 2 ** n, 2 ** n)
+        blocks.setflags(write=False)
+        object.__setattr__(self, "blocks", blocks)
 
 
 def slot(observables, evolution: np.ndarray | None = None) -> TimeSlot:
@@ -108,8 +114,8 @@ def sigma_theta_evolution(theta) -> np.ndarray:
 
 
 def heisenberg_observable(ts: TimeSlot) -> np.ndarray:
-    """U^dag (O_1 x ... x O_N) U for one slot: the matrix of its block."""
-    return ts.block.matrix
+    """U^dag (O_1 x ... x O_N) U for one slot: its block."""
+    return ts.block
 
 
 # the probe's Hadamard, which opens and closes every probe circuit, and for
@@ -121,8 +127,10 @@ _PROBE_BLOCKS = {n: GateOp("slot block", np.eye(2 ** n), tuple(range(1, n + 1)),
 
 
 def build_scattering_circuit(spec: TemporalCorrelationSpec) -> Circuit:
-    """The probe circuit on N+1 qubits; the probe is the extra qubit 0."""
-    blocks = (ts.block for ts in spec.slots)
+    """The probe circuit on N+1 qubits; the probe is the extra qubit 0 and
+    controls each slot's block, made a gate here and only here."""
+    targets = tuple(range(1, spec.system_qubits + 1))
+    blocks = (GateOp("slot block", b, targets, control=0) for b in spec.blocks)
     return Circuit(spec.system_qubits + 1, (_PROBE_HADAMARD, *blocks, _PROBE_HADAMARD))
 
 
@@ -174,15 +182,7 @@ def correlator_scattering(rho_sys: QuantumState, spec: TemporalCorrelationSpec) 
     """Probe readout of the n-point correlator: the probe's <sigma_z> after
     the circuit runs on |0> x rho_sys; the batch of one of
     :func:`stack_correlators_scattering`."""
-    return stack_correlators_scattering(rho_sys, block_stack((spec,)))[0]
-
-
-def block_stack(specs) -> np.ndarray:
-    """The slots' blocks of specs that share a register and a slot count, as
-    one ``(T, k, d, d)`` complex array: ``[t, i]`` is slot i of spec t."""
-    d = 2 ** specs[0].system_qubits
-    blocks = [[ts.block.matrix for ts in spec.slots] for spec in specs]
-    return np.array(blocks, dtype=complex).reshape(len(specs), -1, d, d)
+    return stack_correlators_scattering(rho_sys, spec.blocks[None])[0]
 
 
 def stack_correlators_direct(rho_sys: QuantumState, stack: np.ndarray) -> list[float]:
@@ -201,7 +201,7 @@ def stack_correlators_direct(rho_sys: QuantumState, stack: np.ndarray) -> list[f
 def correlator_direct(rho_sys: QuantumState, spec: TemporalCorrelationSpec) -> float:
     """Closed form Re tr(rho * O(t_1) ... O(t_n)) of one spec: the batch of one
     of :func:`stack_correlators_direct`."""
-    return stack_correlators_direct(rho_sys, block_stack((spec,)))[0]
+    return stack_correlators_direct(rho_sys, spec.blocks[None])[0]
 
 
 def random_dichotomic(rng: np.random.Generator) -> np.ndarray:
@@ -237,7 +237,10 @@ def parse_angle(text) -> float:
             if not -1.0 <= x <= 1.0:
                 raise ValueError(f"acos argument {x} out of [-1, 1]")
             return math.acos(x)
-    angle = float(text)
+    try:
+        angle = float(text)
+    except OverflowError:  # an integer beyond the float range
+        angle = math.inf
     if not math.isfinite(angle):
         raise ValueError(f"angle {text!r} is not a finite number of radians")
     return angle
@@ -283,7 +286,10 @@ def parse_spec_document(text: str) -> TemporalCorrelationSpec:
     pentagram:<j>. Evolution entries are single-qubit rotations
     exp(-i*angle*sigma_axis/2) composed in list order.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("spec document nests too deeply") from exc
     try:
         return _spec_from_document(doc)
     except (AttributeError, KeyError, TypeError) as exc:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL, ATOL_STATE_PSD, checked_matrix
+from .linalg import ATOL, ATOL_STATE_PSD, checked_count, checked_matrix
 
 # largest register that random states, bitstring literals and spec documents build
 MAX_QUBITS = 3
@@ -31,9 +31,9 @@ class QuantumState:
     rho: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.qubits < 0:
-            raise ValueError("qubit count must be non-negative")
-        dim = 2 ** self.qubits
+        n = checked_count(self.qubits, "qubit count")
+        object.__setattr__(self, "qubits", n)
+        dim = 2 ** n
         if (self.amplitudes is None) == (self.rho is None):
             raise ValueError("exactly one of amplitudes and rho must be given")
         if self.amplitudes is not None:

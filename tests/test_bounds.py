@@ -19,6 +19,7 @@ from contextsim.bounds import (
     temporal_objective,
     tsirelson_search_bell,
 )
+from contextsim.inequalities import sigma_theta
 from contextsim.linalg import PAULI_Z
 from contextsim.states import bell_phi_plus, density_of
 
@@ -297,6 +298,11 @@ class TestPentagonScan:
             with pytest.raises(ValueError, match=f"non-finite angle: {bad}"):
                 pentagon_scan([0.0, bad, 1.0])
 
+    @pytest.mark.parametrize("bad", ["2.5", ["2.5"], [True], [1j]])
+    def test_non_real_grid_refused(self, bad):
+        with pytest.raises(ValueError, match="theta grid must be real numbers"):
+            pentagon_scan(bad)
+
     def test_readings_take_an_array_of_angles(self):
         thetas = np.array([[0.0, 0.4], [2.0, np.pi]])
         pairwise, invasive = pentagon_pairwise_value(thetas), pentagon_invasive_value(thetas)
@@ -375,3 +381,20 @@ class TestGlobalInvariants:
             temporal_bound_kcbs(8, tol)
         with pytest.raises(ValueError, match="tol"):
             contextual_bound_kcbs(tol=tol)
+
+
+@pytest.mark.parametrize("read", [sigma_theta, pentagon_pairwise_value, pentagon_invasive_value])
+@pytest.mark.parametrize("theta", [math.inf, math.nan, "2.5", True])
+def test_public_angle_entry_refuses_a_bad_angle(read, theta):
+    # one check, before any numpy call: a RuntimeWarning, a numpy type error or
+    # a float16 product would escape instead of this ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="theta (must be (a )?real|holds a non-finite angle)"):
+            read(theta)
+
+
+@pytest.mark.parametrize("read", [pentagon_pairwise_value, pentagon_invasive_value])
+def test_pentagon_readings_refuse_a_non_finite_entry_of_an_array(read):
+    with pytest.raises(ValueError, match="theta holds a non-finite angle: inf"):
+        read(np.array([0.0, math.inf]))

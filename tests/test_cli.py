@@ -231,6 +231,13 @@ class TestCommands:
         cfg.write_text("{not json")
         assert main(["--config", str(cfg), "pm"]) == 2
 
+    def test_deeply_nested_config_file(self, tmp_path, capsys):
+        # the JSON decoder raises RecursionError past the interpreter's depth
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[" * 100_000)
+        assert main(["--config", str(cfg), "pm"]) == 2
+        assert capsys.readouterr().err.startswith("error: bad config file")
+
     def test_config_must_be_an_object(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(["method", "sequential"]))

@@ -51,7 +51,6 @@ from contextsim.report import with_noise
 from contextsim.scattering import (
     TemporalCorrelationSpec,
     TimeSlot,
-    block_stack,
     build_scattering_circuit,
     correlator_direct,
     correlator_scattering,
@@ -306,7 +305,7 @@ def test_routes_agree_term_by_term(name, data):
 LONE_CALLS = {
     "scattering": correlator_scattering,
     "direct": correlator_direct,
-    "sequential": lambda s, spec: correlator_sequential(s, [ts.block.matrix for ts in spec.slots]),
+    "sequential": lambda s, spec: correlator_sequential(s, [ts.block for ts in spec.slots]),
 }
 
 
@@ -339,15 +338,15 @@ def test_report_reads_each_spec_as_its_lone_call_bit_for_bit(name, method, data)
         report = evaluate(state, theta, method)
     [call] = read.call_args_list
     stack, specs = call.args[1], _slot_built_specs(name, theta, report)
-    assert [row.tobytes() for row in stack] == [block_stack((spec,))[0].tobytes() for spec in specs]
+    assert [row.tobytes() for row in stack] == [spec.blocks.tobytes() for spec in specs]
     lone = [LONE_CALLS[method](state, spec) for spec in specs]
     assert [v.hex() for v in _values(report)] == [v.hex() for v in lone]
 
 
 @given(theta=angles)
 def test_cycle_blocks_are_the_slot_blocks_bit_for_bit(theta):
-    th = slot((PAULI_Z,), sigma_theta_evolution(theta)).block.matrix
-    z = inequalities._Z_SLOT.block.matrix
+    th = slot((PAULI_Z,), sigma_theta_evolution(theta)).block
+    z = inequalities._Z_SLOT.block
     cycle = inequalities._kcbs_cycle(theta)
     assert cycle.shape == (5, 2, 2)
     assert [b.tobytes() for b in cycle] == [m.tobytes() for m in (z, th, z, th, z)]
@@ -361,7 +360,7 @@ def test_probe_stack_reads_each_spec_as_its_lone_call_bit_for_bit(data):
     slots = data.draw(st.integers(0, 6))
     stack = data.draw(st.lists(specs(qubits, slots), min_size=1, max_size=10))
     state = data.draw(states(qubits))
-    values = stack_correlators_scattering(state, block_stack(stack))
+    values = stack_correlators_scattering(state, np.stack([spec.blocks for spec in stack]))
     assert [v.hex() for v in values] == [correlator_scattering(state, spec).hex() for spec in stack]
 
 

@@ -106,11 +106,18 @@ class TestCircuitShape:
         assert circuit.qubits == 3
         assert len(circuit.ops) == 4  # H, two controlled blocks, H
 
+    def test_spec_owns_its_read_only_blocks(self):
+        spec = random_correlation_spec(2, 3, np.random.default_rng(3))
+        assert isinstance(spec.slots[0].block, np.ndarray)
+        assert spec.blocks.shape == (3, 4, 4) and not spec.blocks.flags.writeable
+        assert all(np.array_equal(b, ts.block) for b, ts in zip(spec.blocks, spec.slots))
+        assert TemporalCorrelationSpec(system_qubits=2, slots=()).blocks.shape == (0, 4, 4)
+
     def test_blocks_are_the_slots_own(self):
         spec = random_correlation_spec(2, 3, np.random.default_rng(3))
         blocks = build_scattering_circuit(spec).ops[1:-1]
         assert len(blocks) == 3
-        assert all(op is ts.block for op, ts in zip(blocks, spec.slots))
+        assert all(np.array_equal(op.matrix, ts.block) for op, ts in zip(blocks, spec.slots))
 
 
 class TestProbeReadout:
@@ -398,3 +405,15 @@ class TestSpecDocuments:
         for text in ("nan", "inf", "-inf", float("nan"), float("inf"), True, False):
             with pytest.raises(ValueError, match="angle"):
                 parse_angle(text)
+
+    def test_integer_angle_beyond_float_range_rejected(self):
+        # float() of such an int raises OverflowError, not ValueError
+        doc = {"system_qubits": 1, "slots": [{"observables": ["Z"], "evolution": [
+            {"axis": "y", "qubit": 0, "angle": 10 ** 400}]}]}
+        with pytest.raises(ValueError, match="not a finite number of radians"):
+            parse_spec_document(json.dumps(doc))
+
+    def test_deep_nesting_is_a_value_error(self):
+        # the JSON decoder raises RecursionError past the interpreter's depth
+        with pytest.raises(ValueError, match="nests too deeply"):
+            parse_spec_document("[" * 100_000)

@@ -12,7 +12,6 @@ from contextsim.inequalities import (
 from contextsim.linalg import ATOL, ATOL_DICHOTOMIC, PAULI_X, PAULI_Z
 from contextsim.scattering import (
     TemporalCorrelationSpec,
-    block_stack,
     correlator_direct,
     heisenberg_observable,
     random_correlation_spec,
@@ -251,10 +250,10 @@ class TestOutcomeDistributionValidation:
         # state's own normalization tolerance ATOL
         z = PAULI_Z * (1 + 4.9e-11)
         spec = TemporalCorrelationSpec(1, tuple(slot((o,)) for o in (z, PAULI_X) * 3))
-        dist = joint_distribution(basis_state(1, "0"), tuple(s.block.matrix for s in spec.slots))
+        dist = joint_distribution(basis_state(1, "0"), tuple(s.block for s in spec.slots))
         assert abs(dist.probabilities.sum() - 1) > ATOL
         for method in METHODS:
-            [value] = _spec_values(basis_state(1, "0"), block_stack((spec,)), method)
+            [value] = _spec_values(basis_state(1, "0"), spec.blocks[None], method)
             assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_state_at_the_eigenvalue_floor_reads_on_every_route(self):
@@ -263,7 +262,7 @@ class TestOutcomeDistributionValidation:
         state = QuantumState(qubits=1, rho=np.diag([1 + 5e-10, -5e-10]))
         spec = TemporalCorrelationSpec(1, (slot((PAULI_Z,)),))
         for method in METHODS:
-            assert _spec_values(state, block_stack((spec,)), method) == [pytest.approx(1 + 1e-9, abs=1e-15)]
+            assert _spec_values(state, spec.blocks[None], method) == [pytest.approx(1 + 1e-9, abs=1e-15)]
             report = eval_kcbs_temporal(state, 2.5, method)
             assert report.sum == pytest.approx(1 + 4 * np.cos(2.5), abs=1e-8)
         assert correlator_sequential(state, (PAULI_Z,)) == pytest.approx(1 + 1e-9, abs=1e-15)

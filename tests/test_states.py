@@ -75,6 +75,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="power of two"):
             mixed_state(np.eye(3) / 3)
 
+    @pytest.mark.parametrize("qubits", [True, 1.0, "1"])
+    def test_qubit_count_must_be_an_integer(self, qubits):
+        with pytest.raises(ValueError, match="qubit count must be an integer"):
+            QuantumState(qubits=qubits, amplitudes=[1.0, 0.0])
+
+    def test_numpy_qubit_count_stored_as_int(self):
+        assert type(QuantumState(qubits=np.int64(1), amplitudes=[1.0, 0.0]).qubits) is int
+
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(ValueError):
             mixed_state(np.diag([1.5, -0.5]))
