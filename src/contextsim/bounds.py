@@ -10,19 +10,23 @@ algebraic -5 (a local rotation on one side aligns all five terms at once),
 which belongs to a different scenario than the constrained inequality.
 
 Each angle search has one objective over a batch of 5-tuples (the
-constrained minimum, the cyclic cosine sum) and one driver: the coarse grid
-evaluates all its tuples in one call, then cyclic line searches move one
-angle at a time. The temporal lines read a closed form: the three fixed
-cosines are taken once per line, the two moving ones per trial, and the five
-are summed in the public objective's order, so each trial rounds exactly as
-the objective would. The Bell lines use a closed form, c0 + c1 cos x +
-c2 sin x, built once per line from one eigensolve of the four fixed
-penalties; a line whose kernel could change along it calls the public
-objective instead. The start, the value after each sweep and the convergence
-test always call the public objective. Terms accumulate one at a time in
-cycle order, never stacked, so a batch of one rounds exactly as a scalar sum.
-The Bell grid is screened by its cosine sums first: the constrained
-objective runs only on the few rows that can hold its minimum.
+constrained minimum, the cyclic cosine sum) and one driver: a coarse grid
+start, then cyclic line searches that move one angle at a time. Every cosine
+on the grid is cos(g_j - g_k) of two grid angles, so the grid reads all its
+cycle sums off one r x r table, bit for bit as the batch objective rounds
+them, and builds only the tuples it keeps as 5-tuples. The temporal lines
+read a closed form: the three fixed cosines are taken once per line, the two
+moving ones per trial, and the five are summed in the public objective's
+order, so each trial rounds exactly as the objective would. The Bell lines
+use a closed form, c0 + c1 cos x + c2 sin x, built once per line from one
+eigensolve of the four fixed penalties; a line whose kernel could change
+along it calls the public objective instead. The start, the value after each
+sweep and the convergence test always call the public objective, which
+checks its angles; the batch forms and the lines take them as given. Terms
+accumulate one at a time in cycle order, never stacked, so a batch of one
+rounds exactly as a scalar sum. The Bell grid is screened by its cosine sums
+first: the constrained objective runs only on the few rows that can hold its
+minimum.
 
 All searches are deterministic: seeded restarts, fixed sweep order, golden-
 section line minimization.
@@ -42,7 +46,7 @@ from .sequential import correlator_sequential, joint_distribution
 from .states import mixed_state
 
 KERNEL_TOL = 1e-9
-MAX_RESOLUTION = 16  # the grid holds resolution**4 5-tuples: about 14 MB traced at 16
+MAX_RESOLUTION = 16  # the grid holds resolution**4 5-tuples: a search peaks near 2.6 MB traced at 16
 # a Bell grid row is screened out when its cosine sum is this far above the
 # grid's lowest and its second penalty eigenvalue is at least this large
 _SCREEN_MARGIN = 1e-6
@@ -88,7 +92,7 @@ def _cycle_operator(kron) -> np.ndarray:
 
 def bell_operator(angles) -> np.ndarray:
     """Sum of the five cross terms sigma(a_r) x sigma(a_{r+1}) over the cycle."""
-    return _cycle_operator(_sigma_products(angles))
+    return _cycle_operator(_sigma_products(checked_angles(angles, "angles")))
 
 
 def _constrained_minima(angles) -> np.ndarray:
@@ -115,7 +119,7 @@ def _constrained_minima(angles) -> np.ndarray:
 
 def bell_constrained_objective(angles) -> float:
     """Minimum of the five-term operator over states obeying <A_j B_j> = 1."""
-    return float(_constrained_minima(angles))
+    return float(_constrained_minima(checked_angles(angles, "angles")))
 
 
 def _bell_line(angles, i: int):
@@ -158,7 +162,7 @@ def _cycle_cosines(angles) -> np.ndarray:
 def temporal_objective(angles) -> float:
     """Sum of the five cyclic two-time correlators, cos(a_i - a_{i+1}); the
     anticommutator form makes each term state independent."""
-    return float(_cycle_cosines(angles))
+    return float(_cycle_cosines(checked_angles(angles, "angles")))
 
 
 def _temporal_line(angles, i: int):
@@ -196,36 +200,58 @@ def _checked_resolution(resolution) -> int:
     return resolution
 
 
-def _coarse_grid_tuples(resolution: int) -> np.ndarray:
-    """All angle 5-tuples over the grid, one per row, with the first angle
-    pinned to 0; a global angle shift changes neither spectra nor constraints."""
-    resolution = _checked_resolution(resolution)
-    grid = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
-    mesh = np.meshgrid(*([grid] * 4), indexing="ij")
-    return np.stack([np.zeros(mesh[0].size)] + [m.reshape(-1) for m in mesh], axis=1)
+def _grid(resolution) -> np.ndarray:
+    return np.linspace(0.0, 2 * np.pi, _checked_resolution(resolution), endpoint=False)
 
 
-def _coarse_minimum(batch_objective, resolution: int) -> np.ndarray:
-    """The grid 5-tuple where ``batch_objective`` is lowest (first in grid order)."""
-    angles = _coarse_grid_tuples(resolution)
-    return angles[int(np.argmin(batch_objective(angles)))]
+def _coarse_grid_tuples(resolution: int, rows=None) -> np.ndarray:
+    """The angle 5-tuples over the grid, one per row in grid order (the four
+    free angles in C order), with the first angle pinned to 0; a global angle
+    shift changes neither spectra nor constraints. ``rows`` picks tuples by
+    flat grid index; by default all resolution**4 of them."""
+    grid = _grid(resolution)
+    rows = np.arange(grid.size**4) if rows is None else np.asarray(rows)
+    free = np.unravel_index(rows, (grid.size,) * 4)
+    return np.stack([np.zeros(rows.size)] + [grid[i] for i in free], axis=1)
+
+
+def _grid_cosines(grid: np.ndarray) -> np.ndarray:
+    """``_cycle_cosines`` of every grid tuple, shape (r, r, r, r) in grid
+    order, bit for bit: each term cos(a_j - a_{j+1}) is read off one r x r
+    table (the pinned a_0 = 0 enters as 0.0 - g and g - 0.0) and the five
+    are added in cycle order from 0, as the builtin ``sum`` adds them."""
+    table = np.cos(grid[:, None] - grid)
+    return (0 + np.cos(0.0 - grid)[:, None, None, None] + table[:, :, None, None]
+            + table[:, :, None] + table + np.cos(grid - 0.0))
+
+
+def _grid_second_eigenvalues(grid: np.ndarray) -> np.ndarray:
+    """The second penalty eigenvalue, (5 - |sum_j exp(2i a_j)|)/2, of every
+    grid tuple, shape (r, r, r, r) in grid order, bit for bit as numpy's sum
+    over a row of five groups it: ((e_0 + e_1) + (e_2 + e_3)) + e_4."""
+    phase = np.exp(2j * grid)
+    sums = (np.exp(2j * 0.0) + phase)[:, None, None, None] + (phase[:, None] + phase)[:, :, None] + phase
+    return (5 - np.abs(sums)) / 2
 
 
 def _coarse_bell_minimum(resolution: int) -> np.ndarray:
-    """``_coarse_minimum(_constrained_minima, resolution)``, screened. A row
-    whose second penalty eigenvalue, (5 - |sum_j exp(2i a_j)|)/2, is at least
+    """The grid 5-tuple where ``_constrained_minima`` is lowest (first in grid
+    order), screened. A row whose second penalty eigenvalue is at least
     _SCREEN_MARGIN has the pair state as its kernel, where the constrained
     minimum is the cosine sum to 1e-12; so only rows within _SCREEN_MARGIN of
-    the lowest sum, or below that eigenvalue, can win, and keep their values."""
-    angles = _coarse_grid_tuples(resolution)
-    cosines = _cycle_cosines(angles)
-    second = (5 - np.abs(np.exp(2j * angles).sum(axis=-1))) / 2
-    kept = angles[(cosines <= cosines.min() + _SCREEN_MARGIN) | (second < _SCREEN_MARGIN)]
+    the lowest sum, or below that eigenvalue, can win. Both screens are read
+    off r-sized tables, and only the kept rows are built as 5-tuples."""
+    grid = _grid(resolution)
+    cosines = _grid_cosines(grid).ravel()
+    second = _grid_second_eigenvalues(grid).ravel()
+    rows = np.flatnonzero((cosines <= cosines.min() + _SCREEN_MARGIN) | (second < _SCREEN_MARGIN))
+    kept = _coarse_grid_tuples(resolution, rows)
     return kept[int(np.argmin(_constrained_minima(kept)))]
 
 
 def _coarse_temporal_minimum(resolution: int) -> np.ndarray:
-    return _coarse_minimum(_cycle_cosines, resolution)
+    """The grid 5-tuple with the lowest cyclic cosine sum (first in grid order)."""
+    return _coarse_grid_tuples(resolution, [np.argmin(_grid_cosines(_grid(resolution)))])[0]
 
 
 def _descend(objective, line, angles: np.ndarray, sweeps: int, tol: float):

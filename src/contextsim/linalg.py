@@ -72,13 +72,23 @@ def checked_matrix(entries, what: str, shape: tuple[int, int] | None = None,
     return m
 
 
+def _holds_bool(theta) -> bool:
+    """Whether a list or tuple holds a bool (``np.bool_`` included) at any
+    depth; numpy reads one as a number when it sits beside one."""
+    return isinstance(theta, (list, tuple)) and any(
+        isinstance(x, bool) or getattr(x, "dtype", None) == bool
+        for x in np.asarray(theta, dtype=object).flat
+    )
+
+
 def checked_angles(theta, what: str, scalar: bool = False):
     """``theta`` in radians: a float for one angle, a float64 array for an
     array of them (refused when ``scalar``). Integers and floats pass; bools,
-    strings, complex and non-finite values raise ValueError naming ``what``
-    before any numpy arithmetic can warn or pick another dtype."""
+    also inside a list or tuple, strings, complex and non-finite values raise
+    ValueError naming ``what`` before any numpy arithmetic can warn or pick
+    another dtype."""
     a = np.asarray(theta)
-    if a.dtype.kind not in "iuf" or (scalar and a.ndim):
+    if a.dtype.kind not in "iuf" or (a.ndim and (scalar or _holds_bool(theta))):
         kind = "a real number" if scalar else "real numbers"
         raise ValueError(f"{what} must be {kind} of radians, got {theta!r}")
     if a.ndim == 0:  # one angle: a Python float check, several times faster

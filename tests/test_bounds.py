@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -119,8 +120,40 @@ class TestTsirelsonSearch:
     def test_screened_grid_start_is_the_full_grid_argmin(self, resolution):
         # the screen drops rows that cannot win; the start, ties included,
         # must be the one the constrained objective picks over the whole grid
-        full = bounds._coarse_minimum(bounds._constrained_minima, resolution)
+        tuples = bounds._coarse_grid_tuples(resolution)
+        full = tuples[int(np.argmin(bounds._constrained_minima(tuples)))]
         assert np.array_equal(bounds._coarse_bell_minimum(resolution), full)
+
+
+class TestCoarseGrid:
+    @pytest.mark.parametrize("resolution", range(1, MAX_RESOLUTION + 1))
+    def test_tables_read_the_full_grid_forms_bit_for_bit(self, resolution, monkeypatch):
+        # every resolution the searches take: the table sums round as the
+        # batch forms do on the built tuples, so the screen keeps the same rows
+        tuples = bounds._coarse_grid_tuples(resolution)
+        grid = bounds._grid(resolution)
+        cosines = bounds._cycle_cosines(tuples)
+        second = (5 - np.abs(np.exp(2j * tuples).sum(axis=-1))) / 2
+        assert bounds._grid_cosines(grid).tobytes() == cosines.tobytes()
+        assert bounds._grid_second_eigenvalues(grid).tobytes() == second.tobytes()
+        full = tuples[(cosines <= cosines.min() + bounds._SCREEN_MARGIN) | (second < bounds._SCREEN_MARGIN)]
+        kept, minima = [], bounds._constrained_minima
+        monkeypatch.setattr(bounds, "_constrained_minima", lambda rows: kept.append(rows) or minima(rows))
+        bounds._coarse_bell_minimum(resolution)
+        assert len(kept) == 1
+        assert kept[0].shape == full.shape and kept[0].tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("resolution", [8, 16])
+    def test_temporal_grid_builds_no_tuple_array(self, resolution):
+        # the (r**4, 5) float64 tuple array alone is r**4 * 5 * 8 bytes
+        bounds._coarse_temporal_minimum(resolution)
+        tracemalloc.start()
+        try:
+            bounds._coarse_temporal_minimum(resolution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < resolution**4 * 5 * 8
 
 
 class TestTemporalBound:
@@ -298,7 +331,7 @@ class TestPentagonScan:
             with pytest.raises(ValueError, match=f"non-finite angle: {bad}"):
                 pentagon_scan([0.0, bad, 1.0])
 
-    @pytest.mark.parametrize("bad", ["2.5", ["2.5"], [True], [1j]])
+    @pytest.mark.parametrize("bad", ["2.5", ["2.5"], [True], [1j], [0.0, True, 1.0], (0.5, np.True_)])
     def test_non_real_grid_refused(self, bad):
         with pytest.raises(ValueError, match="theta grid must be real numbers"):
             pentagon_scan(bad)
@@ -368,7 +401,7 @@ class TestGlobalInvariants:
         def refuse(*args, **kwargs):
             raise AssertionError("built an angle grid")
 
-        monkeypatch.setattr(bounds.np, "meshgrid", refuse)
+        monkeypatch.setattr(bounds.np, "linspace", refuse)
         for search in (tsirelson_search_bell, temporal_bound_kcbs):
             with pytest.raises(ValueError, match=f"resolution must be at most {MAX_RESOLUTION}"):
                 search(resolution=resolution)
@@ -392,6 +425,16 @@ def test_public_angle_entry_refuses_a_bad_angle(read, theta):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="theta (must be (a )?real|holds a non-finite angle)"):
             read(theta)
+
+
+@pytest.mark.parametrize("objective", [temporal_objective, bell_operator, bell_constrained_objective])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, "2.5", True])
+def test_search_objectives_refuse_a_bad_angle(objective, bad):
+    # nan gave a nan sum or matrix and a LinAlgError; inf a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="angles (must be real|holds a non-finite angle)"):
+            objective([0.0, 1.0, bad, 2.0, 3.0])
 
 
 @pytest.mark.parametrize("read", [pentagon_pairwise_value, pentagon_invasive_value])

@@ -367,7 +367,7 @@ class TestRejectedValues:
         def refuse(*args, **kwargs):
             raise AssertionError("built an angle grid")
 
-        monkeypatch.setattr(bounds.np, "meshgrid", refuse)
+        monkeypatch.setattr(bounds.np, "linspace", refuse)
         assert main(["bounds", "--target", target, "--resolution", "100"]) == 2
         captured = capsys.readouterr()
         assert f"at most {bounds.MAX_RESOLUTION}" in captured.err and captured.out == ""

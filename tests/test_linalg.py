@@ -10,6 +10,7 @@ from contextsim.linalg import (
     PAULI_Y,
     PAULI_Z,
     check_observable,
+    checked_angles,
     checked_count,
     checked_matrix,
     sigma_theta_matrix,
@@ -110,6 +111,24 @@ class TestCheckedCount:
         assert checked_count(0, "n") == 0
         with pytest.raises(ValueError, match="n must be at least 1, got 0"):
             checked_count(0, "n", 1)
+
+
+class TestCheckedAngles:
+    @pytest.mark.parametrize(
+        "theta",
+        [[0.0, True], (0.5, np.True_), [[0.0, 1.0], [2.0, False]], [np.array(True), 1.0],
+         [np.array([0.0, 1.0]), np.array([True, False])]],
+    )
+    def test_bool_inside_a_sequence_refused(self, theta):
+        # numpy reads a bool beside a number as 0.0 or 1.0 in a float64 array
+        assert np.asarray(theta).dtype == float
+        with pytest.raises(ValueError, match="x must be real numbers of radians"):
+            checked_angles(theta, "x")
+
+    def test_numbers_pass(self):
+        assert checked_angles(2, "x") == 2.0 and type(checked_angles(2, "x")) is float
+        a = checked_angles([0, 1.5, np.float64(2.0), np.int8(3)], "x")
+        assert a.dtype == float and a.tolist() == [0.0, 1.5, 2.0, 3.0]
 
 
 class TestKron:

@@ -655,12 +655,14 @@ def test_cross_is_numpy_cross_bit_for_bit(a, b):
     assert np.array_equal(bounds._cross(a, b), np.cross(a, b))
 
 
-@pytest.mark.parametrize("resolution", range(1, 6))
+# the temporal grid over every resolution the search takes; a scalar Bell
+# objective costs about 85 us, so the Bell grid stops at 5 (625 tuples)
 @pytest.mark.parametrize(
-    "coarse, batch, objective",
-    [(bounds._coarse_bell_minimum, bounds._constrained_minima, bounds.bell_constrained_objective),
-     (bounds._coarse_temporal_minimum, bounds._cycle_cosines, bounds.temporal_objective)],
-    ids=["bell", "temporal"],
+    "coarse, batch, objective, resolution",
+    [pytest.param(bounds._coarse_bell_minimum, bounds._constrained_minima, bounds.bell_constrained_objective,
+                  r, id=f"bell-{r}") for r in range(1, 6)]
+    + [pytest.param(bounds._coarse_temporal_minimum, bounds._cycle_cosines, bounds.temporal_objective,
+                    r, id=f"temporal-{r}") for r in range(1, bounds.MAX_RESOLUTION + 1)],
 )
 def test_coarse_start_is_the_scalar_argmin(coarse, batch, objective, resolution):
     # bit for bit: a grid that rounds differently from the line search could
