@@ -11,22 +11,19 @@ which belongs to a different scenario than the constrained inequality.
 
 Each angle search has one objective over a batch of 5-tuples (the
 constrained minimum, the cyclic cosine sum) and one driver: a coarse grid
-start, then cyclic line searches that move one angle at a time. Every cosine
-on the grid is cos(g_j - g_k) of two grid angles, so the grid reads all its
-cycle sums off one r x r table, bit for bit as the batch objective rounds
-them, and builds only the tuples it keeps as 5-tuples. The temporal lines
-read a closed form: the three fixed cosines are taken once per line, the two
-moving ones per trial, and the five are summed in the public objective's
-order, so each trial rounds exactly as the objective would. The Bell lines
-use a closed form, c0 + c1 cos x + c2 sin x, built once per line from one
-eigensolve of the four fixed penalties; a line whose kernel could change
-along it calls the public objective instead. The start, the value after each
-sweep and the convergence test always call the public objective, which
-checks its angles; the batch forms and the lines take them as given. Terms
+start, then cyclic line searches that move one angle at a time. The grid
+reads its cycle sums off one r x r cosine table, bit for bit as the batch
+objective rounds them; the Bell grid is screened by them first, and only
+the kept rows are built as 5-tuples. Each line reads a closed form built
+once per line: the temporal one sums its five cosines in the objective's
+order, so each trial rounds as the objective would; the Bell one,
+c0 + c1 cos x + c2 sin x, holds only where the kernel cannot change along
+the line, and elsewhere the line calls the objective. The contextual seesaw
+runs its lines in Python floats on 3-tuples. Every search's start, value
+after each sweep and convergence test call the public objective, which
+checks its input; the batch forms and the lines take it as given. Terms
 accumulate one at a time in cycle order, never stacked, so a batch of one
-rounds exactly as a scalar sum. The Bell grid is screened by its cosine sums
-first: the constrained objective runs only on the few rows that can hold its
-minimum.
+rounds exactly as a scalar sum.
 
 All searches are deterministic: seeded restarts, fixed sweep order, golden-
 section line minimization.
@@ -39,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import PAULI_X, PAULI_Z, checked_angles, checked_count, sigma_theta_matrix
+from .linalg import PAULI_X, PAULI_Z, checked_angles, checked_count, checked_reals, sigma_theta_matrix
 from .inequalities import _PENTAGON_PAIRS, _kcbs_cycle
 from .optimize import golden_section_minimize
 from .sequential import correlator_sequential, joint_distribution
@@ -194,10 +191,7 @@ def _positive_tol(tol) -> float:
 
 
 def _checked_resolution(resolution) -> int:
-    resolution = checked_count(resolution, "resolution", 1)
-    if resolution > MAX_RESOLUTION:
-        raise ValueError(f"resolution must be at most {MAX_RESOLUTION}, got {resolution}")
-    return resolution
+    return checked_count(resolution, "resolution", 1, MAX_RESOLUTION)
 
 
 def _grid(resolution) -> np.ndarray:
@@ -273,9 +267,7 @@ def _descend(objective, line, angles: np.ndarray, sweeps: int, tol: float):
                     trial[i] = x
                     return objective(trial)
 
-            angles[i] = golden_section_minimize(
-                along, angles[i] - np.pi, angles[i] + np.pi, tol=min(tol, 1e-9)
-            )
+            angles[i] = golden_section_minimize(along, angles[i] - np.pi, angles[i] + np.pi, tol=min(tol, 1e-9))
         current = objective(angles)
         converged = performed >= 3 and previous - current < tol
         previous = current
@@ -289,14 +281,8 @@ def _angle_search(target: str, coarse, objective, line, resolution, sweeps, tol)
     along the lines that ``line`` builds (see ``_descend``)."""
     sweeps, tol = checked_count(sweeps, "sweeps", 1), _positive_tol(tol)
     angles, value, performed, converged = _descend(objective, line, coarse(resolution), sweeps, tol)
-    return BoundResult(
-        target=target,
-        optimum=value,
-        argument={"angles": [float(a) for a in angles]},
-        iterations=performed,
-        converged=converged,
-        tolerance=tol,
-    )
+    return BoundResult(target=target, optimum=value, argument={"angles": [float(a) for a in angles]},
+                       iterations=performed, converged=converged, tolerance=tol)
 
 
 def tsirelson_search_bell(resolution: int = 8, sweeps: int = 40, tol: float = 1e-9) -> BoundResult:
@@ -307,10 +293,8 @@ def tsirelson_search_bell(resolution: int = 8, sweeps: int = 40, tol: float = 1e
     objective elsewhere; the reported optimum is the objective's value. The
     optimum sits at equal angle steps of 4*pi/5 with value -5 cos(pi/5).
     """
-    return _angle_search(
-        "bell-kcbs", _coarse_bell_minimum, bell_constrained_objective, _bell_line,
-        resolution, sweeps, tol,
-    )
+    return _angle_search("bell-kcbs", _coarse_bell_minimum, bell_constrained_objective, _bell_line,
+                         resolution, sweeps, tol)
 
 
 def temporal_bound_kcbs(resolution: int = 8, tol: float = 1e-9, sweeps: int = 40) -> BoundResult:
@@ -322,55 +306,55 @@ def temporal_bound_kcbs(resolution: int = 8, tol: float = 1e-9, sweeps: int = 40
     the search therefore takes the steps it would take calling the objective
     on every trial.
     """
-    return _angle_search(
-        "temporal-kcbs", _coarse_temporal_minimum, temporal_objective, _temporal_line,
-        resolution, sweeps, tol,
-    )
+    return _angle_search("temporal-kcbs", _coarse_temporal_minimum, temporal_objective, _temporal_line,
+                         resolution, sweeps, tol)
 
 
 def contextual_objective(vectors, psi) -> float:
     """5 - 4 * sum_i <psi|u_i><u_i|psi> for projective X_i = 2|u_i><u_i| - I
     with adjacent orthogonality; minimized at 5 - 4*sqrt(5)."""
-    psi = np.asarray(psi, dtype=float)
+    vectors = checked_reals(vectors, "vectors", (5, 3), "five finite real 3-vectors")
+    psi = checked_reals(psi, "state", (3,), "a finite real 3-vector")
     return float(5.0 - 4.0 * sum(float(np.dot(u, psi)) ** 2 for u in vectors))
 
 
-def _cross(a, b) -> np.ndarray:
-    """``np.cross`` of two 3-vectors, bit for bit (each product rounded, then
-    the difference), on Python floats: one seesaw search takes about 800, and
-    on a single pair ``np.cross`` pays some 30 times this in call overhead."""
-    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+def _dot(a, b) -> float:
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return a0 * b0 + a1 * b1 + a2 * b2
+
+
+def _cross(a, b) -> tuple:
+    """``np.cross`` of two 3-vectors as a tuple, bit for bit (each product
+    rounded, then the difference); on one pair of Python floats ``np.cross``
+    spends some 30 times as long in call overhead."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
 
 
 def _feasible_start(rng: np.random.Generator):
+    """Five unit 3-vectors, adjacent ones orthogonal, as tuples of floats:
+    four drawn and each projected off the one before, the fifth u_3 x u_0."""
     for _ in range(200):
-        u = [None] * 5
-        v = rng.standard_normal(3)
-        u[0] = v / np.linalg.norm(v)
-        ok = True
-        for i in range(1, 4):
-            v = rng.standard_normal(3)
-            v -= (v @ u[i - 1]) * u[i - 1]
+        u = []
+        for i in range(5):
+            v = rng.standard_normal(3) if i < 4 else np.array(_cross(u[3], u[0]))
+            if 0 < i < 4:
+                v -= (v @ u[i - 1]) * u[i - 1]
             norm = np.linalg.norm(v)
             if norm < 1e-8:
-                ok = False
                 break
-            u[i] = v / norm
-        if not ok:
-            continue
-        v = _cross(u[3], u[0])
-        norm = np.linalg.norm(v)
-        if norm < 1e-8:
-            continue
-        u[4] = v / norm
-        return u
+            u.append(v / norm)
+        else:
+            return [tuple(ui.tolist()) for ui in u]
     raise RuntimeError("could not draw a feasible five-cycle start")
 
 
-def _top_state(u) -> np.ndarray:
-    _, vecs = np.linalg.eigh(sum(np.outer(ui, ui) for ui in u))
-    return vecs[:, -1]
+def _state_step(u):
+    """The top eigenvector psi of sum_i u_i u_i^T = U^T U, U the 5 x 3 stack,
+    as a tuple, and the public objective at (u, psi)."""
+    stack = np.array(u)
+    psi = np.linalg.eigh(stack.T @ stack)[1][:, -1]
+    return tuple(psi.tolist()), contextual_objective(stack, psi)
 
 
 def _seesaw_line(u, psi, i: int):
@@ -384,21 +368,24 @@ def _seesaw_line(u, psi, i: int):
     5 - 4 (rest + (a.t)^2 + (b.t)^2 / |cand x w|^2), where
     |cand x w|^2 = 1 - (c.t)^2 is taken as (w.u_{i-1})^2 + (c1 sin phi -
     c2 cos phi)^2, a sum of squares that does not cancel near a degenerate
-    pin. The trial is +inf where |cand x w| < 1e-12. Returns (e1, e2, value),
-    or None when u_i is parallel to u_{i-1}.
+    pin. The trial is +inf where |cand x w| < 1e-12. All of it is Python
+    float arithmetic on 3-tuples, where numpy would spend most of its time in
+    call overhead. Returns (e1, e2, value), or None when u_i is parallel to
+    u_{i-1}.
     """
-    im1, ip1, ip2 = (i - 1) % 5, (i + 1) % 5, (i + 2) % 5
-    e1 = u[i] - (u[i] @ u[im1]) * u[im1]
-    n1 = np.linalg.norm(e1)
+    prev, w = u[(i - 1) % 5], u[(i + 2) % 5]
+    along = _dot(u[i], prev)
+    e1 = tuple(x - along * p for x, p in zip(u[i], prev))
+    n1 = math.hypot(*e1)
     if n1 < 1e-10:
         return None
-    e1 /= n1
-    e2 = _cross(u[im1], e1)
-    w = u[ip2]
-    products = np.array([e1, e2]) @ np.array([psi, _cross(w, psi), w]).T
-    (a1, b1, c1), (a2, b2, c2) = products.tolist()
-    off_plane = float(w @ u[im1]) ** 2
-    rest = sum(float(np.dot(u[j], psi)) ** 2 for j in range(5) if j not in (i, ip1))
+    e1 = tuple(x / n1 for x in e1)
+    e2 = _cross(prev, e1)
+    w_psi = _cross(w, psi)
+    a1, b1, c1 = _dot(e1, psi), _dot(e1, w_psi), _dot(e1, w)
+    a2, b2, c2 = _dot(e2, psi), _dot(e2, w_psi), _dot(e2, w)
+    off_plane = _dot(w, prev) ** 2
+    rest = sum(_dot(u[j], psi) ** 2 for j in range(5) if j not in (i, (i + 1) % 5))
 
     def value(phi: float) -> float:
         cos, sin = math.cos(phi), math.sin(phi)
@@ -416,14 +403,13 @@ def _contextual_seesaw(seed: int, iterations: int, tol: float):
     vector moves. Single vectors are rigid inside the cycle, so each move
     rotates u_i on the circle orthogonal to u_{i-1} and re-pins u_{i+1} as the
     cross product with u_{i+2}; degenerate cross products abort the restart.
-    Along each line the golden-section search reads the closed form
-    5 - 4 (rest + (a.t)^2 + (b.t)^2 / (1 - (c.t)^2)), t = (cos phi, sin phi),
-    whose scalars and rest ``_seesaw_line`` computes once per line; only the
-    accepted step builds the moved vectors."""
-    rng = np.random.default_rng(seed)
-    u = _feasible_start(rng)
-    previous = np.inf
-    psi = _top_state(u)
+    Each line's golden-section search reads the closed form of
+    ``_seesaw_line``, and only the accepted step builds the moved vectors.
+    The vectors and the state stay 3-tuples of floats: numpy runs only the
+    random start and one ``eigh`` per sweep, and the start and the value
+    after each sweep are the public objective's."""
+    u = _feasible_start(np.random.default_rng(seed))
+    psi, previous = _state_step(u)
     for performed in range(1, iterations + 1):
         for i in range(5):
             line = _seesaw_line(u, psi, i)
@@ -431,14 +417,14 @@ def _contextual_seesaw(seed: int, iterations: int, tol: float):
                 continue
             e1, e2, value = line
             phi = golden_section_minimize(value, -np.pi, np.pi, tol=1e-11)
-            cand = np.cos(phi) * e1 + np.sin(phi) * e2
+            cos, sin = math.cos(phi), math.sin(phi)
+            cand = tuple(cos * x + sin * y for x, y in zip(e1, e2))
             cross = _cross(cand, u[(i + 2) % 5])
-            norm = np.linalg.norm(cross)
+            norm = math.hypot(*cross)
             if norm < 1e-12:
                 return None
-            u[i], u[(i + 1) % 5] = cand, cross / norm
-        psi = _top_state(u)
-        current = contextual_objective(u, psi)
+            u[i], u[(i + 1) % 5] = cand, tuple(x / norm for x in cross)
+        psi, current = _state_step(u)
         converged = performed >= 3 and previous - current < tol
         previous = current
         if converged:
@@ -449,8 +435,7 @@ def _contextual_seesaw(seed: int, iterations: int, tol: float):
 def contextual_bound_kcbs(iterations: int = 200, restarts: int = 8, tol: float = 1e-9) -> BoundResult:
     """Seesaw over five exclusive rank-one tests and a state in R^3; the
     optimum 5 - 4*sqrt(5) sits strictly above the temporal extremum."""
-    restarts = checked_count(restarts, "restarts", 1)
-    iterations = checked_count(iterations, "iterations", 1)
+    restarts, iterations = checked_count(restarts, "restarts", 1), checked_count(iterations, "iterations", 1)
     tol = _positive_tol(tol)
     # the result when every restart aborts; each strictly better restart replaces it
     result = BoundResult(target="contextual-kcbs", optimum=float("inf"), argument={}, iterations=0,

@@ -7,9 +7,9 @@ parts instead: a Lüders chain whose state and observables all have zero
 imaginary part (see ``sequential``), for which :func:`check_observable` takes
 real stacks as well. Every matrix that a constructor stores goes through
 :func:`checked_matrix`, every count read from user input through
-:func:`checked_count`, and every angle argument through
-:func:`checked_angles`. Operations are pure functions and safe to call
-concurrently.
+:func:`checked_count`, every angle argument through :func:`checked_angles`
+and every real vector through :func:`checked_reals`. Operations are pure
+functions and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -102,12 +102,23 @@ def checked_angles(theta, what: str, scalar: bool = False):
     return a
 
 
-def checked_count(value, what: str, minimum: int = 0) -> int:
-    """``value`` as an int of at least ``minimum``. Python and numpy integers
-    pass; bools, floats and strings raise ValueError naming ``what`` instead
-    of being truncated."""
+def checked_reals(value, what: str, shape: tuple, kind: str) -> np.ndarray:
+    """``value`` as a float64 array of ``shape``; another shape or dtype, a bool
+    (also inside a list or tuple) or a non-finite entry raises ValueError."""
+    a = np.asarray(value)
+    if a.dtype.kind not in "iuf" or a.shape != shape or _holds_bool(value) or not np.isfinite(a).all():
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
+    return a.astype(float)
+
+
+def checked_count(value, what: str, minimum: int = 0, maximum: int | None = None) -> int:
+    """``value`` as an int from ``minimum`` to ``maximum`` (unbounded when
+    None). Python and numpy integers pass; bools, floats and strings raise
+    ValueError naming ``what`` instead of being truncated."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{what} must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{what} must be at most {maximum}, got {value}")
     return int(value)

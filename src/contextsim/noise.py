@@ -9,7 +9,6 @@ hypothesis, not a calibrated physical model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -20,6 +19,8 @@ from .optimize import golden_section_minimize
 from .states import QuantumState, density_of
 
 FIT_TOL = 1e-6
+MAX_BLOCKS = 2**53  # every count up to here converts to a float exactly
+MAX_MAGNITUDE = 1e150  # the square of a residual between two such values stays finite
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ def apply_visibility(ideal: float, n_blocks: int, v: float) -> float:
     """Contrast loss v^n_blocks applied multiplicatively to one correlator."""
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility {v} out of [0, 1]")
-    return float(v ** checked_count(n_blocks, "block count") * ideal)
+    return float(v ** checked_count(n_blocks, "block count", 0, MAX_BLOCKS) * ideal)
 
 
 def fit_visibility(pairs) -> float:
@@ -55,13 +56,15 @@ def fit_visibility(pairs) -> float:
 
     Minimizes sum (v^n * ideal - measured)^2 by golden section on [0, 1].
     """
-    pairs = [(float(i), checked_count(n, "block count"), float(m)) for i, n, m in pairs]
+    pairs = [(float(i), checked_count(n, "block count", 0, MAX_BLOCKS), float(m)) for i, n, m in pairs]
     if not pairs:
         raise ValueError("need at least one measurement")
     if any(i == 0.0 for i, _, _ in pairs):
         raise ValueError("ideal values must be nonzero")
-    if not all(math.isfinite(i) and math.isfinite(m) for i, _, m in pairs):
-        raise ValueError("ideal and measured values must be finite")
+    bad = [x for i, _, m in pairs for x in (i, m) if not abs(x) <= MAX_MAGNITUDE]
+    if bad:
+        raise ValueError(f"ideal and measured values must be finite and at most {MAX_MAGNITUDE:g}"
+                         f" in magnitude, got {bad[0]!r}")
 
     def objective(v: float) -> float:
         return sum((v ** n * i - m) ** 2 for i, n, m in pairs)

@@ -269,6 +269,46 @@ class TestContextualBound:
         assert (res.optimum, res.argument["seed"], res.iterations, res.converged) == (-3.5, 2, 12, False)
         assert res.argument["vectors"] == [[2.0] * 3] * 5
 
+    @pytest.mark.parametrize(
+        "vectors, psi, what",
+        [
+            (pentagram_vectors()[:4], [0.0, 0.0, 1.0], "vectors"),
+            ([v[:2] for v in pentagram_vectors()], [0.0, 0.0, 1.0], "vectors"),
+            (pentagram_vectors()[:4] + [[math.inf, 0.0, 0.0]], [0.0, 0.0, 1.0], "vectors"),
+            (pentagram_vectors()[:4] + [[True, 0.0, 0.0]], [0.0, 0.0, 1.0], "vectors"),
+            ([[1j, 0.0, 0.0]] * 5, [0.0, 0.0, 1.0], "vectors"),
+            ("abcde", [0.0, 0.0, 1.0], "vectors"),
+            (pentagram_vectors(), [0.0, 0.0, math.inf], "state"),
+            (pentagram_vectors(), [0.0, 0.0, math.nan], "state"),
+            (pentagram_vectors(), [0.0, 1.0], "state"),
+            (pentagram_vectors(), True, "state"),
+            (pentagram_vectors(), [0.0, 0.0, True], "state"),
+            (pentagram_vectors(), np.array([0.0, 0.0, 1.0], dtype=complex), "state"),
+        ],
+    )
+    def test_objective_refuses_bad_input(self, vectors, psi, what):
+        # four vectors used to give 5.0, an inf state a RuntimeWarning and True
+        # the value 1; now one ValueError names the argument
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{what} must be"):
+                contextual_objective(vectors, psi)
+
+    def test_objective_takes_tuples_lists_and_arrays_alike(self):
+        vectors = pentagram_vectors()
+        value = contextual_objective(vectors, np.array([0.0, 0.0, 1.0]))
+        assert contextual_objective([tuple(v.tolist()) for v in vectors], (0.0, 0.0, 1.0)) == value
+        assert contextual_objective(np.array(vectors), [0, 0, 1]) == value
+
+    def test_seesaw_checks_at_the_start_and_after_each_sweep(self, monkeypatch):
+        # the public objective scores the start and every sweep; the line
+        # work in between runs unchecked
+        calls = []
+        monkeypatch.setattr(bounds, "contextual_objective",
+                            lambda u, psi: calls.append(1) or contextual_objective(u, psi))
+        _, _, _, performed, _ = bounds._contextual_seesaw(0, 200, 1e-9)
+        assert len(calls) == performed + 1
+
     def test_line_is_infinite_where_the_pin_degenerates(self):
         # u_4 = y is orthogonal to u_2 = z, so the circle of u_0 around y
         # passes through z, where u_0 x u_2 vanishes
@@ -277,6 +317,23 @@ class TestContextualBound:
         assert np.array_equal(e1, x) and np.array_equal(e2, -z)
         assert value(math.pi / 2) == math.inf
         assert math.isfinite(value(0.0))
+
+
+class TestCertificates:
+    """Each default optimum against its closed form: the smallest adjacency
+    eigenvalue of C5 gives -5 cos(pi/5) for the temporal and Bell searches,
+    the Lovász number of C5, sqrt(5), gives 5 - 4 sqrt(5) for the contextual
+    one (Cabello, Severini and Winter, PRL 112, 040401 (2014)). A value below
+    its closed form by more than rounding is a bug in the search."""
+
+    @pytest.mark.parametrize(
+        "search, closed_form, above",
+        [("temporal_search", TSIRELSON, 1e-9), ("bell_search", TSIRELSON, 1e-9),
+         ("contextual_search", CONTEXTUAL, 1e-11)],
+    )
+    def test_default_optimum_certified(self, request, search, closed_form, above):
+        optimum = request.getfixturevalue(search).optimum
+        assert closed_form - 1e-14 <= optimum <= closed_form + above
 
 
 class TestPentagonScan:

@@ -112,6 +112,11 @@ class TestCheckedCount:
         with pytest.raises(ValueError, match="n must be at least 1, got 0"):
             checked_count(0, "n", 1)
 
+    def test_maximum(self):
+        assert checked_count(16, "n", 1, 16) == 16
+        with pytest.raises(ValueError, match="n must be at most 16, got 17"):
+            checked_count(17, "n", 1, 16)
+
 
 class TestCheckedAngles:
     @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,13 @@ class TestVisibility:
         with pytest.raises(ValueError):
             NoiseModel(state_depolarizing_p=2.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_block_count_beyond_float_range_named(self):
+        # 0.5 ** 10**400 used to raise OverflowError: int too large to convert to float
+        with pytest.raises(ValueError, match=f"block count must be at most {2**53}, got {10**400}"):
+            apply_visibility(1.0, 10**400, 0.5)
+        assert apply_visibility(1.0, 2**53, 0.5) == 0.0
+
 
 class TestFit:
     def test_synthetic_round_trip(self):
@@ -103,7 +112,7 @@ class TestFit:
     @pytest.mark.parametrize(
         "triple",
         [(1.0, 3, float("nan")), (1.0, 1, float("-inf")), (float("inf"), 3, 0.5),
-         (float("nan"), 1, 0.5), (1.0, -1, 0.9)],
+         (float("nan"), 1, 0.5), (1.0, -1, 0.9), (1.0, 10**400, 0.5)],
     )
     def test_non_finite_value_or_negative_block_count_rejected(self, triple):
         with pytest.raises(ValueError):
@@ -114,6 +123,19 @@ class TestFit:
         # 2.5 used to be truncated to 2 blocks and fit the same visibility
         with pytest.raises(ValueError, match="block count must be an integer"):
             fit_visibility([(1.0, blocks, 0.9 ** 2.5)])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "triple, named", [((1e200, 1, 1e200), "1e+200"), ((1.0, 1, -1e151), "-1e+151"), ((-1e151, 1, 0.5), "-1e+151")]
+    )
+    def test_large_value_named_instead_of_overflowing(self, triple, named):
+        # a squared residual of 1e200 used to raise OverflowError
+        with pytest.raises(ValueError, match=re.escape(f"at most 1e+150 in magnitude, got {named}")):
+            fit_visibility([(1.0, 1, 0.9), triple])
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_values_fit(self):
+        assert fit_visibility([(1e150, 1, 1e150), (-1e150, 2, -1e150)]) == pytest.approx(1.0, abs=1e-5)
 
     def test_numpy_integer_block_count_accepted(self):
         assert fit_visibility([(1.0, np.int64(2), 0.81)]) == pytest.approx(0.9, abs=1e-5)

@@ -628,13 +628,16 @@ def test_temporal_line_is_the_objective_bit_for_bit(kind, data):
 
 @given(u=five_cycles(), data=st.data())
 def test_seesaw_line_matches_cross_product_form(u, data):
-    psi = _unit(data.draw)
+    # the seesaw keeps its vectors and state as 3-tuples of floats, and the
+    # line returns its plane basis as tuples
+    u = [tuple(v.tolist()) for v in u]
+    psi = tuple(_unit(data.draw).tolist())
     i = data.draw(st.integers(0, 4))
     phi = data.draw(st.floats(-np.pi, np.pi))
     e1, e2, value = bounds._seesaw_line(u, psi, i)
     basis = np.array([e1, e2, u[(i - 1) % 5]])
     assert np.max(np.abs(basis @ basis.T - np.eye(3))) <= 1e-12
-    oracle = _moved_pair_oracle(u, psi, i, np.cos(phi) * e1 + np.sin(phi) * e2)
+    oracle = _moved_pair_oracle(u, psi, i, np.cos(phi) * np.array(e1) + np.sin(phi) * np.array(e2))
     assume(oracle is not None)
     assert abs(value(phi) - oracle) <= 1e-12
 
