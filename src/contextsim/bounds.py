@@ -36,7 +36,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import PAULI_X, PAULI_Z, checked_angles, checked_count, checked_reals, sigma_theta_matrix
+from .linalg import (PAULI_X, PAULI_Z, checked_angles, checked_count, checked_real, checked_reals,
+                     sigma_theta_matrix)
 from .inequalities import _PENTAGON_PAIRS, _kcbs_cycle
 from .optimize import golden_section_minimize
 from .sequential import correlator_sequential, joint_distribution
@@ -184,8 +185,8 @@ def _temporal_line(angles, i: int):
 
 
 def _positive_tol(tol) -> float:
-    tol = float(tol)
-    if not (np.isfinite(tol) and tol > 0):
+    tol = checked_real(tol, "tol")
+    if not tol > 0:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     return tol
 

@@ -138,15 +138,17 @@ def evolve(circuit: Circuit, operand: np.ndarray, matrices=None) -> np.ndarray:
     the operand is a ``(T, 2^n)`` stack of vectors or a ``(T, 2^n, 2^n)``
     stack of density matrices, the gates take ``matrices`` in place of the
     ops' own (see :func:`_on_rows`), and the T results return as one stack."""
-    if matrices is None:
-        return evolve(circuit, operand[None], [op.matrix for op in circuit.ops])[0]
-    ops, n = circuit.ops, circuit.qubits
+    ops, n, lone = circuit.ops, circuit.qubits, matrices is None
+    if lone:  # the stack of one
+        operand, matrices = operand[None], [op.matrix for op in ops]
     if operand.ndim == 2:
         psi = _on_rows(ops, matrices, operand, n)
         # each row's norm summed as np.linalg.norm sums it for one vector
-        return psi / np.sqrt(np.vecdot(psi.real, psi.real) + np.vecdot(psi.imag, psi.imag))[:, None]
-    rho = _on_rows(ops, matrices, _on_rows(ops, matrices, operand, n).conj().swapaxes(-1, -2), n)
-    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+        out = psi / np.sqrt(np.vecdot(psi.real, psi.real) + np.vecdot(psi.imag, psi.imag))[:, None]
+    else:
+        rho = _on_rows(ops, matrices, _on_rows(ops, matrices, operand, n).conj().swapaxes(-1, -2), n)
+        out = rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    return out[0] if lone else out
 
 
 def apply(circuit: Circuit, state: QuantumState) -> QuantumState:

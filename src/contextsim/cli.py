@@ -34,7 +34,7 @@ from .inequalities import (
 )
 from .linalg import checked_count
 from .noise import NoiseModel, depolarize
-from .report import emit_bounds, emit_report, with_noise
+from .report import FORMATS, emit_bounds, emit_report, with_noise
 from .scattering import parse_angle
 from .selftest import selftest_text
 from .states import state_from_literal
@@ -49,7 +49,28 @@ EXIT_IO = 4
 
 # options whose value is a literal or a path, so a JSON number there is a mistake
 _TEXT_OPTIONS = ("state", "output")
-_THETA_HELP = 'angle in radians, required; accepts floats, "pi", "acos(-0.75)"'
+
+# Each evaluation command: its help, default --state, whether it takes --theta,
+# and its evaluator of (state, options). Evaluators and searches look their
+# functions up at call time, so a rebinding of those names reaches them.
+_EVALUATIONS = {
+    "pm": ("six-context state-independent combination", "00", False,
+           lambda st, c: eval_pm(st, c.method)),
+    "kcbs": ("five-term cyclic two-time combination", "0", True,
+             lambda st, c: eval_kcbs_temporal(st, c.theta, c.method)),
+    "pentagon": ("ten-pair two-time combination", "0", True,
+                 lambda st, c: eval_pentagon_lg(st, c.theta, c.method)),
+    "bell": ("five cross correlators with side conditions", "bell", False,
+             lambda st, c: eval_transformed_bell(st, c.method)),
+}
+
+# each bound target's search, in bounds.TARGETS order
+_SEARCHES = {
+    "bell-kcbs": lambda c: bounds_mod.tsirelson_search_bell(c.resolution, c.sweeps, c.tol),
+    "temporal-kcbs": lambda c: bounds_mod.temporal_bound_kcbs(c.resolution, c.tol, c.sweeps),
+    "contextual-kcbs": lambda c: bounds_mod.contextual_bound_kcbs(c.iterations, c.restarts, c.tol),
+    "pentagon-lg": lambda c: bounds_mod.pentagon_scan(),
+}
 
 
 @functools.cache
@@ -64,7 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file with default option values")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_state):
+    for command, (help_text, default_state, takes_theta, _) in _EVALUATIONS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--state", default=default_state,
                        help='bitstring, "bell", or a file of "re im" amplitude lines')
         p.add_argument("--method", default="direct", choices=METHODS)
@@ -72,20 +94,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="state depolarizing probability")
         p.add_argument("--visibility", type=float, default=None,
                        help="per-block readout visibility")
-        p.add_argument("--format", default="table", choices=("table", "json", "csv"))
+        p.add_argument("--format", default="table", choices=FORMATS)
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
-
-    common(sub.add_parser("pm", help="six-context state-independent combination"), "00")
-    kcbs = sub.add_parser("kcbs", help="five-term cyclic two-time combination")
-    common(kcbs, "0")
-    kcbs.add_argument("--theta", help=_THETA_HELP)
-    pentagon = sub.add_parser("pentagon", help="ten-pair two-time combination")
-    common(pentagon, "0")
-    pentagon.add_argument("--theta", help=_THETA_HELP)
-    common(sub.add_parser("bell", help="five cross correlators with side conditions"), "bell")
+        if takes_theta:
+            p.add_argument("--theta", help='angle in radians, required; accepts floats, "pi", "acos(-0.75)"')
 
     bounds_p = sub.add_parser("bounds", help="extremum searches for the five-cycle family")
-    bounds_p.add_argument("--target", default="all", choices=bounds_mod.TARGETS + ("all",))
+    bounds_p.add_argument("--target", default="all", choices=(*_SEARCHES, "all"))
     bounds_p.add_argument("--resolution", type=int, default=8,
                           help=f"coarse angle grid points per axis, 1 to {bounds_mod.MAX_RESOLUTION}")
     bounds_p.add_argument("--sweeps", type=int, default=40,
@@ -93,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bounds_p.add_argument("--restarts", type=int, default=8)
     bounds_p.add_argument("--iterations", type=int, default=200)
     bounds_p.add_argument("--tol", type=float, default=1e-9)
-    bounds_p.add_argument("--format", default="table", choices=("table", "json", "csv"))
+    bounds_p.add_argument("--format", default="table", choices=FORMATS)
     bounds_p.add_argument("--output", default=None)
 
     sub.add_parser("selftest", help="run the acceptance checks")
@@ -145,23 +160,15 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def _evaluate(config: argparse.Namespace):
-    state = state_from_literal(config.state)
-    def evaluate(st):
-        if config.command == "pm":
-            return eval_pm(st, config.method)
-        if config.command == "kcbs":
-            return eval_kcbs_temporal(st, config.theta, config.method)
-        if config.command == "pentagon":
-            return eval_pentagon_lg(st, config.theta, config.method)
-        if config.command == "bell":
-            return eval_transformed_bell(st, config.method)
+    if config.command not in _EVALUATIONS:
         raise ValueError(f"unknown command {config.command!r}")
-
-    ideal = evaluate(state)
+    evaluate = _EVALUATIONS[config.command][-1]
+    state = state_from_literal(config.state)
+    ideal = evaluate(state, config)
     if config.noise is None:
         return ideal
     p = config.noise.state_depolarizing_p
-    noisy = ideal if p == 0 else evaluate(depolarize(state, p))
+    noisy = ideal if p == 0 else evaluate(depolarize(state, p), config)
     return with_noise(ideal, noisy, config.noise)
 
 
@@ -171,24 +178,8 @@ def _run_bounds(config: argparse.Namespace):
     for option in ("sweeps", "restarts", "iterations"):
         checked_count(getattr(config, option), option, 1)
     bounds_mod._positive_tol(config.tol)
-    results = []
-    targets = bounds_mod.TARGETS if config.target == "all" else (config.target,)
-    for target in targets:
-        if target == "bell-kcbs":
-            results.append(
-                bounds_mod.tsirelson_search_bell(config.resolution, config.sweeps, config.tol)
-            )
-        elif target == "temporal-kcbs":
-            results.append(
-                bounds_mod.temporal_bound_kcbs(config.resolution, config.tol, config.sweeps)
-            )
-        elif target == "contextual-kcbs":
-            results.append(
-                bounds_mod.contextual_bound_kcbs(config.iterations, config.restarts, config.tol)
-            )
-        elif target == "pentagon-lg":
-            results.append(bounds_mod.pentagon_scan())
-    return results
+    targets = _SEARCHES if config.target == "all" else (config.target,)
+    return [_SEARCHES[target](config) for target in targets]
 
 
 def _write(text: str, path: str | None) -> int:

@@ -44,7 +44,13 @@ from .scattering import (
 from .sequential import stack_correlators_sequential
 from .states import QuantumState
 
-METHODS = ("scattering", "direct", "sequential")
+# each route's one (state, stack) call on a (T, k, d, d) block stack
+_ROUTES = {
+    "scattering": stack_correlators_scattering,
+    "direct": stack_correlators_direct,
+    "sequential": stack_correlators_sequential,
+}
+METHODS = tuple(_ROUTES)
 VERDICT_EPS = 1e-9
 CONSTRAINT_ATOL = 1e-6
 
@@ -184,16 +190,12 @@ def pentagram_observable(j: int) -> Observable:
 
 def _spec_values(state: QuantumState, stack: np.ndarray, method: str) -> list[float]:
     """The correlator of each row of a ``(T, k, d, d)`` block stack on
-    ``method``, in one ``(state, stack)`` route call: one batched product on
-    the direct route, one joint distribution on the sequential route, and one
-    batched evolution with one readout on the probe route."""
-    if method == "scattering":
-        return stack_correlators_scattering(state, stack)
-    if method == "direct":
-        return stack_correlators_direct(state, stack)
-    if method == "sequential":
-        return stack_correlators_sequential(state, stack)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    ``method``: one batched evolution with one readout on the probe route,
+    one batched product on the direct route, one joint distribution on the
+    sequential route."""
+    if method not in METHODS:  # by ==, so any value is refused with this message
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    return _ROUTES[method](state, stack)
 
 
 def _pm_term(label_seq) -> TemporalCorrelationSpec:

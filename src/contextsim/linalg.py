@@ -7,14 +7,16 @@ parts instead: a Lüders chain whose state and observables all have zero
 imaginary part (see ``sequential``), for which :func:`check_observable` takes
 real stacks as well. Every matrix that a constructor stores goes through
 :func:`checked_matrix`, every count read from user input through
-:func:`checked_count`, every angle argument through :func:`checked_angles`
-and every real vector through :func:`checked_reals`. Operations are pure
+:func:`checked_count`, every angle argument through :func:`checked_angles`,
+every other real number through :func:`checked_real` and every real vector
+through :func:`checked_reals`. Operations are pure
 functions and safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -100,6 +102,17 @@ def checked_angles(theta, what: str, scalar: bool = False):
     if len(bad):
         raise ValueError(f"{what} holds a non-finite angle: {bad[0]}")
     return a
+
+
+def checked_real(value, what: str) -> float:
+    """``value`` as a float, by the rule of :func:`checked_angles`: integers and
+    floats pass; bools, strings, complex, arrays and non-finite values (an
+    integer beyond the float range too) raise ValueError naming ``what``."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    # a Python int compares exactly, where float() of one beyond the float range raises
+    if not (real and abs(value if isinstance(value, int) else float(value)) <= sys.float_info.max):
+        raise ValueError(f"{what} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 def checked_reals(value, what: str, shape: tuple, kind: str) -> np.ndarray:

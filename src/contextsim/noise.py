@@ -3,8 +3,9 @@
 Two knobs: state depolarization before the run, and a per-readout-block
 visibility factor v applied once per controlled block a term needs. State
 noise alone cannot shrink the six-context combination (its contexts multiply
-to +-identity), which is why the visibility knob exists; it is a working
-hypothesis, not a calibrated physical model.
+to +-identity), which is why the visibility knob exists. Its factor v^k is
+the probe dephasing rho -> ((1+v)/2) rho + ((1-v)/2) Z_0 rho Z_0 of the probe
+qubit 0 after each of a term's k controlled blocks.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from importlib import resources
 
 import numpy as np
 
-from .linalg import checked_count
+from .inequalities import eval_pm, eval_transformed_bell
+from .linalg import checked_count, checked_real
 from .optimize import golden_section_minimize
-from .states import QuantumState, density_of
+from .states import QuantumState, bell_phi_plus, density_of
 
 FIT_TOL = 1e-6
 MAX_BLOCKS = 2**53  # every count up to here converts to a float exactly
@@ -29,15 +31,15 @@ class NoiseModel:
     block_visibility_v: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.state_depolarizing_p <= 1.0:
+        if not 0.0 <= checked_real(self.state_depolarizing_p, "depolarizing probability") <= 1.0:
             raise ValueError("depolarizing probability out of [0, 1]")
-        if not 0.0 <= self.block_visibility_v <= 1.0:
+        if not 0.0 <= checked_real(self.block_visibility_v, "visibility") <= 1.0:
             raise ValueError("visibility out of [0, 1]")
 
 
 def depolarize(state: QuantumState, p: float) -> QuantumState:
     """(1-p) rho + p I/2^n."""
-    if not 0.0 <= p <= 1.0:
+    if not 0.0 <= checked_real(p, "depolarizing probability") <= 1.0:
         raise ValueError(f"depolarizing probability {p} out of [0, 1]")
     dim = 2 ** state.qubits
     rho = (1 - p) * density_of(state) + p * np.eye(dim, dtype=complex) / dim
@@ -46,7 +48,8 @@ def depolarize(state: QuantumState, p: float) -> QuantumState:
 
 def apply_visibility(ideal: float, n_blocks: int, v: float) -> float:
     """Contrast loss v^n_blocks applied multiplicatively to one correlator."""
-    if not 0.0 <= v <= 1.0:
+    checked_real(ideal, "ideal value")
+    if not 0.0 <= checked_real(v, "visibility") <= 1.0:
         raise ValueError(f"visibility {v} out of [0, 1]")
     return float(v ** checked_count(n_blocks, "block count", 0, MAX_BLOCKS) * ideal)
 
@@ -56,7 +59,8 @@ def fit_visibility(pairs) -> float:
 
     Minimizes sum (v^n * ideal - measured)^2 by golden section on [0, 1].
     """
-    pairs = [(float(i), checked_count(n, "block count", 0, MAX_BLOCKS), float(m)) for i, n, m in pairs]
+    pairs = [(checked_real(i, "ideal value"), checked_count(n, "block count", 0, MAX_BLOCKS),
+              checked_real(m, "measured value")) for i, n, m in pairs]
     if not pairs:
         raise ValueError("need at least one measurement")
     if any(i == 0.0 for i, _, _ in pairs):
@@ -72,16 +76,19 @@ def fit_visibility(pairs) -> float:
     return golden_section_minimize(objective, 0.0, 1.0, tol=FIT_TOL)
 
 
-def load_measured_table(name: str) -> list[tuple[str, float, float, float]]:
-    """Rows (label, theory, experimental, uncertainty) from a shipped table.
+# each shipped table: its file, and the report whose terms it measures, in order
+# (on any two-qubit state, as its labels, signs, block counts and prediction are)
+_TABLES = {
+    "pm": ("pm_terms.txt", lambda: eval_pm(bell_phi_plus())),
+    "bell": ("bell_terms.txt", lambda: eval_transformed_bell(bell_phi_plus())),
+}
 
-    Known names: "pm" (six three-block contexts) and "bell" (five one-block
-    cross correlators).
-    """
-    files = {"pm": "pm_terms.txt", "bell": "bell_terms.txt"}
-    if name not in files:
-        raise ValueError(f"unknown table {name!r}; expected one of {sorted(files)}")
-    text = resources.files("contextsim.data").joinpath(files[name]).read_text(encoding="utf-8")
+
+def load_measured_table(name: str) -> list[tuple[str, float, float, float]]:
+    """Rows (label, theory, experimental, uncertainty) from a shipped table."""
+    if name not in _TABLES:
+        raise ValueError(f"unknown table {name!r}; expected one of {sorted(_TABLES)}")
+    text = resources.files("contextsim.data").joinpath(_TABLES[name][0]).read_text(encoding="utf-8")
     rows = []
     for line in text.splitlines():
         line = line.strip()
@@ -93,24 +100,19 @@ def load_measured_table(name: str) -> list[tuple[str, float, float, float]]:
 
 
 def visibility_summary(table: str) -> dict:
-    """Fit v on a shipped table and evaluate the resulting model combination.
-
-    For the six-context table the model value is 6 v^3 (three blocks per
-    term); for the cross-correlator table it is 5 * cos(4*pi/5) * v.
-    """
+    """Fit v on a shipped table's own theory column and evaluate the model
+    combination, the report's quantum prediction times v^blocks; the block
+    count and the term signs also come from the report."""
     rows = load_measured_table(table)
-    blocks = 3 if table == "pm" else 1
+    report = _TABLES[table][1]()
+    if [row[0] for row in rows] != [label for label, _ in report.terms]:
+        raise ValueError(f"table {table!r} does not list the {report.name} terms in order")
+    blocks = report.blocks_per_term[0]
     v = fit_visibility([(theory, blocks, measured) for _, theory, measured, _ in rows])
-    if table == "pm":
-        model = 6.0 * v ** 3
-        measured_sum = sum(m if t > 0 else -m for _, t, m, _ in rows)
-    else:
-        model = 5.0 * float(np.cos(4 * np.pi / 5)) * v
-        measured_sum = sum(m for _, _, m, _ in rows)
     return {
         "table": table,
         "visibility": v,
-        "model_sum": model,
-        "measured_sum": float(measured_sum),
+        "model_sum": report.quantum_prediction * v ** blocks,
+        "measured_sum": float(sum(sign * m for sign, (_, _, m, _) in zip(report.term_signs, rows))),
         "blocks_per_term": blocks,
     }

@@ -67,16 +67,6 @@ def emit_table(report: InequalityReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(report: InequalityReport, fmt: str) -> str:
-    if fmt == "csv":
-        return emit_csv(report)
-    if fmt == "json":
-        return emit_json(report)
-    if fmt == "table":
-        return emit_table(report)
-    raise ValueError(f"unknown format {fmt!r}")
-
-
 def with_noise(ideal: InequalityReport, noisy: InequalityReport, model: NoiseModel) -> InequalityReport:
     """Degrade a report by rescaling values only: the depolarized evaluation's
     terms and side conditions scaled by the visibility of their readout blocks,
@@ -130,11 +120,24 @@ def emit_bound_table(results: list[BoundResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# each output format's emitters: of one report, and of a list of bound results
+_EMITTERS = {
+    "table": (emit_table, emit_bound_table),
+    "json": (emit_json, emit_bound_json),
+    "csv": (emit_csv, emit_bound_csv),
+}
+FORMATS = tuple(_EMITTERS)
+
+
+def _emitters(fmt: str):
+    if fmt not in FORMATS:  # by ==, so any value is refused with this message
+        raise ValueError(f"unknown format {fmt!r}")
+    return _EMITTERS[fmt]
+
+
+def emit_report(report: InequalityReport, fmt: str) -> str:
+    return _emitters(fmt)[0](report)
+
+
 def emit_bounds(results: list[BoundResult], fmt: str) -> str:
-    if fmt == "csv":
-        return emit_bound_csv(results)
-    if fmt == "json":
-        return emit_bound_json(results)
-    if fmt == "table":
-        return emit_bound_table(results)
-    raise ValueError(f"unknown format {fmt!r}")
+    return _emitters(fmt)[1](results)

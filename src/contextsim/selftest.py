@@ -1,7 +1,7 @@
 """Deterministic acceptance checks behind the ``selftest`` CLI command.
 
-Each check prints one PASS/FAIL line; seeds are fixed so two runs produce
-byte-identical output.
+Each check prints one PASS/FAIL line, numbered by its place in ``ALL_CHECKS``;
+seeds are fixed so two runs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .inequalities import (
     METHODS,
+    PM_SIGNS,
     eval_kcbs_temporal,
     eval_pm,
     eval_transformed_bell,
@@ -29,19 +30,12 @@ from .scattering import (
 from .sequential import correlator_sequential
 from .states import bell_phi_plus, density_of, haar_random_state, mixed_state
 
-PM_THEORY = (1.0, 1.0, 1.0, 1.0, 1.0, -1.0)
-
 
 @dataclass(frozen=True)
 class CheckResult:
-    index: int
     name: str
     passed: bool
     detail: str
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"{status} {self.index} {self.name}: {self.detail}"
 
 
 def check_pm_state_independent() -> CheckResult:
@@ -53,11 +47,10 @@ def check_pm_state_independent() -> CheckResult:
         for method in METHODS:
             rep = eval_pm(state, method)
             worst_sum = max(worst_sum, abs(rep.sum - 6.0))
-            for (_, value), theory in zip(rep.terms, PM_THEORY):
+            for (_, value), theory in zip(rep.terms, PM_SIGNS):
                 worst_term = max(worst_term, abs(value - theory))
     ok = worst_sum <= 1e-9 and worst_term <= 1e-9
     return CheckResult(
-        1,
         "pm-state-independent",
         ok,
         f"101 states x 3 methods, max|sum-6|={worst_sum:.3e}, max term dev={worst_term:.3e}",
@@ -74,9 +67,7 @@ def check_scattering_direct_equivalence() -> CheckResult:
         state = haar_random_state(n, rng)
         worst = max(worst, abs(correlator_scattering(state, spec) - correlator_direct(state, spec)))
     ok = worst < 1e-10
-    return CheckResult(
-        2, "scattering-direct-equivalence", ok, f"200 random specs, max gap={worst:.3e}"
-    )
+    return CheckResult("scattering-direct-equivalence", ok, f"200 random specs, max gap={worst:.3e}")
 
 
 def check_sequential_two_time() -> CheckResult:
@@ -88,7 +79,7 @@ def check_sequential_two_time() -> CheckResult:
         two_time = float(0.5 * np.trace(density_of(state) @ (x @ y + y @ x)).real)
         worst = max(worst, abs(correlator_sequential(state, (x, y)) - two_time))
     ok = worst < 1e-10
-    return CheckResult(3, "sequential-two-time-formula", ok, f"100 random pairs, max gap={worst:.3e}")
+    return CheckResult("sequential-two-time-formula", ok, f"100 random pairs, max gap={worst:.3e}")
 
 
 def check_bell_violation() -> CheckResult:
@@ -104,7 +95,6 @@ def check_bell_violation() -> CheckResult:
         violated = violated and rep.violated and rep.classical_bound == -3.0
     ok = worst_term <= 1e-9 and worst_sum <= 1e-8 and worst_constraint <= 1e-9 and violated
     return CheckResult(
-        4,
         "transformed-bell-violation",
         ok,
         f"terms dev={worst_term:.3e}, sum dev={worst_sum:.3e}, "
@@ -126,7 +116,6 @@ def check_bound_recovery() -> CheckResult:
         and gap > 0.05
     )
     return CheckResult(
-        5,
         "bound-recovery",
         ok,
         f"bell={bell.optimum:.9f}, temporal={temporal.optimum:.9f}, "
@@ -144,7 +133,6 @@ def check_kcbs_closed_form() -> CheckResult:
         floor_ok = floor_ok and rep.sum >= -3.0 - 1e-9
     ok = worst <= 1e-9 and floor_ok
     return CheckResult(
-        6,
         "kcbs-closed-form",
         ok,
         f"50 angles, max|sum-(1+4cos)|={worst:.3e}, never below -3: {floor_ok}",
@@ -167,7 +155,6 @@ def check_pentagon_scan() -> CheckResult:
         and flagged
     )
     return CheckResult(
-        7,
         "pentagon-scan",
         ok,
         f"pairwise min={pair_min:.6f}, invasive min={inv_min:.6f}, "
@@ -186,7 +173,6 @@ def check_visibility_fit() -> CheckResult:
         and len(rows) == 6
     )
     return CheckResult(
-        8,
         "visibility-fit",
         ok,
         f"round-trip v={v_round:.6f}, table v={summary['visibility']:.6f}, "
@@ -212,9 +198,7 @@ def check_determinism() -> CheckResult:
     first = _representative_reports()
     second = _representative_reports()
     ok = first == second
-    return CheckResult(
-        9, "determinism", ok, f"two in-process emissions byte-identical: {ok} ({len(first)} bytes)"
-    )
+    return CheckResult("determinism", ok, f"two in-process emissions byte-identical: {ok} ({len(first)} bytes)")
 
 
 ALL_CHECKS = (
@@ -230,13 +214,9 @@ ALL_CHECKS = (
 )
 
 
-def run_selftest() -> tuple[list[CheckResult], bool]:
-    results = [check() for check in ALL_CHECKS]
-    return results, all(r.passed for r in results)
-
-
 def selftest_text() -> tuple[str, bool]:
-    results, ok = run_selftest()
-    lines = [r.line() for r in results]
+    results = [check() for check in ALL_CHECKS]
+    ok = all(r.passed for r in results)
+    lines = [f"{'PASS' if r.passed else 'FAIL'} {i} {r.name}: {r.detail}" for i, r in enumerate(results, 1)]
     lines.append(f"selftest: {'ALL PASS' if ok else 'FAILURES PRESENT'} ({len(results)} checks)")
     return "\n".join(lines) + "\n", ok

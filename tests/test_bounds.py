@@ -463,6 +463,15 @@ class TestGlobalInvariants:
             with pytest.raises(ValueError, match=f"resolution must be at most {MAX_RESOLUTION}"):
                 search(resolution=resolution)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tol", [True, "1e-3", pytest.param(10**400, id="10**400"), 1e-3 + 0j,
+                                     np.array([1e-9])])
+    def test_tolerance_must_be_a_real_number(self, tol):
+        # bools and strings used to run as floats, and 10**400 raised OverflowError
+        for search in (tsirelson_search_bell, temporal_bound_kcbs, contextual_bound_kcbs):
+            with pytest.raises(ValueError, match="^tol must be a finite real number"):
+                search(tol=tol)
+
     @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0, 0.0])
     def test_tolerance_must_be_finite_and_positive(self, tol):
         with pytest.raises(ValueError, match="tol"):

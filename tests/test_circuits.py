@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from contextsim import circuits
 from contextsim.circuits import (
     HADAMARD,
     Circuit,
@@ -267,6 +268,17 @@ class TestApply:
         st = random_pure_state(2, 5)
         out = apply(backward, apply(forward, st))
         assert np.allclose(out.amplitudes, st.amplitudes, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_one_apply_is_one_evolve_call(self, mixed, monkeypatch):
+        # a lone circuit runs as the stack of one inside the same call, so a
+        # wrapper around evolve sees each apply once
+        calls = []
+        evolve_once = circuits.evolve
+        monkeypatch.setattr(circuits, "evolve", lambda *args: calls.append(args) or evolve_once(*args))
+        st = depolarize(bell_phi_plus(), 0.5) if mixed else bell_phi_plus()
+        out = apply(Circuit(2, (hadamard(0), cnot(0, 1))), st)
+        assert len(calls) == 1 and out.is_pure != mixed
 
     def test_mixed_state_transform(self):
         st = depolarize(bell_phi_plus(), 0.5)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import contextsim
-from contextsim import bounds, cli, states
+from contextsim import bounds, cli, inequalities, states
 from contextsim.cli import main
 from contextsim.inequalities import (
     eval_kcbs_temporal,
@@ -18,7 +19,9 @@ from contextsim.inequalities import (
     eval_transformed_bell,
 )
 from contextsim.report import (
+    FORMATS,
     emit_bound_json,
+    emit_bounds,
     emit_csv,
     emit_json,
     emit_report,
@@ -429,3 +432,59 @@ class TestTableFormat:
         assert "classical bound: <= 4.000000" in text
         assert "quantum prediction: 6.000000" in text
         assert "VIOLATED" in text
+
+
+class TestAxisTables:
+    """Each CLI axis (commands, bound targets, formats, routes) is listed in
+    one table, which the parser, the dispatch and the errors all read."""
+
+    def test_tables_list_the_documented_values_in_order(self):
+        assert tuple(cli._EVALUATIONS) == ("pm", "kcbs", "pentagon", "bell")
+        assert tuple(cli._SEARCHES) == bounds.TARGETS
+        assert FORMATS == ("table", "json", "csv")
+        assert inequalities.METHODS == tuple(inequalities._ROUTES) == ("scattering", "direct", "sequential")
+
+    @pytest.mark.parametrize("command", ["pm", "kcbs", "pentagon", "bell", "bounds"])
+    def test_parser_choices_come_from_the_tables(self, command):
+        sub = cli._build_parser()._subparsers._group_actions[0].choices[command]
+        choices = {a.dest: a.choices for a in sub._actions if a.choices is not None}
+        assert choices["format"] == FORMATS
+        if command == "bounds":
+            assert choices["target"] == (*bounds.TARGETS, "all")
+        else:
+            assert choices["method"] == inequalities.METHODS
+            assert any(a.dest == "theta" for a in sub._actions) == cli._EVALUATIONS[command][2]
+
+    @pytest.mark.parametrize("fmt", ["xml", None, ["csv"]])
+    def test_unknown_format_refused(self, fmt):
+        report = eval_pm(basis_state(2, "00"), "direct")
+        for emit, payload in ((emit_report, report), (emit_bounds, [])):
+            with pytest.raises(ValueError, match=rf"^unknown format {re.escape(repr(fmt))}$"):
+                emit(payload, fmt)
+
+    @pytest.mark.parametrize("method", ["teleport", None, ["direct"]])
+    def test_unknown_method_refused(self, method):
+        with pytest.raises(ValueError, match=rf"^unknown method {re.escape(repr(method))}; expected one of"):
+            eval_pm(basis_state(2, "00"), method)
+
+    def test_unknown_command_refused(self):
+        config = cli._build_parser().parse_args(["pm"])
+        config.command = "spam"
+        with pytest.raises(ValueError, match="^unknown command 'spam'$"):
+            cli._evaluate(config)
+
+    @pytest.mark.parametrize("target", [*bounds.TARGETS, "all"])
+    def test_each_target_runs_its_search_with_its_options(self, target, monkeypatch):
+        calls = []
+        for search in ("tsirelson_search_bell", "temporal_bound_kcbs", "contextual_bound_kcbs",
+                       "pentagon_scan"):
+            monkeypatch.setattr(bounds, search, lambda *args, search=search: calls.append((search, args)))
+        config = cli._build_parser().parse_args(
+            ["bounds", "--target", target, "--resolution", "3", "--sweeps", "5", "--restarts", "2",
+             "--iterations", "7", "--tol", "1e-4"])
+        cli._run_bounds(config)
+        expected = {"bell-kcbs": ("tsirelson_search_bell", (3, 5, 1e-4)),
+                    "temporal-kcbs": ("temporal_bound_kcbs", (3, 1e-4, 5)),
+                    "contextual-kcbs": ("contextual_bound_kcbs", (7, 2, 1e-4)),
+                    "pentagon-lg": ("pentagon_scan", ())}
+        assert calls == [expected[t] for t in (bounds.TARGETS if target == "all" else (target,))]

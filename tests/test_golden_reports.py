@@ -3,17 +3,23 @@
 copies in ``perfbench/golden.json``: tables and CSV byte for byte, JSON
 numbers to 1e-12. This test runs that check in the default test run. It loads
 the module from its file and writes nothing under ``perfbench/``. The
-``selftest`` text is compared byte for byte with ``golden_selftest.txt``."""
+``selftest`` text is compared byte for byte with ``golden_selftest.txt``, and
+``bounds`` (every target at its defaults, in ``bounds.TARGETS`` order) in
+each format with ``golden_bounds.txt``, ``.json`` and ``.csv``: written with
+numpy 2.4.6, as the reports were."""
 
 import importlib.util
 import sys
 import types
 from pathlib import Path
 
+import pytest
+
 from contextsim import cli
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.py"
 GOLDEN_SELFTEST = Path(__file__).resolve().parent / "golden_selftest.txt"
+GOLDEN_BOUNDS = Path(__file__).resolve().parent / "golden_bounds"
 
 
 def _golden_module(monkeypatch):
@@ -37,3 +43,9 @@ def test_cli_reports_match_the_golden_copies(monkeypatch):
 def test_selftest_text_matches_the_golden_copy(capsys):
     assert cli.main(["selftest"]) == 0
     assert capsys.readouterr().out.encode("utf-8") == GOLDEN_SELFTEST.read_bytes()
+
+
+@pytest.mark.parametrize("fmt, suffix", [("table", ".txt"), ("json", ".json"), ("csv", ".csv")])
+def test_bounds_output_matches_the_golden_copy(fmt, suffix, capsys):
+    assert cli.main(["bounds", "--format", fmt]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == GOLDEN_BOUNDS.with_suffix(suffix).read_bytes()

@@ -123,7 +123,7 @@ class TestEvalPm:
             eval_pm(basis_state(1, "0"), "direct")
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unknown method 'teleport'; expected one of \('scattering', "):
             eval_pm(basis_state(2, "00"), "teleport")
 
 

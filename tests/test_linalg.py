@@ -13,6 +13,7 @@ from contextsim.linalg import (
     checked_angles,
     checked_count,
     checked_matrix,
+    checked_real,
     sigma_theta_matrix,
 )
 from contextsim.scattering import TimeSlot
@@ -134,6 +135,25 @@ class TestCheckedAngles:
         assert checked_angles(2, "x") == 2.0 and type(checked_angles(2, "x")) is float
         a = checked_angles([0, 1.5, np.float64(2.0), np.int8(3)], "x")
         assert a.dtype == float and a.tolist() == [0.0, 1.5, 2.0, 3.0]
+
+
+BAD_REALS = [float("nan"), float("inf"), -float("inf"), pytest.param(10**400, id="10**400"),
+             pytest.param(-2**1024, id="-2**1024"), True, np.bool_(False), "0.5", 1 + 0j, np.complex128(1),
+             np.array([0.5]), np.array(0.5), [0.5], None]
+
+
+class TestCheckedReal:
+    @pytest.mark.parametrize("value", [0, 3, 0.5, -2.5, np.int64(3), np.float32(0.5), np.float64(1e308),
+                                       pytest.param(2**1023, id="2**1023"), float(2**1023)])
+    def test_numbers_pass_as_floats(self, value):
+        real = checked_real(value, "x")
+        assert real == value and type(real) is float
+
+    @pytest.mark.parametrize("value", BAD_REALS)
+    @pytest.mark.filterwarnings("error")
+    def test_others_named(self, value):
+        with pytest.raises(ValueError, match="^x must be a finite real number, got "):
+            checked_real(value, "x")
 
 
 class TestKron:

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from contextsim import noise
 from contextsim.inequalities import eval_pm
 from contextsim.noise import (
     NoiseModel,
@@ -13,6 +14,11 @@ from contextsim.noise import (
     visibility_summary,
 )
 from contextsim.states import basis_state, bell_phi_plus, density_of, random_pure_state
+
+# each refused by linalg.checked_real before any arithmetic; each used to pass,
+# return nan, or raise OverflowError or TypeError somewhere
+BAD_NUMBERS = [float("nan"), float("inf"), pytest.param(10**400, id="10**400"), "x", "0.5", True, False,
+               1 + 0j, np.array([0.5])]
 
 
 class TestDepolarize:
@@ -38,6 +44,48 @@ class TestDepolarize:
         for p in (0.2, 0.8, 1.0):
             rep = eval_pm(depolarize(basis_state(2, "00"), p), "direct")
             assert rep.sum == pytest.approx(6.0, abs=1e-9)
+
+
+class TestNumberChecks:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", BAD_NUMBERS)
+    @pytest.mark.parametrize("field, named", [(0, "depolarizing probability"), (1, "visibility")])
+    def test_noise_model(self, field, named, value):
+        args = [0.5, 0.5]
+        args[field] = value
+        with pytest.raises(ValueError, match=f"^{named} must be a finite real number"):
+            NoiseModel(*args)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", BAD_NUMBERS)
+    def test_depolarize(self, value):
+        with pytest.raises(ValueError, match="^depolarizing probability must be a finite real number"):
+            depolarize(basis_state(1, "0"), value)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", BAD_NUMBERS)
+    @pytest.mark.parametrize("field, named", [(0, "ideal value"), (2, "visibility")])
+    def test_apply_visibility(self, field, named, value):
+        args = [1.0, 1, 0.5]
+        args[field] = value
+        with pytest.raises(ValueError, match=f"^{named} must be a finite real number"):
+            apply_visibility(*args)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", BAD_NUMBERS)
+    @pytest.mark.parametrize("field, named", [(0, "ideal value"), (2, "measured value")])
+    def test_fit_visibility(self, field, named, value):
+        triple = [1.0, 1, 0.5]
+        triple[field] = value
+        with pytest.raises(ValueError, match=f"^{named} must be a finite real number"):
+            fit_visibility([(1.0, 1, 0.9), tuple(triple)])
+
+    def test_numpy_numbers_keep_their_results(self):
+        # checked, then computed from the value as given: float32 stays float32
+        tenth = np.float32(0.1)
+        assert apply_visibility(tenth, 1, tenth) == float(tenth * tenth) != 0.1 * 0.1
+        assert NoiseModel(np.float64(0.25), 1).state_depolarizing_p == 0.25
+        assert fit_visibility([(np.int64(1), 1, np.float64(0.5))]) == fit_visibility([(1.0, 1, 0.5)])
 
 
 class TestVisibility:
@@ -153,6 +201,24 @@ class TestTables:
     def test_theory_column_signs(self):
         rows = load_measured_table("pm")
         assert [row[1] for row in rows] == [1.0, 1.0, 1.0, 1.0, 1.0, -1.0]
+
+    def test_summaries_pinned(self):
+        assert visibility_summary("pm") == {"table": "pm", "visibility": 0.9201885871019679,
+                                            "model_sum": 4.675001751214118, "measured_sum": 4.675,
+                                            "blocks_per_term": 3}
+        assert visibility_summary("bell") == {"table": "bell", "visibility": 0.9283064144578808,
+                                              "model_sum": -3.755078326418494, "measured_sum": -3.755,
+                                              "blocks_per_term": 1}
+
+    @pytest.mark.parametrize("table", ["pm", "bell"])
+    @pytest.mark.parametrize("change", ["reorder", "relabel", "drop"])
+    def test_summary_refuses_rows_that_are_not_the_report_terms(self, table, change, monkeypatch):
+        rows = load_measured_table(table)
+        rows = {"reorder": rows[1:] + rows[:1], "relabel": [("X", *rows[0][1:])] + rows[1:],
+                "drop": rows[:-1]}[change]
+        monkeypatch.setattr(noise, "load_measured_table", lambda name: rows)
+        with pytest.raises(ValueError, match=f"table '{table}' does not list the {table} terms in order"):
+            visibility_summary(table)
 
     def test_unknown_table(self):
         with pytest.raises(ValueError):

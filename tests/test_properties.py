@@ -11,7 +11,8 @@ at any position, a real chain runs in float64 and matches complex arithmetic
 to round-off while an imaginary part anywhere keeps the complex result, the
 pentagon readings match the evaluator and a scalar chain per angle, the
 six-context sum is state independent, the identity noise model leaves a
-report unchanged, the Bell-side bound objective matches a
+report unchanged, the visibility factor v^k is probe dephasing after each of
+k blocks, the Bell-side bound objective matches a
 null-space oracle and equals the cyclic cosine sum, its closed-form line
 objective matches it wherever it is used and is declined on near-collinear
 lines, the premise of the Bell grid screen holds (the second penalty
@@ -34,7 +35,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from contextsim import bounds, inequalities, sequential
-from contextsim.circuits import Circuit, GateOp, apply, full_gate_matrix
+from contextsim.circuits import Circuit, GateOp, apply, evolve, full_gate_matrix, hadamard
 from contextsim.inequalities import (
     METHODS,
     PM_CONTEXTS,
@@ -398,6 +399,27 @@ def test_probe_route_is_the_checked_circuit_bit_for_bit(data):
         joint = mixed_state(np.kron(np.diag([1, 0]), state.rho))
     checked = probe_sigma_z(apply(build_scattering_circuit(spec), joint))
     assert correlator_scattering(state, spec) == checked
+
+
+@given(data=st.data())
+def test_visibility_is_probe_dephasing_after_each_block(data):
+    # rho -> ((1+v)/2) rho + ((1-v)/2) Z_0 rho Z_0 on the probe after each of
+    # the k controlled blocks scales the probe's coherence, which the readout
+    # reads, by v each time: the noise model's v^k
+    qubits = data.draw(st.integers(1, 3))
+    spec = data.draw(specs(qubits, data.draw(st.integers(0, 5))))
+    state = depolarize(data.draw(states(qubits)), data.draw(st.floats(0.0, 1.0)))
+    v = data.draw(st.floats(0.0, 1.0))
+    targets = tuple(range(1, qubits + 1))
+    z0 = np.kron(PAULI_Z, np.eye(2 ** qubits))
+    rho = np.kron(np.diag([1.0, 0.0]), density_of(state))
+    ops = [hadamard(0), *(GateOp("block", b, targets, control=0) for b in spec.blocks), hadamard(0)]
+    for op in ops:
+        rho = evolve(Circuit(qubits + 1, (op,)), rho)
+        if op.control is not None:
+            rho = (1 + v) / 2 * rho + (1 - v) / 2 * z0 @ rho @ z0
+    readout = np.trace(z0 @ rho).real
+    assert abs(readout - v ** len(spec.slots) * correlator_scattering(state, spec)) <= 1e-12
 
 
 @given(data=st.data())
