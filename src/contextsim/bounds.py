@@ -16,21 +16,25 @@ reads its cycle sums off one r x r cosine table, bit for bit as the batch
 objective rounds them; the Bell grid is screened by them first, and only
 the kept rows are built as 5-tuples. Each line reads a closed form built
 once per line: the temporal one sums its five cosines in the objective's
-order, so each trial rounds as the objective would; the Bell one,
-c0 + c1 cos x + c2 sin x, holds only where the kernel cannot change along
-the line, and elsewhere the line calls the objective. The contextual seesaw
-runs its lines in Python floats on 3-tuples. Every search's start, value
-after each sweep and convergence test call the public objective, which
-checks its input; the batch forms and the lines take it as given. Terms
-accumulate one at a time in cycle order, never stacked, so a batch of one
-rounds exactly as a scalar sum.
+order, with only a prefix of its fixed terms added ahead, so each trial
+rounds as the objective would; the Bell one, c0 + c1 cos x + c2 sin x,
+holds only where the kernel cannot change along the line, and elsewhere the
+line calls the objective. A line moves one angle, so the Bell line reads
+each fixed angle's penalty from a bounded cache of read-only matrices. The
+contextual seesaw runs its lines in Python floats on 3-tuples. Every
+search's start, value after each sweep and convergence test call the public
+objective, which checks its input; the batch forms and the lines take it as
+given. Terms accumulate one at a time in cycle order, never stacked, so a
+batch of one rounds exactly as a scalar sum.
 
 All searches are deterministic: seeded restarts, fixed sweep order, golden-
-section line minimization.
+section line minimization. The pentagon scan's pairwise reading runs the
+four distinct chains of its ten pairs and reads each pair from them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -120,12 +124,30 @@ def bell_constrained_objective(angles) -> float:
     return float(_constrained_minima(checked_angles(angles, "angles")))
 
 
+@functools.lru_cache(maxsize=8)
+def _penalty(a: float) -> np.ndarray:
+    """The read-only penalty (I - sigma(a) x sigma(a))/2 of one angle, bit for
+    bit as ``_sigma_products`` and ``_constrained_minima`` build it. A line
+    moves one angle, so after the first line of a descent its four fixed
+    penalties are held here already. Eight entries hold the five live
+    angles of a descent but not a whole one (a default search meets 58), so
+    a repeated search builds its penalties again. The key 0.0 also answers
+    -0.0; both give the same bits, as eye - kron makes every zero entry
+    +0.0."""
+    sig = sigma_theta_matrix(a)
+    kron = (sig[:, None, :, None] * sig[None, :, None, :]).reshape(4, 4)
+    penalty = (np.eye(4, dtype=complex) - kron) / 2
+    penalty.setflags(write=False)
+    return penalty
+
+
 def _bell_line(angles, i: int):
     """``bell_constrained_objective`` along line i of the descent, where only
     a_i moves, as a scalar function of x; None where the kernel could change.
 
-    The four fixed penalties, j != i, are diagonalized once. With k the
-    lowest eigenvector, t(a) = (cos a, sin a) and T the 2x2 matrix of
+    The four fixed penalties, j != i, are read from ``_penalty``, summed in
+    cycle order and diagonalized once. With k the lowest eigenvector,
+    t(a) = (cos a, sin a) and T the 2x2 matrix of
     <k|P x Q|k> over P, Q in (Z, X), each term reads
     <k|sigma(a) x sigma(b)|k> = t(a).T t(b). The moving penalty on k is
     (1 - t(x).T t(x))/2 = p0 + p1 cos 2x + p2 sin 2x. The line is used only
@@ -136,11 +158,11 @@ def _bell_line(angles, i: int):
     <k|B(x)|k> = c0 + c1 cos x + c2 sin x: c0 sums the three terms without
     a_i, and (c1, c2) = T^T t(a_{i-1}) + T t(a_{i+1}).
     """
-    kron = _sigma_products(angles)
-    eye = np.eye(4, dtype=complex)
-    w, v = np.linalg.eigh(sum((eye - kron(j, j)) / 2 for j in range(5) if j != i))
+    a = _five(angles).tolist()
+    w, v = np.linalg.eigh(sum(_penalty(a[j]) for j in range(5) if j != i))
     k = v[:, 0]
-    corr = np.array([[(k.conj() @ pq @ k).real for pq in row] for row in _PAULI_PAIRS])
+    bra = k.conj()
+    corr = np.array([[(bra @ pq @ k).real for pq in row] for row in _PAULI_PAIRS])
     (zz, zx), (xz, xx) = corr.tolist()
     moving = abs(0.5 - (zz + xx) / 4) + abs(zz - xx) / 4 + abs(zx + xz) / 4
     if not (w[1] > 1e-2 and w[0] + moving < KERNEL_TOL):
@@ -167,21 +189,27 @@ def _temporal_line(angles, i: int):
     """``temporal_objective`` along line i of the descent, where only a_i
     moves, as a scalar function of x that equals it bit for bit.
 
-    The terms cos(a_r - a_{r+1}) are taken once per line; each call rewrites
-    the two that move, cos(a_{i-1} - x) and cos(x - a_{i+1}), in their slots
-    (line 0 wraps to the last slot) and adds the five left to right in cycle
-    order, as ``_cycle_cosines`` does: a precomputed sum of the three fixed
-    terms would round differently.
+    The fixed terms cos(a_r - a_{r+1}) are taken once per line, and the
+    closure for line i adds them and the two that move, cos(a_{i-1} - x) and
+    cos(x - a_{i+1}) (line 0 wraps to the last slot), left to right in cycle
+    order, as ``_cycle_cosines`` does. Only a prefix of fixed terms is added
+    ahead, for lines 2 to 4: a sum of the fixed terms after the moving ones
+    would round differently, as (x + t3) + t4 need not be x + (t3 + t4).
     """
     a = _five(angles).tolist()
-    terms = [math.cos(a[r] - a[(r + 1) % 5]) for r in range(5)]
-    before, after = a[(i - 1) % 5], a[(i + 1) % 5]
-
-    def value(x: float) -> float:
-        terms[i - 1], terms[i] = math.cos(before - x), math.cos(x - after)
-        return terms[0] + terms[1] + terms[2] + terms[3] + terms[4]
-
-    return value
+    t0, t1, t2, t3, t4 = (math.cos(a[r] - a[(r + 1) % 5]) for r in range(5))
+    before, after, cos = a[(i - 1) % 5], a[(i + 1) % 5], math.cos
+    if i == 0:
+        return lambda x: cos(x - after) + t1 + t2 + t3 + cos(before - x)
+    if i == 1:
+        return lambda x: cos(before - x) + cos(x - after) + t2 + t3 + t4
+    if i == 2:
+        return lambda x: t0 + cos(before - x) + cos(x - after) + t3 + t4
+    if i == 3:
+        head = t0 + t1
+        return lambda x: head + cos(before - x) + cos(x - after) + t4
+    head = t0 + t1 + t2
+    return lambda x: head + cos(before - x) + cos(x - after)
 
 
 def _positive_tol(tol) -> float:
@@ -385,6 +413,10 @@ def _seesaw_line(u, psi, i: int):
     w_psi = _cross(w, psi)
     a1, b1, c1 = _dot(e1, psi), _dot(e1, w_psi), _dot(e1, w)
     a2, b2, c2 = _dot(e2, psi), _dot(e2, w_psi), _dot(e2, w)
+    # the squares stay powers: float ** 2 goes through libm's pow, and
+    # x ** 2 != x * x in the last bit for about 1 float in 1,200 (1,660 of
+    # 2,000,000 standard normal draws, Python 3.11.7 on glibc), enough to
+    # move the pinned contextual digits
     off_plane = _dot(w, prev) ** 2
     rest = sum(_dot(u[j], psi) ** 2 for j in range(5) if j not in (i, (i + 1) % 5))
 
@@ -454,6 +486,12 @@ def contextual_bound_kcbs(iterations: int = 200, restarts: int = 8, tol: float =
     return result
 
 
+# the slot parities (i % 2, j % 2) of a pair's two measurements, and for each
+# pair of _PENTAGON_PAIRS, in its order, the index of its parities here
+_PARITY_PAIRS = np.array([(0, 0), (0, 1), (1, 0), (1, 1)])
+_PAIR_PARITY = tuple(2 * (i % 2) + j % 2 for i, j in _PENTAGON_PAIRS)
+
+
 def _one_or_many(theta, values):
     return float(values) if np.ndim(theta) == 0 else values
 
@@ -461,12 +499,17 @@ def _one_or_many(theta, values):
 def pentagon_pairwise_value(theta):
     """Ten-pair sum under the two-point anticommutator reading, one
     two-measurement chain per pair on I/2; equals 4 + 6 cos(theta) for any
-    input state. An array of angles gives an array of sums."""
+    input state. An array of angles gives an array of sums.
+
+    The cycle holds the same Z block at every even slot and the same theta
+    block at every odd one, so a pair's chain depends only on the parities of
+    its two slots: the four distinct chains run as one batch, and each pair
+    reads its parities' value."""
     theta = checked_angles(theta, "theta")
-    pairs = _kcbs_cycle(theta)[..., np.array(_PENTAGON_PAIRS), :, :]  # theta.shape + (10, 2, 2, 2)
-    values = correlator_sequential(mixed_state(np.eye(2) / 2), pairs)
+    chains = _kcbs_cycle(theta)[..., _PARITY_PAIRS, :, :]  # theta.shape + (4, 2, 2, 2)
+    values = correlator_sequential(mixed_state(np.eye(2) / 2), chains)
     # summed in pair order, as the evaluator sums its terms
-    return _one_or_many(theta, sum(values[..., k] for k in range(len(_PENTAGON_PAIRS))))
+    return _one_or_many(theta, sum(values[..., m] for m in _PAIR_PARITY))
 
 
 def pentagon_invasive_value(theta):
@@ -488,8 +531,9 @@ def pentagon_scan(theta_grid=None) -> BoundResult:
     """Scan both readings of the ten-pair sum over a theta grid.
 
     The grid and cos(theta) = -3/4 form one batch: the pairwise reading is one
-    batch of ten two-measurement chains per angle, and the invasive reading
-    one batch of five-measurement chains, one per angle. Both read the
+    batch of four two-measurement chains per angle, one per pair of slot
+    parities, read back into the ten pair terms, and the invasive reading one
+    batch of five-measurement chains, one per angle. Both read the
     evaluators' cycle, one ``(5, 2, 2)`` block stack per angle from
     ``inequalities._kcbs_cycle``, which the kcbs and pentagon reports index
     for their pairs; the grid is checked here, before the cycle is built.

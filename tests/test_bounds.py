@@ -111,6 +111,17 @@ class TestTsirelsonSearch:
         with pytest.raises(ValueError, match="5 angles"):
             bounds._bell_line([0.0] * 4, 0)
 
+    def test_penalty_cache_does_not_carry_a_search_over(self):
+        # the cache holds one line's angles, not a whole descent: a repeated
+        # search builds every penalty it built the first time
+        bounds._penalty.cache_clear()
+        tsirelson_search_bell()
+        first = bounds._penalty.cache_info()
+        tsirelson_search_bell()
+        second = bounds._penalty.cache_info()
+        assert first.misses > 0
+        assert (second.hits - first.hits, second.misses - first.misses) == (first.hits, first.misses)
+
     def test_degenerate_grid_still_returns_a_result(self):
         res = tsirelson_search_bell(resolution=1, sweeps=2, tol=1e-6)
         assert isinstance(res, BoundResult)

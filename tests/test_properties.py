@@ -12,19 +12,22 @@ to round-off while an imaginary part anywhere keeps the complex result, the
 pentagon readings match the evaluator and a scalar chain per angle, the
 six-context sum is state independent, the identity noise model leaves a
 report unchanged, the visibility factor v^k is probe dephasing after each of
-k blocks, the Bell-side bound objective matches a
+k blocks and independent outcome flips on a Lüders chain, the Bell-side bound objective matches a
 null-space oracle and equals the cyclic cosine sum, its closed-form line
 objective matches it wherever it is used and is declined on near-collinear
 lines, the premise of the Bell grid screen holds (the second penalty
 eigenvalue has its closed form, and above the screen's margin the
 constrained minimum is the cosine sum), the seesaw's closed-form line
 objective matches the cross-product form, and its cross product is numpy's
-bit for bit. Each bound search's coarse start is also checked
+bit for bit. The cached per-angle penalty, the Bell line on a cold and a
+warm cache and the pentagon's four-chain pairwise reading equal their
+uncached forms bit for bit. Each bound search's coarse start is also checked
 against its public scalar objective taken over the grid one tuple at a time. Every matrix a constructor stores
 (gate, slot observable and evolution, observable, density matrix) is
 accepted when drawn valid and rejected after one fault: a non-finite entry,
 a wrong shape, or its property broken by 1e-6."""
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -423,6 +426,26 @@ def test_visibility_is_probe_dephasing_after_each_block(data):
 
 
 @given(data=st.data())
+def test_visibility_is_independent_outcome_flips_on_the_sequential_route(data):
+    # flipping each +-1 outcome of a chain's joint distribution on its own,
+    # with probability (1-v)/2, scales the mean of every outcome by v and, the
+    # flips being independent, the all-outcome correlator by v^k
+    qubits = data.draw(st.integers(1, 3))
+    spec = data.draw(specs(qubits, data.draw(st.integers(0, 5))))
+    state = data.draw(states(qubits))
+    v = data.draw(st.floats(0.0, 1.0))
+    k = len(spec.slots)
+    flip = (1 - v) / 2
+    p = joint_distribution(state, spec.blocks).probabilities
+    noisy = 0.0
+    for outcomes in itertools.product((0, 1), repeat=k):
+        for read in itertools.product((0, 1), repeat=k):
+            weight = np.prod([flip if r != o else 1 - flip for o, r in zip(outcomes, read)])
+            noisy += p[outcomes] * weight * (-1) ** sum(read)
+    assert abs(noisy - v ** k * correlator_sequential(state, spec.blocks)) <= 1e-12
+
+
+@given(data=st.data())
 def test_chain_matches_signed_channel_oracle(data):
     qubits = data.draw(st.integers(1, 3))
     chain = data.draw(chains(qubits, data.draw(st.integers(1, 6))))
@@ -561,6 +584,24 @@ def test_scan_readings_match_scalar_chains(thetas):
     assert scan.argument["invasive"]["minimum"] == invasive.min()
 
 
+def _ten_chain_pairwise(theta):
+    """The pairwise reading as one chain per pair of ``_PENTAGON_PAIRS``."""
+    pairs = inequalities._kcbs_cycle(theta)[..., np.array(inequalities._PENTAGON_PAIRS), :, :]
+    values = correlator_sequential(mixed_state(np.eye(2) / 2), pairs)
+    return sum(values[..., k] for k in range(len(inequalities._PENTAGON_PAIRS)))
+
+
+@given(data=st.data())
+def test_pairwise_reading_is_the_ten_chain_form_bit_for_bit(data):
+    # bytes, not ==: the scan's minimum and its argmin read these values
+    shape = data.draw(st.sampled_from([(), (1,), (7,), (2, 3)]))
+    theta = np.array(data.draw(st.lists(angles, min_size=int(np.prod(shape)),
+                                        max_size=int(np.prod(shape))))).reshape(shape)
+    theta = float(theta) if theta.ndim == 0 else theta
+    value = bounds.pentagon_pairwise_value(theta)
+    assert np.float64(value).tobytes() == np.float64(_ten_chain_pairwise(theta)).tobytes()
+
+
 @given(five=angle_tuples())
 def test_bell_operator_is_the_kron_sum(five):
     assert np.max(np.abs(bounds.bell_operator(five) - _kron_cycle(five))) <= 1e-12
@@ -613,6 +654,56 @@ def test_bell_line_declines_near_collinear(data):
     i = data.draw(st.integers(0, 4))
     five[i] = data.draw(angles)
     assert bounds._bell_line(five, i) is None
+
+
+def _with_signed_zeros(data, five):
+    """``five`` with a drawn subset of its angles set to 0.0 or -0.0."""
+    five = five.copy()
+    for j in data.draw(st.sets(st.integers(0, 4))):
+        five[j] = data.draw(st.sampled_from([0.0, -0.0]))
+    return five
+
+
+@pytest.mark.parametrize("kind", ["drawn", "grid", "collinear", "shifted"])
+@given(data=st.data())
+def test_cached_penalty_is_the_stacked_form_bit_for_bit(kind, data):
+    # bytes, not ==, so a signed zero would count: 0.0 and -0.0 share a
+    # cache key, so whichever comes first answers for both
+    five = _with_signed_zeros(data, data.draw(cycle_tuples(kind)))
+    kron = bounds._sigma_products(five)
+    for j, a in enumerate(five.tolist()):
+        bounds._penalty.cache_clear()
+        stacked = (np.eye(4, dtype=complex) - kron(j, j)) / 2
+        assert bounds._penalty(a).tobytes() == stacked.tobytes()
+        assert not bounds._penalty(a).flags.writeable
+
+
+def test_penalty_of_signed_zeros_is_one_value():
+    bounds._penalty.cache_clear()
+    negative = bounds._penalty(-0.0)
+    bounds._penalty.cache_clear()
+    assert bounds._penalty(0.0).tobytes() == negative.tobytes()
+
+
+def _line_readings(line, xs):
+    return None if line is None else np.array([line(x) for x in xs]).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["drawn", "grid", "collinear", "shifted"])
+@given(data=st.data())
+def test_bell_line_reads_the_same_on_a_cold_and_a_warm_cache(kind, data):
+    # the same None decision and the same closure bits whether the fixed
+    # penalties are built here, kept from this line, or kept from a tuple
+    # whose zeros carry the other sign
+    five = _with_signed_zeros(data, data.draw(cycle_tuples(kind)))
+    i = data.draw(st.integers(0, 4))
+    xs = data.draw(st.lists(angles, min_size=1, max_size=4)) + [0.0, -0.0]
+    bounds._penalty.cache_clear()
+    cold = _line_readings(bounds._bell_line(five, i), xs)
+    assert _line_readings(bounds._bell_line(five, i), xs) == cold
+    bounds._penalty.cache_clear()
+    bounds._bell_line(np.where(five == 0.0, -five, five), i)
+    assert _line_readings(bounds._bell_line(five, i), xs) == cold
 
 
 @pytest.mark.parametrize("kind", ["drawn", "grid", "collinear", "near-collinear"])
