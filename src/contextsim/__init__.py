@@ -31,7 +31,6 @@ from .scattering import (
     correlator_direct,
     correlator_scattering,
     heisenberg_observable,
-    parse_spec_document,
     probe_sigma_y,
     probe_sigma_z,
 )

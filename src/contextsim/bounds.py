@@ -544,7 +544,14 @@ def pentagon_scan(theta_grid=None) -> BoundResult:
     they give -1/2 and about -1.8398. The result records both readings side
     by side together with that discrepancy.
     """
-    grid = default_pentagon_grid() if theta_grid is None else checked_angles(list(theta_grid), "theta grid")
+    if theta_grid is None:
+        grid = default_pentagon_grid()
+    else:
+        try:
+            values = list(theta_grid)
+        except TypeError:  # a number, or another value that is not iterable
+            values = []
+        grid = checked_angles(values, "theta grid")
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("theta grid must be a nonempty sequence of angles")
     special = float(np.arccos(-0.75))

@@ -19,39 +19,28 @@ call: one batched evolution and one readout on the probe route, one batched
 product and one trace on the direct route; a lone spec is the batch of one,
 ``spec.blocks[None]``. The probe circuit's wiring depends only on the register
 size and the slot count, so its controlled gates are made once, at import.
+
+Any sequence of observables and evolutions is a spec; for two slots, the
+second after a two-qubit unitary ``U``, the three routes read the same value::
+
+    spec = TemporalCorrelationSpec(system_qubits=2, slots=(
+        slot((PAULI_Z, PAULI_X)), slot((PAULI_Z, PAULI_X), U)))
+    correlator_scattering(state, spec)             # the probe circuit
+    correlator_direct(state, spec)                 # Re tr(rho O(t_1) O(t_2))
+    sequential.correlator_sequential(state, spec.blocks)  # a Lüders chain
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
 
-from .circuits import (
-    Circuit,
-    GateOp,
-    embed,
-    evolve,
-    hadamard,
-    rx_matrix,
-    ry_matrix,
-    rz_matrix,
-)
-from .linalg import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    PAULIS,
-    checked_count,
-    checked_matrix,
-    sigma_theta_matrix,
-)
+from .circuits import Circuit, GateOp, embed, evolve, hadamard, ry_matrix
+from .linalg import PAULI_X, PAULI_Y, PAULI_Z, checked_count, checked_matrix
 from .states import MAX_QUBITS, QuantumState, density_of, haar_random_unitary
-
-_ROTATIONS = {"x": rx_matrix, "y": ry_matrix, "z": rz_matrix}
 
 
 @dataclass(frozen=True)
@@ -244,77 +233,3 @@ def parse_angle(text) -> float:
     if not math.isfinite(angle):
         raise ValueError(f"angle {text!r} is not a finite number of radians")
     return angle
-
-
-def _resolve_observable_tokens(tokens, system_qubits: int) -> tuple[np.ndarray, ...]:
-    from .inequalities import PM_FACTOR_TOKENS, pentagram_observable
-
-    if len(tokens) == 1 and isinstance(tokens[0], str) and tokens[0].startswith("pm:"):
-        label = tokens[0][3:]
-        if label not in PM_FACTOR_TOKENS:
-            raise ValueError(f"unknown square entry {tokens[0]!r}")
-        if system_qubits != 2:
-            raise ValueError("pm: tokens describe two-qubit slots")
-        tokens = PM_FACTOR_TOKENS[label]
-    if len(tokens) != system_qubits:
-        raise ValueError(f"slot lists {len(tokens)} observables for {system_qubits} qubits")
-    out = []
-    for tok in tokens:
-        if tok in PAULIS:
-            out.append(PAULIS[tok])
-        elif tok.startswith("sigma_theta(") and tok.endswith(")"):
-            out.append(sigma_theta_matrix(parse_angle(tok[len("sigma_theta("):-1])))
-        elif tok.startswith("pentagram:"):
-            out.append(pentagram_observable(int(tok.split(":", 1)[1])).matrix)
-        else:
-            raise ValueError(f"unknown observable token {tok!r}")
-    return tuple(out)
-
-
-def parse_spec_document(text: str) -> TemporalCorrelationSpec:
-    """Parse the textual spec format.
-
-    The document is a JSON tree::
-
-        {"system_qubits": 2,
-         "slots": [{"observables": ["Z", "I"]},
-                   {"observables": ["pm:alpha"]},
-                   {"observables": ["Z", "Z"],
-                    "evolution": [{"axis": "y", "qubit": 0, "angle": "pi"}]}]}
-
-    Observable tokens: I, X, Y, Z, sigma_theta(angle), pm:<entry>,
-    pentagram:<j>. Evolution entries are single-qubit rotations
-    exp(-i*angle*sigma_axis/2) composed in list order.
-    """
-    try:
-        doc = json.loads(text)
-    except RecursionError as exc:
-        raise ValueError("spec document nests too deeply") from exc
-    try:
-        return _spec_from_document(doc)
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise ValueError(f"malformed spec document ({type(exc).__name__}: {exc})") from exc
-
-
-def _spec_from_document(doc) -> TemporalCorrelationSpec:
-    n = checked_count(doc["system_qubits"], "system_qubits")
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"system_qubits must be 1 to {MAX_QUBITS}")
-    slots = []
-    for raw in doc.get("slots", []):
-        tokens = raw["observables"]
-        if not isinstance(tokens, list):
-            raise ValueError(f"observables must be a list, got {tokens!r}")
-        obs = _resolve_observable_tokens(tokens, n)
-        evo = np.eye(2 ** n, dtype=complex)
-        for rot in raw.get("evolution", []):
-            axis = rot["axis"].lower()
-            if axis not in _ROTATIONS:
-                raise ValueError(f"unknown rotation axis {rot['axis']!r}")
-            q = checked_count(rot["qubit"], "rotation qubit")
-            if not 0 <= q < n:
-                raise ValueError(f"rotation qubit {q} out of range")
-            gate = _ROTATIONS[axis](parse_angle(rot["angle"]))
-            evo = embed(gate, [q], n) @ evo
-        slots.append(TimeSlot(observables=obs, evolution=evo))
-    return TemporalCorrelationSpec(system_qubits=n, slots=tuple(slots))

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL, ATOL_DICHOTOMIC, ATOL_STATE_PSD, check_observable
+from .linalg import ATOL, ATOL_DICHOTOMIC, ATOL_STATE_PSD, check_observable, checked_count
 from .states import QuantumState, density_of
 
 # outcome value of index 0 (+1) and index 1 (-1) along each outcome axis
@@ -115,8 +115,11 @@ class OutcomeDistribution:
     def correlator(self, axes=None):
         """Expectation of the product of the outcomes on ``axes`` (default:
         all), one per chain: a float for a single chain, an array of shape
-        ``batch`` for a batch."""
+        ``batch`` for a batch. Each axis is an integer from 0 to k - 1."""
         b = self.observables.ndim - 3
+        if axes is not None:
+            k = self.observables.shape[-3]
+            axes = [checked_count(axis, "outcome axis", 0, k - 1) for axis in axes]
         value = _product_mean(self.probabilities, b, axes)
         return float(value) if b == 0 else value
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .linalg import ATOL, ATOL_STATE_PSD, checked_count, checked_matrix
 
-# largest register that random states, bitstring literals and spec documents build
+# largest register that random states, bitstring literals and the probe route build
 MAX_QUBITS = 3
 
 
@@ -106,7 +106,7 @@ def bell_phi_plus() -> QuantumState:
 
 def random_pure_state(n: int, seed: int) -> QuantumState:
     """Haar-random pure state from a seeded PCG64 generator (n <= MAX_QUBITS)."""
-    if n > MAX_QUBITS:
+    if checked_count(n, "qubit count") > MAX_QUBITS:
         raise ValueError(f"random states are only supported up to {MAX_QUBITS} qubits")
     rng = np.random.default_rng(seed)
     return haar_random_state(n, rng)

@@ -391,6 +391,8 @@ class TestPentagonScan:
     def test_nested_grid_rejected(self):
         with pytest.raises(ValueError, match="sequence of angles"):
             pentagon_scan([[0.0, 1.0], [2.0, 3.0]])
+        with pytest.raises(ValueError, match="sequence of angles"):
+            pentagon_scan(0.5)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_angle_named(self, bad):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,6 @@ from contextsim.scattering import (
     correlator_scattering,
     heisenberg_observable,
     parse_angle,
-    parse_spec_document,
     probe_sigma_y,
     probe_sigma_z,
     random_correlation_spec,
@@ -23,7 +20,6 @@ from contextsim.scattering import (
 )
 from contextsim.states import (
     basis_state,
-    bell_phi_plus,
     density_of,
     haar_random_state,
     haar_random_unitary,
@@ -296,103 +292,7 @@ class TestSlotValidation:
             TemporalCorrelationSpec(system_qubits=qubits, slots=(slot((PAULI_Z,)),))
 
 
-class TestSpecDocuments:
-    def test_square_tokens(self):
-        doc = {
-            "system_qubits": 2,
-            "slots": [
-                {"observables": ["pm:A"]},
-                {"observables": ["pm:alpha"]},
-                {"observables": ["pm:a"]},
-            ],
-        }
-        spec = parse_spec_document(json.dumps(doc))
-        assert correlator_direct(basis_state(2, "00"), spec) == pytest.approx(1.0, abs=1e-12)
-
-    def test_sigma_theta_and_rotation_tokens(self):
-        theta = float(np.arccos(-0.75))
-        doc = {
-            "system_qubits": 1,
-            "slots": [
-                {"observables": ["Z"]},
-                {"observables": [f"sigma_theta({theta})"]},
-            ],
-        }
-        spec = parse_spec_document(json.dumps(doc))
-        assert correlator_direct(basis_state(1, "0"), spec) == pytest.approx(-0.75, abs=1e-12)
-
-    def test_evolution_entries(self):
-        doc = {
-            "system_qubits": 1,
-            "slots": [
-                {
-                    "observables": ["Z"],
-                    "evolution": [{"axis": "y", "qubit": 0, "angle": -np.pi / 2}],
-                }
-            ],
-        }
-        spec = parse_spec_document(json.dumps(doc))
-        assert np.allclose(heisenberg_observable(spec.slots[0]), PAULI_X, atol=1e-12)
-
-    def test_pentagram_tokens(self):
-        doc = {
-            "system_qubits": 2,
-            "slots": [{"observables": ["pentagram:0", "pentagram:1"]}],
-        }
-        spec = parse_spec_document(json.dumps(doc))
-        assert correlator_direct(bell_phi_plus(), spec) == pytest.approx(
-            np.cos(4 * np.pi / 5), abs=1e-12
-        )
-
-    def test_unknown_token_rejected(self):
-        doc = {"system_qubits": 1, "slots": [{"observables": ["Q"]}]}
-        with pytest.raises(ValueError):
-            parse_spec_document(json.dumps(doc))
-
-    @pytest.mark.parametrize(
-        "doc",
-        [{"slots": []},
-         {"system_qubits": 1, "slots": [{}]},
-         {"system_qubits": 1, "slots": [{"observables": ["Z"], "evolution": [{"axis": "y"}]}]},
-         {"system_qubits": 1, "slots": [{"observables": [5]}]},
-         {"system_qubits": 1, "slots": [{"observables": [["Z"]]}]},
-         {"system_qubits": 1, "slots": [{"observables": ["Z"], "evolution": [{"axis": 1}]}]},
-         {"system_qubits": 1, "slots": ["Z"]},
-         {"system_qubits": 2, "slots": [{"observables": "ZZ"}]},
-         {"system_qubits": 1, "slots": [{"observables": ["Z"], "evolution": [
-             {"axis": "y", "qubit": 0, "angle": True}]}]},
-         {"system_qubits": [1]},
-         [{"system_qubits": 1}],
-         "Z"],
-    )
-    def test_malformed_document_rejected(self, doc):
-        with pytest.raises(ValueError):
-            parse_spec_document(json.dumps(doc))
-
-    @pytest.mark.parametrize(
-        "doc, field",
-        [({"system_qubits": 1.9, "slots": [{"observables": ["Z"]}]}, "system_qubits"),
-         ({"system_qubits": True}, "system_qubits"),
-         ({"system_qubits": "1"}, "system_qubits"),
-         *(({"system_qubits": 2, "slots": [{"observables": ["Z", "Z"], "evolution": [
-             {"axis": "y", "qubit": q, "angle": "pi"}]}]}, "rotation qubit") for q in (True, 0.7, 1.0)),
-         ],
-    )
-    def test_counts_must_be_integers(self, doc, field):
-        # int() used to read 1.9 qubits as 1 and a rotation qubit of true or 0.7 as 1 or 0
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            parse_spec_document(json.dumps(doc))
-
-    @pytest.mark.parametrize("doc", [{"system_qubits": 14, "slots": [{"observables": ["Z"] * 14}]},
-                                     {"system_qubits": 30}])
-    def test_register_above_cap_rejected_before_allocating(self, doc, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("allocated a register operator")
-
-        monkeypatch.setattr(np, "eye", refuse)
-        with pytest.raises(ValueError, match="system_qubits"):
-            parse_spec_document(json.dumps(doc))
-
+class TestParseAngle:
     def test_parse_angle_forms(self):
         assert parse_angle("pi") == pytest.approx(np.pi)
         assert parse_angle("acos(-0.75)") == pytest.approx(float(np.arccos(-0.75)))
@@ -406,14 +306,7 @@ class TestSpecDocuments:
             with pytest.raises(ValueError, match="angle"):
                 parse_angle(text)
 
-    def test_integer_angle_beyond_float_range_rejected(self):
+    def test_integer_beyond_float_range_rejected(self):
         # float() of such an int raises OverflowError, not ValueError
-        doc = {"system_qubits": 1, "slots": [{"observables": ["Z"], "evolution": [
-            {"axis": "y", "qubit": 0, "angle": 10 ** 400}]}]}
         with pytest.raises(ValueError, match="not a finite number of radians"):
-            parse_spec_document(json.dumps(doc))
-
-    def test_deep_nesting_is_a_value_error(self):
-        # the JSON decoder raises RecursionError past the interpreter's depth
-        with pytest.raises(ValueError, match="nests too deeply"):
-            parse_spec_document("[" * 100_000)
+            parse_angle(10 ** 400)

@@ -153,6 +153,14 @@ class TestJointDistribution:
         assert dist.correlator((1, 2)) == pytest.approx(0.0, abs=1e-12)
         assert dist.correlator(()) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("axes", [(2,), (0, 2), (-1,), (True,), (0.0,), ("0",)])
+    def test_axis_outside_the_chain_refused(self, axes):
+        # unchecked, einsum reads axis 2 of a two-measurement chain as a free
+        # index summed over the signs (0.0), and True as axis 1
+        dist = joint_distribution(basis_state(1, "0"), (Z_OBS, X_OBS))
+        with pytest.raises(ValueError, match="outcome axis"):
+            dist.correlator(axes)
+
 
 class TestCorrelatorSequential:
     def test_matches_two_time_formula_on_random_pairs(self):

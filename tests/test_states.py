@@ -135,6 +135,9 @@ class TestRandomStates:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             random_pure_state(4, 0)
+        for n in (-1, 1.5, True, "2"):
+            with pytest.raises(ValueError, match="qubit count"):
+                random_pure_state(n, 0)
 
     def test_haar_unitary_is_unitary(self):
         u = haar_random_unitary(4, np.random.default_rng(8))
