@@ -28,8 +28,10 @@ given. Terms accumulate one at a time in cycle order, never stacked, so a
 batch of one rounds exactly as a scalar sum.
 
 All searches are deterministic: seeded restarts, fixed sweep order, golden-
-section line minimization. The pentagon scan's pairwise reading runs the
-four distinct chains of its ten pairs and reads each pair from them.
+section line minimization. The contextual restarts stop at the first
+converged one within tol of CONTEXTUAL_OPTIMUM, which none can beat. The
+pentagon scan's pairwise reading runs the four distinct chains of its ten
+pairs and reads each pair from them.
 """
 
 from __future__ import annotations
@@ -52,6 +54,9 @@ MAX_RESOLUTION = 16  # the grid holds resolution**4 5-tuples: a search peaks nea
 # a Bell grid row is screened out when its cosine sum is this far above the
 # grid's lowest and its second penalty eigenvalue is at least this large
 _SCREEN_MARGIN = 1e-6
+
+TSIRELSON_OPTIMUM = -5 * math.cos(math.pi / 5)  # the Bell and temporal optimum
+CONTEXTUAL_OPTIMUM = 5 - 4 * math.sqrt(5)  # 5 - 4 theta(C5), the Lovász number theta(C5) = sqrt(5)
 
 TARGETS = ("bell-kcbs", "temporal-kcbs", "contextual-kcbs", "pentagon-lg")
 
@@ -467,7 +472,10 @@ def _contextual_seesaw(seed: int, iterations: int, tol: float):
 
 def contextual_bound_kcbs(iterations: int = 200, restarts: int = 8, tol: float = 1e-9) -> BoundResult:
     """Seesaw over five exclusive rank-one tests and a state in R^3; the
-    optimum 5 - 4*sqrt(5) sits strictly above the temporal extremum."""
+    optimum 5 - 4*sqrt(5) sits strictly above the temporal extremum.
+
+    ``restarts`` is an upper limit: the search stops after the first converged
+    restart whose kept optimum lies within ``tol`` of CONTEXTUAL_OPTIMUM."""
     restarts, iterations = checked_count(restarts, "restarts", 1), checked_count(iterations, "iterations", 1)
     tol = _positive_tol(tol)
     # the result when every restart aborts; each strictly better restart replaces it
@@ -483,6 +491,8 @@ def contextual_bound_kcbs(iterations: int = 200, restarts: int = 8, tol: float =
                         "seed": seed}
             result = replace(result, optimum=value, argument=argument, iterations=performed,
                              converged=converged)
+        if result.converged and result.optimum - CONTEXTUAL_OPTIMUM < tol:
+            break
     return result
 
 

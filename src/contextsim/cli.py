@@ -84,6 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON file with default option values")
     sub = parser.add_subparsers(dest="command", required=True)
+    output_help = "write the report here instead of stdout"
 
     for command, (help_text, default_state, takes_theta, _) in _EVALUATIONS.items():
         p = sub.add_parser(command, help=help_text)
@@ -95,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--visibility", type=float, default=None,
                        help="per-block readout visibility")
         p.add_argument("--format", default="table", choices=FORMATS)
-        p.add_argument("--output", default=None, help="write the report here instead of stdout")
+        p.add_argument("--output", default=None, help=output_help)
         if takes_theta:
             p.add_argument("--theta", help='angle in radians, required; accepts floats, "pi", "acos(-0.75)"')
 
@@ -105,11 +106,15 @@ def _build_parser() -> argparse.ArgumentParser:
                           help=f"coarse angle grid points per axis, 1 to {bounds_mod.MAX_RESOLUTION}")
     bounds_p.add_argument("--sweeps", type=int, default=40,
                           help="descent sweeps for bell-kcbs and temporal-kcbs")
-    bounds_p.add_argument("--restarts", type=int, default=8)
-    bounds_p.add_argument("--iterations", type=int, default=200)
-    bounds_p.add_argument("--tol", type=float, default=1e-9)
+    bounds_p.add_argument("--restarts", type=int, default=8,
+                          help="upper limit on seeded seesaw restarts for contextual-kcbs; the search stops "
+                               "at the first converged restart within --tol of 5 - 4*sqrt(5)")
+    bounds_p.add_argument("--iterations", type=int, default=200,
+                          help="seesaw sweeps per contextual-kcbs restart")
+    bounds_p.add_argument("--tol", type=float, default=1e-9,
+                          help="convergence tolerance of the three sweep searches")
     bounds_p.add_argument("--format", default="table", choices=FORMATS)
-    bounds_p.add_argument("--output", default=None)
+    bounds_p.add_argument("--output", default=None, help=output_help)
 
     sub.add_parser("selftest", help="run the acceptance checks")
     return parser

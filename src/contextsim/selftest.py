@@ -103,16 +103,14 @@ def check_bell_violation() -> CheckResult:
 
 
 def check_bound_recovery() -> CheckResult:
-    tsirelson = -5 * math.cos(math.pi / 5)
-    contextual_target = 5 - 4 * math.sqrt(5)
     bell = bounds_mod.tsirelson_search_bell()
     temporal = bounds_mod.temporal_bound_kcbs()
     contextual = bounds_mod.contextual_bound_kcbs()
     gap = contextual.optimum - temporal.optimum
     ok = (
-        abs(bell.optimum - tsirelson) <= 1e-5
+        abs(bell.optimum - bounds_mod.TSIRELSON_OPTIMUM) <= 1e-5
         and abs(temporal.optimum - bell.optimum) <= 1e-4
-        and abs(contextual.optimum - contextual_target) <= 1e-4
+        and abs(contextual.optimum - bounds_mod.CONTEXTUAL_OPTIMUM) <= 1e-4
         and gap > 0.05
     )
     return CheckResult(

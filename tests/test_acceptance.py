@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from contextsim.bounds import CONTEXTUAL_OPTIMUM, TSIRELSON_OPTIMUM
 from contextsim.inequalities import (
     METHODS,
     Observable,
@@ -91,12 +92,10 @@ def test_criterion_4_transformed_bell_violation():
 
 
 def test_criterion_5_bound_recovery(bell_search, temporal_search, contextual_search):
-    tsirelson = -5 * math.cos(math.pi / 5)
-    contextual_target = 5 - 4 * math.sqrt(5)
     bell, temporal, contextual = bell_search, temporal_search, contextual_search
-    assert abs(bell.optimum - tsirelson) <= 1e-5
+    assert abs(bell.optimum - TSIRELSON_OPTIMUM) <= 1e-5
     assert abs(temporal.optimum - bell.optimum) <= 1e-4
-    assert abs(contextual.optimum - contextual_target) <= 1e-4
+    assert abs(contextual.optimum - CONTEXTUAL_OPTIMUM) <= 1e-4
     gap = contextual.optimum - temporal.optimum
     assert gap > 0.05
     report(

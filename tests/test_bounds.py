@@ -24,8 +24,8 @@ from contextsim.inequalities import sigma_theta
 from contextsim.linalg import PAULI_Z
 from contextsim.states import bell_phi_plus, density_of
 
-TSIRELSON = -5 * math.cos(math.pi / 5)
-CONTEXTUAL = 5 - 4 * math.sqrt(5)
+TSIRELSON = bounds.TSIRELSON_OPTIMUM
+CONTEXTUAL = bounds.CONTEXTUAL_OPTIMUM
 PENTAGRAM_ANGLES = [4 * math.pi * j / 5 for j in range(5)]
 
 
@@ -279,6 +279,54 @@ class TestContextualBound:
         res = contextual_bound_kcbs(restarts=5)
         assert (res.optimum, res.argument["seed"], res.iterations, res.converged) == (-3.5, 2, 12, False)
         assert res.argument["vectors"] == [[2.0] * 3] * 5
+
+    def test_defaults_stop_after_the_first_restart(self, monkeypatch):
+        # seed 0 converges within tol of the Lovász certificate, so no other seed runs
+        seeds = []
+        seesaw = bounds._contextual_seesaw
+        monkeypatch.setattr(bounds, "_contextual_seesaw",
+                            lambda seed, iterations, tol: seeds.append(seed) or seesaw(seed, iterations, tol))
+        res = contextual_bound_kcbs()
+        assert seeds == [0]
+        assert (res.argument["seed"], res.iterations, res.converged) == (0, 7, True)
+
+    def test_only_a_converged_restart_within_tol_stops_the_search(self, monkeypatch):
+        # a power of two keeps CONTEXTUAL + k * tol - CONTEXTUAL exact. Seed 0
+        # converges 2 tol above the certificate and seed 1 exactly tol above;
+        # seed 2 is within tol but did not converge; seed 3 converges within
+        # tol and is the last to run
+        tol = 2.0 ** -20
+        outcomes = {0: (CONTEXTUAL + 2 * tol, True), 1: (CONTEXTUAL + tol, True),
+                    2: (CONTEXTUAL + tol / 2, False), 3: (CONTEXTUAL + tol / 4, True),
+                    4: (CONTEXTUAL, True)}
+        seeds = []
+
+        def seesaw(seed, iterations, tol):
+            seeds.append(seed)
+            value, converged = outcomes[seed]
+            return value, [np.full(3, seed)] * 5, np.zeros(3), 10 + seed, converged
+
+        monkeypatch.setattr(bounds, "_contextual_seesaw", seesaw)
+        res = contextual_bound_kcbs(restarts=5, tol=tol)
+        assert seeds == [0, 1, 2, 3]
+        assert (res.optimum, res.argument["seed"], res.iterations, res.converged) == (outcomes[3][0], 3, 13, True)
+
+    @pytest.mark.parametrize("tol, sweeps", [(1e-6, 5), (1e-12, 8)])
+    def test_seed_0_stops_the_search_at_other_tolerances(self, tol, sweeps):
+        res = contextual_bound_kcbs(tol=tol)
+        assert (res.argument["seed"], res.iterations, res.converged) == (0, sweeps, True)
+
+    def test_any_tolerance_ends_within_it_of_the_certificate(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        strategies = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.given(tol=strategies.floats(-12, -3).map(lambda e: 10.0 ** e))
+        def ends_within_tol(tol):
+            res = contextual_bound_kcbs(tol=tol)
+            assert res.converged
+            assert CONTEXTUAL - 1e-14 <= res.optimum <= CONTEXTUAL + tol
+
+        ends_within_tol()
 
     @pytest.mark.parametrize(
         "vectors, psi, what",
