@@ -4,15 +4,13 @@ the probe-readout construction.
 One kernel applies every gate to the rows of a stack of T operands of 2^n x r,
 each viewed as a ``[2] * n`` tensor (qubit 0 the leftmost axis) after the
 batch axis: a gate is one batched matrix product on a view with its target
-axes moved first, a controlled gate's view being its control slice. A gate
-may carry one matrix per operand, so T circuits of one wiring run as one
-evolution. Gates compose left to right; a state vector is one column,
-and a mixed state maps to U (U rho)^dag = U rho U^dag because a stored rho
-is exactly Hermitian.
+axes moved first, a controlled gate's view being its control slice. Gates
+compose left to right; a state vector is one column, and a mixed state maps
+to U (U rho)^dag = U rho U^dag because a stored rho is exactly Hermitian.
 
 ``apply`` runs a circuit on a checked ``QuantumState``; ``evolve`` runs it
-on a bare vector or density matrix, or runs a stack of circuits on a stack
-of them, and checks nothing.
+on a bare vector or density matrix and checks nothing. ``renormalized`` is
+the last step of both, shared with the probe route's fixed circuit.
 """
 
 from __future__ import annotations
@@ -82,19 +80,15 @@ def hadamard(target: int) -> GateOp:
     return GateOp("H", HADAMARD, (target,))
 
 
-def _on_rows(ops, matrices, rows: np.ndarray, n: int) -> np.ndarray:
+def _on_rows(ops, rows: np.ndarray, n: int) -> np.ndarray:
     """Apply gates in order to the register axis of a ``(T, 2^n, r)`` stack of
     operands (or a ``(T, 2^n)`` stack of vectors); returns a new array of the
-    stack's shape. ``ops`` give each gate's wiring and ``matrices``, one for
-    one, its matrix: one ``(2^k, 2^k)`` matrix for the whole stack, or a
-    ``(T, 2^k, 2^k)`` stack whose entry t acts on operand t. Each gate is one
-    product on a transposed view with the batch axis, then its targets first,
-    in gate order; a control slice drops its axis, shifting the targets above
-    it. The working copy is C-ordered whatever the stack's memory order (a
-    broadcast or transposed stack included), so each operand runs exactly as
-    it would alone."""
+    stack's shape. Each gate is one product on a transposed view with the
+    batch axis, then its targets first, in gate order; a control slice drops
+    its axis, shifting the targets above it. The working copy is C-ordered
+    whatever the stack's memory order."""
     t = np.array(rows, dtype=complex, order="C").reshape([len(rows)] + [2] * n + [-1])
-    for op, m in zip(ops, matrices):
+    for op in ops:
         view, targets = t, op.targets
         if op.control is not None:
             view = t[(slice(None),) * (op.control + 1) + (op.control_on,)]
@@ -102,13 +96,13 @@ def _on_rows(ops, matrices, rows: np.ndarray, n: int) -> np.ndarray:
         if targets != tuple(range(len(targets))):  # not already first, in order
             rest = (q for q in range(view.ndim - 1) if q not in targets)
             view = view.transpose((0, *(q + 1 for q in (*targets, *rest))))
-        view[...] = (m @ view.reshape(len(t), m.shape[-1], -1)).reshape(view.shape)
+        view[...] = (op.matrix @ view.reshape(len(t), op.matrix.shape[-1], -1)).reshape(view.shape)
     return t.reshape(rows.shape)
 
 
 def full_gate_matrix(op: GateOp, n: int) -> np.ndarray:
     """The 2^n x 2^n unitary implemented by one gate op."""
-    return _on_rows((op,), (op.matrix,), np.eye(2 ** n, dtype=complex)[None], n)[0]
+    return _on_rows((op,), np.eye(2 ** n, dtype=complex)[None], n)[0]
 
 
 def embed(u: np.ndarray, targets, n: int) -> np.ndarray:
@@ -121,25 +115,23 @@ def embed(u: np.ndarray, targets, n: int) -> np.ndarray:
     return full_gate_matrix(op, n)
 
 
-def evolve(circuit: Circuit, operand: np.ndarray, matrices=None) -> np.ndarray:
-    """Run a circuit on a state vector (renormalized) or a density matrix
-    (mapped as U rho U^dag, renormalized to unit trace); unchecked.
-
-    Given ``matrices``, it runs a stack of T circuits of this wiring instead:
-    the operand is a ``(T, 2^n)`` stack of vectors or a ``(T, 2^n, 2^n)``
-    stack of density matrices, the gates take ``matrices`` in place of the
-    ops' own (see :func:`_on_rows`), and the T results return as one stack."""
-    ops, n, lone = circuit.ops, circuit.qubits, matrices is None
-    if lone:  # the stack of one
-        operand, matrices = operand[None], [op.matrix for op in ops]
-    if operand.ndim == 2:
-        psi = _on_rows(ops, matrices, operand, n)
+def renormalized(out: np.ndarray) -> np.ndarray:
+    """Each row of a ``(T, D)`` stack of vectors scaled to unit norm, or each
+    matrix of a ``(T, D, D)`` stack of density matrices to unit trace."""
+    if out.ndim == 2:
         # each row's norm summed as np.linalg.norm sums it for one vector
-        out = psi / np.sqrt(np.vecdot(psi.real, psi.real) + np.vecdot(psi.imag, psi.imag))[:, None]
-    else:
-        rho = _on_rows(ops, matrices, _on_rows(ops, matrices, operand, n).conj().swapaxes(-1, -2), n)
-        out = rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
-    return out[0] if lone else out
+        return out / np.sqrt(np.vecdot(out.real, out.real) + np.vecdot(out.imag, out.imag))[:, None]
+    return out / np.trace(out, axis1=-2, axis2=-1).real[:, None, None]
+
+
+def evolve(circuit: Circuit, operand: np.ndarray) -> np.ndarray:
+    """Run a circuit on a state vector (renormalized) or a density matrix
+    (mapped as U rho U^dag, renormalized to unit trace); unchecked."""
+    ops, n = circuit.ops, circuit.qubits
+    out = _on_rows(ops, operand[None], n)
+    if operand.ndim == 2:
+        out = _on_rows(ops, out.conj().swapaxes(-1, -2), n)
+    return renormalized(out)[0]
 
 
 def apply(circuit: Circuit, state: QuantumState) -> QuantumState:

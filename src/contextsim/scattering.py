@@ -17,8 +17,9 @@ stack that every route reads. Specs that share a register and a slot count
 stack into ``(T, k, d, d)``, which each route reads with one ``(state, stack)``
 call: one batched evolution and one readout on the probe route, one batched
 product and one trace on the direct route; a lone spec is the batch of one,
-``spec.blocks[None]``. The probe circuit's wiring depends only on the register
-size and the slot count, so its controlled gates are made once, at import.
+``spec.blocks[None]``. Every probe circuit has the same wiring, so the probe
+route runs it as fixed products on the probe's axis, with no gate objects:
+H on the probe, each block on the probe's |1> half, H.
 
 Any sequence of observables and evolutions is a spec; for two slots, the
 second after a two-qubit unitary ``U``, the three routes read the same value::
@@ -38,7 +39,7 @@ from functools import reduce
 
 import numpy as np
 
-from .circuits import Circuit, GateOp, embed, evolve, hadamard, ry_matrix
+from .circuits import HADAMARD, Circuit, GateOp, embed, hadamard, renormalized, ry_matrix
 from .linalg import PAULI_X, PAULI_Y, PAULI_Z, checked_count, checked_matrix
 from .states import MAX_QUBITS, QuantumState, density_of, haar_random_unitary
 
@@ -107,20 +108,12 @@ def heisenberg_observable(ts: TimeSlot) -> np.ndarray:
     return ts.block
 
 
-# the probe's Hadamard, which opens and closes every probe circuit, and for
-# each register size the wiring of a slot's block: qubits 1..N controlled by
-# the probe, its matrix supplied per call
-_PROBE_HADAMARD = hadamard(0)
-_PROBE_BLOCKS = {n: GateOp("slot block", np.eye(2 ** n), tuple(range(1, n + 1)), control=0)
-                 for n in range(1, MAX_QUBITS + 1)}
-
-
 def build_scattering_circuit(spec: TemporalCorrelationSpec) -> Circuit:
     """The probe circuit on N+1 qubits; the probe is the extra qubit 0 and
     controls each slot's block, made a gate here and only here."""
-    targets = tuple(range(1, spec.system_qubits + 1))
+    targets, h = tuple(range(1, spec.system_qubits + 1)), hadamard(0)
     blocks = (GateOp("slot block", b, targets, control=0) for b in spec.blocks)
-    return Circuit(spec.system_qubits + 1, (_PROBE_HADAMARD, *blocks, _PROBE_HADAMARD))
+    return Circuit(spec.system_qubits + 1, (h, *blocks, h))
 
 
 def _probe_pauli(rho: np.ndarray, pauli: np.ndarray) -> np.ndarray:
@@ -144,24 +137,38 @@ def probe_sigma_y(state: QuantumState) -> float:
     return float(_probe_pauli(density_of(state), PAULI_Y))
 
 
+def _probe_circuit(stack: np.ndarray, operand: np.ndarray) -> np.ndarray:
+    """Each spec's probe circuit, for a ``(T, k, d, d)`` block stack, on a
+    ``(T, 2d)`` stack of vectors or a ``(T, 2d, 2d)`` stack of density matrices
+    (a second pass on the conjugate transpose), renormalized as by ``evolve``.
+    On a C-ordered copy viewed as ``(T, 2, d, r)``, H is one product on the
+    probe axis and a block one product on the probe's |1> half."""
+    def one_pass(rows):
+        t = np.array(rows, dtype=complex, order="C").reshape(len(rows), 2, -1)
+        t = (HADAMARD @ t).reshape(len(rows), 2, stack.shape[-1], -1)
+        for i in range(stack.shape[1]):
+            t[:, 1] = stack[:, i] @ t[:, 1]
+        return (HADAMARD @ t.reshape(len(rows), 2, -1)).reshape(rows.shape)
+
+    out = one_pass(operand)
+    if operand.ndim == 3:
+        out = one_pass(out.conj().swapaxes(-1, -2))
+    return renormalized(out)
+
+
 def stack_correlators_scattering(rho_sys: QuantumState, stack: np.ndarray) -> list[float]:
     """Probe readout of each spec of a ``(T, k, d, d)`` block stack, in one
-    ``(state, stack)`` call as on the direct and sequential routes: the probe
-    circuit of every spec (H, its k controlled blocks, H) runs on the bare
-    array |0> x rho_sys in one batched evolution of the wiring made at import
-    for this register, and one readout takes the probe's <sigma_z> of all."""
+    ``(state, stack)`` call as on the direct and sequential routes: one
+    :func:`_probe_circuit` on |0> x rho_sys, one readout of the probe's <Z>."""
     operand = rho_sys.amplitudes if rho_sys.is_pure else rho_sys.rho
     d = len(operand)
     if stack.shape[-2:] != (d, d):
         raise ValueError("state and spec disagree on the system size")
-    n = rho_sys.qubits
-    if n not in _PROBE_BLOCKS:
+    if not 1 <= rho_sys.qubits <= MAX_QUBITS:
         raise ValueError(f"the probe route reads registers of 1 to {MAX_QUBITS} system qubits")
-    circuit = Circuit(n + 1, (_PROBE_HADAMARD, *(_PROBE_BLOCKS[n],) * stack.shape[1], _PROBE_HADAMARD))
-    h = _PROBE_HADAMARD.matrix
     padded = np.zeros((len(stack),) + (2 * d,) * operand.ndim, dtype=complex)
     padded[(slice(None),) + (slice(d),) * operand.ndim] = operand
-    out = evolve(circuit, padded, (h, *stack.swapaxes(0, 1), h))
+    out = _probe_circuit(stack, padded)
     if out.ndim == 2:
         out = out[:, :, None] * out.conj()[:, None, :]
     return _probe_pauli(out, PAULI_Z).tolist()
@@ -181,8 +188,8 @@ def stack_correlators_direct(rho_sys: QuantumState, stack: np.ndarray) -> list[f
     rho = density_of(rho_sys)
     if stack.shape[-2:] != rho.shape:
         raise ValueError("state and spec disagree on the system size")
-    u = np.eye(rho.shape[0], dtype=complex)[None].repeat(len(stack), axis=0)
-    for i in range(stack.shape[1]):
+    u = stack[:, 0] if stack.shape[1] else np.eye(len(rho), dtype=complex)[None].repeat(len(stack), axis=0)
+    for i in range(1, stack.shape[1]):
         u = u @ stack[:, i]
     return np.trace(rho @ u, axis1=-2, axis2=-1).real.tolist()
 

@@ -23,10 +23,10 @@ path: the dtype of the branches follows the inputs.
 The state enters checked, as a ``QuantumState``. ``joint_distribution``
 checks the whole observable stack once, before the first step: each
 observable must be finite, Hermitian, square to I and match the state's
-dimension. ``luders_measure`` is the unchecked chain step; the branches are
-never checked. Each final distribution must sum to 1 within
-:func:`_sum_tolerance`, and no probability may fall below 0 by more than
-:func:`_probability_floor`.
+dimension, and builds each step's projector pair once. ``luders_measure`` is
+the unchecked chain step, given one step's pair; the branches are never
+checked. Each final distribution must sum to 1 within :func:`_sum_tolerance`,
+and no probability may fall below 0 by more than :func:`_probability_floor`.
 """
 
 from __future__ import annotations
@@ -134,17 +134,16 @@ def _product_mean(p: np.ndarray, b: int, axes=None):
     return np.einsum(*operands, list(range(b)))
 
 
-def luders_measure(branches: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    """Measure one dichotomic observable per chain, unchecked: ``obs`` has
-    shape ``batch + (d, d)`` and ``branches`` a shape that broadcasts with
-    ``batch + (m, d, d)``. Returns the ``batch + (2m, d, d)`` stack in which
-    branch i splits into 2i (+1) and 2i + 1 (-1). The result has numpy's
-    common dtype of the inputs: float64 for the real parts of a real chain,
-    complex128 otherwise."""
-    # batch + (1, 2, d, d): the +1 and -1 projectors (I +- O)/2
-    proj = (np.eye(obs.shape[-1]) + _SIGNS[:, None, None] * obs[..., None, None, :, :]) / 2
-    split = proj @ branches[..., :, None, :, :] @ proj
-    return split.reshape(split.shape[:-4] + (-1,) + obs.shape[-2:])
+def luders_measure(branches: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """Measure one dichotomic observable per chain, unchecked: ``proj`` is
+    its projector pair (I + O)/2, (I - O)/2, of shape ``batch + (2, d, d)``,
+    and ``branches`` has a shape that broadcasts with ``batch + (m, d, d)``.
+    Returns the ``batch + (2m, d, d)`` stack in which branch i splits into
+    2i (+1) and 2i + 1 (-1). The result has numpy's common dtype of the
+    inputs: float64 for the real parts of a real chain, complex128
+    otherwise."""
+    split = proj[..., None, :, :, :] @ branches[..., :, None, :, :] @ proj[..., None, :, :, :]
+    return split.reshape(split.shape[:-4] + (-1,) + proj.shape[-2:])
 
 
 def joint_distribution(state: QuantumState, obs_seq) -> OutcomeDistribution:
@@ -162,8 +161,9 @@ def joint_distribution(state: QuantumState, obs_seq) -> OutcomeDistribution:
         if obs.shape[-2:] != rho.shape:
             raise ValueError("observable dimension does not match the state")
     branches = rho.reshape((1,) * (obs.ndim - 2) + rho.shape)  # broadcasts against every chain
+    proj = (np.eye(obs.shape[-1]) + _SIGNS[:, None, None] * chain[..., None, :, :]) / 2  # (I +- O)/2
     for i in range(k):
-        branches = luders_measure(branches, chain[..., i, :, :])
+        branches = luders_measure(branches, proj[..., i, :, :, :])
     probs = np.trace(branches, axis1=-2, axis2=-1).real.reshape(batch + (2,) * k)
     return OutcomeDistribution(observables=obs, probabilities=probs)
 

@@ -3,7 +3,6 @@ import pytest
 
 from contextsim import circuits
 from contextsim.circuits import (
-    HADAMARD,
     Circuit,
     GateOp,
     apply,
@@ -24,6 +23,7 @@ from contextsim.states import (
     random_pure_state,
 )
 from contextsim.noise import depolarize
+from contextsim.scattering import _probe_circuit
 
 
 def cnot(control, target):
@@ -197,28 +197,24 @@ class TestEvolveAxisBookkeeping:
 
 
 class TestEvolveMemoryOrder:
-    """The kernel works on a C-ordered copy, so a stack reads the same bits
-    whatever its memory layout: a zero-stride broadcast batch axis or a
-    Fortran-ordered stack would otherwise reorder the trace sums."""
+    """The probe route's kernel, which evolves a stack of probe circuits,
+    works on a C-ordered copy, so a stack reads the same bits whatever its
+    memory layout: a zero-stride broadcast batch axis or a Fortran-ordered
+    stack."""
 
     T = 12
 
-    def _probe_circuit(self):
-        rng = np.random.default_rng(21)
-        blocks = np.stack([haar_random_unitary(8, rng) for _ in range(self.T)])
-        wiring = (hadamard(0), GateOp("U", np.eye(8), (1, 2, 3), control=0), hadamard(0))
-        return Circuit(4, wiring), (HADAMARD, blocks, HADAMARD)
-
     @pytest.mark.parametrize("mixed", [False, True])
     def test_broadcast_and_fortran_stacks_read_as_the_c_ordered_one(self, mixed):
-        circuit, matrices = self._probe_circuit()
+        rng = np.random.default_rng(21)
+        blocks = np.stack([haar_random_unitary(8, rng) for _ in range(self.T)])[:, None]
         one = np.zeros((16, 16) if mixed else 16, dtype=complex)
         system = density_of(random_pure_state(3, 22)) if mixed else random_pure_state(3, 22).amplitudes
         one[(slice(8),) * one.ndim] = system
         c_ordered = np.ascontiguousarray(np.broadcast_to(one, (self.T,) + one.shape))
-        expected = evolve(circuit, c_ordered, matrices).tobytes()
+        expected = _probe_circuit(blocks, c_ordered).tobytes()
         for operand in (np.broadcast_to(one, c_ordered.shape), np.asfortranarray(c_ordered)):
-            assert evolve(circuit, operand, matrices).tobytes() == expected
+            assert _probe_circuit(blocks, operand).tobytes() == expected
 
 
 class TestApply:

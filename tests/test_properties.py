@@ -493,12 +493,13 @@ def test_batched_chain_matches_each_chain(data):
 def _complex_probabilities(state, stack) -> np.ndarray:
     """The joint distribution of a batch of chains in complex128 arithmetic:
     ``luders_measure`` on complex copies of the density matrix and the
-    stack, whatever their imaginary parts."""
+    stack's projector pairs (I +- O)/2, whatever their imaginary parts."""
     obs = np.asarray(stack, dtype=complex)
     rho = density_of(state).astype(complex)
+    proj = (np.eye(obs.shape[-1]) + np.array([1.0, -1.0])[:, None, None] * obs[..., None, :, :]) / 2
     branches = rho.reshape((1,) * (obs.ndim - 2) + rho.shape)
     for i in range(obs.shape[-3]):
-        branches = sequential.luders_measure(branches, obs[..., i, :, :])
+        branches = sequential.luders_measure(branches, proj[..., i, :, :, :])
     return np.trace(branches, axis1=-2, axis2=-1).real.reshape(obs.shape[:-3] + (2,) * obs.shape[-3])
 
 
@@ -507,8 +508,8 @@ def _recorded_chain(state, stack):
     stack that its chain steps return."""
     dtypes, step = [], sequential.luders_measure
 
-    def recorded(branches, obs):
-        out = step(branches, obs)
+    def recorded(branches, proj):
+        out = step(branches, proj)
         dtypes.append(out.dtype)
         return out
 

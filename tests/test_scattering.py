@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from contextsim import circuits
 from contextsim.circuits import apply, full_gate_matrix, ry_matrix
 from contextsim.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
 from contextsim.scattering import (
@@ -229,6 +232,37 @@ class TestCorrelators:
         spec = random_correlation_spec(2, 1, np.random.default_rng(12))
         with pytest.raises(ValueError):
             correlator_scattering(basis_state(1, "0"), spec)
+
+
+class TestFixedWiring:
+    @pytest.mark.parametrize("mixed", [False, True])
+    @pytest.mark.parametrize("slots", [0, 1, 4])
+    def test_one_readout_gate_is_the_only_gate_built(self, slots, mixed, monkeypatch):
+        # the probe circuit runs on its fixed wiring with no gate objects;
+        # the one Circuit and the one GateOp of a call are the readout's embed
+        spec = random_correlation_spec(2, slots, np.random.default_rng(31))
+        st = haar_random_state(2, np.random.default_rng(32))
+        st = mixed_state(density_of(st)) if mixed else st
+        built = []
+
+        def recorded(cls):
+            init = cls.__post_init__
+
+            def post_init(self):
+                frame, callers = sys._getframe(1), []
+                while frame is not None:
+                    callers.append(frame.f_code)
+                    frame = frame.f_back
+                built.append((cls.__name__, circuits.embed.__code__ in callers))
+                init(self)
+
+            monkeypatch.setattr(cls, "__post_init__", post_init)
+
+        recorded(circuits.GateOp)
+        recorded(circuits.Circuit)
+        value = correlator_scattering(st, spec)
+        assert sorted(built) == [("Circuit", True), ("GateOp", True)]
+        assert value == pytest.approx(correlator_direct(st, spec), abs=1e-10)
 
 
 class TestSingleRunSufficiency:

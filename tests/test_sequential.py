@@ -47,6 +47,13 @@ def _stack(state):
     return density_of(state)[None]
 
 
+def _pair(obs):
+    """The projector pair (I + O)/2, (I - O)/2 of each observable of a
+    ``batch + (d, d)`` stack, as ``luders_measure`` takes it."""
+    obs = np.asarray(obs)
+    return (np.eye(obs.shape[-1]) + np.array([1.0, -1.0])[:, None, None] * obs[..., None, :, :]) / 2
+
+
 def _outcomes(dist):
     """(outcome tuple, probability) pairs; index 0 is +1 and index 1 is -1."""
     for idx in np.ndindex(dist.probabilities.shape):
@@ -58,14 +65,14 @@ class TestLudersMeasure:
     are rejected by ``joint_distribution``, which checks them once."""
 
     def test_deterministic_branch(self):
-        branches = luders_measure(_stack(basis_state(1, "0")), PAULI_Z)
+        branches = luders_measure(_stack(basis_state(1, "0")), _pair(PAULI_Z))
         assert branches.shape == (2, 2, 2)
         assert np.trace(branches[0]).real == pytest.approx(1.0, abs=1e-12)
         # the impossible -1 outcome is a zero matrix, not a dropped branch
         assert np.array_equal(branches[1], np.zeros((2, 2)))
 
     def test_x_on_zero_gives_plus_minus(self):
-        branches = luders_measure(_stack(basis_state(1, "0")), PAULI_X)
+        branches = luders_measure(_stack(basis_state(1, "0")), _pair(PAULI_X))
         plus = np.full((2, 2), 0.5, dtype=complex)
         minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
         # projector algebra oracle: the branches are the |+-| projectors,
@@ -77,14 +84,14 @@ class TestLudersMeasure:
     def test_maximally_mixed_is_unbiased(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
-            branches = luders_measure(_stack(mixed_state(np.eye(2) / 2)), random_dichotomic(rng))
+            branches = luders_measure(_stack(mixed_state(np.eye(2) / 2)), _pair(random_dichotomic(rng)))
             traces = np.trace(branches, axis1=1, axis2=2).real
             assert traces == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_stack_order_follows_outcome_tuples(self):
         # Z then X on |0>: (+1, +1) and (+1, -1) carry 1/2 each; the
         # branches that start with -1 are zero
-        branches = luders_measure(luders_measure(_stack(basis_state(1, "0")), PAULI_Z), PAULI_X)
+        branches = luders_measure(luders_measure(_stack(basis_state(1, "0")), _pair(PAULI_Z)), _pair(PAULI_X))
         traces = np.trace(branches, axis1=1, axis2=2).real
         assert traces == pytest.approx([0.5, 0.5, 0.0, 0.0], abs=1e-12)
 
@@ -338,7 +345,7 @@ class TestBatchAxis:
 
     def test_luders_measure_splits_each_chain(self):
         # chain 0 measures Z and chain 1 measures X on |0>
-        branches = luders_measure(_stack(basis_state(1, "0")), np.stack([PAULI_Z, PAULI_X]))
+        branches = luders_measure(_stack(basis_state(1, "0")), _pair(np.stack([PAULI_Z, PAULI_X])))
         assert branches.shape == (2, 2, 2, 2)
         traces = np.trace(branches, axis1=-2, axis2=-1).real
         assert np.allclose(traces, [[1.0, 0.0], [0.5, 0.5]], atol=1e-12, rtol=0)
