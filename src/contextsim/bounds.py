@@ -42,18 +42,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import (PAULI_X, PAULI_Z, checked_angles, checked_count, checked_real, checked_reals,
-                     sigma_theta_matrix)
+from .linalg import (BELL_LINE_GAP, KERNEL_TOL, PAULI_X, PAULI_Z, PIN_FLOOR, PLANE_FLOOR, REPLACE_MARGIN,
+                     SCREEN_MARGIN, SEARCH_TOL, SEESAW_LINE_TOL, START_FLOOR, checked_angles, checked_count,
+                     checked_real, checked_reals, sigma_theta_matrix)
 from .inequalities import _PENTAGON_PAIRS, _kcbs_cycle
 from .optimize import golden_section_minimize
 from .sequential import correlator_sequential, joint_distribution
 from .states import mixed_state
 
-KERNEL_TOL = 1e-9
 MAX_RESOLUTION = 16  # the grid holds resolution**4 5-tuples: a search peaks near 2.6 MB traced at 16
-# a Bell grid row is screened out when its cosine sum is this far above the
-# grid's lowest and its second penalty eigenvalue is at least this large
-_SCREEN_MARGIN = 1e-6
 
 TSIRELSON_OPTIMUM = -5 * math.cos(math.pi / 5)  # the Bell and temporal optimum
 CONTEXTUAL_OPTIMUM = 5 - 4 * math.sqrt(5)  # 5 - 4 theta(C5), the Lovász number theta(C5) = sqrt(5)
@@ -156,7 +153,7 @@ def _bell_line(angles, i: int):
     <k|P x Q|k> over P, Q in (Z, X), each term reads
     <k|sigma(a) x sigma(b)|k> = t(a).T t(b). The moving penalty on k is
     (1 - t(x).T t(x))/2 = p0 + p1 cos 2x + p2 sin 2x. The line is used only
-    when the next eigenvalue is above 1e-2 and the lowest one plus
+    when the next eigenvalue is above BELL_LINE_GAP and the lowest one plus
     |p0| + |p1| + |p2| is below KERNEL_TOL. A positive semidefinite term
     lowers no eigenvalue, so every trial's penalty then has a one-dimensional
     kernel, k, and the compressed operator is
@@ -170,7 +167,7 @@ def _bell_line(angles, i: int):
     corr = np.array([[(bra @ pq @ k).real for pq in row] for row in _PAULI_PAIRS])
     (zz, zx), (xz, xx) = corr.tolist()
     moving = abs(0.5 - (zz + xx) / 4) + abs(zz - xx) / 4 + abs(zx + xz) / 4
-    if not (w[1] > 1e-2 and w[0] + moving < KERNEL_TOL):
+    if not (w[1] > BELL_LINE_GAP and w[0] + moving < KERNEL_TOL):
         return None
     t = np.array([np.cos(angles), np.sin(angles)])
     c0 = float(sum(t[:, r] @ corr @ t[:, (r + 1) % 5] for r in range(5) if r not in ((i - 1) % 5, i)))
@@ -265,14 +262,14 @@ def _grid_second_eigenvalues(grid: np.ndarray) -> np.ndarray:
 def _coarse_bell_minimum(resolution: int) -> np.ndarray:
     """The grid 5-tuple where ``_constrained_minima`` is lowest (first in grid
     order), screened. A row whose second penalty eigenvalue is at least
-    _SCREEN_MARGIN has the pair state as its kernel, where the constrained
-    minimum is the cosine sum to 1e-12; so only rows within _SCREEN_MARGIN of
+    SCREEN_MARGIN has the pair state as its kernel, where the constrained
+    minimum is the cosine sum to 1e-12; so only rows within SCREEN_MARGIN of
     the lowest sum, or below that eigenvalue, can win. Both screens are read
     off r-sized tables, and only the kept rows are built as 5-tuples."""
     grid = _grid(resolution)
     cosines = _grid_cosines(grid).ravel()
     second = _grid_second_eigenvalues(grid).ravel()
-    rows = np.flatnonzero((cosines <= cosines.min() + _SCREEN_MARGIN) | (second < _SCREEN_MARGIN))
+    rows = np.flatnonzero((cosines <= cosines.min() + SCREEN_MARGIN) | (second < SCREEN_MARGIN))
     kept = _coarse_grid_tuples(resolution, rows)
     return kept[int(np.argmin(_constrained_minima(kept)))]
 
@@ -301,7 +298,7 @@ def _descend(objective, line, angles: np.ndarray, sweeps: int, tol: float):
                     trial[i] = x
                     return objective(trial)
 
-            angles[i] = golden_section_minimize(along, angles[i] - np.pi, angles[i] + np.pi, tol=min(tol, 1e-9))
+            angles[i] = golden_section_minimize(along, angles[i] - np.pi, angles[i] + np.pi, tol=min(tol, SEARCH_TOL))
         current = objective(angles)
         converged = performed >= 3 and previous - current < tol
         previous = current
@@ -319,7 +316,7 @@ def _angle_search(target: str, coarse, objective, line, resolution, sweeps, tol)
                        iterations=performed, converged=converged, tolerance=tol)
 
 
-def tsirelson_search_bell(resolution: int = 8, sweeps: int = 40, tol: float = 1e-9) -> BoundResult:
+def tsirelson_search_bell(resolution: int = 8, sweeps: int = 40, tol: float = SEARCH_TOL) -> BoundResult:
     """Minimize the constrained five-term objective over angle 5-tuples.
 
     Coarse grid first, then cyclic golden-section descent whose line
@@ -331,7 +328,7 @@ def tsirelson_search_bell(resolution: int = 8, sweeps: int = 40, tol: float = 1e
                          resolution, sweeps, tol)
 
 
-def temporal_bound_kcbs(resolution: int = 8, tol: float = 1e-9, sweeps: int = 40) -> BoundResult:
+def temporal_bound_kcbs(resolution: int = 8, tol: float = SEARCH_TOL, sweeps: int = 40) -> BoundResult:
     """Minimize the cyclic cosine sum over angle 5-tuples; same optimum as the
     constrained Bell search, recovered through an independent objective.
 
@@ -375,7 +372,7 @@ def _feasible_start(rng: np.random.Generator):
             if 0 < i < 4:
                 v -= (v @ u[i - 1]) * u[i - 1]
             norm = np.linalg.norm(v)
-            if norm < 1e-8:
+            if norm < START_FLOOR:
                 break
             u.append(v / norm)
         else:
@@ -402,7 +399,7 @@ def _seesaw_line(u, psi, i: int):
     5 - 4 (rest + (a.t)^2 + (b.t)^2 / |cand x w|^2), where
     |cand x w|^2 = 1 - (c.t)^2 is taken as (w.u_{i-1})^2 + (c1 sin phi -
     c2 cos phi)^2, a sum of squares that does not cancel near a degenerate
-    pin. The trial is +inf where |cand x w| < 1e-12. All of it is Python
+    pin. The trial is +inf where |cand x w| < PIN_FLOOR. All of it is Python
     float arithmetic on 3-tuples, where numpy would spend most of its time in
     call overhead. Returns (e1, e2, value), or None when u_i is parallel to
     u_{i-1}.
@@ -411,7 +408,7 @@ def _seesaw_line(u, psi, i: int):
     along = _dot(u[i], prev)
     e1 = tuple(x - along * p for x, p in zip(u[i], prev))
     n1 = math.hypot(*e1)
-    if n1 < 1e-10:
+    if n1 < PLANE_FLOOR:
         return None
     e1 = tuple(x / n1 for x in e1)
     e2 = _cross(prev, e1)
@@ -424,11 +421,12 @@ def _seesaw_line(u, psi, i: int):
     # move the pinned contextual digits
     off_plane = _dot(w, prev) ** 2
     rest = sum(_dot(u[j], psi) ** 2 for j in range(5) if j not in (i, (i + 1) % 5))
+    pin_floor_sq = PIN_FLOOR ** 2
 
     def value(phi: float) -> float:
         cos, sin = math.cos(phi), math.sin(phi)
         pinned_sq = off_plane + (c1 * sin - c2 * cos) ** 2
-        if pinned_sq < 1e-24:
+        if pinned_sq < pin_floor_sq:
             return math.inf
         moved = (a1 * cos + a2 * sin) ** 2 + (b1 * cos + b2 * sin) ** 2 / pinned_sq
         return 5.0 - 4.0 * (rest + moved)
@@ -454,12 +452,12 @@ def _contextual_seesaw(seed: int, iterations: int, tol: float):
             if line is None:
                 continue
             e1, e2, value = line
-            phi = golden_section_minimize(value, -np.pi, np.pi, tol=1e-11)
+            phi = golden_section_minimize(value, -np.pi, np.pi, tol=SEESAW_LINE_TOL)
             cos, sin = math.cos(phi), math.sin(phi)
             cand = tuple(cos * x + sin * y for x, y in zip(e1, e2))
             cross = _cross(cand, u[(i + 2) % 5])
             norm = math.hypot(*cross)
-            if norm < 1e-12:
+            if norm < PIN_FLOOR:
                 return None
             u[i], u[(i + 1) % 5] = cand, tuple(x / norm for x in cross)
         psi, current = _state_step(u)
@@ -470,7 +468,7 @@ def _contextual_seesaw(seed: int, iterations: int, tol: float):
     return float(previous), u, psi, performed, converged
 
 
-def contextual_bound_kcbs(iterations: int = 200, restarts: int = 8, tol: float = 1e-9) -> BoundResult:
+def contextual_bound_kcbs(iterations: int = 200, restarts: int = 8, tol: float = SEARCH_TOL) -> BoundResult:
     """Seesaw over five exclusive rank-one tests and a state in R^3; the
     optimum 5 - 4*sqrt(5) sits strictly above the temporal extremum.
 
@@ -486,7 +484,7 @@ def contextual_bound_kcbs(iterations: int = 200, restarts: int = 8, tol: float =
         if outcome is None:
             continue
         value, u, psi, performed, converged = outcome
-        if value < result.optimum - 1e-15:
+        if value < result.optimum - REPLACE_MARGIN:
             argument = {"vectors": [[float(x) for x in ui] for ui in u], "state": [float(x) for x in psi],
                         "seed": seed}
             result = replace(result, optimum=value, argument=argument, iterations=performed,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import os
 import sys
@@ -100,18 +101,21 @@ def _build_parser() -> argparse.ArgumentParser:
         if takes_theta:
             p.add_argument("--theta", help='angle in radians, required; accepts floats, "pi", "acos(-0.75)"')
 
+    # the searches' own defaults, so each is written once, in its signature
+    defaults = {name: arg.default for f in (bounds_mod.tsirelson_search_bell, bounds_mod.contextual_bound_kcbs)
+                for name, arg in inspect.signature(f).parameters.items()}
     bounds_p = sub.add_parser("bounds", help="extremum searches for the five-cycle family")
     bounds_p.add_argument("--target", default="all", choices=(*_SEARCHES, "all"))
-    bounds_p.add_argument("--resolution", type=int, default=8,
+    bounds_p.add_argument("--resolution", type=int, default=defaults["resolution"],
                           help=f"coarse angle grid points per axis, 1 to {bounds_mod.MAX_RESOLUTION}")
-    bounds_p.add_argument("--sweeps", type=int, default=40,
+    bounds_p.add_argument("--sweeps", type=int, default=defaults["sweeps"],
                           help="descent sweeps for bell-kcbs and temporal-kcbs")
-    bounds_p.add_argument("--restarts", type=int, default=8,
+    bounds_p.add_argument("--restarts", type=int, default=defaults["restarts"],
                           help="upper limit on seeded seesaw restarts for contextual-kcbs; the search stops "
                                "at the first converged restart within --tol of 5 - 4*sqrt(5)")
-    bounds_p.add_argument("--iterations", type=int, default=200,
+    bounds_p.add_argument("--iterations", type=int, default=defaults["iterations"],
                           help="seesaw sweeps per contextual-kcbs restart")
-    bounds_p.add_argument("--tol", type=float, default=1e-9,
+    bounds_p.add_argument("--tol", type=float, default=defaults["tol"],
                           help="convergence tolerance of the three sweep searches")
     bounds_p.add_argument("--format", default="table", choices=FORMATS)
     bounds_p.add_argument("--output", default=None, help=output_help)

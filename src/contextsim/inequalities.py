@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import PAULI_Z, PAULIS, checked_angles, checked_matrix, sigma_theta_matrix
+from .linalg import (CONSTRAINT_ATOL, PAULI_Z, PAULIS, VERDICT_EPS, checked_angles, checked_matrix,
+                     sigma_theta_matrix)
 from .circuits import ry_matrix
 from .scattering import (
     TemporalCorrelationSpec,
@@ -51,8 +52,6 @@ _ROUTES = {
     "sequential": stack_correlators_sequential,
 }
 METHODS = tuple(_ROUTES)
-VERDICT_EPS = 1e-9
-CONSTRAINT_ATOL = 1e-6
 
 PM_FACTOR_TOKENS = {
     "A": ("Z", "I"),

@@ -1,5 +1,6 @@
-"""Dense complex matrix helpers for dimensions up to 16: shared tolerances,
-the Pauli matrices, sigma(theta), and validation.
+"""Dense complex matrix helpers for dimensions up to 16: the tolerance table
+(every tolerance of the package, named once below the imports with where its
+value comes from), the Pauli matrices, sigma(theta), and validation.
 
 All operators that this package stores are plain ``numpy.ndarray`` values of
 dtype complex128 in row-major order. One computation works on float64 real
@@ -20,10 +21,22 @@ import sys
 
 import numpy as np
 
-# Absolute tolerances, shared package-wide. All comparisons are absolute.
-ATOL = 1e-10          # hermiticity, unitarity, normalization, trace checks
-ATOL_DICHOTOMIC = 1e-9  # O^2 = I and spectral-reconstruction checks
-ATOL_STATE_PSD = 1e-9   # eigenvalue floor accepted for density matrices
+# The tolerance table: name, value, and where the value comes from; all absolute.
+ATOL = 1e-10              # round-off of d <= 16 products: hermiticity, unitarity, normalization, trace
+ATOL_DICHOTOMIC = 1e-9    # round-off of O @ O for O^2 = I and spectral-reconstruction checks
+ATOL_STATE_PSD = 1e-9     # round-off of eigvalsh: the eigenvalue floor accepted for density matrices
+VERDICT_EPS = 1e-9        # a verdict's margin: a sum beats its bound only by more than this
+CONSTRAINT_ATOL = 1e-6    # a side condition <A_j B_j> = 1 holds within this
+FIT_TOL = 1e-6            # bracket width of the visibility fit's golden-section search
+SEARCH_TOL = 1e-9         # default tolerance of the bound searches, and the cap on a descent line's bracket
+KERNEL_TOL = 1e-9         # round-off of eigh on the Bell penalty: an eigenvalue below is in its kernel
+SCREEN_MARGIN = 1e-6      # Bell grid screen: cosine-sum margin, and the spectral gap that fixes the kernel
+BELL_LINE_GAP = 1e-2      # Bell line: the fixed penalties' spectral gap above their kernel
+SEESAW_LINE_TOL = 1e-11   # bracket width of a seesaw line's golden-section search
+START_FLOOR = 1e-8        # seesaw start: a shorter drawn vector is a degenerate draw, redrawn
+PLANE_FLOOR = 1e-10       # seesaw line: u_i this close to parallel to u_{i-1} has no plane to turn in
+PIN_FLOOR = 1e-12         # seesaw: a shorter re-pinned cross product is a degenerate pin
+REPLACE_MARGIN = 1e-15    # a contextual restart replaces the kept one only when this much lower
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)

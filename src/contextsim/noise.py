@@ -16,11 +16,10 @@ from importlib import resources
 import numpy as np
 
 from .inequalities import eval_pm, eval_transformed_bell
-from .linalg import checked_count, checked_real
+from .linalg import FIT_TOL, checked_count, checked_real
 from .optimize import golden_section_minimize
 from .states import QuantumState, bell_phi_plus, density_of
 
-FIT_TOL = 1e-6
 MAX_BLOCKS = 2**53  # every count up to here converts to a float exactly
 MAX_MAGNITUDE = 1e150  # the square of a residual between two such values stays finite
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Callable
 
+from .linalg import SEARCH_TOL
+
 _INV_GOLDEN = 0.6180339887498949
 
 
@@ -11,7 +13,7 @@ def golden_section_minimize(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    tol: float = 1e-9,
+    tol: float = SEARCH_TOL,
     max_iter: int = 200,
 ) -> float:
     """Minimize a unimodal scalar function on [lo, hi].

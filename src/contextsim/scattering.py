@@ -141,11 +141,10 @@ def _probe_circuit(stack: np.ndarray, operand: np.ndarray) -> np.ndarray:
     """Each spec's probe circuit, for a ``(T, k, d, d)`` block stack, on a
     ``(T, 2d)`` stack of vectors or a ``(T, 2d, 2d)`` stack of density matrices
     (a second pass on the conjugate transpose), renormalized as by ``evolve``.
-    On a C-ordered copy viewed as ``(T, 2, d, r)``, H is one product on the
-    probe axis and a block one product on the probe's |1> half."""
+    Viewed as ``(T, 2, d, r)``, H is one product on the probe axis and a block
+    one product on the probe's |1> half; the operand is only read, in any layout."""
     def one_pass(rows):
-        t = np.array(rows, dtype=complex, order="C").reshape(len(rows), 2, -1)
-        t = (HADAMARD @ t).reshape(len(rows), 2, stack.shape[-1], -1)
+        t = (HADAMARD @ rows.reshape(len(rows), 2, -1)).reshape(len(rows), 2, stack.shape[-1], -1)
         for i in range(stack.shape[1]):
             t[:, 1] = stack[:, i] @ t[:, 1]
         return (HADAMARD @ t.reshape(len(rows), 2, -1)).reshape(rows.shape)

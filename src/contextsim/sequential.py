@@ -160,7 +160,8 @@ def joint_distribution(state: QuantumState, obs_seq) -> OutcomeDistribution:
         check_observable(chain, "measured observable")
         if obs.shape[-2:] != rho.shape:
             raise ValueError("observable dimension does not match the state")
-    branches = rho.reshape((1,) * (obs.ndim - 2) + rho.shape)  # broadcasts against every chain
+    # the state as each chain's one branch, widened to the batch by the first step (here when there is none)
+    branches = rho.reshape((1,) * (obs.ndim - 2) + rho.shape) if k else np.broadcast_to(rho, batch + (1,) + rho.shape)
     proj = (np.eye(obs.shape[-1]) + _SIGNS[:, None, None] * chain[..., None, :, :]) / 2  # (I +- O)/2
     for i in range(k):
         branches = luders_measure(branches, proj[..., i, :, :, :])

@@ -147,7 +147,7 @@ class TestCoarseGrid:
         second = (5 - np.abs(np.exp(2j * tuples).sum(axis=-1))) / 2
         assert bounds._grid_cosines(grid).tobytes() == cosines.tobytes()
         assert bounds._grid_second_eigenvalues(grid).tobytes() == second.tobytes()
-        full = tuples[(cosines <= cosines.min() + bounds._SCREEN_MARGIN) | (second < bounds._SCREEN_MARGIN)]
+        full = tuples[(cosines <= cosines.min() + bounds.SCREEN_MARGIN) | (second < bounds.SCREEN_MARGIN)]
         kept, minima = [], bounds._constrained_minima
         monkeypatch.setattr(bounds, "_constrained_minima", lambda rows: kept.append(rows) or minima(rows))
         bounds._coarse_bell_minimum(resolution)

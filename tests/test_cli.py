@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -103,6 +104,13 @@ class TestJsonRoundTrip:
 
 
 class TestCommands:
+    @pytest.mark.parametrize("search", [bounds.tsirelson_search_bell, bounds.temporal_bound_kcbs,
+                                        bounds.contextual_bound_kcbs])
+    def test_bounds_defaults_are_the_search_defaults(self, search):
+        args = cli._build_parser().parse_args(["bounds"])
+        for name, param in inspect.signature(search).parameters.items():
+            assert type(getattr(args, name)) is type(param.default) and getattr(args, name) == param.default
+
     def test_bad_state_literal(self, capsys):
         assert main(["pm", "--state", "bogus"]) == 2
         assert "bogus" in capsys.readouterr().err

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from contextsim import linalg
 from contextsim.bounds import bell_operator
 from contextsim.circuits import GateOp
 from contextsim.inequalities import Observable
@@ -240,3 +244,22 @@ class TestCheckObservable:
             skew[i, 0, 1] += 1e-6
             with pytest.raises(ValueError, match="Hermitian"):
                 check_observable(skew, "stack")
+
+
+class TestToleranceTable:
+    def test_small_float_literals_are_table_entries(self):
+        # every tolerance is named once, in the table of module constants in
+        # linalg; the selftest's pass thresholds are its own figures
+        found = []
+        for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+            if path.name == "selftest.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            table = set()
+            if path.name == "linalg.py":
+                table = {id(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                         and len(node.targets) == 1 and getattr(node.targets[0], "id", "").isupper()}
+            found += [f"{path.name}:{node.lineno} {node.value!r}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Constant) and type(node.value) is float
+                      and 0 < abs(node.value) < 0.1 and id(node) not in table]
+        assert found == []

@@ -2,8 +2,8 @@
 chains: gate matrices and circuit application match a dense permutation
 oracle, the three correlator routes agree term by term and on two-slot specs,
 a report's values equal each spec's lone route call bit for bit on every
-route, a batched probe evolution of a drawn stack equals each spec's lone
-probe call bit for bit, the probe matches the trace form on specs of up to six slots and equals the
+route, a drawn stack read in one call on each route equals each spec's lone
+call bit for bit, the probe matches the trace form on specs of up to six slots and equals the
 checked circuit on a probe-extended state bit for bit, Lüders chains
 match a closed-form oracle and marginalize to their prefixes, a batch of
 chains matches each chain run alone and rejects a non-dichotomic observable
@@ -34,7 +34,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from contextsim import bounds, inequalities, sequential
@@ -62,9 +62,10 @@ from contextsim.scattering import (
     probe_sigma_z,
     sigma_theta_evolution,
     slot,
+    stack_correlators_direct,
     stack_correlators_scattering,
 )
-from contextsim.sequential import correlator_sequential, joint_distribution
+from contextsim.sequential import correlator_sequential, joint_distribution, stack_correlators_sequential
 from contextsim.states import (
     QuantumState,
     density_of,
@@ -356,16 +357,36 @@ def test_cycle_blocks_are_the_slot_blocks_bit_for_bit(theta):
     assert [b.tobytes() for b in cycle] == [m.tobytes() for m in (z, th, z, th, z)]
 
 
-@given(data=st.data())
-def test_probe_stack_reads_each_spec_as_its_lone_call_bit_for_bit(data):
+@st.composite
+def spec_stacks(draw):
+    """A state and 1-10 specs of one drawn slot count, 0 to 6, on its register."""
+    qubits = draw(st.integers(1, 3))
+    slots = draw(st.integers(0, 6))
+    return draw(states(qubits)), draw(st.lists(specs(qubits, slots), min_size=1, max_size=10))
+
+
+@given(case=spec_stacks())
+def test_probe_stack_reads_each_spec_as_its_lone_call_bit_for_bit(case):
     # one batched probe evolution of 1-10 specs; each value equals the spec's
     # lone call in every bit, so no operand of the stack runs differently
-    qubits = data.draw(st.integers(1, 3))
-    slots = data.draw(st.integers(0, 6))
-    stack = data.draw(st.lists(specs(qubits, slots), min_size=1, max_size=10))
-    state = data.draw(states(qubits))
+    state, stack = case
     values = stack_correlators_scattering(state, np.stack([spec.blocks for spec in stack]))
     assert [v.hex() for v in values] == [correlator_scattering(state, spec).hex() for spec in stack]
+
+
+STACK_CALLS = {"direct": stack_correlators_direct, "sequential": stack_correlators_sequential}
+
+
+@pytest.mark.parametrize("method", sorted(STACK_CALLS))
+@given(case=spec_stacks())
+@example(case=(pure_state([0.6, 0.8]), [TemporalCorrelationSpec(1, ())] * 2))
+@example(case=(mixed_state(np.eye(4) / 4), [TemporalCorrelationSpec(2, ())] * 3))
+def test_direct_and_sequential_stacks_read_each_spec_as_its_lone_call_bit_for_bit(method, case):
+    # as for the probe stack; the examples are batches of empty specs, which
+    # each route reads as the empty product, 1 per spec
+    state, stack = case
+    values = STACK_CALLS[method](state, np.stack([spec.blocks for spec in stack]))
+    assert [v.hex() for v in values] == [LONE_CALLS[method](state, spec).hex() for spec in stack]
 
 
 @pytest.mark.parametrize("qubits", [1, 2])
@@ -722,7 +743,7 @@ def test_bell_grid_screen_premise(kind, data):
     penalty = sum(np.eye(4) - np.kron(_sigma(a), _sigma(a)) for a in five) / 2
     second = (5 - abs(np.exp(2j * five).sum())) / 2
     assert abs(np.linalg.eigvalsh(penalty)[1] - second) <= 1e-12
-    if second >= bounds._SCREEN_MARGIN:
+    if second >= bounds.SCREEN_MARGIN:
         assert abs(bounds._constrained_minima(five) - bounds._cycle_cosines(five)) <= 1e-12
 
 
