@@ -44,20 +44,21 @@ import numpy as np
 
 from .linalg import (BELL_LINE_GAP, KERNEL_TOL, PAULI_X, PAULI_Z, PIN_FLOOR, PLANE_FLOOR, REPLACE_MARGIN,
                      SCREEN_MARGIN, SEARCH_TOL, SEESAW_LINE_TOL, START_FLOOR, checked_angles, checked_count,
-                     checked_real, checked_reals, sigma_theta_matrix)
-from .inequalities import _PENTAGON_PAIRS, _kcbs_cycle
+                     checked_real, checked_reals, conjugated, sigma_theta_matrix)
+from .inequalities import _KCBS_PAIRS, _PENTAGON_PAIRS, BELL_TERM, _kcbs_cycle
 from .optimize import golden_section_minimize
 from .sequential import correlator_sequential, joint_distribution
 from .states import mixed_state
 
 MAX_RESOLUTION = 16  # the grid holds resolution**4 5-tuples: a search peaks near 2.6 MB traced at 16
 
-TSIRELSON_OPTIMUM = -5 * math.cos(math.pi / 5)  # the Bell and temporal optimum
+TSIRELSON_OPTIMUM = 5 * BELL_TERM  # the Bell and temporal optimum, -5 cos(pi/5)
 CONTEXTUAL_OPTIMUM = 5 - 4 * math.sqrt(5)  # 5 - 4 theta(C5), the Lovász number theta(C5) = sqrt(5)
+ACOS_MINUS_3_4 = float(np.arccos(-0.75))  # the angle with cos(theta) = -3/4, read by the pentagon scan
 
 TARGETS = ("bell-kcbs", "temporal-kcbs", "contextual-kcbs", "pentagon-lg")
 
-_NEXT = np.array([1, 2, 3, 4, 0])  # successor of each angle around the cycle
+_NEXT = np.array([s for _, s in _KCBS_PAIRS])  # successor of each angle around the cycle
 
 # P x Q for P, Q in (Z, X), the operators whose expectations on the kernel
 # vector make up the 2x2 matrix T of ``_bell_line``
@@ -82,6 +83,14 @@ def _five(angles) -> np.ndarray:
     return angles
 
 
+def _one_tuple(angles) -> np.ndarray:
+    """A public objective's angles, checked: one 5-tuple, never a stack."""
+    angles = checked_angles(angles, "angles")
+    if np.shape(angles) != (5,):
+        raise ValueError(f"need exactly 5 angles, got shape {np.shape(angles)}")
+    return angles
+
+
 def _sigma_products(angles):
     """(r, s) -> sigma(a_r) x sigma(a_s) for a 5-tuple, shape (4, 4), or for
     each row of an (M, 5) stack, shape (M, 4, 4)."""
@@ -91,7 +100,7 @@ def _sigma_products(angles):
 
 
 def _cycle_operator(kron) -> np.ndarray:
-    return sum(kron(r, (r + 1) % 5) for r in range(5))
+    return sum(kron(r, s) for r, s in _KCBS_PAIRS)
 
 
 def bell_operator(angles) -> np.ndarray:
@@ -116,14 +125,14 @@ def _constrained_minima(angles) -> np.ndarray:
     for d in set(kdim.flat):
         group = kdim == d
         kernel = v[group, :, :d]
-        compressed = kernel.conj().swapaxes(-1, -2) @ bop[group] @ kernel
+        compressed = conjugated(bop[group], kernel)
         values[group] = np.linalg.eigvalsh((compressed + compressed.conj().swapaxes(-1, -2)) / 2)[:, 0]
     return values
 
 
 def bell_constrained_objective(angles) -> float:
     """Minimum of the five-term operator over states obeying <A_j B_j> = 1."""
-    return float(_constrained_minima(checked_angles(angles, "angles")))
+    return float(_constrained_minima(_one_tuple(angles)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -170,7 +179,7 @@ def _bell_line(angles, i: int):
     if not (w[1] > BELL_LINE_GAP and w[0] + moving < KERNEL_TOL):
         return None
     t = np.array([np.cos(angles), np.sin(angles)])
-    c0 = float(sum(t[:, r] @ corr @ t[:, (r + 1) % 5] for r in range(5) if r not in ((i - 1) % 5, i)))
+    c0 = float(sum(t[:, r] @ corr @ t[:, s] for r, s in _KCBS_PAIRS if i not in (r, s)))
     c1, c2 = (corr.T @ t[:, (i - 1) % 5] + corr @ t[:, (i + 1) % 5]).tolist()
     return lambda x: c0 + c1 * math.cos(x) + c2 * math.sin(x)
 
@@ -184,7 +193,7 @@ def _cycle_cosines(angles) -> np.ndarray:
 def temporal_objective(angles) -> float:
     """Sum of the five cyclic two-time correlators, cos(a_i - a_{i+1}); the
     anticommutator form makes each term state independent."""
-    return float(_cycle_cosines(checked_angles(angles, "angles")))
+    return float(_cycle_cosines(_one_tuple(angles)))
 
 
 def _temporal_line(angles, i: int):
@@ -199,7 +208,7 @@ def _temporal_line(angles, i: int):
     would round differently, as (x + t3) + t4 need not be x + (t3 + t4).
     """
     a = _five(angles).tolist()
-    t0, t1, t2, t3, t4 = (math.cos(a[r] - a[(r + 1) % 5]) for r in range(5))
+    t0, t1, t2, t3, t4 = (math.cos(a[r] - a[s]) for r, s in _KCBS_PAIRS)
     before, after, cos = a[(i - 1) % 5], a[(i + 1) % 5], math.cos
     if i == 0:
         return lambda x: cos(x - after) + t1 + t2 + t3 + cos(before - x)
@@ -532,7 +541,7 @@ def pentagon_invasive_value(theta):
 def default_pentagon_grid() -> np.ndarray:
     """Even theta grid over [0, 2*pi] plus the exact points of interest."""
     base = np.linspace(0.0, 2 * np.pi, 181)
-    return np.unique(np.concatenate([base, [np.pi, float(np.arccos(-0.75))]]))
+    return np.unique(np.concatenate([base, [np.pi, ACOS_MINUS_3_4]]))
 
 
 def pentagon_scan(theta_grid=None) -> BoundResult:
@@ -562,15 +571,14 @@ def pentagon_scan(theta_grid=None) -> BoundResult:
         grid = checked_angles(values, "theta grid")
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("theta grid must be a nonempty sequence of angles")
-    special = float(np.arccos(-0.75))
-    thetas = np.append(grid, special)
+    thetas = np.append(grid, ACOS_MINUS_3_4)
     pairwise, invasive = pentagon_pairwise_value(thetas), pentagon_invasive_value(thetas)
     i_p, i_v = int(np.argmin(pairwise[:-1])), int(np.argmin(invasive[:-1]))
     argument = {
         "pairwise": {"minimum": float(pairwise[i_p]), "argmin_theta": float(grid[i_p])},
         "invasive": {"minimum": float(invasive[i_v]), "argmin_theta": float(grid[i_v])},
         "at_cos_theta_-0.75": {
-            "theta": special,
+            "theta": ACOS_MINUS_3_4,
             "pairwise": float(pairwise[-1]),
             "invasive": float(invasive[-1]),
         },

@@ -1,16 +1,18 @@
 """Gate set and circuit application, including the controlled blocks used by
 the probe-readout construction.
 
-One kernel applies every gate to the rows of a stack of T operands of 2^n x r,
-each viewed as a ``[2] * n`` tensor (qubit 0 the leftmost axis) after the
-batch axis: a gate is one batched matrix product on a view with its target
-axes moved first, a controlled gate's view being its control slice. Gates
-compose left to right; a state vector is one column, and a mixed state maps
-to U (U rho)^dag = U rho U^dag because a stored rho is exactly Hermitian.
+The gate kernel ``_on_rows`` views an operand of 2^n x r as a ``[2] * n``
+tensor (qubit 0 the leftmost axis): a gate is one matrix product on a view
+with its target axes moved first, a controlled gate's view being its control
+slice. Gates compose left to right; a state vector is one column, and a mixed
+state maps to U (U rho)^dag = U rho U^dag because a stored rho is exactly
+Hermitian. It runs one operand at a time, for ``apply``, ``embed`` and the
+reference ``scattering.build_scattering_circuit``; the probe route runs its
+fixed wiring as plain products in ``scattering._probe_circuit``.
 
 ``apply`` runs a circuit on a checked ``QuantumState``; ``evolve`` runs it
 on a bare vector or density matrix and checks nothing. ``renormalized`` is
-the last step of both, shared with the probe route's fixed circuit.
+the last step of both, shared with the probe route.
 """
 
 from __future__ import annotations

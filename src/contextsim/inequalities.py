@@ -33,8 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (CONSTRAINT_ATOL, PAULI_Z, PAULIS, VERDICT_EPS, checked_angles, checked_matrix,
-                     sigma_theta_matrix)
-from .circuits import ry_matrix
+                     conjugated, sigma_theta_matrix)
 from .scattering import (
     TemporalCorrelationSpec,
     sigma_theta_evolution,
@@ -183,8 +182,8 @@ def pentagram_observable(j: int) -> Observable:
     plane; j = 0 is sigma_z."""
     if not 0 <= j <= 4:
         raise ValueError(f"pentagram index {j} out of 0..4")
-    u = ry_matrix(4 * np.pi * j / 5)
-    return Observable(matrix=u.conj().T @ PAULI_Z @ u, label=f"sigma_{j}")
+    u = sigma_theta_evolution(-4 * np.pi * j / 5)
+    return Observable(matrix=conjugated(PAULI_Z, u), label=f"sigma_{j}")
 
 
 def _spec_values(state: QuantumState, stack: np.ndarray, method: str) -> list[float]:
@@ -217,21 +216,21 @@ def eval_pm(state: QuantumState, method: str = "direct") -> InequalityReport:
 def _kcbs_cycle(theta) -> np.ndarray:
     """The five blocks (Z, th, Z, th, Z) of the alternating cycle, one stack of
     shape ``theta.shape + (5, 2, 2)`` that a cycle report indexes for its
-    ``(T, 2, 2, 2)`` stack of pairs. Z is ``_Z_SLOT.block``; th is U^dag Z U,
-    U = sigma_theta_evolution(theta), the product a ``TimeSlot`` makes, so for
-    one angle it is ``slot((PAULI_Z,), U).block`` bit for bit. Unchecked: each
-    caller checks its angles where they enter."""
-    u = sigma_theta_evolution(theta)
-    th = u.conj().swapaxes(-1, -2) @ PAULI_Z @ u
+    ``(T, 2, 2, 2)`` stack of pairs: Z is ``_Z_SLOT.block``, th is
+    ``slot((PAULI_Z,), U).block`` with U = sigma_theta_evolution(theta), bit for
+    bit. Unchecked: each caller checks its angles where they enter."""
+    th = conjugated(PAULI_Z, sigma_theta_evolution(theta))
     cycle = np.empty(th.shape[:-2] + (5, 2, 2), dtype=complex)
     cycle[..., 0::2, :, :] = _Z_SLOT.block
     cycle[..., 1::2, :, :] = th[..., None, :, :]
     return cycle
 
 
-# the pairs (i, j) of the cycle, in report order: cyclic neighbours, all i < j
+# the five-cycle's one edge list, (r, r + 1) in order: the kcbs and Bell pairs, the searches' sums
 _KCBS_PAIRS = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0))
 _PENTAGON_PAIRS = tuple((i, j) for i in range(5) for j in range(i + 1, 5))
+KCBS_FORM = (-3.0, 1, 4)  # the kcbs sum's classical floor and closed form a + b cos(theta): (floor, a, b)
+BELL_TERM = float(np.cos(4 * np.pi / 5))  # each Bell term on (|00>+|11>)/sqrt(2); the optimum is five
 
 
 def _cycle_report(name, state, theta, method, pairs, bound, a, b) -> InequalityReport:
@@ -249,7 +248,7 @@ def _cycle_report(name, state, theta, method, pairs, bound, a, b) -> InequalityR
 def eval_kcbs_temporal(state: QuantumState, theta: float, method: str = "direct") -> InequalityReport:
     """Five cyclic adjacent-pair correlators of the alternating Z/theta cycle;
     the combination equals 1 + 4 cos(theta) and its classical floor is -3."""
-    return _cycle_report("kcbs", state, theta, method, _KCBS_PAIRS, -3.0, 1, 4)
+    return _cycle_report("kcbs", state, theta, method, _KCBS_PAIRS, *KCBS_FORM)
 
 
 def eval_pentagon_lg(state: QuantumState, theta: float, method: str = "direct") -> InequalityReport:
@@ -260,7 +259,7 @@ def eval_pentagon_lg(state: QuantumState, theta: float, method: str = "direct") 
 
 def _bell_term(r: int, q: int) -> TemporalCorrelationSpec:
     """One slot measuring A_r x B_q: Z x Z read through the pentagram rotations."""
-    evo = np.kron(ry_matrix(4 * np.pi * r / 5), ry_matrix(4 * np.pi * q / 5))
+    evo = np.kron(*(sigma_theta_evolution(-4 * np.pi * j / 5) for j in (r, q)))
     return TemporalCorrelationSpec(system_qubits=2, slots=(slot((PAULI_Z, PAULI_Z), evo),))
 
 
@@ -269,7 +268,7 @@ def _bell_term(r: int, q: int) -> TemporalCorrelationSpec:
 # terms followed by their five side conditions <A_j B_j>.
 _Z_SLOT = slot((PAULI_Z,))
 _PM_STACK = np.stack([_pm_term(seq).blocks for seq in PM_CONTEXTS])
-_BELL_STACK = np.stack([_bell_term(r, (r + 1) % 5).blocks for r in range(5)]
+_BELL_STACK = np.stack([_bell_term(r, s).blocks for r, s in _KCBS_PAIRS]
                        + [_bell_term(j, j).blocks for j in range(5)])
 for _stack in (_PM_STACK, _BELL_STACK):
     _stack.setflags(write=False)
@@ -279,11 +278,11 @@ def eval_transformed_bell(state: QuantumState, method: str = "direct") -> Inequa
     """Five cross correlators <A_r B_{r+1}> of the pentagram family on two
     subsystems, with the side condition <A_j B_j> = 1 reported alongside.
 
-    On the (|00>+|11>)/sqrt(2) state every term equals cos(4*pi/5) and the
-    combination reaches -5 cos(pi/5), beating the classical floor -3.
+    On the (|00>+|11>)/sqrt(2) state every term equals BELL_TERM, cos(4*pi/5),
+    and the combination reaches -5 cos(pi/5), beating the classical floor -3.
     """
     return _make_report(
-        name="bell", state=state, method=method, labels=[f"A{r}.B{(r + 1) % 5}" for r in range(5)],
+        name="bell", state=state, method=method, labels=[f"A{r}.B{s}" for r, s in _KCBS_PAIRS],
         stack=_BELL_STACK, signs=[1.0] * 5, bound=-3.0, direction=">=",
-        prediction=float(5 * np.cos(4 * np.pi / 5)), constraint_labels=[f"A{j}.B{j}" for j in range(5)],
+        prediction=5 * BELL_TERM, constraint_labels=[f"A{j}.B{j}" for j in range(5)],
     )

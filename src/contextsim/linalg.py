@@ -1,6 +1,6 @@
 """Dense complex matrix helpers for dimensions up to 16: the tolerance table
 (every tolerance of the package, named once below the imports with where its
-value comes from), the Pauli matrices, sigma(theta), and validation.
+value comes from), the Pauli matrices, sigma(theta), U^dag O U, and validation.
 
 All operators that this package stores are plain ``numpy.ndarray`` values of
 dtype complex128 in row-major order. One computation works on float64 real
@@ -52,6 +52,11 @@ def sigma_theta_matrix(theta) -> np.ndarray:
     every angle); an array of angles gives a stack of shape ``(..., 2, 2)``."""
     theta = np.asarray(theta)[..., None, None]
     return np.cos(theta) * PAULI_Z + np.sin(theta) * PAULI_X
+
+
+def conjugated(o: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """U^dag O U, unvalidated, for matrices or stacks ``(..., d, d)`` (U may be ``(..., d, m)``)."""
+    return u.conj().swapaxes(-1, -2) @ o @ u
 
 
 def check_observable(m: np.ndarray, what: str, dichotomic: bool = True) -> None:

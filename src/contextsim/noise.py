@@ -24,22 +24,26 @@ MAX_BLOCKS = 2**53  # every count up to here converts to a float exactly
 MAX_MAGNITUDE = 1e150  # the square of a residual between two such values stays finite
 
 
+def _check_unit_interval(value, what: str) -> None:
+    """Raise ValueError unless ``value`` is a real number in [0, 1]; the
+    caller computes with the value as given."""
+    if not 0.0 <= checked_real(value, what) <= 1.0:
+        raise ValueError(f"{what} {value} out of [0, 1]")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     state_depolarizing_p: float = 0.0
     block_visibility_v: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= checked_real(self.state_depolarizing_p, "depolarizing probability") <= 1.0:
-            raise ValueError("depolarizing probability out of [0, 1]")
-        if not 0.0 <= checked_real(self.block_visibility_v, "visibility") <= 1.0:
-            raise ValueError("visibility out of [0, 1]")
+        _check_unit_interval(self.state_depolarizing_p, "depolarizing probability")
+        _check_unit_interval(self.block_visibility_v, "visibility")
 
 
 def depolarize(state: QuantumState, p: float) -> QuantumState:
     """(1-p) rho + p I/2^n."""
-    if not 0.0 <= checked_real(p, "depolarizing probability") <= 1.0:
-        raise ValueError(f"depolarizing probability {p} out of [0, 1]")
+    _check_unit_interval(p, "depolarizing probability")
     dim = 2 ** state.qubits
     rho = (1 - p) * density_of(state) + p * np.eye(dim, dtype=complex) / dim
     return QuantumState(qubits=state.qubits, rho=rho)
@@ -48,8 +52,7 @@ def depolarize(state: QuantumState, p: float) -> QuantumState:
 def apply_visibility(ideal: float, n_blocks: int, v: float) -> float:
     """Contrast loss v^n_blocks applied multiplicatively to one correlator."""
     checked_real(ideal, "ideal value")
-    if not 0.0 <= checked_real(v, "visibility") <= 1.0:
-        raise ValueError(f"visibility {v} out of [0, 1]")
+    _check_unit_interval(v, "visibility")
     return float(v ** checked_count(n_blocks, "block count", 0, MAX_BLOCKS) * ideal)
 
 
@@ -64,6 +67,8 @@ def fit_visibility(pairs) -> float:
         raise ValueError("need at least one measurement")
     if any(i == 0.0 for i, _, _ in pairs):
         raise ValueError("ideal values must be nonzero")
+    if all(n == 0 for _, n, _ in pairs):
+        raise ValueError("every block count is 0, so no measurement depends on the visibility")
     bad = [x for i, _, m in pairs for x in (i, m) if not abs(x) <= MAX_MAGNITUDE]
     if bad:
         raise ValueError(f"ideal and measured values must be finite and at most {MAX_MAGNITUDE:g}"

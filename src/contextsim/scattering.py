@@ -40,7 +40,7 @@ from functools import reduce
 import numpy as np
 
 from .circuits import HADAMARD, Circuit, GateOp, embed, hadamard, renormalized, ry_matrix
-from .linalg import PAULI_X, PAULI_Y, PAULI_Z, checked_count, checked_matrix
+from .linalg import PAULI_X, PAULI_Y, PAULI_Z, checked_count, checked_matrix, conjugated
 from .states import MAX_QUBITS, QuantumState, density_of, haar_random_unitary
 
 
@@ -64,7 +64,7 @@ class TimeSlot:
         object.__setattr__(self, "observables", obs)
         object.__setattr__(self, "evolution", u)
         object.__setattr__(self, "block", checked_matrix(
-            u.conj().T @ reduce(np.kron, obs) @ u, "slot observable U^dag (O_1 x ... x O_N) U",
+            conjugated(reduce(np.kron, obs), u), "slot observable U^dag (O_1 x ... x O_N) U",
             kind="unitary"))
 
 
@@ -221,21 +221,20 @@ def parse_angle(text) -> float:
     """An angle in radians: a finite float literal, "pi", "-pi", or "acos(x)"."""
     if isinstance(text, bool):
         raise ValueError(f"angle must be a number or a string, got {text!r}")
-    if isinstance(text, str):
-        t = text.strip().lower()
-        if t == "pi":
-            return math.pi
-        if t == "-pi":
-            return -math.pi
-        if t.startswith("acos(") and t.endswith(")"):
-            x = float(t[5:-1])
-            if not -1.0 <= x <= 1.0:
-                raise ValueError(f"acos argument {x} out of [-1, 1]")
-            return math.acos(x)
+    t = text.strip().lower() if isinstance(text, str) else None
+    if t in ("pi", "-pi"):
+        return math.pi if t == "pi" else -math.pi
+    acos = t is not None and t.startswith("acos(") and t.endswith(")")
     try:
-        angle = float(text)
+        angle = float(t[5:-1] if acos else text)
     except OverflowError:  # an integer beyond the float range
         angle = math.inf
+    except ValueError:
+        raise ValueError(f'angle {text!r} is not a float, "pi", "-pi" or "acos(x)"') from None
+    if acos:
+        if not -1.0 <= angle <= 1.0:
+            raise ValueError(f"acos argument {angle} out of [-1, 1]")
+        return math.acos(angle)
     if not math.isfinite(angle):
         raise ValueError(f"angle {text!r} is not a finite number of radians")
     return angle

@@ -12,13 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as bounds_mod
-from .inequalities import (
-    METHODS,
-    PM_SIGNS,
-    eval_kcbs_temporal,
-    eval_pm,
-    eval_transformed_bell,
-)
+from .inequalities import (BELL_TERM, KCBS_FORM, METHODS, PM_SIGNS, eval_kcbs_temporal, eval_pm,
+                           eval_transformed_bell)
 from .noise import fit_visibility, load_measured_table, visibility_summary
 from .report import emit_bounds, emit_report
 from .scattering import (
@@ -83,7 +78,7 @@ def check_sequential_two_time() -> CheckResult:
 
 
 def check_bell_violation() -> CheckResult:
-    expected_term = float(np.cos(4 * np.pi / 5))
+    expected_term = BELL_TERM
     expected_sum = 5 * expected_term
     worst_term = worst_constraint = worst_sum = 0.0
     violated = True
@@ -123,12 +118,13 @@ def check_bound_recovery() -> CheckResult:
 
 def check_kcbs_closed_form() -> CheckResult:
     state = haar_random_state(1, np.random.default_rng(7))
+    floor, a, b = KCBS_FORM
     worst = 0.0
     floor_ok = True
     for theta in np.linspace(0.0, 2 * np.pi, 50):
         rep = eval_kcbs_temporal(state, float(theta), method="sequential")
-        worst = max(worst, abs(rep.sum - (1 + 4 * np.cos(theta))))
-        floor_ok = floor_ok and rep.sum >= -3.0 - 1e-9
+        worst = max(worst, abs(rep.sum - (a + b * np.cos(theta))))
+        floor_ok = floor_ok and rep.sum >= floor - 1e-9
     ok = worst <= 1e-9 and floor_ok
     return CheckResult(
         "kcbs-closed-form",
@@ -184,7 +180,7 @@ def _representative_reports() -> str:
     chunks.append(emit_report(eval_transformed_bell(bell_phi_plus(), "scattering"), "csv"))
     chunks.append(
         emit_report(
-            eval_kcbs_temporal(haar_random_state(1, np.random.default_rng(3)), math.acos(-0.75), "sequential"),
+            eval_kcbs_temporal(haar_random_state(1, np.random.default_rng(3)), bounds_mod.ACOS_MINUS_3_4, "sequential"),
             "table",
         )
     )

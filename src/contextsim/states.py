@@ -140,7 +140,7 @@ def state_from_literal(literal: str) -> QuantumState:
         try:
             with open(literal, "r", encoding="utf-8") as fh:
                 lines = fh.readlines()
-        except OSError as exc:  # a directory, or a file that cannot be read
+        except (OSError, UnicodeDecodeError) as exc:  # a directory, a file that cannot be read, not UTF-8
             raise ValueError(f"bad state file {literal!r}: {exc}") from exc
         pairs = []
         for line in lines:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -20,7 +21,7 @@ from contextsim.bounds import (
     temporal_objective,
     tsirelson_search_bell,
 )
-from contextsim.inequalities import sigma_theta
+from contextsim.inequalities import eval_transformed_bell, sigma_theta
 from contextsim.linalg import PAULI_Z
 from contextsim.states import bell_phi_plus, density_of
 
@@ -394,6 +395,11 @@ class TestCertificates:
         optimum = request.getfixturevalue(search).optimum
         assert closed_form - 1e-14 <= optimum <= closed_form + above
 
+    def test_tsirelson_optimum_is_the_bell_reports_prediction(self):
+        # both read five times the one Bell term; -5 * math.cos(math.pi / 5)
+        # was one ulp below
+        assert TSIRELSON == eval_transformed_bell(bell_phi_plus()).quantum_prediction
+
 
 class TestPentagonScan:
     def test_reading_minima(self, pentagon_result):
@@ -407,6 +413,11 @@ class TestPentagonScan:
         at = res.argument["at_cos_theta_-0.75"]
         assert at["pairwise"] == pytest.approx(-0.5, abs=1e-6)
         assert at["invasive"] == pytest.approx(-1.839844, abs=1e-6)
+
+    def test_cos_minus_three_quarters_is_one_angle(self, pentagon_result):
+        theta = bounds.ACOS_MINUS_3_4
+        assert theta == math.acos(-0.75) and theta in bounds.default_pentagon_grid()
+        assert pentagon_result.argument["at_cos_theta_-0.75"]["theta"] == theta
 
     def test_discrepancy_flagged(self, pentagon_result):
         res = pentagon_result
@@ -562,6 +573,15 @@ def test_search_objectives_refuse_a_bad_angle(objective, bad):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="angles (must be real|holds a non-finite angle)"):
             objective([0.0, 1.0, bad, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("objective", [temporal_objective, bell_constrained_objective])
+@pytest.mark.parametrize("shape", [(2, 5), (1, 5), (5, 5), (4,), (6,), ()])
+def test_search_objectives_take_one_5_tuple(objective, shape):
+    # a (2, 5) stack used to pass the angle checks and fail in float() with a
+    # TypeError, and a (1, 5) stack gave a value
+    with pytest.raises(ValueError, match=re.escape(f"need exactly 5 angles, got shape {shape}")):
+        objective(np.zeros(shape))
 
 
 @pytest.mark.parametrize("read", [pentagon_pairwise_value, pentagon_invasive_value])

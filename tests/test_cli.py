@@ -412,6 +412,30 @@ class TestRejectedValues:
         captured = capsys.readouterr()
         assert repr(str(tmp_path)) in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["kcbs", "--theta", "pi/2"], """error: angle 'pi/2' is not a float, "pi", "-pi" or "acos(x)"\n"""),
+         (["kcbs", "--theta", "acos(half)"],
+          """error: angle 'acos(half)' is not a float, "pi", "-pi" or "acos(x)"\n"""),
+         (["pm", "--noise-p", "2"], "error: depolarizing probability 2.0 out of [0, 1]\n"),
+         (["pm", "--visibility", "-0.5"], "error: visibility -0.5 out of [0, 1]\n")],
+    )
+    def test_message_names_the_value(self, argv, message, capsys):
+        # the angle used to read "could not convert string to float: 'pi/2'"
+        # and the noise values "depolarizing probability out of [0, 1]"
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", message)
+
+    def test_state_file_that_is_not_utf8(self, tmp_path, capsys):
+        # the decoding error used to be printed without the path
+        path = tmp_path / "state.txt"
+        path.write_bytes(b"\xff\xfe1 0\n")
+        assert main(["pm", "--state", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: bad state file {str(path)!r}: 'utf-8' codec can't decode byte 0xff")
+
     def test_seed_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["pm", "--seed", "1"])

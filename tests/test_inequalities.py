@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from contextsim import inequalities, scattering
 from contextsim.inequalities import (
     CONSTRAINT_ATOL,
     METHODS,
@@ -18,9 +19,10 @@ from contextsim.inequalities import (
     pm_observable,
     sigma_theta,
 )
-from contextsim.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
+from contextsim.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, conjugated
 from contextsim.noise import NoiseModel, depolarize
 from contextsim.report import with_noise
+from contextsim.scattering import sigma_theta_evolution, slot
 from contextsim.sequential import correlator_sequential
 from contextsim.states import (
     basis_state,
@@ -207,6 +209,31 @@ class TestPentagram:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             pentagram_observable(5)
+
+
+class TestOneCycle:
+    """Every cycle block U^dag Z U is the one product ``linalg.conjugated``."""
+
+    @pytest.mark.parametrize("j", range(5))
+    def test_pentagram_observable_is_the_slot_block_at_its_angle(self, j):
+        u = sigma_theta_evolution(-4 * np.pi * j / 5)
+        block = conjugated(PAULI_Z, u).tobytes()
+        assert pentagram_observable(j).matrix.tobytes() == block
+        assert slot((PAULI_Z,), u).block.tobytes() == block
+
+    def test_every_block_is_the_one_product(self, monkeypatch):
+        calls = []
+
+        def counted(o, u):
+            calls.append(u.shape)
+            return conjugated(o, u)
+
+        for module in (inequalities, scattering):
+            monkeypatch.setattr(module, "conjugated", counted)
+        inequalities._kcbs_cycle(np.array([0.3, 1.2]))
+        pentagram_observable(2)
+        slot((PAULI_Z, PAULI_X), np.kron(PAULI_X, PAULI_I))
+        assert calls == [(2, 2, 2), (2, 2), (4, 4)]
 
 
 class TestEvalTransformedBell:

@@ -80,6 +80,19 @@ class TestNumberChecks:
         with pytest.raises(ValueError, match=f"^{named} must be a finite real number"):
             fit_visibility([(1.0, 1, 0.9), tuple(triple)])
 
+    @pytest.mark.parametrize("value, shown", [(1.5, "1.5"), (-1, "-1"), (np.float64(2.0), "2.0")])
+    @pytest.mark.parametrize(
+        "call, named",
+        [(lambda x: NoiseModel(x, 1.0), "depolarizing probability"), (lambda x: NoiseModel(0.0, x), "visibility"),
+         (lambda x: depolarize(basis_state(1, "0"), x), "depolarizing probability"),
+         (lambda x: apply_visibility(1.0, 1, x), "visibility")],
+        ids=["model p", "model v", "depolarize", "apply_visibility"],
+    )
+    def test_value_outside_the_unit_interval_named(self, call, named, value, shown):
+        # NoiseModel used to say "depolarizing probability out of [0, 1]", without the value
+        with pytest.raises(ValueError, match=re.escape(f"{named} {shown} out of [0, 1]")):
+            call(value)
+
     def test_numpy_numbers_keep_their_results(self):
         # checked, then computed from the value as given: float32 stays float32
         tenth = np.float32(0.1)
@@ -152,6 +165,13 @@ class TestFit:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             fit_visibility([])
+
+    @pytest.mark.parametrize("pairs", [[(1.0, 0, 0.5)], [(1.0, 0, 0.5), (-2.0, 0, 0.1)]])
+    def test_no_block_count_rejected(self, pairs):
+        # with every count 0 the objective does not depend on v, and the search
+        # returned the end of its bracket, 4.35e-07
+        with pytest.raises(ValueError, match="no measurement depends on the visibility"):
+            fit_visibility(pairs)
 
     def test_zero_ideal_rejected(self):
         with pytest.raises(ValueError):

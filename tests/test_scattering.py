@@ -9,6 +9,7 @@ from contextsim.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
 from contextsim.scattering import (
     TemporalCorrelationSpec,
     TimeSlot,
+    _probe_circuit,
     build_scattering_circuit,
     correlator_direct,
     correlator_scattering,
@@ -263,6 +264,45 @@ class TestFixedWiring:
         value = correlator_scattering(st, spec)
         assert sorted(built) == [("Circuit", True), ("GateOp", True)]
         assert value == pytest.approx(correlator_direct(st, spec), abs=1e-10)
+
+
+class TestProbeCircuitMemoryOrder:
+    """The probe route's kernel, ``_probe_circuit``, which runs a stack of
+    probe circuits, reads a stack as the same bits whatever its memory layout:
+    a zero-stride broadcast batch axis, a Fortran-ordered stack, a sliced stack
+    or one with negative strides."""
+
+    T = 12
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_broadcast_and_fortran_stacks_read_as_the_c_ordered_one(self, mixed):
+        rng = np.random.default_rng(21)
+        blocks = np.stack([haar_random_unitary(8, rng) for _ in range(self.T)])[:, None]
+        one = np.zeros((16, 16) if mixed else 16, dtype=complex)
+        system = density_of(random_pure_state(3, 22)) if mixed else random_pure_state(3, 22).amplitudes
+        one[(slice(8),) * one.ndim] = system
+        c_ordered = np.ascontiguousarray(np.broadcast_to(one, (self.T,) + one.shape))
+        expected = _probe_circuit(blocks, c_ordered).tobytes()
+        for operand in (np.broadcast_to(one, c_ordered.shape), np.asfortranarray(c_ordered)):
+            assert _probe_circuit(blocks, operand).tobytes() == expected
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_sliced_and_negative_stride_stacks_read_as_the_c_ordered_one(self, mixed):
+        # a distinct operand and two blocks per spec; the kernel reads its
+        # operand as given, so these views reach numpy's reshape and products
+        rng = np.random.default_rng(23)
+        blocks = np.stack([[haar_random_unitary(8, rng) for _ in range(2)] for _ in range(self.T)])
+        c_ordered = np.zeros((self.T,) + ((16, 16) if mixed else (16,)), dtype=complex)
+        for t in range(self.T):
+            state = random_pure_state(3, 30 + t)
+            c_ordered[(t,) + (slice(8),) * (c_ordered.ndim - 1)] = density_of(state) if mixed else state.amplitudes
+        flip = (slice(None, None, -1),) * c_ordered.ndim
+        sliced = np.repeat(c_ordered, 2, axis=0)[::2]
+        reversed_ = np.ascontiguousarray(c_ordered[flip])[flip]
+        assert not sliced.flags.contiguous and all(s < 0 for s in reversed_.strides)
+        expected = _probe_circuit(blocks, c_ordered).tobytes()
+        for operand in (sliced, reversed_):
+            assert _probe_circuit(blocks, operand).tobytes() == expected
 
 
 class TestSingleRunSufficiency:
