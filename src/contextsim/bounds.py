@@ -31,7 +31,8 @@ All searches are deterministic: seeded restarts, fixed sweep order, golden-
 section line minimization. The contextual restarts stop at the first
 converged one within tol of CONTEXTUAL_OPTIMUM, which none can beat. The
 pentagon scan's pairwise reading runs the four distinct chains of its ten
-pairs and reads each pair from them.
+pairs and reads each pair from them. Both pentagon readings run the branch
+chain of ``sequential.joint_distribution``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .linalg import (BELL_LINE_GAP, KERNEL_TOL, PAULI_X, PAULI_Z, PIN_FLOOR, PLA
                      checked_real, checked_reals, conjugated, sigma_theta_matrix)
 from .inequalities import _KCBS_PAIRS, _PENTAGON_PAIRS, BELL_TERM, _kcbs_cycle
 from .optimize import golden_section_minimize
-from .sequential import correlator_sequential, joint_distribution
+from .sequential import joint_distribution
 from .states import mixed_state
 
 MAX_RESOLUTION = 16  # the grid holds resolution**4 5-tuples: a search peaks near 2.6 MB traced at 16
@@ -524,7 +525,7 @@ def pentagon_pairwise_value(theta):
     reads its parities' value."""
     theta = checked_angles(theta, "theta")
     chains = _kcbs_cycle(theta)[..., _PARITY_PAIRS, :, :]  # theta.shape + (4, 2, 2, 2)
-    values = correlator_sequential(mixed_state(np.eye(2) / 2), chains)
+    values = joint_distribution(mixed_state(np.eye(2) / 2), chains).correlator()
     # summed in pair order, as the evaluator sums its terms
     return _one_or_many(theta, sum(values[..., m] for m in _PAIR_PARITY))
 

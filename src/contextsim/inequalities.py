@@ -189,8 +189,8 @@ def pentagram_observable(j: int) -> Observable:
 def _spec_values(state: QuantumState, stack: np.ndarray, method: str) -> list[float]:
     """The correlator of each row of a ``(T, k, d, d)`` block stack on
     ``method``: one batched evolution with one readout on the probe route,
-    one batched product on the direct route, one joint distribution on the
-    sequential route."""
+    one batched product on the direct route, one batch of sign-contracted
+    Lüders pairs on the sequential route."""
     if method not in METHODS:  # by ==, so any value is refused with this message
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     return _ROUTES[method](state, stack)

@@ -22,7 +22,7 @@ from .scattering import (
     random_correlation_spec,
     random_dichotomic,
 )
-from .sequential import correlator_sequential
+from .sequential import joint_distribution
 from .states import bell_phi_plus, density_of, haar_random_state, mixed_state
 
 
@@ -72,7 +72,7 @@ def check_sequential_two_time() -> CheckResult:
         state = haar_random_state(1, rng)
         x, y = random_dichotomic(rng), random_dichotomic(rng)
         two_time = float(0.5 * np.trace(density_of(state) @ (x @ y + y @ x)).real)
-        worst = max(worst, abs(correlator_sequential(state, (x, y)) - two_time))
+        worst = max(worst, abs(joint_distribution(state, (x, y)).correlator() - two_time))
     ok = worst < 1e-10
     return CheckResult("sequential-two-time-formula", ok, f"100 random pairs, max gap={worst:.3e}")
 

@@ -1,32 +1,38 @@
 """Ground-truth simulation of invasive sequential projective measurements.
 
-A chain of j dichotomic measurements is a ``(2^j, d, d)`` stack of
-unnormalized branch states P_j ... P_1 rho P_1 ... P_j, one per outcome tuple
-in ``itertools.product((1, -1), repeat=j)`` order (the first outcome varies
-slowest). A branch's trace is the probability of its outcome tuple, so the
-projection postulate's division by it is never taken and a zero-probability
-branch is a zero matrix. For dichotomic observables the +-1 projectors are
-(I +- O)/2 exactly, which sidesteps eigenvector phase ambiguity in degenerate
-eigenspaces.
+One checked chain of dichotomic Lüders measurements has two readings, both
+stepped by ``luders_measure`` with the projectors (I +- O)/2, exact for a
+dichotomic O and free of eigenvector phase ambiguity.
 
-Chains carry leading batch axes. The observables of a chain are one complex
-array of shape ``batch + (k, d, d)``: measurement k of every chain in the
-batch sits at ``[..., k, :, :]``. All chains start from the same state, so
-the branch stack has shape ``batch + (2^j, d, d)`` and the joint
-distribution ``batch + (2,)*k``. A single chain is the batch of shape ``()``.
+- **The branch stack**, for outcome distributions (``joint_distribution``).
+  After j steps it holds the ``2^j`` unnormalized branch states
+  P_j ... P_1 rho P_1 ... P_j in ``itertools.product((1, -1), repeat=j)``
+  order (the first outcome varies slowest). A branch's trace is the
+  probability of its outcome tuple, never divided by, so a zero-probability
+  branch is a zero matrix.
+- **The sign-contracted pair**, for the mean of the product of all k
+  outcomes (``correlator_sequential``, ``stack_correlators_sequential``). A
+  signed S and an unsigned U both start at rho and step to
+  S -> P+ S P+ - P- S P- and U -> P+ U P+ + P- U P-: the branch sums weighted
+  by the outcome product and by 1. Re tr(S) is the correlator and Re tr(U)
+  the total probability; two matrices per step instead of 2^j. The signed
+  step is the anticommutator {O, X}/2 (Fritz, NJP 12, 083055 (2010)).
 
-A chain is real when the state's density matrix and every observable of the
-stack have zero imaginary part; it then runs on their float64 real parts, so
-its branches are float64. Any other chain runs in complex128. It is one code
-path: the dtype of the branches follows the inputs.
+Chains carry leading batch axes: the observables are one complex array of
+shape ``batch + (k, d, d)``, all chains start from the same state, and the
+joint distribution has shape ``batch + (2,)*k``. A single chain is the batch
+``()``. A chain whose state and observables all have zero imaginary part runs
+on their float64 real parts; any other chain runs in complex128.
 
-The state enters checked, as a ``QuantumState``. ``joint_distribution``
-checks the whole observable stack once, before the first step: each
-observable must be finite, Hermitian, square to I and match the state's
-dimension, and builds each step's projector pair once. ``luders_measure`` is
-the unchecked chain step, given one step's pair; the branches are never
-checked. Each final distribution must sum to 1 within :func:`_sum_tolerance`,
-and no probability may fall below 0 by more than :func:`_probability_floor`.
+The checks. The state enters checked, as a ``QuantumState``. ``_chain``
+checks the whole observable stack once, before the first step, for both
+readings: each observable must be finite, Hermitian, square to I and match
+the state's dimension. ``luders_measure`` and the matrices it returns are
+unchecked. On both readings each total probability must lie within
+:func:`_sum_tolerance` of 1. ``OutcomeDistribution`` refuses a probability
+below 0 by more than :func:`_probability_floor`; the pair has no outcome
+probabilities, so it refuses a correlator whose modulus exceeds the total by
+more than 2^(k+1) such floors, the most they can add.
 """
 
 from __future__ import annotations
@@ -120,18 +126,13 @@ class OutcomeDistribution:
         if axes is not None:
             k = self.observables.shape[-3]
             axes = [checked_count(axis, "outcome axis", 0, k - 1) for axis in axes]
-        value = _product_mean(self.probabilities, b, axes)
+        # one einsum over the whole batch
+        p = self.probabilities
+        operands = [p, list(range(p.ndim))]
+        for axis in range(p.ndim - b) if axes is None else axes:
+            operands += [_SIGNS, [b + axis]]
+        value = np.einsum(*operands, list(range(b)))
         return float(value) if b == 0 else value
-
-
-def _product_mean(p: np.ndarray, b: int, axes=None):
-    """Mean of the product of the outcomes on ``axes`` (default: all) of the
-    distributions ``p`` of shape ``batch + (2,)*k``, ``b`` the batch rank: one
-    ``einsum`` over the whole batch."""
-    operands = [p, list(range(p.ndim))]
-    for axis in range(p.ndim - b) if axes is None else axes:
-        operands += [_SIGNS, [b + axis]]
-    return np.einsum(*operands, list(range(b)))
 
 
 def luders_measure(branches: np.ndarray, proj: np.ndarray) -> np.ndarray:
@@ -146,12 +147,11 @@ def luders_measure(branches: np.ndarray, proj: np.ndarray) -> np.ndarray:
     return split.reshape(split.shape[:-4] + (-1,) + proj.shape[-2:])
 
 
-def joint_distribution(state: QuantumState, obs_seq) -> OutcomeDistribution:
-    """Chain the measurements in sequence order, every chain of the batch on
-    ``state``; the final branch traces are the joint outcome probabilities.
-    A real chain (see the module docstring) runs in float64."""
+def _chain(state: QuantumState, obs_seq):
+    """The checked chain of ``obs_seq`` on ``state``: the observable stack,
+    the density matrix it runs on (float64 for a real chain) and each step's
+    projector pair (I + O)/2, (I - O)/2, of shape ``batch + (k, 2, d, d)``."""
     obs = _observable_stack(obs_seq)
-    batch, k = obs.shape[:-3], obs.shape[-3]
     rho = density_of(state)
     # a real chain runs on the float64 real parts; NaN in an imaginary part
     # counts as nonzero, so the check below still sees it
@@ -160,24 +160,51 @@ def joint_distribution(state: QuantumState, obs_seq) -> OutcomeDistribution:
         check_observable(chain, "measured observable")
         if obs.shape[-2:] != rho.shape:
             raise ValueError("observable dimension does not match the state")
+    proj = (np.eye(obs.shape[-1]) + _SIGNS[:, None, None] * chain[..., None, :, :]) / 2  # (I +- O)/2
+    return obs, rho, proj
+
+
+def joint_distribution(state: QuantumState, obs_seq) -> OutcomeDistribution:
+    """Chain the measurements in sequence order, every chain of the batch on
+    ``state``; the final branch traces are the joint outcome probabilities."""
+    obs, rho, proj = _chain(state, obs_seq)
+    batch, k = obs.shape[:-3], obs.shape[-3]
     # the state as each chain's one branch, widened to the batch by the first step (here when there is none)
     branches = rho.reshape((1,) * (obs.ndim - 2) + rho.shape) if k else np.broadcast_to(rho, batch + (1,) + rho.shape)
-    proj = (np.eye(obs.shape[-1]) + _SIGNS[:, None, None] * chain[..., None, :, :]) / 2  # (I +- O)/2
     for i in range(k):
         branches = luders_measure(branches, proj[..., i, :, :, :])
     probs = np.trace(branches, axis1=-2, axis2=-1).real.reshape(batch + (2,) * k)
     return OutcomeDistribution(observables=obs, probabilities=probs)
 
 
+def _full_product(state: QuantumState, obs_seq):
+    """Mean of the product of all outcomes of each chain, shape ``batch``, off its sign-contracted pair."""
+    obs, rho, proj = _chain(state, obs_seq)
+    batch, k, d = obs.shape[:-3], obs.shape[-3], rho.shape[-1]
+    pair = np.empty(batch + (2, d, d), rho.dtype)  # signed, unsigned
+    pair[...] = rho
+    for i in range(k):
+        split = luders_measure(pair, proj[..., i, :, :, :])
+        # signed: P+ S P+ - P- S P-; unsigned: P+ U P+ + P- U P-
+        pair = split[..., 0::2, :, :] - _SIGNS[:, None, None] * split[..., 1::2, :, :]
+    traces = np.trace(pair, axis1=-2, axis2=-1).real
+    value, total = traces[..., 0], traces[..., 1]
+    ok = np.abs(total - 1.0) <= _sum_tolerance(d, k)  # written so that NaN fails both checks
+    if not ok.all():
+        raise ValueError(f"probabilities sum to {total[~ok][0]}, not 1")
+    if not (np.abs(value) <= total + 2 ** (k + 1) * _probability_floor(d, k)).all():
+        raise ValueError("correlator exceeds the total probability of its outcomes")
+    return value
+
+
 def correlator_sequential(state: QuantumState, obs_seq):
-    """Expectation of the product of all outcomes of each chain."""
-    return joint_distribution(state, obs_seq).correlator()
+    """Expectation of the product of all outcomes of each chain: a float for
+    a single chain, an array of shape ``batch`` for a batch."""
+    value = _full_product(state, obs_seq)
+    return float(value) if value.ndim == 0 else value
 
 
 def stack_correlators_sequential(state: QuantumState, stack: np.ndarray) -> list[float]:
     """Expectation of the product of all outcomes of each chain of a
-    ``(T, k, d, d)`` stack, from one joint distribution of the batch. Each
-    chain's distribution is reduced on its own, as a lone chain's is: one
-    ``einsum`` over the batch sums in another order and may move a last bit."""
-    p = joint_distribution(state, stack).probabilities
-    return [float(_product_mean(chain, 0)) for chain in p]
+    ``(T, k, d, d)`` stack, from one batch of sign-contracted pairs."""
+    return _full_product(state, stack).tolist()

@@ -143,13 +143,15 @@ def state_from_literal(literal: str) -> QuantumState:
         except (OSError, UnicodeDecodeError) as exc:  # a directory, a file that cannot be read, not UTF-8
             raise ValueError(f"bad state file {literal!r}: {exc}") from exc
         pairs = []
-        for line in lines:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        for n, line in enumerate(lines, 1):
             fields = line.split()
-            if len(fields) != 2:
-                raise ValueError(f"bad amplitude line {line!r} (expected 're im')")
-            pairs.append(complex(float(fields[0]), float(fields[1])))
+            if not fields or fields[0].startswith("#"):
+                continue
+            try:
+                if len(fields) != 2:
+                    raise ValueError("expected 're im'")
+                pairs.append(complex(float(fields[0]), float(fields[1])))
+            except ValueError as exc:
+                raise ValueError(f"bad state file {literal!r}: line {n} {line.strip()!r}: {exc}") from None
         return pure_state(np.array(pairs, dtype=complex))
     raise ValueError(f"unrecognized state literal {literal!r}")

@@ -390,6 +390,7 @@ class TestCertificates:
         "search, closed_form, above",
         [("temporal_search", TSIRELSON, 1e-9), ("bell_search", TSIRELSON, 1e-9),
          ("contextual_search", CONTEXTUAL, 1e-11)],
+        ids=["temporal", "bell", "contextual"],
     )
     def test_default_optimum_certified(self, request, search, closed_form, above):
         optimum = request.getfixturevalue(search).optimum

@@ -436,6 +436,19 @@ class TestRejectedValues:
         assert captured.err.startswith(
             f"error: bad state file {str(path)!r}: 'utf-8' codec can't decode byte 0xff")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("1 0\nabc 0\n", "line 2 'abc 0': could not convert string to float: 'abc'"),
+         ("# amplitudes\n1 0\n\n0 0 0\n", "line 4 '0 0 0': expected 're im'")],
+        ids=["number", "field-count"],
+    )
+    def test_state_file_line_that_does_not_parse(self, tmp_path, capsys, text, message):
+        # a bad number used to be printed with no path or line
+        path = tmp_path / "state.txt"
+        path.write_text(text)
+        assert main(["pm", "--state", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: bad state file {str(path)!r}: {message}\n")
+
     def test_seed_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["pm", "--seed", "1"])

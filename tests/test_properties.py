@@ -511,6 +511,21 @@ def test_batched_chain_matches_each_chain(data):
         assert abs(values[idx] - one.correlator()) <= 1e-12
 
 
+@given(data=st.data())
+def test_full_product_reading_is_the_branch_chain(data):
+    # the sign-contracted pair against the branch stack's full-product mean,
+    # and each row of a stack read in one call against its lone call
+    qubits, real = data.draw(st.integers(1, 3)), data.draw(st.booleans())
+    batch = data.draw(st.sampled_from([(), (data.draw(st.integers(1, 4)),), (2, 3)]))
+    stack = data.draw(batched_chains(qubits, data.draw(st.integers(0, 6)), batch, real=real))
+    state = data.draw(states(qubits, real=real))
+    values = correlator_sequential(state, stack)
+    assert np.max(np.abs(values - joint_distribution(state, stack).correlator())) <= 1e-14
+    rows = stack.reshape((int(np.prod(batch, dtype=int)),) + stack.shape[-3:])
+    assert [v.hex() for v in stack_correlators_sequential(state, rows)] == [
+        correlator_sequential(state, row).hex() for row in rows]
+
+
 def _complex_probabilities(state, stack) -> np.ndarray:
     """The joint distribution of a batch of chains in complex128 arithmetic:
     ``luders_measure`` on complex copies of the density matrix and the
@@ -609,7 +624,7 @@ def test_scan_readings_match_scalar_chains(thetas):
 def _ten_chain_pairwise(theta):
     """The pairwise reading as one chain per pair of ``_PENTAGON_PAIRS``."""
     pairs = inequalities._kcbs_cycle(theta)[..., np.array(inequalities._PENTAGON_PAIRS), :, :]
-    values = correlator_sequential(mixed_state(np.eye(2) / 2), pairs)
+    values = joint_distribution(mixed_state(np.eye(2) / 2), pairs).correlator()
     return sum(values[..., k] for k in range(len(inequalities._PENTAGON_PAIRS)))
 
 

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from contextsim import sequential
 from contextsim.inequalities import (
     METHODS,
     Observable,
@@ -23,6 +26,7 @@ from contextsim.sequential import (
     correlator_sequential,
     joint_distribution,
     luders_measure,
+    stack_correlators_sequential,
 )
 from contextsim.states import (
     QuantumState,
@@ -299,6 +303,23 @@ class TestOutcomeDistributionValidation:
         total = (1 + d * eps / 2) ** length
         assert dist.probabilities.sum() == pytest.approx(total, abs=1e-14)
         assert total - 1 > ATOL
+
+    def test_full_product_reading_checks_the_carried_total(self):
+        # a step that adds 1 % of weight moves the unsigned trace, the total
+        # probability, past its tolerance
+        step = luders_measure
+        with mock.patch.object(sequential, "luders_measure", lambda pair, proj: 1.01 * step(pair, proj)):
+            with pytest.raises(ValueError, match="sum to"):
+                correlator_sequential(basis_state(1, "0"), (PAULI_Z, PAULI_X))
+            with pytest.raises(ValueError, match="sum to"):
+                stack_correlators_sequential(basis_state(1, "0"), np.stack([[PAULI_Z], [PAULI_X]]))
+
+    def test_full_product_reading_bounds_the_correlator_by_the_total(self):
+        # doubling P+ S P+ alone reads Z on |0> as 2 with the total still 1
+        step, weights = luders_measure, np.array([2.0, 1.0, 1.0, 1.0])[:, None, None]
+        with mock.patch.object(sequential, "luders_measure", lambda pair, proj: weights * step(pair, proj)):
+            with pytest.raises(ValueError, match="exceeds the total probability"):
+                correlator_sequential(basis_state(1, "0"), (PAULI_Z,))
 
 
 class TestNonFiniteObservables:
