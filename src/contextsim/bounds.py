@@ -1,30 +1,26 @@
 """Numerical recovery of the classical, contextual, temporal, and nonlocal
 extrema of the five-cycle inequality family.
 
-The Bell-side search respects the side condition <A_j B_j> = 1: states
-satisfying it for two or more distinct directions are exactly the maximally
-correlated pair state, so the searched objective is the minimum of the
-five-term operator restricted to the common +1 eigenspace of the constraint
-operators. Without that restriction the bare minimum eigenvalue reaches the
-algebraic -5 (a local rotation on one side aligns all five terms at once),
-which belongs to a different scenario than the constrained inequality.
+The Bell-side search respects the side condition <A_j B_j> = 1: the states
+obeying it are the maximally correlated pair state |Phi+>, so the searched
+objective is the five-term operator's expectation there, which is the cyclic
+cosine sum (see ``bell_constrained_objective``). Without that restriction the
+bare minimum eigenvalue reaches the algebraic -5 (a local rotation on one
+side aligns all five terms at once), which belongs to a different scenario
+than the constrained inequality. What this gives up: the Bell and temporal
+bounds are equal because the two objectives are, an identity the tests
+check, not the outcome of two independent searches.
 
-Each angle search has one objective over a batch of 5-tuples (the
-constrained minimum, the cyclic cosine sum) and one driver: a coarse grid
-start, then cyclic line searches that move one angle at a time. The grid
-reads its cycle sums off one r x r cosine table, bit for bit as the batch
-objective rounds them; the Bell grid is screened by them first, and only
-the kept rows are built as 5-tuples. Each line reads a closed form built
-once per line: the temporal one sums its five cosines in the objective's
-order, with only a prefix of its fixed terms added ahead, so each trial
-rounds as the objective would; the Bell one, c0 + c1 cos x + c2 sin x,
-holds only where the kernel cannot change along the line, and elsewhere the
-line calls the objective. A line moves one angle, so the Bell line reads
-each fixed angle's penalty from a bounded cache of read-only matrices. The
-contextual seesaw runs its lines in Python floats on 3-tuples. Every
-search's start, value after each sweep and convergence test call the public
-objective, which checks its input; the batch forms and the lines take it as
-given. Terms accumulate one at a time in cycle order, never stacked, so a
+The Bell and temporal searches share one descent: the grid 5-tuple with the
+lowest cyclic cosine sum, read off one r x r cosine table bit for bit as the
+batch objective rounds it, then cyclic line searches that move one angle at
+a time. Each line reads a closed form built once per line, which sums its
+five cosines in the temporal objective's order, with only a prefix of its
+fixed terms added ahead, so each trial rounds as that objective would. Each
+search's start, value after each sweep and convergence test call its own
+public objective, which checks its input; the batch forms and the lines take
+it as given. The contextual seesaw runs its lines in Python floats on
+3-tuples. Terms accumulate one at a time in cycle order, never stacked, so a
 batch of one rounds exactly as a scalar sum.
 
 All searches are deterministic: seeded restarts, fixed sweep order, golden-
@@ -37,21 +33,19 @@ chain of ``sequential.joint_distribution``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import (BELL_LINE_GAP, KERNEL_TOL, PAULI_X, PAULI_Z, PIN_FLOOR, PLANE_FLOOR, REPLACE_MARGIN,
-                     SCREEN_MARGIN, SEARCH_TOL, SEESAW_LINE_TOL, START_FLOOR, checked_angles, checked_count,
-                     checked_real, checked_reals, conjugated, sigma_theta_matrix)
+from .linalg import (PIN_FLOOR, PLANE_FLOOR, REPLACE_MARGIN, SEARCH_TOL, SEESAW_LINE_TOL, START_FLOOR, checked_angles,
+                     checked_count, checked_real, checked_reals, sigma_theta_matrix)
 from .inequalities import _KCBS_PAIRS, _PENTAGON_PAIRS, BELL_TERM, _kcbs_cycle
 from .optimize import golden_section_minimize
 from .sequential import joint_distribution
-from .states import mixed_state
+from .states import bell_phi_plus, mixed_state
 
-MAX_RESOLUTION = 16  # the grid holds resolution**4 5-tuples: a search peaks near 2.6 MB traced at 16
+MAX_RESOLUTION = 16  # the grid holds resolution**4 5-tuples: a search peaks near 1.1 MB traced at 16
 
 TSIRELSON_OPTIMUM = 5 * BELL_TERM  # the Bell and temporal optimum, -5 cos(pi/5)
 CONTEXTUAL_OPTIMUM = 5 - 4 * math.sqrt(5)  # 5 - 4 theta(C5), the Lovász number theta(C5) = sqrt(5)
@@ -61,10 +55,7 @@ TARGETS = ("bell-kcbs", "temporal-kcbs", "contextual-kcbs", "pentagon-lg")
 
 _NEXT = np.array([s for _, s in _KCBS_PAIRS])  # successor of each angle around the cycle
 
-# P x Q for P, Q in (Z, X), the operators whose expectations on the kernel
-# vector make up the 2x2 matrix T of ``_bell_line``
-_PAULI_PAIRS = np.array([[np.kron(p, q) for q in (PAULI_Z, PAULI_X)] for p in (PAULI_Z, PAULI_X)])
-_PAULI_PAIRS.setflags(write=False)
+_PHI_PLUS = bell_phi_plus().amplitudes  # (|00> + |11>)/sqrt(2), the pair state of the side condition
 
 
 @dataclass(frozen=True)
@@ -92,97 +83,26 @@ def _one_tuple(angles) -> np.ndarray:
     return angles
 
 
-def _sigma_products(angles):
-    """(r, s) -> sigma(a_r) x sigma(a_s) for a 5-tuple, shape (4, 4), or for
-    each row of an (M, 5) stack, shape (M, 4, 4)."""
-    sig = sigma_theta_matrix(_five(angles).T)
-    left, right = sig[..., :, None, :, None], sig[..., None, :, None, :]
-    return lambda r, s: (left[r] * right[s]).reshape(*sig.shape[1:-2], 4, 4)
-
-
-def _cycle_operator(kron) -> np.ndarray:
-    return sum(kron(r, s) for r, s in _KCBS_PAIRS)
-
-
 def bell_operator(angles) -> np.ndarray:
     """Sum of the five cross terms sigma(a_r) x sigma(a_{r+1}) over the cycle."""
-    return _cycle_operator(_sigma_products(checked_angles(angles, "angles")))
-
-
-def _constrained_minima(angles) -> np.ndarray:
-    """The constrained minimum of a 5-tuple or of each row of an (M, 5) stack.
-
-    The admissible states span the common +1 eigenspace of the five
-    sigma(a_j) x sigma(a_j) operators, i.e. the kernel of the positive sum
-    of (I - sigma x sigma)/2 penalties; the operator is compressed onto that
-    space, one stack per kernel dimension, before taking the smallest eigenvalue.
-    """
-    kron = _sigma_products(angles)
-    eye = np.eye(4, dtype=complex)
-    w, v = np.linalg.eigh(sum((eye - kron(j, j)) / 2 for j in range(5)))
-    bop = _cycle_operator(kron)
-    kdim = (w < KERNEL_TOL).sum(axis=-1)
-    values = np.empty(kdim.shape)
-    for d in set(kdim.flat):
-        group = kdim == d
-        kernel = v[group, :, :d]
-        compressed = conjugated(bop[group], kernel)
-        values[group] = np.linalg.eigvalsh((compressed + compressed.conj().swapaxes(-1, -2)) / 2)[:, 0]
-    return values
+    sig = sigma_theta_matrix(_one_tuple(angles))
+    left, right = sig[:, :, None, :, None], sig[:, None, :, None, :]
+    return sum((left[r] * right[s]).reshape(4, 4) for r, s in _KCBS_PAIRS)
 
 
 def bell_constrained_objective(angles) -> float:
-    """Minimum of the five-term operator over states obeying <A_j B_j> = 1."""
-    return float(_constrained_minima(_one_tuple(angles)))
+    """Minimum of the five-term operator over states obeying <A_j B_j> = 1,
+    read as its expectation on the pair state |Phi+>.
 
-
-@functools.lru_cache(maxsize=8)
-def _penalty(a: float) -> np.ndarray:
-    """The read-only penalty (I - sigma(a) x sigma(a))/2 of one angle, bit for
-    bit as ``_sigma_products`` and ``_constrained_minima`` build it. A line
-    moves one angle, so after the first line of a descent its four fixed
-    penalties are held here already. Eight entries hold the five live
-    angles of a descent but not a whole one (a default search meets 58), so
-    a repeated search builds its penalties again. The key 0.0 also answers
-    -0.0; both give the same bits, as eye - kron makes every zero entry
-    +0.0."""
-    sig = sigma_theta_matrix(a)
-    kron = (sig[:, None, :, None] * sig[None, :, None, :]).reshape(4, 4)
-    penalty = (np.eye(4, dtype=complex) - kron) / 2
-    penalty.setflags(write=False)
-    return penalty
-
-
-def _bell_line(angles, i: int):
-    """``bell_constrained_objective`` along line i of the descent, where only
-    a_i moves, as a scalar function of x; None where the kernel could change.
-
-    The four fixed penalties, j != i, are read from ``_penalty``, summed in
-    cycle order and diagonalized once. With k the lowest eigenvector,
-    t(a) = (cos a, sin a) and T the 2x2 matrix of
-    <k|P x Q|k> over P, Q in (Z, X), each term reads
-    <k|sigma(a) x sigma(b)|k> = t(a).T t(b). The moving penalty on k is
-    (1 - t(x).T t(x))/2 = p0 + p1 cos 2x + p2 sin 2x. The line is used only
-    when the next eigenvalue is above BELL_LINE_GAP and the lowest one plus
-    |p0| + |p1| + |p2| is below KERNEL_TOL. A positive semidefinite term
-    lowers no eigenvalue, so every trial's penalty then has a one-dimensional
-    kernel, k, and the compressed operator is
-    <k|B(x)|k> = c0 + c1 cos x + c2 sin x: c0 sums the three terms without
-    a_i, and (c1, c2) = T^T t(a_{i-1}) + T t(a_{i+1}).
+    For an x-z angle a the +1 eigenspace of sigma(a) x sigma(a) is spanned by
+    |Phi+> and by a second vector that turns with 2a, so the admissible
+    states, the common +1 eigenspace of the five constraints, are |Phi+>
+    alone unless all five angles agree mod pi. Then every term is +-1 times
+    the identity on that two-dimensional space, so B is one value there.
+    Either way the constrained minimum is <Phi+|B(a)|Phi+>, which is the
+    cyclic cosine sum, as sigma(a) x sigma(b) reads cos(a - b) on |Phi+>.
     """
-    a = _five(angles).tolist()
-    w, v = np.linalg.eigh(sum(_penalty(a[j]) for j in range(5) if j != i))
-    k = v[:, 0]
-    bra = k.conj()
-    corr = np.array([[(bra @ pq @ k).real for pq in row] for row in _PAULI_PAIRS])
-    (zz, zx), (xz, xx) = corr.tolist()
-    moving = abs(0.5 - (zz + xx) / 4) + abs(zz - xx) / 4 + abs(zx + xz) / 4
-    if not (w[1] > BELL_LINE_GAP and w[0] + moving < KERNEL_TOL):
-        return None
-    t = np.array([np.cos(angles), np.sin(angles)])
-    c0 = float(sum(t[:, r] @ corr @ t[:, s] for r, s in _KCBS_PAIRS if i not in (r, s)))
-    c1, c2 = (corr.T @ t[:, (i - 1) % 5] + corr @ t[:, (i + 1) % 5]).tolist()
-    return lambda x: c0 + c1 * math.cos(x) + c2 * math.sin(x)
+    return float((_PHI_PLUS @ bell_operator(angles) @ _PHI_PLUS).real)
 
 
 def _cycle_cosines(angles) -> np.ndarray:
@@ -260,55 +180,28 @@ def _grid_cosines(grid: np.ndarray) -> np.ndarray:
             + table[:, :, None] + table + np.cos(grid - 0.0))
 
 
-def _grid_second_eigenvalues(grid: np.ndarray) -> np.ndarray:
-    """The second penalty eigenvalue, (5 - |sum_j exp(2i a_j)|)/2, of every
-    grid tuple, shape (r, r, r, r) in grid order, bit for bit as numpy's sum
-    over a row of five groups it: ((e_0 + e_1) + (e_2 + e_3)) + e_4."""
-    phase = np.exp(2j * grid)
-    sums = (np.exp(2j * 0.0) + phase)[:, None, None, None] + (phase[:, None] + phase)[:, :, None] + phase
-    return (5 - np.abs(sums)) / 2
-
-
 def _coarse_bell_minimum(resolution: int) -> np.ndarray:
-    """The grid 5-tuple where ``_constrained_minima`` is lowest (first in grid
-    order), screened. A row whose second penalty eigenvalue is at least
-    SCREEN_MARGIN has the pair state as its kernel, where the constrained
-    minimum is the cosine sum to 1e-12; so only rows within SCREEN_MARGIN of
-    the lowest sum, or below that eigenvalue, can win. Both screens are read
-    off r-sized tables, and only the kept rows are built as 5-tuples."""
-    grid = _grid(resolution)
-    cosines = _grid_cosines(grid).ravel()
-    second = _grid_second_eigenvalues(grid).ravel()
-    rows = np.flatnonzero((cosines <= cosines.min() + SCREEN_MARGIN) | (second < SCREEN_MARGIN))
-    kept = _coarse_grid_tuples(resolution, rows)
-    return kept[int(np.argmin(_constrained_minima(kept)))]
-
-
-def _coarse_temporal_minimum(resolution: int) -> np.ndarray:
-    """The grid 5-tuple with the lowest cyclic cosine sum (first in grid order)."""
+    """The grid 5-tuple with the lowest cyclic cosine sum (first in grid
+    order), the start of both angle searches; only that row is built as a
+    5-tuple. It keeps a Bell-search name because the benchmark's tracer
+    (``TARGETS`` in ``perfbench/tracing.py``) books the grid under
+    ``bounds.coarse_grid`` by this name."""
     return _coarse_grid_tuples(resolution, [np.argmin(_grid_cosines(_grid(resolution)))])[0]
 
 
-def _descend(objective, line, angles: np.ndarray, sweeps: int, tol: float):
+def _descend(objective, angles: np.ndarray, sweeps: int, tol: float):
     """Cyclic coordinate descent with golden-section line searches.
 
-    ``line(angles, i)`` gives the objective along angle i as a scalar closed
-    form, or None where it has none; the temporal lines are summed in the
-    objective's order and always given. On a None line each trial calls
-    ``objective`` on the trial tuple. The start, the value after each sweep
-    and the convergence test always call ``objective``."""
+    The trials read the closed form ``_temporal_line``, which is ``objective``
+    along one angle up to round-off (bit for bit for the temporal one). The
+    start, the value after each sweep and the convergence test call
+    ``objective``."""
     angles = np.array(angles, dtype=float)
     previous = objective(angles)
     for performed in range(1, sweeps + 1):
         for i in range(5):
-            along = line(angles, i)
-            if along is None:
-                def along(x, i=i):
-                    trial = angles.copy()
-                    trial[i] = x
-                    return objective(trial)
-
-            angles[i] = golden_section_minimize(along, angles[i] - np.pi, angles[i] + np.pi, tol=min(tol, SEARCH_TOL))
+            angles[i] = golden_section_minimize(_temporal_line(angles, i), angles[i] - np.pi, angles[i] + np.pi,
+                                                tol=min(tol, SEARCH_TOL))
         current = objective(angles)
         converged = performed >= 3 and previous - current < tol
         previous = current
@@ -317,11 +210,11 @@ def _descend(objective, line, angles: np.ndarray, sweeps: int, tol: float):
     return angles, float(previous), performed, converged
 
 
-def _angle_search(target: str, coarse, objective, line, resolution, sweeps, tol) -> BoundResult:
-    """Start at ``coarse(resolution)``, then descend on the scalar ``objective``
-    along the lines that ``line`` builds (see ``_descend``)."""
+def _angle_search(target: str, objective, resolution, sweeps, tol) -> BoundResult:
+    """Start at the grid's lowest cyclic cosine sum, then descend on the scalar
+    ``objective`` (see ``_descend``)."""
     sweeps, tol = checked_count(sweeps, "sweeps", 1), _positive_tol(tol)
-    angles, value, performed, converged = _descend(objective, line, coarse(resolution), sweeps, tol)
+    angles, value, performed, converged = _descend(objective, _coarse_bell_minimum(resolution), sweeps, tol)
     return BoundResult(target=target, optimum=value, argument={"angles": [float(a) for a in angles]},
                        iterations=performed, converged=converged, tolerance=tol)
 
@@ -329,26 +222,25 @@ def _angle_search(target: str, coarse, objective, line, resolution, sweeps, tol)
 def tsirelson_search_bell(resolution: int = 8, sweeps: int = 40, tol: float = SEARCH_TOL) -> BoundResult:
     """Minimize the constrained five-term objective over angle 5-tuples.
 
-    Coarse grid first, then cyclic golden-section descent whose line
-    searches read the closed form of ``_bell_line`` where it holds and the
-    objective elsewhere; the reported optimum is the objective's value. The
-    optimum sits at equal angle steps of 4*pi/5 with value -5 cos(pi/5).
+    The constrained objective is the cyclic cosine sum (see
+    ``bell_constrained_objective``), so the search runs the temporal one's
+    grid start and lines; its start, value after each sweep and convergence
+    test are the Bell objective's, read off the Bell operator, and so is the
+    reported optimum. The optimum sits at equal angle steps of 4*pi/5 with
+    value -5 cos(pi/5).
     """
-    return _angle_search("bell-kcbs", _coarse_bell_minimum, bell_constrained_objective, _bell_line,
-                         resolution, sweeps, tol)
+    return _angle_search("bell-kcbs", bell_constrained_objective, resolution, sweeps, tol)
 
 
 def temporal_bound_kcbs(resolution: int = 8, tol: float = SEARCH_TOL, sweeps: int = 40) -> BoundResult:
-    """Minimize the cyclic cosine sum over angle 5-tuples; same optimum as the
-    constrained Bell search, recovered through an independent objective.
+    """Minimize the cyclic cosine sum over angle 5-tuples.
 
     Coarse grid first, then cyclic golden-section descent whose line searches
     read ``_temporal_line``, the closed form summed in the objective's order;
     the search therefore takes the steps it would take calling the objective
     on every trial.
     """
-    return _angle_search("temporal-kcbs", _coarse_temporal_minimum, temporal_objective, _temporal_line,
-                         resolution, sweeps, tol)
+    return _angle_search("temporal-kcbs", temporal_objective, resolution, sweeps, tol)
 
 
 def contextual_objective(vectors, psi) -> float:
@@ -483,12 +375,15 @@ def contextual_bound_kcbs(iterations: int = 200, restarts: int = 8, tol: float =
     optimum 5 - 4*sqrt(5) sits strictly above the temporal extremum.
 
     ``restarts`` is an upper limit: the search stops after the first converged
-    restart whose kept optimum lies within ``tol`` of CONTEXTUAL_OPTIMUM."""
+    restart whose kept optimum lies within ``tol`` of CONTEXTUAL_OPTIMUM. The
+    argument records why it stopped, also when every restart aborts:
+    ``restarts_run``, the seeds tried, and ``stopped_at_certificate``."""
     restarts, iterations = checked_count(restarts, "restarts", 1), checked_count(iterations, "iterations", 1)
     tol = _positive_tol(tol)
     # the result when every restart aborts; each strictly better restart replaces it
     result = BoundResult(target="contextual-kcbs", optimum=float("inf"), argument={}, iterations=0,
                          converged=False, tolerance=tol)
+    stopped = False
     for seed in range(restarts):
         outcome = _contextual_seesaw(seed, iterations, tol)
         if outcome is None:
@@ -499,9 +394,11 @@ def contextual_bound_kcbs(iterations: int = 200, restarts: int = 8, tol: float =
                         "seed": seed}
             result = replace(result, optimum=value, argument=argument, iterations=performed,
                              converged=converged)
-        if result.converged and result.optimum - CONTEXTUAL_OPTIMUM < tol:
+        stopped = result.converged and result.optimum - CONTEXTUAL_OPTIMUM < tol
+        if stopped:
             break
-    return result
+    why = {"restarts_run": seed + 1, "stopped_at_certificate": stopped}
+    return replace(result, argument={**result.argument, **why})
 
 
 # the slot parities (i % 2, j % 2) of a pair's two measurements, and for each

@@ -29,9 +29,6 @@ VERDICT_EPS = 1e-9        # a verdict's margin: a sum beats its bound only by mo
 CONSTRAINT_ATOL = 1e-6    # a side condition <A_j B_j> = 1 holds within this
 FIT_TOL = 1e-6            # bracket width of the visibility fit's golden-section search
 SEARCH_TOL = 1e-9         # default tolerance of the bound searches, and the cap on a descent line's bracket
-KERNEL_TOL = 1e-9         # round-off of eigh on the Bell penalty: an eigenvalue below is in its kernel
-SCREEN_MARGIN = 1e-6      # Bell grid screen: cosine-sum margin, and the spectral gap that fixes the kernel
-BELL_LINE_GAP = 1e-2      # Bell line: the fixed penalties' spectral gap above their kernel
 SEESAW_LINE_TOL = 1e-11   # bracket width of a seesaw line's golden-section search
 START_FLOOR = 1e-8        # seesaw start: a shorter drawn vector is a degenerate draw, redrawn
 PLANE_FLOOR = 1e-10       # seesaw line: u_i this close to parallel to u_{i-1} has no plane to turn in

@@ -193,6 +193,16 @@ class TestCommands:
             "contextual-kcbs      -3.944272       True           7\n"
         )
 
+    def test_contextual_json_says_why_the_search_stopped(self, capsys):
+        # the defaults stop at the certificate after one restart; two sweeps
+        # are too few to converge, so all eight restarts run (exit code 3)
+        assert main(["bounds", "--target", "contextual-kcbs", "--format", "json"]) == 0
+        (default,) = json.loads(capsys.readouterr().out)
+        assert main(["bounds", "--target", "contextual-kcbs", "--iterations", "2", "--format", "json"]) == 3
+        (limited,) = json.loads(capsys.readouterr().out)
+        assert [(r["argument"]["restarts_run"], r["argument"]["stopped_at_certificate"])
+                for r in (default, limited)] == [(1, True), (8, False)]
+
     def test_temporal_search_runs_the_given_sweeps(self, capsys):
         # two sweeps are too few to test convergence, hence exit code 3
         assert main(["bounds", "--target", "temporal-kcbs", "--sweeps", "2", "--format", "csv"]) == 3

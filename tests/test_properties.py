@@ -13,15 +13,12 @@ pentagon readings match the evaluator and a scalar chain per angle, the
 six-context sum is state independent, the identity noise model leaves a
 report unchanged, the visibility factor v^k is probe dephasing after each of
 k blocks and independent outcome flips on a Lüders chain, the Bell-side bound objective matches a
-null-space oracle and equals the cyclic cosine sum, its closed-form line
-objective matches it wherever it is used and is declined on near-collinear
-lines, the premise of the Bell grid screen holds (the second penalty
-eigenvalue has its closed form, and above the screen's margin the
-constrained minimum is the cosine sum), the seesaw's closed-form line
+null-space oracle and equals the cyclic cosine sum, near-collinear tuples
+included, and the numerical penalty-kernel reading matches it off that band
+and never reads above it inside it, the seesaw's closed-form line
 objective matches the cross-product form, and its cross product is numpy's
-bit for bit. The cached per-angle penalty, the Bell line on a cold and a
-warm cache and the pentagon's four-chain pairwise reading equal their
-uncached forms bit for bit. Each bound search's coarse start is also checked
+bit for bit. The pentagon's four-chain pairwise reading equals its
+ten-chain form bit for bit. The angle searches' shared coarse start is also checked
 against its public scalar objective taken over the grid one tuple at a time. Every matrix a constructor stores
 (gate, slot observable and evolution, observable, density matrix) is
 accepted when drawn valid and rejected after one fault: a non-finite entry,
@@ -654,103 +651,42 @@ def test_constrained_objective_matches_null_space_oracle(five):
     assert abs(bounds.bell_constrained_objective(five) - oracle) <= 1e-9
 
 
-@pytest.mark.parametrize("kind", ["drawn", "grid", "collinear", "shifted"])
+@pytest.mark.parametrize("kind", ["drawn", "grid", "collinear", "shifted", "near-collinear"])
 @given(data=st.data())
 def test_constrained_minimum_is_the_cyclic_cosine_sum(kind, data):
     # the admissible space always holds the pair state, on which
     # sigma(a) x sigma(b) reads cos(a - b); with one direction mod pi it is
-    # two-dimensional and every term is +-1 on it. Near-collinear tuples,
-    # whose singular values sit in the band below, are left out: there the
-    # kernel threshold admits a second state and the two part by up to 2e-9.
-    five = data.draw(cycle_tuples(kind))
-    sv, _ = _constraint_singular_values(five)
-    assume(np.all((sv < 1e-7) | (sv > 1e-2)))
-    assert abs(bounds._constrained_minima(five) - bounds._cycle_cosines(five)) <= 1e-12
+    # two-dimensional and every term is +-1 on it
+    five = data.draw(near_collinear_tuples() if kind == "near-collinear" else cycle_tuples(kind))
+    assert abs(bounds.bell_constrained_objective(five) - bounds.temporal_objective(five)) <= 1e-13
 
 
-# collinear tuples are left out: their fixed four directions leave a
-# two-dimensional kernel, and every such line is declined
-@pytest.mark.parametrize("kind", ["drawn", "grid", "shifted"])
-@given(data=st.data())
-def test_bell_line_matches_constrained_objective(kind, data):
-    five = data.draw(cycle_tuples(kind))
-    i = data.draw(st.integers(0, 4))
-    x = data.draw(angles)
-    value = bounds._bell_line(five, i)
-    assume(value is not None)
-    trial = five.copy()
-    trial[i] = x
-    assert abs(value(x) - bounds.bell_constrained_objective(trial)) <= 1e-12
-
-
-@given(data=st.data())
-def test_bell_line_declines_near_collinear(data):
-    # the four fixed directions lie within 1e-7 to 1e-4 of one direction
-    # mod pi, where the kernel threshold can admit a second state
-    five = data.draw(near_collinear_tuples())
-    i = data.draw(st.integers(0, 4))
-    five[i] = data.draw(angles)
-    assert bounds._bell_line(five, i) is None
-
-
-def _with_signed_zeros(data, five):
-    """``five`` with a drawn subset of its angles set to 0.0 or -0.0."""
-    five = five.copy()
-    for j in data.draw(st.sets(st.integers(0, 4))):
-        five[j] = data.draw(st.sampled_from([0.0, -0.0]))
-    return five
+def _penalty_minimum(five) -> float:
+    """The constrained minimum read the numerical way: the kernel of the
+    positive sum of the (I - sigma x sigma)/2 penalties, its eigenvalues below
+    1e-9 taken as zero, and the five-term operator's lowest eigenvalue there.
+    Near-collinear tuples put the second penalty eigenvalue, (5 -
+    |sum_j exp(2i a_j)|)/2, under that threshold, so their kernel admits a
+    state outside the admissible space."""
+    w, v = np.linalg.eigh(sum(np.eye(4) - np.kron(_sigma(a), _sigma(a)) for a in five) / 2)
+    kernel = v[:, w < 1e-9]
+    return float(np.linalg.eigvalsh(kernel.conj().T @ _kron_cycle(five) @ kernel)[0])
 
 
 @pytest.mark.parametrize("kind", ["drawn", "grid", "collinear", "shifted"])
 @given(data=st.data())
-def test_cached_penalty_is_the_stacked_form_bit_for_bit(kind, data):
-    # bytes, not ==, so a signed zero would count: 0.0 and -0.0 share a
-    # cache key, so whichever comes first answers for both
-    five = _with_signed_zeros(data, data.draw(cycle_tuples(kind)))
-    kron = bounds._sigma_products(five)
-    for j, a in enumerate(five.tolist()):
-        bounds._penalty.cache_clear()
-        stacked = (np.eye(4, dtype=complex) - kron(j, j)) / 2
-        assert bounds._penalty(a).tobytes() == stacked.tobytes()
-        assert not bounds._penalty(a).flags.writeable
-
-
-def test_penalty_of_signed_zeros_is_one_value():
-    bounds._penalty.cache_clear()
-    negative = bounds._penalty(-0.0)
-    bounds._penalty.cache_clear()
-    assert bounds._penalty(0.0).tobytes() == negative.tobytes()
-
-
-def _line_readings(line, xs):
-    return None if line is None else np.array([line(x) for x in xs]).tobytes()
-
-
-@pytest.mark.parametrize("kind", ["drawn", "grid", "collinear", "shifted"])
-@given(data=st.data())
-def test_bell_line_reads_the_same_on_a_cold_and_a_warm_cache(kind, data):
-    # the same None decision and the same closure bits whether the fixed
-    # penalties are built here, kept from this line, or kept from a tuple
-    # whose zeros carry the other sign
-    five = _with_signed_zeros(data, data.draw(cycle_tuples(kind)))
-    i = data.draw(st.integers(0, 4))
-    xs = data.draw(st.lists(angles, min_size=1, max_size=4)) + [0.0, -0.0]
-    bounds._penalty.cache_clear()
-    cold = _line_readings(bounds._bell_line(five, i), xs)
-    assert _line_readings(bounds._bell_line(five, i), xs) == cold
-    bounds._penalty.cache_clear()
-    bounds._bell_line(np.where(five == 0.0, -five, five), i)
-    assert _line_readings(bounds._bell_line(five, i), xs) == cold
+def test_penalty_oracle_matches_off_the_near_collinear_band(kind, data):
+    five = data.draw(cycle_tuples(kind))
+    assert abs(_penalty_minimum(five) - bounds.bell_constrained_objective(five)) <= 1e-13
 
 
 @pytest.mark.parametrize("kind", ["drawn", "grid", "collinear", "near-collinear"])
 @given(data=st.data())
 def test_bell_grid_screen_premise(kind, data):
+    # the premise the Bell grid screen read and the oracle's band rests on:
     # the penalty sum_j (I - sigma_j x sigma_j)/2 is 0 on the pair state, 5 on
-    # the singlet and 5/2 -+ |sum_j exp(2i a_j)|/2 on the rest; where that
-    # second eigenvalue clears the screen's margin the kernel is the pair
-    # state alone, so the grid screen may read the cosine sum for the minimum.
-    # The near-collinear scales put the eigenvalue on both sides of the margin
+    # the singlet and 5/2 -+ |sum_j exp(2i a_j)|/2 on the rest. The
+    # near-collinear scales put that second eigenvalue on both sides of 1e-9
     if kind == "near-collinear":
         five = data.draw(near_collinear_tuples(scales=(1e-5, 1e-4, 1e-3, 1e-2)))
     else:
@@ -758,8 +694,13 @@ def test_bell_grid_screen_premise(kind, data):
     penalty = sum(np.eye(4) - np.kron(_sigma(a), _sigma(a)) for a in five) / 2
     second = (5 - abs(np.exp(2j * five).sum())) / 2
     assert abs(np.linalg.eigvalsh(penalty)[1] - second) <= 1e-12
-    if second >= bounds.SCREEN_MARGIN:
-        assert abs(bounds._constrained_minima(five) - bounds._cycle_cosines(five)) <= 1e-12
+
+
+@given(five=near_collinear_tuples())
+def test_penalty_oracle_never_reads_above_in_the_near_collinear_band(five):
+    # a second kernel state can only lower the oracle's minimum, so where the
+    # two part the oracle is the one in error
+    assert _penalty_minimum(five) <= bounds.bell_constrained_objective(five) + 1e-13
 
 
 @pytest.mark.parametrize("kind", ["drawn", "grid", "collinear"])
@@ -808,22 +749,16 @@ def test_cross_is_numpy_cross_bit_for_bit(a, b):
     assert np.array_equal(bounds._cross(a, b), np.cross(a, b))
 
 
-# the temporal grid over every resolution the search takes; a scalar Bell
-# objective costs about 85 us, so the Bell grid stops at 5 (625 tuples)
-@pytest.mark.parametrize(
-    "coarse, batch, objective, resolution",
-    [pytest.param(bounds._coarse_bell_minimum, bounds._constrained_minima, bounds.bell_constrained_objective,
-                  r, id=f"bell-{r}") for r in range(1, 6)]
-    + [pytest.param(bounds._coarse_temporal_minimum, bounds._cycle_cosines, bounds.temporal_objective,
-                    r, id=f"temporal-{r}") for r in range(1, bounds.MAX_RESOLUTION + 1)],
-)
-def test_coarse_start_is_the_scalar_argmin(coarse, batch, objective, resolution):
+@pytest.mark.parametrize("resolution", [pytest.param(r, id=f"temporal-{r}")
+                                        for r in range(1, bounds.MAX_RESOLUTION + 1)])
+def test_coarse_start_is_the_scalar_argmin(resolution):
+    # the start both angle searches share, over every resolution they take;
     # bit for bit: a grid that rounds differently from the line search could
     # break the grid's many exact ties another way
     tuples = bounds._coarse_grid_tuples(resolution)
-    scalar = np.array([objective(t) for t in tuples])
-    assert np.array_equal(batch(tuples), scalar)
-    assert np.array_equal(coarse(resolution), tuples[int(np.argmin(scalar))])
+    scalar = np.array([bounds.temporal_objective(t) for t in tuples])
+    assert np.array_equal(bounds._cycle_cosines(tuples), scalar)
+    assert np.array_equal(bounds._coarse_bell_minimum(resolution), tuples[int(np.argmin(scalar))])
 
 
 @given(state=states(2), method=st.sampled_from(METHODS))
