@@ -14,14 +14,15 @@ check, not the outcome of two independent searches.
 The Bell and temporal searches share one descent: the grid 5-tuple with the
 lowest cyclic cosine sum, read off one r x r cosine table bit for bit as the
 batch objective rounds it, then cyclic line searches that move one angle at
-a time. Each line reads a closed form built once per line, which sums its
-five cosines in the temporal objective's order, with only a prefix of its
-fixed terms added ahead, so each trial rounds as that objective would. Each
-search's start, value after each sweep and convergence test call its own
-public objective, which checks its input; the batch forms and the lines take
-it as given. The contextual seesaw runs its lines in Python floats on
-3-tuples. Terms accumulate one at a time in cycle order, never stacked, so a
-batch of one rounds exactly as a scalar sum.
+a time. Each line is one golden-section loop written out in Python floats,
+the generic loop's steps with no function call per trial: the fixed cosines
+are taken once per line, and each trial adds its five terms in the temporal
+objective's order, so it rounds as that objective would. Each search's
+start, value after each sweep and convergence test call its own public
+objective, which checks its input; the batch forms and the lines take it as
+given. The contextual seesaw runs its lines through the generic loop, in
+Python floats on 3-tuples. Terms accumulate one at a time in cycle order,
+never stacked, so a batch of one rounds exactly as a scalar sum.
 
 All searches are deterministic: seeded restarts, fixed sweep order, golden-
 section line minimization. The contextual restarts stop at the first
@@ -41,7 +42,7 @@ import numpy as np
 from .linalg import (PIN_FLOOR, PLANE_FLOOR, REPLACE_MARGIN, SEARCH_TOL, SEESAW_LINE_TOL, START_FLOOR, checked_angles,
                      checked_count, checked_real, checked_reals, sigma_theta_matrix)
 from .inequalities import _KCBS_PAIRS, _PENTAGON_PAIRS, BELL_TERM, _kcbs_cycle
-from .optimize import golden_section_minimize
+from .optimize import _INV_GOLDEN, golden_section_minimize
 from .sequential import joint_distribution
 from .states import bell_phi_plus, mixed_state
 
@@ -117,33 +118,6 @@ def temporal_objective(angles) -> float:
     return float(_cycle_cosines(_one_tuple(angles)))
 
 
-def _temporal_line(angles, i: int):
-    """``temporal_objective`` along line i of the descent, where only a_i
-    moves, as a scalar function of x that equals it bit for bit.
-
-    The fixed terms cos(a_r - a_{r+1}) are taken once per line, and the
-    closure for line i adds them and the two that move, cos(a_{i-1} - x) and
-    cos(x - a_{i+1}) (line 0 wraps to the last slot), left to right in cycle
-    order, as ``_cycle_cosines`` does. Only a prefix of fixed terms is added
-    ahead, for lines 2 to 4: a sum of the fixed terms after the moving ones
-    would round differently, as (x + t3) + t4 need not be x + (t3 + t4).
-    """
-    a = _five(angles).tolist()
-    t0, t1, t2, t3, t4 = (math.cos(a[r] - a[s]) for r, s in _KCBS_PAIRS)
-    before, after, cos = a[(i - 1) % 5], a[(i + 1) % 5], math.cos
-    if i == 0:
-        return lambda x: cos(x - after) + t1 + t2 + t3 + cos(before - x)
-    if i == 1:
-        return lambda x: cos(before - x) + cos(x - after) + t2 + t3 + t4
-    if i == 2:
-        return lambda x: t0 + cos(before - x) + cos(x - after) + t3 + t4
-    if i == 3:
-        head = t0 + t1
-        return lambda x: head + cos(before - x) + cos(x - after) + t4
-    head = t0 + t1 + t2
-    return lambda x: head + cos(before - x) + cos(x - after)
-
-
 def _positive_tol(tol) -> float:
     tol = checked_real(tol, "tol")
     if not tol > 0:
@@ -189,19 +163,60 @@ def _coarse_bell_minimum(resolution: int) -> np.ndarray:
     return _coarse_grid_tuples(resolution, [np.argmin(_grid_cosines(_grid(resolution)))])[0]
 
 
-def _descend(objective, angles: np.ndarray, sweeps: int, tol: float):
-    """Cyclic coordinate descent with golden-section line searches.
+def _line_argmin(angles: list, i: int, tol: float) -> float:
+    """The golden-section argmin of ``temporal_objective`` on line i of the
+    descent, where only a_i moves, over [a_i - pi, a_i + pi].
 
-    The trials read the closed form ``_temporal_line``, which is ``objective``
-    along one angle up to round-off (bit for bit for the temporal one). The
-    start, the value after each sweep and the convergence test call
-    ``objective``."""
-    angles = np.array(angles, dtype=float)
+    The loop is ``golden_section_minimize``'s step for step: its trial
+    points, its fc <= fd rule, its 200-step cap and its midpoint. Each trial
+    writes the line's value out instead of calling a function, and adds its
+    five terms in cycle order, as ``_cycle_cosines`` does, so it equals the
+    objective bit for bit. The fixed terms t_r = cos(a_r - a_{r+1}) are taken
+    once. Line 0 moves the first and the last term: cos(x - a_1) + t_1 + t_2 +
+    t_3 + cos(a_4 - x). Lines 1 to 4 move two adjacent terms: the fixed ones
+    ahead of them are summed into ``head`` first, and the ones after are added
+    one at a time, a missing one as 0.0, which adds exactly. Summing the later
+    fixed terms ahead would round differently, as (x + t3) + t4 need not be
+    x + (t3 + t4).
+    """
+    t = [math.cos(angles[r] - angles[s]) for r, s in _KCBS_PAIRS]
+    before, after, cos = angles[i - 1], angles[(i + 1) % 5], math.cos
+    wrap = i == 0
+    head = 0.0 if wrap else sum(t[:i - 1], 0.0)
+    u, v, w = t[1:4] if wrap else (t[i + 1:] + [0.0, 0.0, 0.0])[:3]
+    lo, hi = angles[i] - math.pi, angles[i] + math.pi
+    c, d = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
+    fc = (cos(c - after) + u + v + w + cos(before - c) if wrap
+          else head + cos(before - c) + cos(c - after) + u + v + w)
+    fd = (cos(d - after) + u + v + w + cos(before - d) if wrap
+          else head + cos(before - d) + cos(d - after) + u + v + w)
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_GOLDEN * (hi - lo)
+            fc = (cos(c - after) + u + v + w + cos(before - c) if wrap
+                  else head + cos(before - c) + cos(c - after) + u + v + w)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_GOLDEN * (hi - lo)
+            fd = (cos(d - after) + u + v + w + cos(before - d) if wrap
+                  else head + cos(before - d) + cos(d - after) + u + v + w)
+    return (lo + hi) / 2
+
+
+def _descend(objective, angles: np.ndarray, sweeps: int, tol: float):
+    """Cyclic coordinate descent, one ``_line_argmin`` per angle and sweep.
+
+    The lines read the cyclic cosine sum, which is ``objective`` up to
+    round-off (bit for bit for the temporal one); the start, the value after
+    each sweep and the convergence test call ``objective``."""
+    angles, line_tol = np.array(angles, dtype=float), min(tol, SEARCH_TOL)
     previous = objective(angles)
     for performed in range(1, sweeps + 1):
         for i in range(5):
-            angles[i] = golden_section_minimize(_temporal_line(angles, i), angles[i] - np.pi, angles[i] + np.pi,
-                                                tol=min(tol, SEARCH_TOL))
+            angles[i] = _line_argmin(angles.tolist(), i, line_tol)
         current = objective(angles)
         converged = performed >= 3 and previous - current < tol
         previous = current
@@ -235,10 +250,10 @@ def tsirelson_search_bell(resolution: int = 8, sweeps: int = 40, tol: float = SE
 def temporal_bound_kcbs(resolution: int = 8, tol: float = SEARCH_TOL, sweeps: int = 40) -> BoundResult:
     """Minimize the cyclic cosine sum over angle 5-tuples.
 
-    Coarse grid first, then cyclic golden-section descent whose line searches
-    read ``_temporal_line``, the closed form summed in the objective's order;
-    the search therefore takes the steps it would take calling the objective
-    on every trial.
+    Coarse grid first, then cyclic golden-section descent whose lines
+    (``_line_argmin``) write the objective out in each trial, summed in its
+    order; the search therefore takes the steps it would take calling the
+    objective on every trial.
     """
     return _angle_search("temporal-kcbs", temporal_objective, resolution, sweeps, tol)
 

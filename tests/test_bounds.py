@@ -117,7 +117,7 @@ class TestTsirelsonSearch:
         assert math.isfinite(res.optimum)
 
     @pytest.mark.parametrize("resolution", range(1, MAX_RESOLUTION + 1))
-    def test_screened_grid_start_is_the_full_grid_argmin(self, resolution, monkeypatch):
+    def test_start_is_the_full_grid_argmin(self, resolution, monkeypatch):
         # the Bell search starts on the shared start, which reads the r x r
         # table and builds only the row it picks; ties included, that row must
         # be the one the cosine sum picks over the whole built grid
@@ -173,9 +173,9 @@ class TestTemporalBound:
         assert temporal_objective(res.argument["angles"]) == pytest.approx(res.optimum, abs=1e-9)
 
     def test_default_search_pinned(self, temporal_search, monkeypatch):
-        # the line searches read ``_temporal_line``, so the objective runs
-        # only at the start and after each sweep; the converged optimum sits
-        # 1.5e-10 above the bound
+        # the line searches write the cosine sum out (``_line_argmin``), so
+        # the objective runs only at the start and after each sweep; the
+        # converged optimum sits 1.5e-10 above the bound
         objective, calls = bounds.temporal_objective, []
 
         def counted(angles):
@@ -197,10 +197,6 @@ class TestTemporalBound:
             -0.12567639509893253, 2.387604089234763, 4.900890932383913,
             1.1309785158198018, 3.644243692245352,
         ]
-
-    def test_temporal_line_checks_the_angle_count(self):
-        with pytest.raises(ValueError, match="5 angles"):
-            bounds._temporal_line([0.0] * 4, 0)
 
 
 class TestContextualBound:

@@ -19,7 +19,9 @@ and never reads above it inside it, the seesaw's closed-form line
 objective matches the cross-product form, and its cross product is numpy's
 bit for bit. The pentagon's four-chain pairwise reading equals its
 ten-chain form bit for bit. The angle searches' shared coarse start is also checked
-against its public scalar objective taken over the grid one tuple at a time. Every matrix a constructor stores
+against its public scalar objective taken over the grid one tuple at a time, and
+their written-out line and descent against the generic golden-section search on
+that objective, bit for bit. Every matrix a constructor stores
 (gate, slot observable and evolution, observable, density matrix) is
 accepted when drawn valid and rejected after one fault: a non-finite entry,
 a wrong shape, or its property broken by 1e-6."""
@@ -46,8 +48,9 @@ from contextsim.inequalities import (
     eval_transformed_bell,
     sigma_theta,
 )
-from contextsim.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
+from contextsim.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, SEARCH_TOL
 from contextsim.noise import NoiseModel, depolarize
+from contextsim.optimize import golden_section_minimize
 from contextsim.report import with_noise
 from contextsim.scattering import (
     TemporalCorrelationSpec,
@@ -682,11 +685,11 @@ def test_penalty_oracle_matches_off_the_near_collinear_band(kind, data):
 
 @pytest.mark.parametrize("kind", ["drawn", "grid", "collinear", "near-collinear"])
 @given(data=st.data())
-def test_bell_grid_screen_premise(kind, data):
-    # the premise the Bell grid screen read and the oracle's band rests on:
-    # the penalty sum_j (I - sigma_j x sigma_j)/2 is 0 on the pair state, 5 on
-    # the singlet and 5/2 -+ |sum_j exp(2i a_j)|/2 on the rest. The
-    # near-collinear scales put that second eigenvalue on both sides of 1e-9
+def test_second_penalty_eigenvalue_is_the_closed_form(kind, data):
+    # the premise the oracle's band rests on: the penalty
+    # sum_j (I - sigma_j x sigma_j)/2 is 0 on the pair state, 5 on the singlet
+    # and 5/2 -+ |sum_j exp(2i a_j)|/2 on the rest. The near-collinear scales
+    # put that second eigenvalue on both sides of 1e-9
     if kind == "near-collinear":
         five = data.draw(near_collinear_tuples(scales=(1e-5, 1e-4, 1e-3, 1e-2)))
     else:
@@ -703,18 +706,64 @@ def test_penalty_oracle_never_reads_above_in_the_near_collinear_band(five):
     assert _penalty_minimum(five) <= bounds.bell_constrained_objective(five) + 1e-13
 
 
-@pytest.mark.parametrize("kind", ["drawn", "grid", "collinear"])
-@given(data=st.data())
-def test_temporal_line_is_the_objective_bit_for_bit(kind, data):
-    # equality, not a tolerance: the line must steer golden section through
-    # the same comparisons as the public objective, which sums numpy cosines;
-    # a libm whose cos differs from numpy's fails here first
-    five = data.draw(cycle_tuples(kind))
-    for i in range(5):
-        x = data.draw(st.floats(five[i] - np.pi, five[i] + np.pi))
+def _objective_line(five, i):
+    """``temporal_objective`` along line i, a_i set to x: one objective call per trial."""
+    def value(x):
         trial = five.copy()
         trial[i] = x
-        assert bounds._temporal_line(five, i)(x) == bounds.temporal_objective(trial)
+        return bounds.temporal_objective(trial)
+    return value
+
+
+def _closure_descent(objective, angles, sweeps, tol):
+    """``bounds._descend`` as a generic golden-section search per line on
+    ``temporal_objective``, one call per trial."""
+    angles = np.array(angles, dtype=float)
+    previous = objective(angles)
+    for performed in range(1, sweeps + 1):
+        for i in range(5):
+            angles[i] = golden_section_minimize(_objective_line(angles, i), angles[i] - np.pi,
+                                                angles[i] + np.pi, tol=min(tol, SEARCH_TOL))
+        current = objective(angles)
+        converged = performed >= 3 and previous - current < tol
+        previous = current
+        if converged:
+            break
+    return angles, float(previous), performed, converged
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12, 1e-300])
+@pytest.mark.parametrize("kind", ["drawn", "grid", "collinear", "shifted"])
+@given(data=st.data())
+def test_line_argmin_is_the_golden_search_on_the_objective_bit_for_bit(kind, tol, data):
+    # equality, not a tolerance: the written-out line must steer golden
+    # section through the same comparisons as the public objective, which sums
+    # numpy cosines; a libm whose cos differs from numpy's fails here first.
+    # At 1e-300 the bracket never narrows that far, so the 200-step cap ends it
+    five = data.draw(cycle_tuples(kind))
+    for i in range(5):
+        oracle = golden_section_minimize(_objective_line(five, i), five[i] - np.pi, five[i] + np.pi, tol=tol)
+        assert bounds._line_argmin(five.tolist(), i, tol) == oracle
+
+
+def test_line_argmin_stops_at_the_step_cap():
+    # with all five angles at pi each line's bracket is [0, 2 pi]; the value is
+    # flat to round-off near 0, ties keep the left part, so the bracket closes
+    # on 0 past any float spacing and the 200-step cap alone ends the loop: one
+    # step fewer returns another midpoint
+    five = np.full(5, np.pi)
+    for i in range(5):
+        line = _objective_line(five, i)
+        oracle = golden_section_minimize(line, 0.0, 2 * np.pi, tol=1e-300)
+        assert oracle != golden_section_minimize(line, 0.0, 2 * np.pi, tol=1e-300, max_iter=199)
+        assert bounds._line_argmin(five.tolist(), i, 1e-300) == oracle
+
+
+@given(five=angle_tuples(), sweeps=st.sampled_from([1, 5, 40]), tol=st.sampled_from([1e-6, 1e-9, 1e-12]))
+def test_descent_is_the_closure_descent_bit_for_bit(five, sweeps, tol):
+    descent = bounds._descend(bounds.temporal_objective, five, sweeps, tol)
+    oracle = _closure_descent(bounds.temporal_objective, five, sweeps, tol)
+    assert (descent[0].tolist(), *descent[1:]) == (oracle[0].tolist(), *oracle[1:])
 
 
 @given(u=five_cycles(), data=st.data())
