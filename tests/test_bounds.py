@@ -198,6 +198,13 @@ class TestTemporalBound:
             1.1309785158198018, 3.644243692245352,
         ]
 
+    def test_temporal_line_checks_the_angle_count(self):
+        # the lines index a 5-tuple unchecked; the descent's start calls the
+        # public objective, which rejects any other angle count first
+        for objective in (bounds.temporal_objective, bounds.bell_constrained_objective):
+            with pytest.raises(ValueError, match="5 angles"):
+                bounds._descend(objective, [0.0] * 4, 1, 1e-9)
+
 
 class TestContextualBound:
     def test_symmetric_configuration_oracle(self):

@@ -732,18 +732,18 @@ def _closure_descent(objective, angles, sweeps, tol):
     return angles, float(previous), performed, converged
 
 
-@pytest.mark.parametrize("tol", [1e-9, 1e-12, 1e-300])
 @pytest.mark.parametrize("kind", ["drawn", "grid", "collinear", "shifted"])
 @given(data=st.data())
-def test_line_argmin_is_the_golden_search_on_the_objective_bit_for_bit(kind, tol, data):
+def test_temporal_line_is_the_objective_bit_for_bit(kind, data):
     # equality, not a tolerance: the written-out line must steer golden
     # section through the same comparisons as the public objective, which sums
     # numpy cosines; a libm whose cos differs from numpy's fails here first.
     # At 1e-300 the bracket never narrows that far, so the 200-step cap ends it
     five = data.draw(cycle_tuples(kind))
-    for i in range(5):
-        oracle = golden_section_minimize(_objective_line(five, i), five[i] - np.pi, five[i] + np.pi, tol=tol)
-        assert bounds._line_argmin(five.tolist(), i, tol) == oracle
+    for tol in (1e-9, 1e-12, 1e-300):
+        for i in range(5):
+            oracle = golden_section_minimize(_objective_line(five, i), five[i] - np.pi, five[i] + np.pi, tol=tol)
+            assert bounds._line_argmin(five.tolist(), i, tol) == oracle
 
 
 def test_line_argmin_stops_at_the_step_cap():
