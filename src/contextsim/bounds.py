@@ -69,13 +69,6 @@ class BoundResult:
     tolerance: float
 
 
-def _five(angles) -> np.ndarray:
-    angles = np.asarray(angles, dtype=float)
-    if angles.shape[-1:] != (5,):
-        raise ValueError("need exactly 5 angles")
-    return angles
-
-
 def _one_tuple(angles) -> np.ndarray:
     """A public objective's angles, checked: one 5-tuple, never a stack."""
     angles = checked_angles(angles, "angles")
@@ -106,9 +99,9 @@ def bell_constrained_objective(angles) -> float:
     return float((_PHI_PLUS @ bell_operator(angles) @ _PHI_PLUS).real)
 
 
-def _cycle_cosines(angles) -> np.ndarray:
-    """The cyclic cosine sum of a 5-tuple or of each row of an (M, 5) stack."""
-    angles = _five(angles)
+def _cycle_cosines(angles: np.ndarray) -> np.ndarray:
+    """The cyclic cosine sum of a float 5-tuple or of each row of an (M, 5)
+    stack, unchecked: the public objectives check their angles first."""
     return sum(np.cos(angles - angles.take(_NEXT, axis=-1)).T)
 
 

@@ -28,11 +28,6 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 HADAMARD.setflags(write=False)
 
 
-def ry_matrix(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
 @dataclass(frozen=True)
 class GateOp:
     """One gate: a unitary on ``targets``, optionally conditioned on a control.

@@ -32,15 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (CONSTRAINT_ATOL, PAULI_Z, PAULIS, VERDICT_EPS, checked_angles, checked_matrix,
-                     conjugated, sigma_theta_matrix)
-from .scattering import (
-    TemporalCorrelationSpec,
-    sigma_theta_evolution,
-    slot,
-    stack_correlators_direct,
-    stack_correlators_scattering,
-)
+from .linalg import CONSTRAINT_ATOL, PAULIS, VERDICT_EPS, checked_angles, checked_matrix, sigma_theta_matrix
+from .scattering import TemporalCorrelationSpec, slot, stack_correlators_direct, stack_correlators_scattering
 from .sequential import stack_correlators_sequential
 from .states import QuantumState
 
@@ -177,13 +170,17 @@ def pm_observable(label: str) -> Observable:
     return Observable(matrix=np.kron(PAULIS[left], PAULIS[right]), label=label)
 
 
+# the five pentagram directions sigma(-4*pi*j/5), j = 0..4, read-only: row 0 is sigma_z
+_PENTAGRAM = sigma_theta_matrix(-4 * np.pi * np.arange(5) / 5)
+_PENTAGRAM.setflags(write=False)
+
+
 def pentagram_observable(j: int) -> Observable:
     """The j-th of five single-qubit directions stepping by 4*pi/5 in the x-z
     plane; j = 0 is sigma_z."""
     if not 0 <= j <= 4:
         raise ValueError(f"pentagram index {j} out of 0..4")
-    u = sigma_theta_evolution(-4 * np.pi * j / 5)
-    return Observable(matrix=conjugated(PAULI_Z, u), label=f"sigma_{j}")
+    return Observable(matrix=_PENTAGRAM[j], label=f"sigma_{j}")
 
 
 def _spec_values(state: QuantumState, stack: np.ndarray, method: str) -> list[float]:
@@ -214,16 +211,12 @@ def eval_pm(state: QuantumState, method: str = "direct") -> InequalityReport:
 
 
 def _kcbs_cycle(theta) -> np.ndarray:
-    """The five blocks (Z, th, Z, th, Z) of the alternating cycle, one stack of
-    shape ``theta.shape + (5, 2, 2)`` that a cycle report indexes for its
-    ``(T, 2, 2, 2)`` stack of pairs: Z is ``_Z_SLOT.block``, th is
-    ``slot((PAULI_Z,), U).block`` with U = sigma_theta_evolution(theta), bit for
-    bit. Unchecked: each caller checks its angles where they enter."""
-    th = conjugated(PAULI_Z, sigma_theta_evolution(theta))
-    cycle = np.empty(th.shape[:-2] + (5, 2, 2), dtype=complex)
-    cycle[..., 0::2, :, :] = _Z_SLOT.block
-    cycle[..., 1::2, :, :] = th[..., None, :, :]
-    return cycle
+    """The five blocks (Z, th, Z, th, Z) of the alternating cycle, sigma(0) and
+    sigma(theta) in one ``sigma_theta_matrix`` call, a stack of shape
+    ``theta.shape + (5, 2, 2)`` that a cycle report indexes for its
+    ``(T, 2, 2, 2)`` stack of pairs. sigma(0) is sigma_z exactly. Unchecked:
+    each caller checks its angles where they enter."""
+    return sigma_theta_matrix(np.multiply.outer(theta, (0, 1, 0, 1, 0)))
 
 
 # the five-cycle's one edge list, (r, r + 1) in order: the kcbs and Bell pairs, the searches' sums
@@ -258,15 +251,13 @@ def eval_pentagon_lg(state: QuantumState, theta: float, method: str = "direct") 
 
 
 def _bell_term(r: int, q: int) -> TemporalCorrelationSpec:
-    """One slot measuring A_r x B_q: Z x Z read through the pentagram rotations."""
-    evo = np.kron(*(sigma_theta_evolution(-4 * np.pi * j / 5) for j in (r, q)))
-    return TemporalCorrelationSpec(system_qubits=2, slots=(slot((PAULI_Z, PAULI_Z), evo),))
+    """One slot measuring A_r x B_q, the pentagram directions r and q."""
+    return TemporalCorrelationSpec(system_qubits=2, slots=(slot((_PENTAGRAM[r], _PENTAGRAM[q])),))
 
 
-# Built from checked slots once, at import: the Z slot of every cycle, and the
-# read-only block stacks of the square's six contexts and of the five Bell
-# terms followed by their five side conditions <A_j B_j>.
-_Z_SLOT = slot((PAULI_Z,))
+# Built from checked slots once, at import: the read-only block stacks of the
+# square's six contexts and of the five Bell terms followed by their five side
+# conditions <A_j B_j>.
 _PM_STACK = np.stack([_pm_term(seq).blocks for seq in PM_CONTEXTS])
 _BELL_STACK = np.stack([_bell_term(r, s).blocks for r, s in _KCBS_PAIRS]
                        + [_bell_term(j, j).blocks for j in range(5)])

@@ -1,6 +1,8 @@
 """Dense complex matrix helpers for dimensions up to 16: the tolerance table
 (every tolerance of the package, named once below the imports with where its
-value comes from), the Pauli matrices, sigma(theta), U^dag O U, and validation.
+value comes from), the Pauli matrices, the package's one sigma(theta)
+(:func:`sigma_theta_matrix`, read by every cycle, pentagram and Bell block and
+by the Bell search), U^dag O U, and validation.
 
 All operators that this package stores are plain ``numpy.ndarray`` values of
 dtype complex128 in row-major order. One computation works on float64 real

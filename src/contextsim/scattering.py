@@ -39,7 +39,7 @@ from functools import reduce
 
 import numpy as np
 
-from .circuits import HADAMARD, Circuit, GateOp, embed, hadamard, renormalized, ry_matrix
+from .circuits import HADAMARD, Circuit, GateOp, embed, hadamard, renormalized
 from .linalg import PAULI_X, PAULI_Y, PAULI_Z, checked_count, checked_matrix, conjugated
 from .states import MAX_QUBITS, QuantumState, density_of, haar_random_unitary
 
@@ -95,12 +95,6 @@ def slot(observables, evolution: np.ndarray | None = None) -> TimeSlot:
     if evolution is None:
         evolution = np.eye(2 ** len(obs), dtype=complex)
     return TimeSlot(observables=obs, evolution=evolution)
-
-
-def sigma_theta_evolution(theta) -> np.ndarray:
-    """Unitary U with U^dag sigma_z U = cos(theta) sigma_z + sin(theta) sigma_x;
-    an array of angles gives a stack of shape ``theta.shape + (2, 2)``."""
-    return np.moveaxis(ry_matrix(-np.asarray(theta)), (0, 1), (-2, -1))
 
 
 def heisenberg_observable(ts: TimeSlot) -> np.ndarray:

@@ -10,7 +10,6 @@ from contextsim.circuits import (
     evolve,
     full_gate_matrix,
     hadamard,
-    ry_matrix,
 )
 from contextsim.linalg import PAULI_I, PAULI_X, PAULI_Z
 from contextsim.states import (
@@ -23,6 +22,12 @@ from contextsim.states import (
     random_pure_state,
 )
 from contextsim.noise import depolarize
+
+
+def ry(theta):
+    """The y rotation exp(-i theta sigma_y / 2), a sample gate."""
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return np.array([[c, -s], [s, c]], dtype=complex)
 
 
 def cnot(control, target):
@@ -48,14 +53,6 @@ class TestStandardGates:
     def test_hadamard_on_zero(self):
         out = apply(Circuit(1, (hadamard(0),)), basis_state(1, "0"))
         assert np.allclose(out.amplitudes, np.array([1, 1]) / np.sqrt(2))
-
-    def test_ry_conjugation_rotates_z_to_x(self):
-        # 2x2 multiplication check of both conjugation orientations
-        u = ry_matrix(np.pi / 2)
-        assert np.allclose(u @ PAULI_Z @ u.conj().T, PAULI_X, atol=1e-12)
-        assert np.allclose(
-            ry_matrix(-np.pi / 2).conj().T @ PAULI_Z @ ry_matrix(-np.pi / 2), PAULI_X, atol=1e-12
-        )
 
     def test_cnot_truth_table(self):
         out = apply(Circuit(2, (cnot(0, 1),)), basis_state(2, "10"))
@@ -210,7 +207,7 @@ class TestApply:
         rng = np.random.default_rng(4)
         ops = (
             hadamard(0),
-            GateOp("RY", ry_matrix(0.7), (1,)),
+            GateOp("RY", ry(0.7), (1,)),
             cnot(0, 1),
             GateOp("RZ", np.diag(np.exp([0.55j, -0.55j])), (0,)),
             GateOp("ctrl-U", haar_random_unitary(2, rng), (0,), control=1),
@@ -247,7 +244,7 @@ class TestApply:
 
     def test_norm_trace_positivity_preserved(self):
         rng = np.random.default_rng(6)
-        circ = Circuit(2, (hadamard(1), cnot(1, 0), GateOp("RY", ry_matrix(2.2), (0,))))
+        circ = Circuit(2, (hadamard(1), cnot(1, 0), GateOp("RY", ry(2.2), (0,))))
         pure = apply(circ, random_pure_state(2, 7))
         assert abs(np.vdot(pure.amplitudes, pure.amplitudes).real - 1) < 1e-9
         mixed = apply(circ, mixed_state(np.eye(4) / 4))

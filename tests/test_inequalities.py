@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from contextsim import inequalities, scattering
+from contextsim import inequalities
 from contextsim.inequalities import (
     CONSTRAINT_ATOL,
     METHODS,
@@ -19,10 +19,9 @@ from contextsim.inequalities import (
     pm_observable,
     sigma_theta,
 )
-from contextsim.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, conjugated
+from contextsim.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, sigma_theta_matrix
 from contextsim.noise import NoiseModel, depolarize
 from contextsim.report import with_noise
-from contextsim.scattering import sigma_theta_evolution, slot
 from contextsim.sequential import correlator_sequential
 from contextsim.states import (
     basis_state,
@@ -212,28 +211,26 @@ class TestPentagram:
 
 
 class TestOneCycle:
-    """Every cycle block U^dag Z U is the one product ``linalg.conjugated``."""
+    """Every cycle, pentagram and Bell block is ``linalg.sigma_theta_matrix``."""
 
     @pytest.mark.parametrize("j", range(5))
-    def test_pentagram_observable_is_the_slot_block_at_its_angle(self, j):
-        u = sigma_theta_evolution(-4 * np.pi * j / 5)
-        block = conjugated(PAULI_Z, u).tobytes()
-        assert pentagram_observable(j).matrix.tobytes() == block
-        assert slot((PAULI_Z,), u).block.tobytes() == block
+    def test_pentagram_observable_is_sigma_theta_at_its_angle(self, j):
+        assert pentagram_observable(j).matrix.tobytes() == sigma_theta_matrix(-4 * np.pi * j / 5).tobytes()
 
-    def test_every_block_is_the_one_product(self, monkeypatch):
+    def test_every_block_is_the_one_sigma(self, monkeypatch):
+        # a cycle is one call on its (..., 5) angles; the pentagram directions
+        # and the Bell terms read the stack built at import, with no call
         calls = []
 
-        def counted(o, u):
-            calls.append(u.shape)
-            return conjugated(o, u)
+        def counted(theta):
+            calls.append(np.shape(theta))
+            return sigma_theta_matrix(theta)
 
-        for module in (inequalities, scattering):
-            monkeypatch.setattr(module, "conjugated", counted)
+        monkeypatch.setattr(inequalities, "sigma_theta_matrix", counted)
         inequalities._kcbs_cycle(np.array([0.3, 1.2]))
         pentagram_observable(2)
-        slot((PAULI_Z, PAULI_X), np.kron(PAULI_X, PAULI_I))
-        assert calls == [(2, 2, 2), (2, 2), (4, 4)]
+        inequalities._bell_term(1, 2)
+        assert calls == [(2, 5)]
 
 
 class TestEvalTransformedBell:

@@ -204,6 +204,13 @@ class TestHermitianEigen:
         assert np.array_equal(sigma_theta_matrix(0.0), PAULI_Z)
         assert np.allclose(np.linalg.eigvalsh(sigma_theta_matrix(0.0)), [-1.0, 1.0])
 
+    def test_sigma_theta_stack_matches_each_angle(self):
+        thetas = np.linspace(-np.pi, np.pi, 12).reshape(3, 4)
+        stack = sigma_theta_matrix(thetas)
+        assert stack.shape == (3, 4, 2, 2)
+        for idx in np.ndindex(thetas.shape):
+            assert stack[idx].tobytes() == sigma_theta_matrix(thetas[idx]).tobytes()
+
     def test_rotated_direction_spectrum(self):
         # characteristic polynomial of cos*Z + sin*X is l^2 - 1
         for theta in np.linspace(0, 2 * np.pi, 13):

@@ -2,9 +2,11 @@
 chains: gate matrices and circuit application match a dense permutation
 oracle, the three correlator routes agree term by term and on two-slot specs,
 a report's values equal each spec's lone route call bit for bit on every
-route, a drawn stack read in one call on each route equals each spec's lone
-call bit for bit, the probe matches the trace form on specs of up to six slots and equals the
-checked circuit on a probe-extended state bit for bit, Lüders chains
+route, the cycle's blocks are sigma_theta_matrix's own bits and Z read
+through a y rotation is sigma(theta) to round-off, a drawn stack read in one
+call on each route equals each spec's lone call bit for bit, the probe
+matches the trace form on specs of up to six slots and equals the checked
+circuit on a probe-extended state bit for bit, Lüders chains
 match a closed-form oracle and marginalize to their prefixes, a batch of
 chains matches each chain run alone and rejects a non-dichotomic observable
 at any position, a real chain runs in float64 and matches complex arithmetic
@@ -48,7 +50,7 @@ from contextsim.inequalities import (
     eval_transformed_bell,
     sigma_theta,
 )
-from contextsim.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, SEARCH_TOL
+from contextsim.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, SEARCH_TOL, conjugated, sigma_theta_matrix
 from contextsim.noise import NoiseModel, depolarize
 from contextsim.optimize import golden_section_minimize
 from contextsim.report import with_noise
@@ -60,7 +62,6 @@ from contextsim.scattering import (
     correlator_scattering,
     heisenberg_observable,
     probe_sigma_z,
-    sigma_theta_evolution,
     slot,
     stack_correlators_direct,
     stack_correlators_scattering,
@@ -316,15 +317,18 @@ LONE_CALLS = {
 
 def _slot_built_specs(name, theta, report):
     """The spec of each row of a report's block stack, built from checked
-    slots: its terms, then its side conditions. A cycle term X{i}.X{j} is the
-    pair of slots i and j of (Z, th, Z, th, Z)."""
+    slots of scalar ``sigma_theta_matrix`` calls: its terms, then its side
+    conditions. A cycle term X{i}.X{j} is the pair of slots i and j of
+    (sigma(0), sigma(theta), sigma(0), sigma(theta), sigma(0)); a Bell term
+    A{r}.B{q} is one slot of sigma(-4*pi*r/5) x sigma(-4*pi*q/5)."""
     if name == "pm":
         return [inequalities._pm_term(seq) for seq in PM_CONTEXTS]
     if name == "bell":
-        terms = [inequalities._bell_term(r, (r + 1) % 5) for r in range(5)]
-        return terms + [inequalities._bell_term(j, j) for j in range(5)]
-    z, th = slot((PAULI_Z,)), slot((PAULI_Z,), sigma_theta_evolution(theta))
-    cycle = (z, th, z, th, z)
+        labels = [label for label, _ in report.terms + report.constraints]
+        return [TemporalCorrelationSpec(2, (slot(sigma_theta_matrix(-4 * np.pi * int(j) / 5)
+                                                 for j in label[1::3]),))
+                for label in labels]
+    cycle = [slot((sigma_theta_matrix(theta if k % 2 else 0.0),)) for k in range(5)]
     pairs = [[int(x[1:]) - 1 for x in label.split(".")] for label, _ in report.terms]
     return [TemporalCorrelationSpec(1, (cycle[i], cycle[j])) for i, j in pairs]
 
@@ -335,7 +339,10 @@ def _slot_built_specs(name, theta, report):
 def test_report_reads_each_spec_as_its_lone_call_bit_for_bit(name, method, data):
     # a report reads one block stack in one route call; each row must hold the
     # blocks of the equivalent slot-built spec, and each value must equal that
-    # spec's own route call in every bit, so the batch sums in the same order
+    # spec's own route call in every bit, so the batch sums in the same order.
+    # A cycle row is sigma_theta_matrix's own output, where a slot's identity
+    # evolution may turn the sign of a zero entry (-0.0 == 0.0), so rows and
+    # values compare as numbers; the cycle's bytes are checked below
     qubits, evaluate = EVALUATORS[name]
     state = data.draw(states(qubits, real=data.draw(st.booleans())))
     theta = data.draw(angles)
@@ -343,18 +350,39 @@ def test_report_reads_each_spec_as_its_lone_call_bit_for_bit(name, method, data)
         report = evaluate(state, theta, method)
     [call] = read.call_args_list
     stack, specs = call.args[1], _slot_built_specs(name, theta, report)
-    assert [row.tobytes() for row in stack] == [spec.blocks.tobytes() for spec in specs]
+    assert len(stack) == len(specs)
+    assert all(np.array_equal(row, spec.blocks) for row, spec in zip(stack, specs))
     lone = [LONE_CALLS[method](state, spec) for spec in specs]
-    assert [v.hex() for v in _values(report)] == [v.hex() for v in lone]
+    assert _values(report) == lone
 
 
-@given(theta=angles)
-def test_cycle_blocks_are_the_slot_blocks_bit_for_bit(theta):
-    th = slot((PAULI_Z,), sigma_theta_evolution(theta)).block
-    z = inequalities._Z_SLOT.block
+@given(theta=angles, more=st.lists(angles, max_size=8))
+def test_cycle_blocks_are_sigma_theta_bit_for_bit(theta, more):
+    # sigma(0) is Z exactly, and each theta block holds the scalar call's
+    # bits, for one angle and for each angle of a stack
+    th = sigma_theta_matrix(theta)
     cycle = inequalities._kcbs_cycle(theta)
     assert cycle.shape == (5, 2, 2)
-    assert [b.tobytes() for b in cycle] == [m.tobytes() for m in (z, th, z, th, z)]
+    assert [b.tobytes() for b in cycle] == [m.tobytes() for m in (PAULI_Z, th, PAULI_Z, th, PAULI_Z)]
+    stack = inequalities._kcbs_cycle(np.array(more, dtype=float))
+    assert stack.shape == (len(more), 5, 2, 2)
+    assert [c.tobytes() for c in stack] == [inequalities._kcbs_cycle(t).tobytes() for t in more]
+
+
+def _rotation(theta):
+    """R(theta) = exp(i theta sigma_y / 2), with R^dag Z R = sigma(theta); an
+    array of angles gives a stack of shape ``theta.shape + (2, 2)``."""
+    c, s = np.cos(np.asarray(theta) / 2), np.sin(np.asarray(theta) / 2)
+    return np.moveaxis(np.array([[c, s], [-s, c]], dtype=complex), (0, 1), (-2, -1))
+
+
+@given(theta=angles, more=st.lists(angles, min_size=1, max_size=8))
+def test_rotated_z_slot_is_sigma_theta(theta, more):
+    # the rotation picture: Z read through R(theta) is sigma(theta) to
+    # round-off, as a slot's block for one angle and as one stacked product
+    assert np.abs(slot((PAULI_Z,), _rotation(theta)).block - sigma_theta_matrix(theta)).max() <= 1e-15
+    more = np.array(more)
+    assert np.abs(conjugated(PAULI_Z, _rotation(more)) - sigma_theta_matrix(more)).max() <= 1e-15
 
 
 @st.composite

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from contextsim import circuits
-from contextsim.circuits import apply, full_gate_matrix, ry_matrix
+from contextsim.circuits import apply, full_gate_matrix
 from contextsim.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
 from contextsim.scattering import (
     TemporalCorrelationSpec,
@@ -19,7 +19,6 @@ from contextsim.scattering import (
     probe_sigma_z,
     random_correlation_spec,
     random_dichotomic,
-    sigma_theta_evolution,
     slot,
 )
 from contextsim.states import (
@@ -54,22 +53,10 @@ class TestHeisenbergObservable:
         assert np.allclose(heisenberg_observable(ts), np.kron(PAULI_Z, PAULI_I))
 
     def test_rotation_turns_z_into_x(self):
-        ts = slot((PAULI_Z,), sigma_theta_evolution(np.pi / 2))
+        # exp(i pi sigma_y / 4) turns Z into X
+        u = np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)
+        ts = slot((PAULI_Z,), u)
         assert np.allclose(heisenberg_observable(ts), PAULI_X, atol=1e-12)
-
-    def test_sigma_theta_evolution_general_angle(self):
-        for theta in np.linspace(-np.pi, np.pi, 9):
-            ts = slot((PAULI_Z,), sigma_theta_evolution(theta))
-            expected = np.cos(theta) * PAULI_Z + np.sin(theta) * PAULI_X
-            assert np.allclose(heisenberg_observable(ts), expected, atol=1e-12)
-
-    def test_sigma_theta_evolution_stack_matches_each_angle(self):
-        thetas = np.linspace(-np.pi, np.pi, 12).reshape(3, 4)
-        stack = sigma_theta_evolution(thetas)
-        assert stack.shape == (3, 4, 2, 2)
-        for idx in np.ndindex(thetas.shape):
-            assert np.array_equal(stack[idx], sigma_theta_evolution(thetas[idx]))
-            assert np.array_equal(stack[idx], ry_matrix(-thetas[idx]))
 
     def test_conjugation_preserves_dichotomic_spectrum(self):
         rng = np.random.default_rng(0)
