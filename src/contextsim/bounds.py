@@ -42,6 +42,7 @@ import numpy as np
 from .linalg import (PIN_FLOOR, PLANE_FLOOR, REPLACE_MARGIN, SEARCH_TOL, SEESAW_LINE_TOL, START_FLOOR, checked_angles,
                      checked_count, checked_real, checked_reals, sigma_theta_matrix)
 from .inequalities import _KCBS_PAIRS, _PENTAGON_PAIRS, BELL_TERM, _kcbs_cycle
+from . import optimize
 from .optimize import _INV_GOLDEN, golden_section_minimize
 from .sequential import joint_distribution
 from .states import bell_phi_plus, mixed_state
@@ -57,6 +58,7 @@ TARGETS = ("bell-kcbs", "temporal-kcbs", "contextual-kcbs", "pentagon-lg")
 _NEXT = np.array([s for _, s in _KCBS_PAIRS])  # successor of each angle around the cycle
 
 _PHI_PLUS = bell_phi_plus().amplitudes  # (|00> + |11>)/sqrt(2), the pair state of the side condition
+_HALF_IDENTITY = mixed_state(np.eye(2) / 2)  # I/2, the state both pentagon readings measure
 
 
 @dataclass(frozen=True)
@@ -161,7 +163,7 @@ def _line_argmin(angles: list, i: int, tol: float) -> float:
     descent, where only a_i moves, over [a_i - pi, a_i + pi].
 
     The loop is ``golden_section_minimize``'s step for step: its trial
-    points, its fc <= fd rule, its 200-step cap and its midpoint. Each trial
+    points, its fc <= fd rule, its ``MAX_STEPS`` cap and its midpoint. Each trial
     writes the line's value out instead of calling a function, and adds its
     five terms in cycle order, as ``_cycle_cosines`` does, so it equals the
     objective bit for bit. The fixed terms t_r = cos(a_r - a_{r+1}) are taken
@@ -183,7 +185,7 @@ def _line_argmin(angles: list, i: int, tol: float) -> float:
           else head + cos(before - c) + cos(c - after) + u + v + w)
     fd = (cos(d - after) + u + v + w + cos(before - d) if wrap
           else head + cos(before - d) + cos(d - after) + u + v + w)
-    for _ in range(200):
+    for _ in range(optimize.MAX_STEPS):
         if hi - lo <= tol:
             break
         if fc <= fd:
@@ -430,7 +432,7 @@ def pentagon_pairwise_value(theta):
     reads its parities' value."""
     theta = checked_angles(theta, "theta")
     chains = _kcbs_cycle(theta)[..., _PARITY_PAIRS, :, :]  # theta.shape + (4, 2, 2, 2)
-    values = joint_distribution(mixed_state(np.eye(2) / 2), chains).correlator()
+    values = joint_distribution(_HALF_IDENTITY, chains).correlator()
     # summed in pair order, as the evaluator sums its terms
     return _one_or_many(theta, sum(values[..., m] for m in _PAIR_PARITY))
 
@@ -440,7 +442,7 @@ def pentagon_invasive_value(theta):
     observables measured in order on I/2, pair correlators taken from the
     joint outcome distribution. An array of angles gives an array of sums."""
     theta = checked_angles(theta, "theta")
-    dist = joint_distribution(mixed_state(np.eye(2) / 2), _kcbs_cycle(theta))
+    dist = joint_distribution(_HALF_IDENTITY, _kcbs_cycle(theta))
     return _one_or_many(theta, sum(dist.correlator(pair) for pair in _PENTAGON_PAIRS))
 
 

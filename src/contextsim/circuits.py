@@ -1,18 +1,17 @@
 """Gate set and circuit application, including the controlled blocks used by
 the probe-readout construction.
 
-The gate kernel ``_on_rows`` views an operand of 2^n x r as a ``[2] * n``
-tensor (qubit 0 the leftmost axis): a gate is one matrix product on a view
-with its target axes moved first, a controlled gate's view being its control
-slice. Gates compose left to right; a state vector is one column, and a mixed
-state maps to U (U rho)^dag = U rho U^dag because a stored rho is exactly
-Hermitian. It runs one operand at a time, for ``apply``, ``embed`` and the
-reference ``scattering.build_scattering_circuit``; the probe route runs its
-fixed wiring as plain products in ``scattering._probe_circuit``.
-
-``apply`` runs a circuit on a checked ``QuantumState``; ``evolve`` runs it
-on a bare vector or density matrix and checks nothing. ``renormalized`` is
-the last step of both, shared with the probe route.
+``apply`` is the one entry point: it runs a circuit on a checked
+``QuantumState``. Its gate kernel ``_on_rows`` takes one operand, a state
+vector ``(2^n,)`` or a ``(2^n, r)`` matrix, viewed as a ``[2] * n`` tensor
+(qubit 0 the leftmost axis) with the columns last: a gate is one matrix
+product on a view with its target axes moved first, a controlled gate's view
+being its control slice. Gates compose left to right; a mixed state maps to
+U (U rho)^dag = U rho U^dag because a stored rho is exactly Hermitian. The
+kernel also serves ``embed`` and so the reference
+``scattering.build_scattering_circuit``; the probe route runs its fixed wiring
+as plain products in ``scattering._probe_circuit``. ``renormalized`` is the
+last step of both.
 """
 
 from __future__ import annotations
@@ -77,29 +76,28 @@ def hadamard(target: int) -> GateOp:
     return GateOp("H", HADAMARD, (target,))
 
 
-def _on_rows(ops, rows: np.ndarray, n: int) -> np.ndarray:
-    """Apply gates in order to the register axis of a ``(T, 2^n, r)`` stack of
-    operands (or a ``(T, 2^n)`` stack of vectors); returns a new array of the
-    stack's shape. Each gate is one product on a transposed view with the
-    batch axis, then its targets first, in gate order; a control slice drops
-    its axis, shifting the targets above it. The working copy is C-ordered
-    whatever the stack's memory order."""
-    t = np.array(rows, dtype=complex, order="C").reshape([len(rows)] + [2] * n + [-1])
+def _on_rows(ops, operand: np.ndarray, n: int) -> np.ndarray:
+    """Apply gates in order to the register axis of a ``(2^n, r)`` operand (or
+    a ``(2^n,)`` vector); returns a new array of the operand's shape. Each gate
+    is one product on a transposed view with its targets first, in gate order;
+    a control slice drops its axis, shifting the targets above it. The working
+    copy is C-ordered whatever the operand's memory order."""
+    t = np.array(operand, dtype=complex, order="C").reshape([2] * n + [-1])
     for op in ops:
         view, targets = t, op.targets
         if op.control is not None:
-            view = t[(slice(None),) * (op.control + 1) + (op.control_on,)]
+            view = t[(slice(None),) * op.control + (op.control_on,)]
             targets = tuple(q - (q > op.control) for q in targets)
         if targets != tuple(range(len(targets))):  # not already first, in order
-            rest = (q for q in range(view.ndim - 1) if q not in targets)
-            view = view.transpose((0, *(q + 1 for q in (*targets, *rest))))
-        view[...] = (op.matrix @ view.reshape(len(t), op.matrix.shape[-1], -1)).reshape(view.shape)
-    return t.reshape(rows.shape)
+            rest = (q for q in range(view.ndim) if q not in targets)
+            view = view.transpose((*targets, *rest))
+        view[...] = (op.matrix @ view.reshape(op.matrix.shape[-1], -1)).reshape(view.shape)
+    return t.reshape(operand.shape)
 
 
 def full_gate_matrix(op: GateOp, n: int) -> np.ndarray:
     """The 2^n x 2^n unitary implemented by one gate op."""
-    return _on_rows((op,), np.eye(2 ** n, dtype=complex)[None], n)[0]
+    return _on_rows((op,), np.eye(2 ** n, dtype=complex), n)
 
 
 def embed(u: np.ndarray, targets, n: int) -> np.ndarray:
@@ -121,22 +119,13 @@ def renormalized(out: np.ndarray) -> np.ndarray:
     return out / np.trace(out, axis1=-2, axis2=-1).real[:, None, None]
 
 
-def evolve(circuit: Circuit, operand: np.ndarray) -> np.ndarray:
-    """Run a circuit on a state vector (renormalized) or a density matrix
-    (mapped as U rho U^dag, renormalized to unit trace); unchecked."""
-    ops, n = circuit.ops, circuit.qubits
-    out = _on_rows(ops, operand[None], n)
-    if operand.ndim == 2:
-        out = _on_rows(ops, out.conj().swapaxes(-1, -2), n)
-    return renormalized(out)[0]
-
-
 def apply(circuit: Circuit, state: QuantumState) -> QuantumState:
-    """Run a circuit on a state; pure stays pure, mixed maps as U rho U^dag."""
-    if circuit.qubits != state.qubits:
-        raise ValueError(
-            f"circuit on {circuit.qubits} qubits cannot act on a {state.qubits}-qubit state"
-        )
+    """Run a circuit on a state; pure stays pure (renormalized), mixed maps as
+    U rho U^dag (renormalized to unit trace)."""
+    ops, n = circuit.ops, circuit.qubits
+    if n != state.qubits:
+        raise ValueError(f"circuit on {n} qubits cannot act on a {state.qubits}-qubit state")
     if state.is_pure:
-        return QuantumState(qubits=state.qubits, amplitudes=evolve(circuit, state.amplitudes))
-    return QuantumState(qubits=state.qubits, rho=evolve(circuit, state.rho))
+        return QuantumState(qubits=n, amplitudes=renormalized(_on_rows(ops, state.amplitudes, n)[None])[0])
+    out = _on_rows(ops, _on_rows(ops, state.rho, n).conj().T, n)
+    return QuantumState(qubits=n, rho=renormalized(out[None])[0])

@@ -8,18 +8,19 @@ from .linalg import SEARCH_TOL
 
 _INV_GOLDEN = 0.6180339887498949
 
+MAX_STEPS = 200  # shrink steps before a golden-section search stops, narrowed or not
+
 
 def golden_section_minimize(
     f: Callable[[float], float],
     lo: float,
     hi: float,
     tol: float = SEARCH_TOL,
-    max_iter: int = 200,
 ) -> float:
     """Minimize a unimodal scalar function on [lo, hi].
 
     Returns the midpoint of the interval once it is narrowed below ``tol`` (or
-    after ``max_iter`` shrink steps); ``f`` is called twice to start and once
+    after ``MAX_STEPS`` shrink steps); ``f`` is called twice to start and once
     per shrink step.
     """
     if not hi > lo:
@@ -28,7 +29,7 @@ def golden_section_minimize(
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(MAX_STEPS):
         if b - a <= tol:
             break
         if fc <= fd:

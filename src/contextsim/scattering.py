@@ -134,7 +134,7 @@ def probe_sigma_y(state: QuantumState) -> float:
 def _probe_circuit(stack: np.ndarray, operand: np.ndarray) -> np.ndarray:
     """Each spec's probe circuit, for a ``(T, k, d, d)`` block stack, on a
     ``(T, 2d)`` stack of vectors or a ``(T, 2d, 2d)`` stack of density matrices
-    (a second pass on the conjugate transpose), renormalized as by ``evolve``.
+    (a second pass on the conjugate transpose), renormalized as by ``circuits.apply``.
     Viewed as ``(T, 2, d, r)``, H is one product on the probe axis and a block
     one product on the probe's |1> half; the operand is only read, in any layout."""
     def one_pass(rows):

@@ -153,5 +153,8 @@ def state_from_literal(literal: str) -> QuantumState:
                 pairs.append(complex(float(fields[0]), float(fields[1])))
             except ValueError as exc:
                 raise ValueError(f"bad state file {literal!r}: line {n} {line.strip()!r}: {exc}") from None
-        return pure_state(np.array(pairs, dtype=complex))
+        try:
+            return pure_state(np.array(pairs, dtype=complex))
+        except ValueError as exc:  # no amplitudes, a count that is not a power of two, not normalized
+            raise ValueError(f"bad state file {literal!r}: {exc}") from None
     raise ValueError(f"unrecognized state literal {literal!r}")

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from contextsim import circuits
 from contextsim.circuits import (
     Circuit,
     GateOp,
     apply,
     embed,
-    evolve,
     full_gate_matrix,
     hadamard,
 )
@@ -174,22 +172,20 @@ class TestEvolveAxisBookkeeping:
         circ, full = self._gate_and_oracle()
         rng = np.random.default_rng(12)
         psi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        psi /= np.linalg.norm(psi)
-        psi.setflags(write=False)  # as a QuantumState stores it
-        before = psi.copy()
-        assert np.max(np.abs(evolve(circ, psi) - full @ psi)) < 1e-12
-        assert np.array_equal(psi, before)
+        state = pure_state(psi / np.linalg.norm(psi))
+        before = state.amplitudes.copy()
+        assert np.max(np.abs(apply(circ, state).amplitudes - full @ state.amplitudes)) < 1e-12
+        assert np.array_equal(state.amplitudes, before)
 
     def test_mixed_matches_permuted_kron_oracle(self):
         circ, full = self._gate_and_oracle()
         rng = np.random.default_rng(13)
         a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         rho = a @ a.conj().T
-        rho = (rho + rho.conj().T) / (2 * np.trace(rho).real)
-        rho.setflags(write=False)
-        before = rho.copy()
-        assert np.max(np.abs(evolve(circ, rho) - full @ rho @ full.conj().T)) < 1e-12
-        assert np.array_equal(rho, before)
+        state = mixed_state((rho + rho.conj().T) / (2 * np.trace(rho).real))
+        before = state.rho.copy()
+        assert np.max(np.abs(apply(circ, state).rho - full @ state.rho @ full.conj().T)) < 1e-12
+        assert np.array_equal(state.rho, before)
 
 
 class TestApply:
@@ -223,17 +219,6 @@ class TestApply:
         st = random_pure_state(2, 5)
         out = apply(backward, apply(forward, st))
         assert np.allclose(out.amplitudes, st.amplitudes, rtol=0, atol=1e-10)
-
-    @pytest.mark.parametrize("mixed", [False, True])
-    def test_one_apply_is_one_evolve_call(self, mixed, monkeypatch):
-        # a lone circuit runs as the stack of one inside the same call, so a
-        # wrapper around evolve sees each apply once
-        calls = []
-        evolve_once = circuits.evolve
-        monkeypatch.setattr(circuits, "evolve", lambda *args: calls.append(args) or evolve_once(*args))
-        st = depolarize(bell_phi_plus(), 0.5) if mixed else bell_phi_plus()
-        out = apply(Circuit(2, (hadamard(0), cnot(0, 1))), st)
-        assert len(calls) == 1 and out.is_pure != mixed
 
     def test_mixed_state_transform(self):
         st = depolarize(bell_phi_plus(), 0.5)

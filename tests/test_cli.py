@@ -413,8 +413,21 @@ class TestRejectedValues:
         path = tmp_path / "state.txt"
         path.write_text(text)
         assert main(["kcbs", "--theta", "1", "--state", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert "power of two" in captured.err and captured.out == ""
+        assert capsys.readouterr() == (
+            "", f"error: bad state file {str(path)!r}: register dimension 0 is not a power of two\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("1 0\n0 0\n0 0\n", "register dimension 3 is not a power of two"),
+         ("1 0\n1 0\n", "pure state is not normalized")],
+        ids=["three-amplitudes", "not-normalized"],
+    )
+    def test_state_file_whose_amplitudes_are_no_state(self, tmp_path, capsys, text, message):
+        # every line parses, but the amplitudes make no state
+        path = tmp_path / "state.txt"
+        path.write_text(text)
+        assert main(["kcbs", "--theta", "1", "--state", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: bad state file {str(path)!r}: {message}\n")
 
     def test_directory_as_state(self, tmp_path, capsys):
         # opening a directory raises IsADirectoryError, an OSError

@@ -1,5 +1,6 @@
 import pytest
 
+from contextsim import optimize
 from contextsim.optimize import golden_section_minimize
 
 
@@ -32,9 +33,10 @@ def test_two_starting_calls_then_one_per_shrink_step():
     assert len(calls) == 2 + 15
 
 
-def test_stops_after_max_iter_steps():
+def test_stops_after_max_iter_steps(monkeypatch):
+    monkeypatch.setattr(optimize, "MAX_STEPS", 5)
     f, calls = _counted(lambda x: (x - 0.3) ** 2)
-    x = golden_section_minimize(f, 0.0, 1.0, tol=1e-15, max_iter=5)
+    x = golden_section_minimize(f, 0.0, 1.0, tol=1e-15)
     assert len(calls) == 2 + 5
     # five steps leave a bracket of 0.618**5 around the vertex
     assert abs(x - 0.3) <= 0.62 ** 5 / 2

@@ -38,8 +38,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from contextsim import bounds, inequalities, sequential
-from contextsim.circuits import Circuit, GateOp, apply, evolve, full_gate_matrix, hadamard
+from contextsim import bounds, inequalities, optimize, sequential
+from contextsim.circuits import Circuit, GateOp, apply, full_gate_matrix, hadamard
 from contextsim.inequalities import (
     METHODS,
     PM_CONTEXTS,
@@ -464,13 +464,13 @@ def test_visibility_is_probe_dephasing_after_each_block(data):
     v = data.draw(st.floats(0.0, 1.0))
     targets = tuple(range(1, qubits + 1))
     z0 = np.kron(PAULI_Z, np.eye(2 ** qubits))
-    rho = np.kron(np.diag([1.0, 0.0]), density_of(state))
+    joint = mixed_state(np.kron(np.diag([1.0, 0.0]), density_of(state)))
     ops = [hadamard(0), *(GateOp("block", b, targets, control=0) for b in spec.blocks), hadamard(0)]
     for op in ops:
-        rho = evolve(Circuit(qubits + 1, (op,)), rho)
+        joint = apply(Circuit(qubits + 1, (op,)), joint)
         if op.control is not None:
-            rho = (1 + v) / 2 * rho + (1 - v) / 2 * z0 @ rho @ z0
-    readout = np.trace(z0 @ rho).real
+            joint = mixed_state((1 + v) / 2 * joint.rho + (1 - v) / 2 * z0 @ joint.rho @ z0)
+    readout = np.trace(z0 @ joint.rho).real
     assert abs(readout - v ** len(spec.slots) * correlator_scattering(state, spec)) <= 1e-12
 
 
@@ -774,17 +774,21 @@ def test_temporal_line_is_the_objective_bit_for_bit(kind, data):
             assert bounds._line_argmin(five.tolist(), i, tol) == oracle
 
 
-def test_line_argmin_stops_at_the_step_cap():
+def test_line_argmin_stops_at_the_step_cap(monkeypatch):
     # with all five angles at pi each line's bracket is [0, 2 pi]; the value is
     # flat to round-off near 0, ties keep the left part, so the bracket closes
     # on 0 past any float spacing and the 200-step cap alone ends the loop: one
-    # step fewer returns another midpoint
+    # step fewer returns another midpoint, and the line reads the same cap
     five = np.full(5, np.pi)
     for i in range(5):
         line = _objective_line(five, i)
         oracle = golden_section_minimize(line, 0.0, 2 * np.pi, tol=1e-300)
-        assert oracle != golden_section_minimize(line, 0.0, 2 * np.pi, tol=1e-300, max_iter=199)
         assert bounds._line_argmin(five.tolist(), i, 1e-300) == oracle
+        with monkeypatch.context() as patched:
+            patched.setattr(optimize, "MAX_STEPS", 199)
+            shorter = golden_section_minimize(line, 0.0, 2 * np.pi, tol=1e-300)
+            assert shorter != oracle
+            assert bounds._line_argmin(five.tolist(), i, 1e-300) == shorter
 
 
 @given(five=angle_tuples(), sweeps=st.sampled_from([1, 5, 40]), tol=st.sampled_from([1e-6, 1e-9, 1e-12]))
