@@ -29,7 +29,8 @@ section line minimization. The contextual restarts stop at the first
 converged one within tol of CONTEXTUAL_OPTIMUM, which none can beat. The
 pentagon scan's pairwise reading runs the four distinct chains of its ten
 pairs and reads each pair from them. Both pentagon readings run the branch
-chain of ``sequential.joint_distribution``.
+chain of ``sequential.joint_distribution`` unchecked, on cycles built from
+checked angles.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .linalg import (PIN_FLOOR, PLANE_FLOOR, REPLACE_MARGIN, SEARCH_TOL, SEESAW_
 from .inequalities import _KCBS_PAIRS, _PENTAGON_PAIRS, BELL_TERM, _kcbs_cycle
 from . import optimize
 from .optimize import _INV_GOLDEN, golden_section_minimize
-from .sequential import joint_distribution
+from .sequential import _distribution
 from .states import bell_phi_plus, mixed_state
 
 MAX_RESOLUTION = 16  # the grid holds resolution**4 5-tuples: a search peaks near 1.1 MB traced at 16
@@ -432,7 +433,7 @@ def pentagon_pairwise_value(theta):
     reads its parities' value."""
     theta = checked_angles(theta, "theta")
     chains = _kcbs_cycle(theta)[..., _PARITY_PAIRS, :, :]  # theta.shape + (4, 2, 2, 2)
-    values = joint_distribution(_HALF_IDENTITY, chains).correlator()
+    values = _distribution(_HALF_IDENTITY, chains).correlator()
     # summed in pair order, as the evaluator sums its terms
     return _one_or_many(theta, sum(values[..., m] for m in _PAIR_PARITY))
 
@@ -442,7 +443,7 @@ def pentagon_invasive_value(theta):
     observables measured in order on I/2, pair correlators taken from the
     joint outcome distribution. An array of angles gives an array of sums."""
     theta = checked_angles(theta, "theta")
-    dist = joint_distribution(_HALF_IDENTITY, _kcbs_cycle(theta))
+    dist = _distribution(_HALF_IDENTITY, _kcbs_cycle(theta))
     return _one_or_many(theta, sum(dist.correlator(pair) for pair in _PENTAGON_PAIRS))
 
 

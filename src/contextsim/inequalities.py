@@ -34,14 +34,15 @@ import numpy as np
 
 from .linalg import CONSTRAINT_ATOL, PAULIS, VERDICT_EPS, checked_angles, checked_matrix, sigma_theta_matrix
 from .scattering import TemporalCorrelationSpec, slot, stack_correlators_direct, stack_correlators_scattering
-from .sequential import stack_correlators_sequential
+from .sequential import _full_product
 from .states import QuantumState
 
-# each route's one (state, stack) call on a (T, k, d, d) block stack
+# each route's one (state, stack) call on a (T, k, d, d) block stack; the
+# stacks are built from checked input, so the Lüders chain reads them unchecked
 _ROUTES = {
     "scattering": stack_correlators_scattering,
     "direct": stack_correlators_direct,
-    "sequential": stack_correlators_sequential,
+    "sequential": lambda state, stack: _full_product(state, stack).tolist(),
 }
 METHODS = tuple(_ROUTES)
 

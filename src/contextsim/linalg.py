@@ -8,12 +8,13 @@ All operators that this package stores are plain ``numpy.ndarray`` values of
 dtype complex128 in row-major order. One computation works on float64 real
 parts instead: a Lüders chain whose state and observables all have zero
 imaginary part (see ``sequential``), for which :func:`check_observable` takes
-real stacks as well. Every matrix that a constructor stores goes through
-:func:`checked_matrix`, every count read from user input through
-:func:`checked_count`, every angle argument through :func:`checked_angles`,
-every other real number through :func:`checked_real` and every real vector
-through :func:`checked_reals`. Operations are pure
-functions and safe to call concurrently.
+real stacks as well. Every matrix that a constructor takes from its caller
+goes through :func:`checked_matrix`; only a matrix the package built from
+checked values may be stored without it (see ``states.QuantumState``). Every
+count read from user input goes through :func:`checked_count`, every angle
+argument through :func:`checked_angles`, every other real number through
+:func:`checked_real` and every real vector through :func:`checked_reals`.
+Operations are pure functions and safe to call concurrently.
 """
 
 from __future__ import annotations

@@ -42,11 +42,14 @@ class NoiseModel:
 
 
 def depolarize(state: QuantumState, p: float) -> QuantumState:
-    """(1-p) rho + p I/2^n."""
+    """(1-p) rho + p I/2^n, stored unchecked: for p in [0, 1], (1-p) times a
+    checked rho plus p I/d keeps Hermiticity, the trace within ATOL of 1 and
+    the eigenvalue floor. It is symmetrized as ``QuantumState`` stores a
+    checked density matrix, so its bits are the checked path's."""
     _check_unit_interval(p, "depolarizing probability")
     dim = 2 ** state.qubits
     rho = (1 - p) * density_of(state) + p * np.eye(dim, dtype=complex) / dim
-    return QuantumState(qubits=state.qubits, rho=rho)
+    return QuantumState._unchecked(state.qubits, rho=(rho + rho.conj().T) / 2)
 
 
 def apply_visibility(ideal: float, n_blocks: int, v: float) -> float:

@@ -16,7 +16,7 @@ import json
 
 from .bounds import BoundResult
 from .inequalities import InequalityReport
-from .noise import NoiseModel, apply_visibility
+from .noise import NoiseModel
 
 
 def _fmt(x: float) -> str:
@@ -72,17 +72,13 @@ def with_noise(ideal: InequalityReport, noisy: InequalityReport, model: NoiseMod
     terms and side conditions scaled by the visibility of their readout blocks,
     the ideal values moved to the theory column; the report derives the rest.
     A visibility-only request passes ``ideal`` as ``noisy`` too, so its values
-    are the ideal ones rescaled."""
-    values = tuple(
-        apply_visibility(value, blocks, model.block_visibility_v)
-        for (_, value), blocks in zip(noisy.terms, noisy.blocks_per_term)
-    )
+    are the ideal ones rescaled, by ``apply_visibility``'s product without its
+    checks, which the model and the package-built report already passed."""
+    vis = model.block_visibility_v
+    values = tuple(float(vis ** blocks * value) for (_, value), blocks in zip(noisy.terms, noisy.blocks_per_term))
     constraints = None
     if noisy.constraints is not None:
-        constraints = tuple(
-            (label, apply_visibility(value, 1, model.block_visibility_v))
-            for label, value in noisy.constraints
-        )
+        constraints = tuple((label, float(vis * value)) for label, value in noisy.constraints)  # one block each
     return dataclasses.replace(
         ideal,
         terms=tuple((label, v) for (label, _), v in zip(ideal.terms, values)),

@@ -24,15 +24,19 @@ joint distribution has shape ``batch + (2,)*k``. A single chain is the batch
 ``()``. A chain whose state and observables all have zero imaginary part runs
 on their float64 real parts; any other chain runs in complex128.
 
-The checks. The state enters checked, as a ``QuantumState``. ``_chain``
-checks the whole observable stack once, before the first step, for both
-readings: each observable must be finite, Hermitian, square to I and match
-the state's dimension. ``luders_measure`` and the matrices it returns are
-unchecked. On both readings each total probability must lie within
-:func:`_sum_tolerance` of 1. ``OutcomeDistribution`` refuses a probability
-below 0 by more than :func:`_probability_floor`; the pair has no outcome
-probabilities, so it refuses a correlator whose modulus exceeds the total by
-more than 2^(k+1) such floors, the most they can add.
+The checks. The state enters checked, as a ``QuantumState``. The three
+public readings check the whole observable stack once, before the first
+step: each observable must be finite, Hermitian, square to I and match the
+state's dimension. Their kernels, ``_distribution`` and ``_full_product``,
+take the stack unchecked, and only stacks the package built from checked
+input (the evaluators' block stacks, the pentagon readings' cycles) go to
+them directly. ``luders_measure`` and the matrices it returns are
+unchecked. Every reading keeps its result checks: each total probability
+must lie within :func:`_sum_tolerance` of 1.
+``OutcomeDistribution`` refuses a probability below 0 by more than
+:func:`_probability_floor`; the pair has no outcome probabilities, so it
+refuses a correlator whose modulus exceeds the total by more than 2^(k+1)
+such floors, the most they can add.
 """
 
 from __future__ import annotations
@@ -147,27 +151,31 @@ def luders_measure(branches: np.ndarray, proj: np.ndarray) -> np.ndarray:
     return split.reshape(split.shape[:-4] + (-1,) + proj.shape[-2:])
 
 
-def _chain(state: QuantumState, obs_seq):
-    """The checked chain of ``obs_seq`` on ``state``: the observable stack,
-    the density matrix it runs on (float64 for a real chain) and each step's
-    projector pair (I + O)/2, (I - O)/2, of shape ``batch + (k, 2, d, d)``."""
+def _checked_stack(state: QuantumState, obs_seq) -> np.ndarray:
+    """``obs_seq`` as a complex ``batch + (k, d, d)`` stack, checked for
+    ``state`` (a stack with zero imaginary part on its float64 real parts)."""
     obs = _observable_stack(obs_seq)
-    rho = density_of(state)
-    # a real chain runs on the float64 real parts; NaN in an imaginary part
-    # counts as nonzero, so the check below still sees it
-    chain, rho = (obs, rho) if obs.imag.any() or rho.imag.any() else (obs.real, rho.real)
     if obs.size:  # an empty chain measures nothing and is certain
-        check_observable(chain, "measured observable")
-        if obs.shape[-2:] != rho.shape:
+        # NaN in an imaginary part counts as nonzero, so the check still sees it
+        check_observable(obs if obs.imag.any() else obs.real, "measured observable")
+        if obs.shape[-2:] != (2 ** state.qubits,) * 2:
             raise ValueError("observable dimension does not match the state")
+    return obs
+
+
+def _chain(state: QuantumState, obs: np.ndarray):
+    """The chain of a complex stack ``obs`` on ``state``, unchecked: the
+    density matrix it runs on (float64 for a real chain) and each step's
+    projector pair (I + O)/2, (I - O)/2, of shape ``batch + (k, 2, d, d)``."""
+    rho = density_of(state)
+    chain, rho = (obs, rho) if obs.imag.any() or rho.imag.any() else (obs.real, rho.real)
     proj = (np.eye(obs.shape[-1]) + _SIGNS[:, None, None] * chain[..., None, :, :]) / 2  # (I +- O)/2
-    return obs, rho, proj
+    return rho, proj
 
 
-def joint_distribution(state: QuantumState, obs_seq) -> OutcomeDistribution:
-    """Chain the measurements in sequence order, every chain of the batch on
-    ``state``; the final branch traces are the joint outcome probabilities."""
-    obs, rho, proj = _chain(state, obs_seq)
+def _distribution(state: QuantumState, obs: np.ndarray) -> OutcomeDistribution:
+    """The branch-stack reading of an unchecked complex stack ``obs``."""
+    rho, proj = _chain(state, obs)
     batch, k = obs.shape[:-3], obs.shape[-3]
     # the state as each chain's one branch, widened to the batch by the first step (here when there is none)
     branches = rho.reshape((1,) * (obs.ndim - 2) + rho.shape) if k else np.broadcast_to(rho, batch + (1,) + rho.shape)
@@ -177,9 +185,16 @@ def joint_distribution(state: QuantumState, obs_seq) -> OutcomeDistribution:
     return OutcomeDistribution(observables=obs, probabilities=probs)
 
 
-def _full_product(state: QuantumState, obs_seq):
-    """Mean of the product of all outcomes of each chain, shape ``batch``, off its sign-contracted pair."""
-    obs, rho, proj = _chain(state, obs_seq)
+def joint_distribution(state: QuantumState, obs_seq) -> OutcomeDistribution:
+    """Chain the measurements in sequence order, every chain of the batch on
+    ``state``; the final branch traces are the joint outcome probabilities."""
+    return _distribution(state, _checked_stack(state, obs_seq))
+
+
+def _full_product(state: QuantumState, obs: np.ndarray):
+    """Mean of the product of all outcomes of each chain of an unchecked
+    complex stack ``obs``, shape ``batch``, off its sign-contracted pair."""
+    rho, proj = _chain(state, obs)
     batch, k, d = obs.shape[:-3], obs.shape[-3], rho.shape[-1]
     pair = np.empty(batch + (2, d, d), rho.dtype)  # signed, unsigned
     pair[...] = rho
@@ -200,11 +215,11 @@ def _full_product(state: QuantumState, obs_seq):
 def correlator_sequential(state: QuantumState, obs_seq):
     """Expectation of the product of all outcomes of each chain: a float for
     a single chain, an array of shape ``batch`` for a batch."""
-    value = _full_product(state, obs_seq)
+    value = _full_product(state, _checked_stack(state, obs_seq))
     return float(value) if value.ndim == 0 else value
 
 
 def stack_correlators_sequential(state: QuantumState, stack: np.ndarray) -> list[float]:
     """Expectation of the product of all outcomes of each chain of a
     ``(T, k, d, d)`` stack, from one batch of sign-contracted pairs."""
-    return _full_product(state, stack).tolist()
+    return _full_product(state, _checked_stack(state, stack)).tolist()

@@ -24,6 +24,10 @@ class QuantumState:
 
     Exactly one of ``amplitudes`` (length 2^n, unit norm) and ``rho``
     (2^n x 2^n, Hermitian, unit trace, positive semidefinite) is set.
+
+    Every state is checked here; only ``basis_state`` and ``depolarize`` may
+    skip the checks, through ``_unchecked``, for arrays they built from
+    checked values with these properties (a density matrix exactly Hermitian).
     """
 
     qubits: int
@@ -57,6 +61,16 @@ class QuantumState:
                 raise ValueError("density matrix has a negative eigenvalue")
             h.setflags(write=False)
             object.__setattr__(self, "rho", h)
+
+    @classmethod
+    def _unchecked(cls, qubits: int, amplitudes=None, rho=None) -> QuantumState:
+        """The state of the given fresh arrays, made read-only, without the checks."""
+        for a in (amplitudes, rho):
+            if a is not None:
+                a.setflags(write=False)
+        state = object.__new__(cls)
+        state.__dict__.update(qubits=qubits, amplitudes=amplitudes, rho=rho)
+        return state
 
     @property
     def is_pure(self) -> bool:
@@ -94,14 +108,19 @@ def basis_state(n: int, label: str) -> QuantumState:
         raise ValueError(f"label {label!r} does not have length {n}")
     if any(ch not in "01" for ch in label):
         raise ValueError(f"label {label!r} contains characters other than 0/1")
+    n = checked_count(n, "qubit count")
     a = np.zeros(2 ** n, dtype=complex)
-    a[int(label, 2)] = 1.0
-    return QuantumState(qubits=n, amplitudes=a)
+    a[int(label, 2)] = 1.0  # exactly one-hot, so of unit norm
+    return QuantumState._unchecked(n, amplitudes=a)
+
+
+_BELL_PHI_PLUS = pure_state(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
 
 
 def bell_phi_plus() -> QuantumState:
-    """The two-qubit state (|00> + |11>)/sqrt(2)."""
-    return pure_state(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
+    """The two-qubit state (|00> + |11>)/sqrt(2): one frozen state, checked
+    once at import, with read-only amplitudes."""
+    return _BELL_PHI_PLUS
 
 
 def random_pure_state(n: int, seed: int) -> QuantumState:

@@ -23,7 +23,9 @@ bit for bit. The pentagon's four-chain pairwise reading equals its
 ten-chain form bit for bit. The angle searches' shared coarse start is also checked
 against its public scalar objective taken over the grid one tuple at a time, and
 their written-out line and descent against the generic golden-section search on
-that objective, bit for bit. Every matrix a constructor stores
+that objective, bit for bit. Each unchecked path (depolarize, basis_state, the
+Bell constant, the sequential route's rows, the pentagon readings, with_noise)
+gives its checked counterpart's bits. Every matrix a constructor stores
 (gate, slot observable and evolution, observable, density matrix) is
 accepted when drawn valid and rejected after one fault: a non-finite entry,
 a wrong shape, or its property broken by 1e-6."""
@@ -51,7 +53,7 @@ from contextsim.inequalities import (
     sigma_theta,
 )
 from contextsim.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, SEARCH_TOL, conjugated, sigma_theta_matrix
-from contextsim.noise import NoiseModel, depolarize
+from contextsim.noise import NoiseModel, apply_visibility, depolarize
 from contextsim.optimize import golden_section_minimize
 from contextsim.report import with_noise
 from contextsim.scattering import (
@@ -69,6 +71,8 @@ from contextsim.scattering import (
 from contextsim.sequential import correlator_sequential, joint_distribution, stack_correlators_sequential
 from contextsim.states import (
     QuantumState,
+    basis_state,
+    bell_phi_plus,
     density_of,
     haar_random_unitary,
     mixed_state,
@@ -868,6 +872,88 @@ def test_identity_noise_model_leaves_report_unchanged(name, data):
     assert out.violated == ideal.violated
     assert out.constraints_satisfied == ideal.constraints_satisfied
     assert [label for label, _ in out.terms] == [label for label, _ in ideal.terms]
+
+
+# The package's unchecked paths, each against its checked counterpart, bit
+# for bit: the states it builds without QuantumState's checks, the sequential
+# route and pentagon readings that skip the observable-stack check, and the
+# visibility products that skip apply_visibility's checks.
+
+
+def _same_state(got, expected):
+    """Equal qubit counts and arrays, byte for byte, stored read-only."""
+    assert type(got.qubits) is int and got.qubits == expected.qubits
+    for a, b in ((got.amplitudes, expected.amplitudes), (got.rho, expected.rho)):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes() and not a.flags.writeable
+
+
+@given(data=st.data())
+def test_depolarize_equals_its_checked_counterpart_bit_for_bit(data):
+    qubits = data.draw(st.integers(1, 3))
+    state = data.draw(states(qubits))
+    p = data.draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from((0, 1))))
+    d = 2 ** qubits
+    _same_state(depolarize(state, p), mixed_state((1 - p) * density_of(state) + p * np.eye(d, dtype=complex) / d))
+
+
+@given(bits=st.lists(st.sampled_from("01"), min_size=1, max_size=3), numpy_count=st.booleans())
+def test_basis_state_equals_its_checked_counterpart_bit_for_bit(bits, numpy_count):
+    label = "".join(bits)
+    amplitudes = np.zeros(2 ** len(label), dtype=complex)
+    amplitudes[int(label, 2)] = 1.0
+    n = np.int64(len(label)) if numpy_count else len(label)
+    _same_state(basis_state(n, label), pure_state(amplitudes))
+
+
+def test_bell_phi_plus_equals_its_checked_counterpart_bit_for_bit():
+    _same_state(bell_phi_plus(), pure_state(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)))
+    assert bell_phi_plus() is bell_phi_plus()
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
+@given(data=st.data())
+def test_sequential_rows_equal_their_checked_counterpart_bit_for_bit(name, data):
+    # the report's block stack read by the public, checked stack call
+    qubits, evaluate = EVALUATORS[name]
+    state = data.draw(states(qubits, real=data.draw(st.booleans())))
+    with mock.patch.object(inequalities, "_spec_values", wraps=inequalities._spec_values) as read:
+        report = evaluate(state, data.draw(angles), "sequential")
+    [call] = read.call_args_list
+    checked = stack_correlators_sequential(state, call.args[1])
+    assert [v.hex() for v in _values(report)] == [v.hex() for v in checked]
+
+
+@given(thetas=st.lists(angles, min_size=1, max_size=6))
+def test_pentagon_readings_equal_their_checked_counterpart_bit_for_bit(thetas):
+    theta = np.array(thetas)
+    half = mixed_state(np.eye(2) / 2)
+    pairs = inequalities._kcbs_cycle(theta)[..., bounds._PARITY_PAIRS, :, :]
+    values = joint_distribution(half, pairs).correlator()
+    pairwise = sum(values[..., m] for m in bounds._PAIR_PARITY)
+    dist = joint_distribution(half, inequalities._kcbs_cycle(theta))
+    invasive = sum(dist.correlator(pair) for pair in inequalities._PENTAGON_PAIRS)
+    assert bounds.pentagon_pairwise_value(theta).tobytes() == pairwise.tobytes()
+    assert bounds.pentagon_invasive_value(theta).tobytes() == invasive.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
+@given(data=st.data())
+def test_with_noise_equals_its_checked_counterpart_bit_for_bit(name, data):
+    # each term and side condition against apply_visibility of its value
+    qubits, evaluate = EVALUATORS[name]
+    state, theta = data.draw(states(qubits)), data.draw(angles)
+    method = data.draw(st.sampled_from(METHODS))
+    p = data.draw(st.sampled_from((0.0, 0.1, data.draw(st.floats(0.0, 1.0)))))
+    v = data.draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from((0, 1, np.float64(0.9)))))
+    ideal = evaluate(state, theta, method)
+    noisy = ideal if p == 0 else evaluate(depolarize(state, p), theta, method)
+    out = with_noise(ideal, noisy, NoiseModel(state_depolarizing_p=p, block_visibility_v=v))
+    terms = [apply_visibility(value, blocks, v) for (_, value), blocks in zip(noisy.terms, noisy.blocks_per_term)]
+    assert [x.hex() for _, x in out.terms] == [x.hex() for x in terms]
+    sides = [apply_visibility(value, 1, v) for _, value in noisy.constraints or ()]
+    assert [x.hex() for _, x in out.constraints or ()] == [x.hex() for x in sides]
 
 
 @st.composite

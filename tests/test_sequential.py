@@ -113,6 +113,30 @@ class TestLudersMeasure:
             joint_distribution(basis_state(1, "0"), (Z_OBS, np.array([[0, 1], [0, 0]])))
 
 
+class TestPublicReadingsRefuseBadStacks:
+    """The cases ``TestLudersMeasure`` leaves out: the full-product readings
+    check the stack they are given, as ``joint_distribution`` does."""
+
+    NON_HERMITIAN = np.array([[0, 1], [0, 0]])
+
+    @pytest.mark.parametrize("stack, match", [
+        (np.array([[PAULI_Z, PAULI_X], [PAULI_X, NON_HERMITIAN]]), "Hermitian"),
+        (np.array([[PAULI_Z, PAULI_X], [PAULI_X, np.diag([1, 0.5])]]), "identity"),
+        (np.kron(PAULI_Z, PAULI_Z)[None, None], "dimension"),
+    ], ids=["non-hermitian", "non-dichotomic", "mismatched"])
+    def test_stack_call(self, stack, match):
+        with pytest.raises(ValueError, match=match):
+            stack_correlators_sequential(basis_state(1, "0"), stack)
+
+    @pytest.mark.parametrize("chain, match", [
+        ((PAULI_Z, NON_HERMITIAN), "Hermitian"),
+        ((np.kron(PAULI_Z, PAULI_Z),), "dimension"),
+    ], ids=["non-hermitian", "mismatched"])
+    def test_single_chain(self, chain, match):
+        with pytest.raises(ValueError, match=match):
+            correlator_sequential(basis_state(1, "0"), chain)
+
+
 class TestJointDistribution:
     def test_repeated_z_on_zero(self):
         dist = joint_distribution(basis_state(1, "0"), (Z_OBS, Z_OBS))

@@ -37,6 +37,11 @@ class TestBasisStates:
         with pytest.raises(ValueError):
             basis_state(2, "0")
 
+    def test_bool_qubit_count_refused(self):
+        # len("1") == True, so only the qubit-count check refuses it
+        with pytest.raises(ValueError, match="qubit count must be an integer"):
+            basis_state(True, "1")
+
 
 class TestBellState:
     def test_norm(self):
@@ -86,6 +91,11 @@ class TestValidation:
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(ValueError):
             mixed_state(np.diag([1.5, -0.5]))
+
+    def test_eigenvalue_below_the_floor_rejected_by_the_constructor(self):
+        # 2e-9 below 0, past ATOL_STATE_PSD, on an otherwise valid matrix
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            QuantumState(qubits=1, rho=np.diag([1 + 2e-9, -2e-9]))
 
     def test_density_idempotent_for_pure(self):
         rho = density_of(random_pure_state(2, 9))
