@@ -1,5 +1,6 @@
-"""Numerical recovery of the classical, contextual, temporal, and nonlocal
-extrema of the five-cycle inequality family.
+"""Numerical recovery of the contextual, temporal, and nonlocal extrema of
+the five-cycle inequality family; ``inequalities.classical_bound`` computes
+the classical ones from each evaluator's terms.
 
 The Bell-side search respects the side condition <A_j B_j> = 1: the states
 obeying it are the maximally correlated pair state |Phi+>, so the searched
@@ -468,7 +469,10 @@ def pentagon_scan(theta_grid=None) -> BoundResult:
     family: the two-point reading bottoms out at -2 (theta = pi) and the
     invasive chain also at -2 (cos theta = -1), while at cos(theta) = -3/4
     they give -1/2 and about -1.8398. The result records both readings side
-    by side together with that discrepancy.
+    by side together with that discrepancy. The property tests hold both to
+    closed forms: a qubit Lüders chain has E[s_i s_j] = prod n_m . n_{m+1}, so
+    with c = cos(theta) they are 4 + 6c and 4c + 3c^2 + 2c^3 + c^4, and the
+    invasive sum is at least -2 for every qubit family, at a sign vertex.
     """
     if theta_grid is None:
         grid = default_pentagon_grid()

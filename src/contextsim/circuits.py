@@ -27,7 +27,7 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 HADAMARD.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GateOp:
     """One gate: a unitary on ``targets``, optionally conditioned on a control.
 
@@ -59,7 +59,7 @@ class GateOp:
         object.__setattr__(self, "control_on", control_on)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Circuit:
     qubits: int
     ops: tuple[GateOp, ...] = field(default_factory=tuple)

@@ -8,11 +8,14 @@ observables, in slot order). For term families built from mutually commuting
 factors all three agree. A term needs one controlled readout block per slot,
 which is the block count the visibility noise model uses.
 
-The terms and side conditions of one evaluator share a slot count (three for
-the square, two for the cycles, one for the Bell form), so a report is one
-``(T, k, d, d)`` stack of the slots' blocks, the only thing it builds per
-request, read by all three routes with one ``(state, stack)`` call. The
-square's and the Bell form's stacks are built once, at import.
+An evaluator is defined by its terms and side conditions, each a tuple of
+observable labels such as ``("A", "B", "C")``, ``("X1", "X2")`` or
+``("A0", "B1")``; its report labels and classical bound derive from them.
+They share a slot count (three for the square, two for the cycles, one for
+the Bell form), so a report is one ``(T, k, d, d)`` stack of the slots'
+blocks, the only thing it builds per request, read by all three routes with
+one ``(state, stack)`` call. The square's and the Bell form's stacks are
+built once, at import.
 
 The nine-entry square of two-qubit observables::
 
@@ -28,6 +31,9 @@ classical bound stop at 4.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,31 +53,21 @@ _ROUTES = {
 METHODS = tuple(_ROUTES)
 
 PM_FACTOR_TOKENS = {
-    "A": ("Z", "I"),
-    "B": ("I", "Z"),
-    "C": ("Z", "Z"),
-    "a": ("I", "X"),
-    "b": ("X", "I"),
-    "c": ("X", "X"),
-    "alpha": ("Z", "X"),
-    "beta": ("X", "Z"),
-    "gamma": ("Y", "Y"),
+    "A": ("Z", "I"), "B": ("I", "Z"), "C": ("Z", "Z"),
+    "a": ("I", "X"), "b": ("X", "I"), "c": ("X", "X"),
+    "alpha": ("Z", "X"), "beta": ("X", "Z"), "gamma": ("Y", "Y"),
 }
 
-# Context sequences entering the six-term combination; the last one carries
-# a minus sign.
+# Context sequences entering the six-term combination, the square's three rows
+# and then its three columns; the last one carries a minus sign.
 PM_CONTEXTS = (
-    ("A", "B", "C"),
-    ("b", "c", "a"),
-    ("gamma", "alpha", "beta"),
-    ("A", "alpha", "a"),
-    ("b", "B", "beta"),
-    ("gamma", "c", "C"),
+    ("A", "B", "C"), ("b", "c", "a"), ("gamma", "alpha", "beta"),
+    ("A", "alpha", "a"), ("b", "B", "beta"), ("gamma", "c", "C"),
 )
 PM_SIGNS = (1.0, 1.0, 1.0, 1.0, 1.0, -1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observable:
     """A dichotomic observable: a Hermitian operator with O^2 = I."""
 
@@ -131,30 +127,38 @@ def is_violated(total: float, bound: float, direction: str) -> bool:
     raise ValueError(f"unknown bound direction {direction!r}")
 
 
-def _make_report(
-    name, state, method, labels, stack, signs, bound, direction, prediction,
-    constraint_labels=None,
-):
+@functools.cache
+def classical_bound(terms, signs, direction, constraints=()) -> float:
+    """The noncontextual or local bound: the maximum (``"<="``) or minimum
+    (``">="``) of sum(sign * product of a term's values) over every +-1
+    assignment to the labels that makes each side-condition product +1
+    (Cabello, Severini and Winter, PRL 112, 040401 (2014)). Cached: pass tuples."""
+    if direction not in ("<=", ">="):
+        raise ValueError(f"unknown bound direction {direction!r}")
+    labels = sorted({label for term in terms + constraints for label in term})
+    sums = []
+    for values in itertools.product((1, -1), repeat=len(labels)):
+        value = dict(zip(labels, values)).get
+        if all(math.prod(map(value, c)) == 1 for c in constraints):
+            sums.append(sum(s * math.prod(map(value, t)) for s, t in zip(signs, terms)))
+    return float(max(sums) if direction == "<=" else min(sums))
+
+
+def _make_report(name, state, method, terms, stack, signs, direction, prediction, constraints=()):
     """Read a report's one ``(T, k, d, d)`` block stack on ``method`` with one
-    :func:`_spec_values` call: its rows are the terms, then the side
-    conditions, each labelled in order; a term needs k readout blocks."""
+    :func:`_spec_values` call: its rows are the terms, then the side conditions,
+    each labelled by its labels joined with dots; a term needs k readout blocks."""
     qubits = stack.shape[-1].bit_length() - 1
     if state.qubits != qubits:
         raise ValueError(f"this evaluator needs a {'single' if qubits == 1 else 'two'}-qubit state")
     read = _spec_values(state, stack, method)
-    values = read[:len(labels)]
-    constraints = None if constraint_labels is None else tuple(zip(constraint_labels, read[len(labels):]))
+    values = read[:len(terms)]
+    side = tuple(zip([".".join(c) for c in constraints], read[len(terms):])) if constraints else None
     return InequalityReport(
-        name=name,
-        method=method,
-        terms=tuple(zip(labels, values)),
-        term_signs=tuple(signs),
-        term_predictions=tuple(values),
-        blocks_per_term=(stack.shape[1],) * len(labels),
-        classical_bound=bound,
-        bound_direction=direction,
-        quantum_prediction=prediction,
-        constraints=constraints,
+        name=name, method=method, terms=tuple(zip([".".join(t) for t in terms], values)),
+        term_signs=tuple(signs), term_predictions=tuple(values), blocks_per_term=(stack.shape[1],) * len(terms),
+        classical_bound=classical_bound(terms, signs, direction, constraints), bound_direction=direction,
+        quantum_prediction=prediction, constraints=side,
     )
 
 
@@ -195,20 +199,15 @@ def _spec_values(state: QuantumState, stack: np.ndarray, method: str) -> list[fl
 
 
 def _pm_term(label_seq) -> TemporalCorrelationSpec:
-    slots = []
-    for name in label_seq:
-        left, right = PM_FACTOR_TOKENS[name]
-        slots.append(slot((PAULIS[left], PAULIS[right])))
+    slots = (slot([PAULIS[token] for token in PM_FACTOR_TOKENS[name]]) for name in label_seq)
     return TemporalCorrelationSpec(system_qubits=2, slots=tuple(slots))
 
 
 def eval_pm(state: QuantumState, method: str = "direct") -> InequalityReport:
     """Six sequential three-measurement contexts; classical bound 4, quantum
     value 6 independent of the input state."""
-    return _make_report(
-        name="pm", state=state, method=method, labels=[".".join(seq) for seq in PM_CONTEXTS],
-        stack=_PM_STACK, signs=PM_SIGNS, bound=4.0, direction="<=", prediction=6.0,
-    )
+    return _make_report(name="pm", state=state, method=method, terms=PM_CONTEXTS, stack=_PM_STACK,
+                        signs=PM_SIGNS, direction="<=", prediction=6.0)
 
 
 def _kcbs_cycle(theta) -> np.ndarray:
@@ -223,32 +222,35 @@ def _kcbs_cycle(theta) -> np.ndarray:
 # the five-cycle's one edge list, (r, r + 1) in order: the kcbs and Bell pairs, the searches' sums
 _KCBS_PAIRS = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0))
 _PENTAGON_PAIRS = tuple((i, j) for i in range(5) for j in range(i + 1, 5))
-KCBS_FORM = (-3.0, 1, 4)  # the kcbs sum's classical floor and closed form a + b cos(theta): (floor, a, b)
+KCBS_FORM = (1, 4)  # the kcbs sum's closed form a + b cos(theta): (a, b)
 BELL_TERM = float(np.cos(4 * np.pi / 5))  # each Bell term on (|00>+|11>)/sqrt(2); the optimum is five
+# each cycle report's index array into the five blocks and its terms, ("X1", "X2") for (0, 1)
+_CYCLES = {name: (np.array(pairs), tuple((f"X{i + 1}", f"X{j + 1}") for i, j in pairs))
+           for name, pairs in (("kcbs", _KCBS_PAIRS), ("pentagon", _PENTAGON_PAIRS))}
 
 
-def _cycle_report(name, state, theta, method, pairs, bound, a, b) -> InequalityReport:
+def _cycle_report(name, state, theta, method, a, b) -> InequalityReport:
     """One pair correlator <X_i X_j> per pair (i, j) of the alternating Z/theta
     cycle, all with sign +1, against a classical floor; the combination is
     a + b cos(theta). theta is checked here, where it enters."""
     theta = checked_angles(theta, "theta", scalar=True)
+    index, terms = _CYCLES[name]
     return _make_report(
-        name=name, state=state, method=method, labels=[f"X{i + 1}.X{j + 1}" for i, j in pairs],
-        stack=_kcbs_cycle(theta)[np.array(pairs)], signs=[1.0] * len(pairs),
-        bound=bound, direction=">=", prediction=float(a + b * np.cos(theta)),
+        name=name, state=state, method=method, terms=terms, stack=_kcbs_cycle(theta)[index],
+        signs=(1.0,) * len(terms), direction=">=", prediction=float(a + b * np.cos(theta)),
     )
 
 
 def eval_kcbs_temporal(state: QuantumState, theta: float, method: str = "direct") -> InequalityReport:
     """Five cyclic adjacent-pair correlators of the alternating Z/theta cycle;
     the combination equals 1 + 4 cos(theta) and its classical floor is -3."""
-    return _cycle_report("kcbs", state, theta, method, _KCBS_PAIRS, *KCBS_FORM)
+    return _cycle_report("kcbs", state, theta, method, *KCBS_FORM)
 
 
 def eval_pentagon_lg(state: QuantumState, theta: float, method: str = "direct") -> InequalityReport:
     """All ten pair correlators of the five-measurement cycle; the two-point
     reading gives 4 + 6 cos(theta) against the classical floor -2."""
-    return _cycle_report("pentagon", state, theta, method, _PENTAGON_PAIRS, -2.0, 4, 6)
+    return _cycle_report("pentagon", state, theta, method, 4, 6)
 
 
 def _bell_term(r: int, q: int) -> TemporalCorrelationSpec:
@@ -258,10 +260,11 @@ def _bell_term(r: int, q: int) -> TemporalCorrelationSpec:
 
 # Built from checked slots once, at import: the read-only block stacks of the
 # square's six contexts and of the five Bell terms followed by their five side
-# conditions <A_j B_j>.
+# conditions <A_j B_j>, and the terms and side conditions as label pairs.
+_BELL_PAIRS = _KCBS_PAIRS + tuple((j, j) for j in range(5))
+_BELL_TERMS = tuple((f"A{r}", f"B{s}") for r, s in _BELL_PAIRS)
 _PM_STACK = np.stack([_pm_term(seq).blocks for seq in PM_CONTEXTS])
-_BELL_STACK = np.stack([_bell_term(r, s).blocks for r, s in _KCBS_PAIRS]
-                       + [_bell_term(j, j).blocks for j in range(5)])
+_BELL_STACK = np.stack([_bell_term(r, s).blocks for r, s in _BELL_PAIRS])
 for _stack in (_PM_STACK, _BELL_STACK):
     _stack.setflags(write=False)
 
@@ -274,7 +277,6 @@ def eval_transformed_bell(state: QuantumState, method: str = "direct") -> Inequa
     and the combination reaches -5 cos(pi/5), beating the classical floor -3.
     """
     return _make_report(
-        name="bell", state=state, method=method, labels=[f"A{r}.B{s}" for r, s in _KCBS_PAIRS],
-        stack=_BELL_STACK, signs=[1.0] * 5, bound=-3.0, direction=">=",
-        prediction=5 * BELL_TERM, constraint_labels=[f"A{j}.B{j}" for j in range(5)],
+        name="bell", state=state, method=method, terms=_BELL_TERMS[:5], stack=_BELL_STACK,
+        signs=(1.0,) * 5, direction=">=", prediction=5 * BELL_TERM, constraints=_BELL_TERMS[5:],
     )

@@ -44,7 +44,7 @@ from .linalg import PAULI_X, PAULI_Y, PAULI_Z, checked_count, checked_matrix, co
 from .states import MAX_QUBITS, QuantumState, density_of, haar_random_unitary
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSlot:
     """Per-qubit observables plus the evolution unitary for one time instant.
 
@@ -53,7 +53,7 @@ class TimeSlot:
 
     observables: tuple[np.ndarray, ...]
     evolution: np.ndarray
-    block: np.ndarray = field(init=False, repr=False, compare=False)
+    block: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         obs = tuple(checked_matrix(o, "per-qubit observable", (2, 2), "dichotomic")
@@ -68,14 +68,14 @@ class TimeSlot:
             kind="unitary"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TemporalCorrelationSpec:
     """Time slots on ``system_qubits`` qubits; ``blocks`` is the read-only
     ``(k, d, d)`` stack of their blocks, ``(0, d, d)`` for none."""
 
     system_qubits: int
     slots: tuple[TimeSlot, ...]
-    blocks: np.ndarray = field(init=False, repr=False, compare=False)
+    blocks: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = checked_count(self.system_qubits, "system_qubits", minimum=1)

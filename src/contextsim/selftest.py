@@ -118,13 +118,13 @@ def check_bound_recovery() -> CheckResult:
 
 def check_kcbs_closed_form() -> CheckResult:
     state = haar_random_state(1, np.random.default_rng(7))
-    floor, a, b = KCBS_FORM
+    a, b = KCBS_FORM
     worst = 0.0
     floor_ok = True
     for theta in np.linspace(0.0, 2 * np.pi, 50):
         rep = eval_kcbs_temporal(state, float(theta), method="sequential")
         worst = max(worst, abs(rep.sum - (a + b * np.cos(theta))))
-        floor_ok = floor_ok and rep.sum >= floor - 1e-9
+        floor_ok = floor_ok and rep.sum >= rep.classical_bound - 1e-9
     ok = worst <= 1e-9 and floor_ok
     return CheckResult(
         "kcbs-closed-form",

@@ -95,7 +95,7 @@ def _observable_stack(obs_seq) -> np.ndarray:
     return stack
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
     """Joint distribution of a batch of measurement sequences: ``observables``
     has shape ``batch + (k, d, d)`` and ``probabilities`` has shape

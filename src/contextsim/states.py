@@ -18,7 +18,7 @@ from .linalg import ATOL, ATOL_STATE_PSD, checked_count, checked_matrix
 MAX_QUBITS = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumState:
     """A pure or mixed state on ``qubits`` qubits.
 

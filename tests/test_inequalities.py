@@ -10,6 +10,8 @@ from contextsim.inequalities import (
     InequalityReport,
     Observable,
     PM_CONTEXTS,
+    PM_SIGNS,
+    classical_bound,
     eval_kcbs_temporal,
     eval_pentagon_lg,
     eval_pm,
@@ -264,6 +266,50 @@ class TestEvalTransformedBell:
             state = haar_random_state(2, np.random.default_rng(200 + seed))
             sums = [eval_transformed_bell(state, m).sum for m in METHODS]
             assert max(sums) - min(sums) < 1e-9
+
+
+class TestClassicalBound:
+    """Each evaluator's bound, derived from its terms, against the paper's value."""
+
+    KCBS_TERMS = inequalities._CYCLES["kcbs"][1]
+    PENTAGON_TERMS = inequalities._CYCLES["pentagon"][1]
+    BELL_TERMS = inequalities._BELL_TERMS[:5]
+    BELL_SIDE = inequalities._BELL_TERMS[5:]
+
+    def test_classical_bound_of_each_evaluator_is_the_paper_value(self):
+        derived = (
+            classical_bound(PM_CONTEXTS, PM_SIGNS, "<="),
+            classical_bound(self.KCBS_TERMS, (1.0,) * 5, ">="),
+            classical_bound(self.PENTAGON_TERMS, (1.0,) * 10, ">="),
+            classical_bound(self.BELL_TERMS, (1.0,) * 5, ">=", self.BELL_SIDE),
+        )
+        assert derived == (4.0, -3.0, -2.0, -3.0)
+        assert all(type(bound) is float for bound in derived)
+
+    def test_classical_bound_terms_are_the_report_labels(self):
+        assert self.KCBS_TERMS[-1] == ("X5", "X1") and self.PENTAGON_TERMS[1] == ("X1", "X3")
+        assert self.BELL_TERMS[0] == ("A0", "B1") and self.BELL_SIDE[0] == ("A0", "B0")
+        kcbs = eval_kcbs_temporal(basis_state(1, "0"), 1.0, "direct")
+        bell = eval_transformed_bell(bell_phi_plus(), "direct")
+        assert [label for label, _ in kcbs.terms] == [".".join(t) for t in self.KCBS_TERMS]
+        assert [label for label, _ in bell.terms] == [".".join(t) for t in self.BELL_TERMS]
+        assert [label for label, _ in bell.constraints] == [".".join(t) for t in self.BELL_SIDE]
+
+    def test_classical_bound_of_bell_without_its_side_conditions_is_minus_five(self):
+        # A_r = +1 and B_q = -1 for every r and q makes each of the five terms -1
+        assert classical_bound(self.BELL_TERMS, (1.0,) * 5, ">=") == -5.0
+
+    def test_classical_bound_direction_picks_the_extremum(self):
+        assert classical_bound(self.KCBS_TERMS, (1.0,) * 5, "<=") == 5.0
+        with pytest.raises(ValueError, match="bound direction"):
+            classical_bound(self.KCBS_TERMS, (1.0,) * 5, "<")
+
+    def test_classical_bound_enumerates_once_for_two_evaluations(self):
+        classical_bound.cache_clear()
+        for _ in range(2):
+            assert eval_pm(basis_state(2, "00"), "direct").classical_bound == 4.0
+        info = classical_bound.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestReportContract:

@@ -11,9 +11,12 @@ match a closed-form oracle and marginalize to their prefixes, a batch of
 chains matches each chain run alone and rejects a non-dichotomic observable
 at any position, a real chain runs in float64 and matches complex arithmetic
 to round-off while an imaginary part anywhere keeps the complex result, the
-pentagon readings match the evaluator and a scalar chain per angle, the
-six-context sum is state independent, the identity noise model leaves a
-report unchanged, the visibility factor v^k is probe dephasing after each of
+pentagon readings match the evaluator and a scalar chain per angle and their
+closed forms in cos(theta), a Lüders chain of qubit observables has
+E[s_i s_j] equal to the product of neighbouring Bloch-vector overlaps, the
+invasive ten-pair sum is -2 at its lowest sign vertex, the six-context sum
+is state independent, the identity noise model leaves a report unchanged,
+the visibility factor v^k is probe dephasing after each of
 k blocks and independent outcome flips on a Lüders chain, the Bell-side bound objective matches a
 null-space oracle and equals the cyclic cosine sum, near-collinear tuples
 included, and the numerical penalty-kernel reading matches it off that band
@@ -669,6 +672,58 @@ def test_pairwise_reading_is_the_ten_chain_form_bit_for_bit(data):
     theta = float(theta) if theta.ndim == 0 else theta
     value = bounds.pentagon_pairwise_value(theta)
     assert np.float64(value).tobytes() == np.float64(_ten_chain_pairwise(theta)).tobytes()
+
+
+@given(thetas=st.lists(angles, min_size=1, max_size=8))
+def test_pentagon_closed_form_of_the_pairwise_reading(thetas):
+    c = np.cos(np.array(thetas))
+    assert np.max(np.abs(bounds.pentagon_pairwise_value(np.array(thetas)) - (4 + 6 * c))) <= 1e-13
+
+
+@given(thetas=st.lists(angles, min_size=1, max_size=8))
+def test_pentagon_closed_form_of_the_invasive_reading(thetas):
+    # the chain-product identity below, summed over the ten pairs of the Z/theta cycle
+    c = np.cos(np.array(thetas))
+    closed = 4 * c + 3 * c ** 2 + 2 * c ** 3 + c ** 4
+    assert np.max(np.abs(bounds.pentagon_invasive_value(np.array(thetas)) - closed)) <= 1e-13
+
+
+@st.composite
+def bloch_directions(draw, count):
+    """``count`` unit vectors in R^3 from drawn coordinates."""
+    unit = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=3, max_size=3)
+    drawn = []
+    for _ in range(count):
+        v = np.array(draw(unit))
+        assume(np.linalg.norm(v) > 1e-3)
+        drawn.append(v / np.linalg.norm(v))
+    return drawn
+
+
+@given(data=st.data())
+def test_chain_product_identity(data):
+    # after outcome s_i the state is (I + s_i n_i.sigma)/2, and an unread
+    # measurement maps a Bloch vector r to (n.r) n, so on any input state
+    # E[s_i s_j] = prod over m in [i, j) of n_m . n_{m+1}
+    n = data.draw(bloch_directions(data.draw(st.integers(2, 5))))
+    chain = [v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z for v in n]
+    dist = joint_distribution(data.draw(states(1)), chain)
+    for i, j in itertools.combinations(range(len(n)), 2):
+        product = np.prod([n[m] @ n[m + 1] for m in range(i, j)])
+        assert abs(dist.correlator((i, j)) - product) <= 1e-13
+
+
+def test_invasive_sum_is_minus_two_at_its_lowest_sign_vertex():
+    # the invasive ten-pair sum is multilinear in c_m = n_m . n_{m+1}, so over
+    # every qubit family its minimum sits at one of the 16 vertices c in {-1, 1}^4,
+    # each realized by the chain Z, c_0 Z, c_0 c_1 Z, ...
+    half = mixed_state(np.eye(2) / 2)
+    sums = []
+    for signs in itertools.product((1.0, -1.0), repeat=4):
+        chain = np.cumprod((1.0, *signs))[:, None, None] * PAULI_Z
+        dist = joint_distribution(half, chain)
+        sums.append(sum(dist.correlator(pair) for pair in inequalities._PENTAGON_PAIRS))
+    assert min(sums) == -2.0 and sums.count(-2.0) == 10
 
 
 @given(five=angle_tuples())

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from contextsim.circuits import Circuit, GateOp
+from contextsim.inequalities import pm_observable
 from contextsim.linalg import PAULI_X, PAULI_Z
 from contextsim.noise import depolarize
+from contextsim.scattering import TemporalCorrelationSpec, slot
+from contextsim.sequential import joint_distribution
 from contextsim.states import (
     QuantumState,
     basis_state,
@@ -178,3 +182,24 @@ class TestLiteralsAndPhase:
         b = QuantumState(qubits=2, amplitudes=np.exp(1j * 0.9) * a.amplitudes)
         assert not np.allclose(a.amplitudes, b.amplitudes)
         assert np.allclose(density_of(a), density_of(b), atol=1e-12)
+
+
+# every frozen value that holds arrays compares by identity and hashes by it,
+# where a field-by-field == would ask an array for its truth value
+ARRAY_HOLDERS = {
+    "QuantumState": lambda: pure_state([1, 0]),
+    "TimeSlot": lambda: slot((PAULI_Z,)),
+    "TemporalCorrelationSpec": lambda: TemporalCorrelationSpec(1, (slot((PAULI_Z,)),)),
+    "GateOp": lambda: GateOp("X", PAULI_X, (0,)),
+    "Circuit": lambda: Circuit(1, (GateOp("X", PAULI_X, (0,)),)),
+    "Observable": lambda: pm_observable("A"),
+    "OutcomeDistribution": lambda: joint_distribution(pure_state([1, 0]), (PAULI_Z,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_HOLDERS))
+def test_equality_and_hash_answer(name):
+    value, twin = ARRAY_HOLDERS[name](), ARRAY_HOLDERS[name]()
+    assert type(value).__name__ == name
+    assert value == value and value != twin
+    assert hash(value) == hash(value) and len({value, twin}) == 2
