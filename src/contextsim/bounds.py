@@ -21,9 +21,12 @@ are taken once per line, and each trial adds its five terms in the temporal
 objective's order, so it rounds as that objective would. Each search's
 start, value after each sweep and convergence test call its own public
 objective, which checks its input; the batch forms and the lines take it as
-given. The contextual seesaw runs its lines through the generic loop, in
-Python floats on 3-tuples. Terms accumulate one at a time in cycle order,
-never stacked, so a batch of one rounds exactly as a scalar sum.
+given. Terms accumulate one at a time in cycle order, never stacked, so a
+batch of one rounds exactly as a scalar sum.
+
+The contextual search runs such sweeps on the two angles of ``_cycle_vectors``,
+through the generic loop on a closed form in Python floats (``_cycle_value``),
+with ``contextual_objective`` at the start and after each sweep.
 
 All searches are deterministic: seeded restarts, fixed sweep order, golden-
 section line minimization. The contextual restarts stop at the first
@@ -37,18 +40,19 @@ checked angles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import (PIN_FLOOR, PLANE_FLOOR, REPLACE_MARGIN, SEARCH_TOL, SEESAW_LINE_TOL, START_FLOOR, checked_angles,
-                     checked_count, checked_real, checked_reals, sigma_theta_matrix)
+from .linalg import (PIN_FLOOR, REPLACE_MARGIN, SEARCH_TOL, checked_angles, checked_count, checked_real,
+                     checked_reals, sigma_theta_matrix)
 from .inequalities import _KCBS_PAIRS, _PENTAGON_PAIRS, BELL_TERM, _kcbs_cycle
 from . import optimize
 from .optimize import _INV_GOLDEN, golden_section_minimize
 from .sequential import _distribution
 from .states import bell_phi_plus, mixed_state
 
+_ANGLE_LIMIT = float(np.finfo(float).max) / 2  # no difference of two angles this large in magnitude overflows
 MAX_RESOLUTION = 16  # the grid holds resolution**4 5-tuples: a search peaks near 1.1 MB traced at 16
 
 TSIRELSON_OPTIMUM = 5 * BELL_TERM  # the Bell and temporal optimum, -5 cos(pi/5)
@@ -67,17 +71,19 @@ _HALF_IDENTITY = mixed_state(np.eye(2) / 2)  # I/2, the state both pentagon read
 class BoundResult:
     target: str
     optimum: float
-    argument: dict
+    argument: dict = field(hash=False)  # a dict has no hash; equal results still hash equal
     iterations: int
     converged: bool
     tolerance: float
 
 
 def _one_tuple(angles) -> np.ndarray:
-    """A public objective's angles, checked: one 5-tuple, never a stack."""
+    """A public objective's angles, checked: one 5-tuple, never a stack, each within +-_ANGLE_LIMIT."""
     angles = checked_angles(angles, "angles")
     if np.shape(angles) != (5,):
         raise ValueError(f"need exactly 5 angles, got shape {np.shape(angles)}")
+    if max(map(abs, angles.tolist())) > _ANGLE_LIMIT:
+        raise ValueError(f"angles must be at most {_ANGLE_LIMIT:.6g} in magnitude, got {angles.tolist()}")
     return angles
 
 
@@ -263,35 +269,49 @@ def contextual_objective(vectors, psi) -> float:
     return float(5.0 - 4.0 * sum(float(np.dot(u, psi)) ** 2 for u in vectors))
 
 
-def _dot(a, b) -> float:
-    (a0, a1, a2), (b0, b1, b2) = a, b
-    return a0 * b0 + a1 * b1 + a2 * b2
+def _cycle_vectors(a: float, b: float):
+    """The family's five-cycle at (a, b) as 3-tuples: u_0 = e_z, u_1 = e_x,
+    u_2 = (0, cos a, sin a), u_3 = (cos b, sin b sin a, -sin b cos a), u_4 =
+    u_0 x u_3 / |u_0 x u_3|; None where |u_0 x u_3| < PIN_FLOOR. A five-cycle
+    has 10 - 5 = 5 degrees of freedom; the 3 of a rotation leave the spectrum
+    of sum_i u_i u_i^T, so every one is a rotation of a member (up to u_4's sign)."""
+    ca, sa, cb, sb = math.cos(a), math.sin(a), math.cos(b), math.sin(b)
+    pin = math.hypot(sb * sa, cb)
+    if pin < PIN_FLOOR:
+        return None
+    return [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, ca, sa), (cb, sb * sa, -sb * ca), (-sb * sa / pin, cb / pin, 0.0)]
 
 
-def _cross(a, b) -> tuple:
-    """``np.cross`` of two 3-vectors as a tuple, bit for bit (each product
-    rounded, then the difference); on one pair of Python floats ``np.cross``
-    spends some 30 times as long in call overhead."""
-    (a0, a1, a2), (b0, b1, b2) = a, b
-    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
-
-
-def _feasible_start(rng: np.random.Generator):
-    """Five unit 3-vectors, adjacent ones orthogonal, as tuples of floats:
-    four drawn and each projected off the one before, the fifth u_3 x u_0."""
-    for _ in range(200):
-        u = []
-        for i in range(5):
-            v = rng.standard_normal(3) if i < 4 else np.array(_cross(u[3], u[0]))
-            if 0 < i < 4:
-                v -= (v @ u[i - 1]) * u[i - 1]
-            norm = np.linalg.norm(v)
-            if norm < START_FLOOR:
-                break
-            u.append(v / norm)
-        else:
-            return [tuple(ui.tolist()) for ui in u]
-    raise RuntimeError("could not draw a feasible five-cycle start")
+def _cycle_value(a: float, b: float) -> float:
+    """5 - 4 lambda_max(M), M = sum_i u_i u_i^T of ``_cycle_vectors(a, b)``
+    written out in Python floats (the tuples would double its time), +inf at a
+    degenerate pin. M has trace 5, so with q = 5/3, p^2 = tr((M - qI)^2)/6 > 0
+    and r = det(M - qI)/(2 p^3) its eigenvalues are q + 2 p cos((acos(r) + 2 pi k)/3).
+    For r > -1/2 the top one (k = 0) is read directly. Nearer -1 the top two may
+    meet, where the cubic fixes them only to sqrt(eps), so the lowest (k = 1) is
+    deflated: A = M - lambda_min I has adj(A) = mu_1 mu_2 v v^T, and
+    N = A - (tr A / 2)(I - v v^T) has |N|_F = (mu_1 - mu_2) / sqrt(2)."""
+    ca, sa, cb, sb = math.cos(a), math.sin(a), math.cos(b), math.sin(b)
+    pin = math.hypot(sb * sa, cb)
+    if pin < PIN_FLOOR:
+        return math.inf
+    y2, z2, x3, y3, z3, x4, y4 = ca, sa, cb, sb * sa, -sb * ca, -sb * sa / pin, cb / pin
+    q = 5.0 / 3.0
+    dx, dy, dz = 1.0 + x3 * x3 + x4 * x4 - q, y2 * y2 + y3 * y3 + y4 * y4 - q, 1.0 + z2 * z2 + z3 * z3 - q
+    xy, xz, yz = x3 * y3 + x4 * y4, x3 * z3, y2 * z2 + y3 * z3
+    p = math.sqrt((dx * dx + dy * dy + dz * dz + 2.0 * (xy * xy + xz * xz + yz * yz)) / 6.0)
+    r = (dx * (dy * dz - yz * yz) - xy * (xy * dz - yz * xz) + xz * (xy * yz - dy * xz)) / (2.0 * p * p * p)
+    if r > -0.5:
+        return 5.0 - 4.0 * (q + 2.0 * p * math.cos(math.acos(min(r, 1.0)) / 3.0))
+    low = 2.0 * p * math.cos((math.acos(max(r, -1.0)) + 2.0 * math.pi) / 3.0)  # lambda_min - q
+    ax, ay, az = dx - low, dy - low, dz - low
+    cxx, cyy, czz = ay * az - yz * yz, ax * az - xz * xz, ax * ay - xy * xy
+    cxy, cxz, cyz = xz * yz - xy * az, xy * yz - xz * ay, xy * xz - ax * yz
+    m = (ax + ay + az) / 2.0
+    k = m / (cxx + cyy + czz)
+    spread = ((ax - m + k * cxx) ** 2 + (ay - m + k * cyy) ** 2 + (az - m + k * czz) ** 2
+              + 2.0 * ((xy + k * cxy) ** 2 + (xz + k * cxz) ** 2 + (yz + k * cyz) ** 2))
+    return 5.0 - 4.0 * (q + low + m + math.sqrt(spread / 2.0))
 
 
 def _state_step(u):
@@ -302,78 +322,27 @@ def _state_step(u):
     return tuple(psi.tolist()), contextual_objective(stack, psi)
 
 
-def _seesaw_line(u, psi, i: int):
-    """The circle that u_i moves on and the seesaw's objective along it.
-
-    u_i turns to cand(phi) = cos(phi) e1 + sin(phi) e2 in the plane
-    orthogonal to u_{i-1}, and u_{i+1} is re-pinned to the direction of
-    cand x w with w = u_{i+2}. With t = (cos phi, sin phi) the three inner
-    products that move are linear in t: cand.psi = a.t,
-    (cand x w).psi = cand.(w x psi) = b.t and cand.w = c.t. So the value is
-    5 - 4 (rest + (a.t)^2 + (b.t)^2 / |cand x w|^2), where
-    |cand x w|^2 = 1 - (c.t)^2 is taken as (w.u_{i-1})^2 + (c1 sin phi -
-    c2 cos phi)^2, a sum of squares that does not cancel near a degenerate
-    pin. The trial is +inf where |cand x w| < PIN_FLOOR. All of it is Python
-    float arithmetic on 3-tuples, where numpy would spend most of its time in
-    call overhead. Returns (e1, e2, value), or None when u_i is parallel to
-    u_{i-1}.
-    """
-    prev, w = u[(i - 1) % 5], u[(i + 2) % 5]
-    along = _dot(u[i], prev)
-    e1 = tuple(x - along * p for x, p in zip(u[i], prev))
-    n1 = math.hypot(*e1)
-    if n1 < PLANE_FLOOR:
-        return None
-    e1 = tuple(x / n1 for x in e1)
-    e2 = _cross(prev, e1)
-    w_psi = _cross(w, psi)
-    a1, b1, c1 = _dot(e1, psi), _dot(e1, w_psi), _dot(e1, w)
-    a2, b2, c2 = _dot(e2, psi), _dot(e2, w_psi), _dot(e2, w)
-    # the squares stay powers: float ** 2 goes through libm's pow, and
-    # x ** 2 != x * x in the last bit for about 1 float in 1,200 (1,660 of
-    # 2,000,000 standard normal draws, Python 3.11.7 on glibc), enough to
-    # move the pinned contextual digits
-    off_plane = _dot(w, prev) ** 2
-    rest = sum(_dot(u[j], psi) ** 2 for j in range(5) if j not in (i, (i + 1) % 5))
-    pin_floor_sq = PIN_FLOOR ** 2
-
-    def value(phi: float) -> float:
-        cos, sin = math.cos(phi), math.sin(phi)
-        pinned_sq = off_plane + (c1 * sin - c2 * cos) ** 2
-        if pinned_sq < pin_floor_sq:
-            return math.inf
-        moved = (a1 * cos + a2 * sin) ** 2 + (b1 * cos + b2 * sin) ** 2 / pinned_sq
-        return 5.0 - 4.0 * (rest + moved)
-
-    return e1, e2, value
-
-
 def _contextual_seesaw(seed: int, iterations: int, tol: float):
-    """Alternate a state step (top eigenvector of sum u_i u_i^T) with local
-    vector moves. Single vectors are rigid inside the cycle, so each move
-    rotates u_i on the circle orthogonal to u_{i-1} and re-pins u_{i+1} as the
-    cross product with u_{i+2}; degenerate cross products abort the restart.
-    Each line's golden-section search reads the closed form of
-    ``_seesaw_line``, and only the accepted step builds the moved vectors.
-    The vectors and the state stay 3-tuples of floats: numpy runs only the
-    random start and one ``eigh`` per sweep, and the start and the value
-    after each sweep are the public objective's."""
-    u = _feasible_start(np.random.default_rng(seed))
+    """One seeded restart: (a, b) uniform on [-pi, pi)^2, then sweeps of two
+    lines on ``_cycle_value``, a then b, each over [x - pi, x + pi], with
+    ``_descend``'s line tolerance and convergence test, on the public objective
+    (``_state_step``); None when the start or an accepted point is a degenerate
+    pin. The benchmark's tracer (``TARGETS`` in ``perfbench/tracing.py``) books
+    it as ``bounds.seesaw`` by this name."""
+    a, b = np.random.default_rng(seed).uniform(-math.pi, math.pi, 2).tolist()
+    line_tol = min(tol, SEARCH_TOL)
+    u = _cycle_vectors(a, b)
+    if u is None:
+        return None
     psi, previous = _state_step(u)
     for performed in range(1, iterations + 1):
-        for i in range(5):
-            line = _seesaw_line(u, psi, i)
-            if line is None:
-                continue
-            e1, e2, value = line
-            phi = golden_section_minimize(value, -np.pi, np.pi, tol=SEESAW_LINE_TOL)
-            cos, sin = math.cos(phi), math.sin(phi)
-            cand = tuple(cos * x + sin * y for x, y in zip(e1, e2))
-            cross = _cross(cand, u[(i + 2) % 5])
-            norm = math.hypot(*cross)
-            if norm < PIN_FLOOR:
-                return None
-            u[i], u[(i + 1) % 5] = cand, tuple(x / norm for x in cross)
+        a = golden_section_minimize(lambda x: _cycle_value(x, b), a - math.pi, a + math.pi, tol=line_tol)
+        if _cycle_vectors(a, b) is None:
+            return None
+        b = golden_section_minimize(lambda x: _cycle_value(a, x), b - math.pi, b + math.pi, tol=line_tol)
+        u = _cycle_vectors(a, b)
+        if u is None:
+            return None
         psi, current = _state_step(u)
         converged = performed >= 3 and previous - current < tol
         previous = current
@@ -383,8 +352,9 @@ def _contextual_seesaw(seed: int, iterations: int, tol: float):
 
 
 def contextual_bound_kcbs(iterations: int = 200, restarts: int = 8, tol: float = SEARCH_TOL) -> BoundResult:
-    """Seesaw over five exclusive rank-one tests and a state in R^3; the
-    optimum 5 - 4*sqrt(5) sits strictly above the temporal extremum.
+    """Minimize over five exclusive rank-one tests and a state in R^3 by
+    seeded restarts of ``_contextual_seesaw``; the optimum 5 - 4*sqrt(5) sits
+    strictly above the temporal extremum.
 
     ``restarts`` is an upper limit: the search stops after the first converged
     restart whose kept optimum lies within ``tol`` of CONTEXTUAL_OPTIMUM. The

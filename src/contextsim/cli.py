@@ -111,10 +111,10 @@ def _build_parser() -> argparse.ArgumentParser:
     bounds_p.add_argument("--sweeps", type=int, default=defaults["sweeps"],
                           help="descent sweeps for bell-kcbs and temporal-kcbs")
     bounds_p.add_argument("--restarts", type=int, default=defaults["restarts"],
-                          help="upper limit on seeded seesaw restarts for contextual-kcbs; the search stops "
+                          help="upper limit on seeded restarts for contextual-kcbs; the search stops "
                                "at the first converged restart within --tol of 5 - 4*sqrt(5)")
     bounds_p.add_argument("--iterations", type=int, default=defaults["iterations"],
-                          help="seesaw sweeps per contextual-kcbs restart")
+                          help="two-angle sweeps per contextual-kcbs restart")
     bounds_p.add_argument("--tol", type=float, default=defaults["tol"],
                           help="convergence tolerance of the three sweep searches")
     bounds_p.add_argument("--format", default="table", choices=FORMATS)

@@ -31,11 +31,8 @@ ATOL_STATE_PSD = 1e-9     # round-off of eigvalsh: the eigenvalue floor accepted
 VERDICT_EPS = 1e-9        # a verdict's margin: a sum beats its bound only by more than this
 CONSTRAINT_ATOL = 1e-6    # a side condition <A_j B_j> = 1 holds within this
 FIT_TOL = 1e-6            # bracket width of the visibility fit's golden-section search
-SEARCH_TOL = 1e-9         # default tolerance of the bound searches, and the cap on a descent line's bracket
-SEESAW_LINE_TOL = 1e-11   # bracket width of a seesaw line's golden-section search
-START_FLOOR = 1e-8        # seesaw start: a shorter drawn vector is a degenerate draw, redrawn
-PLANE_FLOOR = 1e-10       # seesaw line: u_i this close to parallel to u_{i-1} has no plane to turn in
-PIN_FLOOR = 1e-12         # seesaw: a shorter re-pinned cross product is a degenerate pin
+SEARCH_TOL = 1e-9         # default tolerance of the bound searches, and the cap on a search line's bracket
+PIN_FLOOR = 1e-12         # contextual search: |u_0 x u_3| below this leaves u_4 no direction, a degenerate pin
 REPLACE_MARGIN = 1e-15    # a contextual restart replaces the kept one only when this much lower
 
 PAULI_I = np.eye(2, dtype=complex)

@@ -110,7 +110,7 @@ def basis_state(n: int, label: str) -> QuantumState:
         raise ValueError(f"label {label!r} contains characters other than 0/1")
     n = checked_count(n, "qubit count")
     a = np.zeros(2 ** n, dtype=complex)
-    a[int(label, 2)] = 1.0  # exactly one-hot, so of unit norm
+    a[int(label or "0", 2)] = 1.0  # exactly one-hot, so of unit norm; n = 0 has the one amplitude
     return QuantumState._unchecked(n, amplitudes=a)
 
 

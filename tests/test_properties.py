@@ -20,9 +20,10 @@ the visibility factor v^k is probe dephasing after each of
 k blocks and independent outcome flips on a Lüders chain, the Bell-side bound objective matches a
 null-space oracle and equals the cyclic cosine sum, near-collinear tuples
 included, and the numerical penalty-kernel reading matches it off that band
-and never reads above it inside it, the seesaw's closed-form line
-objective matches the cross-product form, and its cross product is numpy's
-bit for bit. The pentagon's four-chain pairwise reading equals its
+and never reads above it inside it. The contextual search's two-angle
+family is a five-cycle of unit vectors with adjacent ones orthogonal, it
+reaches every drawn five-cycle up to rotation, and its closed-form top
+eigenvalue matches eigvalsh. The pentagon's four-chain pairwise reading equals its
 ten-chain form bit for bit. The angle searches' shared coarse start is also checked
 against its public scalar objective taken over the grid one tuple at a time, and
 their written-out line and descent against the generic golden-section search on
@@ -235,25 +236,13 @@ def _unit(draw) -> np.ndarray:
 
 @st.composite
 def five_cycles(draw):
-    """Five unit vectors in R^3, adjacent ones orthogonal, built from drawn
-    vectors the way the seesaw's random start builds them."""
+    """Five unit vectors in R^3, adjacent ones orthogonal: four drawn, each
+    projected off the one before, and the fifth u_3 x u_0, normalized."""
     u = [_unit(draw)]
     for _ in range(3):
         v = _unit(draw)
         u.append(_normalized(v - (v @ u[-1]) * u[-1]))
     return u + [_normalized(np.cross(u[3], u[0]))]
-
-
-def _moved_pair_oracle(u, psi, i, cand):
-    """The objective after u_i -> cand and u_{i+1} -> cand x u_{i+2}, from the
-    explicit cross product, or None where that has no direction."""
-    cross = np.cross(cand, u[(i + 2) % 5])
-    norm = np.linalg.norm(cross)
-    if norm < 1e-6:
-        return None
-    moved = list(u)
-    moved[i], moved[(i + 1) % 5] = cand, cross / norm
-    return bounds.contextual_objective(moved, psi)
 
 
 def _constraint_singular_values(five):
@@ -857,36 +846,44 @@ def test_descent_is_the_closure_descent_bit_for_bit(five, sweeps, tol):
     assert (descent[0].tolist(), *descent[1:]) == (oracle[0].tolist(), *oracle[1:])
 
 
-@given(u=five_cycles(), data=st.data())
-def test_seesaw_line_matches_cross_product_form(u, data):
-    # the seesaw keeps its vectors and state as 3-tuples of floats, and the
-    # line returns its plane basis as tuples
-    u = [tuple(v.tolist()) for v in u]
-    psi = tuple(_unit(data.draw).tolist())
-    i = data.draw(st.integers(0, 4))
-    phi = data.draw(st.floats(-np.pi, np.pi))
-    e1, e2, value = bounds._seesaw_line(u, psi, i)
-    basis = np.array([e1, e2, u[(i - 1) % 5]])
-    assert np.max(np.abs(basis @ basis.T - np.eye(3))) <= 1e-12
-    oracle = _moved_pair_oracle(u, psi, i, np.cos(phi) * np.array(e1) + np.sin(phi) * np.array(e2))
-    assume(oracle is not None)
-    assert abs(value(phi) - oracle) <= 1e-12
+two_angles = st.floats(-np.pi, np.pi)
 
 
-# mantissa times a power of ten: zero and magnitudes up to 1e151, whose
-# products stay finite
-wide_floats = st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-150, 150))
+def _top_value(u) -> float:
+    """5 - 4 lambda_max of sum_i u_i u_i^T, by numpy's eigvalsh."""
+    stack = np.array(u)
+    return 5.0 - 4.0 * np.linalg.eigvalsh(stack.T @ stack)[-1]
 
 
-@given(
-    a=st.lists(wide_floats, min_size=3, max_size=3),
-    b=st.lists(wide_floats, min_size=3, max_size=3),
-)
-def test_cross_is_numpy_cross_bit_for_bit(a, b):
-    # equality, not a tolerance: the seesaw must take the steps it took with
-    # np.cross, and both round each product before the difference
-    a, b = np.array(a), np.array(b)
-    assert np.array_equal(bounds._cross(a, b), np.cross(a, b))
+@given(a=two_angles, b=two_angles)
+def test_contextual_family_is_a_five_cycle(a, b):
+    u = bounds._cycle_vectors(a, b)
+    assume(u is not None)
+    u = np.array(u)
+    assert np.max(np.abs(np.linalg.norm(u, axis=1) - 1.0)) <= 1e-15
+    assert max(abs(u[i] @ u[(i + 1) % 5]) for i in range(5)) <= 1e-15
+
+
+@given(u=five_cycles())
+def test_contextual_family_reaches_every_five_cycle(u):
+    # R = (u_1; u_0 x u_1; u_0) takes u_0 to e_z and u_1 to e_x; then
+    # R u_2 = (0, cos a, sin a) and R u_3 = (cos b, sin b sin a, -sin b cos a)
+    # give (a, b), and R leaves the spectrum of sum_i u_i u_i^T unchanged
+    rotated = np.array(u) @ np.array([u[1], np.cross(u[0], u[1]), u[0]]).T
+    a = np.arctan2(rotated[2, 2], rotated[2, 1])
+    x3, y3, z3 = rotated[3]
+    b = np.arctan2(y3 * np.sin(a) - z3 * np.cos(a), x3)
+    assert abs(bounds._cycle_value(float(a), float(b)) - _top_value(u)) <= 1e-11
+
+
+@given(a=two_angles, b=two_angles)
+@example(a=0.0, b=0.0)  # M = diag(2, 2, 1): the top two eigenvalues meet
+@example(a=0.0, b=2.9878618231307454)  # there too, where r rounds to 1 ulp below -1
+@example(a=0.666239432373632, b=-0.9045568985841517)  # at the optimum, where r rounds above 1
+def test_contextual_family_closed_form_is_eigvalsh(a, b):
+    u = bounds._cycle_vectors(a, b)
+    assume(u is not None)
+    assert abs(bounds._cycle_value(a, b) - _top_value(u)) <= 1e-11
 
 
 @pytest.mark.parametrize("resolution", [pytest.param(r, id=f"temporal-{r}")

@@ -41,6 +41,12 @@ class TestBasisStates:
         with pytest.raises(ValueError):
             basis_state(2, "0")
 
+    def test_zero_qubits_is_the_one_amplitude_state(self):
+        # int("", 2) used to raise; QuantumState and pure_state([1]) admit 0 qubits
+        state = basis_state(0, "")
+        assert state.qubits == 0
+        assert state.amplitudes.tobytes() == pure_state([1]).amplitudes.tobytes()
+
     def test_bool_qubit_count_refused(self):
         # len("1") == True, so only the qubit-count check refuses it
         with pytest.raises(ValueError, match="qubit count must be an integer"):
