@@ -44,8 +44,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import (PIN_FLOOR, REPLACE_MARGIN, SEARCH_TOL, checked_angles, checked_count, checked_real,
-                     checked_reals, sigma_theta_matrix)
+from .linalg import PIN_FLOOR, REPLACE_MARGIN, SEARCH_TOL, checked_count, checked_reals, sigma_theta_matrix
 from .inequalities import _KCBS_PAIRS, _PENTAGON_PAIRS, BELL_TERM, _kcbs_cycle
 from . import optimize
 from .optimize import _INV_GOLDEN, golden_section_minimize
@@ -79,9 +78,7 @@ class BoundResult:
 
 def _one_tuple(angles) -> np.ndarray:
     """A public objective's angles, checked: one 5-tuple, never a stack, each within +-_ANGLE_LIMIT."""
-    angles = checked_angles(angles, "angles")
-    if np.shape(angles) != (5,):
-        raise ValueError(f"need exactly 5 angles, got shape {np.shape(angles)}")
+    angles = checked_reals(angles, "angles", (5,))
     if max(map(abs, angles.tolist())) > _ANGLE_LIMIT:
         raise ValueError(f"angles must be at most {_ANGLE_LIMIT:.6g} in magnitude, got {angles.tolist()}")
     return angles
@@ -122,7 +119,7 @@ def temporal_objective(angles) -> float:
 
 
 def _positive_tol(tol) -> float:
-    tol = checked_real(tol, "tol")
+    tol = checked_reals(tol, "tol", ())
     if not tol > 0:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     return tol
@@ -171,7 +168,7 @@ def _line_argmin(angles: list, i: int, tol: float) -> float:
     descent, where only a_i moves, over [a_i - pi, a_i + pi].
 
     The loop is ``golden_section_minimize``'s step for step: its trial
-    points, its fc <= fd rule, its ``MAX_STEPS`` cap and its midpoint. Each trial
+    points, its fc <= fd rule, its stops and its midpoint. Each trial
     writes the line's value out instead of calling a function, and adds its
     five terms in cycle order, as ``_cycle_cosines`` does, so it equals the
     objective bit for bit. The fixed terms t_r = cos(a_r - a_{r+1}) are taken
@@ -194,7 +191,7 @@ def _line_argmin(angles: list, i: int, tol: float) -> float:
     fd = (cos(d - after) + u + v + w + cos(before - d) if wrap
           else head + cos(before - d) + cos(d - after) + u + v + w)
     for _ in range(optimize.MAX_STEPS):
-        if hi - lo <= tol:
+        if hi - lo <= tol or (d == hi if fc <= fd else c == lo):
             break
         if fc <= fd:
             hi, d, fd = d, c, fc
@@ -264,8 +261,8 @@ def temporal_bound_kcbs(resolution: int = 8, tol: float = SEARCH_TOL, sweeps: in
 def contextual_objective(vectors, psi) -> float:
     """5 - 4 * sum_i <psi|u_i><u_i|psi> for projective X_i = 2|u_i><u_i| - I
     with adjacent orthogonality; minimized at 5 - 4*sqrt(5)."""
-    vectors = checked_reals(vectors, "vectors", (5, 3), "five finite real 3-vectors")
-    psi = checked_reals(psi, "state", (3,), "a finite real 3-vector")
+    vectors = checked_reals(vectors, "vectors", (5, 3))
+    psi = checked_reals(psi, "state", (3,))
     return float(5.0 - 4.0 * sum(float(np.dot(u, psi)) ** 2 for u in vectors))
 
 
@@ -402,7 +399,7 @@ def pentagon_pairwise_value(theta):
     block at every odd one, so a pair's chain depends only on the parities of
     its two slots: the four distinct chains run as one batch, and each pair
     reads its parities' value."""
-    theta = checked_angles(theta, "theta")
+    theta = checked_reals(theta, "theta")
     chains = _kcbs_cycle(theta)[..., _PARITY_PAIRS, :, :]  # theta.shape + (4, 2, 2, 2)
     values = _distribution(_HALF_IDENTITY, chains).correlator()
     # summed in pair order, as the evaluator sums its terms
@@ -413,7 +410,7 @@ def pentagon_invasive_value(theta):
     """Ten-pair sum read off one invasive five-measurement chain: all five
     observables measured in order on I/2, pair correlators taken from the
     joint outcome distribution. An array of angles gives an array of sums."""
-    theta = checked_angles(theta, "theta")
+    theta = checked_reals(theta, "theta")
     dist = _distribution(_HALF_IDENTITY, _kcbs_cycle(theta))
     return _one_or_many(theta, sum(dist.correlator(pair) for pair in _PENTAGON_PAIRS))
 
@@ -451,7 +448,7 @@ def pentagon_scan(theta_grid=None) -> BoundResult:
             values = list(theta_grid)
         except TypeError:  # a number, or another value that is not iterable
             values = []
-        grid = checked_angles(values, "theta grid")
+        grid = checked_reals(values, "theta grid")
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("theta grid must be a nonempty sequence of angles")
     thetas = np.append(grid, ACOS_MINUS_3_4)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import CONSTRAINT_ATOL, PAULIS, VERDICT_EPS, checked_angles, checked_matrix, sigma_theta_matrix
+from .linalg import CONSTRAINT_ATOL, PAULIS, VERDICT_EPS, checked_matrix, checked_reals, sigma_theta_matrix
 from .scattering import TemporalCorrelationSpec, slot, stack_correlators_direct, stack_correlators_scattering
 from .sequential import _full_product
 from .states import QuantumState
@@ -164,7 +164,7 @@ def _make_report(name, state, method, terms, stack, signs, direction, prediction
 
 def sigma_theta(theta: float) -> Observable:
     """cos(theta) sigma_z + sin(theta) sigma_x; dichotomic for every angle."""
-    theta = checked_angles(theta, "theta", scalar=True)
+    theta = checked_reals(theta, "theta", ())
     return Observable(matrix=sigma_theta_matrix(theta), label=f"sigma_theta({theta:.6g})")
 
 
@@ -233,7 +233,7 @@ def _cycle_report(name, state, theta, method, a, b) -> InequalityReport:
     """One pair correlator <X_i X_j> per pair (i, j) of the alternating Z/theta
     cycle, all with sign +1, against a classical floor; the combination is
     a + b cos(theta). theta is checked here, where it enters."""
-    theta = checked_angles(theta, "theta", scalar=True)
+    theta = checked_reals(theta, "theta", ())
     index, terms = _CYCLES[name]
     return _make_report(
         name=name, state=state, method=method, terms=terms, stack=_kcbs_cycle(theta)[index],

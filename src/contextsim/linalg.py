@@ -11,15 +11,13 @@ imaginary part (see ``sequential``), for which :func:`check_observable` takes
 real stacks as well. Every matrix that a constructor takes from its caller
 goes through :func:`checked_matrix`; only a matrix the package built from
 checked values may be stored without it (see ``states.QuantumState``). Every
-count read from user input goes through :func:`checked_count`, every angle
-argument through :func:`checked_angles`, every other real number through
-:func:`checked_real` and every real vector through :func:`checked_reals`.
+count read from user input goes through :func:`checked_count`, and every real
+number, angle or real array through :func:`checked_reals`.
 Operations are pure functions and safe to call concurrently.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 
 import numpy as np
@@ -89,54 +87,39 @@ def checked_matrix(entries, what: str, shape: tuple[int, int] | None = None,
     return m
 
 
-def _holds_bool(theta) -> bool:
+def _holds_bool(value) -> bool:
     """Whether a list or tuple holds a bool (``np.bool_`` included) at any
     depth; numpy reads one as a number when it sits beside one."""
-    return isinstance(theta, (list, tuple)) and any(
+    return isinstance(value, (list, tuple)) and any(
         isinstance(x, bool) or getattr(x, "dtype", None) == bool
-        for x in np.asarray(theta, dtype=object).flat
+        for x in np.asarray(value, dtype=object).flat
     )
 
 
-def checked_angles(theta, what: str, scalar: bool = False):
-    """``theta`` in radians: a float for one angle, a float64 array for an
-    array of them (refused when ``scalar``). Integers and floats pass; bools,
-    also inside a list or tuple, strings, complex and non-finite values raise
-    ValueError naming ``what`` before any numpy arithmetic can warn or pick
-    another dtype."""
-    a = np.asarray(theta)
-    if a.dtype.kind not in "iuf" or (a.ndim and (scalar or _holds_bool(theta))):
-        kind = "a real number" if scalar else "real numbers"
-        raise ValueError(f"{what} must be {kind} of radians, got {theta!r}")
-    if a.ndim == 0:  # one angle: a Python float check, several times faster
-        a = float(a)
-        bad = [] if math.isfinite(a) else [a]
-    else:
-        a = a.astype(float)
-        bad = a[~np.isfinite(a)]
-    if len(bad):
-        raise ValueError(f"{what} holds a non-finite angle: {bad[0]}")
-    return a
-
-
-def checked_real(value, what: str) -> float:
-    """``value`` as a float, by the rule of :func:`checked_angles`: integers and
-    floats pass; bools, strings, complex, arrays and non-finite values (an
-    integer beyond the float range too) raise ValueError naming ``what``."""
-    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-    # a Python int compares exactly, where float() of one beyond the float range raises
-    if not (real and abs(value if isinstance(value, int) else float(value)) <= sys.float_info.max):
-        raise ValueError(f"{what} must be a finite real number, got {value!r}")
-    return float(value)
-
-
-def checked_reals(value, what: str, shape: tuple, kind: str) -> np.ndarray:
-    """``value`` as a float64 array of ``shape``; another shape or dtype, a bool
-    (also inside a list or tuple) or a non-finite entry raises ValueError."""
+def checked_reals(value, what: str, shape: tuple | None = None):
+    """``value`` as real numbers, or ValueError naming ``what`` before any numpy
+    arithmetic can warn or pick another dtype. With ``shape=()``: one Python or
+    numpy integer or float, not a bool or an array (0-d included), finite and at
+    most the float maximum in magnitude (a Python int compared exactly), as a
+    float. Otherwise ``np.asarray(value)`` must have an integer or float dtype
+    and ``shape`` (any when None), hold no bool in a list or tuple and only
+    finite entries; it is returned as a float64 array, or as a float for one
+    number when ``shape`` is None."""
+    if shape == ():
+        real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+        # a Python int compares exactly, where float() of one beyond the float range raises
+        if not (real and abs(value if isinstance(value, int) else float(value)) <= sys.float_info.max):
+            raise ValueError(f"{what} must be a finite real number, got {value!r}")
+        return float(value)
     a = np.asarray(value)
-    if a.dtype.kind not in "iuf" or a.shape != shape or _holds_bool(value) or not np.isfinite(a).all():
-        raise ValueError(f"{what} must be {kind}, got {value!r}")
-    return a.astype(float)
+    if a.dtype.kind not in "iuf" or a.shape != (shape or a.shape) or _holds_bool(value):
+        of_shape = "" if shape is None else f" of shape {shape}"
+        raise ValueError(f"{what} must be real numbers{of_shape}, got {value!r}")
+    a = a.astype(float)
+    bad = a[~np.isfinite(a)]
+    if bad.size:
+        raise ValueError(f"{what} must be finite, got a non-finite entry: {bad[0]}")
+    return float(a) if a.ndim == 0 else a
 
 
 def checked_count(value, what: str, minimum: int = 0, maximum: int | None = None) -> int:

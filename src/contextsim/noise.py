@@ -16,7 +16,7 @@ from importlib import resources
 import numpy as np
 
 from .inequalities import eval_pm, eval_transformed_bell
-from .linalg import FIT_TOL, checked_count, checked_real
+from .linalg import FIT_TOL, checked_count, checked_reals
 from .optimize import golden_section_minimize
 from .states import QuantumState, bell_phi_plus, density_of
 
@@ -27,7 +27,7 @@ MAX_MAGNITUDE = 1e150  # the square of a residual between two such values stays 
 def _check_unit_interval(value, what: str) -> None:
     """Raise ValueError unless ``value`` is a real number in [0, 1]; the
     caller computes with the value as given."""
-    if not 0.0 <= checked_real(value, what) <= 1.0:
+    if not 0.0 <= checked_reals(value, what, ()) <= 1.0:
         raise ValueError(f"{what} {value} out of [0, 1]")
 
 
@@ -54,7 +54,7 @@ def depolarize(state: QuantumState, p: float) -> QuantumState:
 
 def apply_visibility(ideal: float, n_blocks: int, v: float) -> float:
     """Contrast loss v^n_blocks applied multiplicatively to one correlator."""
-    checked_real(ideal, "ideal value")
+    checked_reals(ideal, "ideal value", ())
     _check_unit_interval(v, "visibility")
     return float(v ** checked_count(n_blocks, "block count", 0, MAX_BLOCKS) * ideal)
 
@@ -64,8 +64,8 @@ def fit_visibility(pairs) -> float:
 
     Minimizes sum (v^n * ideal - measured)^2 by golden section on [0, 1].
     """
-    pairs = [(checked_real(i, "ideal value"), checked_count(n, "block count", 0, MAX_BLOCKS),
-              checked_real(m, "measured value")) for i, n, m in pairs]
+    pairs = [(checked_reals(i, "ideal value", ()), checked_count(n, "block count", 0, MAX_BLOCKS),
+              checked_reals(m, "measured value", ())) for i, n, m in pairs]
     if not pairs:
         raise ValueError("need at least one measurement")
     if any(i == 0.0 for i, _, _ in pairs):

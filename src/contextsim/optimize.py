@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .linalg import SEARCH_TOL
+from .linalg import SEARCH_TOL, checked_reals
 
 _INV_GOLDEN = 0.6180339887498949
 
@@ -19,18 +19,18 @@ def golden_section_minimize(
 ) -> float:
     """Minimize a unimodal scalar function on [lo, hi].
 
-    Returns the midpoint of the interval once it is narrowed below ``tol`` (or
-    after ``MAX_STEPS`` shrink steps); ``f`` is called twice to start and once
-    per shrink step.
+    Returns the midpoint of the interval once it is narrowed below ``tol`` or
+    a shrink step would leave it unchanged, or after ``MAX_STEPS`` shrink
+    steps; ``f`` is called twice to start and once per shrink step.
     """
-    if not hi > lo:
+    a, b = checked_reals(lo, "lo", ()), checked_reals(hi, "hi", ())
+    if not b > a:
         raise ValueError("need hi > lo")
-    a, b = float(lo), float(hi)
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(MAX_STEPS):
-        if b - a <= tol:
+        if b - a <= tol or (d == b if fc <= fd else c == a):
             break
         if fc <= fd:
             b, d, fd = d, c, fc

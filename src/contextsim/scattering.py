@@ -138,10 +138,11 @@ def _probe_circuit(stack: np.ndarray, operand: np.ndarray) -> np.ndarray:
     Viewed as ``(T, 2, d, r)``, H is one product on the probe axis and a block
     one product on the probe's |1> half; the operand is only read, in any layout."""
     def one_pass(rows):
-        t = (HADAMARD @ rows.reshape(len(rows), 2, -1)).reshape(len(rows), 2, stack.shape[-1], -1)
+        d, r = stack.shape[-1], rows.shape[-1] if rows.ndim == 3 else 1  # sized, as -1 fails on T = 0
+        t = (HADAMARD @ rows.reshape(len(rows), 2, d * r)).reshape(len(rows), 2, d, r)
         for i in range(stack.shape[1]):
             t[:, 1] = stack[:, i] @ t[:, 1]
-        return (HADAMARD @ t.reshape(len(rows), 2, -1)).reshape(rows.shape)
+        return (HADAMARD @ t.reshape(len(rows), 2, d * r)).reshape(rows.shape)
 
     out = one_pass(operand)
     if operand.ndim == 3:

@@ -111,12 +111,12 @@ class OutcomeDistribution:
         p = np.array(self.probabilities, dtype=float)
         if p.shape != shape:
             raise ValueError(f"probabilities must have shape {shape}, got {p.shape}")
-        # written so that NaN fails both checks
-        sums = p.reshape(*obs.shape[:-3], -1).sum(axis=-1)
+        # written so that NaN fails both checks; an empty batch passes both
+        sums = p.reshape(obs.shape[:-3] + (2 ** obs.shape[-3],)).sum(axis=-1)
         tol = _sum_tolerance(obs.shape[-1], obs.shape[-3])
-        if not np.abs(sums - 1.0).max() <= tol:
+        if not np.abs(sums - 1.0).max(initial=0.0) <= tol:
             raise ValueError(f"probabilities sum to {sums[~(np.abs(sums - 1.0) <= tol)][0]}, not 1")
-        if not p.min() >= -_probability_floor(obs.shape[-1], obs.shape[-3]):
+        if not p.min(initial=0.0) >= -_probability_floor(obs.shape[-1], obs.shape[-3]):
             raise ValueError("negative probability in outcome distribution")
         p.setflags(write=False)
         object.__setattr__(self, "observables", obs)
@@ -148,7 +148,7 @@ def luders_measure(branches: np.ndarray, proj: np.ndarray) -> np.ndarray:
     inputs: float64 for the real parts of a real chain, complex128
     otherwise."""
     split = proj[..., None, :, :, :] @ branches[..., :, None, :, :] @ proj[..., None, :, :, :]
-    return split.reshape(split.shape[:-4] + (-1,) + proj.shape[-2:])
+    return split.reshape(split.shape[:-4] + (2 * split.shape[-4],) + proj.shape[-2:])
 
 
 def _checked_stack(state: QuantumState, obs_seq) -> np.ndarray:
@@ -158,8 +158,8 @@ def _checked_stack(state: QuantumState, obs_seq) -> np.ndarray:
     if obs.size:  # an empty chain measures nothing and is certain
         # NaN in an imaginary part counts as nonzero, so the check still sees it
         check_observable(obs if obs.imag.any() else obs.real, "measured observable")
-        if obs.shape[-2:] != (2 ** state.qubits,) * 2:
-            raise ValueError("observable dimension does not match the state")
+    if obs.shape[-3] and obs.shape[-2:] != (2 ** state.qubits,) * 2:  # an empty batch too
+        raise ValueError("observable dimension does not match the state")
     return obs
 
 

@@ -1,27 +1,28 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from contextsim import linalg
-from contextsim.bounds import bell_operator
+from contextsim.bounds import bell_operator, temporal_bound_kcbs
 from contextsim.circuits import GateOp
-from contextsim.inequalities import Observable
+from contextsim.inequalities import Observable, eval_kcbs_temporal, sigma_theta
 from contextsim.linalg import (
     PAULI_I,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     check_observable,
-    checked_angles,
     checked_count,
     checked_matrix,
-    checked_real,
+    checked_reals,
     sigma_theta_matrix,
 )
+from contextsim.noise import NoiseModel
 from contextsim.scattering import TimeSlot
-from contextsim.states import QuantumState
+from contextsim.states import QuantumState, basis_state
 
 
 def power_extremal_min(a, shift=10.0, iters=5000, seed=11):
@@ -132,12 +133,12 @@ class TestCheckedAngles:
     def test_bool_inside_a_sequence_refused(self, theta):
         # numpy reads a bool beside a number as 0.0 or 1.0 in a float64 array
         assert np.asarray(theta).dtype == float
-        with pytest.raises(ValueError, match="x must be real numbers of radians"):
-            checked_angles(theta, "x")
+        with pytest.raises(ValueError, match="^x must be real numbers, got "):
+            checked_reals(theta, "x")
 
     def test_numbers_pass(self):
-        assert checked_angles(2, "x") == 2.0 and type(checked_angles(2, "x")) is float
-        a = checked_angles([0, 1.5, np.float64(2.0), np.int8(3)], "x")
+        assert checked_reals(2, "x") == 2.0 and type(checked_reals(2, "x")) is float
+        a = checked_reals([0, 1.5, np.float64(2.0), np.int8(3)], "x")
         assert a.dtype == float and a.tolist() == [0.0, 1.5, 2.0, 3.0]
 
 
@@ -150,14 +151,52 @@ class TestCheckedReal:
     @pytest.mark.parametrize("value", [0, 3, 0.5, -2.5, np.int64(3), np.float32(0.5), np.float64(1e308),
                                        pytest.param(2**1023, id="2**1023"), float(2**1023)])
     def test_numbers_pass_as_floats(self, value):
-        real = checked_real(value, "x")
+        real = checked_reals(value, "x", ())
         assert real == value and type(real) is float
 
     @pytest.mark.parametrize("value", BAD_REALS)
     @pytest.mark.filterwarnings("error")
     def test_others_named(self, value):
         with pytest.raises(ValueError, match="^x must be a finite real number, got "):
-            checked_real(value, "x")
+            checked_reals(value, "x", ())
+
+
+class TestCheckedReals:
+    @pytest.mark.parametrize("value, shape", [(np.zeros((2, 5)), (5,)), ([0.0] * 4, (5,)), (0.5, (5,)),
+                                              (np.zeros(3), (5, 3)), ([1j, 0.0, 0.0], (3,))])
+    def test_wrong_shape_or_dtype_named(self, value, shape):
+        with pytest.raises(ValueError, match=re.escape(f"x must be real numbers of shape {shape}, got ")):
+            checked_reals(value, "x", shape)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [None, (3,)])
+    def test_non_finite_entry_named(self, bad, shape):
+        with pytest.raises(ValueError, match=f"^x must be finite, got a non-finite entry: {bad}$"):
+            checked_reals([0.0, bad, 1.0], "x", shape)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call, named, value", [
+        (NoiseModel, "depolarizing probability", 0.1),
+        (lambda x: temporal_bound_kcbs(8, x), "tol", 1e-9),
+        (lambda x: eval_kcbs_temporal(basis_state(1, "0"), x), "theta", 0.5),
+        (sigma_theta, "theta", 0.5),
+    ], ids=["noise p", "tol", "kcbs theta", "sigma_theta"])
+    def test_zero_d_array_refused_where_one_number_is_read(self, call, named, value):
+        # a 0-d array used to pass as theta while the same rule refused it as p and tol
+        with pytest.raises(ValueError, match=f"^{named} must be a finite real number, got array"):
+            call(np.array(value))
+
+    def test_python_int_within_the_float_range_passes_alike(self):
+        # 2**64 used to pass as tol but not as theta, where np.asarray read it as an object
+        assert checked_reals(2**64, "x", ()) == 2.0**64
+        assert sigma_theta(2**64).matrix.tobytes() == sigma_theta(2.0**64).matrix.tobytes()
+        report = eval_kcbs_temporal(basis_state(1, "0"), 2**64)
+        assert report.terms == eval_kcbs_temporal(basis_state(1, "0"), 2.0**64).terms
+        assert temporal_bound_kcbs(4, 2**64, 1).tolerance == 2.0**64
+        # the array rule reads the dtype np.asarray gives: an object array here
+        with pytest.raises(ValueError, match="^x must be real numbers, got "):
+            checked_reals([2**64], "x")
 
 
 class TestKron:

@@ -15,7 +15,7 @@ from contextsim.noise import (
 )
 from contextsim.states import basis_state, bell_phi_plus, density_of, random_pure_state
 
-# each refused by linalg.checked_real before any arithmetic; each used to pass,
+# each refused by linalg.checked_reals before any arithmetic; each used to pass,
 # return nan, or raise OverflowError or TypeError somewhere
 BAD_NUMBERS = [float("nan"), float("inf"), pytest.param(10**400, id="10**400"), "x", "0.5", True, False,
                1 + 0j, np.array([0.5])]

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from contextsim import optimize
@@ -40,3 +42,26 @@ def test_stops_after_max_iter_steps(monkeypatch):
     assert len(calls) == 2 + 5
     # five steps leave a bracket of 0.618**5 around the vertex
     assert abs(x - 0.3) <= 0.62 ** 5 / 2
+
+
+def test_stops_once_a_step_would_leave_the_bracket_unchanged():
+    # below the float spacing of the bracket no step narrows it; the loop used
+    # to run all MAX_STEPS steps, 202 trials, to the same midpoint
+    f, calls = _counted(lambda x: math.cos(x - 0.4) + math.cos(x + 1.1))
+    x = golden_section_minimize(f, -2.0, 4.0, tol=1e-300)
+    assert len(calls) == 79
+    assert abs(x - (math.pi - 0.35)) <= 1e-9
+    # at the default tol the bracket is still about 1e-9 wide, so the stop cannot fire
+    f, calls = _counted(lambda x: math.cos(x - 0.4) + math.cos(x + 1.1))
+    golden_section_minimize(f, -2.0, 4.0)
+    assert len(calls) == 49
+
+
+@pytest.mark.parametrize("lo, hi, named", [(-math.inf, 1.0, "lo"), (0.0, math.inf, "hi"), (math.nan, 1.0, "lo"),
+                                           (0.0, math.nan, "hi"), (True, 2.0, "lo")])
+def test_non_finite_bracket_end_refused(lo, hi, named):
+    # -inf used to return nan without an error
+    f, calls = _counted(lambda x: x * x)
+    with pytest.raises(ValueError, match=f"^{named} must be a finite real number"):
+        golden_section_minimize(f, lo, hi)
+    assert calls == []

@@ -4,7 +4,8 @@ oracle, the three correlator routes agree term by term and on two-slot specs,
 a report's values equal each spec's lone route call bit for bit on every
 route, the cycle's blocks are sigma_theta_matrix's own bits and Z read
 through a y rotation is sigma(theta) to round-off, a drawn stack read in one
-call on each route equals each spec's lone call bit for bit, the probe
+call on each route equals each spec's lone call bit for bit (an empty stack
+reads as empty), the probe
 matches the trace form on specs of up to six slots and equals the checked
 circuit on a probe-extended state bit for bit, Lüders chains
 match a closed-form oracle and marginalize to their prefixes, a batch of
@@ -35,6 +36,8 @@ accepted when drawn valid and rejected after one fault: a non-finite entry,
 a wrong shape, or its property broken by 1e-6."""
 
 import itertools
+import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -229,19 +232,19 @@ def _normalized(v) -> np.ndarray:
     return v / norm
 
 
-def _unit(draw) -> np.ndarray:
-    coord = st.floats(-1.0, 1.0, allow_nan=False)
-    return _normalized(np.array(draw(st.lists(coord, min_size=3, max_size=3))))
-
-
 @st.composite
 def five_cycles(draw):
-    """Five unit vectors in R^3, adjacent ones orthogonal: four drawn, each
-    projected off the one before, and the fifth u_3 x u_0, normalized."""
-    u = [_unit(draw)]
+    """Five unit vectors in R^3, adjacent ones orthogonal: u_0 drawn on the
+    sphere by two angles, u_1 to u_3 each by one angle on the circle
+    orthogonal to the one before, and the fifth u_3 x u_0, normalized (the
+    only draw refused, where u_3 is +-u_0)."""
+    polar, azimuth = draw(st.floats(0.0, np.pi)), draw(st.floats(-np.pi, np.pi))
+    u = [np.array([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)])]
     for _ in range(3):
-        v = _unit(draw)
-        u.append(_normalized(v - (v @ u[-1]) * u[-1]))
+        # the circle's basis: u x e, e the axis least along u, and u x (u x e)
+        first = _normalized(np.cross(u[-1], np.eye(3)[np.argmin(np.abs(u[-1]))]))
+        turn = draw(st.floats(-np.pi, np.pi))
+        u.append(np.cos(turn) * first + np.sin(turn) * np.cross(u[-1], first))
     return u + [_normalized(np.cross(u[3], u[0]))]
 
 
@@ -389,12 +392,21 @@ def spec_stacks(draw):
     return draw(states(qubits)), draw(st.lists(specs(qubits, slots), min_size=1, max_size=10))
 
 
+def _block_stack(specs) -> np.ndarray:
+    """The ``(T, k, d, d)`` block stack of a list of specs; an array (an
+    example's empty batch, ``(0, k, d, d)``) is taken as it is."""
+    return specs if isinstance(specs, np.ndarray) else np.stack([spec.blocks for spec in specs])
+
+
 @given(case=spec_stacks())
+@example(case=(basis_state(1, "0"), np.empty((0, 2, 2, 2), complex)))
+@example(case=(mixed_state(np.eye(4) / 4), np.empty((0, 3, 4, 4), complex)))
 def test_probe_stack_reads_each_spec_as_its_lone_call_bit_for_bit(case):
     # one batched probe evolution of 1-10 specs; each value equals the spec's
-    # lone call in every bit, so no operand of the stack runs differently
+    # lone call in every bit, so no operand of the stack runs differently; the
+    # examples are empty batches, read as empty
     state, stack = case
-    values = stack_correlators_scattering(state, np.stack([spec.blocks for spec in stack]))
+    values = stack_correlators_scattering(state, _block_stack(stack))
     assert [v.hex() for v in values] == [correlator_scattering(state, spec).hex() for spec in stack]
 
 
@@ -405,11 +417,13 @@ STACK_CALLS = {"direct": stack_correlators_direct, "sequential": stack_correlato
 @given(case=spec_stacks())
 @example(case=(pure_state([0.6, 0.8]), [TemporalCorrelationSpec(1, ())] * 2))
 @example(case=(mixed_state(np.eye(4) / 4), [TemporalCorrelationSpec(2, ())] * 3))
+@example(case=(basis_state(1, "0"), np.empty((0, 2, 2, 2), complex)))
+@example(case=(mixed_state(np.eye(4) / 4), np.empty((0, 3, 4, 4), complex)))
 def test_direct_and_sequential_stacks_read_each_spec_as_its_lone_call_bit_for_bit(method, case):
-    # as for the probe stack; the examples are batches of empty specs, which
-    # each route reads as the empty product, 1 per spec
+    # as for the probe stack; the first two examples are batches of empty
+    # specs, which each route reads as the empty product, 1 per spec
     state, stack = case
-    values = STACK_CALLS[method](state, np.stack([spec.blocks for spec in stack]))
+    values = STACK_CALLS[method](state, _block_stack(stack))
     assert [v.hex() for v in values] == [LONE_CALLS[method](state, spec).hex() for spec in stack]
 
 
@@ -814,7 +828,8 @@ def test_temporal_line_is_the_objective_bit_for_bit(kind, data):
     # equality, not a tolerance: the written-out line must steer golden
     # section through the same comparisons as the public objective, which sums
     # numpy cosines; a libm whose cos differs from numpy's fails here first.
-    # At 1e-300 the bracket never narrows that far, so the 200-step cap ends it
+    # At 1e-300 the bracket never narrows that far, so both loops stop once a
+    # step would leave it unchanged
     five = data.draw(cycle_tuples(kind))
     for tol in (1e-9, 1e-12, 1e-300):
         for i in range(5):
@@ -837,6 +852,22 @@ def test_line_argmin_stops_at_the_step_cap(monkeypatch):
             shorter = golden_section_minimize(line, 0.0, 2 * np.pi, tol=1e-300)
             assert shorter != oracle
             assert bounds._line_argmin(five.tolist(), i, 1e-300) == shorter
+
+
+def test_line_argmin_stops_once_a_step_would_leave_the_bracket(monkeypatch):
+    # at 1e-300 the bracket stops narrowing at its float spacing, about 80
+    # steps in; both loops used to run all 200. The line takes nine cosines
+    # to start (five fixed terms, two per trial) and two per step
+    five = np.array([0.3, 2.9, -1.4, 1.2, -2.6])
+    for i in range(5):
+        line, trials, cosines = _objective_line(five, i), [], []
+        oracle = golden_section_minimize(lambda x: trials.append(x) or line(x), five[i] - np.pi,
+                                         five[i] + np.pi, tol=1e-300)
+        with monkeypatch.context() as patched:
+            counted = SimpleNamespace(pi=math.pi, cos=lambda x: cosines.append(x) or math.cos(x))
+            patched.setattr(bounds, "math", counted)
+            assert bounds._line_argmin(five.tolist(), i, 1e-300) == oracle
+        assert (len(cosines) - 9) // 2 == len(trials) - 2 < optimize.MAX_STEPS // 2
 
 
 @given(five=angle_tuples(), sweeps=st.sampled_from([1, 5, 40]), tol=st.sampled_from([1e-6, 1e-9, 1e-12]))

@@ -123,7 +123,8 @@ class TestPublicReadingsRefuseBadStacks:
         (np.array([[PAULI_Z, PAULI_X], [PAULI_X, NON_HERMITIAN]]), "Hermitian"),
         (np.array([[PAULI_Z, PAULI_X], [PAULI_X, np.diag([1, 0.5])]]), "identity"),
         (np.kron(PAULI_Z, PAULI_Z)[None, None], "dimension"),
-    ], ids=["non-hermitian", "non-dichotomic", "mismatched"])
+        (np.empty((0, 2, 4, 4)), "dimension"),
+    ], ids=["non-hermitian", "non-dichotomic", "mismatched", "mismatched empty batch"])
     def test_stack_call(self, stack, match):
         with pytest.raises(ValueError, match=match):
             stack_correlators_sequential(basis_state(1, "0"), stack)
