@@ -386,6 +386,11 @@ _PARITY_PAIRS = np.array([(0, 0), (0, 1), (1, 0), (1, 1)])
 _PAIR_PARITY = tuple(2 * (i % 2) + j % 2 for i, j in _PENTAGON_PAIRS)
 
 
+def _checked_theta(theta):
+    """theta by the evaluators' one-number rule; a list, tuple or array of one or more dimensions by the array rule."""
+    return checked_reals(theta, "theta", None if isinstance(theta, (list, tuple)) or getattr(theta, "ndim", 0) else ())
+
+
 def _one_or_many(theta, values):
     return float(values) if np.ndim(theta) == 0 else values
 
@@ -399,7 +404,7 @@ def pentagon_pairwise_value(theta):
     block at every odd one, so a pair's chain depends only on the parities of
     its two slots: the four distinct chains run as one batch, and each pair
     reads its parities' value."""
-    theta = checked_reals(theta, "theta")
+    theta = _checked_theta(theta)
     chains = _kcbs_cycle(theta)[..., _PARITY_PAIRS, :, :]  # theta.shape + (4, 2, 2, 2)
     values = _distribution(_HALF_IDENTITY, chains).correlator()
     # summed in pair order, as the evaluator sums its terms
@@ -410,7 +415,7 @@ def pentagon_invasive_value(theta):
     """Ten-pair sum read off one invasive five-measurement chain: all five
     observables measured in order on I/2, pair correlators taken from the
     joint outcome distribution. An array of angles gives an array of sums."""
-    theta = checked_reals(theta, "theta")
+    theta = _checked_theta(theta)
     dist = _distribution(_HALF_IDENTITY, _kcbs_cycle(theta))
     return _one_or_many(theta, sum(dist.correlator(pair) for pair in _PENTAGON_PAIRS))
 

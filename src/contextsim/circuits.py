@@ -72,10 +72,6 @@ class Circuit:
                 raise ValueError(f"gate {op.label!r} addresses qubits outside 0..{self.qubits - 1}")
 
 
-def hadamard(target: int) -> GateOp:
-    return GateOp("H", HADAMARD, (target,))
-
-
 def _on_rows(ops, operand: np.ndarray, n: int) -> np.ndarray:
     """Apply gates in order to the register axis of a ``(2^n, r)`` operand (or
     a ``(2^n,)`` vector); returns a new array of the operand's shape. Each gate

@@ -13,9 +13,9 @@ observable labels such as ``("A", "B", "C")``, ``("X1", "X2")`` or
 ``("A0", "B1")``; its report labels and classical bound derive from them.
 They share a slot count (three for the square, two for the cycles, one for
 the Bell form), so a report is one ``(T, k, d, d)`` stack of the slots'
-blocks, the only thing it builds per request, read by all three routes with
-one ``(state, stack)`` call. The square's and the Bell form's stacks are
-built once, at import.
+blocks, the only thing it builds per request, read by its route's kernel in
+``_ROUTES`` with one unchecked ``(state, stack)`` call (each block was checked
+with its slot). The square's and the Bell form's stacks are built once, at import.
 
 The nine-entry square of two-qubit observables::
 
@@ -39,17 +39,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import CONSTRAINT_ATOL, PAULIS, VERDICT_EPS, checked_matrix, checked_reals, sigma_theta_matrix
-from .scattering import TemporalCorrelationSpec, slot, stack_correlators_direct, stack_correlators_scattering
+from .scattering import TemporalCorrelationSpec, _direct_values, _probe_values, slot
 from .sequential import _full_product
 from .states import QuantumState
 
-# each route's one (state, stack) call on a (T, k, d, d) block stack; the
-# stacks are built from checked input, so the Lüders chain reads them unchecked
-_ROUTES = {
-    "scattering": stack_correlators_scattering,
-    "direct": stack_correlators_direct,
-    "sequential": lambda state, stack: _full_product(state, stack).tolist(),
-}
+# each route's (state, stack) kernel; the stacks are built from checked slots, so all read them unchecked
+_ROUTES = {"scattering": _probe_values, "direct": _direct_values, "sequential": _full_product}
 METHODS = tuple(_ROUTES)
 
 PM_FACTOR_TOKENS = {
@@ -195,7 +190,7 @@ def _spec_values(state: QuantumState, stack: np.ndarray, method: str) -> list[fl
     Lüders pairs on the sequential route."""
     if method not in METHODS:  # by ==, so any value is refused with this message
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    return _ROUTES[method](state, stack)
+    return _ROUTES[method](state, stack).tolist()
 
 
 def _pm_term(label_seq) -> TemporalCorrelationSpec:

@@ -12,7 +12,8 @@ real stacks as well. Every matrix that a constructor takes from its caller
 goes through :func:`checked_matrix`; only a matrix the package built from
 checked values may be stored without it (see ``states.QuantumState``). Every
 count read from user input goes through :func:`checked_count`, and every real
-number, angle or real array through :func:`checked_reals`.
+number, angle or real array through :func:`checked_reals`; :func:`_array`
+refuses a ragged or unreadable value by its name.
 Operations are pure functions and safe to call concurrently.
 """
 
@@ -66,13 +67,21 @@ def check_observable(m: np.ndarray, what: str, dichotomic: bool = True) -> None:
         raise ValueError(f"{what} does not square to the identity")
 
 
+def _array(value, what: str, dtype=None, copy=None) -> np.ndarray:
+    """``np.array(value, dtype, copy=copy)``, numpy's ValueError or TypeError re-raised naming ``what``."""
+    try:
+        return np.array(value, dtype=dtype, copy=copy)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{what} cannot be read as an array of numbers: {exc}") from None
+
+
 def checked_matrix(entries, what: str, shape: tuple[int, int] | None = None,
                    kind: str | None = None) -> np.ndarray:
     """A read-only complex copy of ``entries``, which must be a non-empty
     finite 2-d matrix of ``shape`` (any shape when None) that is ``kind``:
     "unitary" (to ATOL), "hermitian" or "dichotomic" (see
     :func:`check_observable`), or anything when None. ValueError names ``what``."""
-    m = np.array(entries, dtype=complex)
+    m = _array(entries, what, complex, copy=True)
     if m.ndim != 2 or m.size == 0:
         raise ValueError(f"{what} must be a non-empty 2-d matrix, got shape {m.shape}")
     if m.shape != (shape or m.shape) or (kind and m.shape[0] != m.shape[1]):
@@ -103,15 +112,14 @@ def checked_reals(value, what: str, shape: tuple | None = None):
     most the float maximum in magnitude (a Python int compared exactly), as a
     float. Otherwise ``np.asarray(value)`` must have an integer or float dtype
     and ``shape`` (any when None), hold no bool in a list or tuple and only
-    finite entries; it is returned as a float64 array, or as a float for one
-    number when ``shape`` is None."""
+    finite entries; it is returned as a float64 array."""
     if shape == ():
         real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
         # a Python int compares exactly, where float() of one beyond the float range raises
         if not (real and abs(value if isinstance(value, int) else float(value)) <= sys.float_info.max):
             raise ValueError(f"{what} must be a finite real number, got {value!r}")
         return float(value)
-    a = np.asarray(value)
+    a = _array(value, what)
     if a.dtype.kind not in "iuf" or a.shape != (shape or a.shape) or _holds_bool(value):
         of_shape = "" if shape is None else f" of shape {shape}"
         raise ValueError(f"{what} must be real numbers{of_shape}, got {value!r}")
@@ -119,7 +127,7 @@ def checked_reals(value, what: str, shape: tuple | None = None):
     bad = a[~np.isfinite(a)]
     if bad.size:
         raise ValueError(f"{what} must be finite, got a non-finite entry: {bad[0]}")
-    return float(a) if a.ndim == 0 else a
+    return a
 
 
 def checked_count(value, what: str, minimum: int = 0, maximum: int | None = None) -> int:

@@ -14,12 +14,14 @@ product for diagnostics.
 
 A spec owns its blocks, the slots' O(t), as one read-only ``(k, d, d)``
 stack that every route reads. Specs that share a register and a slot count
-stack into ``(T, k, d, d)``, which each route reads with one ``(state, stack)``
-call: one batched evolution and one readout on the probe route, one batched
-product and one trace on the direct route; a lone spec is the batch of one,
-``spec.blocks[None]``. Every probe circuit has the same wiring, so the probe
-route runs it as fixed products on the probe's axis, with no gate objects:
-H on the probe, each block on the probe's |1> half, H.
+stack into ``(T, k, d, d)``, read unchecked in one ``(state, stack)`` call by
+each route's private kernel: :func:`_probe_values` (one batched evolution and
+readout), :func:`_direct_values` (one batched product and trace) and
+``sequential._full_product``. Only stacks of checked slot blocks reach them; a
+lone spec is the batch of one, ``spec.blocks[None]``, and a caller's stack is
+read, checked, by ``sequential.correlator_sequential``. Every probe circuit has
+the same wiring, so the probe route runs it as fixed products on the probe's
+axis, with no gate objects: H on the probe, each block on the probe's |1> half, H.
 
 Any sequence of observables and evolutions is a spec; for two slots, the
 second after a two-qubit unitary ``U``, the three routes read the same value::
@@ -39,7 +41,7 @@ from functools import reduce
 
 import numpy as np
 
-from .circuits import HADAMARD, Circuit, GateOp, embed, hadamard, renormalized
+from .circuits import HADAMARD, Circuit, GateOp, embed, renormalized
 from .linalg import PAULI_X, PAULI_Y, PAULI_Z, checked_count, checked_matrix, conjugated
 from .states import MAX_QUBITS, QuantumState, density_of, haar_random_unitary
 
@@ -105,7 +107,7 @@ def heisenberg_observable(ts: TimeSlot) -> np.ndarray:
 def build_scattering_circuit(spec: TemporalCorrelationSpec) -> Circuit:
     """The probe circuit on N+1 qubits; the probe is the extra qubit 0 and
     controls each slot's block, made a gate here and only here."""
-    targets, h = tuple(range(1, spec.system_qubits + 1)), hadamard(0)
+    targets, h = tuple(range(1, spec.system_qubits + 1)), GateOp("H", HADAMARD, (0,))
     blocks = (GateOp("slot block", b, targets, control=0) for b in spec.blocks)
     return Circuit(spec.system_qubits + 1, (h, *blocks, h))
 
@@ -150,9 +152,9 @@ def _probe_circuit(stack: np.ndarray, operand: np.ndarray) -> np.ndarray:
     return renormalized(out)
 
 
-def stack_correlators_scattering(rho_sys: QuantumState, stack: np.ndarray) -> list[float]:
-    """Probe readout of each spec of a ``(T, k, d, d)`` block stack, in one
-    ``(state, stack)`` call as on the direct and sequential routes: one
+def _probe_values(rho_sys: QuantumState, stack: np.ndarray) -> np.ndarray:
+    """Probe readout of each spec of an unchecked ``(T, k, d, d)`` block stack,
+    in one ``(state, stack)`` call as on the direct and sequential routes: one
     :func:`_probe_circuit` on |0> x rho_sys, one readout of the probe's <Z>."""
     operand = rho_sys.amplitudes if rho_sys.is_pure else rho_sys.rho
     d = len(operand)
@@ -165,33 +167,32 @@ def stack_correlators_scattering(rho_sys: QuantumState, stack: np.ndarray) -> li
     out = _probe_circuit(stack, padded)
     if out.ndim == 2:
         out = out[:, :, None] * out.conj()[:, None, :]
-    return _probe_pauli(out, PAULI_Z).tolist()
+    return _probe_pauli(out, PAULI_Z)
 
 
 def correlator_scattering(rho_sys: QuantumState, spec: TemporalCorrelationSpec) -> float:
     """Probe readout of the n-point correlator: the probe's <sigma_z> after
-    the circuit runs on |0> x rho_sys; the batch of one of
-    :func:`stack_correlators_scattering`."""
-    return stack_correlators_scattering(rho_sys, spec.blocks[None])[0]
+    the circuit runs on |0> x rho_sys; the batch of one of :func:`_probe_values`."""
+    return float(_probe_values(rho_sys, spec.blocks[None])[0])
 
 
-def stack_correlators_direct(rho_sys: QuantumState, stack: np.ndarray) -> list[float]:
-    """Closed form Re tr(rho * O(t_1) ... O(t_k)) of each spec of a ``(T, k, d, d)``
-    block stack: one batched product over the slot axis, then one trace against
-    the state. The empty product is 1."""
+def _direct_values(rho_sys: QuantumState, stack: np.ndarray) -> np.ndarray:
+    """Closed form Re tr(rho * O(t_1) ... O(t_k)) of each spec of an unchecked
+    ``(T, k, d, d)`` block stack: one batched product over the slot axis, then
+    one trace against the state. The empty product is 1."""
     rho = density_of(rho_sys)
     if stack.shape[-2:] != rho.shape:
         raise ValueError("state and spec disagree on the system size")
     u = stack[:, 0] if stack.shape[1] else np.eye(len(rho), dtype=complex)[None].repeat(len(stack), axis=0)
     for i in range(1, stack.shape[1]):
         u = u @ stack[:, i]
-    return np.trace(rho @ u, axis1=-2, axis2=-1).real.tolist()
+    return np.trace(rho @ u, axis1=-2, axis2=-1).real
 
 
 def correlator_direct(rho_sys: QuantumState, spec: TemporalCorrelationSpec) -> float:
     """Closed form Re tr(rho * O(t_1) ... O(t_n)) of one spec: the batch of one
-    of :func:`stack_correlators_direct`."""
-    return stack_correlators_direct(rho_sys, spec.blocks[None])[0]
+    of :func:`_direct_values`."""
+    return float(_direct_values(rho_sys, spec.blocks[None])[0])
 
 
 def random_dichotomic(rng: np.random.Generator) -> np.ndarray:

@@ -11,10 +11,9 @@ dichotomic O and free of eigenvector phase ambiguity.
   probability of its outcome tuple, never divided by, so a zero-probability
   branch is a zero matrix.
 - **The sign-contracted pair**, for the mean of the product of all k
-  outcomes (``correlator_sequential``, ``stack_correlators_sequential``). A
-  signed S and an unsigned U both start at rho and step to
-  S -> P+ S P+ - P- S P- and U -> P+ U P+ + P- U P-: the branch sums weighted
-  by the outcome product and by 1. Re tr(S) is the correlator and Re tr(U)
+  outcomes (``correlator_sequential``). A signed S and an unsigned U both
+  start at rho and step to S -> P+ S P+ - P- S P- and U -> P+ U P+ + P- U P-:
+  the branch sums weighted by the outcome product and by 1. Re tr(S) is the correlator and Re tr(U)
   the total probability; two matrices per step instead of 2^j. The signed
   step is the anticommutator {O, X}/2 (Fritz, NJP 12, 083055 (2010)).
 
@@ -24,7 +23,7 @@ joint distribution has shape ``batch + (2,)*k``. A single chain is the batch
 ``()``. A chain whose state and observables all have zero imaginary part runs
 on their float64 real parts; any other chain runs in complex128.
 
-The checks. The state enters checked, as a ``QuantumState``. The three
+The checks. The state enters checked, as a ``QuantumState``. The two
 public readings check the whole observable stack once, before the first
 step: each observable must be finite, Hermitian, square to I and match the
 state's dimension. Their kernels, ``_distribution`` and ``_full_product``,
@@ -45,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL, ATOL_DICHOTOMIC, ATOL_STATE_PSD, check_observable, checked_count
+from .linalg import ATOL, ATOL_DICHOTOMIC, ATOL_STATE_PSD, _array, check_observable, checked_count
 from .states import QuantumState, density_of
 
 # outcome value of index 0 (+1) and index 1 (-1) along each outcome axis
@@ -89,7 +88,7 @@ def _observable_stack(obs_seq) -> np.ndarray:
     """
     if not isinstance(obs_seq, np.ndarray):
         obs_seq = [getattr(obs, "matrix", obs) for obs in obs_seq] or np.empty((0, 0, 0))
-    stack = np.asarray(obs_seq, dtype=complex)
+    stack = _array(obs_seq, "observables", complex)
     if stack.ndim < 3:
         raise ValueError(f"observables must have shape batch + (k, d, d), got {stack.shape}")
     return stack
@@ -108,7 +107,7 @@ class OutcomeDistribution:
     def __post_init__(self):
         obs = _observable_stack(self.observables)
         shape = obs.shape[:-3] + (2,) * obs.shape[-3]
-        p = np.array(self.probabilities, dtype=float)
+        p = _array(self.probabilities, "probabilities", float, copy=True)
         if p.shape != shape:
             raise ValueError(f"probabilities must have shape {shape}, got {p.shape}")
         # written so that NaN fails both checks; an empty batch passes both
@@ -217,9 +216,3 @@ def correlator_sequential(state: QuantumState, obs_seq):
     a single chain, an array of shape ``batch`` for a batch."""
     value = _full_product(state, _checked_stack(state, obs_seq))
     return float(value) if value.ndim == 0 else value
-
-
-def stack_correlators_sequential(state: QuantumState, stack: np.ndarray) -> list[float]:
-    """Expectation of the product of all outcomes of each chain of a
-    ``(T, k, d, d)`` stack, from one batch of sign-contracted pairs."""
-    return _full_product(state, _checked_stack(state, stack)).tolist()

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL, ATOL_STATE_PSD, checked_count, checked_matrix
+from .linalg import ATOL, ATOL_STATE_PSD, _array, checked_count, checked_matrix
 
-# largest register that random states, bitstring literals and the probe route build
+# largest register that bitstring literals and the probe route build
 MAX_QUBITS = 3
 
 
@@ -41,7 +41,7 @@ class QuantumState:
         if (self.amplitudes is None) == (self.rho is None):
             raise ValueError("exactly one of amplitudes and rho must be given")
         if self.amplitudes is not None:
-            a = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+            a = _array(self.amplitudes, "amplitudes", complex).reshape(-1)
             if a.size != dim:
                 raise ValueError(f"expected {dim} amplitudes, got {a.size}")
             if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
@@ -86,7 +86,7 @@ def _qubit_count(dim: int) -> int:
 
 
 def pure_state(amplitudes) -> QuantumState:
-    a = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    a = _array(amplitudes, "amplitudes", complex).reshape(-1)
     return QuantumState(qubits=_qubit_count(a.size), amplitudes=a)
 
 
@@ -121,14 +121,6 @@ def bell_phi_plus() -> QuantumState:
     """The two-qubit state (|00> + |11>)/sqrt(2): one frozen state, checked
     once at import, with read-only amplitudes."""
     return _BELL_PHI_PLUS
-
-
-def random_pure_state(n: int, seed: int) -> QuantumState:
-    """Haar-random pure state from a seeded PCG64 generator (n <= MAX_QUBITS)."""
-    if checked_count(n, "qubit count") > MAX_QUBITS:
-        raise ValueError(f"random states are only supported up to {MAX_QUBITS} qubits")
-    rng = np.random.default_rng(seed)
-    return haar_random_state(n, rng)
 
 
 def haar_random_state(n: int, rng: np.random.Generator) -> QuantumState:

@@ -23,9 +23,9 @@ from contextsim.bounds import (
     temporal_objective,
     tsirelson_search_bell,
 )
-from contextsim.inequalities import eval_transformed_bell, sigma_theta
+from contextsim.inequalities import eval_pentagon_lg, eval_transformed_bell, sigma_theta
 from contextsim.linalg import PAULI_Z
-from contextsim.states import bell_phi_plus, density_of
+from contextsim.states import basis_state, bell_phi_plus, density_of
 
 TSIRELSON = bounds.TSIRELSON_OPTIMUM
 CONTEXTUAL = bounds.CONTEXTUAL_OPTIMUM
@@ -607,3 +607,31 @@ def test_pentagon_readings_read_an_empty_array_as_empty(read):
 def test_pentagon_readings_refuse_a_non_finite_entry_of_an_array(read):
     with pytest.raises(ValueError, match="^theta must be finite, got a non-finite entry: inf$"):
         read(np.array([0.0, math.inf]))
+
+
+@pytest.mark.parametrize("read", [pentagon_pairwise_value, pentagon_invasive_value])
+class TestPentagonThetaRule:
+    """Both pentagon readings read theta as sigma_theta and the evaluators do:
+    a lone number by the one-number rule, a list, tuple or array of one or
+    more dimensions by the array rule."""
+
+    def test_python_int_beyond_int64_passes_as_in_sigma_theta(self, read):
+        # 2**64 used to be refused here, where np.asarray reads it as an object
+        assert sigma_theta(2**64).matrix.tobytes() == sigma_theta(2.0**64).matrix.tobytes()
+        assert read(2**64).hex() == read(2.0**64).hex()
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_d_array_refused_as_by_the_evaluator(self, read):
+        # np.array(0.5) used to read as the lone number 0.5
+        with pytest.raises(ValueError, match="^theta must be a finite real number, got array") as evaluator:
+            eval_pentagon_lg(basis_state(1, "0"), np.array(0.5))
+        with pytest.raises(ValueError) as reading:
+            read(np.array(0.5))
+        assert str(reading.value) == str(evaluator.value)
+
+    def test_lists_tuples_and_arrays_read_as_arrays(self, read):
+        expected = read(np.array([0.5, 2.0]))
+        for theta in ([0.5, 2.0], (0.5, 2.0), [np.float64(0.5), 2]):
+            assert read(theta).tobytes() == expected.tobytes()
+        assert read(np.array([[0.5], [2.0]])).shape == (2, 1)
+        assert type(read(np.float64(0.5))) is float and read(np.float64(0.5)) == read(0.5)

@@ -2,22 +2,22 @@ import numpy as np
 import pytest
 
 from contextsim.circuits import (
+    HADAMARD,
     Circuit,
     GateOp,
     apply,
     embed,
     full_gate_matrix,
-    hadamard,
 )
 from contextsim.linalg import PAULI_I, PAULI_X, PAULI_Z
 from contextsim.states import (
     basis_state,
     bell_phi_plus,
     density_of,
+    haar_random_state,
     haar_random_unitary,
     mixed_state,
     pure_state,
-    random_pure_state,
 )
 from contextsim.noise import depolarize
 
@@ -26,6 +26,10 @@ def ry(theta):
     """The y rotation exp(-i theta sigma_y / 2), a sample gate."""
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def hadamard(target):
+    return GateOp("H", HADAMARD, (target,))
 
 
 def cnot(control, target):
@@ -190,7 +194,7 @@ class TestEvolveAxisBookkeeping:
 
 class TestApply:
     def test_empty_circuit_is_identity(self):
-        st = random_pure_state(2, 3)
+        st = haar_random_state(2, np.random.default_rng(3))
         assert np.allclose(apply(Circuit(2), st).amplitudes, st.amplitudes, rtol=0, atol=1e-9)
 
     def test_prep_circuit_makes_probe_bell_product(self):
@@ -216,7 +220,7 @@ class TestApply:
                 for op in reversed(ops)
             ),
         )
-        st = random_pure_state(2, 5)
+        st = haar_random_state(2, np.random.default_rng(5))
         out = apply(backward, apply(forward, st))
         assert np.allclose(out.amplitudes, st.amplitudes, rtol=0, atol=1e-10)
 
@@ -230,7 +234,7 @@ class TestApply:
     def test_norm_trace_positivity_preserved(self):
         rng = np.random.default_rng(6)
         circ = Circuit(2, (hadamard(1), cnot(1, 0), GateOp("RY", ry(2.2), (0,))))
-        pure = apply(circ, random_pure_state(2, 7))
+        pure = apply(circ, haar_random_state(2, np.random.default_rng(7)))
         assert abs(np.vdot(pure.amplitudes, pure.amplitudes).real - 1) < 1e-9
         mixed = apply(circ, mixed_state(np.eye(4) / 4))
         rho = density_of(mixed)

@@ -31,7 +31,6 @@ from contextsim.states import (
     density_of,
     haar_random_state,
     mixed_state,
-    random_pure_state,
 )
 
 PM_THEORY = (1.0, 1.0, 1.0, 1.0, 1.0, -1.0)
@@ -114,7 +113,7 @@ class TestEvalPm:
             assert rep.sum == pytest.approx(6.0, abs=1e-9)
 
     def test_sequence_order_irrelevant_for_commuting_contexts(self):
-        state = random_pure_state(2, 17)
+        state = haar_random_state(2, np.random.default_rng(17))
         for seq in PM_CONTEXTS:
             value = correlator_sequential(state, tuple(pm_observable(k) for k in seq))
             for perm in ((2, 1, 0), (1, 2, 0)):

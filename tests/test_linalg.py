@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from contextsim import linalg
-from contextsim.bounds import bell_operator, temporal_bound_kcbs
+from contextsim.bounds import (
+    bell_operator,
+    contextual_objective,
+    pentagon_invasive_value,
+    pentagon_pairwise_value,
+    pentagon_scan,
+    temporal_bound_kcbs,
+)
 from contextsim.circuits import GateOp
 from contextsim.inequalities import Observable, eval_kcbs_temporal, sigma_theta
 from contextsim.linalg import (
@@ -21,8 +28,9 @@ from contextsim.linalg import (
     sigma_theta_matrix,
 )
 from contextsim.noise import NoiseModel
-from contextsim.scattering import TimeSlot
-from contextsim.states import QuantumState, basis_state
+from contextsim.scattering import TimeSlot, slot
+from contextsim.sequential import OutcomeDistribution, correlator_sequential, joint_distribution
+from contextsim.states import QuantumState, basis_state, mixed_state, pure_state
 
 
 def power_extremal_min(a, shift=10.0, iters=5000, seed=11):
@@ -137,7 +145,9 @@ class TestCheckedAngles:
             checked_reals(theta, "x")
 
     def test_numbers_pass(self):
-        assert checked_reals(2, "x") == 2.0 and type(checked_reals(2, "x")) is float
+        # the array rule reads one number as a 0-d array; shape=() reads it as a float
+        one = checked_reals(2, "x")
+        assert one.shape == () and one.dtype == float and one == 2.0
         a = checked_reals([0, 1.5, np.float64(2.0), np.int8(3)], "x")
         assert a.dtype == float and a.tolist() == [0.0, 1.5, 2.0, 3.0]
 
@@ -309,3 +319,42 @@ class TestToleranceTable:
                       if isinstance(node, ast.Constant) and type(node.value) is float
                       and 0 < abs(node.value) < 0.1 and id(node) not in table]
         assert found == []
+
+
+RAGGED = [[1, 0], [0]]
+RAGGED_CHAIN = [PAULI_Z, np.eye(4)]
+
+
+class TestRaggedInputNamed:
+    """Each conversion of a caller's value to an array names the value when
+    numpy cannot read it. numpy decides which error a ragged sequence raises;
+    under numpy 2 it is a ValueError saying "inhomogeneous shape", with no
+    argument's name."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call, named", [
+        (lambda: contextual_objective([[1, 0, 0]] * 4 + [[1, 0]], [0, 0, 1]), "vectors"),
+        (lambda: pentagon_pairwise_value([[0.0], [1.0, 2.0]]), "theta"),
+        (lambda: pentagon_invasive_value([[0.0], [1.0, 2.0]]), "theta"),
+        (lambda: pentagon_scan([[0.1], [0.2, 0.3]]), "theta grid"),
+        (lambda: checked_reals(RAGGED, "x"), "x"),
+        (lambda: mixed_state(RAGGED), "density matrix"),
+        (lambda: slot((RAGGED,)), "per-qubit observable"),
+        (lambda: checked_matrix(RAGGED, "m"), "m"),
+        (lambda: pure_state([[1], [0, 0]]), "amplitudes"),
+        (lambda: QuantumState(qubits=1, amplitudes=[[1], [0, 0]]), "amplitudes"),
+        (lambda: correlator_sequential(basis_state(1, "0"), RAGGED_CHAIN), "observables"),
+        (lambda: joint_distribution(basis_state(1, "0"), RAGGED_CHAIN), "observables"),
+        (lambda: OutcomeDistribution(observables=[PAULI_Z], probabilities=[[1], [0, 0]]), "probabilities"),
+    ], ids=["contextual_objective", "pentagon_pairwise_value", "pentagon_invasive_value", "pentagon_scan",
+            "checked_reals", "mixed_state", "slot", "checked_matrix", "pure_state", "QuantumState",
+            "correlator_sequential", "joint_distribution", "OutcomeDistribution"])
+    def test_ragged_value_named(self, call, named):
+        with pytest.raises(ValueError, match=f"^{named} cannot be read as an array of numbers: "):
+            call()
+
+    @pytest.mark.filterwarnings("error")
+    def test_unreadable_entry_named(self):
+        # complex("a") used to escape as "complex() arg is a malformed string"
+        with pytest.raises(ValueError, match="^observables cannot be read as an array of numbers: complex"):
+            correlator_sequential(basis_state(1, "0"), ["a"])

@@ -13,7 +13,7 @@ from contextsim.noise import (
     load_measured_table,
     visibility_summary,
 )
-from contextsim.states import basis_state, bell_phi_plus, density_of, random_pure_state
+from contextsim.states import basis_state, bell_phi_plus, density_of, haar_random_state
 
 # each refused by linalg.checked_reals before any arithmetic; each used to pass,
 # return nan, or raise OverflowError or TypeError somewhere
@@ -23,14 +23,14 @@ BAD_NUMBERS = [float("nan"), float("inf"), pytest.param(10**400, id="10**400"), 
 
 class TestDepolarize:
     def test_zero_is_identity(self):
-        st = random_pure_state(2, 0)
+        st = haar_random_state(2, np.random.default_rng(0))
         assert np.allclose(density_of(depolarize(st, 0.0)), density_of(st))
 
     def test_one_is_maximally_mixed(self):
         assert np.allclose(density_of(depolarize(bell_phi_plus(), 1.0)), np.eye(4) / 4)
 
     def test_trace_hermiticity_positivity(self):
-        rho = density_of(depolarize(random_pure_state(2, 1), 0.37))
+        rho = density_of(depolarize(haar_random_state(2, np.random.default_rng(1)), 0.37))
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
         assert np.array_equal(rho, rho.conj().T)
         assert np.linalg.eigvalsh(rho).min() > -1e-12

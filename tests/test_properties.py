@@ -48,7 +48,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from contextsim import bounds, inequalities, optimize, sequential
-from contextsim.circuits import Circuit, GateOp, apply, full_gate_matrix, hadamard
+from contextsim.circuits import HADAMARD, Circuit, GateOp, apply, full_gate_matrix
 from contextsim.inequalities import (
     METHODS,
     PM_CONTEXTS,
@@ -71,11 +71,11 @@ from contextsim.scattering import (
     correlator_scattering,
     heisenberg_observable,
     probe_sigma_z,
+    _direct_values,
+    _probe_values,
     slot,
-    stack_correlators_direct,
-    stack_correlators_scattering,
 )
-from contextsim.sequential import correlator_sequential, joint_distribution, stack_correlators_sequential
+from contextsim.sequential import correlator_sequential, joint_distribution
 from contextsim.states import (
     QuantumState,
     basis_state,
@@ -406,11 +406,12 @@ def test_probe_stack_reads_each_spec_as_its_lone_call_bit_for_bit(case):
     # lone call in every bit, so no operand of the stack runs differently; the
     # examples are empty batches, read as empty
     state, stack = case
-    values = stack_correlators_scattering(state, _block_stack(stack))
+    values = _probe_values(state, _block_stack(stack)).tolist()
     assert [v.hex() for v in values] == [correlator_scattering(state, spec).hex() for spec in stack]
 
 
-STACK_CALLS = {"direct": stack_correlators_direct, "sequential": stack_correlators_sequential}
+# the direct kernel, and the sequential route's checked stack reading
+STACK_CALLS = {"direct": _direct_values, "sequential": correlator_sequential}
 
 
 @pytest.mark.parametrize("method", sorted(STACK_CALLS))
@@ -423,7 +424,7 @@ def test_direct_and_sequential_stacks_read_each_spec_as_its_lone_call_bit_for_bi
     # as for the probe stack; the first two examples are batches of empty
     # specs, which each route reads as the empty product, 1 per spec
     state, stack = case
-    values = STACK_CALLS[method](state, _block_stack(stack))
+    values = STACK_CALLS[method](state, _block_stack(stack)).tolist()
     assert [v.hex() for v in values] == [LONE_CALLS[method](state, spec).hex() for spec in stack]
 
 
@@ -475,7 +476,8 @@ def test_visibility_is_probe_dephasing_after_each_block(data):
     targets = tuple(range(1, qubits + 1))
     z0 = np.kron(PAULI_Z, np.eye(2 ** qubits))
     joint = mixed_state(np.kron(np.diag([1.0, 0.0]), density_of(state)))
-    ops = [hadamard(0), *(GateOp("block", b, targets, control=0) for b in spec.blocks), hadamard(0)]
+    h = GateOp("H", HADAMARD, (0,))
+    ops = [h, *(GateOp("block", b, targets, control=0) for b in spec.blocks), h]
     for op in ops:
         joint = apply(Circuit(qubits + 1, (op,)), joint)
         if op.control is not None:
@@ -560,7 +562,7 @@ def test_full_product_reading_is_the_branch_chain(data):
     values = correlator_sequential(state, stack)
     assert np.max(np.abs(values - joint_distribution(state, stack).correlator())) <= 1e-14
     rows = stack.reshape((int(np.prod(batch, dtype=int)),) + stack.shape[-3:])
-    assert [v.hex() for v in stack_correlators_sequential(state, rows)] == [
+    assert [v.hex() for v in correlator_sequential(state, rows).tolist()] == [
         correlator_sequential(state, row).hex() for row in rows]
 
 
@@ -998,14 +1000,14 @@ def test_bell_phi_plus_equals_its_checked_counterpart_bit_for_bit():
 @pytest.mark.parametrize("name", sorted(EVALUATORS))
 @given(data=st.data())
 def test_sequential_rows_equal_their_checked_counterpart_bit_for_bit(name, data):
-    # the report's block stack read by the public, checked stack call
+    # the report's block stack read by the public, checked chain reading
     qubits, evaluate = EVALUATORS[name]
     state = data.draw(states(qubits, real=data.draw(st.booleans())))
     with mock.patch.object(inequalities, "_spec_values", wraps=inequalities._spec_values) as read:
         report = evaluate(state, data.draw(angles), "sequential")
     [call] = read.call_args_list
-    checked = stack_correlators_sequential(state, call.args[1])
-    assert [v.hex() for v in _values(report)] == [v.hex() for v in checked]
+    checked = correlator_sequential(state, call.args[1])
+    assert [v.hex() for v in _values(report)] == [v.hex() for v in checked.tolist()]
 
 
 @given(thetas=st.lists(angles, min_size=1, max_size=6))

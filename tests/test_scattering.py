@@ -1,4 +1,5 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -28,8 +29,8 @@ from contextsim.states import (
     haar_random_unitary,
     mixed_state,
     pure_state,
-    random_pure_state,
 )
+from contextsim.sequential import correlator_sequential, joint_distribution
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -109,15 +110,15 @@ class TestCircuitShape:
 
 class TestProbeReadout:
     def test_probe_zero(self):
-        st = pure_state(np.kron([1, 0], random_pure_state(1, 3).amplitudes))
+        st = pure_state(np.kron([1, 0], haar_random_state(1, np.random.default_rng(3)).amplitudes))
         assert probe_sigma_z(st) == pytest.approx(1.0, abs=1e-12)
 
     def test_probe_one(self):
-        st = pure_state(np.kron([0, 1], random_pure_state(1, 4).amplitudes))
+        st = pure_state(np.kron([0, 1], haar_random_state(1, np.random.default_rng(4)).amplitudes))
         assert probe_sigma_z(st) == pytest.approx(-1.0, abs=1e-12)
 
     def test_probe_sigma_y_zero_before_circuit(self):
-        st = pure_state(np.kron([1, 0], random_pure_state(1, 5).amplitudes))
+        st = pure_state(np.kron([1, 0], haar_random_state(1, np.random.default_rng(5)).amplitudes))
         assert probe_sigma_y(st) == pytest.approx(0.0, abs=1e-12)
 
     def test_sigma_y_vanishes_for_commuting_slots(self):
@@ -126,7 +127,7 @@ class TestProbeReadout:
             system_qubits=2,
             slots=(pm_slot(PAULI_Z, PAULI_I), pm_slot(PAULI_Z, PAULI_X), pm_slot(PAULI_I, PAULI_X)),
         )
-        st = random_pure_state(2, 6)
+        st = haar_random_state(2, np.random.default_rng(6))
         out = apply(build_scattering_circuit(spec), _with_probe(st))
         assert probe_sigma_y(out) == pytest.approx(0.0, abs=1e-10)
 
@@ -156,7 +157,7 @@ class TestCorrelators:
             ),
         )
         for seed in range(5):
-            st = random_pure_state(2, seed)
+            st = haar_random_state(2, np.random.default_rng(seed))
             assert correlator_scattering(st, spec) == pytest.approx(-1.0, abs=1e-10)
 
     def test_row_reads_plus_one(self):
@@ -169,7 +170,7 @@ class TestCorrelators:
             ),
         )
         for seed in range(5):
-            st = random_pure_state(2, seed + 10)
+            st = haar_random_state(2, np.random.default_rng(seed + 10))
             assert correlator_scattering(st, spec) == pytest.approx(1.0, abs=1e-10)
 
     def test_column_on_00_reads_plus_one(self):
@@ -211,7 +212,7 @@ class TestCorrelators:
 
     def test_probe_marginal_normalized(self):
         spec = random_correlation_spec(2, 2, np.random.default_rng(10))
-        out = apply(build_scattering_circuit(spec), _with_probe(random_pure_state(2, 11)))
+        out = apply(build_scattering_circuit(spec), _with_probe(haar_random_state(2, np.random.default_rng(11))))
         # trace out the system: the probe is the leading factor of the register
         probe = np.trace(density_of(out).reshape(2, 4, 2, 4), axis1=1, axis2=3)
         assert np.trace(probe).real == pytest.approx(1.0, abs=1e-10)
@@ -266,7 +267,7 @@ class TestProbeCircuitMemoryOrder:
         rng = np.random.default_rng(21)
         blocks = np.stack([haar_random_unitary(8, rng) for _ in range(self.T)])[:, None]
         one = np.zeros((16, 16) if mixed else 16, dtype=complex)
-        system = density_of(random_pure_state(3, 22)) if mixed else random_pure_state(3, 22).amplitudes
+        system = density_of(haar_random_state(3, np.random.default_rng(22))) if mixed else haar_random_state(3, np.random.default_rng(22)).amplitudes
         one[(slice(8),) * one.ndim] = system
         c_ordered = np.ascontiguousarray(np.broadcast_to(one, (self.T,) + one.shape))
         expected = _probe_circuit(blocks, c_ordered).tobytes()
@@ -281,7 +282,7 @@ class TestProbeCircuitMemoryOrder:
         blocks = np.stack([[haar_random_unitary(8, rng) for _ in range(2)] for _ in range(self.T)])
         c_ordered = np.zeros((self.T,) + ((16, 16) if mixed else (16,)), dtype=complex)
         for t in range(self.T):
-            state = random_pure_state(3, 30 + t)
+            state = haar_random_state(3, np.random.default_rng(30 + t))
             c_ordered[(t,) + (slice(8),) * (c_ordered.ndim - 1)] = density_of(state) if mixed else state.amplitudes
         flip = (slice(None, None, -1),) * c_ordered.ndim
         sliced = np.repeat(c_ordered, 2, axis=0)[::2]
@@ -296,7 +297,7 @@ class TestSingleRunSufficiency:
     def test_anticontrolled_run_reads_the_same(self):
         # one run with plain controls equals one run with anti-controls;
         # no two-run combination is needed for the readout
-        from contextsim.circuits import Circuit, GateOp, hadamard
+        from contextsim.circuits import Circuit, GateOp
 
         rng = np.random.default_rng(13)
         spec = random_correlation_spec(2, 2, rng)
@@ -351,6 +352,35 @@ class TestSlotValidation:
     def test_register_size_must_be_a_positive_integer(self, qubits):
         with pytest.raises(ValueError, match="system_qubits"):
             TemporalCorrelationSpec(system_qubits=qubits, slots=(slot((PAULI_Z,)),))
+
+
+@pytest.mark.parametrize("block", [2 * PAULI_Z, np.full((2, 2), np.nan)], ids=["scaled by 2", "NaN"])
+class TestBadBlocksRefusedOnEveryPublicPath:
+    """A caller reaches the probe and direct routes only through checked
+    slots, and reads a stack of its own only through the checked
+    ``correlator_sequential``. On |0> the unchecked kernels read the stack
+    ``2 * [[Z, Z]]`` as 4.0 (direct) and 0.4706 (the probe, whose
+    renormalization hides the non-unitary block), and a NaN stack as nan."""
+
+    def test_slot_refuses_the_block(self, block):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                slot((block,))
+            with pytest.raises(ValueError):
+                TimeSlot(observables=(block,), evolution=PAULI_I)
+            with pytest.raises(ValueError):
+                TimeSlot(observables=(PAULI_Z,), evolution=block)
+
+    def test_stack_reading_refuses_the_block(self, block):
+        state = basis_state(1, "0")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for read in (correlator_sequential, joint_distribution):
+                with pytest.raises(ValueError):
+                    read(state, np.array([[block, block]]))
+                with pytest.raises(ValueError):
+                    read(state, (block, block))
 
 
 class TestParseAngle:

@@ -26,7 +26,6 @@ from contextsim.sequential import (
     correlator_sequential,
     joint_distribution,
     luders_measure,
-    stack_correlators_sequential,
 )
 from contextsim.states import (
     QuantumState,
@@ -127,7 +126,7 @@ class TestPublicReadingsRefuseBadStacks:
     ], ids=["non-hermitian", "non-dichotomic", "mismatched", "mismatched empty batch"])
     def test_stack_call(self, stack, match):
         with pytest.raises(ValueError, match=match):
-            stack_correlators_sequential(basis_state(1, "0"), stack)
+            correlator_sequential(basis_state(1, "0"), stack)
 
     @pytest.mark.parametrize("chain, match", [
         ((PAULI_Z, NON_HERMITIAN), "Hermitian"),
@@ -337,7 +336,7 @@ class TestOutcomeDistributionValidation:
             with pytest.raises(ValueError, match="sum to"):
                 correlator_sequential(basis_state(1, "0"), (PAULI_Z, PAULI_X))
             with pytest.raises(ValueError, match="sum to"):
-                stack_correlators_sequential(basis_state(1, "0"), np.stack([[PAULI_Z], [PAULI_X]]))
+                correlator_sequential(basis_state(1, "0"), np.stack([[PAULI_Z], [PAULI_X]]))
 
     def test_full_product_reading_bounds_the_correlator_by_the_total(self):
         # doubling P+ S P+ alone reads Z on |0> as 2 with the total still 1

@@ -12,10 +12,10 @@ from contextsim.states import (
     basis_state,
     bell_phi_plus,
     density_of,
+    haar_random_state,
     haar_random_unitary,
     mixed_state,
     pure_state,
-    random_pure_state,
     state_from_literal,
 )
 
@@ -108,7 +108,7 @@ class TestValidation:
             QuantumState(qubits=1, rho=np.diag([1 + 2e-9, -2e-9]))
 
     def test_density_idempotent_for_pure(self):
-        rho = density_of(random_pure_state(2, 9))
+        rho = density_of(haar_random_state(2, np.random.default_rng(9)))
         assert np.max(np.abs(rho @ rho - rho)) < 1e-9
 
 
@@ -137,27 +137,20 @@ class TestPseudopure:
 class TestRandomStates:
     def test_norm_and_determinism(self):
         for seed in (0, 7, 123):
-            a = random_pure_state(2, seed)
-            b = random_pure_state(2, seed)
+            a = haar_random_state(2, np.random.default_rng(seed))
+            b = haar_random_state(2, np.random.default_rng(seed))
             assert abs(np.vdot(a.amplitudes, a.amplitudes).real - 1) < 1e-12
             assert np.array_equal(a.amplitudes, b.amplitudes)
 
     def test_distinct_seeds_differ(self):
-        assert not np.allclose(random_pure_state(2, 0).amplitudes, random_pure_state(2, 1).amplitudes)
+        assert not np.allclose(haar_random_state(2, np.random.default_rng(0)).amplitudes, haar_random_state(2, np.random.default_rng(1)).amplitudes)
 
     def test_sigma_z_mean_over_many_seeds(self):
         total = 0.0
         for seed in range(10_000):
-            a = random_pure_state(1, seed).amplitudes
+            a = haar_random_state(1, np.random.default_rng(seed)).amplitudes
             total += abs(a[0]) ** 2 - abs(a[1]) ** 2
         assert abs(total / 10_000) < 0.05
-
-    def test_size_cap(self):
-        with pytest.raises(ValueError):
-            random_pure_state(4, 0)
-        for n in (-1, 1.5, True, "2"):
-            with pytest.raises(ValueError, match="qubit count"):
-                random_pure_state(n, 0)
 
     def test_haar_unitary_is_unitary(self):
         u = haar_random_unitary(4, np.random.default_rng(8))
@@ -184,7 +177,7 @@ class TestLiteralsAndPhase:
 
     def test_global_phase_equality(self):
         # a global phase changes the amplitudes but not the state
-        a = random_pure_state(2, 11)
+        a = haar_random_state(2, np.random.default_rng(11))
         b = QuantumState(qubits=2, amplitudes=np.exp(1j * 0.9) * a.amplitudes)
         assert not np.allclose(a.amplitudes, b.amplitudes)
         assert np.allclose(density_of(a), density_of(b), atol=1e-12)

@@ -18,7 +18,7 @@ import numpy as np
 
 from contextsim import scattering, sequential
 from contextsim.noise import depolarize
-from contextsim.states import random_pure_state
+from contextsim.states import haar_random_state
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -76,7 +76,7 @@ def test_tracer_counts_the_correlator_layers(monkeypatch):
     tracing = _tracing_module(monkeypatch)
     rng = np.random.default_rng(5)
     spec = scattering.random_correlation_spec(2, 3, rng)
-    state = depolarize(random_pure_state(2, 5), 0.2)
+    state = depolarize(haar_random_state(2, np.random.default_rng(5)), 0.2)
     chain = tuple(scattering.heisenberg_observable(s) for s in spec.slots)
     before = _bindings(tracing)
     tracer = tracing.Tracer()
