@@ -26,7 +26,9 @@ batch of one rounds exactly as a scalar sum.
 
 The contextual search runs such sweeps on the two angles of ``_cycle_vectors``,
 through the generic loop on a closed form in Python floats (``_cycle_value``),
-with ``contextual_objective`` at the start and after each sweep.
+with ``contextual_objective`` at the start and after each sweep. That state and
+objective are Python floats too (``_state_step``): the search calls no LAPACK or
+BLAS kernel, so its result does not depend on which ones the host picks.
 
 All searches are deterministic: seeded restarts, fixed sweep order, golden-
 section line minimization. The contextual restarts stop at the first
@@ -260,10 +262,10 @@ def temporal_bound_kcbs(resolution: int = 8, tol: float = SEARCH_TOL, sweeps: in
 
 def contextual_objective(vectors, psi) -> float:
     """5 - 4 * sum_i <psi|u_i><u_i|psi> for projective X_i = 2|u_i><u_i| - I
-    with adjacent orthogonality; minimized at 5 - 4*sqrt(5)."""
-    vectors = checked_reals(vectors, "vectors", (5, 3))
-    psi = checked_reals(psi, "state", (3,))
-    return float(5.0 - 4.0 * sum(float(np.dot(u, psi)) ** 2 for u in vectors))
+    with adjacent orthogonality, summed in Python floats; minimized at 5 - 4*sqrt(5)."""
+    vectors = checked_reals(vectors, "vectors", (5, 3)).tolist()
+    x, y, z = checked_reals(psi, "state", (3,)).tolist()
+    return 5.0 - 4.0 * sum((u[0] * x + u[1] * y + u[2] * z) ** 2 for u in vectors)
 
 
 def _cycle_vectors(a: float, b: float):
@@ -311,12 +313,18 @@ def _cycle_value(a: float, b: float) -> float:
     return 5.0 - 4.0 * (q + low + m + math.sqrt(spread / 2.0))
 
 
-def _state_step(u):
-    """The top eigenvector psi of sum_i u_i u_i^T = U^T U, U the 5 x 3 stack,
-    as a tuple, and the public objective at (u, psi)."""
-    stack = np.array(u)
-    psi = np.linalg.eigh(stack.T @ stack)[1][:, -1]
-    return tuple(psi.tolist()), contextual_objective(stack, psi)
+def _state_step(u, value: float):
+    """The top eigenvector psi of M = sum_i u_i u_i^T, as a tuple, and the
+    public objective at (u, psi), in Python floats. With lambda = (5 - value)/4
+    from ``_cycle_value``, psi is the longest cross product of two rows of
+    M - lambda I, normalized, with its largest-magnitude entry positive."""
+    lam = (5.0 - value) / 4.0
+    m = [[sum(v[r] * v[c] for v in u) - (lam if r == c else 0.0) for c in range(3)] for r in range(3)]
+    psi = max(((p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+               for p, q in ((m[0], m[1]), (m[0], m[2]), (m[1], m[2]))), key=lambda w: math.hypot(*w))
+    norm = math.copysign(math.hypot(*psi), max(psi, key=abs))
+    psi = tuple(x / norm for x in psi)
+    return psi, contextual_objective(u, psi)
 
 
 def _contextual_seesaw(seed: int, iterations: int, tol: float):
@@ -331,7 +339,7 @@ def _contextual_seesaw(seed: int, iterations: int, tol: float):
     u = _cycle_vectors(a, b)
     if u is None:
         return None
-    psi, previous = _state_step(u)
+    psi, previous = _state_step(u, _cycle_value(a, b))
     for performed in range(1, iterations + 1):
         a = golden_section_minimize(lambda x: _cycle_value(x, b), a - math.pi, a + math.pi, tol=line_tol)
         if _cycle_vectors(a, b) is None:
@@ -340,7 +348,7 @@ def _contextual_seesaw(seed: int, iterations: int, tol: float):
         u = _cycle_vectors(a, b)
         if u is None:
             return None
-        psi, current = _state_step(u)
+        psi, current = _state_step(u, _cycle_value(a, b))
         converged = performed >= 3 and previous - current < tol
         previous = current
         if converged:
@@ -446,14 +454,7 @@ def pentagon_scan(theta_grid=None) -> BoundResult:
     with c = cos(theta) they are 4 + 6c and 4c + 3c^2 + 2c^3 + c^4, and the
     invasive sum is at least -2 for every qubit family, at a sign vertex.
     """
-    if theta_grid is None:
-        grid = default_pentagon_grid()
-    else:
-        try:
-            values = list(theta_grid)
-        except TypeError:  # a number, or another value that is not iterable
-            values = []
-        grid = checked_reals(values, "theta grid")
+    grid = default_pentagon_grid() if theta_grid is None else checked_reals(theta_grid, "theta grid")
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("theta grid must be a nonempty sequence of angles")
     thetas = np.append(grid, ACOS_MINUS_3_4)

@@ -214,17 +214,15 @@ def random_correlation_spec(
 
 
 def parse_angle(text) -> float:
-    """An angle in radians: a finite float literal, "pi", "-pi", or "acos(x)"."""
-    if isinstance(text, bool):
-        raise ValueError(f"angle must be a number or a string, got {text!r}")
-    t = text.strip().lower() if isinstance(text, str) else None
+    """An angle in radians read from text: a finite float literal, "pi", "-pi", or "acos(x)"."""
+    if not isinstance(text, str):
+        raise ValueError(f"angle must be text, got {text!r}")
+    t = text.strip().lower()
     if t in ("pi", "-pi"):
         return math.pi if t == "pi" else -math.pi
-    acos = t is not None and t.startswith("acos(") and t.endswith(")")
+    acos = t.startswith("acos(") and t.endswith(")")
     try:
         angle = float(t[5:-1] if acos else text)
-    except OverflowError:  # an integer beyond the float range
-        angle = math.inf
     except ValueError:
         raise ValueError(f'angle {text!r} is not a float, "pi", "-pi" or "acos(x)"') from None
     if acos:

@@ -1,7 +1,8 @@
 """Deterministic acceptance checks behind the ``selftest`` CLI command.
 
 Each check prints one PASS/FAIL line, numbered by its place in ``ALL_CHECKS``;
-seeds are fixed so two runs produce byte-identical output.
+seeds are fixed so two runs produce byte-identical output, and a round-off
+residual that passes prints as its bound, so hosts whose kernels round apart do too.
 """
 
 from __future__ import annotations
@@ -33,6 +34,16 @@ class CheckResult:
     detail: str
 
 
+def _residuals(*rows) -> tuple[bool, str]:
+    """Round-off residuals, each (label, value, bound, op) with op "<" or "<=", compared as ``value op
+    bound``: whether all pass, and their text, a passing one written as its bound alone, the same on
+    every host, and a failing one with its value."""
+    passed = [value < bound if op == "<" else value <= bound for _, value, bound, op in rows]
+    text = ", ".join(f"{label}{op}{bound:g}" if ok else f"{label}={value:.3e}, not {op}{bound:g}"
+                     for ok, (label, value, bound, op) in zip(passed, rows))
+    return all(passed), text
+
+
 def check_pm_state_independent() -> CheckResult:
     worst_sum = 0.0
     worst_term = 0.0
@@ -44,12 +55,8 @@ def check_pm_state_independent() -> CheckResult:
             worst_sum = max(worst_sum, abs(rep.sum - 6.0))
             for (_, value), theory in zip(rep.terms, PM_SIGNS):
                 worst_term = max(worst_term, abs(value - theory))
-    ok = worst_sum <= 1e-9 and worst_term <= 1e-9
-    return CheckResult(
-        "pm-state-independent",
-        ok,
-        f"101 states x 3 methods, max|sum-6|={worst_sum:.3e}, max term dev={worst_term:.3e}",
-    )
+    ok, text = _residuals(("max|sum-6|", worst_sum, 1e-9, "<="), ("max term dev", worst_term, 1e-9, "<="))
+    return CheckResult("pm-state-independent", ok, f"101 states x 3 methods, {text}")
 
 
 def check_scattering_direct_equivalence() -> CheckResult:
@@ -61,8 +68,8 @@ def check_scattering_direct_equivalence() -> CheckResult:
         spec = random_correlation_spec(n, slots, rng)
         state = haar_random_state(n, rng)
         worst = max(worst, abs(correlator_scattering(state, spec) - correlator_direct(state, spec)))
-    ok = worst < 1e-10
-    return CheckResult("scattering-direct-equivalence", ok, f"200 random specs, max gap={worst:.3e}")
+    ok, text = _residuals(("max gap", worst, 1e-10, "<"))
+    return CheckResult("scattering-direct-equivalence", ok, f"200 random specs, {text}")
 
 
 def check_sequential_two_time() -> CheckResult:
@@ -73,8 +80,8 @@ def check_sequential_two_time() -> CheckResult:
         x, y = random_dichotomic(rng), random_dichotomic(rng)
         two_time = float(0.5 * np.trace(density_of(state) @ (x @ y + y @ x)).real)
         worst = max(worst, abs(joint_distribution(state, (x, y)).correlator() - two_time))
-    ok = worst < 1e-10
-    return CheckResult("sequential-two-time-formula", ok, f"100 random pairs, max gap={worst:.3e}")
+    ok, text = _residuals(("max gap", worst, 1e-10, "<"))
+    return CheckResult("sequential-two-time-formula", ok, f"100 random pairs, {text}")
 
 
 def check_bell_violation() -> CheckResult:
@@ -88,13 +95,9 @@ def check_bell_violation() -> CheckResult:
         worst_term = max(worst_term, max(abs(v - expected_term) for _, v in rep.terms))
         worst_constraint = max(worst_constraint, max(abs(v - 1.0) for _, v in rep.constraints))
         violated = violated and rep.violated and rep.classical_bound == -3.0
-    ok = worst_term <= 1e-9 and worst_sum <= 1e-8 and worst_constraint <= 1e-9 and violated
-    return CheckResult(
-        "transformed-bell-violation",
-        ok,
-        f"terms dev={worst_term:.3e}, sum dev={worst_sum:.3e}, "
-        f"constraint dev={worst_constraint:.3e}, violated={violated}",
-    )
+    ok, text = _residuals(("terms dev", worst_term, 1e-9, "<="), ("sum dev", worst_sum, 1e-8, "<="),
+                          ("constraint dev", worst_constraint, 1e-9, "<="))
+    return CheckResult("transformed-bell-violation", ok and violated, f"{text}, violated={violated}")
 
 
 def check_bound_recovery() -> CheckResult:
@@ -125,12 +128,8 @@ def check_kcbs_closed_form() -> CheckResult:
         rep = eval_kcbs_temporal(state, float(theta), method="sequential")
         worst = max(worst, abs(rep.sum - (a + b * np.cos(theta))))
         floor_ok = floor_ok and rep.sum >= rep.classical_bound - 1e-9
-    ok = worst <= 1e-9 and floor_ok
-    return CheckResult(
-        "kcbs-closed-form",
-        ok,
-        f"50 angles, max|sum-(1+4cos)|={worst:.3e}, never below -3: {floor_ok}",
-    )
+    ok, text = _residuals(("max|sum-(1+4cos)|", worst, 1e-9, "<="))
+    return CheckResult("kcbs-closed-form", ok and floor_ok, f"50 angles, {text}, never below -3: {floor_ok}")
 
 
 def check_pentagon_scan() -> CheckResult:

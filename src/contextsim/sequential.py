@@ -83,14 +83,15 @@ def _probability_floor(d: int, k: int) -> float:
 def _observable_stack(obs_seq) -> np.ndarray:
     """A chain's observables as one complex array of shape ``batch + (k, d, d)``.
 
-    An array is taken as it is. A sequence of matrices or ``Observable``
-    values (read through ``.matrix``) is stacked into a chain of batch ``()``.
+    A list or tuple of matrices or ``Observable`` values (read through ``.matrix``) is
+    stacked into a chain of batch ``()``, an empty one into the empty chain; ``_array``
+    reads anything else, an array included, as it is.
     """
-    if not isinstance(obs_seq, np.ndarray):
+    if isinstance(obs_seq, (list, tuple)):
         obs_seq = [getattr(obs, "matrix", obs) for obs in obs_seq] or np.empty((0, 0, 0))
     stack = _array(obs_seq, "observables", complex)
     if stack.ndim < 3:
-        raise ValueError(f"observables must have shape batch + (k, d, d), got {stack.shape}")
+        raise ValueError(f"observables must have shape batch + (k, d, d), got {stack.shape if stack.ndim else obs_seq!r}")
     return stack
 
 

@@ -358,6 +358,16 @@ class TestContextualBound:
         _, _, _, performed, _ = bounds._contextual_seesaw(0, 200, 1e-9)
         assert len(calls) == performed + 1
 
+    @pytest.mark.parametrize("a, b", [(math.pi / 2, 0.0), (0.0, 0.0), (math.pi, 0.0), (0.0, 2.9878618231307454)])
+    def test_state_step_at_a_double_top_eigenvalue(self, a, b):
+        # at (pi/2, 0) M = diag(2, 1, 2) up to round-off, so every row cross
+        # product of M - lambda I is round-off; the state is still a unit
+        # vector of the top eigenspace, signed by its largest entry
+        psi, value = bounds._state_step(bounds._cycle_vectors(a, b), bounds._cycle_value(a, b))
+        assert abs(math.hypot(*psi) - 1.0) <= 1e-15
+        assert abs(value - (-3.0)) <= 1e-15
+        assert max(psi, key=abs) > 0
+
     def test_line_is_infinite_where_the_pin_degenerates(self):
         # at b = +-pi/2 with a in {0, pi}, u_3 = +-u_0, so u_0 x u_3 leaves u_4
         # no direction (in floats sin(pi) = 1.2e-16 and cos(pi/2) = 6.1e-17
@@ -451,10 +461,22 @@ class TestPentagonScan:
             with pytest.raises(ValueError, match=f"^theta grid must be finite, got a non-finite entry: {bad}$"):
                 pentagon_scan([0.0, bad, 1.0])
 
-    @pytest.mark.parametrize("bad", ["2.5", ["2.5"], [True], [1j], [0.0, True, 1.0], (0.5, np.True_)])
+    @pytest.mark.parametrize("bad", ["2.5", ["2.5"], [True], [1j], [0.0, True, 1.0], (0.5, np.True_),
+                                     {1: 2}, {0.5, 2.0}, (x for x in (0.5, 2.0))])
     def test_non_real_grid_refused(self, bad):
-        with pytest.raises(ValueError, match="theta grid must be real numbers"):
-            pentagon_scan(bad)
+        # the grid is read as passed: not a string's characters, a dict's keys
+        # or a set's members in hash order
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^theta grid must be real numbers, got {re.escape(repr(bad))}$"):
+                pentagon_scan(bad)
+
+    def test_sequences_and_arrays_read_alike(self):
+        reference = pentagon_scan([0.0, 1.0, 2.0, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for grid in ((0.0, 1.0, 2.0, 3.0), [0, 1, 2, 3], range(4), np.arange(4.0), np.arange(4)):
+                assert pentagon_scan(grid) == reference
 
     def test_readings_take_an_array_of_angles(self):
         thetas = np.array([[0.0, 0.4], [2.0, np.pi]])

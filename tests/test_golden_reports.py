@@ -6,9 +6,13 @@ the module from its file and writes nothing under ``perfbench/``. The
 ``selftest`` text is compared byte for byte with ``golden_selftest.txt``, and
 ``bounds`` (every target at its defaults, in ``bounds.TARGETS`` order) in
 each format with ``golden_bounds.txt``, ``.json`` and ``.csv``: written with
-numpy 2.4.6, as the reports were."""
+numpy 2.4.6, as the reports were. The selftest text and the bounds JSON must
+also hold, byte for byte, where OpenBLAS or numpy picks other CPU kernels."""
 
 import importlib.util
+import os
+import platform
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -20,6 +24,7 @@ from contextsim import cli
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.py"
 GOLDEN_SELFTEST = Path(__file__).resolve().parent / "golden_selftest.txt"
 GOLDEN_BOUNDS = Path(__file__).resolve().parent / "golden_bounds"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _golden_module(monkeypatch):
@@ -49,3 +54,19 @@ def test_selftest_text_matches_the_golden_copy(capsys):
 def test_bounds_output_matches_the_golden_copy(fmt, suffix, capsys):
     assert cli.main(["bounds", "--format", fmt]) == 0
     assert capsys.readouterr().out.encode("utf-8") == GOLDEN_BOUNDS.with_suffix(suffix).read_bytes()
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="the settings name x86-64 kernels")
+@pytest.mark.parametrize("setting", [
+    {"OPENBLAS_CORETYPE": "Haswell"},
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V4 X86_V3 AVX512_ICL AVX512_SPR"},
+], ids=["openblas-haswell", "numpy-baseline-simd"])
+def test_golden_outputs_hold_under_other_cpu_kernels(setting):
+    # the setting reaches only the child; numpy writes an ImportWarning to
+    # stderr when a disabled feature is not in its build, so only stdout is compared
+    env = {**os.environ, **setting, "PYTHONPATH": str(SRC)}
+    for args, golden in [(["selftest"], GOLDEN_SELFTEST),
+                         (["bounds", "--format", "json"], GOLDEN_BOUNDS.with_suffix(".json"))]:
+        run = subprocess.run([sys.executable, "-m", "contextsim.cli", *args], env=env, capture_output=True)
+        assert run.returncode == 0, run.stderr.decode()
+        assert run.stdout == golden.read_bytes()

@@ -919,6 +919,17 @@ def test_contextual_family_closed_form_is_eigvalsh(a, b):
     assert abs(bounds._cycle_value(a, b) - _top_value(u)) <= 1e-11
 
 
+@given(a=two_angles, b=two_angles)
+def test_contextual_state_step_is_the_top_eigenvector(a, b):
+    u = bounds._cycle_vectors(a, b)
+    assume(u is not None)
+    value = bounds._cycle_value(a, b)
+    psi, objective = bounds._state_step(u, value)
+    stack = np.array(u)
+    assert np.linalg.norm(stack.T @ stack @ psi - (5 - value) / 4 * np.array(psi)) <= 1e-12
+    assert abs(objective - value) <= 1e-14
+
+
 @pytest.mark.parametrize("resolution", [pytest.param(r, id=f"temporal-{r}")
                                         for r in range(1, bounds.MAX_RESOLUTION + 1)])
 def test_coarse_start_is_the_scalar_argmin(resolution):

@@ -1,3 +1,4 @@
+import re
 import sys
 import warnings
 
@@ -388,7 +389,6 @@ class TestParseAngle:
         assert parse_angle("pi") == pytest.approx(np.pi)
         assert parse_angle("acos(-0.75)") == pytest.approx(float(np.arccos(-0.75)))
         assert parse_angle("0.25") == 0.25
-        assert parse_angle(1.5) == 1.5
         with pytest.raises(ValueError):
             parse_angle("acos(2)")
 
@@ -398,6 +398,13 @@ class TestParseAngle:
                 parse_angle(text)
 
     def test_integer_beyond_float_range_rejected(self):
-        # float() of such an int raises OverflowError, not ValueError
+        # the CLI passes such an integer as text, which float() reads as +inf
         with pytest.raises(ValueError, match="not a finite number of radians"):
-            parse_angle(10 ** 400)
+            parse_angle("1" + "0" * 400)
+
+    @pytest.mark.parametrize("value", [1.5, np.float64(0.5), True])
+    def test_parse_angle_reads_only_text(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^angle must be text, got {re.escape(repr(value))}$"):
+                parse_angle(value)

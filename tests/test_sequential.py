@@ -1,3 +1,5 @@
+import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -398,6 +400,19 @@ class TestBatchAxis:
     def test_observables_must_be_a_stack(self):
         with pytest.raises(ValueError, match="shape"):
             joint_distribution(basis_state(1, "0"), PAULI_Z)
+
+    @pytest.mark.parametrize("read, value", [(correlator_sequential, 5), (joint_distribution, None)])
+    def test_a_value_that_is_no_stack_is_named(self, read, value):
+        # a lone number or None is read by the array rule and shown as passed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^observables must have shape .*, got {value!r}$"):
+                read(basis_state(1, "0"), value)
+
+    def test_only_a_list_or_tuple_is_stacked(self):
+        with pytest.raises(ValueError, match=re.escape("observables cannot be read as an array of numbers")):
+            correlator_sequential(basis_state(1, "0"), (obs for obs in (PAULI_Z, PAULI_Z)))
+        assert correlator_sequential(basis_state(1, "0"), [PAULI_Z, PAULI_Z]) == 1.0
 
     def test_empty_chain_is_certain(self):
         dist = joint_distribution(basis_state(1, "0"), ())
