@@ -59,13 +59,22 @@ def apply_visibility(ideal: float, n_blocks: int, v: float) -> float:
     return float(v ** checked_count(n_blocks, "block count", 0, MAX_BLOCKS) * ideal)
 
 
+def _checked_triple(entry) -> tuple[float, int, float]:
+    """One (ideal, n_blocks, measured) measurement, each value checked."""
+    try:
+        i, n, m = entry
+    except (TypeError, ValueError):
+        raise ValueError(f"each measurement must be an (ideal, n_blocks, measured) triple, got {entry!r}") from None
+    return (checked_reals(i, "ideal value", ()), checked_count(n, "block count", 0, MAX_BLOCKS),
+            checked_reals(m, "measured value", ()))
+
+
 def fit_visibility(pairs) -> float:
     """Least-squares visibility from (ideal, n_blocks, measured) triples.
 
     Minimizes sum (v^n * ideal - measured)^2 by golden section on [0, 1].
     """
-    pairs = [(checked_reals(i, "ideal value", ()), checked_count(n, "block count", 0, MAX_BLOCKS),
-              checked_reals(m, "measured value", ())) for i, n, m in pairs]
+    pairs = [_checked_triple(entry) for entry in pairs]
     if not pairs:
         raise ValueError("need at least one measurement")
     if any(i == 0.0 for i, _, _ in pairs):

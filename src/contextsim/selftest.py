@@ -35,9 +35,11 @@ class CheckResult:
 
 
 def _residuals(*rows) -> tuple[bool, str]:
-    """Round-off residuals, each (label, value, bound, op) with op "<" or "<=", compared as ``value op
-    bound``: whether all pass, and their text, a passing one written as its bound alone, the same on
-    every host, and a failing one with its value."""
+    """Round-off residuals, each row (label, values, bound, op) with op "<" or "<=", its largest value
+    compared as ``value op bound`` (a NaN among the values is the largest, and fails): whether all pass,
+    and their text, a passing one written as its bound alone, the same on every host, and a failing
+    one with its value."""
+    rows = [(label, float(np.max(values)), bound, op) for label, values, bound, op in rows]
     passed = [value < bound if op == "<" else value <= bound for _, value, bound, op in rows]
     text = ", ".join(f"{label}{op}{bound:g}" if ok else f"{label}={value:.3e}, not {op}{bound:g}"
                      for ok, (label, value, bound, op) in zip(passed, rows))
@@ -45,58 +47,56 @@ def _residuals(*rows) -> tuple[bool, str]:
 
 
 def check_pm_state_independent() -> CheckResult:
-    worst_sum = 0.0
-    worst_term = 0.0
+    sum_gaps, term_gaps = [], []
     states = [haar_random_state(2, np.random.default_rng(seed)) for seed in range(100)]
     states.append(mixed_state(np.eye(4) / 4))
     for state in states:
         for method in METHODS:
             rep = eval_pm(state, method)
-            worst_sum = max(worst_sum, abs(rep.sum - 6.0))
-            for (_, value), theory in zip(rep.terms, PM_SIGNS):
-                worst_term = max(worst_term, abs(value - theory))
-    ok, text = _residuals(("max|sum-6|", worst_sum, 1e-9, "<="), ("max term dev", worst_term, 1e-9, "<="))
+            sum_gaps.append(abs(rep.sum - 6.0))
+            term_gaps += [abs(value - theory) for (_, value), theory in zip(rep.terms, PM_SIGNS)]
+    ok, text = _residuals(("max|sum-6|", sum_gaps, 1e-9, "<="), ("max term dev", term_gaps, 1e-9, "<="))
     return CheckResult("pm-state-independent", ok, f"101 states x 3 methods, {text}")
 
 
 def check_scattering_direct_equivalence() -> CheckResult:
-    worst = 0.0
+    gaps = []
     for seed in range(200):
         rng = np.random.default_rng(1000 + seed)
         n = int(rng.integers(1, 3))
         slots = int(rng.integers(1, 4))
         spec = random_correlation_spec(n, slots, rng)
         state = haar_random_state(n, rng)
-        worst = max(worst, abs(correlator_scattering(state, spec) - correlator_direct(state, spec)))
-    ok, text = _residuals(("max gap", worst, 1e-10, "<"))
+        gaps.append(abs(correlator_scattering(state, spec) - correlator_direct(state, spec)))
+    ok, text = _residuals(("max gap", gaps, 1e-10, "<"))
     return CheckResult("scattering-direct-equivalence", ok, f"200 random specs, {text}")
 
 
 def check_sequential_two_time() -> CheckResult:
-    worst = 0.0
+    gaps = []
     for seed in range(100):
         rng = np.random.default_rng(2000 + seed)
         state = haar_random_state(1, rng)
         x, y = random_dichotomic(rng), random_dichotomic(rng)
         two_time = float(0.5 * np.trace(density_of(state) @ (x @ y + y @ x)).real)
-        worst = max(worst, abs(joint_distribution(state, (x, y)).correlator() - two_time))
-    ok, text = _residuals(("max gap", worst, 1e-10, "<"))
+        gaps.append(abs(joint_distribution(state, (x, y)).correlator() - two_time))
+    ok, text = _residuals(("max gap", gaps, 1e-10, "<"))
     return CheckResult("sequential-two-time-formula", ok, f"100 random pairs, {text}")
 
 
 def check_bell_violation() -> CheckResult:
     expected_term = BELL_TERM
     expected_sum = 5 * expected_term
-    worst_term = worst_constraint = worst_sum = 0.0
+    term_gaps, sum_gaps, constraint_gaps = [], [], []
     violated = True
     for method in METHODS:
         rep = eval_transformed_bell(bell_phi_plus(), method)
-        worst_sum = max(worst_sum, abs(rep.sum - expected_sum))
-        worst_term = max(worst_term, max(abs(v - expected_term) for _, v in rep.terms))
-        worst_constraint = max(worst_constraint, max(abs(v - 1.0) for _, v in rep.constraints))
+        sum_gaps.append(abs(rep.sum - expected_sum))
+        term_gaps += [abs(v - expected_term) for _, v in rep.terms]
+        constraint_gaps += [abs(v - 1.0) for _, v in rep.constraints]
         violated = violated and rep.violated and rep.classical_bound == -3.0
-    ok, text = _residuals(("terms dev", worst_term, 1e-9, "<="), ("sum dev", worst_sum, 1e-8, "<="),
-                          ("constraint dev", worst_constraint, 1e-9, "<="))
+    ok, text = _residuals(("terms dev", term_gaps, 1e-9, "<="), ("sum dev", sum_gaps, 1e-8, "<="),
+                          ("constraint dev", constraint_gaps, 1e-9, "<="))
     return CheckResult("transformed-bell-violation", ok and violated, f"{text}, violated={violated}")
 
 
@@ -122,13 +122,13 @@ def check_bound_recovery() -> CheckResult:
 def check_kcbs_closed_form() -> CheckResult:
     state = haar_random_state(1, np.random.default_rng(7))
     a, b = KCBS_FORM
-    worst = 0.0
+    gaps = []
     floor_ok = True
     for theta in np.linspace(0.0, 2 * np.pi, 50):
         rep = eval_kcbs_temporal(state, float(theta), method="sequential")
-        worst = max(worst, abs(rep.sum - (a + b * np.cos(theta))))
+        gaps.append(abs(rep.sum - (a + b * np.cos(theta))))
         floor_ok = floor_ok and rep.sum >= rep.classical_bound - 1e-9
-    ok, text = _residuals(("max|sum-(1+4cos)|", worst, 1e-9, "<="))
+    ok, text = _residuals(("max|sum-(1+4cos)|", gaps, 1e-9, "<="))
     return CheckResult("kcbs-closed-form", ok and floor_ok, f"50 angles, {text}, never below -3: {floor_ok}")
 
 

@@ -1,9 +1,12 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each."""
 
 import math
+from unittest import mock
 
 import numpy as np
+import pytest
 
+from contextsim import selftest
 from contextsim.bounds import CONTEXTUAL_OPTIMUM, TSIRELSON_OPTIMUM
 from contextsim.inequalities import (
     METHODS,
@@ -19,7 +22,7 @@ from contextsim.scattering import (
     random_correlation_spec,
     random_dichotomic,
 )
-from contextsim.selftest import selftest_text
+from contextsim.selftest import check_scattering_direct_equivalence, selftest_text
 from contextsim.sequential import correlator_sequential
 from contextsim.states import bell_phi_plus, density_of, haar_random_state, mixed_state
 
@@ -155,3 +158,18 @@ def test_criterion_9_selftest_determinism():
     assert sum(line.startswith("PASS ") for line in lines) == 9
     assert "selftest: ALL PASS (9 checks)" in lines
     report(9, f"two selftest runs byte-identical ({len(text_a)} bytes), all checks pass")
+
+
+@pytest.mark.parametrize("nan_call", [0, 99, 199])
+def test_selftest_fails_a_nan_residual(nan_call):
+    # max(worst, nan) keeps worst, so a route that returned NaN used to pass
+    calls, direct = [], selftest.correlator_direct
+
+    def nan_once(state, spec):
+        calls.append(None)
+        return math.nan if len(calls) - 1 == nan_call else direct(state, spec)
+
+    with mock.patch.object(selftest, "correlator_direct", nan_once):
+        result = check_scattering_direct_equivalence()
+    assert not result.passed
+    assert result.detail == "200 random specs, max gap=nan, not <1e-10"

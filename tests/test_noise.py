@@ -173,6 +173,13 @@ class TestFit:
         with pytest.raises(ValueError, match="no measurement depends on the visibility"):
             fit_visibility(pairs)
 
+    @pytest.mark.parametrize("entry", [(1,), (1.0, 1), (1.0, 1, 0.9, 0.1), 5, None])
+    def test_entry_that_is_no_triple_is_named(self, entry):
+        # unpacked as is, (1,) said "not enough values to unpack (expected 3, got 1)"
+        with pytest.raises(ValueError, match=re.escape(
+                f"each measurement must be an (ideal, n_blocks, measured) triple, got {entry!r}")):
+            fit_visibility([(1.0, 1, 0.9), entry])
+
     def test_zero_ideal_rejected(self):
         with pytest.raises(ValueError):
             fit_visibility([(0.0, 3, 0.5)])

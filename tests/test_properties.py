@@ -602,7 +602,7 @@ def test_real_chain_runs_in_float64(qubits, batch, data):
     stack = data.draw(batched_chains(qubits, data.draw(st.integers(1, 5)), batch, real=True))
     state = data.draw(states(qubits, real=True))
     dist, dtypes = _recorded_chain(state, stack)
-    assert dtypes == [np.float64] * stack.shape[-3]
+    assert dtypes == [np.float64] * (stack.shape[-3] - 1)  # the last measurement takes no step
     assert np.max(np.abs(dist.probabilities - _complex_probabilities(state, stack))) <= 1e-15
 
 
@@ -611,7 +611,9 @@ def test_real_chain_runs_in_float64(qubits, batch, data):
 @given(data=st.data())
 def test_chain_with_an_imaginary_part_runs_in_complex128(qubits, batch, data):
     # an imaginary part in one observable or in the state makes the whole
-    # chain complex, with the probabilities of the complex arithmetic exactly
+    # chain complex; the last outcome is read off the branches, not split
+    # from them, so the probabilities match the complex arithmetic up to
+    # round-off
     stack = data.draw(batched_chains(qubits, data.draw(st.integers(1, 5)), batch, real=True))
     if data.draw(st.booleans()):
         state = data.draw(states(qubits))
@@ -622,8 +624,8 @@ def test_chain_with_an_imaginary_part_runs_in_complex128(qubits, batch, data):
         stack[position] = data.draw(chains(qubits, 1))[0]
         assume(stack[position].imag.any())
     dist, dtypes = _recorded_chain(state, stack)
-    assert dtypes == [np.complex128] * stack.shape[-3]
-    assert np.array_equal(dist.probabilities, _complex_probabilities(state, stack))
+    assert dtypes == [np.complex128] * (stack.shape[-3] - 1)  # the last measurement takes no step
+    assert np.max(np.abs(dist.probabilities - _complex_probabilities(state, stack))) <= 1e-15
 
 
 @given(data=st.data())

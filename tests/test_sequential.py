@@ -14,7 +14,7 @@ from contextsim.inequalities import (
     pm_observable,
     sigma_theta,
 )
-from contextsim.linalg import ATOL, ATOL_DICHOTOMIC, PAULI_X, PAULI_Z
+from contextsim.linalg import ATOL, ATOL_DICHOTOMIC, ATOL_STATE_PSD, PAULI_X, PAULI_Z
 from contextsim.scattering import (
     TemporalCorrelationSpec,
     correlator_direct,
@@ -198,6 +198,13 @@ class TestJointDistribution:
         with pytest.raises(ValueError, match="outcome axis"):
             dist.correlator(axes)
 
+    @pytest.mark.parametrize("axes", [5, 1.0, np.array(1)])
+    def test_axes_that_are_no_sequence_are_named(self, axes):
+        # iterating over 5 raised TypeError: 'int' object is not iterable
+        dist = joint_distribution(basis_state(1, "0"), (Z_OBS, X_OBS))
+        with pytest.raises(ValueError, match=re.escape(f"outcome axes must be a sequence of integers, got {axes!r}")):
+            dist.correlator(axes)
+
 
 class TestCorrelatorSequential:
     def test_matches_two_time_formula_on_random_pairs(self):
@@ -318,34 +325,67 @@ class TestOutcomeDistributionValidation:
         with pytest.raises(ValueError, match="negative probability"):
             OutcomeDistribution(observables=(PAULI_Z,), probabilities=[1 + 2.1e-9, -2.1e-9])
 
-    @pytest.mark.parametrize("qubits, length", [(1, 1), (2, 3), (3, 5)])
+    @pytest.mark.parametrize("qubits, length", [(1, 2), (2, 3), (3, 5)])
     def test_sum_bound_is_reached_by_an_admitted_chain(self, qubits, length):
         # O = I + c J (J all ones, J^2 = d J) squares to I + eps J, whose
         # entries the boundary admits and whose norm is d eps; on the
-        # all-ones state each step scales the total trace by 1 + d eps / 2
+        # all-ones state, an eigenvector of O with eigenvalue
+        # lam = sqrt(1 + d eps), each step scales the total trace by
+        # 1 + d eps / 2: the branch stack's k steps, the last one read by the
+        # Born rule, and the pair's k - 1 before its last measurement
         d, eps = 2 ** qubits, 0.99 * ATOL_DICHOTOMIC
         o = np.eye(d) + (np.sqrt(1 + d * eps) - 1) / d * np.ones((d, d))
-        dist = joint_distribution(pure_state(np.ones(d) / np.sqrt(d)), (o,) * length)
+        state = pure_state(np.ones(d) / np.sqrt(d))
+        dist = joint_distribution(state, (o,) * length)
         total = (1 + d * eps / 2) ** length
         assert dist.probabilities.sum() == pytest.approx(total, abs=1e-14)
         assert total - 1 > ATOL
+        # S carries lam^(k - 1) and U (1 + d eps / 2)^(k - 1) to the last step, read as tr(O S)
+        pair_total = (1 + d * eps / 2) ** (length - 1)
+        assert pair_total - 1 > ATOL
+        assert pair_total - 1 <= sequential._sum_tolerance(d, length - 1) < total - 1
+        assert correlator_sequential(state, (o,) * length) == pytest.approx((1 + d * eps) ** (length / 2), abs=1e-14)
 
-    def test_full_product_reading_checks_the_carried_total(self):
+    def test_state_and_observable_at_their_boundaries_read(self):
+        # rho = (1 + 7 delta)|u><u| - delta (I - |u><u|) on three qubits and
+        # O = -I + (1 + lam)|u><u|, lam = sqrt(1 + 8 eps): both admitted. The
+        # last outcome -1 reads tr(P-^2 rho) = (1 + 7 delta)(lam - 1)^2 / 4
+        # - 7 delta, within the floor 8 ATOL_STATE_PSD; off (I - O)/2, whose
+        # eigenvalue on u is (1 - lam)/2, it would read 2 eps lower, past it
+        d, delta, eps = 8, 0.99 * ATOL_STATE_PSD, 0.99 * ATOL_DICHOTOMIC
+        lam, u = np.sqrt(1 + d * eps), np.ones((d, 1)) / np.sqrt(d)
+        state = QuantumState(qubits=3, rho=(1 + d * delta) * u @ u.T - delta * np.eye(d))
+        o = -np.eye(d) + (1 + lam) * u @ u.T
+        dist = joint_distribution(state, (o,))
+        assert dist.probabilities[1] == pytest.approx(-7 * delta, abs=1e-15)
+        assert -7 * delta - 2 * eps < -sequential._probability_floor(d, 1)
+        for chain in ((o,), (np.kron(PAULI_Z, np.eye(4)), o)):
+            value = correlator_sequential(state, chain)
+            assert joint_distribution(state, chain).correlator() == pytest.approx(value, abs=1e-15)
+
+    @pytest.mark.parametrize("chains", [(PAULI_Z, PAULI_X), (PAULI_Z, PAULI_X, PAULI_Z),
+                                        np.stack([[PAULI_Z, PAULI_X], [PAULI_X, PAULI_Z]])])
+    def test_full_product_reading_checks_the_carried_total(self, chains):
         # a step that adds 1 % of weight moves the unsigned trace, the total
-        # probability, past its tolerance
+        # probability, past its tolerance; the last measurement takes no step
         step = luders_measure
         with mock.patch.object(sequential, "luders_measure", lambda pair, proj: 1.01 * step(pair, proj)):
             with pytest.raises(ValueError, match="sum to"):
-                correlator_sequential(basis_state(1, "0"), (PAULI_Z, PAULI_X))
-            with pytest.raises(ValueError, match="sum to"):
-                correlator_sequential(basis_state(1, "0"), np.stack([[PAULI_Z], [PAULI_X]]))
+                correlator_sequential(basis_state(1, "0"), chains)
 
     def test_full_product_reading_bounds_the_correlator_by_the_total(self):
-        # doubling P+ S P+ alone reads Z on |0> as 2 with the total still 1
-        step, weights = luders_measure, np.array([2.0, 1.0, 1.0, 1.0])[:, None, None]
-        with mock.patch.object(sequential, "luders_measure", lambda pair, proj: weights * step(pair, proj)):
+        # Z, Z, Z on |0>: doubling P+ S P+ in the pair's second split reads
+        # the correlator as 2 with the total still 1
+        step, weights, calls = luders_measure, np.array([2.0, 1.0, 1.0, 1.0])[:, None, None], []
+
+        def weighted(pair, proj):
+            calls.append(pair.shape)
+            return (weights if len(calls) == 2 else 1.0) * step(pair, proj)
+
+        with mock.patch.object(sequential, "luders_measure", weighted):
             with pytest.raises(ValueError, match="exceeds the total probability"):
-                correlator_sequential(basis_state(1, "0"), (PAULI_Z,))
+                correlator_sequential(basis_state(1, "0"), (PAULI_Z,) * 3)
+        assert calls == [(1, 2, 2), (2, 2, 2)]
 
 
 class TestNonFiniteObservables:
