@@ -11,8 +11,9 @@ imaginary part (see ``sequential``), for which :func:`check_observable` takes
 real stacks as well. Every matrix that a constructor takes from its caller
 goes through :func:`checked_matrix`; only a matrix the package built from
 checked values may be stored without it (see ``states.QuantumState``). Every
-count read from user input goes through :func:`checked_count`, and every real
-number, angle or real array through :func:`checked_reals`; :func:`_array`
+count read from user input goes through :func:`checked_count`, every real
+number, angle or real array through :func:`checked_reals`, and a sequence of
+slots, matrices or outcome axes through :func:`checked_sequence`; :func:`_array`
 refuses a ragged or unreadable value by its name.
 Operations are pure functions and safe to call concurrently.
 """
@@ -141,3 +142,11 @@ def checked_count(value, what: str, minimum: int = 0, maximum: int | None = None
     if maximum is not None and value > maximum:
         raise ValueError(f"{what} must be at most {maximum}, got {value}")
     return int(value)
+
+
+def checked_sequence(value, what: str, items: str) -> tuple:
+    """``tuple(value)``, or ValueError naming ``what`` as a sequence of ``items`` when it is not iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{what} must be a sequence of {items}, got {value!r}") from None

@@ -102,7 +102,7 @@ _TABLES = {
 
 def load_measured_table(name: str) -> list[tuple[str, float, float, float]]:
     """Rows (label, theory, experimental, uncertainty) from a shipped table."""
-    if name not in _TABLES:
+    if not isinstance(name, str) or name not in _TABLES:
         raise ValueError(f"unknown table {name!r}; expected one of {sorted(_TABLES)}")
     text = resources.files("contextsim.data").joinpath(_TABLES[name][0]).read_text(encoding="utf-8")
     rows = []

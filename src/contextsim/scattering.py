@@ -42,7 +42,7 @@ from functools import reduce
 import numpy as np
 
 from .circuits import HADAMARD, Circuit, GateOp, embed, renormalized
-from .linalg import PAULI_X, PAULI_Y, PAULI_Z, checked_count, checked_matrix, conjugated
+from .linalg import PAULI_X, PAULI_Y, PAULI_Z, checked_count, checked_matrix, checked_sequence, conjugated
 from .states import MAX_QUBITS, QuantumState, density_of, haar_random_unitary
 
 
@@ -82,7 +82,7 @@ class TemporalCorrelationSpec:
     def __post_init__(self):
         n = checked_count(self.system_qubits, "system_qubits", minimum=1)
         object.__setattr__(self, "system_qubits", n)
-        object.__setattr__(self, "slots", tuple(self.slots))
+        object.__setattr__(self, "slots", checked_sequence(self.slots, "slots", "time slots"))
         for s in self.slots:
             if len(s.observables) != n:
                 raise ValueError("slot size does not match the system qubit count")
@@ -93,7 +93,7 @@ class TemporalCorrelationSpec:
 
 def slot(observables, evolution: np.ndarray | None = None) -> TimeSlot:
     """Convenience constructor; a missing evolution means the identity."""
-    obs = tuple(observables)
+    obs = checked_sequence(observables, "observables", "2 x 2 matrices")
     if evolution is None:
         evolution = np.eye(2 ** len(obs), dtype=complex)
     return TimeSlot(observables=obs, evolution=evolution)

@@ -36,7 +36,7 @@ take the stack unchecked, and only stacks the package built from checked
 input (the evaluators' block stacks, the pentagon readings' cycles) go to
 them directly. ``luders_measure`` and the matrices it returns are
 unchecked. Every reading keeps its result checks: each total probability
-must lie within :func:`_sum_tolerance` of 1.
+must lie within the tolerance of :func:`_check_sums`.
 ``OutcomeDistribution`` refuses a probability below 0 by more than
 :func:`_probability_floor`; the pair has no outcome probabilities, so it
 refuses a correlator whose modulus exceeds the total by more than 2^(k+1)
@@ -50,16 +50,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL, ATOL_DICHOTOMIC, ATOL_STATE_PSD, _array, check_observable, checked_count
+from .linalg import ATOL, ATOL_DICHOTOMIC, ATOL_STATE_PSD, _array, check_observable, checked_count, checked_sequence
 from .states import QuantumState, density_of
 
 # outcome value of index 0 (+1) and index 1 (-1) along each outcome axis
 _SIGNS = np.array([1.0, -1.0])
 
 
-def _sum_tolerance(d: int, steps: int) -> float:
-    """How far the probabilities of a chain on a ``d``-dimensional state may
-    sum from 1 after ``steps`` Lüders steps.
+def _check_sums(sums, d: int, steps: int) -> None:
+    """Refuse a total probability in ``sums`` (a float or an array) farther from 1
+    than ``steps`` Lüders steps on a ``d``-dimensional state allow, or NaN.
 
     The state's trace is 1 within ATOL. A Lüders step maps each branch B to
     P+ B P+ and P- B P- with P+- = (I +- O)/2; since P+^2 + P-^2 = (I + O^2)/2
@@ -73,7 +73,9 @@ def _sum_tolerance(d: int, steps: int) -> float:
     eigenvalue floor, a second-order term) one step scales the total by a
     factor within 1 +- d * ATOL_DICHOTOMIC / 2. Of the two ends after all
     steps, the upper one lies farther from 1."""
-    return (1 + ATOL) * (1 + d * ATOL_DICHOTOMIC / 2) ** steps - 1
+    ok = np.abs(sums - 1.0) <= (1 + ATOL) * (1 + d * ATOL_DICHOTOMIC / 2) ** steps - 1
+    if not ok.all():
+        raise ValueError(f"probabilities sum to {sums[~ok][0]}, not 1")
 
 
 def _probability_floor(d: int, k: int) -> float:
@@ -125,12 +127,9 @@ class OutcomeDistribution:
         p = _array(self.probabilities, "probabilities", float, copy=True)
         if p.shape != shape:
             raise ValueError(f"probabilities must have shape {shape}, got {p.shape}")
-        # written so that NaN fails both checks; an empty batch passes both
         sums = p.reshape(obs.shape[:-3] + (2 ** obs.shape[-3],)).sum(axis=-1)
-        tol = _sum_tolerance(obs.shape[-1], obs.shape[-3])
-        if not np.abs(sums - 1.0).max(initial=0.0) <= tol:
-            raise ValueError(f"probabilities sum to {sums[~(np.abs(sums - 1.0) <= tol)][0]}, not 1")
-        if not p.min(initial=0.0) >= -_probability_floor(obs.shape[-1], obs.shape[-3]):
+        _check_sums(sums, obs.shape[-1], obs.shape[-3])
+        if not p.min(initial=0.0) >= -_probability_floor(obs.shape[-1], obs.shape[-3]):  # NaN fails
             raise ValueError("negative probability in outcome distribution")
         p.setflags(write=False)
         object.__setattr__(self, "observables", obs)
@@ -144,11 +143,8 @@ class OutcomeDistribution:
         b = self.observables.ndim - 3
         if axes is not None:
             k = self.observables.shape[-3]
-            try:
-                axes = list(axes)
-            except TypeError:
-                raise ValueError(f"outcome axes must be a sequence of integers, got {axes!r}") from None
-            axes = [checked_count(axis, "outcome axis", 0, k - 1) for axis in axes]
+            axes = [checked_count(axis, "outcome axis", 0, k - 1)
+                    for axis in checked_sequence(axes, "outcome axes", "integers")]
         # one einsum over the whole batch
         p = self.probabilities
         operands = [p, list(range(p.ndim))]
@@ -184,15 +180,18 @@ def _checked_stack(state: QuantumState, obs_seq) -> np.ndarray:
     return obs
 
 
+def _projector_pairs(obs: np.ndarray) -> np.ndarray:
+    """(I + O)/2, (I - O)/2 of each O of a ``(..., d, d)`` stack, shape ``(..., 2, d, d)``."""
+    return (np.eye(obs.shape[-1]) + _SIGNS[:, None, None] * obs[..., None, :, :]) / 2
+
+
 def _chain(state: QuantumState, obs: np.ndarray):
     """The chain of a complex stack ``obs`` on ``state``, unchecked: the
-    density matrix it runs on and the observables (float64 for a real chain),
-    and each step's projector pair (I + O)/2, (I - O)/2, of shape
-    ``batch + (k, 2, d, d)``."""
+    density matrix it runs on, the observables (float64 for a real chain)
+    and the projector pairs of the first k - 1, ``batch + (k - 1, 2, d, d)``."""
     rho = density_of(state)
     chain, rho = (obs, rho) if obs.imag.any() or rho.imag.any() else (obs.real, rho.real)
-    proj = (np.eye(obs.shape[-1]) + _SIGNS[:, None, None] * chain[..., None, :, :]) / 2  # (I +- O)/2
-    return rho, chain, proj
+    return rho, chain, _projector_pairs(chain[..., :-1, :, :])
 
 
 def _trace_of_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -204,7 +203,7 @@ def _distribution(state: QuantumState, obs: np.ndarray) -> OutcomeDistribution:
     """The branch-stack reading of an unchecked complex stack ``obs``: Lüders
     steps through all but the last measurement, whose outcomes each branch X
     reads with probabilities tr(P+-^2 X)."""
-    rho, _, proj = _chain(state, obs)
+    rho, chain, proj = _chain(state, obs)
     batch, k = obs.shape[:-3], obs.shape[-3]
     if not k:  # an empty chain measures nothing and is certain
         return OutcomeDistribution(observables=obs, probabilities=np.full(batch, np.trace(rho).real))
@@ -212,7 +211,8 @@ def _distribution(state: QuantumState, obs: np.ndarray) -> OutcomeDistribution:
     branches = rho.reshape((1,) * (obs.ndim - 2) + rho.shape)
     for i in range(k - 1):
         branches = luders_measure(branches, proj[..., i, :, :, :])
-    effects = proj[..., -1, :, :, :] @ proj[..., -1, :, :, :]  # P+^2, P-^2 of each chain
+    last = _projector_pairs(chain[..., -1, :, :])
+    effects = last @ last  # P+^2, P-^2 of each chain
     # branch i reads outcome +1 at 2i and -1 at 2i + 1, as a last Lüders step would split it
     probs = _trace_of_product(effects[..., None, :, :, :], branches[..., :, None, :, :])
     return OutcomeDistribution(observables=obs, probabilities=probs.reshape(batch + (2,) * k))
@@ -242,9 +242,7 @@ def _full_product(state: QuantumState, obs: np.ndarray):
         total = np.full(batch, total)
     # the last measurement by the Born rule: tr(P+ S P+ - P- S P-) = tr(O S), and U's trace is the total
     value = _trace_of_product(chain[..., -1, :, :], pair[..., 0, :, :]) if k else total
-    ok = np.abs(total - 1.0) <= _sum_tolerance(d, max(k - 1, 0))  # written so that NaN fails both checks
-    if not ok.all():
-        raise ValueError(f"probabilities sum to {total[~ok][0]}, not 1")
+    _check_sums(total, d, max(k - 1, 0))
     # as P+^2 - P-^2 = O, value is the signed sum of the branch stack's 2^k outcome probabilities
     # tr(P+-^2 X): their negative parts let it exceed their total by at most two floors, and that total
     # exceeds tr U by at most d * ATOL_DICHOTOMIC / 2 of it; with ATOL_DICHOTOMIC <= 4 * ATOL_STATE_PSD

@@ -86,7 +86,9 @@ def _qubit_count(dim: int) -> int:
 
 
 def pure_state(amplitudes) -> QuantumState:
-    a = _array(amplitudes, "amplitudes", complex).reshape(-1)
+    a = _array(amplitudes, "amplitudes")
+    if a.dtype.kind not in "biufc":  # numpy would read None as NaN and "1" as 1
+        raise ValueError(f"amplitudes must be numbers, got {amplitudes!r}")
     return QuantumState(qubits=_qubit_count(a.size), amplitudes=a)
 
 
@@ -104,11 +106,9 @@ def density_of(state: QuantumState) -> np.ndarray:
 
 def basis_state(n: int, label: str) -> QuantumState:
     """Computational basis state |label> on n qubits; label is a bitstring."""
-    if len(label) != n:
-        raise ValueError(f"label {label!r} does not have length {n}")
-    if any(ch not in "01" for ch in label):
-        raise ValueError(f"label {label!r} contains characters other than 0/1")
     n = checked_count(n, "qubit count")
+    if not isinstance(label, str) or len(label) != n or any(ch not in "01" for ch in label):
+        raise ValueError(f"label {label!r} is not a bitstring of length {n}")
     a = np.zeros(2 ** n, dtype=complex)
     a[int(label or "0", 2)] = 1.0  # exactly one-hot, so of unit norm; n = 0 has the one amplitude
     return QuantumState._unchecked(n, amplitudes=a)
@@ -124,6 +124,7 @@ def bell_phi_plus() -> QuantumState:
 
 
 def haar_random_state(n: int, rng: np.random.Generator) -> QuantumState:
+    n = checked_count(n, "qubit count")
     v = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
     return QuantumState(qubits=n, amplitudes=v / np.linalg.norm(v))
 
@@ -141,6 +142,8 @@ def state_from_literal(literal: str) -> QuantumState:
 
     A state file holds 2^n lines of "re im" amplitude pairs.
     """
+    if not isinstance(literal, str):
+        raise ValueError(f"state literal must be a string, got {literal!r}")
     if literal == "bell":
         return bell_phi_plus()
     if literal and all(ch in "01" for ch in literal):

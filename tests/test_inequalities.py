@@ -244,7 +244,7 @@ class TestEvalTransformedBell:
             assert rep.sum == pytest.approx(5 * expected, abs=1e-8)
             assert all(v == pytest.approx(1.0, abs=1e-9) for _, v in rep.constraints)
             assert rep.constraints_satisfied
-            assert rep.violated and rep.classical_bound == -3.0
+            assert rep.violated and rep.classical_bound == -3.0 and rep.bound_direction == ">="
 
     def test_product_state_factorizes(self):
         # product-state oracle: <A_r B_q> on |00> equals the product of the

@@ -27,10 +27,11 @@ from contextsim.linalg import (
     checked_reals,
     sigma_theta_matrix,
 )
-from contextsim.noise import NoiseModel
-from contextsim.scattering import TimeSlot, slot
+from contextsim.noise import NoiseModel, load_measured_table, visibility_summary
+from contextsim.scattering import TemporalCorrelationSpec, TimeSlot, slot
 from contextsim.sequential import OutcomeDistribution, correlator_sequential, joint_distribution
-from contextsim.states import QuantumState, basis_state, mixed_state, pure_state
+from contextsim.states import (QuantumState, basis_state, haar_random_state, mixed_state, pure_state,
+                               state_from_literal)
 
 
 def power_extremal_min(a, shift=10.0, iters=5000, seed=11):
@@ -358,3 +359,27 @@ class TestRaggedInputNamed:
         # complex("a") used to escape as "complex() arg is a malformed string"
         with pytest.raises(ValueError, match="^observables cannot be read as an array of numbers: complex"):
             correlator_sequential(basis_state(1, "0"), ["a"])
+
+
+class TestWrongKindOfValueNamed:
+    """A value of the wrong kind (a number where a sequence or a string goes, None
+    or a negative number for a count or for amplitudes, a list for a table's name)
+    is refused by a ValueError that names the argument and shows the value."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call, named, value", [
+        (lambda v: basis_state(2, v), "label", 5),
+        (lambda v: basis_state(v, "01"), "qubit count", None),
+        (state_from_literal, "state literal", None),
+        (lambda v: haar_random_state(v, np.random.default_rng(0)), "qubit count", -1),
+        (pure_state, "amplitudes", None),
+        (slot, "observables", 5),
+        (lambda v: TemporalCorrelationSpec(1, v), "slots", 5),
+        (load_measured_table, "table", []),
+        (visibility_summary, "table", []),
+    ], ids=["basis_state label", "basis_state n", "state_from_literal", "haar_random_state", "pure_state",
+            "slot", "TemporalCorrelationSpec", "load_measured_table", "visibility_summary"])
+    def test_wrong_kind_named(self, call, named, value):
+        with pytest.raises(ValueError) as raised:
+            call(value)
+        assert named in str(raised.value) and repr(value) in str(raised.value)

@@ -134,14 +134,14 @@ class TestVisibility:
 
 class TestFit:
     def test_synthetic_round_trip(self):
-        v0 = 0.9
-        pairs = [
-            (1.0, 3, v0 ** 3),
-            (-1.0, 3, -(v0 ** 3)),
-            (1.0, 1, v0),
-            (1.0, 2, v0 ** 2),
-        ]
-        assert fit_visibility(pairs) == pytest.approx(v0, abs=1e-5)
+        for v0 in (0.87, 0.9):
+            pairs = [
+                (1.0, 3, v0 ** 3),
+                (-1.0, 3, -(v0 ** 3)),
+                (1.0, 1, v0),
+                (1.0, 2, v0 ** 2),
+            ]
+            assert fit_visibility(pairs) == pytest.approx(v0, abs=1e-5)
 
     def test_local_optimality(self):
         rows = load_measured_table("pm")

@@ -343,7 +343,10 @@ class TestOutcomeDistributionValidation:
         # S carries lam^(k - 1) and U (1 + d eps / 2)^(k - 1) to the last step, read as tr(O S)
         pair_total = (1 + d * eps / 2) ** (length - 1)
         assert pair_total - 1 > ATOL
-        assert pair_total - 1 <= sequential._sum_tolerance(d, length - 1) < total - 1
+        # the pair's tolerance admits its own total and refuses the branch stack's
+        sequential._check_sums(np.float64(pair_total), d, length - 1)
+        with pytest.raises(ValueError, match="^probabilities sum to"):
+            sequential._check_sums(np.float64(total), d, length - 1)
         assert correlator_sequential(state, (o,) * length) == pytest.approx((1 + d * eps) ** (length / 2), abs=1e-14)
 
     def test_state_and_observable_at_their_boundaries_read(self):
