@@ -11,7 +11,7 @@ U (U rho)^dag = U rho U^dag because a stored rho is exactly Hermitian. The
 kernel also serves ``embed`` and so the reference
 ``scattering.build_scattering_circuit``; the probe route runs its fixed wiring
 as plain products in ``scattering._probe_circuit``. ``renormalized`` is the
-last step of both.
+last step of ``apply``; the probe route reads its output as it is.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import CONSTRAINT_ATOL, PAULIS, VERDICT_EPS, checked_matrix, checked_reals, sigma_theta_matrix
+from .linalg import CONSTRAINT_ATOL, PAULIS, VERDICT_EPS, checked_matrix, checked_reals, onto_set, sigma_theta_matrix
 from .scattering import TemporalCorrelationSpec, _direct_values, _probe_values, slot
 from .sequential import _full_product
 from .states import QuantumState
@@ -209,9 +209,11 @@ def _kcbs_cycle(theta) -> np.ndarray:
     """The five blocks (Z, th, Z, th, Z) of the alternating cycle, sigma(0) and
     sigma(theta) in one ``sigma_theta_matrix`` call, a stack of shape
     ``theta.shape + (5, 2, 2)`` that a cycle report indexes for its
-    ``(T, 2, 2, 2)`` stack of pairs. sigma(0) is sigma_z exactly. Unchecked:
-    each caller checks its angles where they enter."""
-    return sigma_theta_matrix(np.multiply.outer(theta, (0, 1, 0, 1, 0)))
+    ``(T, 2, 2, 2)`` stack of pairs. sigma(0) is sigma_z exactly; sigma(theta) is put
+    on its set as a slot stores it (``onto_set``). Unchecked: each caller checks its angles."""
+    cycle = sigma_theta_matrix(np.multiply.outer(theta, (0, 1, 0, 1, 0)))
+    cycle[..., 1::2, :, :] = onto_set(cycle[..., 1:2, :, :], "dichotomic")
+    return cycle
 
 
 # the five-cycle's one edge list, (r, r + 1) in order: the kcbs and Bell pairs, the searches' sums

@@ -8,13 +8,13 @@ All operators that this package stores are plain ``numpy.ndarray`` values of
 dtype complex128 in row-major order. One computation works on float64 real
 parts instead: a Lüders chain whose state and observables all have zero
 imaginary part (see ``sequential``), for which :func:`check_observable` takes
-real stacks as well. Every matrix that a constructor takes from its caller
-goes through :func:`checked_matrix`; only a matrix the package built from
-checked values may be stored without it (see ``states.QuantumState``). Every
-count read from user input goes through :func:`checked_count`, every real
-number, angle or real array through :func:`checked_reals`, and a sequence of
-slots, matrices or outcome axes through :func:`checked_sequence`; :func:`_array`
-refuses a ragged or unreadable value by its name.
+real stacks as well. Every matrix that a constructor takes from its caller goes
+through :func:`checked_matrix` (a slot's then onto its set, :func:`onto_set`); only a
+matrix the package built from checked values may be stored without it (see
+``states.QuantumState``). Every count read from user input goes through
+:func:`checked_count`, every real number, angle or real array through :func:`checked_reals`,
+and a sequence of slots, matrices or outcome axes through :func:`checked_sequence`;
+:func:`_array` refuses a ragged or unreadable value by its name.
 Operations are pure functions and safe to call concurrently.
 """
 
@@ -66,6 +66,16 @@ def check_observable(m: np.ndarray, what: str, dichotomic: bool = True) -> None:
         raise ValueError(f"{what} is not Hermitian")
     if dichotomic and not np.abs(m @ m - np.eye(m.shape[-1])).max() <= ATOL_DICHOTOMIC:
         raise ValueError(f"{what} does not square to the identity")
+
+
+def onto_set(m: np.ndarray, kind: str) -> np.ndarray:
+    """An admitted "dichotomic" or "unitary" matrix or ``(..., d, d)`` stack put on its
+    set by one Newton-Schulz step, read-only: M (3I - W)/2 with W = M M (O^2 = I) or
+    M^dag M (U^dag U = I); see Higham, Functions of Matrices (2008), ch. 5 and 8."""
+    w = m @ m if kind == "dichotomic" else m.conj().swapaxes(-1, -2) @ m
+    out = m @ (3 * np.eye(m.shape[-1]) - w) / 2
+    out.setflags(write=False)
+    return out
 
 
 def _array(value, what: str, dtype=None, copy=None) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 A correlation spec lists time slots; each slot carries one 2x2 dichotomic
 observable per system qubit plus an evolution unitary for that instant. The
-probe circuit is Hadamard, each slot's controlled block (made and checked once,
-with the slot), Hadamard; the probe's <sigma_z> then equals the real part of
-tr(rho_sys * O(t_1) O(t_2) ... O(t_n)), with no mid-circuit collapse.
+probe circuit is Hadamard, each slot's controlled block (made once, with the
+slot), Hadamard; the probe's <sigma_z> then equals Re tr(rho_sys * O(t_1) O(t_2)
+... O(t_n)), with no mid-circuit collapse and no renormalization.
 
 Controlled blocks are emitted in slot order, so the block seen by the |1>
 branch of the probe is O(t_n) ... O(t_1); the real part of the readout is
@@ -41,8 +41,8 @@ from functools import reduce
 
 import numpy as np
 
-from .circuits import HADAMARD, Circuit, GateOp, embed, renormalized
-from .linalg import PAULI_X, PAULI_Y, PAULI_Z, checked_count, checked_matrix, checked_sequence, conjugated
+from .circuits import HADAMARD, Circuit, GateOp, embed
+from .linalg import PAULI_X, PAULI_Y, PAULI_Z, checked_count, checked_matrix, checked_sequence, conjugated, onto_set
 from .states import MAX_QUBITS, QuantumState, density_of, haar_random_unitary
 
 
@@ -50,24 +50,22 @@ from .states import MAX_QUBITS, QuantumState, density_of, haar_random_unitary
 class TimeSlot:
     """Per-qubit observables plus the evolution unitary for one time instant.
 
-    ``block`` is the read-only ``(d, d)`` Heisenberg observable
-    O(t) = U^dag (O_1 x ... x O_N) U, checked as unitary once, here."""
+    Each input is checked and stored on its set (``linalg.onto_set``), so ``block``, the
+    read-only Heisenberg observable O(t) = U^dag (O_1 x ... x O_N) U, needs no check."""
 
     observables: tuple[np.ndarray, ...]
     evolution: np.ndarray
     block: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        obs = tuple(checked_matrix(o, "per-qubit observable", (2, 2), "dichotomic")
-                    for o in self.observables)
+        obs = tuple(onto_set(checked_matrix(o, "per-qubit observable", (2, 2), "dichotomic"), "dichotomic")
+                    for o in checked_sequence(self.observables, "observables", "2 x 2 matrices"))
         if not obs:
             raise ValueError("a slot needs at least one observable")
-        u = checked_matrix(self.evolution, "evolution", (2 ** len(obs),) * 2, "unitary")
-        object.__setattr__(self, "observables", obs)
-        object.__setattr__(self, "evolution", u)
-        object.__setattr__(self, "block", checked_matrix(
-            conjugated(reduce(np.kron, obs), u), "slot observable U^dag (O_1 x ... x O_N) U",
-            kind="unitary"))
+        u = onto_set(checked_matrix(self.evolution, "evolution", (2 ** len(obs),) * 2, "unitary"), "unitary")
+        block = conjugated(reduce(np.kron, obs), u)
+        block.setflags(write=False)
+        self.__dict__.update(observables=obs, evolution=u, block=block)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,9 +134,9 @@ def probe_sigma_y(state: QuantumState) -> float:
 def _probe_circuit(stack: np.ndarray, operand: np.ndarray) -> np.ndarray:
     """Each spec's probe circuit, for a ``(T, k, d, d)`` block stack, on a
     ``(T, 2d)`` stack of vectors or a ``(T, 2d, 2d)`` stack of density matrices
-    (a second pass on the conjugate transpose), renormalized as by ``circuits.apply``.
-    Viewed as ``(T, 2, d, r)``, H is one product on the probe axis and a block
-    one product on the probe's |1> half; the operand is only read, in any layout."""
+    (a second pass on the conjugate transpose), not renormalized, so it reads the state
+    as admitted, as the other routes do. Viewed as ``(T, 2, d, r)``, H is one product on
+    the probe axis and a block one on the probe's |1> half; the operand is only read, in any layout."""
     def one_pass(rows):
         d, r = stack.shape[-1], rows.shape[-1] if rows.ndim == 3 else 1  # sized, as -1 fails on T = 0
         t = (HADAMARD @ rows.reshape(len(rows), 2, d * r)).reshape(len(rows), 2, d, r)
@@ -147,9 +145,7 @@ def _probe_circuit(stack: np.ndarray, operand: np.ndarray) -> np.ndarray:
         return (HADAMARD @ t.reshape(len(rows), 2, d * r)).reshape(rows.shape)
 
     out = one_pass(operand)
-    if operand.ndim == 3:
-        out = one_pass(out.conj().swapaxes(-1, -2))
-    return renormalized(out)
+    return one_pass(out.conj().swapaxes(-1, -2)) if operand.ndim == 3 else out
 
 
 def _probe_values(rho_sys: QuantumState, stack: np.ndarray) -> np.ndarray:

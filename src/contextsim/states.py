@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL, ATOL_STATE_PSD, _array, checked_count, checked_matrix
+from .linalg import ATOL, ATOL_STATE_PSD, _array, _holds_bool, checked_count, checked_matrix
 
-# largest register that bitstring literals and the probe route build
+# largest register that bitstring literals, the state constructors and the probe route build
 MAX_QUBITS = 3
 
 
@@ -87,7 +87,7 @@ def _qubit_count(dim: int) -> int:
 
 def pure_state(amplitudes) -> QuantumState:
     a = _array(amplitudes, "amplitudes")
-    if a.dtype.kind not in "biufc":  # numpy would read None as NaN and "1" as 1
+    if a.dtype.kind not in "iufc" or _holds_bool(amplitudes):  # numpy would read None as NaN, "1" and True as 1
         raise ValueError(f"amplitudes must be numbers, got {amplitudes!r}")
     return QuantumState(qubits=_qubit_count(a.size), amplitudes=a)
 
@@ -106,7 +106,7 @@ def density_of(state: QuantumState) -> np.ndarray:
 
 def basis_state(n: int, label: str) -> QuantumState:
     """Computational basis state |label> on n qubits; label is a bitstring."""
-    n = checked_count(n, "qubit count")
+    n = checked_count(n, "qubit count", maximum=MAX_QUBITS)
     if not isinstance(label, str) or len(label) != n or any(ch not in "01" for ch in label):
         raise ValueError(f"label {label!r} is not a bitstring of length {n}")
     a = np.zeros(2 ** n, dtype=complex)
@@ -124,7 +124,7 @@ def bell_phi_plus() -> QuantumState:
 
 
 def haar_random_state(n: int, rng: np.random.Generator) -> QuantumState:
-    n = checked_count(n, "qubit count")
+    n = checked_count(n, "qubit count", maximum=MAX_QUBITS)
     v = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
     return QuantumState(qubits=n, amplitudes=v / np.linalg.norm(v))
 

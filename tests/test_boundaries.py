@@ -1,7 +1,8 @@
 """Property tests at the boundary where outside text enters: the command
 line. Drawn options mix valid values with junk numbers, angles and choices;
 a CLI call may only return 0 (success), 2 (invalid configuration) or 3 (no
-convergence), or exit through argparse with status 2. No call writes a file:
+convergence), or exit through argparse with status 2; a call that returns 0
+prints no NaN or infinity. No call writes a file:
 the CLI runs without ``--output`` and ``--config``."""
 
 import contextlib
@@ -65,5 +66,7 @@ def test_cli_returns_a_documented_exit_code(argv):
             code = exc.code
             assert code == 2 and "usage:" in err.getvalue()
     assert code in (0, 2, 3)
+    if code == 0:  # a successful report reads finite numbers only
+        assert "nan" not in out.getvalue().lower() and "inf" not in out.getvalue().lower()
     if code == 2 and "usage:" not in err.getvalue():
         assert err.getvalue().startswith("error: ")

@@ -363,8 +363,9 @@ class TestRaggedInputNamed:
 
 class TestWrongKindOfValueNamed:
     """A value of the wrong kind (a number where a sequence or a string goes, None
-    or a negative number for a count or for amplitudes, a list for a table's name)
-    is refused by a ValueError that names the argument and shows the value."""
+    or a negative number for a count or for amplitudes, a count above MAX_QUBITS
+    for a state, bools for amplitudes, a list for a table's name) is refused by a
+    ValueError that names the argument and shows the value."""
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("call, named, value", [
@@ -373,12 +374,19 @@ class TestWrongKindOfValueNamed:
         (state_from_literal, "state literal", None),
         (lambda v: haar_random_state(v, np.random.default_rng(0)), "qubit count", -1),
         (pure_state, "amplitudes", None),
+        (pure_state, "amplitudes", [True, False]),
+        (pure_state, "amplitudes", [True, 0.5]),
+        (lambda v: haar_random_state(v, np.random.default_rng(0)), "qubit count", 40),
+        (lambda v: basis_state(v, "0000"), "qubit count", 4),
         (slot, "observables", 5),
+        (lambda v: TimeSlot(v, np.eye(2)), "observables", 5),
         (lambda v: TemporalCorrelationSpec(1, v), "slots", 5),
         (load_measured_table, "table", []),
         (visibility_summary, "table", []),
     ], ids=["basis_state label", "basis_state n", "state_from_literal", "haar_random_state", "pure_state",
-            "slot", "TemporalCorrelationSpec", "load_measured_table", "visibility_summary"])
+            "pure_state bools", "pure_state bool beside a number", "haar_random_state above the cap",
+            "basis_state above the cap", "slot", "TimeSlot", "TemporalCorrelationSpec", "load_measured_table",
+            "visibility_summary"])
     def test_wrong_kind_named(self, call, named, value):
         with pytest.raises(ValueError) as raised:
             call(value)

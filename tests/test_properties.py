@@ -2,12 +2,15 @@
 chains: gate matrices and circuit application match a dense permutation
 oracle, the three correlator routes agree term by term and on two-slot specs,
 a report's values equal each spec's lone route call bit for bit on every
-route, the cycle's blocks are sigma_theta_matrix's own bits and Z read
-through a y rotation is sigma(theta) to round-off, a drawn stack read in one
+route, slots built from inputs at the edge of their admission read alike on
+the probe and trace routes, within |E| <= 1 on every route and as the
+two-time formula on two slots, the cycle's blocks are sigma_theta_matrix's
+own bits put on their set, Z read through a y rotation is sigma(theta) to
+round-off, a drawn stack read in one
 call on each route equals each spec's lone call bit for bit (an empty stack
 reads as empty), the probe
 matches the trace form on specs of up to six slots and equals the checked
-circuit on a probe-extended state bit for bit, Lüders chains
+circuit's gate kernel on a probe-extended state bit for bit, Lüders chains
 match a closed-form oracle and marginalize to their prefixes, a batch of
 chains matches each chain run alone and rejects a non-dichotomic observable
 at any position, a real chain runs in float64 and matches complex arithmetic
@@ -48,7 +51,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from contextsim import bounds, inequalities, optimize, sequential
-from contextsim.circuits import HADAMARD, Circuit, GateOp, apply, full_gate_matrix
+from contextsim.circuits import HADAMARD, Circuit, GateOp, _on_rows, apply, full_gate_matrix
 from contextsim.inequalities import (
     METHODS,
     PM_CONTEXTS,
@@ -59,7 +62,8 @@ from contextsim.inequalities import (
     eval_transformed_bell,
     sigma_theta,
 )
-from contextsim.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, SEARCH_TOL, conjugated, sigma_theta_matrix
+from contextsim.linalg import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, SEARCH_TOL, conjugated, onto_set,
+                               sigma_theta_matrix)
 from contextsim.noise import NoiseModel, apply_visibility, depolarize
 from contextsim.optimize import golden_section_minimize
 from contextsim.report import with_noise
@@ -357,9 +361,10 @@ def test_report_reads_each_spec_as_its_lone_call_bit_for_bit(name, method, data)
 
 @given(theta=angles, more=st.lists(angles, max_size=8))
 def test_cycle_blocks_are_sigma_theta_bit_for_bit(theta, more):
-    # sigma(0) is Z exactly, and each theta block holds the scalar call's
-    # bits, for one angle and for each angle of a stack
-    th = sigma_theta_matrix(theta)
+    # sigma(0) is Z exactly, and each theta block holds the bits of the scalar
+    # call put on its set, as a slot stores it, for one angle and for each
+    # angle of a stack
+    th = onto_set(sigma_theta_matrix(theta), "dichotomic")
     cycle = inequalities._kcbs_cycle(theta)
     assert cycle.shape == (5, 2, 2)
     assert [b.tobytes() for b in cycle] == [m.tobytes() for m in (PAULI_Z, th, PAULI_Z, th, PAULI_Z)]
@@ -441,6 +446,48 @@ def test_routes_agree_on_two_slot_specs(qubits, data):
     assert abs(correlator_sequential(state, sequence) - direct) <= 1e-10
 
 
+# each factor and evolution at the edge of its admission: a factor scaled by
+# 1 +- 4.9e-10 has |O^2 - I| = 9.8e-10 <= ATOL_DICHOTOMIC, an evolution
+# scaled by 1 +- 4.9e-11 has |U^dag U - I| = 9.8e-11 <= ATOL
+EDGE_FACTOR, EDGE_EVOLUTION = (1 - 4.9e-10, 1 + 4.9e-10), (1 - 4.9e-11, 1 + 4.9e-11)
+
+
+@st.composite
+def edge_slots(draw):
+    """A state on 1-3 qubits, mixed half the time, and 1-4 slots as
+    (observables, evolution) pairs: Bloch-vector factors and a Haar evolution
+    from a drawn seed, each scaled to the edge of its admission."""
+    qubits = draw(st.integers(1, 3))
+    slots = []
+    for _ in range(draw(st.integers(1, 4))):
+        obs = tuple(draw(st.sampled_from(EDGE_FACTOR)) * (v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z)
+                    for v in draw(bloch_directions(qubits)))
+        u = haar_random_unitary(2 ** qubits, np.random.default_rng(draw(seeds)))
+        slots.append((obs, draw(st.sampled_from(EDGE_EVOLUTION)) * u))
+    return draw(states(qubits)), slots
+
+
+@given(case=edge_slots())
+@example(case=(basis_state(1, "0"), [((PAULI_Z * (1 + 5e-11),), PAULI_I)]))
+@example(case=(basis_state(1, "0"), [((PAULI_Z * (1 + 6e-11),), PAULI_I)] * 2))
+@example(case=(basis_state(1, "0"), [((PAULI_Z * (1 + 4.9e-10),), PAULI_I)] * 2))
+@example(case=(mixed_state(np.eye(2) / 2), [((PAULI_Z,), PAULI_I * (1 + 4e-11)), ((PAULI_X,), PAULI_I)]))
+def test_slot_inputs_at_the_admission_edge_read_on_every_route(case):
+    # a slot stores each admitted input on its set, so it builds its block
+    # without a second check; the probe reads Re tr(rho W) as the trace form
+    # does, the sequential route admits the blocks, no route reads |E| above
+    # 1, and two slots give the two-time formula tr(rho {O_1, O_2})/2
+    state, slots = case
+    spec = TemporalCorrelationSpec(state.qubits, tuple(TimeSlot(obs, u) for obs, u in slots))
+    probe, direct = correlator_scattering(state, spec), correlator_direct(state, spec)
+    chain = correlator_sequential(state, spec.blocks)
+    assert abs(probe - direct) <= 1e-14
+    assert max(abs(probe), abs(direct), abs(chain)) <= 1 + 1e-14
+    if len(slots) == 2:
+        o1, o2 = spec.blocks
+        assert abs(chain - np.trace(density_of(state) @ (o1 @ o2 + o2 @ o1)).real / 2) <= 1e-14
+
+
 @given(data=st.data())
 def test_scattering_matches_direct_on_long_specs(data):
     qubits = data.draw(st.integers(1, 3))
@@ -451,17 +498,21 @@ def test_scattering_matches_direct_on_long_specs(data):
 
 @given(data=st.data())
 def test_probe_route_is_the_checked_circuit_bit_for_bit(data):
-    # correlator_scattering evolves bare arrays; the checked route builds a
-    # QuantumState for the probe-extended input and for the circuit's output
+    # correlator_scattering runs the fixed wiring as bare products; the
+    # reference runs the checked circuit's gates through the gate kernel on the
+    # checked probe-extended state (two passes for rho), unrenormalized as the
+    # probe route is, and reads the probe's <Z> of its output
     qubits = data.draw(st.integers(1, 3))
     spec = data.draw(specs(qubits, data.draw(st.integers(0, 6))))
     state = data.draw(states(qubits))
+    ops, n = build_scattering_circuit(spec).ops, qubits + 1
     if state.is_pure:
         joint = pure_state(np.kron([1, 0], state.amplitudes))
+        out = QuantumState._unchecked(n, amplitudes=_on_rows(ops, joint.amplitudes, n))
     else:
         joint = mixed_state(np.kron(np.diag([1, 0]), state.rho))
-    checked = probe_sigma_z(apply(build_scattering_circuit(spec), joint))
-    assert correlator_scattering(state, spec) == checked
+        out = QuantumState._unchecked(n, rho=_on_rows(ops, _on_rows(ops, joint.rho, n).conj().T, n))
+    assert correlator_scattering(state, spec) == probe_sigma_z(out)
 
 
 @given(data=st.data())

@@ -330,12 +330,6 @@ class TestSlotValidation:
         with pytest.raises(ValueError):
             TimeSlot(observables=(PAULI_Z,), evolution=np.eye(4, dtype=complex))
 
-    def test_block_checked_where_the_slot_is_built(self):
-        # dichotomic to 1e-9 but not unitary to 1e-10: the slot itself refuses
-        # it, naming its operator, instead of the probe route failing later
-        with pytest.raises(ValueError, match=r"slot observable U\^dag .* is not unitary"):
-            TimeSlot(observables=(PAULI_Z * (1 + 5e-11),), evolution=PAULI_I)
-
     def test_slot_count_must_match_system(self):
         with pytest.raises(ValueError):
             TemporalCorrelationSpec(system_qubits=2, slots=(slot((PAULI_Z,)),))
@@ -359,9 +353,8 @@ class TestSlotValidation:
 class TestBadBlocksRefusedOnEveryPublicPath:
     """A caller reaches the probe and direct routes only through checked
     slots, and reads a stack of its own only through the checked
-    ``correlator_sequential``. On |0> the unchecked kernels read the stack
-    ``2 * [[Z, Z]]`` as 4.0 (direct) and 0.4706 (the probe, whose
-    renormalization hides the non-unitary block), and a NaN stack as nan."""
+    ``correlator_sequential``. On |0> the unchecked probe and direct kernels
+    both read the stack ``2 * [[Z, Z]]`` as 4.0, and a NaN stack as nan."""
 
     def test_slot_refuses_the_block(self, block):
         with warnings.catch_warnings():

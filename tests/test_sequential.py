@@ -297,16 +297,31 @@ class TestOutcomeDistributionValidation:
             OutcomeDistribution(observables=obs, probabilities=[1.0, 0.0])
 
     def test_chain_of_admitted_slots_reads_on_every_route(self):
-        # each step on Z (1 + 4.9e-11) adds ((1 + 4.9e-11)^2 - 1)/2 to the
-        # total trace: three of them put the sum 1.47e-10 from 1, past the
-        # state's own normalization tolerance ATOL
+        # each step on Z (1 + 4.9e-11), as the sequential entry admits it, adds
+        # ((1 + 4.9e-11)^2 - 1)/2 to the total trace: three of them put the sum
+        # 1.47e-10 from 1, past the state's own normalization tolerance ATOL.
+        # A slot stores the same factor on its set, so the spec reads 0
         z = PAULI_Z * (1 + 4.9e-11)
         spec = TemporalCorrelationSpec(1, tuple(slot((o,)) for o in (z, PAULI_X) * 3))
-        dist = joint_distribution(basis_state(1, "0"), tuple(s.block for s in spec.slots))
+        dist = joint_distribution(basis_state(1, "0"), (z, PAULI_X) * 3)
         assert abs(dist.probabilities.sum() - 1) > ATOL
         for method in METHODS:
             [value] = _spec_values(basis_state(1, "0"), spec.blocks[None], method)
             assert value == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("state", [
+        QuantumState(qubits=1, rho=np.diag([1 + 0.99e-10, 0.0])),
+        pure_state(np.array([0.6, 0.8]) * np.sqrt(1 + 0.99e-10)),
+    ], ids=["trace", "norm"])
+    def test_state_at_its_normalization_edge_reads_alike_on_every_route(self, state):
+        # each route reads Re tr(rho W) of the state as admitted, the probe
+        # circuit's output unrenormalized: two Z slots read the trace itself
+        zz = TemporalCorrelationSpec(1, (slot((PAULI_Z,)),) * 2)
+        trace = np.trace(density_of(state)).real
+        for spec in (zz, random_correlation_spec(1, 2, np.random.default_rng(6))):
+            values = [_spec_values(state, spec.blocks[None], method)[0] for method in METHODS]
+            assert max(values) - min(values) <= 1e-15
+        assert _spec_values(state, zz.blocks[None], "scattering")[0] == pytest.approx(trace, abs=1e-15)
 
     def test_state_at_the_eigenvalue_floor_reads_on_every_route(self):
         # the boundary admits eigenvalues down to -ATOL_STATE_PSD; a Z slot
