@@ -15,13 +15,16 @@ product for diagnostics.
 A spec owns its blocks, the slots' O(t), as one read-only ``(k, d, d)``
 stack that every route reads. Specs that share a register and a slot count
 stack into ``(T, k, d, d)``, read unchecked in one ``(state, stack)`` call by
-each route's private kernel: :func:`_probe_values` (one batched evolution and
+each route's private kernel: :func:`_probe_values` (one batched pass and
 readout), :func:`_direct_values` (one batched product and trace) and
 ``sequential._full_product``. Only stacks of checked slot blocks reach them; a
 lone spec is the batch of one, ``spec.blocks[None]``, and a caller's stack is
-read, checked, by ``sequential.correlator_sequential``. Every probe circuit has
-the same wiring, so the probe route runs it as fixed products on the probe's
+read, checked, by ``sequential.correlator_sequential``. Every probe circuit U has
+the same wiring, so the probe route runs it once as fixed products on the probe's
 axis, with no gate objects: H on the probe, each block on the probe's |1> half, H.
+A pure state runs as |0> x psi; a mixed one as the columns |0> x |j>, which give
+the isometry V = U[:, :d], as U (|0><0| x rho) U^dag = V rho V^dag. The probe's
+<Z> is the signed sum of the output's diagonal.
 
 Any sequence of observables and evolutions is a spec; for two slots, the
 second after a two-qubit unitary ``U``, the three routes read the same value::
@@ -132,38 +135,36 @@ def probe_sigma_y(state: QuantumState) -> float:
 
 
 def _probe_circuit(stack: np.ndarray, operand: np.ndarray) -> np.ndarray:
-    """Each spec's probe circuit, for a ``(T, k, d, d)`` block stack, on a
-    ``(T, 2d)`` stack of vectors or a ``(T, 2d, 2d)`` stack of density matrices
-    (a second pass on the conjugate transpose), not renormalized, so it reads the state
-    as admitted, as the other routes do. Viewed as ``(T, 2, d, r)``, H is one product on
-    the probe axis and a block one on the probe's |1> half; the operand is only read, in any layout."""
-    def one_pass(rows):
-        d, r = stack.shape[-1], rows.shape[-1] if rows.ndim == 3 else 1  # sized, as -1 fails on T = 0
-        t = (HADAMARD @ rows.reshape(len(rows), 2, d * r)).reshape(len(rows), 2, d, r)
-        for i in range(stack.shape[1]):
-            t[:, 1] = stack[:, i] @ t[:, 1]
-        return (HADAMARD @ t.reshape(len(rows), 2, d * r)).reshape(rows.shape)
-
-    out = one_pass(operand)
-    return one_pass(out.conj().swapaxes(-1, -2)) if operand.ndim == 3 else out
+    """Each spec's probe circuit, for a ``(T, k, d, d)`` block stack, in one pass on a
+    ``(T, 2d)`` stack of vectors or a ``(T, 2d, r)`` stack of columns, not renormalized, so
+    it reads the state as admitted, as the other routes do. Viewed as ``(T, 2, d, r)``, H is
+    one product on the probe axis and a block one on the probe's |1> half; the operand is
+    only read, in any layout."""
+    d, r = stack.shape[-1], operand.shape[-1] if operand.ndim == 3 else 1  # sized, as -1 fails on T = 0
+    t = (HADAMARD @ operand.reshape(len(operand), 2, d * r)).reshape(len(operand), 2, d, r)
+    for i in range(stack.shape[1]):
+        t[:, 1] = stack[:, i] @ t[:, 1]
+    return (HADAMARD @ t.reshape(len(operand), 2, d * r)).reshape(operand.shape)
 
 
 def _probe_values(rho_sys: QuantumState, stack: np.ndarray) -> np.ndarray:
     """Probe readout of each spec of an unchecked ``(T, k, d, d)`` block stack,
     in one ``(state, stack)`` call as on the direct and sequential routes: one
-    :func:`_probe_circuit` on |0> x rho_sys, one readout of the probe's <Z>."""
-    operand = rho_sys.amplitudes if rho_sys.is_pure else rho_sys.rho
-    d = len(operand)
+    :func:`_probe_circuit` pass on |0> x psi, or on the isometry's columns for rho,
+    and the probe's <Z> read off the diagonal of the output state."""
+    d = 2 ** rho_sys.qubits
     if stack.shape[-2:] != (d, d):
         raise ValueError("state and spec disagree on the system size")
     if not 1 <= rho_sys.qubits <= MAX_QUBITS:
         raise ValueError(f"the probe route reads registers of 1 to {MAX_QUBITS} system qubits")
-    padded = np.zeros((len(stack),) + (2 * d,) * operand.ndim, dtype=complex)
-    padded[(slice(None),) + (slice(d),) * operand.ndim] = operand
-    out = _probe_circuit(stack, padded)
-    if out.ndim == 2:
-        out = out[:, :, None] * out.conj()[:, None, :]
-    return _probe_pauli(out, PAULI_Z)
+    signs = embed(PAULI_Z, [0], rho_sys.qubits + 1).diagonal().real
+    if rho_sys.is_pure:
+        padded = np.zeros((len(stack), 2 * d), dtype=complex)
+        padded[:, :d] = rho_sys.amplitudes
+        out = _probe_circuit(stack, padded)
+        return (out * out.conj() * signs).sum(-1).real
+    v = _probe_circuit(stack, np.eye(2 * d, d)[None].repeat(len(stack), axis=0))
+    return (((v @ rho_sys.rho) * v.conj()).sum(-1).real * signs).sum(-1)
 
 
 def correlator_scattering(rho_sys: QuantumState, spec: TemporalCorrelationSpec) -> float:

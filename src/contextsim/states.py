@@ -147,8 +147,6 @@ def state_from_literal(literal: str) -> QuantumState:
     if literal == "bell":
         return bell_phi_plus()
     if literal and all(ch in "01" for ch in literal):
-        if len(literal) > MAX_QUBITS:
-            raise ValueError(f"bitstring state has {len(literal)} qubits, more than {MAX_QUBITS}")
         return basis_state(len(literal), literal)
     if os.path.exists(literal):
         try:

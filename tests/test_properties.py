@@ -9,8 +9,9 @@ own bits put on their set, Z read through a y rotation is sigma(theta) to
 round-off, a drawn stack read in one
 call on each route equals each spec's lone call bit for bit (an empty stack
 reads as empty), the probe
-matches the trace form on specs of up to six slots and equals the checked
-circuit's gate kernel on a probe-extended state bit for bit, Lüders chains
+matches the trace form on specs of up to six slots, equals the checked
+circuit's gate kernel on the route's own operand bit for bit and reads a
+rank-one density matrix as its pure state, Lüders chains
 match a closed-form oracle and marginalize to their prefixes, a batch of
 chains matches each chain run alone and rejects a non-dichotomic observable
 at any position, a real chain runs in float64 and matches complex arithmetic
@@ -104,9 +105,8 @@ angles = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def states(draw, qubits, real=False):
-    """A pure state from drawn amplitudes, depolarized by a drawn p half the
-    time; ``real`` draws real amplitudes, so the density matrix is real."""
+def pure_states(draw, qubits, real=False):
+    """A pure state from drawn amplitudes; ``real`` draws real amplitudes."""
     dim = 2 ** qubits
     coord = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
     size = dim if real else 2 * dim
@@ -114,7 +114,14 @@ def states(draw, qubits, real=False):
     amps = np.array(parts[:dim]) + (0 if real else 1j * np.array(parts[dim:]))
     norm = np.linalg.norm(amps)
     assume(norm > 1e-3)
-    psi = pure_state(amps / norm)
+    return pure_state(amps / norm)
+
+
+@st.composite
+def states(draw, qubits, real=False):
+    """A pure state, depolarized by a drawn p half the time; ``real`` draws
+    real amplitudes, so the density matrix is real."""
+    psi = draw(pure_states(qubits, real))
     if draw(st.booleans()):
         return depolarize(psi, draw(st.floats(0.0, 1.0)))
     return psi
@@ -500,19 +507,42 @@ def test_scattering_matches_direct_on_long_specs(data):
 def test_probe_route_is_the_checked_circuit_bit_for_bit(data):
     # correlator_scattering runs the fixed wiring as bare products; the
     # reference runs the checked circuit's gates through the gate kernel on the
-    # checked probe-extended state (two passes for rho), unrenormalized as the
-    # probe route is, and reads the probe's <Z> of its output
+    # route's own operand, |0> x psi or the columns |0> x |j> (the isometry
+    # V = U[:, :d]), unrenormalized as the probe route is, and reads the
+    # probe's <Z> as the signed sum of the diagonal of |out><out| or V rho V^dag;
+    # the two-pass U rho_pad U^dag of the padded density matrix reads the same
+    # to round-off
     qubits = data.draw(st.integers(1, 3))
     spec = data.draw(specs(qubits, data.draw(st.integers(0, 6))))
     state = data.draw(states(qubits))
-    ops, n = build_scattering_circuit(spec).ops, qubits + 1
+    ops, n, d = build_scattering_circuit(spec).ops, qubits + 1, 2 ** qubits
+    signs = np.repeat([1.0, -1.0], d)
     if state.is_pure:
-        joint = pure_state(np.kron([1, 0], state.amplitudes))
-        out = QuantumState._unchecked(n, amplitudes=_on_rows(ops, joint.amplitudes, n))
+        out = _on_rows(ops, np.kron([1, 0], state.amplitudes), n)
+        reference = (out * out.conj() * signs).sum(-1).real
+        joint = QuantumState._unchecked(n, amplitudes=out)
     else:
-        joint = mixed_state(np.kron(np.diag([1, 0]), state.rho))
-        out = QuantumState._unchecked(n, rho=_on_rows(ops, _on_rows(ops, joint.rho, n).conj().T, n))
-    assert correlator_scattering(state, spec) == probe_sigma_z(out)
+        v = _on_rows(ops, np.eye(2 * d, d), n)
+        reference = (((v @ state.rho) * v.conj()).sum(-1).real * signs).sum(-1)
+        padded = np.kron(np.diag([1, 0]), state.rho)
+        joint = QuantumState._unchecked(n, rho=_on_rows(ops, _on_rows(ops, padded, n).conj().T, n))
+    assert correlator_scattering(state, spec).hex() == float(reference).hex()
+    assert abs(correlator_scattering(state, spec) - probe_sigma_z(joint)) <= 1e-14
+
+
+@given(data=st.data())
+def test_rank_one_density_matrix_reads_as_its_pure_state_on_the_probe_route(data):
+    # the route runs a pure state as |0> x psi and a mixed one through the
+    # isometry's columns; on psi psi^dag the two operand paths read alike, and
+    # a spec with no slots reads Re tr rho
+    qubits = data.draw(st.integers(1, 3))
+    spec = data.draw(specs(qubits, data.draw(st.integers(0, 6))))
+    psi = data.draw(pure_states(qubits))
+    rho = mixed_state(density_of(psi))
+    mixed = correlator_scattering(rho, spec)
+    assert abs(mixed - correlator_scattering(psi, spec)) <= 1e-14
+    if not spec.slots:
+        assert abs(mixed - np.trace(rho.rho).real) <= 1e-14
 
 
 @given(data=st.data())

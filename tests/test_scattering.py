@@ -259,7 +259,9 @@ class TestProbeCircuitMemoryOrder:
     """The probe route's kernel, ``_probe_circuit``, which runs a stack of
     probe circuits, reads a stack as the same bits whatever its memory layout:
     a zero-stride broadcast batch axis, a Fortran-ordered stack, a sliced stack
-    or one with negative strides."""
+    or one with negative strides. Its operands are the route's: ``(T, 2d)``
+    vectors |0> x psi, or for a mixed state the ``(T, 2d, d)`` columns of an
+    isometry, ``np.eye(2d, d)`` on the route."""
 
     T = 12
 
@@ -267,9 +269,11 @@ class TestProbeCircuitMemoryOrder:
     def test_broadcast_and_fortran_stacks_read_as_the_c_ordered_one(self, mixed):
         rng = np.random.default_rng(21)
         blocks = np.stack([haar_random_unitary(8, rng) for _ in range(self.T)])[:, None]
-        one = np.zeros((16, 16) if mixed else 16, dtype=complex)
-        system = density_of(haar_random_state(3, np.random.default_rng(22))) if mixed else haar_random_state(3, np.random.default_rng(22)).amplitudes
-        one[(slice(8),) * one.ndim] = system
+        if mixed:
+            one = np.eye(16, 8)
+        else:
+            one = np.zeros(16, dtype=complex)
+            one[:8] = haar_random_state(3, np.random.default_rng(22)).amplitudes
         c_ordered = np.ascontiguousarray(np.broadcast_to(one, (self.T,) + one.shape))
         expected = _probe_circuit(blocks, c_ordered).tobytes()
         for operand in (np.broadcast_to(one, c_ordered.shape), np.asfortranarray(c_ordered)):
@@ -278,13 +282,14 @@ class TestProbeCircuitMemoryOrder:
     @pytest.mark.parametrize("mixed", [False, True])
     def test_sliced_and_negative_stride_stacks_read_as_the_c_ordered_one(self, mixed):
         # a distinct operand and two blocks per spec; the kernel reads its
-        # operand as given, so these views reach numpy's reshape and products
+        # operand as given, so these views reach numpy's reshape and products;
+        # a mixed operand is the isometry |0> x u, of a Haar unitary u per spec
         rng = np.random.default_rng(23)
         blocks = np.stack([[haar_random_unitary(8, rng) for _ in range(2)] for _ in range(self.T)])
-        c_ordered = np.zeros((self.T,) + ((16, 16) if mixed else (16,)), dtype=complex)
+        c_ordered = np.zeros((self.T, 16, 8) if mixed else (self.T, 16), dtype=complex)
         for t in range(self.T):
-            state = haar_random_state(3, np.random.default_rng(30 + t))
-            c_ordered[(t,) + (slice(8),) * (c_ordered.ndim - 1)] = density_of(state) if mixed else state.amplitudes
+            seeded = np.random.default_rng(30 + t)
+            c_ordered[t, :8] = haar_random_unitary(8, seeded) if mixed else haar_random_state(3, seeded).amplitudes
         flip = (slice(None, None, -1),) * c_ordered.ndim
         sliced = np.repeat(c_ordered, 2, axis=0)[::2]
         reversed_ = np.ascontiguousarray(c_ordered[flip])[flip]
